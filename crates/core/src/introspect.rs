@@ -14,8 +14,8 @@ use graphblas_sparse::FormatError;
 ///
 /// Produced by `Matrix::stats()` / `Vector::stats()` / `Scalar::stats()`.
 /// All fields describe the object *as stored right now*: `nvals` counts
-/// elements in the current store and ignores queued stages, so it can
-/// differ from what `nvals()` reports after completion.
+/// elements in the current store and ignores everything `pending` counts,
+/// so it can differ from what `nvals()` reports after completion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectStats {
     /// Object kind: `"matrix"`, `"vector"`, or `"scalar"`.
@@ -26,7 +26,9 @@ pub struct ObjectStats {
     pub ncols: u64,
     /// Stored elements in the current store (pre-completion).
     pub nvals: u64,
-    /// Queued, not-yet-executed stages in the pending sequence.
+    /// Deferred work: queued, not-yet-executed stages in the pending
+    /// sequence plus (matrices) element updates not yet merged into the
+    /// store.
     pub pending: u64,
     /// Current storage format (`"csr"`, `"csc"`, `"coo"`, `"dense"`,
     /// `"sparse"`, `"bitmap"`, `"full"`).

@@ -12,13 +12,15 @@
 //!
 //! Internally the storage format is lazy (Table III formats are kept
 //! as-imported until a kernel needs CSR); `export_hint` reports whatever
-//! the object currently holds.
+//! the object currently holds. Element-wise writes are lazy too:
+//! `set_element`/`remove_element` append to an update log that the next
+//! read, `wait` or queued operation merges into the store in one pass.
 
 use std::sync::Arc;
 
 use graphblas_exec::sync::{Mutex, RwLock};
 use graphblas_exec::{Context, Mode};
-use graphblas_sparse::{Coo, Csc, Csr, Dense};
+use graphblas_sparse::{Coo, Csc, Csr, Dense, ElementUpdate};
 
 use crate::error::{ApiError, Error, ExecutionError, GrbResult};
 use crate::introspect::ObjectStats;
@@ -27,22 +29,11 @@ use crate::pending::{fuse_maps, MapFn, NodeKind, Stage, WaitMode};
 use crate::scalar::Scalar;
 use crate::types::{Index, MaskValue, ValueType};
 
-/// How duplicate coordinates in a COO store are resolved when it is
-/// converted to canonical form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CooDup {
-    /// Duplicates are an execution error (import semantics, and `build`
-    /// with a `None` dup — §IX).
-    Reject,
-    /// The most recently appended value wins (`setElement` semantics).
-    LastWins,
-}
-
 /// The lazy internal storage of a matrix.
 pub(crate) enum MatStore<T: ValueType> {
     Csr(Arc<Csr<T>>),
     Csc(Arc<Csc<T>>),
-    Coo(Arc<Coo<T>>, CooDup),
+    Coo(Arc<Coo<T>>),
     Dense(Arc<Dense<T>>),
 }
 
@@ -51,7 +42,7 @@ impl<T: ValueType> Clone for MatStore<T> {
         match self {
             MatStore::Csr(a) => MatStore::Csr(a.clone()),
             MatStore::Csc(a) => MatStore::Csc(a.clone()),
-            MatStore::Coo(a, d) => MatStore::Coo(a.clone(), *d),
+            MatStore::Coo(a) => MatStore::Coo(a.clone()),
             MatStore::Dense(a) => MatStore::Dense(a.clone()),
         }
     }
@@ -66,7 +57,7 @@ impl<T: ValueType> MatStore<T> {
         match self {
             MatStore::Csr(a) => a.bytes(),
             MatStore::Csc(a) => a.bytes(),
-            MatStore::Coo(a, _) => a.bytes(),
+            MatStore::Coo(a) => a.bytes(),
             MatStore::Dense(a) => a.bytes(),
         }
     }
@@ -76,6 +67,12 @@ pub(crate) struct MatrixState<T: ValueType> {
     pub nrows: usize,
     pub ncols: usize,
     pub store: MatStore<T>,
+    /// Update log: `set_element`/`remove_element` calls (a `None` value is
+    /// a zombie) not yet folded into `store`, in arrival order. Both
+    /// methods drain `pending` before appending, so every entry here
+    /// precedes every queued stage; [`Self::fold_updates`] is the one
+    /// place the log is applied.
+    pub updates: Vec<ElementUpdate<T>>,
     pub pending: Vec<Stage<MatrixState<T>, T>>,
     pub err: Option<ExecutionError>,
     /// Memoized transpose, keyed by the identity of the CSR `Arc` it was
@@ -107,6 +104,7 @@ impl<T: ValueType> MatrixState<T> {
             nrows,
             ncols,
             store,
+            updates: Vec::new(),
             pending: Vec::new(),
             err: None,
             transpose_cache: None,
@@ -131,31 +129,63 @@ impl<T: ValueType> MatrixState<T> {
             self.mem_bytes = 0;
         }
         self.mem_ctx = ctx_id;
-        let new = if enabled { self.store.bytes() } else { 0 };
+        let new = if enabled {
+            let log = self.updates.capacity() * std::mem::size_of::<ElementUpdate<T>>();
+            self.store.bytes() + log as u64
+        } else {
+            0
+        };
         if new != self.mem_bytes {
             graphblas_obs::mem::adjust_container(ctx_id, self.mem_bytes, new);
             self.mem_bytes = new;
         }
     }
-    /// Converts the store to CSR in place (sorting rows when `sorted`).
+
+    /// Folds the update log, then converts the store to CSR in place
+    /// (sorting rows when `sorted`).
     pub(crate) fn ensure_csr(&mut self, ctx: &Context, sorted: bool) -> GrbResult {
+        self.fold_updates(ctx)?;
+        self.canonicalize(ctx, sorted)
+    }
+
+    /// Applies the update log to the store as one sorted merge
+    /// (`Csr::merge_updates`) and empties it. Called at the top of
+    /// [`Self::ensure_csr`] and of [`Self::drain_as`], which every reader
+    /// and every writer that replaces the store passes through.
+    fn fold_updates(&mut self, ctx: &Context) -> GrbResult {
+        if self.updates.is_empty() {
+            return Ok(());
+        }
+        self.canonicalize(ctx, true)?;
+        let log = std::mem::take(&mut self.updates);
+        let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Convert, ctx.id());
+        let (nnz_in, p) = (self.csr().nnz() as u64, log.len() as u64);
+        let merged = self.csr().merge_updates(log).map_err(Error::from)?;
+        if sp.active() {
+            let elem = (std::mem::size_of::<usize>() + std::mem::size_of::<T>()) as u64;
+            sp.io(0, nnz_in + p, merged.nnz() as u64, (nnz_in + p) * elem);
+        }
+        self.store = MatStore::Csr(Arc::new(merged));
+        // Stale by pointer identity already; dropped to free it promptly.
+        self.transpose_cache = None;
+        self.note_mem(ctx.id());
+        self.debug_check();
+        Ok(())
+    }
+
+    /// Converts the store to CSR in place (sorting rows when `sorted`);
+    /// the update log is not consulted.
+    fn canonicalize(&mut self, ctx: &Context, sorted: bool) -> GrbResult {
         let src_format = match &self.store {
             MatStore::Csr(_) => None,
             MatStore::Csc(_) => Some("csc"),
-            MatStore::Coo(..) => Some("coo"),
+            MatStore::Coo(_) => Some("coo"),
             MatStore::Dense(_) => Some("dense"),
         };
         let csr: Arc<Csr<T>> = match &self.store {
             MatStore::Csr(a) => a.clone(),
             MatStore::Csc(c) => Arc::new(c.to_csr(ctx)),
-            MatStore::Coo(coo, dup) => {
-                let second = |_: &T, b: &T| b.clone();
-                let converted = match dup {
-                    CooDup::Reject => coo.to_csr(ctx, None)?,
-                    CooDup::LastWins => coo.to_csr(ctx, Some(&second))?,
-                };
-                Arc::new(converted)
-            }
+            MatStore::Coo(coo) => Arc::new(coo.to_csr(ctx, None)?),
             MatStore::Dense(d) => Arc::new(d.to_csr(ctx)),
         };
         let needs_sort = sorted && !csr.is_rows_sorted();
@@ -243,6 +273,8 @@ impl<T: ValueType> MatrixState<T> {
         if let Some(e) = &self.err {
             return Err(Error::Execution(e.clone()));
         }
+        // Every log entry precedes every queued stage (see `updates`).
+        self.fold_updates(ctx)?;
         if self.pending.is_empty() {
             return Ok(());
         }
@@ -346,7 +378,7 @@ impl<T: ValueType> MatrixState<T> {
                 })?;
                 (a.nrows(), a.ncols())
             }
-            MatStore::Coo(a, _) => {
+            MatStore::Coo(a) => {
                 a.check().map_err(|source| CheckError::Format {
                     format: "coo",
                     source,
@@ -367,10 +399,26 @@ impl<T: ValueType> MatrixState<T> {
                 store: (shape.0 as u64, shape.1 as u64),
             });
         }
-        if self.err.is_some() && !self.pending.is_empty() {
-            return Err(CheckError::PendingAfterError {
-                pending: self.pending.len(),
+        let out_of_bounds = self.updates.iter().find_map(|&(i, j, _)| {
+            if i >= self.nrows {
+                Some((i, self.nrows, "row"))
+            } else if j >= self.ncols {
+                Some((j, self.ncols, "column"))
+            } else {
+                None
+            }
+        });
+        if let Some((index, bound, axis)) = out_of_bounds {
+            return Err(CheckError::Format {
+                format: "update log",
+                source: graphblas_sparse::FormatError::IndexOutOfBounds { index, bound, axis },
             });
+        }
+        // Poisoned ⇒ nothing deferred: `drain_as` folds the log before the
+        // first stage runs, and a poisoned object accepts no new updates.
+        let deferred = self.pending.len() + self.updates.len();
+        if self.err.is_some() && deferred != 0 {
+            return Err(CheckError::PendingAfterError { pending: deferred });
         }
         Ok(())
     }
@@ -565,6 +613,7 @@ impl<T: ValueType> Matrix<T> {
         let ctx_id = self.context().id();
         let mut st = self.inner.state.lock();
         st.pending.clear();
+        st.updates.clear();
         st.err = None;
         st.store = MatStore::Csr(Arc::new(Csr::empty(st.nrows, st.ncols)));
         // Pointer identity already invalidates the cache; dropping it here
@@ -584,48 +633,29 @@ impl<T: ValueType> Matrix<T> {
         let ctx = self.context();
         let mut st = self.lock_completed()?;
         st.ensure_csr(&ctx, false)?;
-        let old = st.csr().clone();
-        let kept: Vec<(Index, Index, T)> = old
-            .iter()
-            .filter(|&(i, j, _)| i < nrows && j < ncols)
-            .map(|(i, j, v)| (i, j, v.clone()))
-            .collect();
-        let coo = Coo::from_parts(
-            nrows,
-            ncols,
-            kept.iter().map(|t| t.0).collect(),
-            kept.iter().map(|t| t.1).collect(),
-            kept.into_iter().map(|t| t.2).collect(),
-        )
-        .map_err(Error::from)?;
+        let kept = st
+            .csr()
+            .filter_map_with_index(&ctx, |i, j, v| (i < nrows && j < ncols).then(|| v.clone()));
+        // Rows past the new count are empty now and new rows start empty,
+        // so either way the tail of `indptr` repeats the element count.
+        let (mut indptr, indices, values) = kept.into_parts();
+        indptr.resize(nrows + 1, values.len());
+        let resized =
+            Csr::from_parts(nrows, ncols, indptr, indices, values).map_err(Error::from)?;
         st.nrows = nrows;
         st.ncols = ncols;
-        st.store = MatStore::Csr(Arc::new(coo.to_csr(&ctx, None).map_err(Error::from)?));
+        st.store = MatStore::Csr(Arc::new(resized));
         st.transpose_cache = None;
+        st.note_mem(ctx.id());
         Ok(())
     }
 
     /// `GrB_Matrix_setElement`. A scalar index outside the dimensions is
-    /// an *API* error (`GrB_INVALID_INDEX`), reported immediately.
+    /// an *API* error (`GrB_INVALID_INDEX`), reported immediately. O(1):
+    /// the element is appended to the update log and merged into the store
+    /// at the next read or `wait`.
     pub fn set_element(&self, v: T, i: Index, j: Index) -> GrbResult {
-        let ctx = self.context();
-        let mut st = self.lock_completed()?;
-        if i >= st.nrows || j >= st.ncols {
-            return Err(ApiError::InvalidIndex.into());
-        }
-        // Fast path: append into a COO store; repeated setElement stays
-        // O(1) amortized, with last-wins resolution at canonicalization.
-        if !matches!(st.store, MatStore::Coo(_, CooDup::LastWins)) {
-            st.ensure_csr(&ctx, false)?;
-            let coo = Coo::from_csr(st.csr());
-            st.store = MatStore::Coo(Arc::new(coo), CooDup::LastWins);
-            st.transpose_cache = None;
-        }
-        if let MatStore::Coo(coo, _) = &mut st.store {
-            Arc::make_mut(coo).push(i, j, v).map_err(Error::from)?;
-        }
-        st.note_mem(ctx.id());
-        Ok(())
+        self.push_update(i, j, Some(v))
     }
 
     /// Table II scalar variant of `setElement`: an **empty** scalar removes
@@ -637,20 +667,28 @@ impl<T: ValueType> Matrix<T> {
         }
     }
 
-    /// `GrB_Matrix_removeElement`.
+    /// `GrB_Matrix_removeElement`. O(1): logged as a zombie, like
+    /// [`Self::set_element`]; removing an absent element is a no-op.
     pub fn remove_element(&self, i: Index, j: Index) -> GrbResult {
+        self.push_update(i, j, None)
+    }
+
+    /// Completes the queued stages (which fold the log they follow), then
+    /// appends one entry to the update log without folding it.
+    fn push_update(&self, i: Index, j: Index, v: Option<T>) -> GrbResult {
         let ctx = self.context();
-        let mut st = self.lock_completed()?;
+        let mut st = self.inner.state.lock();
+        if let Some(e) = &st.err {
+            return Err(Error::Execution(e.clone()));
+        }
+        if !st.pending.is_empty() {
+            st.drain(&ctx)?;
+        }
         if i >= st.nrows || j >= st.ncols {
             return Err(ApiError::InvalidIndex.into());
         }
-        st.ensure_csr(&ctx, true)?;
-        if st.csr().get(i, j).is_some() {
-            let filtered = st
-                .csr()
-                .filter_map_with_index(&ctx, |r, c, v| ((r, c) != (i, j)).then(|| v.clone()));
-            st.store = MatStore::Csr(Arc::new(filtered));
-        }
+        st.updates.push((i, j, v));
+        st.note_mem(ctx.id());
         Ok(())
     }
 
@@ -816,7 +854,7 @@ impl<T: ValueType> Matrix<T> {
         let (format, nvals) = match &st.store {
             MatStore::Csr(a) => ("csr", a.nnz()),
             MatStore::Csc(a) => ("csc", a.nnz()),
-            MatStore::Coo(a, _) => ("coo", a.nnz()),
+            MatStore::Coo(a) => ("coo", a.nnz()),
             MatStore::Dense(a) => ("dense", a.values().len()),
         };
         ObjectStats {
@@ -824,7 +862,7 @@ impl<T: ValueType> Matrix<T> {
             nrows: st.nrows as u64,
             ncols: st.ncols as u64,
             nvals: nvals as u64,
-            pending: st.pending.len() as u64,
+            pending: (st.pending.len() + st.updates.len()) as u64,
             format,
             failed: st.err.is_some(),
             ctx: ctx_id,
@@ -1337,17 +1375,27 @@ mod tests {
             m.set_element(k as i64, k, k).unwrap();
         }
         m.wait(WaitMode::Materialize).unwrap();
-        let live = graphblas_obs::ctxreg::context_stats(ctx.id())
-            .unwrap()
-            .own
-            .mem_live;
-        assert!(live > 0, "a populated CSR store must charge the ledger");
+        let live = || {
+            graphblas_obs::ctxreg::context_stats(ctx.id())
+                .unwrap()
+                .own
+                .mem_live
+        };
+        let full = live();
+        assert!(full > 0, "a populated CSR store must charge the ledger");
+        // The gauge follows every store replacement, resize included, and
+        // counts the update log while it holds entries.
+        m.resize(1, 1).unwrap();
+        let small = live();
+        assert!(small < full, "resize must reconcile the gauge");
+        for _ in 0..100 {
+            m.remove_element(0, 0).unwrap();
+        }
+        assert!(live() > small, "un-folded updates are container bytes");
+        m.wait(WaitMode::Materialize).unwrap();
+        assert!(live() <= small, "the fold releases the log");
         drop(m);
-        let after = graphblas_obs::ctxreg::context_stats(ctx.id())
-            .unwrap()
-            .own
-            .mem_live;
-        assert_eq!(after, 0, "dropping the handle must release its bytes");
+        assert_eq!(live(), 0, "dropping the handle must release its bytes");
         graphblas_obs::set_enabled(was);
     }
 

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use graphblas_sparse::{Coo, Csc, Csr, Dense, DenseVec, Layout, SparseVec};
 
 use crate::error::{ApiError, Error, ExecErrorKind, GrbResult};
-use crate::matrix::{CooDup, MatStore, Matrix, MatrixState};
+use crate::matrix::{MatStore, Matrix, MatrixState};
 use crate::types::{Index, ValueType};
 use crate::vector::{VecStore, Vector, VectorState};
 
@@ -112,12 +112,9 @@ impl<T: ValueType> Matrix<T> {
                 // indices for COO.
                 let cols = indptr.ok_or(ApiError::NullPointer)?;
                 let rows = indices.ok_or(ApiError::NullPointer)?;
-                MatStore::Coo(
-                    Arc::new(
-                        Coo::from_parts(nrows, ncols, rows, cols, values).map_err(api_invalid)?,
-                    ),
-                    CooDup::Reject,
-                )
+                MatStore::Coo(Arc::new(
+                    Coo::from_parts(nrows, ncols, rows, cols, values).map_err(api_invalid)?,
+                ))
             }
             Format::DenseRow => MatStore::Dense(Arc::new(
                 Dense::from_parts(nrows, ncols, Layout::RowMajor, values).map_err(api_invalid)?,
@@ -217,7 +214,8 @@ impl<T: ValueType> Matrix<T> {
     /// `None` (the C API's `GrB_NO_VALUE`) while the sequence is still
     /// pending, since the final format is not yet determined.
     pub fn export_hint(&self) -> Option<Format> {
-        if self.pending_len() > 0 {
+        // Queued stages and un-folded element updates both count.
+        if self.stats().pending > 0 {
             return None;
         }
         let st = self.inner_store_kind();
@@ -229,7 +227,7 @@ impl<T: ValueType> Matrix<T> {
         match &st.store {
             MatStore::Csr(_) => Format::Csr,
             MatStore::Csc(_) => Format::Csc,
-            MatStore::Coo(_, _) => Format::Coo,
+            MatStore::Coo(_) => Format::Coo,
             MatStore::Dense(d) => match d.layout() {
                 Layout::RowMajor => Format::DenseRow,
                 Layout::ColMajor => Format::DenseCol,

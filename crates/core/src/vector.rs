@@ -537,12 +537,15 @@ impl<T: ValueType> Vector<T> {
             return Err(ApiError::InvalidIndex.into());
         }
         st.ensure_sparse()?;
-        let sv = st.sparse().clone();
-        if sv.get(i).is_some() {
-            let mut owned = (*sv).clone();
-            owned.remove(i);
-            st.store = VecStore::Sparse(Arc::new(owned));
+        if let VecStore::Sparse(sv) = &mut st.store {
+            // A uniquely owned store is edited in place; only a shared
+            // (copy-on-write) one is cloned, and only when `i` is stored.
+            if sv.get(i).is_some() {
+                Arc::make_mut(sv).remove(i);
+            }
         }
+        let ctx_id = self.context().id();
+        st.note_mem(ctx_id);
         Ok(())
     }
 

@@ -84,30 +84,6 @@ impl<T> Coo<T> {
         (self.rows, self.cols, self.values)
     }
 
-    /// Appends a triplet, possibly duplicating a coordinate. The O(1) fast
-    /// path behind repeated `setElement`; `to_csr` with a last-wins
-    /// combiner restores canonical form (its sorting is stable).
-    pub fn push(&mut self, i: usize, j: usize, v: T) -> Result<(), FormatError> {
-        if i >= self.nrows {
-            return Err(FormatError::IndexOutOfBounds {
-                index: i,
-                bound: self.nrows,
-                axis: "row",
-            });
-        }
-        if j >= self.ncols {
-            return Err(FormatError::IndexOutOfBounds {
-                index: j,
-                bound: self.ncols,
-                axis: "column",
-            });
-        }
-        self.rows.push(i);
-        self.cols.push(j);
-        self.values.push(v);
-        Ok(())
-    }
-
     /// Full invariant validation, with [`crate::csr::Csr::check`]'s rigor:
     /// the three triplet arrays agree in length and every coordinate is in
     /// bounds. (Duplicates are legal in COO — Table III imposes no order —

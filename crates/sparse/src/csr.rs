@@ -666,6 +666,99 @@ impl<T: Clone + Send + Sync> Csr<T> {
     }
 }
 
+/// One deferred element update for [`Csr::merge_updates`]: `(row, col,
+/// Some(v))` stores `v` at the coordinate (`setElement`), `(row, col, None)`
+/// is a zombie that deletes whatever is stored there (`removeElement`).
+pub type ElementUpdate<T> = (usize, usize, Option<T>);
+
+impl<T: Clone> Csr<T> {
+    /// Folds a log of element updates, given in arrival order, into a new
+    /// matrix — the kernel behind deferred `setElement`/`removeElement`.
+    /// The last update of a coordinate wins; a zombie for an absent element
+    /// is a no-op. One stable sort of the log and one merge pass over the
+    /// rows, O(nnz + p log p); runs of rows the log does not touch are
+    /// copied slice-wise.
+    ///
+    /// # Panics
+    ///
+    /// When the rows are not sorted (callers canonicalize first).
+    pub fn merge_updates(&self, mut log: Vec<ElementUpdate<T>>) -> Result<Csr<T>, FormatError> {
+        assert!(self.rows_sorted, "merge_updates requires sorted rows");
+        for &(i, j, _) in &log {
+            if i >= self.nrows {
+                return Err(FormatError::IndexOutOfBounds {
+                    index: i,
+                    bound: self.nrows,
+                    axis: "row",
+                });
+            }
+            if j >= self.ncols {
+                return Err(FormatError::IndexOutOfBounds {
+                    index: j,
+                    bound: self.ncols,
+                    axis: "column",
+                });
+            }
+        }
+        // Stable, so updates of one coordinate stay in arrival order and
+        // the last of each run is the survivor.
+        log.sort_by_key(|&(i, j, _)| (i, j));
+        let cap = self.nnz() + log.iter().filter(|u| u.2.is_some()).count();
+        let mut indptr = Vec::with_capacity(self.nrows + 1);
+        indptr.push(0usize);
+        let mut indices = Vec::with_capacity(cap);
+        let mut values = Vec::with_capacity(cap);
+        let mut next_row = 0usize;
+        let mut log = log.into_iter().peekable();
+        while let Some(&(i, _, _)) = log.peek() {
+            self.copy_rows(next_row..i, &mut indptr, &mut indices, &mut values);
+            let (cols, vals) = self.row(i);
+            let mut k = 0usize;
+            while let Some((_, j, v)) = log.next_if(|u| u.0 == i) {
+                if log.peek().is_some_and(|next| (next.0, next.1) == (i, j)) {
+                    continue;
+                }
+                let upto = k + cols[k..].partition_point(|&c| c < j);
+                indices.extend_from_slice(&cols[k..upto]);
+                values.extend_from_slice(&vals[k..upto]);
+                // A stored (i, j) is replaced or deleted either way.
+                k = upto + usize::from(cols.get(upto) == Some(&j));
+                if let Some(v) = v {
+                    indices.push(j);
+                    values.push(v);
+                }
+            }
+            indices.extend_from_slice(&cols[k..]);
+            values.extend_from_slice(&vals[k..]);
+            indptr.push(indices.len());
+            next_row = i + 1;
+        }
+        self.copy_rows(next_row..self.nrows, &mut indptr, &mut indices, &mut values);
+        Ok(Csr::from_kernel_parts(
+            self.nrows, self.ncols, indptr, indices, values, true,
+        ))
+    }
+
+    /// Appends whole rows `rows` to CSR arrays under construction.
+    fn copy_rows(
+        &self,
+        rows: Range<usize>,
+        indptr: &mut Vec<usize>,
+        indices: &mut Vec<usize>,
+        values: &mut Vec<T>,
+    ) {
+        let src = self.indptr[rows.start]..self.indptr[rows.end];
+        let shift = indices.len();
+        indptr.extend(
+            self.indptr[rows.start + 1..rows.end + 1]
+                .iter()
+                .map(|&p| shift + (p - src.start)),
+        );
+        indices.extend_from_slice(&self.indices[src.clone()]);
+        values.extend_from_slice(&self.values[src]);
+    }
+}
+
 impl<T> Csr<T> {
     /// Row degrees as a plain vector (used by generators and algorithms).
     pub fn row_degrees(&self) -> Vec<usize> {
@@ -763,6 +856,107 @@ mod tests {
         });
         assert_eq!(b.to_sorted_tuples(), vec![(0, 2, -2)]);
         b.check().unwrap();
+    }
+
+    /// `merge_updates` against a `BTreeMap` replay, plus the Table III
+    /// invariants of the result.
+    fn check_merge(a: &Csr<i64>, log: Vec<ElementUpdate<i64>>) -> Csr<i64> {
+        let mut want: std::collections::BTreeMap<(usize, usize), i64> =
+            a.iter().map(|(i, j, v)| ((i, j), *v)).collect();
+        for &(i, j, v) in &log {
+            match v {
+                Some(v) => want.insert((i, j), v),
+                None => want.remove(&(i, j)),
+            };
+        }
+        let got = a.merge_updates(log).unwrap();
+        got.check().unwrap();
+        assert!(got.is_rows_sorted());
+        assert_eq!((got.nrows(), got.ncols()), (a.nrows(), a.ncols()));
+        let want: Vec<_> = want.into_iter().map(|((i, j), v)| (i, j, v)).collect();
+        let flat: Vec<_> = got.iter().map(|(i, j, v)| (i, j, *v)).collect();
+        assert_eq!(flat, want);
+        got
+    }
+
+    #[test]
+    fn merge_updates_edge_cases() {
+        let a = small();
+        // Empty log: an identical copy.
+        check_merge(&a, vec![]);
+        // Empty matrix: the log alone, duplicates resolved last-wins.
+        let e = Csr::<i64>::empty(3, 3);
+        check_merge(&e, vec![(2, 2, Some(1)), (0, 1, Some(2)), (2, 2, Some(3))]);
+        check_merge(&e, vec![(1, 1, None)]);
+        // A row of nothing but zombies empties it; the rows around it survive.
+        let g = check_merge(&a, vec![(2, 1, None), (2, 0, None)]);
+        assert_eq!(g.row_nnz(2), 0);
+        // Append past the last stored column, insert before the first,
+        // and into a row that was empty.
+        check_merge(&a, vec![(2, 2, Some(9)), (1, 0, Some(8)), (1, 2, Some(7))]);
+        // Overwrite in place; zombie for an absent element is a no-op.
+        check_merge(&a, vec![(0, 2, Some(-2)), (0, 1, None), (1, 1, None)]);
+    }
+
+    #[test]
+    fn merge_updates_orders_within_one_coordinate() {
+        let a = small();
+        // set → remove leaves nothing; remove → set leaves the new value;
+        // the last of several sets wins — for stored and absent elements.
+        let g = check_merge(
+            &a,
+            vec![
+                (0, 0, Some(5)),
+                (1, 1, Some(6)),
+                (0, 0, None),
+                (1, 1, None),
+                (2, 0, None),
+                (0, 1, None),
+                (2, 0, Some(7)),
+                (0, 1, Some(8)),
+                (2, 2, Some(1)),
+                (2, 2, Some(2)),
+                (2, 2, Some(3)),
+            ],
+        );
+        assert_eq!(g.get(0, 0), None);
+        assert_eq!(g.get(1, 1), None);
+        assert_eq!(g.get(2, 0), Some(&7));
+        assert_eq!(g.get(0, 1), Some(&8));
+        assert_eq!(g.get(2, 2), Some(&3));
+    }
+
+    #[test]
+    fn merge_updates_rejects_out_of_bounds() {
+        let a = small();
+        assert!(matches!(
+            a.merge_updates(vec![(3, 0, Some(1))]),
+            Err(FormatError::IndexOutOfBounds { axis: "row", .. })
+        ));
+        assert!(matches!(
+            a.merge_updates(vec![(0, 3, None)]),
+            Err(FormatError::IndexOutOfBounds { axis: "column", .. })
+        ));
+    }
+
+    #[test]
+    fn merge_updates_matches_replay_on_random_logs() {
+        use graphblas_exec::rng::prelude::*;
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..50 {
+            let (nrows, ncols) = (rng.gen_range(1..12), rng.gen_range(1..12));
+            let mut a = Csr::<i64>::empty(nrows, ncols);
+            // Two generations: the second merges into a populated matrix.
+            for _ in 0..2 {
+                let log = (0..rng.gen_range(0..40))
+                    .map(|_| {
+                        let v = (rng.gen_range(0..3) != 0).then(|| rng.gen_range(-9i64..9));
+                        (rng.gen_range(0..nrows), rng.gen_range(0..ncols), v)
+                    })
+                    .collect();
+                a = check_merge(&a, log);
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod util;
 pub use bitmap::BitmapVec;
 pub use coo::Coo;
 pub use csc::Csc;
-pub use csr::Csr;
+pub use csr::{Csr, ElementUpdate};
 pub use dense::{Dense, Layout};
 pub use dvec::DenseVec;
 pub use error::FormatError;

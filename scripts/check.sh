@@ -22,6 +22,14 @@ cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
 
+# Benchmark plumbing smoke (numbers discarded: --quick is not comparable).
+# The `update` workload replays its set_element/remove_element script
+# against a BTreeMap and exits non-zero on any tuple mismatch, so together
+# with tests/element_updates.rs (run by `cargo test -q` above) the matrix
+# update log is verified end to end. --allow-env: the harness otherwise
+# refuses to start when a GRB_* knob such as GRB_CHECK_SCHEDULES is set.
+benchmark/run.sh --quick --allow-env --workload update >/dev/null
+
 # Repo-specific lints (crates/check/src/lint.rs): relaxed orderings outside
 # obs, unwrap/expect in core/sparse, fallible core APIs bypassing GrbResult,
 # undocumented unsafe, kernel/operation entry points that record no
