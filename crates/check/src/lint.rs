@@ -1,6 +1,6 @@
 //! The repo-specific lint pass behind the `grblint` binary.
 //!
-//! Ten rules, each encoding a convention this workspace actually relies
+//! Nine rules, each encoding a convention this workspace actually relies
 //! on (a general-purpose linter cannot know them):
 //!
 //! * `relaxed-ordering` — `Ordering::Relaxed` is forbidden outside
@@ -43,13 +43,6 @@
 //!   The registry names are read from `crates/obs/src/export/registry.rs`
 //!   by `lint_workspace`; linting a single file via [`lint_source`] skips
 //!   this rule (no registry in scope).
-//! * `drain-without-barrier-span` — a `crates/core` function that takes a
-//!   container's pending op-DAG queue (the drain/force point of the §III
-//!   nonblocking engine) must open an obs span or timeline phase *and*
-//!   emit the `dag-force` decision event in the same body. A drain that
-//!   runs dark is invisible to `grbtop`/Chrome traces, and a force whose
-//!   cause is never recorded breaks the `GrB_explain` provenance chain
-//!   the ablation tooling asserts on.
 //!
 //! Any rule can be waived at a specific site with a comment
 //! `// grblint: allow(<rule>)` on the same line or in the comment block
@@ -95,8 +88,6 @@ pub enum Rule {
     DynSemiringInHotKernel,
     /// An obs counter field with no matching export-registry metric.
     CounterWithoutMetric,
-    /// An op-DAG drain/force body with no obs span or dag-force event.
-    DrainWithoutBarrierSpan,
     /// A `grblint: allow(...)` that suppresses nothing (or names no rule).
     StaleWaiver,
 }
@@ -113,13 +104,12 @@ impl Rule {
             Rule::DecisionWithoutEvent => "decision-without-event",
             Rule::DynSemiringInHotKernel => "dyn-semiring-in-hot-kernel",
             Rule::CounterWithoutMetric => "counter-without-metric",
-            Rule::DrainWithoutBarrierSpan => "drain-without-barrier-span",
             Rule::StaleWaiver => "stale-waiver",
         }
     }
 
     /// All rules, for `--list-rules`.
-    pub fn all() -> [Rule; 10] {
+    pub fn all() -> [Rule; 9] {
         [
             Rule::RelaxedOrdering,
             Rule::NoUnwrap,
@@ -129,7 +119,6 @@ impl Rule {
             Rule::DecisionWithoutEvent,
             Rule::DynSemiringInHotKernel,
             Rule::CounterWithoutMetric,
-            Rule::DrainWithoutBarrierSpan,
             Rule::StaleWaiver,
         ]
     }
@@ -149,7 +138,6 @@ impl Rule {
             // The counter blocks live in obs; the registry that must
             // cover them does too.
             Rule::CounterWithoutMetric => krate == "obs",
-            Rule::DrainWithoutBarrierSpan => krate == "core",
             Rule::StaleWaiver => true,
         }
     }
@@ -517,106 +505,6 @@ fn lint_decision_events(
     }
 }
 
-/// The queue-take expression that marks a function as an op-DAG drain
-/// point (`drain-without-barrier-span`), assembled so grblint does not
-/// flag its own pattern table.
-fn drain_take_token() -> &'static str {
-    concat!("take(&mut self.", "pending)")
-}
-
-/// Token whose presence satisfies the event half of
-/// `drain-without-barrier-span`: the drain recorded why the DAG was
-/// forced.
-fn dag_force_token() -> &'static str {
-    concat!("events::decision_dag_", "force")
-}
-
-/// The `drain-without-barrier-span` pass: function-body scoped, like
-/// `lint_span_boundaries`. Any function that takes a container's pending
-/// queue — the §III drain/force point — must open an obs span (or
-/// timeline phase) *and* emit the `dag-force` decision event in the same
-/// body.
-fn lint_drain_barriers(
-    file: &str,
-    lines: &[&str],
-    test_start: usize,
-    used: &mut HashSet<(usize, Rule)>,
-    out: &mut Vec<Violation>,
-) {
-    let mut i = 0;
-    while i < test_start {
-        let (code, _) = split_comment(lines[i]);
-        let t = code.trim_start();
-        let is_fn =
-            t.starts_with("pub fn ") || t.starts_with("pub(crate) fn ") || t.starts_with("fn ");
-        if !is_fn {
-            i += 1;
-            continue;
-        }
-        let mut j = i;
-        let mut open = None;
-        while j < test_start {
-            let (c, _) = split_comment(lines[j]);
-            if c.contains('{') {
-                open = Some(j);
-                break;
-            }
-            if c.trim_end().ends_with(';') {
-                break;
-            }
-            j += 1;
-        }
-        let Some(open) = open else {
-            i = j + 1;
-            continue;
-        };
-        let mut depth = 0i64;
-        let mut has_span = false;
-        let mut has_force_event = false;
-        let mut sites: Vec<usize> = Vec::new();
-        let mut k = open;
-        while k < lines.len() {
-            let (c, _) = split_comment(lines[k]);
-            let c = strip_strings(c);
-            let body_part = if k == open {
-                c.split_once('{').map(|x| x.1).unwrap_or("")
-            } else {
-                c.as_str()
-            };
-            if SPAN_TOKENS.iter().any(|t| body_part.contains(t)) {
-                has_span = true;
-            }
-            if body_part.contains(dag_force_token()) {
-                has_force_event = true;
-            }
-            if body_part.contains(drain_take_token()) {
-                sites.push(k);
-            }
-            depth += c.matches('{').count() as i64 - c.matches('}').count() as i64;
-            if depth <= 0 {
-                break;
-            }
-            k += 1;
-        }
-        if !(has_span && has_force_event) {
-            for site in sites {
-                match site_waiver(lines, site, Rule::DrainWithoutBarrierSpan) {
-                    Some(w) => {
-                        used.insert((w, Rule::DrainWithoutBarrierSpan));
-                    }
-                    None => out.push(Violation {
-                        file: file.to_string(),
-                        line: site + 1,
-                        rule: Rule::DrainWithoutBarrierSpan,
-                        snippet: lines[site].trim().chars().take(120).collect(),
-                    }),
-                }
-            }
-        }
-        i = k.max(open) + 1;
-    }
-}
-
 /// Workspace-relative path of the obs counter blocks, the one file the
 /// `counter-without-metric` pass scans.
 const OBS_COUNTERS_FILE: &str = "crates/obs/src/counters.rs";
@@ -878,9 +766,6 @@ pub fn lint_source_with_metrics(
     }
     if Rule::DecisionWithoutEvent.applies_to(krate) {
         lint_decision_events(file, &lines, test_start, &mut used, &mut out);
-    }
-    if Rule::DrainWithoutBarrierSpan.applies_to(krate) {
-        lint_drain_barriers(file, &lines, test_start, &mut used, &mut out);
     }
     if let Some(metrics) = metrics {
         if Rule::CounterWithoutMetric.applies_to(krate)

@@ -7,8 +7,11 @@
 //!   `Mutex`/`StdMutex`/`RwLock` (locks), `Condvar`/`StdCondvar`
 //!   (condition variables), or an `Atomic*` type. Identity is
 //!   `crate/file-stem::Owner.field` (or `crate/file-stem::NAME` for
-//!   statics), so `core/matrix::Inner.state` and
-//!   `core/vector::Inner.state` stay distinct locks.
+//!   statics), so `exec/pool::JobQueue.state` and
+//!   `core/container::Container.state` stay distinct locks — while every
+//!   matrix, vector and scalar shares that one `Container.state`
+//!   identity (DESIGN.md §4 item 2 states the rule that keeps it
+//!   acyclic).
 //! - **Functions**: name, enclosing `impl` type, and body token range,
 //!   giving the call graph its nodes.
 //! - **Events** per function body: lock acquisitions with the set of

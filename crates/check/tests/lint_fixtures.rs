@@ -193,81 +193,3 @@ fn test_dirs_and_test_modules_are_out_of_scope() {
     assert!(v.is_empty(), "{v:?}");
     fs::remove_dir_all(&root).unwrap();
 }
-
-#[test]
-fn seeded_dark_drain_violation_fails() {
-    let take = concat!("take(&mut self.", "pending)");
-    let bad = format!(
-        "impl St {{\n\
-         \x20   fn drain(&mut self) {{\n\
-         \x20       let pending = std::mem::{take};\n\
-         \x20       for s in pending {{ s.run(); }}\n\
-         \x20   }}\n\
-         }}\n"
-    );
-    let root = fixture("darkdrain", &[("crates/core/src/bad.rs", &bad)]);
-    let v = lint_workspace(&root).unwrap();
-    assert_eq!(v.len(), 1, "expected exactly the seeded violation: {v:?}");
-    assert_eq!(v[0].rule, Rule::DrainWithoutBarrierSpan);
-    assert_eq!(v[0].line, 3, "reported at the queue-take site");
-    fs::remove_dir_all(&root).unwrap();
-}
-
-#[test]
-fn drain_with_span_and_force_event_passes_and_rule_is_core_scoped() {
-    let take = concat!("take(&mut self.", "pending)");
-    let force = concat!("events::decision_dag_", "force");
-    let good = format!(
-        "impl St {{\n\
-         \x20   fn drain(&mut self, ctx: &Context) {{\n\
-         \x20       let _sp = graphblas_obs::span_ctx(\"drain\", ctx.id());\n\
-         \x20       let pending = std::mem::{take};\n\
-         \x20       graphblas_obs::{force}(\"drain\", ctx.id(), \"read\", 1);\n\
-         \x20       for s in pending {{ s.run(); }}\n\
-         \x20   }}\n\
-         }}\n"
-    );
-    // The span-less body is fine outside crates/core: the drain protocol
-    // is a core convention.
-    let dark = format!(
-        "impl St {{\n\
-         \x20   fn drain(&mut self) {{\n\
-         \x20       let pending = std::mem::{take};\n\
-         \x20       for s in pending {{ s.run(); }}\n\
-         \x20   }}\n\
-         }}\n"
-    );
-    let root = fixture(
-        "draingood",
-        &[
-            ("crates/core/src/good.rs", good.as_str()),
-            ("crates/exec/src/fine.rs", dark.as_str()),
-        ],
-    );
-    let v = lint_workspace(&root).unwrap();
-    assert!(v.is_empty(), "{v:?}");
-    fs::remove_dir_all(&root).unwrap();
-}
-
-#[test]
-fn drain_missing_only_the_force_event_still_fails_unless_waived() {
-    let take = concat!("take(&mut self.", "pending)");
-    let spanned = format!(
-        "impl St {{\n\
-         \x20   fn drain(&mut self, ctx: &Context) {{\n\
-         \x20       let _sp = graphblas_obs::span_ctx(\"drain\", ctx.id());\n\
-         \x20       let pending = std::mem::{take};\n\
-         \x20   }}\n\
-         \x20   fn drain_waived(&mut self) {{\n\
-         \x20       // grblint: allow(drain-without-barrier-span) — fixture-sanctioned.\n\
-         \x20       let pending = std::mem::{take};\n\
-         \x20   }}\n\
-         }}\n"
-    );
-    let root = fixture("drainhalf", &[("crates/core/src/half.rs", &spanned)]);
-    let v = lint_workspace(&root).unwrap();
-    assert_eq!(v.len(), 1, "span alone is not enough: {v:?}");
-    assert_eq!(v[0].rule, Rule::DrainWithoutBarrierSpan);
-    assert_eq!(v[0].line, 4);
-    fs::remove_dir_all(&root).unwrap();
-}

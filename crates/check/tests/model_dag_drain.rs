@@ -3,12 +3,13 @@
 //! on the per-container mutex, and no interleaving may lose a stage,
 //! apply one twice, or let `wait` return with work still queued.
 //!
-//! `DagState` mirrors the `Stage::Node` drain in `graphblas_core::pending`
-//! — a node flushes the map run queued before it (node-barrier), then
-//! greedily consumes the maps queued *after* it as its fused `post` run —
+//! `DagState` mirrors the `Stage::Node` drain in
+//! `graphblas_core::container` (`State::run_queue`) — a node flushes the
+//! map run queued before it (node-barrier), then greedily consumes the
+//! maps queued *after* it as its fused `post` run —
 //! and `maybe_async_drain` is modeled by writers offering a drain task
 //! once the queue depth crosses a threshold, exactly like the depth gate
-//! in `Vector::maybe_async_drain`.
+//! in `Container::maybe_async_drain`.
 
 use std::sync::Arc;
 
@@ -22,7 +23,7 @@ enum ModelStage {
     Node(u64),
 }
 
-/// Model twin of the state a `Vector`'s lock guards, instrumented with
+/// Model twin of the state a container's lock guards, instrumented with
 /// applied-exactly-once accounting.
 struct DagState {
     pending: Vec<ModelStage>,

@@ -3,8 +3,8 @@
 //! deferred failure poisons the object (error recorded, queue cleared,
 //! every later drain reports it without applying anything).
 //!
-//! `ModelState` mirrors the `MatrixState::drain` structure in
-//! `graphblas_core::matrix` — take the queue, apply stages, on failure
+//! `ModelState` mirrors the `State::drain_as` structure in
+//! `graphblas_core::container` — take the queue, apply stages, on failure
 //! record the error and drop the *rest* of the queue — with writers and
 //! readers racing on the instrumented mutex so the checker can interleave
 //! stage/drain/stage/drain arbitrarily.
@@ -21,7 +21,7 @@ enum Stage {
     Poison,
 }
 
-/// The model twin of the container state a `Matrix` lock guards.
+/// The model twin of the state a container's lock guards.
 struct ModelState {
     pending: Vec<Stage>,
     materialized: u64,
@@ -48,8 +48,8 @@ impl ModelState {
         Ok(())
     }
 
-    /// Mirrors `MatrixState::drain`: drain everything or poison; never
-    /// leave a partially-applied queue behind.
+    /// Mirrors `container::State::drain_as`: drain everything or poison;
+    /// never leave a partially-applied queue behind.
     fn drain(&mut self) -> Result<u64, &'static str> {
         if let Some(e) = self.err {
             return Err(e);

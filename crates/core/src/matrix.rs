@@ -1,14 +1,13 @@
 //! The `GrB_Matrix` container: an opaque, thread-safe handle over sparse
 //! storage with a deferred-operation sequence (paper §III).
 //!
-//! Handles are `Arc`-backed: cloning a `Matrix<T>` aliases the same object,
-//! exactly like copying a `GrB_Matrix` handle in C. All state sits behind a
-//! mutex, which gives the §III *thread-safety* guarantee (independent
-//! method calls from different threads behave as some sequential
-//! interleaving). For *shared* objects the user still provides the
-//! happens-before edge — `wait(Complete)` plus an acquire/release flag, as
-//! in the paper's Fig. 1 — because completion, not locking, is what makes
-//! a sequence's results visible.
+//! A `Matrix<T>` is a typed façade over the shared container core (see
+//! `container.rs` for the handle, queue, poison and locking design): this
+//! file holds what is matrix-specific — the store, its update log and
+//! transpose memo — and the `GrB_Matrix_*` methods. For *shared* objects
+//! the user still provides the happens-before edge — `wait(Complete)` plus
+//! an acquire/release flag, as in the paper's Fig. 1 — because completion,
+//! not locking, is what makes a sequence's results visible.
 //!
 //! Internally the storage format is lazy (Table III formats are kept
 //! as-imported until a kernel needs CSR); `export_hint` reports whatever
@@ -18,14 +17,14 @@
 
 use std::sync::Arc;
 
-use graphblas_exec::sync::{Mutex, RwLock};
-use graphblas_exec::{Context, Mode};
+use graphblas_exec::Context;
 use graphblas_sparse::{Coo, Csc, Csr, Dense, ElementUpdate};
 
-use crate::error::{ApiError, Error, ExecutionError, GrbResult};
-use crate::introspect::ObjectStats;
+use crate::container::{Container, State, Store};
+use crate::error::{ApiError, Error, GrbResult};
+use crate::introspect::{CheckError, ObjectStats};
 use crate::ops::BinaryOp;
-use crate::pending::{fuse_maps, MapFn, NodeKind, Stage, WaitMode};
+use crate::pending::{fuse_maps, MapFn, WaitMode};
 use crate::scalar::Scalar;
 use crate::types::{Index, MaskValue, ValueType};
 
@@ -69,12 +68,10 @@ pub(crate) struct MatrixState<T: ValueType> {
     pub store: MatStore<T>,
     /// Update log: `set_element`/`remove_element` calls (a `None` value is
     /// a zombie) not yet folded into `store`, in arrival order. Both
-    /// methods drain `pending` before appending, so every entry here
-    /// precedes every queued stage; [`Self::fold_updates`] is the one
+    /// methods complete the stage queue before appending, so every entry
+    /// here precedes every queued stage; [`Self::fold_updates`] is the one
     /// place the log is applied.
     pub updates: Vec<ElementUpdate<T>>,
-    pub pending: Vec<Stage<MatrixState<T>, T>>,
-    pub err: Option<ExecutionError>,
     /// Memoized transpose, keyed by the identity of the CSR `Arc` it was
     /// computed from. Every mutation installs a new store `Arc`, so a
     /// pointer-equality check is a complete validity test (and holding the
@@ -82,62 +79,17 @@ pub(crate) struct MatrixState<T: ValueType> {
     /// the state mutex like everything else, which is what lets
     /// `check::sched` model the population race.
     pub transpose_cache: Option<(Arc<Csr<T>>, Arc<Csr<T>>)>,
-    /// Store bytes this state last reported to the `obs::mem` container
-    /// gauge (0 when telemetry was off at the last reconciliation).
-    pub mem_bytes: u64,
-    /// Context id the bytes above were charged to.
-    pub mem_ctx: u64,
-}
-
-impl<T: ValueType> Drop for MatrixState<T> {
-    fn drop(&mut self) {
-        if self.mem_bytes != 0 {
-            graphblas_obs::mem::adjust_container(self.mem_ctx, self.mem_bytes, 0);
-        }
-    }
 }
 
 impl<T: ValueType> MatrixState<T> {
-    /// A clean state (no pending stages, no error, no caches) over `store`.
+    /// A store with an empty update log and no memoized transpose.
     pub(crate) fn fresh(nrows: usize, ncols: usize, store: MatStore<T>) -> Self {
         MatrixState {
             nrows,
             ncols,
             store,
             updates: Vec::new(),
-            pending: Vec::new(),
-            err: None,
             transpose_cache: None,
-            mem_bytes: 0,
-            mem_ctx: 0,
-        }
-    }
-
-    /// Reconciles this container's allocated-store bytes with the
-    /// `obs::mem` container gauge and the owning context's memory ledger.
-    /// Cheap when telemetry is off (one relaxed load, nothing recorded)
-    /// and self-correcting across toggles: it always releases exactly what
-    /// it previously recorded before charging the new figure.
-    pub(crate) fn note_mem(&mut self, ctx_id: u64) {
-        let enabled = graphblas_obs::enabled();
-        if !enabled && self.mem_bytes == 0 {
-            return;
-        }
-        if ctx_id != self.mem_ctx && self.mem_bytes != 0 {
-            // The handle moved contexts: zero the old ledger entry first.
-            graphblas_obs::mem::adjust_container(self.mem_ctx, self.mem_bytes, 0);
-            self.mem_bytes = 0;
-        }
-        self.mem_ctx = ctx_id;
-        let new = if enabled {
-            let log = self.updates.capacity() * std::mem::size_of::<ElementUpdate<T>>();
-            self.store.bytes() + log as u64
-        } else {
-            0
-        };
-        if new != self.mem_bytes {
-            graphblas_obs::mem::adjust_container(ctx_id, self.mem_bytes, new);
-            self.mem_bytes = new;
         }
     }
 
@@ -150,8 +102,8 @@ impl<T: ValueType> MatrixState<T> {
 
     /// Applies the update log to the store as one sorted merge
     /// (`Csr::merge_updates`) and empties it. Called at the top of
-    /// [`Self::ensure_csr`] and of [`Self::drain_as`], which every reader
-    /// and every writer that replaces the store passes through.
+    /// [`Self::ensure_csr`] and of every drain, which every reader and
+    /// every writer that replaces the store passes through.
     fn fold_updates(&mut self, ctx: &Context) -> GrbResult {
         if self.updates.is_empty() {
             return Ok(());
@@ -168,7 +120,6 @@ impl<T: ValueType> MatrixState<T> {
         self.store = MatStore::Csr(Arc::new(merged));
         // Stale by pointer identity already; dropped to free it promptly.
         self.transpose_cache = None;
-        self.note_mem(ctx.id());
         self.debug_check();
         Ok(())
     }
@@ -210,7 +161,6 @@ impl<T: ValueType> MatrixState<T> {
             }
         }
         self.store = MatStore::Csr(csr);
-        self.note_mem(ctx.id());
         self.debug_check();
         Ok(())
     }
@@ -258,111 +208,41 @@ impl<T: ValueType> MatrixState<T> {
         self.transpose_cache = Some((src, t.clone()));
         t
     }
+}
 
-    /// Drains the pending queue, fusing runs of map stages into single
-    /// traversals. On an execution error the object is poisoned (§V: the
-    /// output's contents become undefined; we record the error and keep it
-    /// sticky).
-    pub(crate) fn drain(&mut self, ctx: &Context) -> GrbResult {
-        self.drain_as(ctx, "read")
+impl<T: ValueType> Store for MatrixState<T> {
+    type Elem = T;
+    const KIND: &'static str = "matrix";
+    const DRAIN_SITE: &'static str = "matrix.drain";
+
+    /// Store bytes plus the update log's: un-folded updates are container
+    /// bytes too.
+    fn bytes(&self) -> u64 {
+        let log = self.updates.capacity() * std::mem::size_of::<ElementUpdate<T>>();
+        self.store.bytes() + log as u64
     }
 
-    /// [`Self::drain`] with an explicit force cause for the `DagForce`
-    /// decision event ("read", "wait", "async", "self-input").
-    pub(crate) fn drain_as(&mut self, ctx: &Context, cause: &'static str) -> GrbResult {
-        if let Some(e) = &self.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        // Every log entry precedes every queued stage (see `updates`).
-        self.fold_updates(ctx)?;
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let obs_on = graphblas_obs::enabled();
-        let _sp = obs_on.then(|| graphblas_obs::span_ctx("drain", ctx.id()));
-        if obs_on {
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            graphblas_obs::counters::pending()
-                .drains
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        let pending = std::mem::take(&mut self.pending);
-        if pending.iter().any(|s| matches!(s, Stage::Node { .. })) {
-            if obs_on {
-                // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                graphblas_obs::counters::dag()
-                    .forces
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            if graphblas_obs::events::on() {
-                graphblas_obs::events::decision_dag_force(
-                    "matrix.drain",
-                    ctx.id(),
-                    cause,
-                    pending.len() as u64,
-                );
-            }
-        }
-        let mut stages = pending.into_iter().peekable();
-        let mut run: Vec<MapFn<T>> = Vec::new();
-        let result = (|| {
-            while let Some(stage) = stages.next() {
-                match stage {
-                    Stage::Map(f) => run.push(f),
-                    Stage::Opaque(f) => {
-                        self.flush_map_run(ctx, &mut run, "opaque-barrier")?;
-                        if obs_on {
-                            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                            graphblas_obs::counters::pending()
-                                .opaque_drains
-                                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            graphblas_obs::events::decision_opaque_drain("matrix.drain", ctx.id());
-                        }
-                        let _ph = graphblas_obs::timeline::phase("drain.opaque");
-                        f(self)?;
-                    }
-                    Stage::Node { kind: _, exec } => {
-                        // Maps before a node transform the pre-node value;
-                        // trailing maps transform the node's output and are
-                        // handed to the node to fuse into its kernel.
-                        self.flush_map_run(ctx, &mut run, "node-barrier")?;
-                        let mut post: Vec<MapFn<T>> = Vec::new();
-                        while matches!(stages.peek(), Some(Stage::Map(_))) {
-                            if let Some(Stage::Map(f)) = stages.next() {
-                                post.push(f);
-                            }
-                        }
-                        let _ph = graphblas_obs::timeline::phase("drain.node");
-                        exec(self, post)?;
-                    }
-                }
-            }
-            self.flush_map_run(ctx, &mut run, "queue-end")
-        })();
-        if let Err(e) = &result {
-            if let Error::Execution(exec) = e {
-                self.err = Some(exec.clone());
-                if obs_on {
-                    // The error surfaced at drain time, not at the call
-                    // that caused it — the §V deferral the paper promises.
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::pending()
-                        .errors_deferred
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::events::decision_error_deferred("matrix.drain", ctx.id());
-                }
-            }
-            self.pending.clear();
-        }
-        self.note_mem(ctx.id());
-        self.debug_check();
-        result
+    fn unfolded(&self) -> usize {
+        self.updates.len()
     }
 
-    /// Deep validation of this state: Table III invariants of the current
-    /// store, store-vs-logical shape agreement, and §V error bookkeeping.
-    pub(crate) fn check(&self) -> Result<(), crate::introspect::CheckError> {
-        use crate::introspect::CheckError;
+    fn fold(st: &mut State<Self>, ctx: &Context) -> GrbResult {
+        st.fold_updates(ctx)
+    }
+
+    fn map_run(st: &mut State<Self>, ctx: &Context, run: &[MapFn<T>]) -> GrbResult<(u64, u64)> {
+        st.ensure_csr(ctx, false)?;
+        let out = st
+            .csr()
+            .filter_map_with_index(ctx, |i, j, v| fuse_maps(run, &[i, j], v));
+        let counts = (st.csr().nnz() as u64, out.nnz() as u64);
+        st.store = MatStore::Csr(Arc::new(out));
+        Ok(counts)
+    }
+
+    /// Table III invariants of the current store, store-vs-logical shape
+    /// agreement, and update-log bounds.
+    fn check(&self) -> Result<(), CheckError> {
         let shape = match &self.store {
             MatStore::Csr(a) => {
                 a.check().map_err(|source| CheckError::Format {
@@ -414,113 +294,26 @@ impl<T: ValueType> MatrixState<T> {
                 source: graphblas_sparse::FormatError::IndexOutOfBounds { index, bound, axis },
             });
         }
-        // Poisoned ⇒ nothing deferred: `drain_as` folds the log before the
-        // first stage runs, and a poisoned object accepts no new updates.
-        let deferred = self.pending.len() + self.updates.len();
-        if self.err.is_some() && deferred != 0 {
-            return Err(CheckError::PendingAfterError { pending: deferred });
-        }
         Ok(())
     }
-
-    /// Debug-build invariant gate, called at kernel boundaries (after
-    /// `drain` and `ensure_csr`). Compiles to nothing in release builds.
-    #[inline]
-    pub(crate) fn debug_check(&self) {
-        #[cfg(debug_assertions)]
-        if let Err(e) = self.check() {
-            panic!("matrix container invariant violated: {e}");
-        }
-    }
-
-    fn flush_map_run(
-        &mut self,
-        ctx: &Context,
-        run: &mut Vec<MapFn<T>>,
-        trigger: &'static str,
-    ) -> GrbResult {
-        if run.is_empty() {
-            return Ok(());
-        }
-        let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::MapFuse, ctx.id());
-        if sp.active() {
-            let p = graphblas_obs::counters::pending();
-            // A run of n maps executes as ONE traversal; the other n−1
-            // stages were absorbed into it — each is a fusion hit.
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            p.map_traversals
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            p.fusion_hits
-                .fetch_add(run.len() as u64 - 1, std::sync::atomic::Ordering::Relaxed);
-        }
-        self.ensure_csr(ctx, false)?;
-        let nnz_in = if sp.active() {
-            self.csr().nnz() as u64
-        } else {
-            0
-        };
-        if graphblas_obs::events::on() {
-            graphblas_obs::events::decision_fuse_flush(
-                "matrix.drain",
-                ctx.id(),
-                run.len() as u64,
-                nnz_in,
-                trigger,
-            );
-        }
-        let fused = self
-            .csr()
-            .filter_map_with_index(ctx, |i, j, v| fuse_maps(run, &[i, j], v));
-        if sp.active() {
-            sp.io(
-                nnz_in * run.len() as u64,
-                nnz_in,
-                fused.nnz() as u64,
-                nnz_in * std::mem::size_of::<T>() as u64,
-            );
-        }
-        self.store = MatStore::Csr(Arc::new(fused));
-        run.clear();
-        Ok(())
-    }
-
-    /// Applies a node's trailing (post) map run to the container's final
-    /// state as one pass (see `VectorState::apply_post_maps`).
-    pub(crate) fn apply_post_maps(&mut self, ctx: &Context, post: &[MapFn<T>]) -> GrbResult {
-        if post.is_empty() {
-            return Ok(());
-        }
-        self.ensure_csr(ctx, false)?;
-        let out = self
-            .csr()
-            .filter_map_with_index(ctx, |i, j, v| fuse_maps(post, &[i, j], v));
-        self.store = MatStore::Csr(Arc::new(out));
-        Ok(())
-    }
-}
-
-struct MatrixHandle<T: ValueType> {
-    ctx: RwLock<Context>,
-    state: Mutex<MatrixState<T>>,
 }
 
 /// An opaque handle to a GraphBLAS matrix over domain `T`.
 #[derive(Clone)]
 pub struct Matrix<T: ValueType> {
-    inner: Arc<MatrixHandle<T>>,
+    pub(crate) core: Arc<Container<MatrixState<T>>>,
 }
 
 impl<T: ValueType> std::fmt::Debug for Matrix<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.inner.state.lock();
+        let st = self.core.lock_raw();
         write!(
             f,
             "Matrix<{}>({}x{}, pending: {})",
             std::any::type_name::<T>(),
             st.nrows,
             st.ncols,
-            st.pending.len()
+            st.queued()
         )
     }
 }
@@ -558,13 +351,9 @@ impl<T: ValueType> Matrix<T> {
         ))
     }
 
-    pub(crate) fn from_state(ctx: &Context, mut state: MatrixState<T>) -> Self {
-        state.note_mem(ctx.id());
+    pub(crate) fn from_state(ctx: &Context, state: MatrixState<T>) -> Self {
         Matrix {
-            inner: Arc::new(MatrixHandle {
-                ctx: RwLock::new(ctx.clone()),
-                state: Mutex::new(state),
-            }),
+            core: Container::new(ctx, state),
         }
     }
 
@@ -572,7 +361,7 @@ impl<T: ValueType> Matrix<T> {
     /// copy-on-write) after completing this matrix.
     pub fn dup(&self) -> GrbResult<Self> {
         let ctx = self.context();
-        let st = self.lock_completed()?;
+        let st = self.core.lock_completed()?;
         let state = MatrixState::fresh(st.nrows, st.ncols, st.store.clone());
         drop(st);
         Ok(Self::from_state(&ctx, state))
@@ -580,29 +369,28 @@ impl<T: ValueType> Matrix<T> {
 
     /// The context this matrix belongs to (§IV).
     pub fn context(&self) -> Context {
-        self.inner.ctx.read().clone()
+        self.core.context()
     }
 
     /// `GrB_Context_switch`: moves the object to another context.
     pub fn switch_context(&self, ctx: &Context) -> GrbResult {
-        *self.inner.ctx.write() = ctx.clone();
-        Ok(())
+        self.core.switch_context(ctx)
     }
 
     /// Number of rows (shape is immutable except through [`Self::resize`]).
     pub fn nrows(&self) -> Index {
-        self.inner.state.lock().nrows
+        self.core.lock_raw().nrows
     }
 
     /// Number of columns.
     pub fn ncols(&self) -> Index {
-        self.inner.state.lock().ncols
+        self.core.lock_raw().ncols
     }
 
     /// `GrB_Matrix_nvals`: number of stored elements. Forces completion.
     pub fn nvals(&self) -> GrbResult<usize> {
         let ctx = self.context();
-        let mut st = self.lock_completed()?;
+        let mut st = self.core.lock_completed()?;
         st.ensure_csr(&ctx, false)?;
         Ok(st.csr().nnz())
     }
@@ -610,16 +398,13 @@ impl<T: ValueType> Matrix<T> {
     /// `GrB_Matrix_clear`: removes all elements. Also clears pending
     /// operations and any sticky error (the object is rebuilt from empty).
     pub fn clear(&self) -> GrbResult {
-        let ctx_id = self.context().id();
-        let mut st = self.inner.state.lock();
-        st.pending.clear();
+        let mut st = self.core.lock_raw();
+        st.reset();
         st.updates.clear();
-        st.err = None;
         st.store = MatStore::Csr(Arc::new(Csr::empty(st.nrows, st.ncols)));
         // Pointer identity already invalidates the cache; dropping it here
         // just frees the memory promptly.
         st.transpose_cache = None;
-        st.note_mem(ctx_id);
         Ok(())
     }
 
@@ -631,7 +416,7 @@ impl<T: ValueType> Matrix<T> {
             return Err(ApiError::InvalidValue.into());
         }
         let ctx = self.context();
-        let mut st = self.lock_completed()?;
+        let mut st = self.core.lock_completed()?;
         st.ensure_csr(&ctx, false)?;
         let kept = st
             .csr()
@@ -646,7 +431,6 @@ impl<T: ValueType> Matrix<T> {
         st.ncols = ncols;
         st.store = MatStore::Csr(Arc::new(resized));
         st.transpose_cache = None;
-        st.note_mem(ctx.id());
         Ok(())
     }
 
@@ -677,18 +461,15 @@ impl<T: ValueType> Matrix<T> {
     /// appends one entry to the update log without folding it.
     fn push_update(&self, i: Index, j: Index, v: Option<T>) -> GrbResult {
         let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        if let Some(e) = &st.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        if !st.pending.is_empty() {
-            st.drain(&ctx)?;
+        let mut st = self.core.lock_raw();
+        st.poisoned()?;
+        if st.queued() != 0 {
+            st.drain_as(&ctx, "read")?;
         }
         if i >= st.nrows || j >= st.ncols {
             return Err(ApiError::InvalidIndex.into());
         }
         st.updates.push((i, j, v));
-        st.note_mem(ctx.id());
         Ok(())
     }
 
@@ -697,7 +478,7 @@ impl<T: ValueType> Matrix<T> {
     /// the scalar variant below).
     pub fn extract_element(&self, i: Index, j: Index) -> GrbResult<Option<T>> {
         let ctx = self.context();
-        let mut st = self.lock_completed()?;
+        let mut st = self.core.lock_completed()?;
         if i >= st.nrows || j >= st.ncols {
             return Err(ApiError::InvalidIndex.into());
         }
@@ -711,15 +492,13 @@ impl<T: ValueType> Matrix<T> {
     /// sequence (§VI).
     pub fn extract_element_scalar(&self, s: &Scalar<T>, i: Index, j: Index) -> GrbResult {
         s.check_context(&self.context())?;
-        {
-            let st = self.inner.state.lock();
-            if i >= st.nrows || j >= st.ncols {
-                return Err(ApiError::InvalidIndex.into());
-            }
+        let (nrows, ncols) = self.shape();
+        if i >= nrows || j >= ncols {
+            return Err(ApiError::InvalidIndex.into());
         }
         let this = self.clone();
-        s.apply_write(Box::new(move |slot: &mut Option<T>| {
-            *slot = this.extract_element(i, j)?;
+        s.core.apply_write(Box::new(move |slot| {
+            **slot = this.extract_element(i, j)?;
             Ok(())
         }))
     }
@@ -737,20 +516,15 @@ impl<T: ValueType> Matrix<T> {
         if rows.len() != values.len() || cols.len() != values.len() {
             return Err(ApiError::InvalidValue.into());
         }
-        {
-            let ctx = self.context();
-            let mut st = self.lock_completed()?;
-            st.ensure_csr(&ctx, false)?;
-            if st.csr().nnz() != 0 {
-                return Err(ApiError::OutputNotEmpty.into());
-            }
+        if self.nvals()? != 0 {
+            return Err(ApiError::OutputNotEmpty.into());
         }
         let rows = rows.to_vec();
         let cols = cols.to_vec();
         let values = values.to_vec();
         let dup = dup.cloned();
         let ctx = self.context();
-        self.apply_write(Box::new(move |st: &mut MatrixState<T>| {
+        self.core.apply_write(Box::new(move |st| {
             let coo =
                 Coo::from_parts(st.nrows, st.ncols, rows, cols, values).map_err(Error::from)?;
             let csr = match &dup {
@@ -824,10 +598,7 @@ impl<T: ValueType> Matrix<T> {
     /// `GrB_Matrix_extractTuples`: `(rows, cols, values)` of every stored
     /// element, ordered by `(row, col)`.
     pub fn extract_tuples(&self) -> GrbResult<(Vec<Index>, Vec<Index>, Vec<T>)> {
-        let ctx = self.context();
-        let mut st = self.lock_completed()?;
-        st.ensure_csr(&ctx, true)?;
-        Ok(st.csr().tuples())
+        Ok(self.snapshot_csr(true)?.tuples())
     }
 
     /// `GrB_wait` (§III, §V): `Complete` drains the sequence; `Materialize`
@@ -836,7 +607,7 @@ impl<T: ValueType> Matrix<T> {
     pub fn wait(&self, mode: WaitMode) -> GrbResult {
         let ctx = self.context();
         let _sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Wait, ctx.id());
-        let mut st = self.lock_completed_as("wait")?;
+        let mut st = self.core.lock_completed_as("wait")?;
         if mode == WaitMode::Materialize {
             st.ensure_csr(&ctx, true)?;
         }
@@ -849,24 +620,14 @@ impl<T: ValueType> Matrix<T> {
     /// nonblocking execution `stats().nvals` describes the store as it is
     /// now, which may lag the sequence.
     pub fn stats(&self) -> ObjectStats {
-        let ctx_id = self.context().id();
-        let st = self.inner.state.lock();
+        let st = self.core.lock_raw();
         let (format, nvals) = match &st.store {
             MatStore::Csr(a) => ("csr", a.nnz()),
             MatStore::Csc(a) => ("csc", a.nnz()),
             MatStore::Coo(a) => ("coo", a.nnz()),
             MatStore::Dense(a) => ("dense", a.values().len()),
         };
-        ObjectStats {
-            kind: "matrix",
-            nrows: st.nrows as u64,
-            ncols: st.ncols as u64,
-            nvals: nvals as u64,
-            pending: (st.pending.len() + st.updates.len()) as u64,
-            format,
-            failed: st.err.is_some(),
-            ctx: ctx_id,
-        }
+        st.stats((st.nrows, st.ncols), nvals, format)
     }
 
     /// `GrB_explain`-style decision provenance scoped to this matrix's
@@ -879,51 +640,27 @@ impl<T: ValueType> Matrix<T> {
     /// `GrB_error`: the implementation-defined description of this
     /// object's error state; empty when healthy. Thread safe.
     pub fn error_string(&self) -> String {
-        self.inner
-            .state
-            .lock()
-            .err
-            .as_ref()
-            .map(|e| e.to_string())
-            .unwrap_or_default()
+        self.core.error_string()
     }
 
     /// Whether two handles denote the same object.
     pub fn same_object(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
+        Arc::ptr_eq(&self.core, &other.core)
+    }
+
+    /// Number of queued (not yet executed) stages — observability hook for
+    /// tests and the fusion bench.
+    pub fn pending_len(&self) -> usize {
+        self.core.lock_raw().queued()
     }
 
     // --- crate-internal plumbing ------------------------------------------
-
-    /// Locks state without draining (format inspection only).
-    pub(crate) fn lock_raw(&self) -> graphblas_exec::sync::MutexGuard<'_, MatrixState<T>> {
-        self.inner.state.lock()
-    }
-
-    /// Locks state and drains the pending queue first.
-    pub(crate) fn lock_completed(
-        &self,
-    ) -> GrbResult<graphblas_exec::sync::MutexGuard<'_, MatrixState<T>>> {
-        self.lock_completed_as("read")
-    }
-
-    /// [`Self::lock_completed`] with an explicit force cause for the
-    /// `DagForce` decision event.
-    pub(crate) fn lock_completed_as(
-        &self,
-        cause: &'static str,
-    ) -> GrbResult<graphblas_exec::sync::MutexGuard<'_, MatrixState<T>>> {
-        let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        st.drain_as(&ctx, cause)?;
-        Ok(st)
-    }
 
     /// Completes and returns a cheap CSR snapshot (optionally row-sorted) —
     /// the value of this object *at this point in the sequence*.
     pub(crate) fn snapshot_csr(&self, sorted: bool) -> GrbResult<Arc<Csr<T>>> {
         let ctx = self.context();
-        let mut st = self.lock_completed()?;
+        let mut st = self.core.lock_completed()?;
         st.ensure_csr(&ctx, sorted)?;
         Ok(st.csr().clone())
     }
@@ -935,178 +672,25 @@ impl<T: ValueType> Matrix<T> {
     /// through the store `Arc`'s identity.
     pub(crate) fn snapshot_transposed(&self) -> GrbResult<Arc<Csr<T>>> {
         let ctx = self.context();
-        let mut st = self.lock_completed()?;
+        let mut st = self.core.lock_completed()?;
         st.ensure_csr(&ctx, false)?;
         Ok(st.transposed_csr(&ctx))
     }
 
     /// Current logical shape.
     pub(crate) fn shape(&self) -> (Index, Index) {
-        let st = self.inner.state.lock();
+        let st = self.core.lock_raw();
         (st.nrows, st.ncols)
     }
 
-    /// Runs `stage` now (blocking) or appends it to the sequence
-    /// (nonblocking).
-    pub(crate) fn apply_write(
-        &self,
-        stage: Box<dyn FnOnce(&mut MatrixState<T>) -> GrbResult + Send>,
-    ) -> GrbResult {
-        let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        if let Some(e) = &st.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        match ctx.mode() {
-            Mode::NonBlocking => {
-                st.pending.push(Stage::Opaque(stage));
-                if graphblas_obs::enabled() {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::pending()
-                        .opaques_enqueued
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::counters::note_pending_depth(st.pending.len());
-                }
-                Ok(())
-            }
-            Mode::Blocking => {
-                st.drain(&ctx)?;
-                let r = stage(&mut st);
-                if let Err(Error::Execution(exec)) = &r {
-                    st.err = Some(exec.clone());
-                }
-                st.note_mem(ctx.id());
-                r
-            }
-        }
-    }
-
-    /// Enqueues a lazy op-DAG node (§III); see `Vector::apply_node` for
-    /// the mode/fallback contract.
-    pub(crate) fn apply_node(
-        &self,
-        kind: NodeKind,
-        exec: Box<dyn FnOnce(&mut MatrixState<T>, Vec<MapFn<T>>) -> GrbResult + Send>,
-    ) -> GrbResult {
-        let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        if let Some(e) = &st.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        match ctx.mode() {
-            Mode::NonBlocking if crate::dag::dag_enabled() => {
-                st.pending.push(Stage::Node { kind, exec });
-                let depth = st.pending.len();
-                if graphblas_obs::enabled() {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::dag()
-                        .nodes_enqueued
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::counters::note_pending_depth(depth);
-                }
-                drop(st);
-                self.maybe_async_drain(depth);
-                Ok(())
-            }
-            Mode::NonBlocking => {
-                st.pending
-                    .push(Stage::Opaque(Box::new(move |st| exec(st, Vec::new()))));
-                if graphblas_obs::enabled() {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::pending()
-                        .opaques_enqueued
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::counters::note_pending_depth(st.pending.len());
-                }
-                Ok(())
-            }
-            Mode::Blocking => {
-                st.drain(&ctx)?;
-                let r = exec(&mut st, Vec::new());
-                if let Err(Error::Execution(exec_err)) = &r {
-                    st.err = Some(exec_err.clone());
-                }
-                st.note_mem(ctx.id());
-                r
-            }
-        }
-    }
-
-    /// Hands this container's backlog to the worker pool once it crosses
-    /// the depth threshold (see `Vector::maybe_async_drain` for the
-    /// no-double-drain argument).
-    fn maybe_async_drain(&self, depth: usize) {
-        if !crate::dag::async_drain_enabled() || depth < crate::dag::async_drain_depth() {
-            return;
-        }
-        if graphblas_obs::enabled() {
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            graphblas_obs::counters::dag()
-                .async_drains
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        let this = self.clone();
-        let ctx = self.context();
-        graphblas_exec::pool::global_pool().spawn_static(Box::new(move || {
-            let mut st = this.inner.state.lock();
-            // A failed drain leaves the §V sticky error for the next
-            // reader; the background task has no caller to report to.
-            let _ = st.drain_as(&ctx, "async");
-        }));
-    }
-
-    /// Appends a fusible element-wise stage (nonblocking) or applies it
-    /// immediately (blocking).
-    pub(crate) fn apply_map(&self, f: MapFn<T>) -> GrbResult {
-        let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        if let Some(e) = &st.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        match ctx.mode() {
-            Mode::NonBlocking => {
-                st.pending.push(Stage::Map(f));
-                if graphblas_obs::enabled() {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::pending()
-                        .maps_enqueued
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::counters::note_pending_depth(st.pending.len());
-                }
-                Ok(())
-            }
-            Mode::Blocking => {
-                st.drain(&ctx)?;
-                st.ensure_csr(&ctx, false)?;
-                let out = st
-                    .csr()
-                    .filter_map_with_index(&ctx, |i, j, v| f(&[i, j], v));
-                st.store = MatStore::Csr(Arc::new(out));
-                st.note_mem(ctx.id());
-                Ok(())
-            }
-        }
-    }
-
-    /// Number of queued (not yet executed) stages — observability hook for
-    /// tests and the fusion bench.
-    pub fn pending_len(&self) -> usize {
-        self.inner.state.lock().pending.len()
-    }
-
-    /// Type-erased object identity, comparable across element types (used
-    /// to detect in-place `apply`/`select` for stage fusion).
+    /// Type-erased object identity (see `Container::addr`).
     pub(crate) fn addr(&self) -> usize {
-        Arc::as_ptr(&self.inner) as *const () as usize
+        self.core.addr()
     }
 
     /// Validates the §IV same-context rule against `ctx`.
     pub(crate) fn check_context(&self, ctx: &Context) -> GrbResult {
-        if self.context().same(ctx) {
-            Ok(())
-        } else {
-            Err(ApiError::ContextMismatch.into())
-        }
+        self.core.check_context(ctx)
     }
 }
 
@@ -1115,8 +699,8 @@ impl<T: ValueType> crate::introspect::Check for Matrix<T> {
     /// invariants, the store-vs-logical shape agreement, and the §V rule
     /// that a poisoned object holds no pending stages. Never forces
     /// completion — like [`Matrix::stats`], it observes without perturbing.
-    fn grb_check(&self) -> Result<(), crate::introspect::CheckError> {
-        self.inner.state.lock().check()
+    fn grb_check(&self) -> Result<(), CheckError> {
+        self.core.lock_raw().check()
     }
 }
 
@@ -1158,7 +742,7 @@ impl<T: ValueType + std::fmt::Display> Matrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphblas_exec::{global_context, ContextOptions};
+    use graphblas_exec::{global_context, ContextOptions, Mode};
 
     #[test]
     fn new_validates_dimensions() {
@@ -1361,42 +945,6 @@ mod tests {
             grb_check(&bad),
             Err(CheckError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn container_mem_reports_to_ctx_ledger() {
-        let was = graphblas_obs::enabled();
-        graphblas_obs::set_enabled(true);
-        // A private context isolates this test's ledger entry from the
-        // other (parallel) tests, which all run in the global context.
-        let ctx = Context::new(&global_context(), Mode::Blocking, ContextOptions::default());
-        let m = Matrix::<i64>::new_in(&ctx, 64, 64).unwrap();
-        for k in 0..64usize {
-            m.set_element(k as i64, k, k).unwrap();
-        }
-        m.wait(WaitMode::Materialize).unwrap();
-        let live = || {
-            graphblas_obs::ctxreg::context_stats(ctx.id())
-                .unwrap()
-                .own
-                .mem_live
-        };
-        let full = live();
-        assert!(full > 0, "a populated CSR store must charge the ledger");
-        // The gauge follows every store replacement, resize included, and
-        // counts the update log while it holds entries.
-        m.resize(1, 1).unwrap();
-        let small = live();
-        assert!(small < full, "resize must reconcile the gauge");
-        for _ in 0..100 {
-            m.remove_element(0, 0).unwrap();
-        }
-        assert!(live() > small, "un-folded updates are container bytes");
-        m.wait(WaitMode::Materialize).unwrap();
-        assert!(live() <= small, "the fold releases the log");
-        drop(m);
-        assert_eq!(live(), 0, "dropping the handle must release its bytes");
-        graphblas_obs::set_enabled(was);
     }
 
     #[test]

@@ -53,7 +53,7 @@ where
     if mask.is_none() && accum.is_none() && plain_desc(desc) && c.addr() == a.addr() {
         if let Some(op2) = same_type_cast::<UnaryOp<A, C>, UnaryOp<C, C>>(op.clone()) {
             let f: MapFn<C> = Arc::new(move |_, v| Some(op2.apply(v)));
-            return c.apply_map(f);
+            return c.core.apply_map(f);
         }
     }
     let ctx = c.context();
@@ -74,7 +74,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
-    c.apply_node(
+    c.core.apply_node(
         NodeKind::Apply,
         Box::new(move |st, post| {
             let nnz_in = a_s.nnz();
@@ -123,7 +123,7 @@ where
     if mask.is_none() && accum.is_none() && !desc.replace && w.addr() == u.addr() {
         if let Some(op2) = same_type_cast::<UnaryOp<A, C>, UnaryOp<C, C>>(op.clone()) {
             let f: MapFn<C> = Arc::new(move |_, v| Some(op2.apply(v)));
-            return w.apply_map(f);
+            return w.core.apply_map(f);
         }
     }
     let ctx = w.context();
@@ -144,7 +144,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx_id = ctx.id();
-    w.apply_node(
+    w.core.apply_node(
         NodeKind::Apply,
         Box::new(move |st, post| {
             let nnz_in = u_s.nnz();
@@ -164,7 +164,7 @@ where
                     write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
                 st.store = VecStore::Sparse(Arc::new(merged));
             }
-            st.apply_post_maps(&post)?;
+            st.apply_post_maps(&ctx, &post)?;
             Ok(())
         }),
     )
@@ -370,7 +370,7 @@ where
         if let Some(f2) = same_type_cast::<IndexUnaryOp<A, S, C>, IndexUnaryOp<C, S, C>>(f.clone())
         {
             let g: MapFn<C> = Arc::new(move |idx, v| Some(f2.apply(v, idx, &s)));
-            return c.apply_map(g);
+            return c.core.apply_map(g);
         }
     }
     let ctx = c.context();
@@ -391,7 +391,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
-    c.apply_node(
+    c.core.apply_node(
         NodeKind::Apply,
         Box::new(move |st, post| {
             let nnz_in = a_s.nnz();
@@ -464,7 +464,7 @@ where
         if let Some(f2) = same_type_cast::<IndexUnaryOp<A, S, C>, IndexUnaryOp<C, S, C>>(f.clone())
         {
             let g: MapFn<C> = Arc::new(move |idx, v| Some(f2.apply(v, idx, &s)));
-            return w.apply_map(g);
+            return w.core.apply_map(g);
         }
     }
     let ctx = w.context();
@@ -485,7 +485,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx_id = ctx.id();
-    w.apply_node(
+    w.core.apply_node(
         NodeKind::Apply,
         Box::new(move |st, post| {
             let nnz_in = u_s.nnz();
@@ -506,7 +506,7 @@ where
                     write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
                 st.store = VecStore::Sparse(Arc::new(merged));
             }
-            st.apply_post_maps(&post)?;
+            st.apply_post_maps(&ctx, &post)?;
             Ok(())
         }),
     )

@@ -91,7 +91,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
-    c.apply_node(
+    c.core.apply_node(
         NodeKind::Assign,
         Box::new(move |st, post| {
             check_selectors(&rows, st.nrows, "row")?;
@@ -170,7 +170,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
-    w.apply_node(
+    w.core.apply_node(
         NodeKind::Assign,
         Box::new(move |st, post| {
             check_selectors(&indices, st.n, "index")?;
@@ -209,7 +209,7 @@ where
                 post.len(),
                 u_s.nnz(),
             );
-            st.apply_post_maps(&post)?;
+            st.apply_post_maps(&ctx2, &post)?;
             Ok(())
         }),
     )
@@ -244,7 +244,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
-    c.apply_node(
+    c.core.apply_node(
         NodeKind::Assign,
         Box::new(move |st, post| {
             check_selectors(&rows, st.nrows, "row")?;
@@ -341,7 +341,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
-    w.apply_node(
+    w.core.apply_node(
         NodeKind::Assign,
         Box::new(move |st, post| {
             check_selectors(&indices, st.n, "index")?;
@@ -380,7 +380,7 @@ where
                 post.len(),
                 indices.len(),
             );
-            st.apply_post_maps(&post)?;
+            st.apply_post_maps(&ctx2, &post)?;
             Ok(())
         }),
     )
@@ -424,7 +424,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
-    c.apply_node(
+    c.core.apply_node(
         NodeKind::Assign,
         Box::new(move |st, post| {
             check_selectors(&cols, st.ncols, "column")?;
@@ -536,7 +536,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
-    c.apply_node(
+    c.core.apply_node(
         NodeKind::Assign,
         Box::new(move |st, post| {
             check_selectors(&rows, st.nrows, "row")?;

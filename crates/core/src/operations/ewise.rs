@@ -58,7 +58,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
-    c.apply_node(
+    c.core.apply_node(
         NodeKind::EWise,
         Box::new(move |st, post| {
             let nnz_in = a_s.nnz() + b_s.nnz();
@@ -136,7 +136,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
-    c.apply_node(
+    c.core.apply_node(
         NodeKind::EWise,
         Box::new(move |st, post| {
             let nnz_in = a_s.nnz() + b_s.nnz();
@@ -270,7 +270,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx_id = ctx.id();
-    w.apply_node(
+    w.core.apply_node(
         NodeKind::EWise,
         Box::new(move |st, post| {
             let nnz_in = u_s.nnz() + v_s.nnz();
@@ -297,7 +297,7 @@ where
                     write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
                 st.store = VecStore::Sparse(Arc::new(merged));
             }
-            st.apply_post_maps(&post)?;
+            st.apply_post_maps(&ctx, &post)?;
             Ok(())
         }),
     )
@@ -339,7 +339,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx_id = ctx.id();
-    w.apply_node(
+    w.core.apply_node(
         NodeKind::EWise,
         Box::new(move |st, post| {
             let nnz_in = u_s.nnz() + v_s.nnz();
@@ -366,7 +366,7 @@ where
                     write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
                 st.store = VecStore::Sparse(Arc::new(merged));
             }
-            st.apply_post_maps(&post)?;
+            st.apply_post_maps(&ctx, &post)?;
             Ok(())
         }),
     )

@@ -50,7 +50,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
-    c.apply_node(
+    c.core.apply_node(
         NodeKind::Extract,
         Box::new(move |st, post| {
             let nnz_in = a_s.nnz();
@@ -116,7 +116,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
-    w.apply_node(
+    w.core.apply_node(
         NodeKind::Extract,
         Box::new(move |st, post| {
             let nnz_in = u_s.nnz();
@@ -137,7 +137,7 @@ where
                     write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
                 st.store = VecStore::Sparse(Arc::new(merged));
             }
-            st.apply_post_maps(&post)?;
+            st.apply_post_maps(&ctx2, &post)?;
             Ok(())
         }),
     )
@@ -180,7 +180,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
-    w.apply_node(
+    w.core.apply_node(
         NodeKind::Extract,
         Box::new(move |st, post| {
             let nnz_in = a_s.nnz();
@@ -211,7 +211,7 @@ where
                     write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
                 st.store = VecStore::Sparse(Arc::new(merged));
             }
-            st.apply_post_maps(&post)?;
+            st.apply_post_maps(&ctx2, &post)?;
             Ok(())
         }),
     )

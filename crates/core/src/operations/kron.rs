@@ -53,7 +53,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
-    c.apply_node(
+    c.core.apply_node(
         NodeKind::MxM,
         Box::new(move |st, post| {
             let nnz_in = a_s.nnz() + b_s.nnz();

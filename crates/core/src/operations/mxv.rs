@@ -224,7 +224,7 @@ where
     let replace = desc.replace;
     let ctx2 = ctx.clone();
 
-    w.apply_node(
+    w.core.apply_node(
         NodeKind::MxV,
         Box::new(move |st, post| {
             let nnz_in = u_f.nnz();
@@ -335,7 +335,7 @@ where
             let merged =
                 write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
             st.store = store_result("mxv", ctx2.id(), merged);
-            st.apply_post_maps(&post)?;
+            st.apply_post_maps(&ctx2, &post)?;
             Ok(())
         }),
     )
@@ -397,7 +397,7 @@ where
     let replace = desc.replace;
     let ctx2 = ctx.clone();
 
-    w.apply_node(
+    w.core.apply_node(
         NodeKind::VxM,
         Box::new(move |st, post| {
             let nnz_in = u_f.nnz();
@@ -505,7 +505,7 @@ where
             let merged =
                 write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
             st.store = store_result("vxm", ctx2.id(), merged);
-            st.apply_post_maps(&post)?;
+            st.apply_post_maps(&ctx2, &post)?;
             Ok(())
         }),
     )
@@ -520,8 +520,7 @@ mod tests {
     /// Serializes tests that flip the process-global direction override
     /// or read obs counter deltas.
     fn serialize() -> std::sync::MutexGuard<'static, ()> {
-        static M: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        M.lock().unwrap_or_else(|e| e.into_inner())
+        crate::container::obs_test_guard()
     }
 
     fn graph() -> Matrix<i64> {

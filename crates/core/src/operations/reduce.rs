@@ -54,7 +54,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
-    w.apply_node(
+    w.core.apply_node(
         NodeKind::Reduce,
         Box::new(move |st, post| {
             let nnz_in = a_s.nnz();
@@ -87,7 +87,7 @@ where
                     write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
                 st.store = VecStore::Sparse(Arc::new(merged));
             }
-            st.apply_post_maps(&post)?;
+            st.apply_post_maps(&ctx2, &post)?;
             Ok(())
         }),
     )
@@ -123,7 +123,7 @@ where
     let a_s = a.snapshot_csr(false)?;
     let monoid = monoid.clone();
     let accum = accum.cloned();
-    s.apply_write(Box::new(move |slot: &mut Option<T>| {
+    s.core.apply_write(Box::new(move |slot| {
         let gctx = graphblas_exec::global_context();
         let t = match registry::try_reduce_csr(&gctx, &a_s, monoid.builtin()) {
             Some(t) => t,
@@ -137,7 +137,7 @@ where
                 )
             }
         };
-        *slot = fold_scalar(slot.take(), t, accum.as_ref());
+        **slot = fold_scalar(slot.take(), t, accum.as_ref());
         Ok(())
     }))
 }
@@ -159,14 +159,14 @@ where
     let a_s = a.snapshot_csr(false)?;
     let op = op.clone();
     let accum = accum.cloned();
-    s.apply_write(Box::new(move |slot: &mut Option<T>| {
+    s.core.apply_write(Box::new(move |slot| {
         let t = a_s.reduce_all(
             &graphblas_exec::global_context(),
             |v| v.clone(),
             |x, y| op.apply(&x, &y),
             None,
         );
-        *slot = fold_scalar(slot.take(), t, accum.as_ref());
+        **slot = fold_scalar(slot.take(), t, accum.as_ref());
         Ok(())
     }))
 }
@@ -188,7 +188,7 @@ where
     let monoid = monoid.clone();
     let accum = accum.cloned();
     let ctx_id = ctx.id();
-    s.apply_write(Box::new(move |slot: &mut Option<T>| {
+    s.core.apply_write(Box::new(move |slot| {
         let t = match registry::try_reduce_svec(&u_s, monoid.builtin(), ctx_id) {
             Some(t) => t,
             None => {
@@ -200,7 +200,7 @@ where
                 )
             }
         };
-        *slot = fold_scalar(slot.take(), t, accum.as_ref());
+        **slot = fold_scalar(slot.take(), t, accum.as_ref());
         Ok(())
     }))
 }
@@ -221,9 +221,9 @@ where
     let u_s = u.snapshot_sparse()?;
     let op = op.clone();
     let accum = accum.cloned();
-    s.apply_write(Box::new(move |slot: &mut Option<T>| {
+    s.core.apply_write(Box::new(move |slot| {
         let t = u_s.reduce(|v| v.clone(), |x, y| op.apply(&x, &y), None);
-        *slot = fold_scalar(slot.take(), t, accum.as_ref());
+        **slot = fold_scalar(slot.take(), t, accum.as_ref());
         Ok(())
     }))
 }

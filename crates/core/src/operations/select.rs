@@ -58,7 +58,7 @@ where
         let f2 = f.clone();
         let s2 = s.clone();
         let g: MapFn<T> = Arc::new(move |idx, v| f2.apply(v, idx, &s2).then(|| v.clone()));
-        return c.apply_map(g);
+        return c.core.apply_map(g);
     }
     let ctx = c.context();
     let _op = graphblas_obs::span_ctx("op.select", ctx.id());
@@ -78,7 +78,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
-    c.apply_node(
+    c.core.apply_node(
         NodeKind::Select,
         Box::new(move |st, post| {
             let nnz_in = a_s.nnz();
@@ -143,7 +143,7 @@ where
         let f2 = f.clone();
         let s2 = s.clone();
         let g: MapFn<T> = Arc::new(move |idx, v| f2.apply(v, idx, &s2).then(|| v.clone()));
-        return w.apply_map(g);
+        return w.core.apply_map(g);
     }
     let ctx = w.context();
     let _op = graphblas_obs::span_ctx("op.select_v", ctx.id());
@@ -163,7 +163,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
-    w.apply_node(
+    w.core.apply_node(
         NodeKind::Select,
         Box::new(move |st, post| {
             let nnz_in = u_s.nnz();
@@ -184,7 +184,7 @@ where
                     write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
                 st.store = VecStore::Sparse(Arc::new(merged));
             }
-            st.apply_post_maps(&post)?;
+            st.apply_post_maps(&ctx2, &post)?;
             Ok(())
         }),
     )

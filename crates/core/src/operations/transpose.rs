@@ -44,7 +44,7 @@ where
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
-    c.apply_node(
+    c.core.apply_node(
         NodeKind::Structure,
         Box::new(move |st, post| {
             let nnz_in = t_s.nnz();

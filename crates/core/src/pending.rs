@@ -2,8 +2,10 @@
 //!
 //! In nonblocking mode a GraphBLAS object is defined by its *sequence* of
 //! method calls; the implementation may defer, reorder, or **fuse**
-//! operations as long as the result is mathematically equivalent. Here
-//! every container carries a queue of [`Stage`]s:
+//! operations as long as the result is mathematically equivalent. This
+//! module defines the stage model; the queue that holds the stages, the
+//! drain that runs them and the one enqueue (blocking mode is *enqueue,
+//! then force*) live in [`crate::container`]. A queue holds [`Stage`]s:
 //!
 //! * [`Stage::Map`] — a fusible element-wise transform of the container's
 //!   own stored elements (unmasked, unaccumulated `apply`/`select` whose
@@ -13,10 +15,13 @@
 //!   and reads the `graphblas-obs` fusion counters (`fusion_hits`,
 //!   `map_traversals`) to verify the fusion actually happened; a run of
 //!   `n` consecutive maps reports one traversal and `n − 1` fusion hits.
-//! * [`Stage::Opaque`] — everything else: an arbitrary deferred operation
-//!   that was given snapshots of its *other* inputs at enqueue time
-//!   (sequence order fixes input values at call time) and reads/writes the
-//!   owning container's state when drained.
+//! * [`Stage::Opaque`] — an arbitrary deferred write to the owning
+//!   container's state that no map can fuse into: `build` and the scalar
+//!   writes. `build` and `reduce` into a scalar were given snapshots of
+//!   their inputs at enqueue time (sequence order fixes input values at
+//!   call time); `extractElement` into a scalar holds the source handle
+//!   and reads it when drained — the one stage that locks another
+//!   container.
 //! * [`Stage::Node`] — a lazy op-DAG node (mxv/vxm/mxm/eWise/assign/…):
 //!   like `Opaque`, but fusion-aware. At drain time the engine hands the
 //!   node every *trailing* consecutive `Map` stage from the queue; the
@@ -104,7 +109,7 @@ impl NodeKind {
 }
 
 /// A deferred stage in a container's sequence. `St` is the container's
-/// state type (matrix or vector state).
+/// state type (`container::State` over a matrix, vector or scalar store).
 pub enum Stage<St, T> {
     /// Fusible in-place element-wise transform.
     Map(MapFn<T>),
@@ -120,13 +125,6 @@ pub enum Stage<St, T> {
         /// The deferred execution, parameterized over the trailing maps.
         exec: Box<dyn FnOnce(&mut St, Vec<MapFn<T>>) -> GrbResult + Send>,
     },
-}
-
-impl<St, T> Stage<St, T> {
-    /// Whether this is a fusible map stage.
-    pub fn is_map(&self) -> bool {
-        matches!(self, Stage::Map(_))
-    }
 }
 
 /// Composes a run of map stages into a single per-element closure:

@@ -13,63 +13,48 @@
 
 use std::sync::Arc;
 
-use graphblas_exec::sync::{Mutex, RwLock};
-use graphblas_exec::{Context, Mode};
+use graphblas_exec::Context;
 
-use crate::error::{ApiError, Error, ExecutionError, GrbResult};
-use crate::introspect::ObjectStats;
-use crate::pending::WaitMode;
+use crate::container::{Container, State, Store};
+use crate::error::GrbResult;
+use crate::introspect::{CheckError, ObjectStats};
+use crate::pending::{fuse_maps, MapFn, WaitMode};
 use crate::types::ValueType;
 
-pub(crate) type ScalarStage<T> = Box<dyn FnOnce(&mut Option<T>) -> GrbResult + Send>;
+/// The scalar's store is the possibly-empty value itself: no Table III
+/// format to verify and no buffer to charge to the memory ledger.
+impl<T: ValueType> Store for Option<T> {
+    type Elem = T;
+    const KIND: &'static str = "scalar";
+    const DRAIN_SITE: &'static str = "scalar.drain";
 
-pub(crate) struct ScalarState<T> {
-    pub value: Option<T>,
-    pub pending: Vec<ScalarStage<T>>,
-    pub err: Option<ExecutionError>,
-}
+    fn bytes(&self) -> u64 {
+        0
+    }
 
-impl<T> ScalarState<T> {
-    /// Deep validation: a scalar has no Table III store to verify, so only
-    /// the §V error bookkeeping applies (a poisoned scalar must hold no
-    /// pending stages — `complete_internal` clears the sequence when it
-    /// records the sticky error).
-    pub(crate) fn check(&self) -> Result<(), crate::introspect::CheckError> {
-        if self.err.is_some() && !self.pending.is_empty() {
-            return Err(crate::introspect::CheckError::PendingAfterError {
-                pending: self.pending.len(),
-            });
-        }
+    fn map_run(st: &mut State<Self>, _ctx: &Context, run: &[MapFn<T>]) -> GrbResult<(u64, u64)> {
+        let before = u64::from(st.is_some());
+        **st = st.take().and_then(|v| fuse_maps(run, &[], &v));
+        Ok((before, u64::from(st.is_some())))
+    }
+
+    fn check(&self) -> Result<(), CheckError> {
         Ok(())
     }
-
-    /// Debug-build invariant gate (see `MatrixState::debug_check`).
-    #[inline]
-    pub(crate) fn debug_check(&self) {
-        #[cfg(debug_assertions)]
-        if let Err(e) = self.check() {
-            panic!("scalar container invariant violated: {e}");
-        }
-    }
-}
-
-struct ScalarHandle<T> {
-    ctx: RwLock<Context>,
-    state: Mutex<ScalarState<T>>,
 }
 
 /// An opaque handle to a GraphBLAS scalar. Clones share the underlying
 /// object (like copied `GrB_Scalar` handles in C).
 #[derive(Clone)]
 pub struct Scalar<T: ValueType> {
-    inner: Arc<ScalarHandle<T>>,
+    pub(crate) core: Arc<Container<Option<T>>>,
 }
 
 impl<T: ValueType> crate::introspect::Check for Scalar<T> {
     /// Deep validation (`grb_check`): verifies the §V rule that a poisoned
     /// scalar holds no pending stages, without forcing completion.
-    fn grb_check(&self) -> Result<(), crate::introspect::CheckError> {
-        self.inner.state.lock().check()
+    fn grb_check(&self) -> Result<(), CheckError> {
+        self.core.lock_raw().check()
     }
 }
 
@@ -100,14 +85,7 @@ impl<T: ValueType> Scalar<T> {
     /// constructor).
     pub fn new_in(ctx: &Context) -> GrbResult<Self> {
         Ok(Scalar {
-            inner: Arc::new(ScalarHandle {
-                ctx: RwLock::new(ctx.clone()),
-                state: Mutex::new(ScalarState {
-                    value: None,
-                    pending: Vec::new(),
-                    err: None,
-                }),
-            }),
+            core: Container::new(ctx, None),
         })
     }
 
@@ -123,50 +101,45 @@ impl<T: ValueType> Scalar<T> {
 
     /// The context this scalar belongs to.
     pub fn context(&self) -> Context {
-        self.inner.ctx.read().clone()
+        self.core.context()
     }
 
     /// `GrB_Context_switch` for scalars.
     pub fn switch_context(&self, ctx: &Context) -> GrbResult {
-        *self.inner.ctx.write() = ctx.clone();
-        Ok(())
+        self.core.switch_context(ctx)
     }
 
     /// `GrB_Scalar_clear`: empties the scalar (also clears any pending
     /// operations and a sticky error state — the object is rebuilt).
     pub fn clear(&self) -> GrbResult {
-        let mut st = self.inner.state.lock();
-        st.pending.clear();
-        st.err = None;
-        st.value = None;
+        let mut st = self.core.lock_raw();
+        st.reset();
+        **st = None;
         Ok(())
     }
 
     /// `GrB_Scalar_nvals`: 0 or 1. Forces completion.
     pub fn nvals(&self) -> GrbResult<usize> {
-        self.complete_internal()?;
-        Ok(usize::from(self.inner.state.lock().value.is_some()))
+        Ok(usize::from(self.core.lock_completed()?.is_some()))
     }
 
     /// `GrB_Scalar_setElement`. Replaces any pending sequence: the store
     /// becomes exactly this value.
     pub fn set_element(&self, v: T) -> GrbResult {
-        let mut st = self.inner.state.lock();
-        if let Some(e) = &st.err {
-            return Err(Error::Execution(e.clone()));
-        }
+        let mut st = self.core.lock_raw();
+        st.poisoned()?;
         // A plain overwrite makes earlier deferred computations on this
         // scalar unobservable; drop them rather than run them for nothing.
-        st.pending.clear();
-        st.value = Some(v);
+        st.reset();
+        **st = Some(v);
         Ok(())
     }
 
     /// `GrB_Scalar_extractElement`: `Ok(None)` plays the role of the C
     /// API's `GrB_NO_VALUE` return. Forces completion.
     pub fn extract_element(&self) -> GrbResult<Option<T>> {
-        self.complete_internal()?;
-        Ok(self.inner.state.lock().value.clone())
+        let st = self.core.lock_completed()?;
+        Ok((**st).clone())
     }
 
     /// `GrB_wait` on a scalar. Both modes drain the pending queue; a
@@ -174,101 +147,30 @@ impl<T: ValueType> Scalar<T> {
     /// reported from the drained sequence (trivially true here once the
     /// queue is empty).
     pub fn wait(&self, _mode: WaitMode) -> GrbResult {
-        self.complete_internal()
+        self.core.lock_completed_as("wait").map(drop)
     }
 
     /// `GrB_error`: implementation-defined description of this object's
     /// error state (empty string when healthy).
     pub fn error_string(&self) -> String {
-        self.inner
-            .state
-            .lock()
-            .err
-            .as_ref()
-            .map(|e| e.to_string())
-            .unwrap_or_default()
+        self.core.error_string()
     }
 
     /// Whether this handle and `other` denote the same object.
     pub fn same_object(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
+        Arc::ptr_eq(&self.core, &other.core)
     }
 
     /// `GrB_get`-style introspection without forcing completion (see
     /// [`Matrix::stats`](crate::matrix::Matrix::stats)).
     pub fn stats(&self) -> ObjectStats {
-        let ctx_id = self.context().id();
-        let st = self.inner.state.lock();
-        ObjectStats {
-            kind: "scalar",
-            nrows: 1,
-            ncols: 1,
-            nvals: u64::from(st.value.is_some()),
-            pending: st.pending.len() as u64,
-            format: "scalar",
-            failed: st.err.is_some(),
-            ctx: ctx_id,
-        }
-    }
-
-    // --- crate-internal plumbing -----------------------------------------
-
-    pub(crate) fn complete_internal(&self) -> GrbResult {
-        let mut st = self.inner.state.lock();
-        if let Some(e) = &st.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        let pending = std::mem::take(&mut st.pending);
-        for stage in pending {
-            if let Err(e) = stage(&mut st.value) {
-                if let Error::Execution(exec) = &e {
-                    st.err = Some(exec.clone());
-                }
-                st.pending.clear();
-                st.debug_check();
-                return Err(e);
-            }
-        }
-        st.debug_check();
-        Ok(())
-    }
-
-    /// Runs `stage` now (blocking context) or defers it (nonblocking).
-    pub(crate) fn apply_write(&self, stage: ScalarStage<T>) -> GrbResult {
-        let mode = self.context().mode();
-        let mut st = self.inner.state.lock();
-        if let Some(e) = &st.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        match mode {
-            Mode::NonBlocking => {
-                st.pending.push(stage);
-                if graphblas_obs::enabled() {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::pending()
-                        .opaques_enqueued
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::counters::note_pending_depth(st.pending.len());
-                }
-                Ok(())
-            }
-            Mode::Blocking => {
-                let r = stage(&mut st.value);
-                if let Err(Error::Execution(exec)) = &r {
-                    st.err = Some(exec.clone());
-                }
-                r
-            }
-        }
+        let st = self.core.lock_raw();
+        st.stats((1, 1), usize::from(st.is_some()), "scalar")
     }
 
     /// Validates that this scalar shares `ctx` (§IV same-context rule).
     pub(crate) fn check_context(&self, ctx: &Context) -> GrbResult {
-        if self.context().same(ctx) {
-            Ok(())
-        } else {
-            Err(ApiError::ContextMismatch.into())
-        }
+        self.core.check_context(ctx)
     }
 }
 

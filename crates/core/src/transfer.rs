@@ -223,7 +223,7 @@ impl<T: ValueType> Matrix<T> {
     }
 
     pub(crate) fn inner_store_kind(&self) -> Format {
-        let st = self.lock_raw();
+        let st = self.core.lock_raw();
         match &st.store {
             MatStore::Csr(_) => Format::Csr,
             MatStore::Csc(_) => Format::Csc,
@@ -277,7 +277,7 @@ impl<T: ValueType> Vector<T> {
                 VecStore::Dense(Arc::new(DenseVec::from_values(values)))
             }
         };
-        Ok(Vector::from_state(ctx, VectorState::fresh(n, store)))
+        Ok(Vector::from_state(ctx, VectorState { n, store }))
     }
 
     /// `GrB_Vector_exportSize`: `(indices_len, values_len)`.
@@ -336,7 +336,7 @@ impl<T: ValueType> Vector<T> {
         if self.pending_len() > 0 {
             return None;
         }
-        Some(match &self.lock_raw().store {
+        Some(match &self.core.lock_raw().store {
             VecStore::Sparse(_) => VectorFormat::Sparse,
             VecStore::Dense(_) => VectorFormat::Dense,
             // Bitmap is an internal frontier format; its cheapest export

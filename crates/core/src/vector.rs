@@ -1,17 +1,18 @@
 //! The `GrB_Vector` container — the one-dimensional sibling of
-//! [`Matrix`](crate::matrix::Matrix), with the same opaque-handle,
-//! deferred-sequence design (see `matrix.rs` for the architecture notes).
+//! [`Matrix`](crate::matrix::Matrix): a typed façade over the same
+//! container core (see `container.rs`), holding the vector store and the
+//! `GrB_Vector_*` methods.
 
 use std::sync::Arc;
 
-use graphblas_exec::sync::{Mutex, RwLock};
-use graphblas_exec::{Context, Mode};
+use graphblas_exec::Context;
 use graphblas_sparse::{BitmapVec, DenseVec, SparseVec};
 
-use crate::error::{ApiError, Error, ExecutionError, GrbResult};
-use crate::introspect::ObjectStats;
+use crate::container::{Container, State, Store};
+use crate::error::{ApiError, Error, GrbResult};
+use crate::introspect::{CheckError, ObjectStats};
 use crate::ops::BinaryOp;
-use crate::pending::{fuse_maps, MapFn, NodeKind, Stage, WaitMode};
+use crate::pending::{fuse_maps, MapFn, WaitMode};
 use crate::scalar::Scalar;
 use crate::types::{Index, MaskValue, ValueType};
 
@@ -74,58 +75,22 @@ impl<T: ValueType> Frontier<T> {
 pub(crate) struct VectorState<T: ValueType> {
     pub n: usize,
     pub store: VecStore<T>,
-    pub pending: Vec<Stage<VectorState<T>, T>>,
-    pub err: Option<ExecutionError>,
-    /// Store bytes last reported to the `obs::mem` container gauge.
-    pub mem_bytes: u64,
-    /// Context id the bytes above were charged to.
-    pub mem_ctx: u64,
-}
-
-impl<T: ValueType> Drop for VectorState<T> {
-    fn drop(&mut self) {
-        if self.mem_bytes != 0 {
-            graphblas_obs::mem::adjust_container(self.mem_ctx, self.mem_bytes, 0);
-        }
-    }
 }
 
 impl<T: ValueType> VectorState<T> {
-    /// A clean state (no pending stages, no error) over `store`.
-    pub(crate) fn fresh(n: usize, store: VecStore<T>) -> Self {
-        VectorState {
-            n,
-            store,
-            pending: Vec::new(),
-            err: None,
-            mem_bytes: 0,
-            mem_ctx: 0,
+    /// Borrows the sparse store (call `ensure_sparse` first).
+    pub(crate) fn sparse(&self) -> &Arc<SparseVec<T>> {
+        match &self.store {
+            VecStore::Sparse(a) => a,
+            _ => unreachable!("ensure_sparse must precede sparse()"),
         }
     }
+}
 
-    /// Reconciles this container's allocated-store bytes with the
-    /// `obs::mem` container gauge and the owning context's memory ledger
-    /// (see `MatrixState::note_mem`).
-    pub(crate) fn note_mem(&mut self, ctx_id: u64) {
-        let enabled = graphblas_obs::enabled();
-        if !enabled && self.mem_bytes == 0 {
-            return;
-        }
-        if ctx_id != self.mem_ctx && self.mem_bytes != 0 {
-            graphblas_obs::mem::adjust_container(self.mem_ctx, self.mem_bytes, 0);
-            self.mem_bytes = 0;
-        }
-        self.mem_ctx = ctx_id;
-        let new = if enabled { self.store.bytes() } else { 0 };
-        if new != self.mem_bytes {
-            graphblas_obs::mem::adjust_container(ctx_id, self.mem_bytes, new);
-            self.mem_bytes = new;
-        }
-    }
+impl<T: ValueType> State<VectorState<T>> {
     /// Canonicalizes to a sorted, duplicate-free sparse store.
     pub(crate) fn ensure_sparse(&mut self) -> GrbResult {
-        // Which real work the canonicalization did, for the provenance
-        // log (vectors carry no Context at this layer, hence ctx 0).
+        // Which real work the canonicalization did, for the provenance log.
         let mut src_format: Option<&'static str> = None;
         let sv: Arc<SparseVec<T>> = match &self.store {
             VecStore::Sparse(a) => {
@@ -154,18 +119,38 @@ impl<T: ValueType> VectorState<T> {
                 graphblas_obs::counters::record_format_conversion();
             }
             if graphblas_obs::events::on() {
-                graphblas_obs::events::decision_convert_sparse("vector", 0, src, sv.nnz() as u64);
+                let (ctx, nnz) = (self.ctx_id(), sv.nnz() as u64);
+                graphblas_obs::events::decision_convert_sparse("vector", ctx, src, nnz);
             }
         }
         self.store = VecStore::Sparse(sv);
         self.debug_check();
         Ok(())
     }
+}
 
-    /// Deep validation of this state: Table III invariants of the current
-    /// store, store-vs-logical length agreement, and §V error bookkeeping.
-    pub(crate) fn check(&self) -> Result<(), crate::introspect::CheckError> {
-        use crate::introspect::CheckError;
+impl<T: ValueType> Store for VectorState<T> {
+    type Elem = T;
+    const KIND: &'static str = "vector";
+    const DRAIN_SITE: &'static str = "vector.drain";
+
+    fn bytes(&self) -> u64 {
+        self.store.bytes()
+    }
+
+    fn map_run(st: &mut State<Self>, _ctx: &Context, run: &[MapFn<T>]) -> GrbResult<(u64, u64)> {
+        st.ensure_sparse()?;
+        let out = st
+            .sparse()
+            .filter_map_with_index(|i, v| fuse_maps(run, &[i], v));
+        let counts = (st.sparse().nnz() as u64, out.nnz() as u64);
+        st.store = VecStore::Sparse(Arc::new(out));
+        Ok(counts)
+    }
+
+    /// Table III invariants of the current store and store-vs-logical
+    /// length agreement.
+    fn check(&self) -> Result<(), CheckError> {
         let len = match &self.store {
             VecStore::Sparse(a) => {
                 a.check().map_err(|source| CheckError::Format {
@@ -195,213 +180,25 @@ impl<T: ValueType> VectorState<T> {
                 store: (len as u64, 1),
             });
         }
-        if self.err.is_some() && !self.pending.is_empty() {
-            return Err(CheckError::PendingAfterError {
-                pending: self.pending.len(),
-            });
-        }
         Ok(())
     }
-
-    /// Debug-build invariant gate, called at kernel boundaries (after
-    /// `drain` and `ensure_sparse`). Compiles to nothing in release builds.
-    #[inline]
-    pub(crate) fn debug_check(&self) {
-        #[cfg(debug_assertions)]
-        if let Err(e) = self.check() {
-            panic!("vector container invariant violated: {e}");
-        }
-    }
-
-    /// Borrows the sparse store (call [`Self::ensure_sparse`] first).
-    pub(crate) fn sparse(&self) -> &Arc<SparseVec<T>> {
-        match &self.store {
-            VecStore::Sparse(a) => a,
-            _ => unreachable!("ensure_sparse must precede sparse()"),
-        }
-    }
-
-    pub(crate) fn drain(&mut self, ctx: &Context) -> GrbResult {
-        self.drain_as(ctx, "read")
-    }
-
-    /// [`Self::drain`] with an explicit force cause for the `DagForce`
-    /// decision event ("read", "wait", "async", "self-input").
-    pub(crate) fn drain_as(&mut self, ctx: &Context, cause: &'static str) -> GrbResult {
-        if let Some(e) = &self.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let obs_on = graphblas_obs::enabled();
-        let _sp = obs_on.then(|| graphblas_obs::span_ctx("drain", ctx.id()));
-        if obs_on {
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            graphblas_obs::counters::pending()
-                .drains
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        let pending = std::mem::take(&mut self.pending);
-        if pending.iter().any(|s| matches!(s, Stage::Node { .. })) {
-            if obs_on {
-                // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                graphblas_obs::counters::dag()
-                    .forces
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            if graphblas_obs::events::on() {
-                graphblas_obs::events::decision_dag_force(
-                    "vector.drain",
-                    ctx.id(),
-                    cause,
-                    pending.len() as u64,
-                );
-            }
-        }
-        let mut stages = pending.into_iter().peekable();
-        let mut run: Vec<MapFn<T>> = Vec::new();
-        let result = (|| {
-            while let Some(stage) = stages.next() {
-                match stage {
-                    Stage::Map(f) => run.push(f),
-                    Stage::Opaque(f) => {
-                        self.flush_map_run(ctx, &mut run, "opaque-barrier")?;
-                        if obs_on {
-                            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                            graphblas_obs::counters::pending()
-                                .opaque_drains
-                                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            graphblas_obs::events::decision_opaque_drain("vector.drain", ctx.id());
-                        }
-                        let _ph = graphblas_obs::timeline::phase("drain.opaque");
-                        f(self)?;
-                    }
-                    Stage::Node { kind: _, exec } => {
-                        // Maps *before* a node transform this container's
-                        // pre-node value: they must land first.
-                        self.flush_map_run(ctx, &mut run, "node-barrier")?;
-                        // Maps *after* the node transform its output: hand
-                        // the whole trailing run to the node so it fuses
-                        // them into its kernel (or one result pass).
-                        let mut post: Vec<MapFn<T>> = Vec::new();
-                        while matches!(stages.peek(), Some(Stage::Map(_))) {
-                            if let Some(Stage::Map(f)) = stages.next() {
-                                post.push(f);
-                            }
-                        }
-                        let _ph = graphblas_obs::timeline::phase("drain.node");
-                        exec(self, post)?;
-                    }
-                }
-            }
-            self.flush_map_run(ctx, &mut run, "queue-end")
-        })();
-        if let Err(e) = &result {
-            if let Error::Execution(exec) = e {
-                self.err = Some(exec.clone());
-                if obs_on {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::pending()
-                        .errors_deferred
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::events::decision_error_deferred("vector.drain", ctx.id());
-                }
-            }
-            self.pending.clear();
-        }
-        self.note_mem(ctx.id());
-        self.debug_check();
-        result
-    }
-
-    fn flush_map_run(
-        &mut self,
-        ctx: &Context,
-        run: &mut Vec<MapFn<T>>,
-        trigger: &'static str,
-    ) -> GrbResult {
-        if run.is_empty() {
-            return Ok(());
-        }
-        let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::MapFuse, ctx.id());
-        if sp.active() {
-            let p = graphblas_obs::counters::pending();
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            p.map_traversals
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            p.fusion_hits
-                .fetch_add(run.len() as u64 - 1, std::sync::atomic::Ordering::Relaxed);
-        }
-        self.ensure_sparse()?;
-        let nnz_in = if sp.active() {
-            self.sparse().nnz() as u64
-        } else {
-            0
-        };
-        if graphblas_obs::events::on() {
-            graphblas_obs::events::decision_fuse_flush(
-                "vector.drain",
-                ctx.id(),
-                run.len() as u64,
-                nnz_in,
-                trigger,
-            );
-        }
-        let fused = self
-            .sparse()
-            .filter_map_with_index(|i, v| fuse_maps(run, &[i], v));
-        if sp.active() {
-            sp.io(
-                nnz_in * run.len() as u64,
-                nnz_in,
-                fused.nnz() as u64,
-                nnz_in * std::mem::size_of::<T>() as u64,
-            );
-        }
-        self.store = VecStore::Sparse(Arc::new(fused));
-        run.clear();
-        Ok(())
-    }
-
-    /// Applies a node's trailing (post) map run to the container's final
-    /// state as one pass. The masked/accumulated node paths use this: the
-    /// post maps semantically transform the *merged* output, so they
-    /// cannot thread through the kernel write.
-    pub(crate) fn apply_post_maps(&mut self, post: &[MapFn<T>]) -> GrbResult {
-        if post.is_empty() {
-            return Ok(());
-        }
-        self.ensure_sparse()?;
-        let out = self
-            .sparse()
-            .filter_map_with_index(|i, v| fuse_maps(post, &[i], v));
-        self.store = VecStore::Sparse(Arc::new(out));
-        Ok(())
-    }
-}
-
-struct VectorHandle<T: ValueType> {
-    ctx: RwLock<Context>,
-    state: Mutex<VectorState<T>>,
 }
 
 /// An opaque handle to a GraphBLAS vector over domain `T`.
 #[derive(Clone)]
 pub struct Vector<T: ValueType> {
-    inner: Arc<VectorHandle<T>>,
+    pub(crate) core: Arc<Container<VectorState<T>>>,
 }
 
 impl<T: ValueType> std::fmt::Debug for Vector<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.inner.state.lock();
+        let st = self.core.lock_raw();
         write!(
             f,
             "Vector<{}>({}, pending: {})",
             std::any::type_name::<T>(),
             st.n,
-            st.pending.len()
+            st.queued()
         )
     }
 }
@@ -417,50 +214,46 @@ impl<T: ValueType> Vector<T> {
         if n == 0 {
             return Err(ApiError::InvalidValue.into());
         }
-        Ok(Self::from_state(
-            ctx,
-            VectorState::fresh(n, VecStore::Sparse(Arc::new(SparseVec::empty(n)))),
-        ))
+        let store = VecStore::Sparse(Arc::new(SparseVec::empty(n)));
+        Ok(Self::from_state(ctx, VectorState { n, store }))
     }
 
-    pub(crate) fn from_state(ctx: &Context, mut state: VectorState<T>) -> Self {
-        state.note_mem(ctx.id());
+    pub(crate) fn from_state(ctx: &Context, state: VectorState<T>) -> Self {
         Vector {
-            inner: Arc::new(VectorHandle {
-                ctx: RwLock::new(ctx.clone()),
-                state: Mutex::new(state),
-            }),
+            core: Container::new(ctx, state),
         }
     }
 
     /// `GrB_Vector_dup`.
     pub fn dup(&self) -> GrbResult<Self> {
         let ctx = self.context();
-        let st = self.lock_completed()?;
-        let state = VectorState::fresh(st.n, st.store.clone());
+        let st = self.core.lock_completed()?;
+        let state = VectorState {
+            n: st.n,
+            store: st.store.clone(),
+        };
         drop(st);
         Ok(Self::from_state(&ctx, state))
     }
 
     pub fn context(&self) -> Context {
-        self.inner.ctx.read().clone()
+        self.core.context()
     }
 
     /// `GrB_Context_switch`.
     pub fn switch_context(&self, ctx: &Context) -> GrbResult {
-        *self.inner.ctx.write() = ctx.clone();
-        Ok(())
+        self.core.switch_context(ctx)
     }
 
     /// `GrB_Vector_size`.
     pub fn size(&self) -> Index {
-        self.inner.state.lock().n
+        self.core.lock_raw().n
     }
 
     /// `GrB_Vector_nvals`. Forces completion but not canonicalization —
     /// bitmap and dense stores report their counts in place.
     pub fn nvals(&self) -> GrbResult<usize> {
-        let mut st = self.lock_completed()?;
+        let mut st = self.core.lock_completed()?;
         match &st.store {
             VecStore::Bitmap(b) => return Ok(b.nnz()),
             VecStore::Dense(d) => return Ok(d.len()),
@@ -473,12 +266,9 @@ impl<T: ValueType> Vector<T> {
     /// `GrB_Vector_clear`: removes all elements, pending stages, and any
     /// sticky error.
     pub fn clear(&self) -> GrbResult {
-        let ctx_id = self.context().id();
-        let mut st = self.inner.state.lock();
-        st.pending.clear();
-        st.err = None;
+        let mut st = self.core.lock_raw();
+        st.reset();
         st.store = VecStore::Sparse(Arc::new(SparseVec::empty(st.n)));
-        st.note_mem(ctx_id);
         Ok(())
     }
 
@@ -487,7 +277,7 @@ impl<T: ValueType> Vector<T> {
         if n == 0 {
             return Err(ApiError::InvalidValue.into());
         }
-        let mut st = self.lock_completed()?;
+        let mut st = self.core.lock_completed()?;
         st.ensure_sparse()?;
         let old = st.sparse().clone();
         let mut indices = Vec::new();
@@ -507,7 +297,7 @@ impl<T: ValueType> Vector<T> {
 
     /// `GrB_Vector_setElement`; scalar-index OOB is an immediate API error.
     pub fn set_element(&self, v: T, i: Index) -> GrbResult {
-        let mut st = self.lock_completed()?;
+        let mut st = self.core.lock_completed()?;
         if i >= st.n {
             return Err(ApiError::InvalidIndex.into());
         }
@@ -517,8 +307,6 @@ impl<T: ValueType> Vector<T> {
         if let VecStore::Sparse(sv) = &mut st.store {
             Arc::make_mut(sv).append(i, v).map_err(Error::from)?;
         }
-        let ctx_id = self.context().id();
-        st.note_mem(ctx_id);
         Ok(())
     }
 
@@ -532,7 +320,7 @@ impl<T: ValueType> Vector<T> {
 
     /// `GrB_Vector_removeElement`.
     pub fn remove_element(&self, i: Index) -> GrbResult {
-        let mut st = self.lock_completed()?;
+        let mut st = self.core.lock_completed()?;
         if i >= st.n {
             return Err(ApiError::InvalidIndex.into());
         }
@@ -544,14 +332,12 @@ impl<T: ValueType> Vector<T> {
                 Arc::make_mut(sv).remove(i);
             }
         }
-        let ctx_id = self.context().id();
-        st.note_mem(ctx_id);
         Ok(())
     }
 
     /// `GrB_Vector_extractElement`: `Ok(None)` ≡ `GrB_NO_VALUE`.
     pub fn extract_element(&self, i: Index) -> GrbResult<Option<T>> {
-        let mut st = self.lock_completed()?;
+        let mut st = self.core.lock_completed()?;
         if i >= st.n {
             return Err(ApiError::InvalidIndex.into());
         }
@@ -567,8 +353,8 @@ impl<T: ValueType> Vector<T> {
             return Err(ApiError::InvalidIndex.into());
         }
         let this = self.clone();
-        s.apply_write(Box::new(move |slot: &mut Option<T>| {
-            *slot = this.extract_element(i)?;
+        s.core.apply_write(Box::new(move |slot| {
+            **slot = this.extract_element(i)?;
             Ok(())
         }))
     }
@@ -583,17 +369,13 @@ impl<T: ValueType> Vector<T> {
         if indices.len() != values.len() {
             return Err(ApiError::InvalidValue.into());
         }
-        {
-            let mut st = self.lock_completed()?;
-            st.ensure_sparse()?;
-            if st.sparse().nnz() != 0 {
-                return Err(ApiError::OutputNotEmpty.into());
-            }
+        if self.nvals()? != 0 {
+            return Err(ApiError::OutputNotEmpty.into());
         }
         let indices = indices.to_vec();
         let values = values.to_vec();
         let dup = dup.cloned();
-        self.apply_write(Box::new(move |st: &mut VectorState<T>| {
+        self.core.apply_write(Box::new(move |st| {
             let mut sv = SparseVec::from_parts(st.n, indices, values).map_err(Error::from)?;
             match &dup {
                 Some(op) => sv
@@ -608,9 +390,7 @@ impl<T: ValueType> Vector<T> {
 
     /// `GrB_Vector_extractTuples`, ordered by index.
     pub fn extract_tuples(&self) -> GrbResult<(Vec<Index>, Vec<T>)> {
-        let mut st = self.lock_completed()?;
-        st.ensure_sparse()?;
-        let sv = st.sparse();
+        let sv = self.snapshot_sparse()?;
         Ok((sv.indices().to_vec(), sv.values().to_vec()))
     }
 
@@ -619,7 +399,7 @@ impl<T: ValueType> Vector<T> {
     /// cross-thread happens-before edge.
     pub fn wait(&self, mode: WaitMode) -> GrbResult {
         let _sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Wait, self.context().id());
-        let mut st = self.lock_completed_as("wait")?;
+        let mut st = self.core.lock_completed_as("wait")?;
         if mode == WaitMode::Materialize {
             st.ensure_sparse()?;
         }
@@ -629,23 +409,13 @@ impl<T: ValueType> Vector<T> {
     /// `GrB_get`-style introspection without forcing completion (see
     /// [`Matrix::stats`](crate::matrix::Matrix::stats)).
     pub fn stats(&self) -> ObjectStats {
-        let ctx_id = self.context().id();
-        let st = self.inner.state.lock();
+        let st = self.core.lock_raw();
         let (format, nvals) = match &st.store {
             VecStore::Sparse(a) => ("sparse", a.nnz()),
             VecStore::Dense(a) => ("full", a.len()),
             VecStore::Bitmap(a) => ("bitmap", a.nnz()),
         };
-        ObjectStats {
-            kind: "vector",
-            nrows: st.n as u64,
-            ncols: 1,
-            nvals: nvals as u64,
-            pending: st.pending.len() as u64,
-            format,
-            failed: st.err.is_some(),
-            ctx: ctx_id,
-        }
+        st.stats((st.n, 1), nvals, format)
     }
 
     /// `GrB_explain`-style decision provenance scoped to this vector's
@@ -656,52 +426,23 @@ impl<T: ValueType> Vector<T> {
 
     /// `GrB_error`.
     pub fn error_string(&self) -> String {
-        self.inner
-            .state
-            .lock()
-            .err
-            .as_ref()
-            .map(|e| e.to_string())
-            .unwrap_or_default()
+        self.core.error_string()
     }
 
     pub fn same_object(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
+        Arc::ptr_eq(&self.core, &other.core)
     }
 
     /// Number of queued stages (observability for tests/benches).
     pub fn pending_len(&self) -> usize {
-        self.inner.state.lock().pending.len()
+        self.core.lock_raw().queued()
     }
 
     // --- crate-internal plumbing ------------------------------------------
 
-    /// Locks state without draining (format inspection only).
-    pub(crate) fn lock_raw(&self) -> graphblas_exec::sync::MutexGuard<'_, VectorState<T>> {
-        self.inner.state.lock()
-    }
-
-    pub(crate) fn lock_completed(
-        &self,
-    ) -> GrbResult<graphblas_exec::sync::MutexGuard<'_, VectorState<T>>> {
-        self.lock_completed_as("read")
-    }
-
-    /// [`Self::lock_completed`] with an explicit force cause for the
-    /// `DagForce` decision event.
-    pub(crate) fn lock_completed_as(
-        &self,
-        cause: &'static str,
-    ) -> GrbResult<graphblas_exec::sync::MutexGuard<'_, VectorState<T>>> {
-        let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        st.drain_as(&ctx, cause)?;
-        Ok(st)
-    }
-
     /// Completes and snapshots as a canonical sparse vector.
     pub(crate) fn snapshot_sparse(&self) -> GrbResult<Arc<SparseVec<T>>> {
-        let mut st = self.lock_completed()?;
+        let mut st = self.core.lock_completed()?;
         st.ensure_sparse()?;
         Ok(st.sparse().clone())
     }
@@ -718,191 +459,29 @@ impl<T: ValueType> Vector<T> {
     /// Any non-map stage forces a full drain (fallback: empty pre run).
     pub(crate) fn snapshot_frontier_fused(&self) -> GrbResult<(Frontier<T>, Vec<MapFn<T>>)> {
         let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        if let Some(e) = &st.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        if crate::dag::dag_enabled()
-            && !st.pending.is_empty()
-            && st.pending.iter().all(|s| s.is_map())
-        {
-            let pre: Vec<MapFn<T>> = st
-                .pending
-                .iter()
-                .map(|s| match s {
-                    Stage::Map(f) => f.clone(),
-                    _ => unreachable!("queue checked all-map above"),
-                })
-                .collect();
-            if let VecStore::Bitmap(b) = &st.store {
-                return Ok((Frontier::Bitmap(b.clone()), pre));
+        let mut st = self.core.lock_raw();
+        st.poisoned()?;
+        let pre = match st.queued_maps() {
+            Some(pre) => pre,
+            None => {
+                st.drain_as(&ctx, "self-input")?;
+                Vec::new()
             }
-            st.ensure_sparse()?;
-            return Ok((Frontier::Sparse(st.sparse().clone()), pre));
-        }
-        st.drain_as(&ctx, "self-input")?;
+        };
         if let VecStore::Bitmap(b) = &st.store {
-            return Ok((Frontier::Bitmap(b.clone()), Vec::new()));
+            return Ok((Frontier::Bitmap(b.clone()), pre));
         }
         st.ensure_sparse()?;
-        Ok((Frontier::Sparse(st.sparse().clone()), Vec::new()))
+        Ok((Frontier::Sparse(st.sparse().clone()), pre))
     }
 
-    pub(crate) fn apply_write(
-        &self,
-        stage: Box<dyn FnOnce(&mut VectorState<T>) -> GrbResult + Send>,
-    ) -> GrbResult {
-        let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        if let Some(e) = &st.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        match ctx.mode() {
-            Mode::NonBlocking => {
-                st.pending.push(Stage::Opaque(stage));
-                if graphblas_obs::enabled() {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::pending()
-                        .opaques_enqueued
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::counters::note_pending_depth(st.pending.len());
-                }
-                Ok(())
-            }
-            Mode::Blocking => {
-                st.drain(&ctx)?;
-                let r = stage(&mut st);
-                if let Err(Error::Execution(exec)) = &r {
-                    st.err = Some(exec.clone());
-                }
-                st.note_mem(ctx.id());
-                r
-            }
-        }
-    }
-
-    /// Enqueues a lazy op-DAG node (§III). In nonblocking mode with the
-    /// DAG on, `exec` defers as a [`Stage::Node`] and receives the run of
-    /// trailing map stages at drain time (it must apply them — via its
-    /// fused kernel or [`VectorState::apply_post_maps`]). With the DAG off
-    /// (`GRB_NONBLOCKING=0`) it degrades to exactly the pre-DAG opaque
-    /// stage; in blocking mode it runs eagerly.
-    pub(crate) fn apply_node(
-        &self,
-        kind: NodeKind,
-        exec: Box<dyn FnOnce(&mut VectorState<T>, Vec<MapFn<T>>) -> GrbResult + Send>,
-    ) -> GrbResult {
-        let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        if let Some(e) = &st.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        match ctx.mode() {
-            Mode::NonBlocking if crate::dag::dag_enabled() => {
-                st.pending.push(Stage::Node { kind, exec });
-                let depth = st.pending.len();
-                if graphblas_obs::enabled() {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::dag()
-                        .nodes_enqueued
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::counters::note_pending_depth(depth);
-                }
-                drop(st);
-                self.maybe_async_drain(depth);
-                Ok(())
-            }
-            Mode::NonBlocking => {
-                st.pending
-                    .push(Stage::Opaque(Box::new(move |st| exec(st, Vec::new()))));
-                if graphblas_obs::enabled() {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::pending()
-                        .opaques_enqueued
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::counters::note_pending_depth(st.pending.len());
-                }
-                Ok(())
-            }
-            Mode::Blocking => {
-                st.drain(&ctx)?;
-                let r = exec(&mut st, Vec::new());
-                if let Err(Error::Execution(exec_err)) = &r {
-                    st.err = Some(exec_err.clone());
-                }
-                st.note_mem(ctx.id());
-                r
-            }
-        }
-    }
-
-    /// Hands this container's backlog to the worker pool once its queue
-    /// depth crosses the `GRB_ASYNC_DRAIN_DEPTH` threshold. The threshold
-    /// keeps short op chains intact (so node drains still find trailing
-    /// maps to fuse); the per-container mutex serializes the background
-    /// drain against readers, and a drain of an already-empty queue is a
-    /// no-op — so racing forces cannot double-drain.
-    fn maybe_async_drain(&self, depth: usize) {
-        if !crate::dag::async_drain_enabled() || depth < crate::dag::async_drain_depth() {
-            return;
-        }
-        if graphblas_obs::enabled() {
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            graphblas_obs::counters::dag()
-                .async_drains
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        let this = self.clone();
-        let ctx = self.context();
-        graphblas_exec::pool::global_pool().spawn_static(Box::new(move || {
-            let mut st = this.inner.state.lock();
-            // A failed drain leaves the §V sticky error in place for the
-            // next reader to surface; the background task has no caller
-            // to report to.
-            let _ = st.drain_as(&ctx, "async");
-        }));
-    }
-
-    pub(crate) fn apply_map(&self, f: MapFn<T>) -> GrbResult {
-        let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        if let Some(e) = &st.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        match ctx.mode() {
-            Mode::NonBlocking => {
-                st.pending.push(Stage::Map(f));
-                if graphblas_obs::enabled() {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::pending()
-                        .maps_enqueued
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::counters::note_pending_depth(st.pending.len());
-                }
-                Ok(())
-            }
-            Mode::Blocking => {
-                st.drain(&ctx)?;
-                st.ensure_sparse()?;
-                let out = st.sparse().filter_map_with_index(|i, v| f(&[i], v));
-                st.store = VecStore::Sparse(Arc::new(out));
-                st.note_mem(ctx.id());
-                Ok(())
-            }
-        }
-    }
-
-    /// Type-erased object identity (see `Matrix::addr`).
+    /// Type-erased object identity (see `Container::addr`).
     pub(crate) fn addr(&self) -> usize {
-        Arc::as_ptr(&self.inner) as *const () as usize
+        self.core.addr()
     }
 
     pub(crate) fn check_context(&self, ctx: &Context) -> GrbResult {
-        if self.context().same(ctx) {
-            Ok(())
-        } else {
-            Err(ApiError::ContextMismatch.into())
-        }
+        self.core.check_context(ctx)
     }
 }
 
@@ -910,8 +489,8 @@ impl<T: ValueType> crate::introspect::Check for Vector<T> {
     /// Deep validation (`grb_check`): the current store's Table III
     /// invariants, store-vs-logical length agreement, and §V error
     /// bookkeeping — without forcing completion.
-    fn grb_check(&self) -> Result<(), crate::introspect::CheckError> {
-        self.inner.state.lock().check()
+    fn grb_check(&self) -> Result<(), CheckError> {
+        self.core.lock_raw().check()
     }
 }
 
@@ -951,7 +530,7 @@ impl<T: ValueType + MaskValue> Vector<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphblas_exec::{global_context, ContextOptions};
+    use graphblas_exec::{global_context, ContextOptions, Mode};
 
     #[test]
     fn new_validates_length() {

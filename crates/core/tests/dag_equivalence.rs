@@ -1,22 +1,23 @@
-//! `GRB_NONBLOCKING=0` equivalence (paper §III): the fused op DAG has
-//! full latitude to defer, reorder, and fuse — but a program must not be
-//! able to tell. These tests run the same operation sequence three ways
-//! (DAG on, DAG off = pre-DAG opaque queue, and a blocking context) and
-//! assert the extracted tuples agree bit-for-bit.
+//! Deferred-vs-eager equivalence (paper §III): the fused op DAG has full
+//! latitude to defer, reorder, and fuse — but a program must not be able
+//! to tell. Blocking mode is "enqueue, then force" on the same stage
+//! runner, so these tests run one operation sequence deferred+fused, eager,
+//! and with background drains racing the reads, and assert the extracted
+//! tuples agree bit-for-bit.
 //!
-//! Runs as its own integration-test binary because the DAG knobs are
-//! process-global; tests serialize on a local mutex and restore the
-//! knobs before returning.
+//! Runs as its own integration-test binary because the async-drain knob is
+//! process-global; tests serialize on a local mutex and restore the knob
+//! before returning.
 
 use std::sync::Mutex;
 
 use graphblas_core::operations::{
-    apply_v, assign_scalar_v, ewise_add_v, ewise_mult_v, extract_v, mxm, mxv, reduce_to_vector,
-    select_v, transpose, vxm,
+    apply, apply_v, assign_scalar_v, ewise_add_v, ewise_mult_v, extract_v, mxm, mxv,
+    reduce_scalar_v, reduce_to_vector, select_v, transpose, vxm,
 };
 use graphblas_core::{
-    dag, global_context, no_mask, no_mask_v, BinaryOp, Context, ContextOptions, Descriptor,
-    IndexUnaryOp, Matrix, Mode, Semiring, UnaryOp, Vector, WaitMode,
+    container, global_context, no_mask, no_mask_v, BinaryOp, Context, ContextOptions, Descriptor,
+    IndexUnaryOp, Matrix, Mode, Monoid, Scalar, Semiring, UnaryOp, Vector, WaitMode,
 };
 
 static KNOBS: Mutex<()> = Mutex::new(());
@@ -105,6 +106,14 @@ fn run_pipeline(mode: Mode) -> (Vec<(usize, f64)>, Vec<(usize, usize, f64)>) {
     let sel: Vec<usize> = (0..n / 2).map(|i| n - 1 - i).collect();
     extract_v(&ex, no_mask_v(), None, &z, &sel, &d).unwrap();
 
+    // A backlog deep enough (≥ 8 nodes on one container) that the
+    // container offers it to the worker pool when async drains are on.
+    let acc = Vector::<f64>::new_in(&ctx, n).unwrap();
+    for _ in 0..12 {
+        let plus = BinaryOp::plus();
+        ewise_add_v(&acc, no_mask_v(), Some(&plus), &plus, &w, &yc, &d).unwrap();
+    }
+
     // Matrix side: mxm with a trailing in-place apply, transpose, reduce.
     let c = Matrix::<f64>::new_in(&ctx, n, n).unwrap();
     mxm(&c, no_mask(), None, &sr, &a, &a, &d).unwrap();
@@ -114,7 +123,7 @@ fn run_pipeline(mode: Mode) -> (Vec<(usize, f64)>, Vec<(usize, usize, f64)>) {
     reduce_to_vector(&r, no_mask_v(), None, &graphblas_core::Monoid::plus(), &ct, &d).unwrap();
 
     let mut vec_out = Vec::new();
-    for v in [&u, &w, &y, &yc, &big, &z, &ex, &r] {
+    for v in [&u, &w, &y, &yc, &big, &z, &ex, &acc, &r] {
         v.wait(WaitMode::Complete).unwrap();
         let (i, x) = v.extract_tuples().unwrap();
         vec_out.extend(i.into_iter().zip(x));
@@ -130,30 +139,12 @@ fn run_pipeline(mode: Mode) -> (Vec<(usize, f64)>, Vec<(usize, usize, f64)>) {
 }
 
 #[test]
-fn dag_off_reproduces_dag_on_bit_for_bit() {
-    let _g = KNOBS.lock().unwrap();
-    dag::set_async_drain(Some(false));
-
-    dag::set_nonblocking_dag(Some(true));
-    let fused = run_pipeline(Mode::NonBlocking);
-    dag::set_nonblocking_dag(Some(false));
-    let opaque = run_pipeline(Mode::NonBlocking);
-
-    dag::set_nonblocking_dag(None);
-    dag::set_async_drain(None);
-    assert_eq!(fused.0, opaque.0, "vector outputs must match bit-for-bit");
-    assert_eq!(fused.1, opaque.1, "matrix outputs must match bit-for-bit");
-}
-
-#[test]
 fn blocking_mode_matches_fused_nonblocking() {
     let _g = KNOBS.lock().unwrap();
-    dag::set_async_drain(Some(false));
-    dag::set_nonblocking_dag(Some(true));
+    container::set_async_drain(Some(false));
     let fused = run_pipeline(Mode::NonBlocking);
     let blocking = run_pipeline(Mode::Blocking);
-    dag::set_nonblocking_dag(None);
-    dag::set_async_drain(None);
+    container::set_async_drain(None);
     assert_eq!(fused.0, blocking.0);
     assert_eq!(fused.1, blocking.1);
 }
@@ -161,17 +152,96 @@ fn blocking_mode_matches_fused_nonblocking() {
 #[test]
 fn async_drains_do_not_change_results() {
     let _g = KNOBS.lock().unwrap();
-    dag::set_nonblocking_dag(Some(true));
-    dag::set_async_drain(Some(false));
+    container::set_async_drain(Some(false));
     let quiet = run_pipeline(Mode::NonBlocking);
-    // Force eager background drains: every enqueue past depth 1 offers
-    // the backlog to the pool, racing the foreground reads below.
-    dag::set_async_drain(Some(true));
-    dag::set_async_drain_depth(Some(1));
+    // Background drains now race the foreground enqueues and reads.
+    container::set_async_drain(Some(true));
+    graphblas_obs::set_enabled(true);
+    let before = graphblas_obs::counters::dag_totals().async_drains;
     let racy = run_pipeline(Mode::NonBlocking);
-    dag::set_async_drain_depth(None);
-    dag::set_async_drain(None);
-    dag::set_nonblocking_dag(None);
+    let offered = graphblas_obs::counters::dag_totals().async_drains - before;
+    graphblas_obs::set_enabled(false);
+    container::set_async_drain(None);
+    assert!(
+        offered >= 1,
+        "the 12-node backlog must reach the drain depth"
+    );
     assert_eq!(quiet.0, racy.0);
     assert_eq!(quiet.1, racy.1);
+}
+
+/// §III sequence order across `GrB_Context_switch`: `step(accum)` performs
+/// `X ⊙= f(input)` on one container. The first step is deferred in a
+/// NonBlocking context; after `switch` moves every operand to a Blocking
+/// context the second step runs eagerly — and must see the first one's
+/// result, not overtake it.
+fn order_survives_switch(
+    step: &dyn Fn(&BinaryOp<f64, f64, f64>),
+    switch: &dyn Fn(&Context),
+    pending: &dyn Fn() -> usize,
+    read: &dyn Fn() -> Vec<f64>,
+    want: &[f64],
+) {
+    step(&BinaryOp::plus());
+    assert_eq!(pending(), 1, "the NonBlocking step must stay queued");
+    switch(&Context::new(
+        &global_context(),
+        Mode::Blocking,
+        ContextOptions::default(),
+    ));
+    step(&BinaryOp::times());
+    assert_eq!(pending(), 0, "a Blocking step completes the whole sequence");
+    assert_eq!(read(), want);
+}
+
+#[test]
+fn blocking_step_after_context_switch_runs_behind_the_backlog() {
+    let nb = Context::new(
+        &global_context(),
+        Mode::NonBlocking,
+        ContextOptions::default(),
+    );
+    let d = Descriptor::default();
+    let id = UnaryOp::new("id", |x: &f64| *x);
+
+    // X starts as [1, 2, 3]; input is [1, 2, 3]: (X + in) × in = 2·in².
+    let u = Vector::<f64>::new_in(&nb, 3).unwrap();
+    u.build(&[0, 1, 2], &[1.0, 2.0, 3.0], None).unwrap();
+    u.wait(WaitMode::Materialize).unwrap();
+    let w = u.dup().unwrap();
+    order_survives_switch(
+        &|acc| apply_v(&w, no_mask_v(), Some(acc), &id, &u, &d).unwrap(),
+        &|ctx| [&u, &w].iter().for_each(|v| v.switch_context(ctx).unwrap()),
+        &|| w.pending_len(),
+        &|| w.extract_tuples().unwrap().1,
+        &[2.0, 8.0, 18.0],
+    );
+
+    let a = Matrix::<f64>::new_in(&nb, 3, 3).unwrap();
+    a.build(&[0, 1, 2], &[0, 1, 2], &[1.0, 2.0, 3.0], None)
+        .unwrap();
+    a.wait(WaitMode::Materialize).unwrap();
+    let c = a.dup().unwrap();
+    order_survives_switch(
+        &|acc| apply(&c, no_mask(), Some(acc), &id, &a, &d).unwrap(),
+        &|ctx| [&a, &c].iter().for_each(|m| m.switch_context(ctx).unwrap()),
+        &|| c.pending_len(),
+        &|| c.extract_tuples().unwrap().2,
+        &[2.0, 8.0, 18.0],
+    );
+
+    // Scalar: s = 1, input sums to 6: (1 + 6) × 6 = 42.
+    u.switch_context(&nb).unwrap();
+    let s = Scalar::<f64>::new_in(&nb).unwrap();
+    s.set_element(1.0).unwrap();
+    order_survives_switch(
+        &|acc| reduce_scalar_v(&s, Some(acc), &Monoid::plus(), &u).unwrap(),
+        &|ctx| {
+            u.switch_context(ctx).unwrap();
+            s.switch_context(ctx).unwrap();
+        },
+        &|| s.stats().pending as usize,
+        &|| s.extract_element().unwrap().into_iter().collect(),
+        &[42.0],
+    );
 }

@@ -2,14 +2,18 @@
 //! `Stage::Map` entries must drain as **one** element traversal with
 //! `n - 1` fusion hits, and the `graphblas-obs` counters must say so.
 //! Runs as its own integration-test binary so flipping the global
-//! telemetry flag cannot race other tests.
+//! telemetry flag cannot race other suites; within it, the tests share the
+//! process-global flag and counters, so they serialize on one mutex.
 
 use std::sync::atomic::Ordering;
+use std::sync::Mutex;
 
 use graphblas_core::operations::apply_v;
 use graphblas_core::{
     global_context, no_mask_v, Context, ContextOptions, Descriptor, Mode, UnaryOp, Vector, WaitMode,
 };
+
+static OBS: Mutex<()> = Mutex::new(());
 
 fn fusion_counts_for_chain(n: usize) -> (u64, u64, u64) {
     let ctx = Context::new(
@@ -47,6 +51,7 @@ fn fusion_counts_for_chain(n: usize) -> (u64, u64, u64) {
 
 #[test]
 fn n_consecutive_maps_fuse_into_one_traversal() {
+    let _g = OBS.lock().unwrap_or_else(|e| e.into_inner());
     graphblas_obs::set_enabled(true);
     for n in [1usize, 2, 3, 8, 17] {
         let (traversals, hits, enqueued) = fusion_counts_for_chain(n);
@@ -66,6 +71,7 @@ fn n_consecutive_maps_fuse_into_one_traversal() {
 
 #[test]
 fn fused_chain_result_matches_eager_chain() {
+    let _g = OBS.lock().unwrap_or_else(|e| e.into_inner());
     // The accounting test above means nothing if fusion changed the
     // answer: run the same chain eagerly and compare.
     let n = 5usize;
@@ -97,9 +103,9 @@ fn dag_nodes_fuse_neighbouring_maps() {
     // Cross-operation fusion (paper §III): a map chain feeding mxv rides
     // its input snapshot (pre side); an in-place apply trailing the node
     // is consumed at drain (post side). The DagCounters must see both.
+    let _g = OBS.lock().unwrap_or_else(|e| e.into_inner());
     graphblas_obs::set_enabled(true);
-    graphblas_core::dag::set_nonblocking_dag(Some(true));
-    graphblas_core::dag::set_async_drain(Some(false));
+    graphblas_core::container::set_async_drain(Some(false));
 
     let ctx = Context::new(
         &global_context(),
@@ -142,7 +148,6 @@ fn dag_nodes_fuse_neighbouring_maps() {
     assert_eq!(dag.post_fused, 1, "the trailing map drains with the node");
     assert!(dag.fused_chains >= 1, "a fused chain is scored once");
 
-    graphblas_core::dag::set_async_drain(None);
-    graphblas_core::dag::set_nonblocking_dag(None);
+    graphblas_core::container::set_async_drain(None);
     graphblas_obs::set_enabled(false);
 }

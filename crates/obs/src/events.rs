@@ -357,7 +357,11 @@ pub fn record(
         t_us: span::epoch().elapsed().as_micros() as u64,
         args,
     };
-    MY_RING.with(|ring| {
+    // `try_with`: a thread-local destructor may record a decision (the
+    // workspace cache trims itself at thread exit) after this thread's
+    // ring is already gone; that event is dropped, the aggregates above
+    // still counted it.
+    let _ = MY_RING.try_with(|ring| {
         ring.lock().unwrap_or_else(|e| e.into_inner()).push(ev);
     });
 }

@@ -20,6 +20,11 @@ done
 
 cargo build --release
 cargo test -q
+# The engine's own suites — tier-1 above runs only the root package: the
+# core unit tests plus dag_equivalence (deferred+fused vs. blocking =
+# enqueue+force, async drains), fusion_accounting, registry_equiv and
+# algebra_props, which pin the container core and its one execution path.
+cargo test -q -p graphblas-core
 cargo clippy --all-targets -- -D warnings
 
 # Benchmark plumbing smoke (numbers discarded: --quick is not comparable).
