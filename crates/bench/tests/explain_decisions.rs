@@ -8,7 +8,9 @@
 //!    (`frontier_nnz * PULL_THRESHOLD_DEN >= frontier_len`) between the
 //!    first and second level: the explain log must show the push→pull
 //!    switch, and every direction event must be *consistent* — the
-//!    recorded frontier density must imply the recorded direction.
+//!    recorded frontier density must imply the recorded direction. The
+//!    pull runs under BFS's complemented mask, so the log must also show
+//!    the `masked-pull` kernel path bounded by the unvisited vertices.
 //!
 //! 2. A nonblocking fused map chain: N queued `apply_v` calls must drain
 //!    as exactly one `fuse-flush` event whose `chain_len` argument is N.
@@ -97,6 +99,23 @@ fn bfs_explain_shows_push_pull_switch_at_threshold() {
     assert_eq!(dirs[1].reason, Reason::DirectionPull);
     assert_eq!(dirs[1].args[..2], [fanout as u64, n as u64]);
     assert!(dirs[0].seq < dirs[1].seq, "push must precede pull");
+
+    // The pull runs under the complemented `levels` mask, and the mask
+    // bounds its work: the kernel reports the masked row loop, entered
+    // for exactly the still-unvisited vertices.
+    let masked: Vec<_> = ex
+        .events
+        .iter()
+        .filter(|e| e.reason == Reason::KernelPath && e.detail == "masked-pull")
+        .collect();
+    assert_eq!(masked.len(), 1, "one masked pull, got: {masked:?}");
+    assert_eq!(masked[0].op, "spmv");
+    let unvisited = (n - (1 + fanout)) as u64;
+    assert_eq!(masked[0].args[..2], [unvisited, n as u64]);
+    assert!(
+        dirs[1].seq < masked[0].seq,
+        "the pull pick precedes its kernel"
+    );
 }
 
 #[test]

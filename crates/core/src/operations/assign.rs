@@ -316,6 +316,12 @@ where
 }
 
 /// `w⟨m, r⟩(I) = w(I) ⊙ s`.
+///
+/// With the identity selector (`GrB_ALL`) under a non-complemented mask —
+/// the `levels⟨frontier⟩ = depth` idiom of every BFS level — the region is
+/// all of `w` and the mask alone bounds the write, so `T` is the scalar on
+/// the mask's truthy positions and goes straight to the write rule; the
+/// general path's n-long region vectors are never built.
 pub fn assign_scalar_v<T, M>(
     w: &Vector<T>,
     mask: Option<&Vector<M>>,
@@ -337,40 +343,61 @@ where
         }
     }
     let mask_s = snapshot_vecmask(mask, desc)?;
-    let indices = indices.to_vec();
+    let nnz_in = indices.len();
+    let mask_bounded = mask_s.as_ref().is_some_and(|m| !m.complement)
+        && nnz_in == w.size()
+        && indices.iter().enumerate().all(|(k, &i)| k == i);
+    // The mask-bounded path never reads the selectors.
+    let indices = if mask_bounded {
+        Vec::new()
+    } else {
+        indices.to_vec()
+    };
     let accum = accum.cloned();
     let replace = desc.replace;
     let ctx2 = ctx.clone();
     w.core.apply_node(
         NodeKind::Assign,
         Box::new(move |st, post| {
-            check_selectors(&indices, st.n, "index")?;
-            let mut in_region = vec![false; st.n];
-            for &i in &indices {
-                in_region[i] = true;
-            }
-            let mut mapped = SparseVec::from_parts(
-                st.n,
-                indices.clone(),
-                indices.iter().map(|_| value.clone()).collect(),
-            )
-            .map_err(Error::from)?;
-            mapped
-                .sort_dedup(Some(&|_: &T, b: &T| b.clone()))
-                .map_err(Error::from)?;
-            st.ensure_sparse()?;
-            let old = st.sparse().clone();
-            let outside = old.filter_map_with_index(|i, v| (!in_region[i]).then(|| v.clone()));
-            let inside = match &accum {
-                None => mapped,
-                Some(op) => {
-                    let old_inside =
-                        old.filter_map_with_index(|i, v| in_region[i].then(|| v.clone()));
-                    ewise::svec_union(&old_inside, &mapped, |x, y| op.apply(x, y))
+            let merged = match &mask_s {
+                Some(m) if mask_bounded => {
+                    let t = m
+                        .mask
+                        .filter_map_with_index(|_, &truthy| truthy.then(|| value.clone()));
+                    st.ensure_sparse()?;
+                    write::merge_vector(st.sparse(), t, Some(m), accum.as_ref(), replace)
+                }
+                _ => {
+                    check_selectors(&indices, st.n, "index")?;
+                    let mut in_region = vec![false; st.n];
+                    for &i in &indices {
+                        in_region[i] = true;
+                    }
+                    let mut mapped = SparseVec::from_parts(
+                        st.n,
+                        indices.clone(),
+                        indices.iter().map(|_| value.clone()).collect(),
+                    )
+                    .map_err(Error::from)?;
+                    mapped
+                        .sort_dedup(Some(&|_: &T, b: &T| b.clone()))
+                        .map_err(Error::from)?;
+                    st.ensure_sparse()?;
+                    let old = st.sparse().clone();
+                    let outside =
+                        old.filter_map_with_index(|i, v| (!in_region[i]).then(|| v.clone()));
+                    let inside = match &accum {
+                        None => mapped,
+                        Some(op) => {
+                            let old_inside =
+                                old.filter_map_with_index(|i, v| in_region[i].then(|| v.clone()));
+                            ewise::svec_union(&old_inside, &mapped, |x, y| op.apply(x, y))
+                        }
+                    };
+                    let spliced = ewise::svec_union(&outside, &inside, |x, _| x.clone());
+                    write::merge_vector(&old, spliced, mask_s.as_ref(), None, replace)
                 }
             };
-            let spliced = ewise::svec_union(&outside, &inside, |x, _| x.clone());
-            let merged = write::merge_vector(&old, spliced, mask_s.as_ref(), None, replace);
             st.store = VecStore::Sparse(Arc::new(merged));
             note_dag_fusion(
                 "assign_scalar_v",
@@ -378,7 +405,7 @@ where
                 NodeKind::Assign,
                 0,
                 post.len(),
-                indices.len(),
+                nnz_in,
             );
             st.apply_post_maps(&ctx2, &post)?;
             Ok(())

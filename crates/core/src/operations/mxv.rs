@@ -12,19 +12,33 @@
 //! frontier algorithms. The add monoid's terminal (annihilator) value,
 //! when declared, short-circuits per-row accumulation in the pull kernel —
 //! the `ablation_terminal` bench measures the payoff for LOR traversals.
+//!
+//! The output mask is an input of the kernels, not only of the write-back
+//! (*mask-first execution*): `C⟨M, r⟩ = C ⊙ T` only ever reads the part of
+//! `T` the mask admits, and the spec's completion latitude lets an
+//! implementation compute just that part. Both directions therefore get
+//! the mask's truthy set as a bitset (`MaskFilter`): push never scatters
+//! into a forbidden column, and pull skips a forbidden row before touching
+//! it — under BFS's complemented `visited` mask that is the bottom-up half
+//! of direction optimization, where only the unvisited vertices look for a
+//! parent. The filter is deliberately coarse (truthy set × complement
+//! only); `write::merge_vector` still runs on the result because it alone
+//! implements accumulate, replace and the deletion of old entries inside
+//! the mask, and re-applying the mask there is idempotent.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use graphblas_exec::workspace::{self, BitSet};
-use graphblas_sparse::spmv as kernels;
-use graphblas_sparse::{BitmapVec, SparseVec};
+use graphblas_exec::Context;
+use graphblas_sparse::spmv::{self as kernels, Hooks, OutputFilter, Unmasked};
+use graphblas_sparse::{BitmapVec, Csr, SparseVec};
 
 use crate::descriptor::Descriptor;
 use crate::error::{ApiError, GrbResult};
 use crate::matrix::Matrix;
 use crate::operations::{eff_shape, note_dag_fusion, snapshot_operand, snapshot_vecmask};
-use crate::ops::{registry, BinaryOp, Semiring};
+use crate::ops::{registry, BinaryOp, BuiltinOp, Semiring};
 use crate::pending::{fuse_maps, NodeKind};
 use crate::types::{MaskValue, ValueType};
 use crate::vector::{Frontier, VecStore, Vector};
@@ -151,20 +165,138 @@ fn frontier_for<X: ValueType>(
     }
 }
 
-/// Builds the push kernel's masked-scatter column filter: a dense bitset
-/// of the mask's truthy positions, checked out of the workspace cache,
-/// consulted as `truthy != complement`. Prefiltering is a pure
-/// optimization — `write::merge_vector` applies the same mask again and
-/// the intersection is idempotent — but it keeps columns the merge would
-/// discard out of the scatter accumulators entirely.
-fn mask_bits(m: &VecMask) -> workspace::Checkout<BitSet> {
-    let mut bits = workspace::checkout::<BitSet>(m.mask.len());
-    for (j, &truthy) in m.mask.iter() {
-        if truthy {
-            bits.insert(j);
+/// The output mask as the kernels' [`OutputFilter`]: a dense bitset of the
+/// mask's truthy positions, checked out of the workspace cache, consulted
+/// as `truthy != complement`. The pull kernel skips the rows it forbids,
+/// the push kernel the columns, so neither direction computes entries the
+/// write-back would discard. Prefiltering is a pure optimization —
+/// `write::merge_vector` still applies the mask (with structure, accum and
+/// replace) afterwards and the intersection is idempotent.
+#[derive(Clone, Copy)]
+struct MaskFilter<'a> {
+    bits: &'a BitSet,
+    complement: bool,
+    truthy: usize,
+}
+
+impl OutputFilter for MaskFilter<'_> {
+    #[inline]
+    fn allows(&self, i: usize) -> bool {
+        self.bits.contains(i) != self.complement
+    }
+
+    fn allowed(&self, n: usize) -> usize {
+        if self.complement {
+            n - self.truthy
+        } else {
+            self.truthy
         }
     }
-    bits
+}
+
+/// Checks out the bitset behind a [`MaskFilter`] and counts its members.
+fn mask_bits(m: &VecMask) -> (workspace::Checkout<BitSet>, usize) {
+    let mut bits = workspace::checkout::<BitSet>(m.mask.len());
+    let mut truthy = 0;
+    for (j, &t) in m.mask.iter() {
+        if t {
+            bits.insert(j);
+            truthy += 1;
+        }
+    }
+    (bits, truthy)
+}
+
+/// One matrix-vector product resolved to a direction, with `a` already in
+/// the orientation that direction reads and the semiring seen matrix-first
+/// (`mul(a_ij, u_j)`) — `mxv` and `vxm` differ only in how they fill this
+/// in.
+struct Product<'a, A, X: ValueType, C, FM, FA> {
+    op: &'static str,
+    ctx: &'a Context,
+    dir: Direction,
+    a: &'a Csr<A>,
+    u: &'a Frontier<X>,
+    add_tag: Option<BuiltinOp>,
+    mul_tag: Option<BuiltinOp>,
+    mul: FM,
+    add: FA,
+    terminal: Option<&'a (dyn Fn(&C) -> bool + Sync)>,
+    pre: Option<registry::FusedHook<'a, X>>,
+    post: Option<registry::FusedHook<'a, C>>,
+}
+
+impl<A, X, C, FM, FA> Product<'_, A, X, C, FM, FA>
+where
+    A: ValueType,
+    X: ValueType,
+    C: ValueType,
+    FM: Fn(&A, &X) -> C + Sync,
+    FA: Fn(C, C) -> C + Sync,
+{
+    /// Computes `T`, keeping only the output positions `keep` allows.
+    /// Registered builtin semirings take the monomorphized kernel (every
+    /// registered multiply is commutative, so both directions and both
+    /// operand orders share one instantiation); everything else falls
+    /// back to the generic dyn-operator kernels.
+    fn run<K: OutputFilter>(&self, keep: K) -> SparseVec<C> {
+        let (ctx, a) = (self.ctx, self.a);
+        let hooks = Hooks {
+            pre: self.pre,
+            post: self.post,
+            keep,
+        };
+        let registered = match (self.dir, self.u) {
+            (Direction::Pull, Frontier::Sparse(u_s)) => {
+                registry::try_spmv_fused(ctx, a, u_s, self.add_tag, self.mul_tag, hooks)
+            }
+            (Direction::Pull, Frontier::Bitmap(u_b)) => {
+                registry::try_spmv_bitmap_fused(ctx, a, u_b, self.add_tag, self.mul_tag, hooks)
+            }
+            (Direction::Push, Frontier::Sparse(u_s)) => {
+                registry::try_vxm_fused(ctx, u_s, a, self.add_tag, self.mul_tag, hooks)
+            }
+            (Direction::Push, Frontier::Bitmap(_)) => {
+                unreachable!("push frontiers are normalized to sparse")
+            }
+        };
+        if let Some(t) = registered {
+            return t;
+        }
+        registry::record_pick(self.op, ctx.id(), false);
+        let (mul, add) = (&self.mul, &self.add);
+        match (self.dir, self.u) {
+            (Direction::Pull, Frontier::Sparse(u_s)) => {
+                kernels::spmv_fused(ctx, a, u_s, mul, add, self.terminal, hooks)
+            }
+            (Direction::Pull, Frontier::Bitmap(u_b)) => {
+                kernels::spmv_bitmap_fused(ctx, a, u_b, mul, add, self.terminal, hooks)
+            }
+            // Scattering u's nonzeros through the rows of the other
+            // orientation computes the same product.
+            (Direction::Push, Frontier::Sparse(u_s)) => {
+                kernels::vxm_fused(ctx, u_s, a, |xv: &X, av: &A| mul(av, xv), add, hooks)
+            }
+            (Direction::Push, Frontier::Bitmap(_)) => {
+                unreachable!("push frontiers are normalized to sparse")
+            }
+        }
+    }
+
+    /// [`Product::run`] under the operation's mask, if any.
+    fn run_masked(&self, mask: Option<&VecMask>) -> SparseVec<C> {
+        match mask {
+            Some(m) => {
+                let (bits, truthy) = mask_bits(m);
+                self.run(MaskFilter {
+                    bits: &bits,
+                    complement: m.complement,
+                    truthy,
+                })
+            }
+            None => self.run(Unmasked),
+        }
+    }
 }
 
 /// `w⟨m, r⟩ = w ⊙ (A ⊕.⊗ u)` (`desc.transpose_a` uses `Aᵀ`).
@@ -239,86 +371,21 @@ where
             let post_hook = |i: usize, v: &C| fuse_maps(&post, &[i], v);
             let post_ref: Option<registry::FusedHook<'_, C>> =
                 (fuse_post && !post.is_empty()).then_some(&post_hook as _);
-            let bits = match (&mask_s, dir) {
-                (Some(m), Direction::Push) => Some((mask_bits(m), m.complement)),
-                _ => None,
-            };
-            let allowed = bits.as_ref().map(|(b, comp)| {
-                let (b, comp) = (&**b, *comp);
-                move |j: usize| b.contains(j) != comp
-            });
-            let allowed_ref = allowed
-                .as_ref()
-                .map(|f| f as &(dyn Fn(usize) -> bool + Sync));
-            // Registered builtin semirings take the monomorphized kernel
-            // (every registered multiply is commutative, so both
-            // directions and both operand orders share one
-            // instantiation); everything else falls back to the generic
-            // dyn-operator path below.
-            let add_tag = sr.add().builtin();
-            let mul_tag = sr.mul().builtin();
-            let t = match (dir, &u_f) {
-                (Direction::Pull, Frontier::Sparse(u_s)) => {
-                    registry::try_spmv_fused(&ctx2, &a_s, u_s, add_tag, mul_tag, pre_ref, post_ref)
-                }
-                (Direction::Pull, Frontier::Bitmap(u_b)) => registry::try_spmv_bitmap_fused(
-                    &ctx2, &a_s, u_b, add_tag, mul_tag, pre_ref, post_ref,
-                ),
-                (Direction::Push, Frontier::Sparse(u_s)) => registry::try_vxm_fused(
-                    &ctx2,
-                    u_s,
-                    &a_s,
-                    add_tag,
-                    mul_tag,
-                    pre_ref,
-                    post_ref,
-                    allowed_ref,
-                ),
-                (Direction::Push, Frontier::Bitmap(_)) => {
-                    unreachable!("push frontiers are normalized to sparse")
-                }
-            };
-            let t = match t {
-                Some(t) => t,
-                None => {
-                    registry::record_pick("mxv", ctx2.id(), false);
-                    let mul = |av: &A, xv: &X| sr.multiply(av, xv);
-                    let add = |p: C, q: C| sr.combine(&p, &q);
-                    match (dir, &u_f) {
-                        (Direction::Pull, f) => {
-                            let terminal = sr
-                                .add()
-                                .terminal()
-                                .map(|t| t as &(dyn Fn(&C) -> bool + Sync));
-                            match f {
-                                Frontier::Sparse(u_s) => kernels::spmv_fused(
-                                    &ctx2, &a_s, u_s, mul, add, terminal, pre_ref, post_ref,
-                                ),
-                                Frontier::Bitmap(u_b) => kernels::spmv_bitmap_fused(
-                                    &ctx2, &a_s, u_b, mul, add, terminal, pre_ref, post_ref,
-                                ),
-                            }
-                        }
-                        // a_s here holds the transposed orientation, so
-                        // scattering u's nonzeros through its rows
-                        // computes the same product (the multiply keeps
-                        // its matrix-first argument order).
-                        (Direction::Push, Frontier::Sparse(u_s)) => kernels::vxm_fused(
-                            &ctx2,
-                            u_s,
-                            &a_s,
-                            |xv: &X, av: &A| sr.multiply(av, xv),
-                            add,
-                            pre_ref,
-                            post_ref,
-                            allowed_ref,
-                        ),
-                        (Direction::Push, Frontier::Bitmap(_)) => {
-                            unreachable!("push frontiers are normalized to sparse")
-                        }
-                    }
-                }
-            };
+            let t = Product {
+                op: "mxv",
+                ctx: &ctx2,
+                dir,
+                a: &*a_s,
+                u: &u_f,
+                add_tag: sr.add().builtin(),
+                mul_tag: sr.mul().builtin(),
+                mul: |av: &A, xv: &X| sr.multiply(av, xv),
+                add: |p: C, q: C| sr.combine(&p, &q),
+                terminal: sr.add().terminal().map(|t| t as _),
+                pre: pre_ref,
+                post: post_ref,
+            }
+            .run_masked(mask_s.as_ref());
             note_dag_fusion(
                 "mxv",
                 ctx2.id(),
@@ -408,87 +475,23 @@ where
             let post_hook = |i: usize, v: &C| fuse_maps(&post, &[i], v);
             let post_ref: Option<registry::FusedHook<'_, C>> =
                 (fuse_post && !post.is_empty()).then_some(&post_hook as _);
-            // The masked push path prefilters scatter columns against the
-            // mask's truthy set (the satellite `vxm_masked` registry row) —
-            // `merge_vector` still applies the full mask semantics below.
-            let bits = match (&mask_s, dir) {
-                (Some(m), Direction::Push) => Some((mask_bits(m), m.complement)),
-                _ => None,
-            };
-            let allowed = bits.as_ref().map(|(b, comp)| {
-                let (b, comp) = (&**b, *comp);
-                move |j: usize| b.contains(j) != comp
-            });
-            let allowed_ref = allowed
-                .as_ref()
-                .map(|f| f as &(dyn Fn(usize) -> bool + Sync));
-            // Same registry-first shape as `mxv`; commutativity of every
-            // registered multiply makes the argument-order difference
-            // moot.
-            let add_tag = sr.add().builtin();
-            let mul_tag = sr.mul().builtin();
-            let t = match (dir, &u_f) {
-                (Direction::Push, Frontier::Sparse(u_s)) => registry::try_vxm_fused(
-                    &ctx2,
-                    u_s,
-                    &a_s,
-                    add_tag,
-                    mul_tag,
-                    pre_ref,
-                    post_ref,
-                    allowed_ref,
-                ),
-                (Direction::Push, Frontier::Bitmap(_)) => {
-                    unreachable!("push frontiers are normalized to sparse")
-                }
-                (Direction::Pull, Frontier::Sparse(u_s)) => {
-                    registry::try_spmv_fused(&ctx2, &a_s, u_s, add_tag, mul_tag, pre_ref, post_ref)
-                }
-                (Direction::Pull, Frontier::Bitmap(u_b)) => registry::try_spmv_bitmap_fused(
-                    &ctx2, &a_s, u_b, add_tag, mul_tag, pre_ref, post_ref,
-                ),
-            };
-            let t = match t {
-                Some(t) => t,
-                None => {
-                    registry::record_pick("vxm", ctx2.id(), false);
-                    let add = |p: C, q: C| sr.combine(&p, &q);
-                    match (dir, &u_f) {
-                        (Direction::Push, Frontier::Sparse(u_s)) => kernels::vxm_fused(
-                            &ctx2,
-                            u_s,
-                            &a_s,
-                            |xv: &X, av: &A| sr.multiply(xv, av),
-                            add,
-                            pre_ref,
-                            post_ref,
-                            allowed_ref,
-                        ),
-                        (Direction::Push, Frontier::Bitmap(_)) => {
-                            unreachable!("push frontiers are normalized to sparse")
-                        }
-                        // a_s here holds the transposed orientation, so
-                        // row dot products against u compute the same
-                        // product (the multiply keeps its vector-first
-                        // argument order).
-                        (Direction::Pull, f) => {
-                            let terminal = sr
-                                .add()
-                                .terminal()
-                                .map(|t| t as &(dyn Fn(&C) -> bool + Sync));
-                            let mul = |av: &A, xv: &X| sr.multiply(xv, av);
-                            match f {
-                                Frontier::Sparse(u_s) => kernels::spmv_fused(
-                                    &ctx2, &a_s, u_s, mul, add, terminal, pre_ref, post_ref,
-                                ),
-                                Frontier::Bitmap(u_b) => kernels::spmv_bitmap_fused(
-                                    &ctx2, &a_s, u_b, mul, add, terminal, pre_ref, post_ref,
-                                ),
-                            }
-                        }
-                    }
-                }
-            };
+            // Same product seen matrix-first: the multiply keeps its
+            // vector-first argument order.
+            let t = Product {
+                op: "vxm",
+                ctx: &ctx2,
+                dir,
+                a: &*a_s,
+                u: &u_f,
+                add_tag: sr.add().builtin(),
+                mul_tag: sr.mul().builtin(),
+                mul: |av: &A, xv: &X| sr.multiply(xv, av),
+                add: |p: C, q: C| sr.combine(&p, &q),
+                terminal: sr.add().terminal().map(|t| t as _),
+                pre: pre_ref,
+                post: post_ref,
+            }
+            .run_masked(mask_s.as_ref());
             note_dag_fusion(
                 "vxm",
                 ctx2.id(),

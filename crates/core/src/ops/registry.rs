@@ -46,6 +46,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use graphblas_exec::Context;
+use graphblas_sparse::spmv::{Hooks, OutputFilter};
 use graphblas_sparse::{ewise, spgemm, spmv, BitmapVec, Csr, SparseVec};
 
 use crate::ops::{BuiltinOp, BuiltinUnaryOp};
@@ -419,6 +420,19 @@ macro_rules! hook_adapter {
     };
 }
 
+/// Reassembles the kernel's [`Hooks`] at a registry arm's `$t` from the
+/// two [`hook_adapter!`] closures and the caller's output filter, which is
+/// index-typed and passes through untouched.
+macro_rules! retyped_hooks {
+    ($pre:ident, $post:ident, $keep:expr) => {
+        Hooks {
+            pre: $pre.as_ref().map(|f| f as FusedHook<'_, _>),
+            post: $post.as_ref().map(|f| f as FusedHook<'_, _>),
+            keep: $keep,
+        }
+    };
+}
+
 /// Pull-direction `y = A ⊕.⊗ x` through a registered instantiation.
 pub fn try_spmv<A, X, Z>(
     ctx: &Context,
@@ -432,24 +446,25 @@ where
     X: ValueType,
     Z: ValueType,
 {
-    try_spmv_fused(ctx, a, x, add_tag, mul_tag, None, None)
+    try_spmv_fused(ctx, a, x, add_tag, mul_tag, Hooks::none())
 }
 
-/// [`try_spmv`] with fused pre/post element maps folded into the numeric
-/// phase (nonblocking DAG cross-operation fusion, paper §III).
-pub fn try_spmv_fused<A, X, Z>(
+/// [`try_spmv`] with the caller-typed kernel [`Hooks`]: fused pre/post
+/// element maps folded into the numeric phase (nonblocking DAG
+/// cross-operation fusion, paper §III) and the output mask's row filter.
+pub fn try_spmv_fused<A, X, Z, K>(
     ctx: &Context,
     a: &Csr<A>,
     x: &SparseVec<X>,
     add_tag: Option<BuiltinOp>,
     mul_tag: Option<BuiltinOp>,
-    pre: Option<FusedHook<'_, X>>,
-    post: Option<FusedHook<'_, Z>>,
+    hooks: Hooks<'_, X, Z, K>,
 ) -> Option<SparseVec<Z>>
 where
     A: ValueType,
     X: ValueType,
     Z: ValueType,
+    K: OutputFilter,
 {
     if !enabled() {
         return None;
@@ -464,8 +479,8 @@ where
             {
                 let at = cast_ref::<Csr<A>, Csr<$t>>(a)?;
                 let xt = cast_ref::<SparseVec<X>, SparseVec<$t>>(x)?;
-                let pre_t = hook_adapter!(pre, X, $t);
-                let post_t = hook_adapter!(post, Z, $t);
+                let pre_t = hook_adapter!(hooks.pre, X, $t);
+                let post_t = hook_adapter!(hooks.post, Z, $t);
                 let y = spmv::spmv_fused(
                     ctx,
                     at,
@@ -473,12 +488,7 @@ where
                     $mulf,
                     $fold,
                     term_of!($term, $t),
-                    pre_t
-                        .as_ref()
-                        .map(|f| f as &(dyn Fn(usize, &$t) -> Option<$t> + Sync)),
-                    post_t
-                        .as_ref()
-                        .map(|f| f as &(dyn Fn(usize, &$t) -> Option<$t> + Sync)),
+                    retyped_hooks!(pre_t, post_t, hooks.keep),
                 );
                 let y = cast_val::<SparseVec<$t>, SparseVec<Z>>(y)?;
                 record_pick("mxv", ctx.id(), true);
@@ -504,25 +514,25 @@ where
     X: ValueType,
     Z: ValueType,
 {
-    try_spmv_bitmap_fused(ctx, a, x, add_tag, mul_tag, None, None)
+    try_spmv_bitmap_fused(ctx, a, x, add_tag, mul_tag, Hooks::none())
 }
 
-/// [`try_spmv_bitmap`] with fused pre/post element maps — the bitmap
-/// frontier format survives into the fused pipeline without a format
-/// conversion.
-pub fn try_spmv_bitmap_fused<A, X, Z>(
+/// [`try_spmv_bitmap`] with the caller-typed kernel [`Hooks`] — the
+/// bitmap frontier format survives into the fused pipeline without a
+/// format conversion.
+pub fn try_spmv_bitmap_fused<A, X, Z, K>(
     ctx: &Context,
     a: &Csr<A>,
     x: &BitmapVec<X>,
     add_tag: Option<BuiltinOp>,
     mul_tag: Option<BuiltinOp>,
-    pre: Option<FusedHook<'_, X>>,
-    post: Option<FusedHook<'_, Z>>,
+    hooks: Hooks<'_, X, Z, K>,
 ) -> Option<SparseVec<Z>>
 where
     A: ValueType,
     X: ValueType,
     Z: ValueType,
+    K: OutputFilter,
 {
     if !enabled() {
         return None;
@@ -537,8 +547,8 @@ where
             {
                 let at = cast_ref::<Csr<A>, Csr<$t>>(a)?;
                 let xt = cast_ref::<BitmapVec<X>, BitmapVec<$t>>(x)?;
-                let pre_t = hook_adapter!(pre, X, $t);
-                let post_t = hook_adapter!(post, Z, $t);
+                let pre_t = hook_adapter!(hooks.pre, X, $t);
+                let post_t = hook_adapter!(hooks.post, Z, $t);
                 let y = spmv::spmv_bitmap_fused(
                     ctx,
                     at,
@@ -546,12 +556,7 @@ where
                     $mulf,
                     $fold,
                     term_of!($term, $t),
-                    pre_t
-                        .as_ref()
-                        .map(|f| f as &(dyn Fn(usize, &$t) -> Option<$t> + Sync)),
-                    post_t
-                        .as_ref()
-                        .map(|f| f as &(dyn Fn(usize, &$t) -> Option<$t> + Sync)),
+                    retyped_hooks!(pre_t, post_t, hooks.keep),
                 );
                 let y = cast_val::<SparseVec<$t>, SparseVec<Z>>(y)?;
                 record_pick("mxv", ctx.id(), true);
@@ -576,28 +581,27 @@ where
     A: ValueType,
     Z: ValueType,
 {
-    try_vxm_fused(ctx, x, a, add_tag, mul_tag, None, None, None)
+    try_vxm_fused(ctx, x, a, add_tag, mul_tag, Hooks::none())
 }
 
-/// [`try_vxm`] with fused pre/post element maps and an optional masked
-/// scatter: `allowed` is the mask's column predicate (already folded with
-/// the complement flag), letting the registered kernel skip disallowed
-/// columns before they ever reach an accumulator.
-#[allow(clippy::too_many_arguments)]
-pub fn try_vxm_fused<X, A, Z>(
+/// [`try_vxm`] with the caller-typed kernel [`Hooks`]: fused pre/post
+/// element maps and the masked scatter — `hooks.keep` is the mask's column
+/// predicate (already folded with the complement flag), letting the
+/// registered kernel skip disallowed columns before they ever reach an
+/// accumulator.
+pub fn try_vxm_fused<X, A, Z, K>(
     ctx: &Context,
     x: &SparseVec<X>,
     a: &Csr<A>,
     add_tag: Option<BuiltinOp>,
     mul_tag: Option<BuiltinOp>,
-    pre: Option<FusedHook<'_, X>>,
-    post: Option<FusedHook<'_, Z>>,
-    allowed: Option<&(dyn Fn(usize) -> bool + Sync)>,
+    hooks: Hooks<'_, X, Z, K>,
 ) -> Option<SparseVec<Z>>
 where
     X: ValueType,
     A: ValueType,
     Z: ValueType,
+    K: OutputFilter,
 {
     if !enabled() {
         return None;
@@ -612,21 +616,15 @@ where
             {
                 let xt = cast_ref::<SparseVec<X>, SparseVec<$t>>(x)?;
                 let at = cast_ref::<Csr<A>, Csr<$t>>(a)?;
-                let pre_t = hook_adapter!(pre, X, $t);
-                let post_t = hook_adapter!(post, Z, $t);
+                let pre_t = hook_adapter!(hooks.pre, X, $t);
+                let post_t = hook_adapter!(hooks.post, Z, $t);
                 let y = spmv::vxm_fused(
                     ctx,
                     xt,
                     at,
                     $mulf,
                     $fold,
-                    pre_t
-                        .as_ref()
-                        .map(|f| f as &(dyn Fn(usize, &$t) -> Option<$t> + Sync)),
-                    post_t
-                        .as_ref()
-                        .map(|f| f as &(dyn Fn(usize, &$t) -> Option<$t> + Sync)),
-                    allowed,
+                    retyped_hooks!(pre_t, post_t, hooks.keep),
                 );
                 let y = cast_val::<SparseVec<$t>, SparseVec<Z>>(y)?;
                 record_pick("vxm", ctx.id(), true);

@@ -6,13 +6,16 @@
 //! their row of the matrix into per-task accumulators that are then merged
 //! — the natural shape for frontier expansion in BFS-like algorithms.
 //!
-//! The `*_fused` variants take optional [`FusedMap`] hooks so the
-//! nonblocking execution DAG can fold whole apply/select chains into the
-//! numeric phase: `pre` transforms (or drops) each *input* entry exactly
-//! once as it enters the kernel, `post` transforms each *output* entry as
-//! it is emitted — no intermediate vector is ever materialized. `vxm_fused`
-//! additionally accepts an `allowed` column predicate so a masked `vxm`
-//! can skip scattering into columns the mask will discard anyway.
+//! The `*_fused` variants take a [`Hooks`] bundle so the caller can fold
+//! work into the numeric phase. `pre` transforms (or drops) each *input*
+//! entry exactly once as it enters the kernel and `post` transforms each
+//! *output* entry as it is emitted — the nonblocking execution DAG folds
+//! whole apply/select chains this way, and no intermediate vector is ever
+//! materialized. `keep` is the output mask as a kernel *input*: an
+//! [`OutputFilter`] over output positions, so a masked product computes
+//! only what the write-back will keep — the pull kernel skips forbidden
+//! rows before touching them (the bottom-up half of a direction-optimized
+//! traversal), the push kernel never scatters into forbidden columns.
 
 use std::ops::Range;
 
@@ -23,9 +26,103 @@ use crate::bitmap::BitmapVec;
 use crate::csr::Csr;
 use crate::svec::SparseVec;
 
-/// How `spmv` resolves input-vector entries by column: direct indexing
-/// when the frontier is dense, a checked-out position table when sparse,
-/// or a word-indexed bit test when the frontier is stored as a bitmap.
+/// An element map fused into a kernel's numeric phase:
+/// `(index, &value) -> Option<value>`, where `None` drops the entry
+/// (select semantics). These are the drained composition of a container's
+/// pending `Stage::Map` chain, applied exactly once per touched element.
+// grblint: allow(dyn-semiring-in-hot-kernel) — fused maps arrive from the
+// type-erased pending queue and run once per touched element (build or
+// merge pass), never inside the semiring flop loop.
+pub type FusedMap<'a, T> = &'a (dyn Fn(usize, &T) -> Option<T> + Sync);
+
+/// Which output positions — rows for the pull kernel, columns for the
+/// push kernel — the caller's write-back will keep. A generic parameter,
+/// not an `Option<&dyn Fn>` tested per position: the unmasked instance
+/// ([`Unmasked`]) is zero-sized and always true, so an unmasked product
+/// compiles to the same loop as a kernel that has no filter at all.
+///
+/// Filtering is a pure optimization. The caller still applies its full
+/// mask × complement × accumulator × replace rule to the result; a filter
+/// only has to admit every position that rule can keep.
+pub trait OutputFilter: Copy + Sync {
+    /// `false` only for [`Unmasked`]; lets a kernel drop the filter's
+    /// bookkeeping (telemetry, allowed-position count) at compile time.
+    const MASKED: bool = true;
+
+    /// Whether output position `i` may receive an entry.
+    fn allows(&self, i: usize) -> bool;
+
+    /// How many of the positions `0..n` are allowed.
+    fn allowed(&self, n: usize) -> usize {
+        (0..n).filter(|&i| self.allows(i)).count()
+    }
+}
+
+/// The [`OutputFilter`] of an unmasked product: every position is kept.
+#[derive(Clone, Copy)]
+pub struct Unmasked;
+
+impl OutputFilter for Unmasked {
+    const MASKED: bool = false;
+
+    #[inline(always)]
+    fn allows(&self, _: usize) -> bool {
+        true
+    }
+
+    fn allowed(&self, n: usize) -> usize {
+        n
+    }
+}
+
+impl<F: Fn(usize) -> bool + Copy + Sync> OutputFilter for F {
+    #[inline(always)]
+    fn allows(&self, i: usize) -> bool {
+        self(i)
+    }
+}
+
+/// What a caller fuses into a product kernel's numeric phase (see the
+/// module docs): the input-side map, the output-side map, and the output
+/// filter. [`Hooks::none`] is the plain kernel.
+pub struct Hooks<'a, X, Z, K = Unmasked> {
+    /// Rewrites or drops each input-vector entry as it enters the kernel.
+    pub pre: Option<FusedMap<'a, X>>,
+    /// Rewrites or drops each output entry as it is emitted.
+    pub post: Option<FusedMap<'a, Z>>,
+    /// The output positions worth computing.
+    pub keep: K,
+}
+
+impl<X, Z, K: Copy> Clone for Hooks<'_, X, Z, K> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<X, Z, K: Copy> Copy for Hooks<'_, X, Z, K> {}
+
+impl<X, Z> Hooks<'_, X, Z> {
+    /// No fused maps, no filter.
+    pub fn none() -> Self {
+        Hooks {
+            pre: None,
+            post: None,
+            keep: Unmasked,
+        }
+    }
+}
+
+/// The pull kernel's input vector, in either storage format.
+enum PullFrontier<'a, X> {
+    Sparse(&'a SparseVec<X>),
+    Bitmap(&'a BitmapVec<X>),
+}
+
+/// How the pull row loop resolves input-vector entries by column: direct
+/// indexing when the frontier is dense, a checked-out position table when
+/// sparse, or a word-indexed bit test when the frontier is stored as a
+/// bitmap.
 enum XLookup<'a, X> {
     Dense(&'a [X]),
     Table(&'a MarkTable, &'a [X]),
@@ -43,19 +140,10 @@ impl<'a, X> XLookup<'a, X> {
     }
 }
 
-/// An element map fused into a kernel's numeric phase:
-/// `(index, &value) -> Option<value>`, where `None` drops the entry
-/// (select semantics). These are the drained composition of a container's
-/// pending `Stage::Map` chain, applied exactly once per touched element.
-// grblint: allow(dyn-semiring-in-hot-kernel) — fused maps arrive from the
-// type-erased pending queue and run once per touched element (build or
-// merge pass), never inside the semiring flop loop.
-pub type FusedMap<'a, T> = &'a (dyn Fn(usize, &T) -> Option<T> + Sync);
-
 /// `y = A ⊕.⊗ x` (pull). `is_terminal`, when given, allows each row's
 /// accumulation to stop early once the add-monoid annihilator is reached.
 // grblint: allow(span-at-kernel-boundary) — thin forwarder; the span
-// opens in `spmv_fused`.
+// opens in `pull`.
 pub fn spmv<A, X, Z, FM, FA, FT>(
     ctx: &Context,
     a: &Csr<A>,
@@ -72,23 +160,23 @@ where
     FA: Fn(Z, Z) -> Z + Sync,
     FT: Fn(&Z) -> bool + Sync,
 {
-    spmv_fused(ctx, a, x, mul, add, is_terminal, None, None)
+    spmv_fused(ctx, a, x, mul, add, is_terminal, Hooks::none())
 }
 
-/// [`spmv`] with fused element maps: `pre` rewrites each input-vector
-/// entry as the densification table is built (a dropped entry is simply
-/// never scattered, so annihilated inputs cost nothing in the row loop);
-/// `post` rewrites each output entry before assembly.
-#[allow(clippy::too_many_arguments)]
-pub fn spmv_fused<A, X, Z, FM, FA, FT>(
+/// [`spmv`] with [`Hooks`]. A dense sorted frontier is indexed directly;
+/// a sparse one through a position table checked out of the workspace
+/// cache. `pre` runs as that table is built (a dropped entry is simply
+/// never scattered, so annihilated inputs cost nothing in the row loop).
+// grblint: allow(span-at-kernel-boundary) — thin forwarder; the span
+// opens in `pull`.
+pub fn spmv_fused<A, X, Z, FM, FA, FT, K>(
     ctx: &Context,
     a: &Csr<A>,
     x: &SparseVec<X>,
     mul: FM,
     add: FA,
     is_terminal: Option<FT>,
-    pre: Option<FusedMap<'_, X>>,
-    post: Option<FusedMap<'_, Z>>,
+    hooks: Hooks<'_, X, Z, K>,
 ) -> SparseVec<Z>
 where
     A: Clone + Send + Sync,
@@ -97,77 +185,24 @@ where
     FM: Fn(&A, &X) -> Z + Sync,
     FA: Fn(Z, Z) -> Z + Sync,
     FT: Fn(&Z) -> bool + Sync,
+    K: OutputFilter,
 {
-    assert_eq!(a.ncols(), x.len(), "spmv: dimension mismatch");
-    let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::SpMv, ctx.id());
-    if sp.active() {
-        sp.io(
-            a.nnz() as u64,
-            (a.nnz() + x.nnz()) as u64,
-            0,
-            ((a.nnz() + x.nnz()) * std::mem::size_of::<usize>()) as u64,
-        );
-    }
-    let nrows = a.nrows();
-    if nrows == 0 {
-        return SparseVec::empty(0);
-    }
-    // Dense sorted frontier ⇒ entry j lives at position j; skip the
-    // densification table entirely. Sparse frontier ⇒ check a
-    // generation-stamped position table out of the thread's workspace
-    // cache instead of allocating `vec![None; n]` per call. A fused pre
-    // map forces the table path: the map may drop or rewrite entries, so
-    // positions are no longer the identity.
-    let dense = pre.is_none() && x.nnz() == x.len() && x.is_sorted();
-    if graphblas_obs::events::on() {
-        graphblas_obs::events::decision_kernel_path(
-            "spmv",
-            ctx.id(),
-            if dense { "dense-frontier" } else { "sparse-frontier" },
-            x.nnz() as u64,
-            x.len() as u64,
-        );
-    }
-    let mut fused_vals: Vec<X> = Vec::new();
-    let table_ws: Option<workspace::Checkout<MarkTable>> = if dense {
-        None
-    } else {
-        let mut t = workspace::checkout::<MarkTable>(x.len());
-        if let Some(f) = pre {
-            // Apply the input chain once per entry at scatter time;
-            // entries the chain drops are never marked, so the row loop
-            // skips them for free.
-            fused_vals.reserve(x.nnz());
-            for (j, v) in x.iter() {
-                if let Some(fv) = f(j, v) {
-                    t.set(j, fused_vals.len());
-                    fused_vals.push(fv);
-                }
-            }
-        } else {
-            for (p, &j) in x.indices().iter().enumerate() {
-                t.set(j, p);
-            }
-        }
-        Some(t)
-    };
-    let lookup = match (table_ws.as_deref(), pre.is_some()) {
-        (None, _) => XLookup::Dense(x.values()),
-        (Some(t), true) => XLookup::Table(t, &fused_vals),
-        (Some(t), false) => XLookup::Table(t, x.values()),
-    };
-    let y = spmv_rows(ctx, a, &lookup, &mul, &add, is_terminal.as_ref(), post);
-    if sp.active() {
-        sp.io(0, 0, y.nnz() as u64, 0);
-    }
-    y
+    pull(
+        ctx,
+        a,
+        PullFrontier::Sparse(x),
+        mul,
+        add,
+        is_terminal,
+        hooks,
+    )
 }
 
 /// `y = A ⊕.⊗ x` (pull) over a bitmap-format frontier. Identical row loop
 /// to [`spmv`], but entry lookup is a word-indexed bit test — no
 /// densification table needs to be built or checked out.
 // grblint: allow(span-at-kernel-boundary) — thin forwarder; the span
-// opens in `spmv_bitmap_fused`.
+// opens in `pull`.
 pub fn spmv_bitmap<A, X, Z, FM, FA, FT>(
     ctx: &Context,
     a: &Csr<A>,
@@ -184,23 +219,23 @@ where
     FA: Fn(Z, Z) -> Z + Sync,
     FT: Fn(&Z) -> bool + Sync,
 {
-    spmv_bitmap_fused(ctx, a, x, mul, add, is_terminal, None, None)
+    spmv_bitmap_fused(ctx, a, x, mul, add, is_terminal, Hooks::none())
 }
 
-/// [`spmv_bitmap`] with fused element maps. With a `pre` chain the
-/// bit-test lookup is replaced by a position table holding the rewritten
-/// values (built in one pass over the bitmap, still without materializing
-/// an intermediate vector); without one the bitmap is probed directly.
-#[allow(clippy::too_many_arguments)]
-pub fn spmv_bitmap_fused<A, X, Z, FM, FA, FT>(
+/// [`spmv_bitmap`] with [`Hooks`]. With a `pre` chain the bit-test lookup
+/// is replaced by a position table holding the rewritten values (built in
+/// one pass over the bitmap, still without materializing an intermediate
+/// vector); without one the bitmap is probed directly.
+// grblint: allow(span-at-kernel-boundary) — thin forwarder; the span
+// opens in `pull`.
+pub fn spmv_bitmap_fused<A, X, Z, FM, FA, FT, K>(
     ctx: &Context,
     a: &Csr<A>,
     x: &BitmapVec<X>,
     mul: FM,
     add: FA,
     is_terminal: Option<FT>,
-    pre: Option<FusedMap<'_, X>>,
-    post: Option<FusedMap<'_, Z>>,
+    hooks: Hooks<'_, X, Z, K>,
 ) -> SparseVec<Z>
 where
     A: Clone + Send + Sync,
@@ -209,67 +244,139 @@ where
     FM: Fn(&A, &X) -> Z + Sync,
     FA: Fn(Z, Z) -> Z + Sync,
     FT: Fn(&Z) -> bool + Sync,
+    K: OutputFilter,
 {
-    assert_eq!(a.ncols(), x.len(), "spmv: dimension mismatch");
+    pull(
+        ctx,
+        a,
+        PullFrontier::Bitmap(x),
+        mul,
+        add,
+        is_terminal,
+        hooks,
+    )
+}
+
+/// The pull kernel behind both frontier formats: opens the span, picks
+/// the [`XLookup`] for `x` (the only step the formats differ in), runs
+/// the row loop.
+fn pull<A, X, Z, FM, FA, FT, K>(
+    ctx: &Context,
+    a: &Csr<A>,
+    x: PullFrontier<'_, X>,
+    mul: FM,
+    add: FA,
+    is_terminal: Option<FT>,
+    hooks: Hooks<'_, X, Z, K>,
+) -> SparseVec<Z>
+where
+    A: Clone + Send + Sync,
+    X: Clone + Send + Sync,
+    Z: Clone + Send + Sync,
+    FM: Fn(&A, &X) -> Z + Sync,
+    FA: Fn(Z, Z) -> Z + Sync,
+    FT: Fn(&Z) -> bool + Sync,
+    K: OutputFilter,
+{
+    let (n, nnz) = match x {
+        PullFrontier::Sparse(s) => (s.len(), s.nnz()),
+        PullFrontier::Bitmap(b) => (b.len(), b.nnz()),
+    };
+    assert_eq!(a.ncols(), n, "spmv: dimension mismatch");
     let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::SpMv, ctx.id());
+    let nrows = a.nrows();
     if sp.active() {
+        // Under a row filter only the allowed rows' entries are read.
+        let visited: usize = if K::MASKED {
+            (0..nrows)
+                .filter(|&i| hooks.keep.allows(i))
+                .map(|i| a.row_nnz(i))
+                .sum()
+        } else {
+            a.nnz()
+        };
         sp.io(
-            a.nnz() as u64,
-            (a.nnz() + x.nnz()) as u64,
+            visited as u64,
+            (visited + nnz) as u64,
             0,
-            ((a.nnz() + x.nnz()) * std::mem::size_of::<usize>()) as u64,
+            ((visited + nnz) * std::mem::size_of::<usize>()) as u64,
         );
     }
-    let nrows = a.nrows();
     if nrows == 0 {
         return SparseVec::empty(0);
     }
+    let pre = hooks.pre;
+    // Dense sorted frontier ⇒ entry j lives at position j; skip the
+    // densification table entirely. A fused pre map forces the table
+    // path: the map may drop or rewrite entries, so positions are no
+    // longer the identity.
+    let dense = matches!(x, PullFrontier::Sparse(s)
+        if pre.is_none() && s.nnz() == s.len() && s.is_sorted());
     if graphblas_obs::events::on() {
-        graphblas_obs::events::decision_kernel_path(
-            "spmv",
-            ctx.id(),
-            "bitmap-frontier",
-            x.nnz() as u64,
-            x.len() as u64,
-        );
+        let path = match x {
+            PullFrontier::Bitmap(_) => "bitmap-frontier",
+            PullFrontier::Sparse(_) if dense => "dense-frontier",
+            PullFrontier::Sparse(_) => "sparse-frontier",
+        };
+        graphblas_obs::events::decision_kernel_path("spmv", ctx.id(), path, nnz as u64, n as u64);
     }
+    // The position table is a generation-stamped checkout from the
+    // thread's workspace cache, not a `vec![None; n]` per call.
     let mut fused_vals: Vec<X> = Vec::new();
-    let table_ws: Option<workspace::Checkout<MarkTable>> = if let Some(f) = pre {
-        let mut t = workspace::checkout::<MarkTable>(x.len());
-        fused_vals.reserve(x.nnz());
-        for (j, v) in x.iter() {
-            if let Some(fv) = f(j, v) {
-                t.set(j, fused_vals.len());
-                fused_vals.push(fv);
+    let table_ws: Option<workspace::Checkout<MarkTable>> = match (pre, &x) {
+        (Some(f), _) => {
+            // Apply the input chain once per entry at scatter time;
+            // entries the chain drops are never marked, so the row loop
+            // skips them for free.
+            let mut t = workspace::checkout::<MarkTable>(n);
+            fused_vals.reserve(nnz);
+            let mut scatter = |(j, v): (usize, &X)| {
+                if let Some(fv) = f(j, v) {
+                    t.set(j, fused_vals.len());
+                    fused_vals.push(fv);
+                }
+            };
+            match x {
+                PullFrontier::Sparse(s) => s.iter().for_each(&mut scatter),
+                PullFrontier::Bitmap(b) => b.iter().for_each(&mut scatter),
             }
+            Some(t)
         }
-        Some(t)
-    } else {
-        None
+        (None, PullFrontier::Sparse(s)) if !dense => {
+            let mut t = workspace::checkout::<MarkTable>(n);
+            for (p, &j) in s.indices().iter().enumerate() {
+                t.set(j, p);
+            }
+            Some(t)
+        }
+        (None, _) => None,
     };
-    let lookup = match table_ws.as_deref() {
-        Some(t) => XLookup::Table(t, &fused_vals),
-        None => XLookup::Bitmap(x),
+    let lookup = match (table_ws.as_deref(), x) {
+        (Some(t), _) if pre.is_some() => XLookup::Table(t, &fused_vals),
+        (Some(t), PullFrontier::Sparse(s)) => XLookup::Table(t, s.values()),
+        (None, PullFrontier::Sparse(s)) => XLookup::Dense(s.values()),
+        (_, PullFrontier::Bitmap(b)) => XLookup::Bitmap(b),
     };
-    let y = spmv_rows(ctx, a, &lookup, &mul, &add, is_terminal.as_ref(), post);
+    let y = spmv_rows(ctx, a, &lookup, &mul, &add, is_terminal.as_ref(), hooks);
     if sp.active() {
         sp.io(0, 0, y.nnz() as u64, 0);
     }
     y
 }
 
-/// Shared pull row loop: nnz-balanced row ranges, per-row dot product with
-/// optional terminal early-exit, concatenated sorted assembly. A fused
-/// `post` map rewrites (or drops) each row's accumulated value in-register
-/// before it is pushed into the output chunk.
-fn spmv_rows<A, X, Z, FM, FA, FT>(
+/// The one pull row loop: nnz-balanced row ranges, per-row dot product
+/// with optional terminal early-exit, concatenated sorted assembly. Rows
+/// `hooks.keep` forbids are skipped before their matrix row is touched;
+/// `hooks.post` rewrites (or drops) each row's accumulated value
+/// in-register before it is pushed into the output chunk.
+fn spmv_rows<A, X, Z, FM, FA, FT, K>(
     ctx: &Context,
     a: &Csr<A>,
     lookup: &XLookup<'_, X>,
     mul: &FM,
     add: &FA,
     is_terminal: Option<&FT>,
-    post: Option<FusedMap<'_, Z>>,
+    hooks: Hooks<'_, X, Z, K>,
 ) -> SparseVec<Z>
 where
     A: Clone + Send + Sync,
@@ -278,8 +385,20 @@ where
     FM: Fn(&A, &X) -> Z + Sync,
     FA: Fn(Z, Z) -> Z + Sync,
     FT: Fn(&Z) -> bool + Sync,
+    K: OutputFilter,
 {
     let nrows = a.nrows();
+    let Hooks { post, keep, .. } = hooks;
+    let allowed = keep.allowed(nrows);
+    if K::MASKED && graphblas_obs::events::on() {
+        graphblas_obs::events::decision_kernel_path(
+            "spmv",
+            ctx.id(),
+            "masked-pull",
+            allowed as u64,
+            nrows as u64,
+        );
+    }
     let k = ctx
         .effective_threads()
         .min(a.nnz().max(1).div_ceil(ctx.chunk_size()).max(1))
@@ -289,9 +408,14 @@ where
     let pull = graphblas_obs::timeline::phase("mxv.pull");
     let chunks: Vec<(Vec<usize>, Vec<Z>)> = parallel_map_ranges(ranges, |rows: Range<usize>| {
         let _task = graphblas_obs::timeline::phase("mxv.pull.task");
-        let mut idx = Vec::new();
-        let mut vals = Vec::new();
+        // A task emits at most one entry per allowed row it owns.
+        let cap = rows.len().min(allowed);
+        let mut idx = Vec::with_capacity(cap);
+        let mut vals = Vec::with_capacity(cap);
         for i in rows {
+            if !keep.allows(i) {
+                continue;
+            }
             let (cols, avs) = a.row(i);
             let mut acc: Option<Z> = None;
             for (&j, av) in cols.iter().zip(avs) {
@@ -320,12 +444,16 @@ where
         (idx, vals)
     });
     drop(pull);
-    let mut indices = Vec::new();
-    let mut values = Vec::new();
+    // The first chunk becomes the result in place; the reserve above must
+    // not outlive the call as slack capacity in a stored vector.
+    let mut chunks = chunks.into_iter();
+    let (mut indices, mut values) = chunks.next().unwrap_or_default();
     for (idx, vals) in chunks {
         indices.extend(idx);
         values.extend(vals);
     }
+    indices.shrink_to_fit();
+    values.shrink_to_fit();
     SparseVec::from_kernel_parts(nrows, indices, values, true)
 }
 
@@ -348,27 +476,21 @@ where
     FM: Fn(&X, &A) -> Z + Sync,
     FA: Fn(Z, Z) -> Z + Sync,
 {
-    vxm_fused(ctx, x, a, mul, add, None, None, None)
+    vxm_fused(ctx, x, a, mul, add, Hooks::none())
 }
 
-/// [`vxm`] with fused element maps and an optional mask prefilter. `pre`
-/// rewrites each frontier entry once as it is read (a dropped entry never
-/// scatters its matrix row); `post` rewrites each merged output entry;
-/// `allowed` is a column predicate — typically a mask bitset test — that
-/// stops disallowed columns from ever entering the accumulators, so a
-/// masked `vxm` does not pay for entries the merge would discard.
-#[allow(clippy::too_many_arguments)]
-pub fn vxm_fused<X, A, Z, FM, FA>(
+/// [`vxm`] with [`Hooks`]. `pre` rewrites each frontier entry once as it
+/// is read (a dropped entry never scatters its matrix row); `post`
+/// rewrites each merged output entry; `keep` — typically a mask bitset
+/// test — stops forbidden columns from ever entering the accumulators, so
+/// a masked `vxm` does not pay for entries the merge would discard.
+pub fn vxm_fused<X, A, Z, FM, FA, K>(
     ctx: &Context,
     x: &SparseVec<X>,
     a: &Csr<A>,
     mul: FM,
     add: FA,
-    pre: Option<FusedMap<'_, X>>,
-    post: Option<FusedMap<'_, Z>>,
-    // grblint: allow(dyn-semiring-in-hot-kernel) — the mask prefilter is
-    // one bit test per scattered column, not a semiring operator.
-    allowed: Option<&(dyn Fn(usize) -> bool + Sync)>,
+    hooks: Hooks<'_, X, Z, K>,
 ) -> SparseVec<Z>
 where
     X: Clone + Send + Sync,
@@ -376,8 +498,10 @@ where
     Z: Clone + Send + Sync + 'static,
     FM: Fn(&X, &A) -> Z + Sync,
     FA: Fn(Z, Z) -> Z + Sync,
+    K: OutputFilter,
 {
     assert_eq!(a.nrows(), x.len(), "vxm: dimension mismatch");
+    let Hooks { pre, post, keep } = hooks;
     let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::VxM, ctx.id());
     let ncols = a.ncols();
     let nnz = x.nnz();
@@ -393,7 +517,7 @@ where
             ((a.nnz() + nnz) * std::mem::size_of::<usize>()) as u64,
         );
     }
-    if graphblas_obs::events::on() && allowed.is_some() {
+    if K::MASKED && graphblas_obs::events::on() {
         graphblas_obs::events::decision_kernel_path(
             "vxm",
             ctx.id(),
@@ -440,10 +564,8 @@ where
             };
             let (cols, avs) = a.row(i);
             for (&j, av) in cols.iter().zip(avs) {
-                if let Some(alw) = allowed {
-                    if !alw(j) {
-                        continue;
-                    }
+                if !keep.allows(j) {
+                    continue;
                 }
                 let prod = mul(xval, av);
                 acc.upsert(j, prod, &add);
@@ -597,8 +719,11 @@ mod tests {
             |a, x| a * x,
             |p, q| p + q,
             None::<fn(&i64) -> bool>,
-            Some(&pre),
-            Some(&post),
+            Hooks {
+                pre: Some(&pre),
+                post: Some(&post),
+                ..Hooks::none()
+            },
         );
         assert_eq!(fused.to_sorted_tuples(), expect.to_sorted_tuples());
     }
@@ -617,8 +742,10 @@ mod tests {
             |a, x| a * x,
             |p, q| p + q,
             None::<fn(&i64) -> bool>,
-            Some(&pre),
-            None,
+            Hooks {
+                pre: Some(&pre),
+                ..Hooks::none()
+            },
         );
         let bitmap = spmv_bitmap_fused(
             &ctx,
@@ -627,8 +754,10 @@ mod tests {
             |a, x| a * x,
             |p, q| p + q,
             None::<fn(&i64) -> bool>,
-            Some(&pre),
-            None,
+            Hooks {
+                pre: Some(&pre),
+                ..Hooks::none()
+            },
         );
         assert_eq!(bitmap.to_sorted_tuples(), sparse.to_sorted_tuples());
     }
@@ -649,9 +778,11 @@ mod tests {
             &a,
             |x, a| x * a,
             |p, q| p + q,
-            Some(&pre),
-            Some(&post),
-            None,
+            Hooks {
+                pre: Some(&pre),
+                post: Some(&post),
+                ..Hooks::none()
+            },
         );
         assert_eq!(fused.to_sorted_tuples(), expect.to_sorted_tuples());
     }
@@ -670,9 +801,11 @@ mod tests {
             &a,
             |x, a| x * a,
             |p, q| p + q,
-            None,
-            None,
-            Some(&|j: usize| j % 2 == 0),
+            Hooks {
+                pre: None,
+                post: None,
+                keep: |j: usize| j % 2 == 0,
+            },
         );
         let expect: Vec<(usize, i64)> = full
             .to_sorted_tuples()
@@ -680,6 +813,52 @@ mod tests {
             .filter(|(j, _)| j % 2 == 0)
             .collect();
         assert_eq!(masked.to_sorted_tuples(), expect);
+    }
+
+    #[test]
+    fn filtered_pull_is_unfiltered_pull_restricted_to_allowed_rows() {
+        use graphblas_exec::rng::prelude::*;
+        let ctx = global_context();
+        let mut rng = StdRng::seed_from_u64(15);
+        let (m, n) = (90, 70);
+        let (mut rows, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..900 {
+            rows.push(rng.gen_range(0..m));
+            cols.push(rng.gen_range(0..n));
+            vals.push(rng.gen_range(0..3i64) > 0);
+        }
+        let a = crate::coo::Coo::from_parts(m, n, rows, cols, vals)
+            .unwrap()
+            .to_csr(&ctx, Some(&|a: &bool, b: &bool| *a || *b))
+            .unwrap();
+        let keep = |i: usize| i % 3 != 1;
+        let and = |a: &bool, x: &bool| *a && *x;
+        let or = |p: bool, q: bool| p || q;
+        let hooks = Hooks {
+            pre: None,
+            post: None,
+            keep,
+        };
+        // Every third column (table lookup) and every column (dense lookup).
+        for stride in [3, 1] {
+            let xi: Vec<usize> = (0..n).step_by(stride).collect();
+            let xv: Vec<bool> = xi.iter().map(|j| j % 5 != 0).collect();
+            let x = SparseVec::from_parts(n, xi, xv).unwrap();
+            let xb = BitmapVec::from_svec(&x);
+            for terminal in [None, Some(|z: &bool| *z)] {
+                let full = spmv(&ctx, &a, &x, and, or, terminal);
+                let expect: Vec<(usize, bool)> = full
+                    .to_sorted_tuples()
+                    .into_iter()
+                    .filter(|&(i, _)| keep(i))
+                    .collect();
+                assert!(expect.len() < full.nnz(), "the filter must drop something");
+                let sparse = spmv_fused(&ctx, &a, &x, and, or, terminal, hooks);
+                assert_eq!(sparse.to_sorted_tuples(), expect, "stride {stride}");
+                let bitmap = spmv_bitmap_fused(&ctx, &a, &xb, and, or, terminal, hooks);
+                assert_eq!(bitmap.to_sorted_tuples(), expect, "stride {stride} bitmap");
+            }
+        }
     }
 
     #[test]

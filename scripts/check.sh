@@ -23,8 +23,11 @@ cargo test -q
 # The engine's own suites — tier-1 above runs only the root package: the
 # core unit tests plus dag_equivalence (deferred+fused vs. blocking =
 # enqueue+force, async drains), fusion_accounting, registry_equiv and
-# algebra_props, which pin the container core and its one execution path.
+# algebra_props, which pin the container core and its one execution path;
+# and the kernels' unit tests plus kernel_props (filtered pull vs.
+# unfiltered, push vs. pull, fused hooks vs. materialized).
 cargo test -q -p graphblas-core
+cargo test -q -p graphblas-sparse
 cargo clippy --all-targets -- -D warnings
 
 # Benchmark plumbing smoke (numbers discarded: --quick is not comparable).
@@ -103,7 +106,8 @@ fi
 # properly nested, multi-threaded, and covers the spgemm/mxv kernel
 # phases, and the grbexplain reader proves the run actually recorded the
 # paper's choice points: at least one direction pick, one workspace hit,
-# one fused map flush, and — for the nonblocking op DAG — at least one
+# one fused map flush, one kernel-internal path choice (frontier lookup,
+# masked pull/scatter), and — for the nonblocking op DAG — at least one
 # cross-operation fusion and one forced drain.
 trace_file="$(mktemp -t grb_trace.XXXXXX.json)"
 explain_file="$(mktemp -t grb_explain.XXXXXX.json)"
@@ -157,5 +161,6 @@ cargo run -q -p graphblas-check --bin grbexplain -- "$explain_file" \
     --assert reason=fuse-flush,min=1 \
     --assert reason=dispatch-pick,min=1 \
     --assert reason=format-pick,min=1 \
+    --assert reason=kernel-path,min=1 \
     --assert reason=dag-fuse,min=1 \
     --assert reason=dag-force,min=1
