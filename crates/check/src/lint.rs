@@ -276,8 +276,16 @@ const SPARSE_KERNEL_FILES: [&str; 6] = [
 ];
 
 /// Tokens that satisfy `span-at-kernel-boundary`: an obs kernel span, a
-/// named context span, a timeline phase, or the convert-kernel wrapper.
-const SPAN_TOKENS: [&str; 4] = ["kernel_span(", "span_ctx(", "phase(", "with_convert_span("];
+/// named context span, a timeline phase, the convert-kernel wrapper, or
+/// the operation pipeline's entry (`Op::begin` opens the entry's one
+/// `op.<name>` span under the output's context).
+const SPAN_TOKENS: [&str; 5] = [
+    "kernel_span(",
+    "span_ctx(",
+    "phase(",
+    "with_convert_span(",
+    "Op::begin(",
+];
 
 /// Finds a waiver for `rule` covering the site at `line` (waiver on that
 /// line or in the contiguous comment block immediately above it) and
@@ -1031,6 +1039,12 @@ pub fn mxm<T>(
             1
         );
         assert_eq!(lint_source("core", "crates/core/src/matrix.rs", op).len(), 0);
+        // Entering the shared operation pipeline opens the entry's span.
+        let piped = op.replace("body()", "run(Op::begin(\"op.mxm\", &c.core, mask, desc)?)");
+        assert_eq!(
+            lint_source("core", "crates/core/src/operations/mxm.rs", &piped).len(),
+            0
+        );
         // A pub fn in an operations file without &Descriptor is exempt.
         let knob = "pub fn force_direction(d: Option<Direction>) {\n    set(d);\n}\n";
         assert_eq!(

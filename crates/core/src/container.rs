@@ -47,7 +47,7 @@ use graphblas_obs::{counters, events};
 
 use crate::error::{ApiError, Error, ExecutionError, GrbResult};
 use crate::introspect::{CheckError, ObjectStats};
-use crate::pending::{MapFn, NodeKind, Stage};
+use crate::pending::{MapFn, Stage};
 use crate::types::ValueType;
 
 /// Queue depth at which a container offers its backlog to the worker pool.
@@ -279,7 +279,7 @@ impl<S: Store> State<S> {
         let _sp = tell.then(|| graphblas_obs::span_ctx("drain", ctx.id()));
         if tell {
             bump(&counters::pending().drains, 1);
-            if self.pending.iter().any(|s| matches!(s, Stage::Node { .. })) {
+            if self.pending.iter().any(|s| matches!(s, Stage::Node(_))) {
                 bump(&counters::dag().forces, 1);
                 let depth = self.pending.len() as u64;
                 events::decision_dag_force(S::DRAIN_SITE, ctx.id(), cause, depth);
@@ -311,7 +311,7 @@ impl<S: Store> State<S> {
                         let _ph = tell.then(|| graphblas_obs::timeline::phase("drain.opaque"));
                         f(self)?;
                     }
-                    Stage::Node { exec, .. } => {
+                    Stage::Node(exec) => {
                         // Maps before a node transform the pre-node value
                         // and must land first; trailing maps transform the
                         // node's output and are handed to the node to fuse
@@ -507,10 +507,9 @@ impl<S: Store> Container<S> {
     /// [`State::apply_post_maps`].
     pub(crate) fn apply_node(
         self: &Arc<Self>,
-        kind: NodeKind,
         exec: Box<dyn FnOnce(&mut State<S>, Vec<MapFn<S::Elem>>) -> GrbResult + Send>,
     ) -> GrbResult {
-        self.enqueue(Stage::Node { kind, exec })
+        self.enqueue(Stage::Node(exec))
     }
 
     /// Defers a fusible element-wise transform of the stored elements.
@@ -531,12 +530,12 @@ impl<S: Store> Container<S> {
             st.pending.push(stage);
             return st.run_queue(&ctx, false);
         }
-        let is_node = matches!(stage, Stage::Node { .. });
+        let is_node = matches!(stage, Stage::Node(_));
         if graphblas_obs::enabled() {
             let counter = match &stage {
                 Stage::Map(_) => &counters::pending().maps_enqueued,
                 Stage::Opaque(_) => &counters::pending().opaques_enqueued,
-                Stage::Node { .. } => &counters::dag().nodes_enqueued,
+                Stage::Node(_) => &counters::dag().nodes_enqueued,
             };
             bump(counter, 1);
             counters::note_pending_depth(st.pending.len() + 1);
@@ -608,13 +607,10 @@ mod tests {
         for cause in ["read", "wait", "async", "self-input"] {
             let ctx = private_ctx(Mode::NonBlocking);
             let c = Container::new(&ctx, None::<i64>);
-            c.apply_node(
-                NodeKind::Structure,
-                Box::new(|st, _post| {
-                    **st = Some(7);
-                    Ok(())
-                }),
-            )
+            c.apply_node(Box::new(|st, _post| {
+                **st = Some(7);
+                Ok(())
+            }))
             .unwrap();
             assert_eq!(c.lock_raw().queued(), 1);
             let forces = counters::dag_totals().forces;

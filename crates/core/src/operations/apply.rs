@@ -1,7 +1,9 @@
 //! `GrB_apply` in all its GraphBLAS 2.0 variants: unary operator,
 //! binary operator with a bound scalar (first or second), and the new
 //! index-unary form `C⟨M, r⟩ = C ⊙ f(A, ind(A), s)` of §VIII.B — plus the
-//! Table II `GrB_Scalar` variants of each bound-scalar form.
+//! Table II `GrB_Scalar` variants of each bound-scalar form. All of them
+//! are one element function ([`ElemOp`]) in front of one body per
+//! container kind.
 //!
 //! **Fusion fast path**: an unmasked, unaccumulated, untransposed apply
 //! whose input *is* its output (`apply(C, …, C)`) enqueues a fusible `Map`
@@ -12,17 +14,14 @@ use std::any::Any;
 use std::sync::Arc;
 
 use crate::descriptor::Descriptor;
-use crate::error::{ApiError, Error, ExecErrorKind, GrbResult};
-use crate::matrix::{MatStore, Matrix};
-use crate::operations::{
-    eff_shape, note_dag_fusion, snapshot_matmask, snapshot_operand, snapshot_vecmask,
-};
-use crate::ops::{registry, BinaryOp, IndexUnaryOp, UnaryOp};
-use crate::pending::{MapFn, NodeKind};
+use crate::error::{ApiError, GrbResult};
+use crate::matrix::{Matrix, MatrixState};
+use crate::operations::{eff_shape, snapshot_operand, Accum, Op};
+use crate::ops::{registry, BinaryOp, BuiltinUnaryOp, IndexUnaryOp, UnaryOp};
+use crate::pending::NodeKind;
 use crate::scalar::Scalar;
-use crate::types::{MaskValue, ValueType};
-use crate::vector::{VecStore, Vector};
-use crate::write;
+use crate::types::{Index, MaskValue, ValueType};
+use crate::vector::{Vector, VectorState};
 
 /// Moves a value between two types that are statically known to possibly
 /// coincide; succeeds exactly when `Src == Dst`.
@@ -31,8 +30,130 @@ fn same_type_cast<Src: 'static, Dst: 'static>(v: Src) -> Option<Dst> {
     boxed.downcast::<Dst>().ok().map(|b| *b)
 }
 
-fn plain_desc(desc: &Descriptor) -> bool {
-    !desc.transpose_a && !desc.replace
+/// The element function of one `apply` call: `(ind(a), a) → c`.
+trait ElemOp<A, C>: Clone + Send + Sync + 'static {
+    /// The same operator read over the output's own domain — what the
+    /// in-place form queues as a `Map` stage (it exists iff `A == C`).
+    type InPlace: ElemOp<C, C>;
+
+    fn eval(&self, ind: &[Index], v: &A) -> C;
+
+    /// The registry tag of an operator that goes through dispatch (`None`
+    /// inside: a user operator, recorded as a dyn fallback). Index-aware
+    /// operators have no registered kernels and record nothing.
+    fn dispatch(&self) -> Option<Option<BuiltinUnaryOp>> {
+        None
+    }
+}
+
+impl<A: ValueType, C: ValueType> ElemOp<A, C> for UnaryOp<A, C> {
+    type InPlace = UnaryOp<C, C>;
+
+    fn eval(&self, _: &[Index], v: &A) -> C {
+        self.apply(v)
+    }
+
+    fn dispatch(&self) -> Option<Option<BuiltinUnaryOp>> {
+        Some(self.builtin())
+    }
+}
+
+/// §VIII.B: an index-unary operator with its scalar `s` bound.
+impl<A: ValueType, S: ValueType, C: ValueType> ElemOp<A, C> for (IndexUnaryOp<A, S, C>, S) {
+    type InPlace = (IndexUnaryOp<C, S, C>, S);
+
+    fn eval(&self, ind: &[Index], v: &A) -> C {
+        self.0.apply(v, ind, &self.1)
+    }
+}
+
+fn bound1st<A: ValueType, B: ValueType, C: ValueType>(
+    op: &BinaryOp<A, B, C>,
+    x: A,
+) -> UnaryOp<B, C> {
+    let op = op.clone();
+    UnaryOp::new("bound1st", move |v| op.apply(&x, v))
+}
+
+fn bound2nd<A: ValueType, B: ValueType, C: ValueType>(
+    op: &BinaryOp<A, B, C>,
+    y: B,
+) -> UnaryOp<A, C> {
+    let op = op.clone();
+    UnaryOp::new("bound2nd", move |v| op.apply(v, &y))
+}
+
+/// The in-place form of `e`, when the call is one and the domains agree.
+fn in_place<A, C, E: ElemOp<A, C>>(fusible: bool, e: &E) -> Option<E::InPlace> {
+    fusible.then(|| same_type_cast(e.clone())).flatten()
+}
+
+/// `C⟨M, r⟩ = C ⊙ e(A)`: every matrix `apply` entry. With `A` transposed
+/// the indices `e` sees are those *after* the transpose, as the paper
+/// specifies.
+fn apply_m<C, A, E>(
+    call: Op<'_, MatrixState<C>>,
+    accum: Accum<'_, C>,
+    e: E,
+    a: &Matrix<A>,
+) -> GrbResult
+where
+    C: ValueType,
+    A: ValueType,
+    E: ElemOp<A, C>,
+{
+    let transpose = call.desc.transpose_a;
+    if let Some(e) = in_place(!transpose && call.in_place(accum, a.addr()), &e) {
+        return call.run_in_place(Arc::new(move |ind, v| Some(e.eval(ind, v))));
+    }
+    a.check_context(&call.ctx)?;
+    if call.shape() != eff_shape(a, transpose) {
+        return Err(ApiError::DimensionMismatch.into());
+    }
+    let a_s = snapshot_operand(a, transpose, false)?;
+    call.run(NodeKind::Apply, accum, a_s.nnz(), move |x| {
+        let registered = e.dispatch().and_then(|tag| {
+            let t = registry::try_apply_csr(x.ctx, &a_s, tag);
+            if t.is_none() {
+                registry::record_pick("apply", x.ctx.id(), false);
+            }
+            t
+        });
+        Ok(registered.unwrap_or_else(|| a_s.map_with_index(x.ctx, |i, j, v| e.eval(&[i, j], v))))
+    })
+}
+
+/// `w⟨m, r⟩ = w ⊙ e(u)`: every vector `apply` entry.
+fn apply_vec<C, A, E>(
+    call: Op<'_, VectorState<C>>,
+    accum: Accum<'_, C>,
+    e: E,
+    u: &Vector<A>,
+) -> GrbResult
+where
+    C: ValueType,
+    A: ValueType,
+    E: ElemOp<A, C>,
+{
+    if let Some(e) = in_place(call.in_place(accum, u.addr()), &e) {
+        return call.run_in_place(Arc::new(move |ind, v| Some(e.eval(ind, v))));
+    }
+    u.check_context(&call.ctx)?;
+    if call.shape() != u.size() {
+        return Err(ApiError::DimensionMismatch.into());
+    }
+    let u_s = u.snapshot_sparse()?;
+    call.run(NodeKind::Apply, accum, u_s.nnz(), move |x| {
+        let ctx_id = x.ctx.id();
+        let registered = e.dispatch().and_then(|tag| {
+            let t = registry::try_apply_svec(&u_s, tag, ctx_id);
+            if t.is_none() {
+                registry::record_pick("apply_v", ctx_id, false);
+            }
+            t
+        });
+        Ok(registered.unwrap_or_else(|| u_s.map_with_index(|i, v| e.eval(&[i], v))))
+    })
 }
 
 /// `C⟨M, r⟩ = C ⊙ f(A)` with a unary operator.
@@ -49,61 +170,8 @@ where
     M: MaskValue,
     A: ValueType,
 {
-    // Fusion fast path: in-place, unmasked, no accumulator.
-    if mask.is_none() && accum.is_none() && plain_desc(desc) && c.addr() == a.addr() {
-        if let Some(op2) = same_type_cast::<UnaryOp<A, C>, UnaryOp<C, C>>(op.clone()) {
-            let f: MapFn<C> = Arc::new(move |_, v| Some(op2.apply(v)));
-            return c.core.apply_map(f);
-        }
-    }
-    let ctx = c.context();
-    let _op = graphblas_obs::span_ctx("op.apply", ctx.id());
-    a.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.shape() != c.shape() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    if c.shape() != eff_shape(a, desc.transpose_a) {
-        return Err(ApiError::DimensionMismatch.into());
-    }
-    let a_s = snapshot_operand(a, &ctx, desc.transpose_a, false)?;
-    let mask_s = snapshot_matmask(mask, desc)?;
-    let op = op.clone();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-    c.core.apply_node(
-        NodeKind::Apply,
-        Box::new(move |st, post| {
-            let nnz_in = a_s.nnz();
-            let t = match registry::try_apply_csr(&ctx2, &a_s, op.builtin()) {
-                Some(t) => t,
-                None => {
-                    registry::record_pick("apply", ctx2.id(), false);
-                    a_s.map(&ctx2, |v| op.apply(v))
-                }
-            };
-            note_dag_fusion("apply", ctx2.id(), NodeKind::Apply, 0, post.len(), nnz_in);
-            if mask_s.is_none() && accum.is_none() {
-                st.store = MatStore::Csr(Arc::new(t));
-            } else {
-                st.ensure_csr(&ctx2, true)?;
-                let merged = write::merge_matrix(
-                    &ctx2,
-                    st.csr(),
-                    t,
-                    mask_s.as_ref(),
-                    accum.as_ref(),
-                    replace,
-                );
-                st.store = MatStore::Csr(Arc::new(merged));
-            }
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+    let call = Op::begin("op.apply", &c.core, mask, desc)?;
+    apply_m(call, accum, op.clone(), a)
 }
 
 /// Vector unary apply.
@@ -120,54 +188,8 @@ where
     M: MaskValue,
     A: ValueType,
 {
-    if mask.is_none() && accum.is_none() && !desc.replace && w.addr() == u.addr() {
-        if let Some(op2) = same_type_cast::<UnaryOp<A, C>, UnaryOp<C, C>>(op.clone()) {
-            let f: MapFn<C> = Arc::new(move |_, v| Some(op2.apply(v)));
-            return w.core.apply_map(f);
-        }
-    }
-    let ctx = w.context();
-    let _op = graphblas_obs::span_ctx("op.apply_v", ctx.id());
-    u.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.size() != w.size() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    if w.size() != u.size() {
-        return Err(ApiError::DimensionMismatch.into());
-    }
-    let u_s = u.snapshot_sparse()?;
-    let mask_s = snapshot_vecmask(mask, desc)?;
-    let op = op.clone();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx_id = ctx.id();
-    w.core.apply_node(
-        NodeKind::Apply,
-        Box::new(move |st, post| {
-            let nnz_in = u_s.nnz();
-            let t = match registry::try_apply_svec(&u_s, op.builtin(), ctx_id) {
-                Some(t) => t,
-                None => {
-                    registry::record_pick("apply_v", ctx_id, false);
-                    u_s.map_with_index(|_, v| op.apply(v))
-                }
-            };
-            note_dag_fusion("apply_v", ctx_id, NodeKind::Apply, 0, post.len(), nnz_in);
-            if mask_s.is_none() && accum.is_none() {
-                st.store = VecStore::Sparse(Arc::new(t));
-            } else {
-                st.ensure_sparse()?;
-                let merged =
-                    write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
-                st.store = VecStore::Sparse(Arc::new(merged));
-            }
-            st.apply_post_maps(&ctx, &post)?;
-            Ok(())
-        }),
-    )
+    let call = Op::begin("op.apply_v", &w.core, mask, desc)?;
+    apply_vec(call, accum, op.clone(), u)
 }
 
 /// `C = C ⊙ op(x, A)` — binary operator with the first argument bound.
@@ -186,10 +208,8 @@ where
     A: ValueType,
     B: ValueType,
 {
-    let _op = graphblas_obs::span_ctx("op.apply_binop1st", 0);
-    let op = op.clone();
-    let bound = UnaryOp::<B, C>::new("bound1st", move |v| op.apply(&x, v));
-    apply(c, mask, accum, &bound, b, desc)
+    let call = Op::begin("op.apply_binop1st", &c.core, mask, desc)?;
+    apply_m(call, accum, bound1st(op, x), b)
 }
 
 /// `C = C ⊙ op(A, y)` — binary operator with the second argument bound.
@@ -208,10 +228,8 @@ where
     A: ValueType,
     B: ValueType,
 {
-    let _op = graphblas_obs::span_ctx("op.apply_binop2nd", 0);
-    let op = op.clone();
-    let bound = UnaryOp::<A, C>::new("bound2nd", move |v| op.apply(v, &y));
-    apply(c, mask, accum, &bound, a, desc)
+    let call = Op::begin("op.apply_binop2nd", &c.core, mask, desc)?;
+    apply_m(call, accum, bound2nd(op, y), a)
 }
 
 /// `w = w ⊙ op(x, u)` — vector form of [`apply_binop1st`].
@@ -230,10 +248,8 @@ where
     A: ValueType,
     B: ValueType,
 {
-    let _op = graphblas_obs::span_ctx("op.apply_binop1st_v", 0);
-    let op = op.clone();
-    let bound = UnaryOp::<B, C>::new("bound1st", move |v| op.apply(&x, v));
-    apply_v(w, mask, accum, &bound, u, desc)
+    let call = Op::begin("op.apply_binop1st_v", &w.core, mask, desc)?;
+    apply_vec(call, accum, bound1st(op, x), u)
 }
 
 /// `w = w ⊙ op(u, y)` — vector form of [`apply_binop2nd`].
@@ -252,19 +268,8 @@ where
     A: ValueType,
     B: ValueType,
 {
-    let _op = graphblas_obs::span_ctx("op.apply_binop2nd_v", 0);
-    let op = op.clone();
-    let bound = UnaryOp::<A, C>::new("bound2nd", move |v| op.apply(v, &y));
-    apply_v(w, mask, accum, &bound, u, desc)
-}
-
-fn scalar_value<S: ValueType>(s: &Scalar<S>) -> GrbResult<S> {
-    s.extract_element()?.ok_or_else(|| {
-        Error::exec(
-            ExecErrorKind::EmptyObject,
-            "operation requires a non-empty GrB_Scalar argument",
-        )
-    })
+    let call = Op::begin("op.apply_binop2nd_v", &w.core, mask, desc)?;
+    apply_vec(call, accum, bound2nd(op, y), u)
 }
 
 /// Table II vector variant: bound first argument as a `GrB_Scalar`.
@@ -283,8 +288,8 @@ where
     A: ValueType,
     B: ValueType,
 {
-    let _op = graphblas_obs::span_ctx("op.apply_binop1st_v_scalar", 0);
-    apply_binop1st_v(w, mask, accum, op, scalar_value(x)?, u, desc)
+    let call = Op::begin("op.apply_binop1st_v_scalar", &w.core, mask, desc)?;
+    apply_vec(call, accum, bound1st(op, x.value()?), u)
 }
 
 /// Table II vector variant: bound second argument as a `GrB_Scalar`.
@@ -303,8 +308,8 @@ where
     A: ValueType,
     B: ValueType,
 {
-    let _op = graphblas_obs::span_ctx("op.apply_binop2nd_v_scalar", 0);
-    apply_binop2nd_v(w, mask, accum, op, u, scalar_value(y)?, desc)
+    let call = Op::begin("op.apply_binop2nd_v_scalar", &w.core, mask, desc)?;
+    apply_vec(call, accum, bound2nd(op, y.value()?), u)
 }
 
 /// Table II variant: bound first argument supplied as a `GrB_Scalar`
@@ -324,8 +329,8 @@ where
     A: ValueType,
     B: ValueType,
 {
-    let _op = graphblas_obs::span_ctx("op.apply_binop1st_scalar", 0);
-    apply_binop1st(c, mask, accum, op, scalar_value(x)?, b, desc)
+    let call = Op::begin("op.apply_binop1st_scalar", &c.core, mask, desc)?;
+    apply_m(call, accum, bound1st(op, x.value()?), b)
 }
 
 /// Table II variant: bound second argument as a `GrB_Scalar`.
@@ -344,8 +349,8 @@ where
     A: ValueType,
     B: ValueType,
 {
-    let _op = graphblas_obs::span_ctx("op.apply_binop2nd_scalar", 0);
-    apply_binop2nd(c, mask, accum, op, a, scalar_value(y)?, desc)
+    let call = Op::begin("op.apply_binop2nd_scalar", &c.core, mask, desc)?;
+    apply_m(call, accum, bound2nd(op, y.value()?), a)
 }
 
 /// §VIII.B: `C⟨M, r⟩ = C ⊙ f(A, ind(A), 2, s)` — the index-unary apply.
@@ -366,62 +371,8 @@ where
     A: ValueType,
     S: ValueType,
 {
-    if mask.is_none() && accum.is_none() && plain_desc(desc) && c.addr() == a.addr() {
-        if let Some(f2) = same_type_cast::<IndexUnaryOp<A, S, C>, IndexUnaryOp<C, S, C>>(f.clone())
-        {
-            let g: MapFn<C> = Arc::new(move |idx, v| Some(f2.apply(v, idx, &s)));
-            return c.core.apply_map(g);
-        }
-    }
-    let ctx = c.context();
-    let _op = graphblas_obs::span_ctx("op.apply_indexop", ctx.id());
-    a.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.shape() != c.shape() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    if c.shape() != eff_shape(a, desc.transpose_a) {
-        return Err(ApiError::DimensionMismatch.into());
-    }
-    let a_s = snapshot_operand(a, &ctx, desc.transpose_a, false)?;
-    let mask_s = snapshot_matmask(mask, desc)?;
-    let f = f.clone();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-    c.core.apply_node(
-        NodeKind::Apply,
-        Box::new(move |st, post| {
-            let nnz_in = a_s.nnz();
-            let t = a_s.map_with_index(&ctx2, |i, j, v| f.apply(v, &[i, j], &s));
-            note_dag_fusion(
-                "apply_indexop",
-                ctx2.id(),
-                NodeKind::Apply,
-                0,
-                post.len(),
-                nnz_in,
-            );
-            if mask_s.is_none() && accum.is_none() {
-                st.store = MatStore::Csr(Arc::new(t));
-            } else {
-                st.ensure_csr(&ctx2, true)?;
-                let merged = write::merge_matrix(
-                    &ctx2,
-                    st.csr(),
-                    t,
-                    mask_s.as_ref(),
-                    accum.as_ref(),
-                    replace,
-                );
-                st.store = MatStore::Csr(Arc::new(merged));
-            }
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+    let call = Op::begin("op.apply_indexop", &c.core, mask, desc)?;
+    apply_m(call, accum, (f.clone(), s), a)
 }
 
 /// Table II: index-unary apply with `s` as a `GrB_Scalar`.
@@ -440,8 +391,8 @@ where
     A: ValueType,
     S: ValueType,
 {
-    let _op = graphblas_obs::span_ctx("op.apply_indexop_scalar", 0);
-    apply_indexop(c, mask, accum, f, a, scalar_value(s)?, desc)
+    let call = Op::begin("op.apply_indexop_scalar", &c.core, mask, desc)?;
+    apply_m(call, accum, (f.clone(), s.value()?), a)
 }
 
 /// §VIII.B vector form: `w⟨m, r⟩ = w ⊙ f(u, ind(u), 1, s)`.
@@ -460,56 +411,8 @@ where
     A: ValueType,
     S: ValueType,
 {
-    if mask.is_none() && accum.is_none() && !desc.replace && w.addr() == u.addr() {
-        if let Some(f2) = same_type_cast::<IndexUnaryOp<A, S, C>, IndexUnaryOp<C, S, C>>(f.clone())
-        {
-            let g: MapFn<C> = Arc::new(move |idx, v| Some(f2.apply(v, idx, &s)));
-            return w.core.apply_map(g);
-        }
-    }
-    let ctx = w.context();
-    let _op = graphblas_obs::span_ctx("op.apply_indexop_v", ctx.id());
-    u.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.size() != w.size() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    if w.size() != u.size() {
-        return Err(ApiError::DimensionMismatch.into());
-    }
-    let u_s = u.snapshot_sparse()?;
-    let mask_s = snapshot_vecmask(mask, desc)?;
-    let f = f.clone();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx_id = ctx.id();
-    w.core.apply_node(
-        NodeKind::Apply,
-        Box::new(move |st, post| {
-            let nnz_in = u_s.nnz();
-            let t = u_s.map_with_index(|i, v| f.apply(v, &[i], &s));
-            note_dag_fusion(
-                "apply_indexop_v",
-                ctx_id,
-                NodeKind::Apply,
-                0,
-                post.len(),
-                nnz_in,
-            );
-            if mask_s.is_none() && accum.is_none() {
-                st.store = VecStore::Sparse(Arc::new(t));
-            } else {
-                st.ensure_sparse()?;
-                let merged =
-                    write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
-                st.store = VecStore::Sparse(Arc::new(merged));
-            }
-            st.apply_post_maps(&ctx, &post)?;
-            Ok(())
-        }),
-    )
+    let call = Op::begin("op.apply_indexop_v", &w.core, mask, desc)?;
+    apply_vec(call, accum, (f.clone(), s), u)
 }
 
 /// Table II: vector index-unary apply with `s` as a `GrB_Scalar`.
@@ -528,8 +431,8 @@ where
     A: ValueType,
     S: ValueType,
 {
-    let _op = graphblas_obs::span_ctx("op.apply_indexop_v_scalar", 0);
-    apply_indexop_v(w, mask, accum, f, u, scalar_value(s)?, desc)
+    let call = Op::begin("op.apply_indexop_v_scalar", &w.core, mask, desc)?;
+    apply_vec(call, accum, (f.clone(), s.value()?), u)
 }
 
 #[cfg(test)]

@@ -3,24 +3,29 @@
 //! (the mask has the shape of the *whole* output, as in `GrB_assign`, not
 //! the subassign variant).
 //!
+//! `T` here is "the old `C` with the region spliced in": the accumulator
+//! folds old values *inside the region* while `T` is built, and the write
+//! rule then applies the mask over all of `C` without one.
+//!
 //! Table II adds the `GrB_Scalar` forms (`assign_scalar_grb` /
 //! `assign_scalar_v_grb`); per the 2.0 uniformity rules an *empty* scalar
 //! argument is a `GrB_EMPTY_OBJECT` execution error.
 
 use std::sync::Arc;
 
+use graphblas_exec::Context;
 use graphblas_sparse::{ewise, Coo, Csr, SparseVec};
 
 use crate::descriptor::Descriptor;
 use crate::error::{ApiError, Error, ExecErrorKind, GrbResult};
-use crate::matrix::{MatStore, Matrix};
-use crate::operations::{note_dag_fusion, snapshot_matmask, snapshot_operand, snapshot_vecmask};
+use crate::matrix::{Matrix, MatrixState};
+use crate::operations::{eff_shape, snapshot_operand, Accum, Exec, Op};
 use crate::ops::BinaryOp;
 use crate::pending::NodeKind;
 use crate::scalar::Scalar;
 use crate::types::{Index, MaskValue, ValueType};
-use crate::vector::{VecStore, Vector};
-use crate::write;
+use crate::vector::{Vector, VectorState};
+use crate::write::{MaskSource, MatMask};
 
 /// Validates selector arrays against a bound; OOB entries are data, hence
 /// execution errors.
@@ -34,28 +39,75 @@ fn check_selectors(sel: &[Index], bound: usize, axis: &str) -> GrbResult {
     Ok(())
 }
 
-/// Computes "C with region (I×J) replaced by `mapped`" where `mapped` is
-/// already in C-coordinates; `accum` folds old region values.
-fn splice_region<T: ValueType>(
-    ctx: &graphblas_exec::Context,
-    old: &Csr<T>,
-    mapped: Csr<T>,
-    row_in: &[bool],
-    col_in: &[bool],
-    accum: Option<&BinaryOp<T, T, T>>,
-) -> Csr<T> {
-    let outside = old.filter_map_with_index(ctx, |i, j, v| {
-        (!(row_in[i] && col_in[j])).then(|| v.clone())
-    });
-    let inside = match accum {
-        None => mapped,
-        Some(op) => {
-            let old_inside = old
-                .filter_map_with_index(ctx, |i, j, v| (row_in[i] && col_in[j]).then(|| v.clone()));
-            ewise::ewise_union(ctx, &old_inside, &mapped, |x, y| op.apply(x, y))
-        }
+/// Membership flags over `0..n` of a (checked) selector list.
+fn flags(sel: &[Index], n: usize) -> Vec<bool> {
+    let mut inside = vec![false; n];
+    for &i in sel {
+        inside[i] = true;
+    }
+    inside
+}
+
+/// The matrix region step: the old `C` with region `rows × cols` replaced
+/// by `tuples`, which are already in `C` coordinates (duplicate targets
+/// resolve last-wins; the spec leaves duplicates undefined). `accum` folds
+/// the region's old values into them.
+fn splice_m<T: ValueType>(
+    x: &mut Exec<'_, MatrixState<T>>,
+    (rows, cols): (&[Index], &[Index]),
+    (tr, tc, tv): (Vec<Index>, Vec<Index>, Vec<T>),
+    accum: Accum<'_, T>,
+) -> GrbResult<Csr<T>> {
+    let (ctx, nrows, ncols) = (x.ctx, x.st.nrows, x.st.ncols);
+    check_selectors(rows, nrows, "row")?;
+    check_selectors(cols, ncols, "column")?;
+    let (row_in, col_in) = (flags(rows, nrows), flags(cols, ncols));
+    let second = |_: &T, b: &T| b.clone();
+    let mapped = Coo::from_parts(nrows, ncols, tr, tc, tv)
+        .map_err(Error::from)?
+        .to_csr(ctx, Some(&second))
+        .map_err(Error::from)?;
+    x.st.ensure_csr(ctx, true)?;
+    let old = x.st.csr();
+    let part = |inside: bool| {
+        old.filter_map_with_index(ctx, |i, j, v| {
+            ((row_in[i] && col_in[j]) == inside).then(|| v.clone())
+        })
     };
-    ewise::ewise_union(ctx, &outside, &inside, |x, _| x.clone())
+    let region = match accum {
+        None => mapped,
+        Some(op) => ewise::ewise_union(ctx, &part(true), &mapped, |x, y| op.apply(x, y)),
+    };
+    Ok(ewise::ewise_union(ctx, &part(false), &region, |x, _| {
+        x.clone()
+    }))
+}
+
+/// Vector form of [`splice_m`]: the old `w` with region `sel` replaced by
+/// the entries `(at, values)`.
+fn splice_v<T: ValueType>(
+    x: &mut Exec<'_, VectorState<T>>,
+    sel: &[Index],
+    (at, values): (Vec<Index>, Vec<T>),
+    accum: Accum<'_, T>,
+) -> GrbResult<SparseVec<T>> {
+    let n = x.st.n;
+    check_selectors(sel, n, "index")?;
+    let in_region = flags(sel, n);
+    let mut mapped = SparseVec::from_parts(n, at, values).map_err(Error::from)?;
+    mapped
+        .sort_dedup(Some(&|_: &T, b: &T| b.clone()))
+        .map_err(Error::from)?;
+    x.st.ensure_sparse()?;
+    let old = x.st.sparse();
+    let part = |inside: bool| {
+        old.filter_map_with_index(|i, v| (in_region[i] == inside).then(|| v.clone()))
+    };
+    let region = match accum {
+        None => mapped,
+        Some(op) => ewise::svec_union(&part(true), &mapped, |x, y| op.apply(x, y)),
+    };
+    Ok(ewise::svec_union(&part(false), &region, |x, _| x.clone()))
 }
 
 /// `C⟨M, r⟩(I, J) = C(I, J) ⊙ A`.
@@ -72,71 +124,19 @@ where
     T: ValueType,
     M: MaskValue,
 {
-    let ctx = c.context();
-    let _op = graphblas_obs::span_ctx("op.assign", ctx.id());
-    a.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.shape() != c.shape() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    if crate::operations::eff_shape(a, desc.transpose_a) != (rows.len(), cols.len()) {
+    let call = Op::begin("op.assign", &c.core, mask, desc)?;
+    a.check_context(&call.ctx)?;
+    if eff_shape(a, desc.transpose_a) != (rows.len(), cols.len()) {
         return Err(ApiError::DimensionMismatch.into());
     }
-    let a_s = snapshot_operand(a, &ctx, desc.transpose_a, true)?;
-    let mask_s = snapshot_matmask(mask, desc)?;
-    let rows = rows.to_vec();
-    let cols = cols.to_vec();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-    c.core.apply_node(
-        NodeKind::Assign,
-        Box::new(move |st, post| {
-            check_selectors(&rows, st.nrows, "row")?;
-            check_selectors(&cols, st.ncols, "column")?;
-            let mut row_in = vec![false; st.nrows];
-            let mut col_in = vec![false; st.ncols];
-            for &i in &rows {
-                row_in[i] = true;
-            }
-            for &j in &cols {
-                col_in[j] = true;
-            }
-            // Map A into C coordinates (duplicate selector targets resolve
-            // last-wins; the spec leaves duplicates undefined).
-            let (ar, ac, av) = a_s.tuples();
-            let mapped_coo = Coo::from_parts(
-                st.nrows,
-                st.ncols,
-                ar.into_iter().map(|i| rows[i]).collect(),
-                ac.into_iter().map(|j| cols[j]).collect(),
-                av,
-            )
-            .map_err(Error::from)?;
-            let second = |_: &T, b: &T| b.clone();
-            let mapped = mapped_coo
-                .to_csr(&ctx2, Some(&second))
-                .map_err(Error::from)?;
-            st.ensure_csr(&ctx2, true)?;
-            let spliced = splice_region(&ctx2, st.csr(), mapped, &row_in, &col_in, accum.as_ref());
-            // The mask applies over all of C; accumulation already happened.
-            let merged =
-                write::merge_matrix(&ctx2, st.csr(), spliced, mask_s.as_ref(), None, replace);
-            st.store = MatStore::Csr(Arc::new(merged));
-            note_dag_fusion(
-                "assign",
-                ctx2.id(),
-                NodeKind::Assign,
-                0,
-                post.len(),
-                a_s.nnz(),
-            );
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+    let a_s = snapshot_operand(a, desc.transpose_a, true)?;
+    let (rows, cols, accum) = (rows.to_vec(), cols.to_vec(), accum.cloned());
+    call.run(NodeKind::Assign, None, a_s.nnz(), move |x| {
+        let (ar, ac, av) = a_s.tuples();
+        let tr = ar.into_iter().map(|i| rows[i]).collect();
+        let tc = ac.into_iter().map(|j| cols[j]).collect();
+        splice_m(x, (&rows, &cols), (tr, tc, av), accum.as_ref())
+    })
 }
 
 /// `w⟨m, r⟩(I) = w(I) ⊙ u`.
@@ -152,67 +152,70 @@ where
     T: ValueType,
     M: MaskValue,
 {
-    let ctx = w.context();
-    let _op = graphblas_obs::span_ctx("op.assign_v", ctx.id());
-    u.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.size() != w.size() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
+    let call = Op::begin("op.assign_v", &w.core, mask, desc)?;
+    u.check_context(&call.ctx)?;
     if u.size() != indices.len() {
         return Err(ApiError::DimensionMismatch.into());
     }
     let u_s = u.snapshot_sparse()?;
-    let mask_s = snapshot_vecmask(mask, desc)?;
-    let indices = indices.to_vec();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-    w.core.apply_node(
-        NodeKind::Assign,
-        Box::new(move |st, post| {
-            check_selectors(&indices, st.n, "index")?;
-            let mut in_region = vec![false; st.n];
-            for &i in &indices {
-                in_region[i] = true;
-            }
-            let mut mapped = SparseVec::from_parts(
-                st.n,
-                u_s.iter().map(|(i, _)| indices[i]).collect(),
-                u_s.values().to_vec(),
-            )
-            .map_err(Error::from)?;
-            mapped
-                .sort_dedup(Some(&|_: &T, b: &T| b.clone()))
-                .map_err(Error::from)?;
-            st.ensure_sparse()?;
-            let old = st.sparse().clone();
-            let outside = old.filter_map_with_index(|i, v| (!in_region[i]).then(|| v.clone()));
-            let inside = match &accum {
-                None => mapped,
-                Some(op) => {
-                    let old_inside =
-                        old.filter_map_with_index(|i, v| in_region[i].then(|| v.clone()));
-                    ewise::svec_union(&old_inside, &mapped, |x, y| op.apply(x, y))
-                }
-            };
-            let spliced = ewise::svec_union(&outside, &inside, |x, _| x.clone());
-            let merged = write::merge_vector(&old, spliced, mask_s.as_ref(), None, replace);
-            st.store = VecStore::Sparse(Arc::new(merged));
-            note_dag_fusion(
-                "assign_v",
-                ctx2.id(),
-                NodeKind::Assign,
-                0,
-                post.len(),
-                u_s.nnz(),
-            );
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+    let (sel, accum) = (indices.to_vec(), accum.cloned());
+    call.run(NodeKind::Assign, None, u_s.nnz(), move |x| {
+        let at = u_s.iter().map(|(k, _)| sel[k]).collect();
+        splice_v(x, &sel, (at, u_s.values().to_vec()), accum.as_ref())
+    })
+}
+
+/// Both scalar-into-matrix-region entries.
+fn assign_scalar_m<T: ValueType>(
+    call: Op<'_, MatrixState<T>>,
+    accum: Accum<'_, T>,
+    value: T,
+    rows: &[Index],
+    cols: &[Index],
+) -> GrbResult {
+    let (rows, cols, accum) = (rows.to_vec(), cols.to_vec(), accum.cloned());
+    call.run(NodeKind::Assign, None, rows.len() * cols.len(), move |x| {
+        let cells = rows.iter().flat_map(|&i| cols.iter().map(move |&j| (i, j)));
+        let (tr, tc): (Vec<_>, Vec<_>) = cells.unzip();
+        let tv = vec![value; tr.len()];
+        splice_m(x, (&rows, &cols), (tr, tc, tv), accum.as_ref())
+    })
+}
+
+/// Both scalar-into-vector-region entries.
+///
+/// With the identity selector (`GrB_ALL`) under a non-complemented mask —
+/// the `levels⟨frontier⟩ = depth` idiom of every BFS level — the region is
+/// all of `w` and the mask alone bounds the write, so `T` is the scalar on
+/// the mask's truthy positions and goes through the whole write rule,
+/// accumulator included; the general path's n-long region vectors are
+/// never built.
+fn assign_scalar_vec<T: ValueType>(
+    call: Op<'_, VectorState<T>>,
+    accum: Accum<'_, T>,
+    value: T,
+    indices: &[Index],
+) -> GrbResult {
+    let mask_bounded = call.masked()
+        && !call.desc.mask_complement
+        && indices.len() == call.shape()
+        && indices.iter().enumerate().all(|(k, &i)| k == i);
+    // The mask-bounded path never reads the selectors.
+    let sel = if mask_bounded {
+        Vec::new()
+    } else {
+        indices.to_vec()
+    };
+    let region_accum = accum.cloned();
+    let rule_accum = accum.filter(|_| mask_bounded);
+    call.run(NodeKind::Assign, rule_accum, indices.len(), move |x| {
+        let Some(m) = x.mask.filter(|_| mask_bounded) else {
+            let values = vec![value; sel.len()];
+            return splice_v(x, &sel, (sel.clone(), values), region_accum.as_ref());
+        };
+        let on_mask = |_, &truthy: &bool| truthy.then(|| value.clone());
+        Ok(m.mask.filter_map_with_index(on_mask))
+    })
 }
 
 /// `C⟨M, r⟩(I, J) = C(I, J) ⊙ s` — fills *every* position of the region
@@ -230,65 +233,8 @@ where
     T: ValueType,
     M: MaskValue,
 {
-    let ctx = c.context();
-    let _op = graphblas_obs::span_ctx("op.assign_scalar", ctx.id());
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.shape() != c.shape() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    let mask_s = snapshot_matmask(mask, desc)?;
-    let rows = rows.to_vec();
-    let cols = cols.to_vec();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-    c.core.apply_node(
-        NodeKind::Assign,
-        Box::new(move |st, post| {
-            check_selectors(&rows, st.nrows, "row")?;
-            check_selectors(&cols, st.ncols, "column")?;
-            let mut row_in = vec![false; st.nrows];
-            let mut col_in = vec![false; st.ncols];
-            for &i in &rows {
-                row_in[i] = true;
-            }
-            for &j in &cols {
-                col_in[j] = true;
-            }
-            let mut rr = Vec::with_capacity(rows.len() * cols.len());
-            let mut cc = Vec::with_capacity(rows.len() * cols.len());
-            let mut vv = Vec::with_capacity(rows.len() * cols.len());
-            for &i in &rows {
-                for &j in &cols {
-                    rr.push(i);
-                    cc.push(j);
-                    vv.push(value.clone());
-                }
-            }
-            let second = |_: &T, b: &T| b.clone();
-            let mapped = Coo::from_parts(st.nrows, st.ncols, rr, cc, vv)
-                .map_err(Error::from)?
-                .to_csr(&ctx2, Some(&second))
-                .map_err(Error::from)?;
-            st.ensure_csr(&ctx2, true)?;
-            let spliced = splice_region(&ctx2, st.csr(), mapped, &row_in, &col_in, accum.as_ref());
-            let merged =
-                write::merge_matrix(&ctx2, st.csr(), spliced, mask_s.as_ref(), None, replace);
-            st.store = MatStore::Csr(Arc::new(merged));
-            note_dag_fusion(
-                "assign_scalar",
-                ctx2.id(),
-                NodeKind::Assign,
-                0,
-                post.len(),
-                rows.len() * cols.len(),
-            );
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+    let call = Op::begin("op.assign_scalar", &c.core, mask, desc)?;
+    assign_scalar_m(call, accum, value, rows, cols)
 }
 
 /// Table II form of [`assign_scalar`] with a `GrB_Scalar` argument.
@@ -305,23 +251,11 @@ where
     T: ValueType,
     M: MaskValue,
 {
-    let _op = graphblas_obs::span_ctx("op.assign_scalar_grb", 0);
-    let v = s.extract_element()?.ok_or_else(|| {
-        Error::exec(
-            ExecErrorKind::EmptyObject,
-            "assign requires a non-empty GrB_Scalar",
-        )
-    })?;
-    assign_scalar(c, mask, accum, v, rows, cols, desc)
+    let call = Op::begin("op.assign_scalar_grb", &c.core, mask, desc)?;
+    assign_scalar_m(call, accum, s.value()?, rows, cols)
 }
 
 /// `w⟨m, r⟩(I) = w(I) ⊙ s`.
-///
-/// With the identity selector (`GrB_ALL`) under a non-complemented mask —
-/// the `levels⟨frontier⟩ = depth` idiom of every BFS level — the region is
-/// all of `w` and the mask alone bounds the write, so `T` is the scalar on
-/// the mask's truthy positions and goes straight to the write rule; the
-/// general path's n-long region vectors are never built.
 pub fn assign_scalar_v<T, M>(
     w: &Vector<T>,
     mask: Option<&Vector<M>>,
@@ -334,83 +268,117 @@ where
     T: ValueType,
     M: MaskValue,
 {
-    let ctx = w.context();
-    let _op = graphblas_obs::span_ctx("op.assign_scalar_v", ctx.id());
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.size() != w.size() {
-            return Err(ApiError::DimensionMismatch.into());
+    let call = Op::begin("op.assign_scalar_v", &w.core, mask, desc)?;
+    assign_scalar_vec(call, accum, value, indices)
+}
+
+/// Table II form of [`assign_scalar_v`] with a `GrB_Scalar` argument.
+pub fn assign_scalar_v_grb<T, M>(
+    w: &Vector<T>,
+    mask: Option<&Vector<M>>,
+    accum: Option<&BinaryOp<T, T, T>>,
+    s: &Scalar<T>,
+    indices: &[Index],
+    desc: &Descriptor,
+) -> GrbResult
+where
+    T: ValueType,
+    M: MaskValue,
+{
+    let call = Op::begin("op.assign_scalar_v_grb", &w.core, mask, desc)?;
+    assign_scalar_vec(call, accum, s.value()?, indices)
+}
+
+/// The vector mask of `GrB_Row_assign` (`row`) / `GrB_Col_assign`, as a mask
+/// over the whole matrix. The C spec scopes the mask — and `replace` — to
+/// row/column `line`: positions off it are untouched whatever the
+/// descriptor says.
+struct LineMask<'a, M: MaskValue> {
+    mask: &'a Vector<M>,
+    row: bool,
+    line: Index,
+}
+
+impl<M: MaskValue> LineMask<'_, M> {
+    /// Position `k` along the line, in matrix coordinates.
+    fn at(&self, k: Index) -> (Index, Index) {
+        if self.row {
+            (self.line, k)
+        } else {
+            (k, self.line)
         }
     }
-    let mask_s = snapshot_vecmask(mask, desc)?;
-    let nnz_in = indices.len();
-    let mask_bounded = mask_s.as_ref().is_some_and(|m| !m.complement)
-        && nnz_in == w.size()
-        && indices.iter().enumerate().all(|(k, &i)| k == i);
-    // The mask-bounded path never reads the selectors.
-    let indices = if mask_bounded {
-        Vec::new()
-    } else {
-        indices.to_vec()
-    };
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-    w.core.apply_node(
-        NodeKind::Assign,
-        Box::new(move |st, post| {
-            let merged = match &mask_s {
-                Some(m) if mask_bounded => {
-                    let t = m
-                        .mask
-                        .filter_map_with_index(|_, &truthy| truthy.then(|| value.clone()));
-                    st.ensure_sparse()?;
-                    write::merge_vector(st.sparse(), t, Some(m), accum.as_ref(), replace)
-                }
-                _ => {
-                    check_selectors(&indices, st.n, "index")?;
-                    let mut in_region = vec![false; st.n];
-                    for &i in &indices {
-                        in_region[i] = true;
-                    }
-                    let mut mapped = SparseVec::from_parts(
-                        st.n,
-                        indices.clone(),
-                        indices.iter().map(|_| value.clone()).collect(),
-                    )
-                    .map_err(Error::from)?;
-                    mapped
-                        .sort_dedup(Some(&|_: &T, b: &T| b.clone()))
-                        .map_err(Error::from)?;
-                    st.ensure_sparse()?;
-                    let old = st.sparse().clone();
-                    let outside =
-                        old.filter_map_with_index(|i, v| (!in_region[i]).then(|| v.clone()));
-                    let inside = match &accum {
-                        None => mapped,
-                        Some(op) => {
-                            let old_inside =
-                                old.filter_map_with_index(|i, v| in_region[i].then(|| v.clone()));
-                            ewise::svec_union(&old_inside, &mapped, |x, y| op.apply(x, y))
-                        }
-                    };
-                    let spliced = ewise::svec_union(&outside, &inside, |x, _| x.clone());
-                    write::merge_vector(&old, spliced, mask_s.as_ref(), None, replace)
-                }
-            };
-            st.store = VecStore::Sparse(Arc::new(merged));
-            note_dag_fusion(
-                "assign_scalar_v",
-                ctx2.id(),
-                NodeKind::Assign,
-                0,
-                post.len(),
-                nnz_in,
-            );
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+}
+
+impl<T: ValueType, M: MaskValue> MaskSource<MatrixState<T>> for LineMask<'_, M> {
+    fn check(&self, ctx: &Context, &(nrows, ncols): &(Index, Index)) -> GrbResult {
+        let len = if self.row { ncols } else { nrows };
+        MaskSource::<VectorState<T>>::check(self.mask, ctx, &len)
+    }
+
+    /// The snapshot holds the line's *forbidden* positions and is always
+    /// complemented, so every position off the line is admitted. There `T`
+    /// equals the old `C`, and writing it back is the identity under
+    /// either value of `replace`.
+    fn snapshot(
+        &self,
+        ctx: &Context,
+        &(nrows, ncols): &(Index, Index),
+        desc: &Descriptor,
+    ) -> GrbResult<MatMask> {
+        let len = if self.row { ncols } else { nrows };
+        let vm = MaskSource::<VectorState<T>>::snapshot(self.mask, ctx, &len, desc)?;
+        let truthy = vm.mask.iter().filter_map(|(k, &t)| t.then_some(k));
+        let forbidden: Vec<Index> = if vm.complement {
+            truthy.collect()
+        } else {
+            let admitted = flags(&truthy.collect::<Vec<_>>(), len);
+            (0..len).filter(|&k| !admitted[k]).collect()
+        };
+        let (r, c) = forbidden.iter().map(|&k| self.at(k)).unzip();
+        let lifted = Coo::from_parts(nrows, ncols, r, c, vec![true; forbidden.len()])
+            .map_err(Error::from)?
+            .to_csr(ctx, None)
+            .map_err(Error::from)?;
+        Ok(MatMask {
+            mask: Arc::new(lifted),
+            complement: true,
+        })
+    }
+}
+
+/// `GrB_Row_assign` (`row`) and `GrB_Col_assign`: assigns `u` into the
+/// positions `sel` of row/column `line`, under the [`LineMask`] that `call`
+/// carries.
+fn assign_line<T: ValueType>(
+    call: Op<'_, MatrixState<T>>,
+    accum: Accum<'_, T>,
+    u: &Vector<T>,
+    row: bool,
+    line: Index,
+    sel: &[Index],
+) -> GrbResult {
+    u.check_context(&call.ctx)?;
+    let (nrows, ncols) = call.shape();
+    if line >= if row { nrows } else { ncols } {
+        return Err(ApiError::InvalidIndex.into());
+    }
+    if u.size() != sel.len() {
+        return Err(ApiError::DimensionMismatch.into());
+    }
+    let u_s = u.snapshot_sparse()?;
+    let (sel, accum) = (sel.to_vec(), accum.cloned());
+    call.run(NodeKind::Assign, None, u_s.nnz(), move |x| {
+        let at = |k: Index| if row { (line, k) } else { (k, line) };
+        let (tr, tc) = u_s.iter().map(|(k, _)| at(sel[k])).unzip();
+        let (rows, cols): (&[Index], &[Index]) = if row {
+            (&[line], &sel)
+        } else {
+            (&sel, &[line])
+        };
+        let tuples = (tr, tc, u_s.values().to_vec());
+        splice_m(x, (rows, cols), tuples, accum.as_ref())
+    })
 }
 
 /// `GrB_Row_assign`: `C⟨m', r⟩(i, J) = C(i, J) ⊙ uᵀ` — assigns a vector
@@ -428,103 +396,10 @@ where
     T: ValueType,
     M: MaskValue,
 {
-    let ctx = c.context();
-    let _op = graphblas_obs::span_ctx("op.assign_row", ctx.id());
-    u.check_context(&ctx)?;
-    if i >= c.shape().0 {
-        return Err(ApiError::InvalidIndex.into());
-    }
-    if u.size() != cols.len() {
-        return Err(ApiError::DimensionMismatch.into());
-    }
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.size() != c.shape().1 {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    // Express as a 1×ncols matrix assign over row {i} with a row-shaped
-    // matrix mask derived from the vector mask.
-    let u_s = u.snapshot_sparse()?;
-    let mask_s = snapshot_vecmask(mask, desc)?;
-    let cols = cols.to_vec();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-    c.core.apply_node(
-        NodeKind::Assign,
-        Box::new(move |st, post| {
-            check_selectors(&cols, st.ncols, "column")?;
-            let mut col_in = vec![false; st.ncols];
-            for &j in &cols {
-                col_in[j] = true;
-            }
-            // Map u into row-i coordinates.
-            let second = |_: &T, b: &T| b.clone();
-            let mapped = Coo::from_parts(
-                st.nrows,
-                st.ncols,
-                u_s.iter().map(|_| i).collect(),
-                u_s.iter().map(|(k, _)| cols[k]).collect(),
-                u_s.values().to_vec(),
-            )
-            .map_err(Error::from)?
-            .to_csr(&ctx2, Some(&second))
-            .map_err(Error::from)?;
-            st.ensure_csr(&ctx2, true)?;
-            let row_in: Vec<bool> = (0..st.nrows).map(|r| r == i).collect();
-            let spliced = splice_region(&ctx2, st.csr(), mapped, &row_in, &col_in, accum.as_ref());
-            // Vector mask lifted to a matrix mask over row i only; positions
-            // outside row i are untouched regardless of replace (the C spec
-            // scopes Row_assign's mask and replace to the row).
-            let merged = match &mask_s {
-                None => spliced,
-                Some(vm) => {
-                    let lifted_rows: Vec<usize> = vm.mask.iter().map(|_| i).collect();
-                    let lifted_cols: Vec<usize> = vm.mask.indices().to_vec();
-                    let lifted_vals: Vec<bool> = vm.mask.values().to_vec();
-                    let lifted =
-                        Coo::from_parts(st.nrows, st.ncols, lifted_rows, lifted_cols, lifted_vals)
-                            .map_err(Error::from)?
-                            .to_csr(&ctx2, None)
-                            .map_err(Error::from)?;
-                    let spec = crate::write::MatMask {
-                        mask: std::sync::Arc::new(lifted),
-                        complement: vm.complement,
-                    };
-                    // Restrict the masked merge to row i: splice the merged
-                    // row back into the untouched remainder.
-                    let merged_all = crate::write::merge_matrix(
-                        &ctx2,
-                        st.csr(),
-                        spliced,
-                        Some(&spec),
-                        None,
-                        replace,
-                    );
-                    let merged_row = merged_all
-                        .filter_map_with_index(&ctx2, |r, _, v| (r == i).then(|| v.clone()));
-                    let others = st
-                        .csr()
-                        .filter_map_with_index(&ctx2, |r, _, v| (r != i).then(|| v.clone()));
-                    graphblas_sparse::ewise::ewise_union(&ctx2, &others, &merged_row, |x, _| {
-                        x.clone()
-                    })
-                }
-            };
-            st.store = MatStore::Csr(Arc::new(merged));
-            note_dag_fusion(
-                "assign_row",
-                ctx2.id(),
-                NodeKind::Assign,
-                0,
-                post.len(),
-                u_s.nnz(),
-            );
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+    let (row, line) = (true, i);
+    let mask = mask.map(|mask| LineMask { mask, row, line });
+    let call = Op::begin("op.assign_row", &c.core, mask.as_ref(), desc)?;
+    assign_line(call, accum, u, row, line, cols)
 }
 
 /// `GrB_Col_assign`: `C⟨m', r⟩(I, j) = C(I, j) ⊙ u` — assigns a vector
@@ -542,120 +417,10 @@ where
     T: ValueType,
     M: MaskValue,
 {
-    let ctx = c.context();
-    let _op = graphblas_obs::span_ctx("op.assign_col", ctx.id());
-    u.check_context(&ctx)?;
-    if j >= c.shape().1 {
-        return Err(ApiError::InvalidIndex.into());
-    }
-    if u.size() != rows.len() {
-        return Err(ApiError::DimensionMismatch.into());
-    }
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.size() != c.shape().0 {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    let u_s = u.snapshot_sparse()?;
-    let mask_s = snapshot_vecmask(mask, desc)?;
-    let rows = rows.to_vec();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-    c.core.apply_node(
-        NodeKind::Assign,
-        Box::new(move |st, post| {
-            check_selectors(&rows, st.nrows, "row")?;
-            let mut row_in = vec![false; st.nrows];
-            for &i in &rows {
-                row_in[i] = true;
-            }
-            let second = |_: &T, b: &T| b.clone();
-            let mapped = Coo::from_parts(
-                st.nrows,
-                st.ncols,
-                u_s.iter().map(|(k, _)| rows[k]).collect(),
-                u_s.iter().map(|_| j).collect(),
-                u_s.values().to_vec(),
-            )
-            .map_err(Error::from)?
-            .to_csr(&ctx2, Some(&second))
-            .map_err(Error::from)?;
-            st.ensure_csr(&ctx2, true)?;
-            let col_in: Vec<bool> = (0..st.ncols).map(|cc| cc == j).collect();
-            let spliced = splice_region(&ctx2, st.csr(), mapped, &row_in, &col_in, accum.as_ref());
-            let merged = match &mask_s {
-                None => spliced,
-                Some(vm) => {
-                    let lifted = Coo::from_parts(
-                        st.nrows,
-                        st.ncols,
-                        vm.mask.indices().to_vec(),
-                        vm.mask.iter().map(|_| j).collect(),
-                        vm.mask.values().to_vec(),
-                    )
-                    .map_err(Error::from)?
-                    .to_csr(&ctx2, None)
-                    .map_err(Error::from)?;
-                    let spec = crate::write::MatMask {
-                        mask: std::sync::Arc::new(lifted),
-                        complement: vm.complement,
-                    };
-                    let merged_all = crate::write::merge_matrix(
-                        &ctx2,
-                        st.csr(),
-                        spliced,
-                        Some(&spec),
-                        None,
-                        replace,
-                    );
-                    let merged_col = merged_all
-                        .filter_map_with_index(&ctx2, |_, cc, v| (cc == j).then(|| v.clone()));
-                    let others = st
-                        .csr()
-                        .filter_map_with_index(&ctx2, |_, cc, v| (cc != j).then(|| v.clone()));
-                    graphblas_sparse::ewise::ewise_union(&ctx2, &others, &merged_col, |x, _| {
-                        x.clone()
-                    })
-                }
-            };
-            st.store = MatStore::Csr(Arc::new(merged));
-            note_dag_fusion(
-                "assign_col",
-                ctx2.id(),
-                NodeKind::Assign,
-                0,
-                post.len(),
-                u_s.nnz(),
-            );
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
-}
-
-/// Table II form of [`assign_scalar_v`] with a `GrB_Scalar` argument.
-pub fn assign_scalar_v_grb<T, M>(
-    w: &Vector<T>,
-    mask: Option<&Vector<M>>,
-    accum: Option<&BinaryOp<T, T, T>>,
-    s: &Scalar<T>,
-    indices: &[Index],
-    desc: &Descriptor,
-) -> GrbResult
-where
-    T: ValueType,
-    M: MaskValue,
-{
-    let _op = graphblas_obs::span_ctx("op.assign_scalar_v_grb", 0);
-    let v = s.extract_element()?.ok_or_else(|| {
-        Error::exec(
-            ExecErrorKind::EmptyObject,
-            "assign requires a non-empty GrB_Scalar",
-        )
-    })?;
-    assign_scalar_v(w, mask, accum, v, indices, desc)
+    let (row, line) = (false, j);
+    let mask = mask.map(|mask| LineMask { mask, row, line });
+    let call = Op::begin("op.assign_col", &c.core, mask.as_ref(), desc)?;
+    assign_line(call, accum, u, row, line, rows)
 }
 
 #[cfg(test)]

@@ -4,23 +4,100 @@
 //! structures (the operator only fires where both operands are present;
 //! singletons pass through), *mult* on the intersection. `eWiseAdd`
 //! therefore requires one common domain `T`, while `eWiseMult` is fully
-//! heterogeneous (`A × B → C`).
+//! heterogeneous (`A × B → C`). The two differ only in the kernel that
+//! combines the operand snapshots; one body per container kind runs it.
 
-use std::sync::Arc;
-
-use graphblas_sparse::ewise as kernels;
+use graphblas_exec::Context;
+use graphblas_sparse::{ewise as kernels, Csr, SparseVec};
 
 use crate::descriptor::Descriptor;
 use crate::error::{ApiError, GrbResult};
-use crate::matrix::{MatStore, Matrix};
-use crate::operations::{
-    eff_shape, note_dag_fusion, snapshot_matmask, snapshot_operand, snapshot_vecmask,
-};
+use crate::matrix::{Matrix, MatrixState};
+use crate::operations::{eff_shape, snapshot_operand, Accum, Op};
 use crate::ops::{registry, BinaryOp};
 use crate::pending::NodeKind;
 use crate::types::{MaskValue, ValueType};
-use crate::vector::{VecStore, Vector};
-use crate::write;
+use crate::vector::{Vector, VectorState};
+
+/// `C⟨M, r⟩ = C ⊙ kernel(A, B)`: every matrix element-wise entry.
+fn ewise_m<C, A, B>(
+    call: Op<'_, MatrixState<C>>,
+    accum: Accum<'_, C>,
+    a: &Matrix<A>,
+    b: &Matrix<B>,
+    kernel: impl FnOnce(&Context, &Csr<A>, &Csr<B>) -> Csr<C> + Send + 'static,
+) -> GrbResult
+where
+    C: ValueType,
+    A: ValueType,
+    B: ValueType,
+{
+    a.check_context(&call.ctx)?;
+    b.check_context(&call.ctx)?;
+    let sa = eff_shape(a, call.desc.transpose_a);
+    if sa != eff_shape(b, call.desc.transpose_b) || call.shape() != sa {
+        return Err(ApiError::DimensionMismatch.into());
+    }
+    let a_s = snapshot_operand(a, call.desc.transpose_a, true)?;
+    let b_s = snapshot_operand(b, call.desc.transpose_b, true)?;
+    let nnz_in = a_s.nnz() + b_s.nnz();
+    call.run(NodeKind::EWise, accum, nnz_in, move |x| {
+        Ok(kernel(x.ctx, &a_s, &b_s))
+    })
+}
+
+/// `w⟨m, r⟩ = w ⊙ kernel(u, v)`: both vector element-wise entries.
+fn ewise_vec<C, A, B>(
+    call: Op<'_, VectorState<C>>,
+    accum: Accum<'_, C>,
+    u: &Vector<A>,
+    v: &Vector<B>,
+    kernel: impl FnOnce(&Context, &SparseVec<A>, &SparseVec<B>) -> SparseVec<C> + Send + 'static,
+) -> GrbResult
+where
+    C: ValueType,
+    A: ValueType,
+    B: ValueType,
+{
+    u.check_context(&call.ctx)?;
+    v.check_context(&call.ctx)?;
+    if u.size() != v.size() || call.shape() != u.size() {
+        return Err(ApiError::DimensionMismatch.into());
+    }
+    let u_s = u.snapshot_sparse()?;
+    let v_s = v.snapshot_sparse()?;
+    let nnz_in = u_s.nnz() + v_s.nnz();
+    call.run(NodeKind::EWise, accum, nnz_in, move |x| {
+        Ok(kernel(x.ctx, &u_s, &v_s))
+    })
+}
+
+/// The union kernel under `op`: the registered instantiation when there
+/// is one, the dyn-operator kernel otherwise.
+fn union_m<T: ValueType>(
+    op: &BinaryOp<T, T, T>,
+) -> impl FnOnce(&Context, &Csr<T>, &Csr<T>) -> Csr<T> + Send + 'static {
+    let op = op.clone();
+    move |ctx, a, b| {
+        registry::try_ewise_union(ctx, a, b, op.builtin()).unwrap_or_else(|| {
+            registry::record_pick("ewise_add", ctx.id(), false);
+            kernels::ewise_union(ctx, a, b, |x, y| op.apply(x, y))
+        })
+    }
+}
+
+/// The intersection kernel under `op` (see [`union_m`]).
+fn intersect_m<A: ValueType, B: ValueType, C: ValueType>(
+    op: &BinaryOp<A, B, C>,
+) -> impl FnOnce(&Context, &Csr<A>, &Csr<B>) -> Csr<C> + Send + 'static {
+    let op = op.clone();
+    move |ctx, a, b| {
+        registry::try_ewise_intersect(ctx, a, b, op.builtin()).unwrap_or_else(|| {
+            registry::record_pick("ewise_mult", ctx.id(), false);
+            kernels::ewise_intersect(ctx, a, b, |x, y| op.apply(x, y))
+        })
+    }
+}
 
 /// `C⟨M, r⟩ = C ⊙ (A ⊕ B)` — union structure.
 pub fn ewise_add<T, M>(
@@ -36,65 +113,8 @@ where
     T: ValueType,
     M: MaskValue,
 {
-    let ctx = c.context();
-    let _op = graphblas_obs::span_ctx("op.ewise_add", ctx.id());
-    a.check_context(&ctx)?;
-    b.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.shape() != c.shape() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    let sa = eff_shape(a, desc.transpose_a);
-    let sb = eff_shape(b, desc.transpose_b);
-    if sa != sb || c.shape() != sa {
-        return Err(ApiError::DimensionMismatch.into());
-    }
-    let a_s = snapshot_operand(a, &ctx, desc.transpose_a, true)?;
-    let b_s = snapshot_operand(b, &ctx, desc.transpose_b, true)?;
-    let mask_s = snapshot_matmask(mask, desc)?;
-    let op = op.clone();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-    c.core.apply_node(
-        NodeKind::EWise,
-        Box::new(move |st, post| {
-            let nnz_in = a_s.nnz() + b_s.nnz();
-            let t = match registry::try_ewise_union(&ctx2, &a_s, &b_s, op.builtin()) {
-                Some(t) => t,
-                None => {
-                    registry::record_pick("ewise_add", ctx2.id(), false);
-                    kernels::ewise_union(&ctx2, &a_s, &b_s, |x, y| op.apply(x, y))
-                }
-            };
-            note_dag_fusion(
-                "ewise_add",
-                ctx2.id(),
-                NodeKind::EWise,
-                0,
-                post.len(),
-                nnz_in,
-            );
-            if mask_s.is_none() && accum.is_none() {
-                st.store = MatStore::Csr(Arc::new(t));
-            } else {
-                st.ensure_csr(&ctx2, true)?;
-                let merged = write::merge_matrix(
-                    &ctx2,
-                    st.csr(),
-                    t,
-                    mask_s.as_ref(),
-                    accum.as_ref(),
-                    replace,
-                );
-                st.store = MatStore::Csr(Arc::new(merged));
-            }
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+    let call = Op::begin("op.ewise_add", &c.core, mask, desc)?;
+    ewise_m(call, accum, a, b, union_m(op))
 }
 
 /// `C⟨M, r⟩ = C ⊙ (A ⊗ B)` — intersection structure, heterogeneous
@@ -114,65 +134,8 @@ where
     A: ValueType,
     B: ValueType,
 {
-    let ctx = c.context();
-    let _op = graphblas_obs::span_ctx("op.ewise_mult", ctx.id());
-    a.check_context(&ctx)?;
-    b.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.shape() != c.shape() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    let sa = eff_shape(a, desc.transpose_a);
-    let sb = eff_shape(b, desc.transpose_b);
-    if sa != sb || c.shape() != sa {
-        return Err(ApiError::DimensionMismatch.into());
-    }
-    let a_s = snapshot_operand(a, &ctx, desc.transpose_a, true)?;
-    let b_s = snapshot_operand(b, &ctx, desc.transpose_b, true)?;
-    let mask_s = snapshot_matmask(mask, desc)?;
-    let op = op.clone();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-    c.core.apply_node(
-        NodeKind::EWise,
-        Box::new(move |st, post| {
-            let nnz_in = a_s.nnz() + b_s.nnz();
-            let t = match registry::try_ewise_intersect(&ctx2, &a_s, &b_s, op.builtin()) {
-                Some(t) => t,
-                None => {
-                    registry::record_pick("ewise_mult", ctx2.id(), false);
-                    kernels::ewise_intersect(&ctx2, &a_s, &b_s, |x, y| op.apply(x, y))
-                }
-            };
-            note_dag_fusion(
-                "ewise_mult",
-                ctx2.id(),
-                NodeKind::EWise,
-                0,
-                post.len(),
-                nnz_in,
-            );
-            if mask_s.is_none() && accum.is_none() {
-                st.store = MatStore::Csr(Arc::new(t));
-            } else {
-                st.ensure_csr(&ctx2, true)?;
-                let merged = write::merge_matrix(
-                    &ctx2,
-                    st.csr(),
-                    t,
-                    mask_s.as_ref(),
-                    accum.as_ref(),
-                    replace,
-                );
-                st.store = MatStore::Csr(Arc::new(merged));
-            }
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+    let call = Op::begin("op.ewise_mult", &c.core, mask, desc)?;
+    ewise_m(call, accum, a, b, intersect_m(op))
 }
 
 /// `eWiseAdd` with a monoid (the C API's `GrB_Monoid` overload): the
@@ -190,8 +153,8 @@ where
     T: ValueType,
     M: MaskValue,
 {
-    let _op = graphblas_obs::span_ctx("op.ewise_add_monoid", 0);
-    ewise_add(c, mask, accum, monoid.op(), a, b, desc)
+    let call = Op::begin("op.ewise_add_monoid", &c.core, mask, desc)?;
+    ewise_m(call, accum, a, b, union_m(monoid.op()))
 }
 
 /// `eWiseAdd` with a semiring (the C API's `GrB_Semiring` overload): the
@@ -211,8 +174,8 @@ where
     A: ValueType,
     B: ValueType,
 {
-    let _op = graphblas_obs::span_ctx("op.ewise_add_semiring", 0);
-    ewise_add(c, mask, accum, semiring.add().op(), a, b, desc)
+    let call = Op::begin("op.ewise_add_semiring", &c.core, mask, desc)?;
+    ewise_m(call, accum, a, b, union_m(semiring.add().op()))
 }
 
 /// `eWiseMult` with a semiring (the spec uses the semiring's *multiply*
@@ -232,8 +195,8 @@ where
     A: ValueType,
     B: ValueType,
 {
-    let _op = graphblas_obs::span_ctx("op.ewise_mult_semiring", 0);
-    ewise_mult(c, mask, accum, semiring.mul(), a, b, desc)
+    let call = Op::begin("op.ewise_mult_semiring", &c.core, mask, desc)?;
+    ewise_m(call, accum, a, b, intersect_m(semiring.mul()))
 }
 
 /// Vector `eWiseAdd`.
@@ -250,57 +213,14 @@ where
     T: ValueType,
     M: MaskValue,
 {
-    let ctx = w.context();
-    let _op = graphblas_obs::span_ctx("op.ewise_add_v", ctx.id());
-    u.check_context(&ctx)?;
-    v.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.size() != w.size() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    if u.size() != v.size() || w.size() != u.size() {
-        return Err(ApiError::DimensionMismatch.into());
-    }
-    let u_s = u.snapshot_sparse()?;
-    let v_s = v.snapshot_sparse()?;
-    let mask_s = snapshot_vecmask(mask, desc)?;
     let op = op.clone();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx_id = ctx.id();
-    w.core.apply_node(
-        NodeKind::EWise,
-        Box::new(move |st, post| {
-            let nnz_in = u_s.nnz() + v_s.nnz();
-            let t = match registry::try_svec_union(&u_s, &v_s, op.builtin(), ctx_id) {
-                Some(t) => t,
-                None => {
-                    registry::record_pick("ewise_add_v", ctx_id, false);
-                    kernels::svec_union(&u_s, &v_s, |x, y| op.apply(x, y))
-                }
-            };
-            note_dag_fusion(
-                "ewise_add_v",
-                ctx_id,
-                NodeKind::EWise,
-                0,
-                post.len(),
-                nnz_in,
-            );
-            if mask_s.is_none() && accum.is_none() {
-                st.store = VecStore::Sparse(Arc::new(t));
-            } else {
-                st.ensure_sparse()?;
-                let merged =
-                    write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
-                st.store = VecStore::Sparse(Arc::new(merged));
-            }
-            st.apply_post_maps(&ctx, &post)?;
-            Ok(())
-        }),
-    )
+    let call = Op::begin("op.ewise_add_v", &w.core, mask, desc)?;
+    ewise_vec(call, accum, u, v, move |ctx, u, v| {
+        registry::try_svec_union(u, v, op.builtin(), ctx.id()).unwrap_or_else(|| {
+            registry::record_pick("ewise_add_v", ctx.id(), false);
+            kernels::svec_union(u, v, |x, y| op.apply(x, y))
+        })
+    })
 }
 
 /// Vector `eWiseMult`.
@@ -319,57 +239,14 @@ where
     A: ValueType,
     B: ValueType,
 {
-    let ctx = w.context();
-    let _op = graphblas_obs::span_ctx("op.ewise_mult_v", ctx.id());
-    u.check_context(&ctx)?;
-    v.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.size() != w.size() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    if u.size() != v.size() || w.size() != u.size() {
-        return Err(ApiError::DimensionMismatch.into());
-    }
-    let u_s = u.snapshot_sparse()?;
-    let v_s = v.snapshot_sparse()?;
-    let mask_s = snapshot_vecmask(mask, desc)?;
     let op = op.clone();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx_id = ctx.id();
-    w.core.apply_node(
-        NodeKind::EWise,
-        Box::new(move |st, post| {
-            let nnz_in = u_s.nnz() + v_s.nnz();
-            let t = match registry::try_svec_intersect(&u_s, &v_s, op.builtin(), ctx_id) {
-                Some(t) => t,
-                None => {
-                    registry::record_pick("ewise_mult_v", ctx_id, false);
-                    kernels::svec_intersect(&u_s, &v_s, |x, y| op.apply(x, y))
-                }
-            };
-            note_dag_fusion(
-                "ewise_mult_v",
-                ctx_id,
-                NodeKind::EWise,
-                0,
-                post.len(),
-                nnz_in,
-            );
-            if mask_s.is_none() && accum.is_none() {
-                st.store = VecStore::Sparse(Arc::new(t));
-            } else {
-                st.ensure_sparse()?;
-                let merged =
-                    write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
-                st.store = VecStore::Sparse(Arc::new(merged));
-            }
-            st.apply_post_maps(&ctx, &post)?;
-            Ok(())
-        }),
-    )
+    let call = Op::begin("op.ewise_mult_v", &w.core, mask, desc)?;
+    ewise_vec(call, accum, u, v, move |ctx, u, v| {
+        registry::try_svec_intersect(u, v, op.builtin(), ctx.id()).unwrap_or_else(|| {
+            registry::record_pick("ewise_mult_v", ctx.id(), false);
+            kernels::svec_intersect(u, v, |x, y| op.apply(x, y))
+        })
+    })
 }
 
 #[cfg(test)]

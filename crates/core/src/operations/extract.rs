@@ -3,19 +3,16 @@
 //! selector arrays* are data, hence execution errors (deferrable);
 //! output-shape disagreement is an immediate API error.
 
-use std::sync::Arc;
+use graphblas_sparse::SparseVec;
 
 use crate::descriptor::Descriptor;
 use crate::error::{ApiError, Error, GrbResult};
-use crate::matrix::{MatStore, Matrix};
-use crate::operations::{
-    eff_shape, note_dag_fusion, snapshot_matmask, snapshot_operand, snapshot_vecmask,
-};
+use crate::matrix::Matrix;
+use crate::operations::{eff_shape, snapshot_operand, Op};
 use crate::ops::BinaryOp;
 use crate::pending::NodeKind;
 use crate::types::{Index, MaskValue, ValueType};
-use crate::vector::{VecStore, Vector};
-use crate::write;
+use crate::vector::Vector;
 
 /// `C⟨M, r⟩ = C ⊙ A(I, J)`.
 pub fn extract<T, M>(
@@ -31,58 +28,17 @@ where
     T: ValueType,
     M: MaskValue,
 {
-    let ctx = c.context();
-    let _op = graphblas_obs::span_ctx("op.extract", ctx.id());
-    a.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.shape() != c.shape() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    if c.shape() != (rows.len(), cols.len()) {
+    let call = Op::begin("op.extract", &c.core, mask, desc)?;
+    a.check_context(&call.ctx)?;
+    if call.shape() != (rows.len(), cols.len()) {
         return Err(ApiError::DimensionMismatch.into());
     }
-    let a_s = snapshot_operand(a, &ctx, desc.transpose_a, true)?;
-    let mask_s = snapshot_matmask(mask, desc)?;
-    let rows = rows.to_vec();
-    let cols = cols.to_vec();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-    c.core.apply_node(
-        NodeKind::Extract,
-        Box::new(move |st, post| {
-            let nnz_in = a_s.nnz();
-            let t = a_s
-                .extract_submatrix(&ctx2, &rows, &cols)
-                .map_err(Error::from)?;
-            note_dag_fusion(
-                "extract",
-                ctx2.id(),
-                NodeKind::Extract,
-                0,
-                post.len(),
-                nnz_in,
-            );
-            if mask_s.is_none() && accum.is_none() {
-                st.store = MatStore::Csr(Arc::new(t));
-            } else {
-                st.ensure_csr(&ctx2, true)?;
-                let merged = write::merge_matrix(
-                    &ctx2,
-                    st.csr(),
-                    t,
-                    mask_s.as_ref(),
-                    accum.as_ref(),
-                    replace,
-                );
-                st.store = MatStore::Csr(Arc::new(merged));
-            }
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+    let a_s = snapshot_operand(a, desc.transpose_a, true)?;
+    let (rows, cols) = (rows.to_vec(), cols.to_vec());
+    call.run(NodeKind::Extract, accum, a_s.nnz(), move |x| {
+        a_s.extract_submatrix(x.ctx, &rows, &cols)
+            .map_err(Error::from)
+    })
 }
 
 /// `w⟨m, r⟩ = w ⊙ u(I)`.
@@ -98,49 +54,16 @@ where
     T: ValueType,
     M: MaskValue,
 {
-    let ctx = w.context();
-    let _op = graphblas_obs::span_ctx("op.extract_v", ctx.id());
-    u.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.size() != w.size() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    if w.size() != indices.len() {
+    let call = Op::begin("op.extract_v", &w.core, mask, desc)?;
+    u.check_context(&call.ctx)?;
+    if call.shape() != indices.len() {
         return Err(ApiError::DimensionMismatch.into());
     }
     let u_s = u.snapshot_sparse()?;
-    let mask_s = snapshot_vecmask(mask, desc)?;
     let indices = indices.to_vec();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-    w.core.apply_node(
-        NodeKind::Extract,
-        Box::new(move |st, post| {
-            let nnz_in = u_s.nnz();
-            let t = u_s.extract(&indices).map_err(Error::from)?;
-            note_dag_fusion(
-                "extract_v",
-                ctx2.id(),
-                NodeKind::Extract,
-                0,
-                post.len(),
-                nnz_in,
-            );
-            if mask_s.is_none() && accum.is_none() {
-                st.store = VecStore::Sparse(Arc::new(t));
-            } else {
-                st.ensure_sparse()?;
-                let merged =
-                    write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
-                st.store = VecStore::Sparse(Arc::new(merged));
-            }
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+    call.run(NodeKind::Extract, accum, u_s.nnz(), move |_| {
+        u_s.extract(&indices).map_err(Error::from)
+    })
 }
 
 /// `GrB_Col_extract`: `w⟨m, r⟩ = w ⊙ A(I, j)` (`desc.transpose_a` extracts
@@ -158,63 +81,23 @@ where
     T: ValueType,
     M: MaskValue,
 {
-    let ctx = w.context();
-    let _op = graphblas_obs::span_ctx("op.extract_col", ctx.id());
-    a.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.size() != w.size() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    let (_, an) = eff_shape(a, desc.transpose_a);
-    if j >= an {
+    let call = Op::begin("op.extract_col", &w.core, mask, desc)?;
+    a.check_context(&call.ctx)?;
+    if j >= eff_shape(a, desc.transpose_a).1 {
         return Err(ApiError::InvalidIndex.into());
     }
-    if w.size() != rows.len() {
+    if call.shape() != rows.len() {
         return Err(ApiError::DimensionMismatch.into());
     }
-    let a_s = snapshot_operand(a, &ctx, desc.transpose_a, true)?;
-    let mask_s = snapshot_vecmask(mask, desc)?;
+    let a_s = snapshot_operand(a, desc.transpose_a, true)?;
     let rows = rows.to_vec();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-    w.core.apply_node(
-        NodeKind::Extract,
-        Box::new(move |st, post| {
-            let nnz_in = a_s.nnz();
-            let sub = a_s
-                .extract_submatrix(&ctx2, &rows, &[j])
-                .map_err(Error::from)?;
-            let mut indices = Vec::new();
-            let mut values = Vec::new();
-            for (i, _, v) in sub.iter() {
-                indices.push(i);
-                values.push(v.clone());
-            }
-            let t = graphblas_sparse::SparseVec::from_parts(rows.len(), indices, values)
-                .map_err(Error::from)?;
-            note_dag_fusion(
-                "extract_col",
-                ctx2.id(),
-                NodeKind::Extract,
-                0,
-                post.len(),
-                nnz_in,
-            );
-            if mask_s.is_none() && accum.is_none() {
-                st.store = VecStore::Sparse(Arc::new(t));
-            } else {
-                st.ensure_sparse()?;
-                let merged =
-                    write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
-                st.store = VecStore::Sparse(Arc::new(merged));
-            }
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+    call.run(NodeKind::Extract, accum, a_s.nnz(), move |x| {
+        let sub = a_s
+            .extract_submatrix(x.ctx, &rows, &[j])
+            .map_err(Error::from)?;
+        let (indices, values) = sub.iter().map(|(i, _, v)| (i, v.clone())).unzip();
+        SparseVec::from_parts(rows.len(), indices, values).map_err(Error::from)
+    })
 }
 
 #[cfg(test)]

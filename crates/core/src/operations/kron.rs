@@ -1,15 +1,14 @@
 //! `GrB_kronecker`: `C⟨M, r⟩ = C ⊙ kron(A, B)` with a binary operator.
 
-use std::sync::Arc;
+use graphblas_sparse::kron;
 
 use crate::descriptor::Descriptor;
 use crate::error::{ApiError, Error, GrbResult};
-use crate::matrix::{MatStore, Matrix};
-use crate::operations::{eff_shape, note_dag_fusion, snapshot_matmask, snapshot_operand};
+use crate::matrix::Matrix;
+use crate::operations::{eff_shape, snapshot_operand, Op};
 use crate::ops::BinaryOp;
 use crate::pending::NodeKind;
 use crate::types::{MaskValue, ValueType};
-use crate::write;
 
 /// `C⟨M, r⟩ = C ⊙ (A ⊗_op B)`.
 pub fn kronecker<C, M, A, B>(
@@ -27,57 +26,24 @@ where
     A: ValueType,
     B: ValueType,
 {
-    let ctx = c.context();
-    let _op = graphblas_obs::span_ctx("op.kronecker", ctx.id());
-    a.check_context(&ctx)?;
-    b.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.shape() != c.shape() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
+    let call = Op::begin("op.kronecker", &c.core, mask, desc)?;
+    a.check_context(&call.ctx)?;
+    b.check_context(&call.ctx)?;
     let (am, an) = eff_shape(a, desc.transpose_a);
     let (bm, bn) = eff_shape(b, desc.transpose_b);
     let expected = (
         am.checked_mul(bm).ok_or(ApiError::InvalidValue)?,
         an.checked_mul(bn).ok_or(ApiError::InvalidValue)?,
     );
-    if c.shape() != expected {
+    if call.shape() != expected {
         return Err(ApiError::DimensionMismatch.into());
     }
-    let a_s = snapshot_operand(a, &ctx, desc.transpose_a, true)?;
-    let b_s = snapshot_operand(b, &ctx, desc.transpose_b, true)?;
-    let mask_s = snapshot_matmask(mask, desc)?;
+    let a_s = snapshot_operand(a, desc.transpose_a, true)?;
+    let b_s = snapshot_operand(b, desc.transpose_b, true)?;
     let op = op.clone();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-    c.core.apply_node(
-        NodeKind::MxM,
-        Box::new(move |st, post| {
-            let nnz_in = a_s.nnz() + b_s.nnz();
-            let t = graphblas_sparse::kron::kronecker(&ctx2, &a_s, &b_s, |x, y| op.apply(x, y))
-                .map_err(Error::from)?;
-            note_dag_fusion("kronecker", ctx2.id(), NodeKind::MxM, 0, post.len(), nnz_in);
-            if mask_s.is_none() && accum.is_none() {
-                st.store = MatStore::Csr(Arc::new(t));
-            } else {
-                st.ensure_csr(&ctx2, true)?;
-                let merged = write::merge_matrix(
-                    &ctx2,
-                    st.csr(),
-                    t,
-                    mask_s.as_ref(),
-                    accum.as_ref(),
-                    replace,
-                );
-                st.store = MatStore::Csr(Arc::new(merged));
-            }
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+    call.run(NodeKind::MxM, accum, a_s.nnz() + b_s.nnz(), move |x| {
+        kron::kronecker(x.ctx, &a_s, &b_s, |x, y| op.apply(x, y)).map_err(Error::from)
+    })
 }
 
 #[cfg(test)]

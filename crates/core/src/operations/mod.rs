@@ -4,15 +4,8 @@
 //! mask / accumulator / descriptor write semantics and the Table II
 //! `GrB_Scalar` variants.
 //!
-//! All operations follow the same lifecycle:
-//!
-//! 1. **API validation** (contexts §IV, shapes) — errors here are
-//!    deterministic, immediate, and side-effect free (§V);
-//! 2. **input snapshots** — operands are completed and snapshotted *at
-//!    call time*, fixing their value at this point of the sequence;
-//! 3. **deferred body** — in a nonblocking context the computation is
-//!    queued on the output object (fusible element-wise stages queue as
-//!    `Map` stages); in a blocking context it runs immediately.
+//! Every one of them is "compute `T`" in front of the one shared pipeline,
+//! [`Op`].
 
 pub mod apply;
 pub mod assign;
@@ -54,25 +47,178 @@ use std::sync::Arc;
 use graphblas_exec::Context;
 use graphblas_sparse::Csr;
 
+use crate::container::{Container, State};
 use crate::descriptor::Descriptor;
 use crate::error::GrbResult;
 use crate::matrix::Matrix;
-use crate::types::{Index, MaskValue, ValueType};
-use crate::write::{MatMask, VecMask};
+use crate::ops::BinaryOp;
+use crate::pending::{MapFn, NodeKind};
+use crate::types::{Index, ValueType};
+use crate::write::{MaskSource, Rule, Target};
 
 /// The index list meaning "all indices" (`GrB_ALL` in C).
 pub fn all_indices(n: usize) -> Vec<Index> {
     (0..n).collect()
 }
 
+/// An optional accumulator over the output's domain.
+pub(crate) type Accum<'a, T> = Option<&'a BinaryOp<T, T, T>>;
+
+/// One `C⟨M, r⟩ = C ⊙ T` call, from its public entry to its enqueue. Every
+/// operation follows the same lifecycle, and this is its one home:
+///
+/// 1. **API validation** (contexts §IV, shapes) — errors here are
+///    deterministic, immediate, and side-effect free (§V). [`Op::begin`]
+///    looks up the output's context, opens the entry's one `op.<name>`
+///    span and validates the mask; the operation validates its operands
+///    against [`Op::ctx`]. A call with several errors reports the first in
+///    that order: mask context, mask shape, an empty Table II `GrB_Scalar`
+///    argument, then each operand's context and shape in argument order;
+/// 2. **input snapshots** — operands are completed and snapshotted *at
+///    call time*, fixing their value at this point of the sequence. The
+///    operation snapshots its operands, [`Op::run`] the mask;
+/// 3. **deferred body** — [`Op::run`] queues one node on the output: the
+///    operation's closure computes `T`, [`Target::write_back`] lands it.
+///    In a blocking context the node runs before `run` returns. (The
+///    in-place `apply`/`select` forms queue a fusible `Map` stage through
+///    [`Op::run_in_place`] instead.)
+pub(crate) struct Op<'a, S: Target> {
+    /// The output's context: every operand must share it (§IV) and every
+    /// kernel of the operation runs under it.
+    pub ctx: Context,
+    pub desc: &'a Descriptor,
+    name: &'static str,
+    out: &'a Arc<Container<S>>,
+    mask: Option<&'a dyn MaskSource<S>>,
+    pre_fused: usize,
+    _span: graphblas_obs::Span,
+}
+
+/// What an operation's `T` closure works with when its node runs.
+pub(crate) struct Exec<'a, S: Target> {
+    /// The output's state — still holding the old `C`, which `GrB_assign`
+    /// reads.
+    pub st: &'a mut State<S>,
+    pub ctx: &'a Context,
+    pub mask: Option<&'a S::Mask>,
+    /// The node's trailing maps. A kernel that applies them to `T` itself
+    /// takes them out; what it leaves runs over the written result.
+    pub post: &'a mut Vec<MapFn<S::Elem>>,
+}
+
+impl<'a, S: Target> Op<'a, S> {
+    /// Step 1 for the output and mask. `name` is the span name,
+    /// `"op.<entry>"`.
+    pub(crate) fn begin<K: MaskSource<S>>(
+        name: &'static str,
+        out: &'a Arc<Container<S>>,
+        mask: Option<&'a K>,
+        desc: &'a Descriptor,
+    ) -> GrbResult<Self> {
+        let ctx = out.context();
+        let _span = graphblas_obs::span_ctx(name, ctx.id());
+        let call = Op {
+            ctx,
+            desc,
+            name: &name["op.".len()..],
+            out,
+            mask: mask.map(|m| m as &dyn MaskSource<S>),
+            pre_fused: 0,
+            _span,
+        };
+        if let Some(m) = call.mask {
+            // The shape is read into a local first: the mask may be the
+            // output itself (`w⟨w⟩ = …`), and no operand is ever locked
+            // under the output's lock.
+            let shape = call.shape();
+            m.check(&call.ctx, &shape)?;
+        }
+        Ok(call)
+    }
+
+    /// The entry's name, as dispatch and decision events carry it.
+    pub(crate) fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// Whether the call has a mask operand.
+    pub(crate) fn masked(&self) -> bool {
+        self.mask.is_some()
+    }
+
+    /// The output's logical shape.
+    pub(crate) fn shape(&self) -> S::Shape {
+        self.out.lock_raw().shape()
+    }
+
+    /// Whether nothing but an element function stands between the operand
+    /// at `input` and the output: they are the same object, unmasked,
+    /// unaccumulated, not replaced.
+    pub(crate) fn in_place(&self, accum: Accum<'_, S::Elem>, input: usize) -> bool {
+        !self.masked() && accum.is_none() && !self.desc.replace && self.out.addr() == input
+    }
+
+    /// Declares `n` pending input-side maps that the kernel folds into its
+    /// operand lookup, for the fusion accounting.
+    pub(crate) fn fusing_input(mut self, n: usize) -> Self {
+        self.pre_fused = n;
+        self
+    }
+
+    /// Queues an [`Op::in_place`] call as a fusible map over the output's
+    /// own elements.
+    pub(crate) fn run_in_place(self, f: MapFn<S::Elem>) -> GrbResult {
+        self.out.apply_map(f)
+    }
+
+    /// Steps 2 (mask) and 3. `compute` produces `T` from the operand
+    /// snapshots it captured; `accum` is the accumulator the write rule
+    /// applies (`None` when `T` already folded it in); `nnz_in` sizes the
+    /// input for the fusion accounting.
+    pub(crate) fn run<R, K>(
+        self,
+        kind: NodeKind,
+        accum: Accum<'_, S::Elem>,
+        nnz_in: usize,
+        compute: K,
+    ) -> GrbResult
+    where
+        R: Into<S::Result>,
+        K: FnOnce(&mut Exec<'_, S>) -> GrbResult<R> + Send + 'static,
+    {
+        let rule = Rule {
+            op: self.name,
+            mask: match self.mask {
+                Some(m) => Some(m.snapshot(&self.ctx, &self.shape(), self.desc)?),
+                None => None,
+            },
+            accum: accum.cloned(),
+            replace: self.desc.replace,
+        };
+        let (ctx, pre) = (self.ctx.clone(), self.pre_fused);
+        self.out.apply_node(Box::new(move |st, mut post| {
+            let trailing = post.len();
+            let mut exec = Exec {
+                st: &mut *st,
+                ctx: &ctx,
+                mask: rule.mask.as_ref(),
+                post: &mut post,
+            };
+            let t = compute(&mut exec)?.into();
+            note_dag_fusion(rule.op, ctx.id(), kind, pre, trailing, nnz_in);
+            S::write_back(st, &ctx, t, &rule, &post)
+        }))
+    }
+}
+
 /// Records one op-DAG node execution's fusion outcome: `pre`/`post` are
 /// the counts of pending element maps folded into this node's numeric
 /// phase (input side / output side). Emits the `dag-fuse` decision event
 /// whenever cross-operation fusion actually fired.
-pub(crate) fn note_dag_fusion(
+fn note_dag_fusion(
     op: &'static str,
     ctx_id: u64,
-    kind: crate::pending::NodeKind,
+    kind: NodeKind,
     pre: usize,
     post: usize,
     nnz_in: usize,
@@ -108,7 +254,6 @@ pub(crate) fn eff_shape<T: ValueType>(m: &Matrix<T>, transposed: bool) -> (Index
 /// unchanged since the last transposed use.
 pub(crate) fn snapshot_operand<T: ValueType>(
     m: &Matrix<T>,
-    _ctx: &Context,
     transposed: bool,
     sorted: bool,
 ) -> GrbResult<Arc<Csr<T>>> {
@@ -116,34 +261,6 @@ pub(crate) fn snapshot_operand<T: ValueType>(
         m.snapshot_transposed()
     } else {
         m.snapshot_csr(sorted)
-    }
-}
-
-/// Snapshots an optional matrix mask per the descriptor.
-pub(crate) fn snapshot_matmask<M: MaskValue>(
-    mask: Option<&Matrix<M>>,
-    desc: &Descriptor,
-) -> GrbResult<Option<MatMask>> {
-    match mask {
-        None => Ok(None),
-        Some(m) => Ok(Some(MatMask {
-            mask: m.snapshot_mask(desc.mask_structure)?,
-            complement: desc.mask_complement,
-        })),
-    }
-}
-
-/// Snapshots an optional vector mask per the descriptor.
-pub(crate) fn snapshot_vecmask<M: MaskValue>(
-    mask: Option<&crate::vector::Vector<M>>,
-    desc: &Descriptor,
-) -> GrbResult<Option<VecMask>> {
-    match mask {
-        None => Ok(None),
-        Some(m) => Ok(Some(VecMask {
-            mask: m.snapshot_mask(desc.mask_structure)?,
-            complement: desc.mask_complement,
-        })),
     }
 }
 

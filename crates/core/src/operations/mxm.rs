@@ -1,17 +1,14 @@
 //! `GrB_mxm`: masked, accumulated matrix-matrix multiply over a semiring.
 
-use std::sync::Arc;
-
 use graphblas_sparse::spgemm;
 
 use crate::descriptor::Descriptor;
 use crate::error::{ApiError, GrbResult};
-use crate::matrix::{MatStore, Matrix};
-use crate::operations::{eff_shape, note_dag_fusion, snapshot_matmask, snapshot_operand};
+use crate::matrix::Matrix;
+use crate::operations::{eff_shape, snapshot_operand, Op};
 use crate::ops::{registry, BinaryOp, Semiring};
 use crate::pending::NodeKind;
 use crate::types::{MaskValue, ValueType};
-use crate::write;
 
 /// `C⟨M, r⟩ = C ⊙ (A ⊕.⊗ B)`.
 ///
@@ -34,97 +31,42 @@ where
     A: ValueType,
     B: ValueType,
 {
-    let ctx = c.context();
-    let _op = graphblas_obs::span_ctx("op.mxm", ctx.id());
-    a.check_context(&ctx)?;
-    b.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.shape() != c.shape() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
+    let call = Op::begin("op.mxm", &c.core, mask, desc)?;
+    a.check_context(&call.ctx)?;
+    b.check_context(&call.ctx)?;
     let (am, an) = eff_shape(a, desc.transpose_a);
     let (bm, bn) = eff_shape(b, desc.transpose_b);
-    if an != bm || c.shape() != (am, bn) {
+    if an != bm || call.shape() != (am, bn) {
         return Err(ApiError::DimensionMismatch.into());
     }
-
-    let a_s = snapshot_operand(a, &ctx, desc.transpose_a, false)?;
-    let b_s = snapshot_operand(b, &ctx, desc.transpose_b, false)?;
-    let mask_s = snapshot_matmask(mask, desc)?;
+    let a_s = snapshot_operand(a, desc.transpose_a, false)?;
+    let b_s = snapshot_operand(b, desc.transpose_b, false)?;
     let sr = semiring.clone();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-
-    c.core.apply_node(
-        NodeKind::MxM,
-        Box::new(move |st, post| {
-            let nnz_in = a_s.nnz() + b_s.nnz();
-            let mul = |x: &A, y: &B| sr.multiply(x, y);
-            let add = |acc: &mut C, z: C| *acc = sr.combine(acc, &z);
-            let add_tag = sr.add().builtin();
-            let mul_tag = sr.mul().builtin();
-            // Masked kernel: only valid when the merge wants exactly the
-            // mask-restricted product (no accumulator folding old values in).
-            let use_masked_kernel = mask_s.is_some() && accum.is_none();
-            let t = if use_masked_kernel {
-                // grblint: allow(no-unwrap) — use_masked_kernel implies mask_s
-                // is Some (checked one line up).
-                let m = mask_s.as_ref().expect("checked");
-                match registry::try_spgemm_masked(
-                    &ctx2,
-                    &m.mask,
-                    m.complement,
-                    &a_s,
-                    &b_s,
-                    add_tag,
-                    mul_tag,
-                ) {
-                    Some(t) => t,
-                    None => {
-                        registry::record_pick("mxm", ctx2.id(), false);
-                        spgemm::spgemm_masked(
-                            &ctx2,
-                            &m.mask,
-                            m.complement,
-                            |b: &bool| *b,
-                            &a_s,
-                            &b_s,
-                            mul,
-                            add,
-                        )
-                    }
-                }
-            } else {
-                match registry::try_spgemm(&ctx2, &a_s, &b_s, add_tag, mul_tag) {
-                    Some(t) => t,
-                    None => {
-                        registry::record_pick("mxm", ctx2.id(), false);
-                        spgemm::spgemm(&ctx2, &a_s, &b_s, mul, add)
-                    }
-                }
-            };
-            note_dag_fusion("mxm", ctx2.id(), NodeKind::MxM, 0, post.len(), nnz_in);
-            if mask_s.is_none() && accum.is_none() {
-                st.store = MatStore::Csr(Arc::new(t));
-            } else {
-                st.ensure_csr(&ctx2, true)?;
-                let merged = write::merge_matrix(
-                    &ctx2,
-                    st.csr(),
-                    t,
-                    mask_s.as_ref(),
-                    accum.as_ref(),
-                    replace,
-                );
-                st.store = MatStore::Csr(Arc::new(merged));
+    // Masked kernel: only valid when the merge wants exactly the
+    // mask-restricted product (no accumulator folding old values in).
+    let unaccumulated = accum.is_none();
+    call.run(NodeKind::MxM, accum, a_s.nnz() + b_s.nnz(), move |x| {
+        let ctx = x.ctx;
+        let mul = |x: &A, y: &B| sr.multiply(x, y);
+        let add = |acc: &mut C, z: C| *acc = sr.combine(acc, &z);
+        let (add_tag, mul_tag) = (sr.add().builtin(), sr.mul().builtin());
+        let dyn_pick = || registry::record_pick("mxm", ctx.id(), false);
+        Ok(match x.mask.filter(|_| unaccumulated) {
+            Some(m) => {
+                let (mask, complement) = (&*m.mask, m.complement);
+                registry::try_spgemm_masked(ctx, mask, complement, &a_s, &b_s, add_tag, mul_tag)
+                    .unwrap_or_else(|| {
+                        dyn_pick();
+                        let truthy = |b: &bool| *b;
+                        spgemm::spgemm_masked(ctx, mask, complement, truthy, &a_s, &b_s, mul, add)
+                    })
             }
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+            None => registry::try_spgemm(ctx, &a_s, &b_s, add_tag, mul_tag).unwrap_or_else(|| {
+                dyn_pick();
+                spgemm::spgemm(ctx, &a_s, &b_s, mul, add)
+            }),
+        })
+    })
 }
 
 #[cfg(test)]

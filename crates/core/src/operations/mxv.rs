@@ -22,9 +22,9 @@
 //! it — under BFS's complemented `visited` mask that is the bottom-up half
 //! of direction optimization, where only the unvisited vertices look for a
 //! parent. The filter is deliberately coarse (truthy set × complement
-//! only); `write::merge_vector` still runs on the result because it alone
-//! implements accumulate, replace and the deletion of old entries inside
-//! the mask, and re-applying the mask there is idempotent.
+//! only); the write-back's `merge_vector` still runs on the result because
+//! it alone implements accumulate, replace and the deletion of old entries
+//! inside the mask, and re-applying the mask there is idempotent.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -32,17 +32,21 @@ use std::sync::Arc;
 use graphblas_exec::workspace::{self, BitSet};
 use graphblas_exec::Context;
 use graphblas_sparse::spmv::{self as kernels, Hooks, OutputFilter, Unmasked};
-use graphblas_sparse::{BitmapVec, Csr, SparseVec};
+use graphblas_sparse::{Csr, SparseVec};
 
 use crate::descriptor::Descriptor;
 use crate::error::{ApiError, GrbResult};
 use crate::matrix::Matrix;
-use crate::operations::{eff_shape, note_dag_fusion, snapshot_operand, snapshot_vecmask};
-use crate::ops::{registry, BinaryOp, BuiltinOp, Semiring};
+use crate::operations::{eff_shape, snapshot_operand, Accum, Op};
+use crate::ops::{registry, BinaryOp, BuiltinOp, Monoid, Semiring};
 use crate::pending::{fuse_maps, NodeKind};
 use crate::types::{MaskValue, ValueType};
-use crate::vector::{Frontier, VecStore, Vector};
-use crate::write::{self, VecMask};
+use crate::vector::{Frontier, Vector, VectorState};
+use crate::write::{VecMask, VecResult};
+
+/// The result's Table III format pick lives with the vector store; its
+/// threshold stays importable from here, next to [`PULL_THRESHOLD_DEN`].
+pub use crate::vector::BITMAP_THRESHOLD_DEN;
 
 /// Which matrix-vector kernel a product dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,29 +118,6 @@ fn choose_direction(
     d
 }
 
-/// The Table III bitmap density window: results at least 1/4 occupied
-/// but not full are stored bitmap; everything else stays sparse. The
-/// lower bound keeps truly sparse results in the index-list format, the
-/// upper bound preserves the pull kernel's dense-frontier fast path
-/// (which needs a plain value array).
-pub const BITMAP_THRESHOLD_DEN: u64 = 4;
-
-/// Picks the Table III store for an `mxv`/`vxm` result by density and
-/// records the decision (counter + provenance event) when telemetry is on.
-fn store_result<C: ValueType>(op: &'static str, ctx_id: u64, t: SparseVec<C>) -> VecStore<C> {
-    let (nnz, len) = (t.nnz(), t.len());
-    let bitmap = nnz as u64 * BITMAP_THRESHOLD_DEN >= len as u64 && nnz < len;
-    if graphblas_obs::enabled() {
-        graphblas_obs::counters::record_format_pick(bitmap);
-        graphblas_obs::events::decision_format(op, ctx_id, bitmap, nnz as u64, len as u64);
-    }
-    if bitmap {
-        VecStore::Bitmap(Arc::new(BitmapVec::from_svec(&t)))
-    } else {
-        VecStore::Sparse(Arc::new(t))
-    }
-}
-
 /// Normalizes a bitmap frontier to sparse when the chosen kernel cannot
 /// consume it natively (the push kernel iterates an index list), charging
 /// the conversion to the format counters.
@@ -170,7 +151,7 @@ fn frontier_for<X: ValueType>(
 /// as `truthy != complement`. The pull kernel skips the rows it forbids,
 /// the push kernel the columns, so neither direction computes entries the
 /// write-back would discard. Prefiltering is a pure optimization —
-/// `write::merge_vector` still applies the mask (with structure, accum and
+/// the write-back still applies the mask (with structure, accum and
 /// replace) afterwards and the intersection is idempotent.
 #[derive(Clone, Copy)]
 struct MaskFilter<'a> {
@@ -299,6 +280,109 @@ where
     }
 }
 
+/// What tells `mxv` and `vxm` apart once both are read matrix-first as
+/// `w = P ⊕.⊗ u`: `mxv` has `P = A` (`Aᵀ` under `desc.transpose_a`); `vxm`
+/// computes `uᵀ ⊕.⊗ A = Aᵀ ⊕.⊗ u`, so it has `P = Aᵀ` (`A` under
+/// `desc.transpose_b`) and a multiply that swaps its arguments back into
+/// vector-first order.
+struct Multiply<F> {
+    kind: NodeKind,
+    /// Whether `P` — the orientation the *pull* kernel reads — is `Aᵀ`.
+    pull_t: bool,
+    /// The semiring's multiply, matrix element first.
+    mul: F,
+    mul_tag: Option<BuiltinOp>,
+}
+
+/// The one matrix-vector product behind `mxv` and `vxm`:
+/// `w⟨m, r⟩ = w ⊙ (P ⊕.⊗ u)`.
+fn product<C, A, X, F>(
+    call: Op<'_, VectorState<C>>,
+    accum: Accum<'_, C>,
+    a: &Matrix<A>,
+    u: &Vector<X>,
+    add: &Monoid<C>,
+    Multiply {
+        kind,
+        pull_t,
+        mul,
+        mul_tag,
+    }: Multiply<F>,
+) -> GrbResult
+where
+    C: ValueType,
+    A: ValueType,
+    X: ValueType,
+    F: Fn(&A, &X) -> C + Send + Sync + 'static,
+{
+    let (op, ctx_id) = (call.name(), call.ctx.id());
+    a.check_context(&call.ctx)?;
+    u.check_context(&call.ctx)?;
+    if eff_shape(a, pull_t) != (call.shape(), u.size()) {
+        return Err(ApiError::DimensionMismatch.into());
+    }
+
+    // Eagerly captures the input's base store plus its pending map chain
+    // (sequence-point semantics: later writes to `u` cannot leak in) —
+    // the maps become the node's fused input side instead of forcing a
+    // drain of `u`.
+    let (u_f, pre_maps) = u.snapshot_frontier_fused()?;
+    // Pull runs on `P`, push on the other orientation; whichever of the
+    // two is not the stored one is served by the memoized transpose.
+    let natural = if pull_t {
+        Direction::Push
+    } else {
+        Direction::Pull
+    };
+    let pick = graphblas_obs::timeline::phase("mxv.pick");
+    let dir = choose_direction(op, ctx_id, u_f.nnz(), u_f.len(), natural);
+    let u_f = frontier_for(op, ctx_id, dir, u_f);
+    let a_s = snapshot_operand(
+        a,
+        if dir == Direction::Pull {
+            pull_t
+        } else {
+            !pull_t
+        },
+        false,
+    )?;
+    drop(pick);
+    let add = add.clone();
+    let call = call.fusing_input(pre_maps.len());
+    // Unmasked and unaccumulated, `T` is the written result, so the
+    // trailing output maps fold into the kernel's numeric phase along with
+    // the input's pending maps; under a mask/accum they stay behind for
+    // the write-back to run over the merged store.
+    let unaccumulated = accum.is_none();
+    call.run(kind, accum, u_f.nnz(), move |x| {
+        let post = if x.mask.is_none() && unaccumulated {
+            std::mem::take(x.post)
+        } else {
+            Vec::new()
+        };
+        let pre_hook = |j: usize, v: &X| fuse_maps(&pre_maps, &[j], v);
+        let post_hook = |i: usize, v: &C| fuse_maps(&post, &[i], v);
+        let product = Product {
+            op,
+            ctx: x.ctx,
+            dir,
+            a: &*a_s,
+            u: &u_f,
+            add_tag: add.builtin(),
+            mul_tag,
+            mul,
+            add: |p: C, q: C| add.apply(&p, &q),
+            terminal: add.terminal().map(|t| t as _),
+            pre: (!pre_maps.is_empty()).then_some(&pre_hook as _),
+            post: (!post.is_empty()).then_some(&post_hook as _),
+        };
+        Ok(VecResult {
+            t: product.run_masked(x.mask),
+            by_density: true,
+        })
+    })
+}
+
 /// `w⟨m, r⟩ = w ⊙ (A ⊕.⊗ u)` (`desc.transpose_a` uses `Aᵀ`).
 pub fn mxv<C, M, A, X>(
     w: &Vector<C>,
@@ -315,97 +399,15 @@ where
     A: ValueType,
     X: ValueType,
 {
-    let ctx = w.context();
-    let _op = graphblas_obs::span_ctx("op.mxv", ctx.id());
-    a.check_context(&ctx)?;
-    u.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.size() != w.size() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    let (am, an) = eff_shape(a, desc.transpose_a);
-    if an != u.size() || w.size() != am {
-        return Err(ApiError::DimensionMismatch.into());
-    }
-
-    // Eagerly captures the input's base store plus its pending map chain
-    // (sequence-point semantics: later writes to `u` cannot leak in) —
-    // the maps become the node's fused input side instead of forcing a
-    // drain of `u`.
-    let (u_f, pre_maps) = u.snapshot_frontier_fused()?;
-    // Pull runs on the descriptor's orientation; push runs on the other
-    // one (served by the memoized transpose when it must be computed).
-    let natural = if desc.transpose_a {
-        Direction::Push
-    } else {
-        Direction::Pull
-    };
-    let pick = graphblas_obs::timeline::phase("mxv.pick");
-    let dir = choose_direction("mxv", ctx.id(), u_f.nnz(), u_f.len(), natural);
-    let u_f = frontier_for("mxv", ctx.id(), dir, u_f);
-    let a_s = match dir {
-        Direction::Pull => snapshot_operand(a, &ctx, desc.transpose_a, false)?,
-        Direction::Push => snapshot_operand(a, &ctx, !desc.transpose_a, false)?,
-    };
-    drop(pick);
-    let mask_s = snapshot_vecmask(mask, desc)?;
+    let call = Op::begin("op.mxv", &w.core, mask, desc)?;
     let sr = semiring.clone();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-
-    w.core.apply_node(
-        NodeKind::MxV,
-        Box::new(move |st, post| {
-            let nnz_in = u_f.nnz();
-            // The input's pending maps and (when unmasked/unaccumulated)
-            // the trailing output maps fold into the kernel's numeric
-            // phase; under a mask/accum the output maps instead run as
-            // one pass over the merged store below.
-            let pre_hook = |j: usize, v: &X| fuse_maps(&pre_maps, &[j], v);
-            let pre_ref: Option<registry::FusedHook<'_, X>> =
-                (!pre_maps.is_empty()).then_some(&pre_hook as _);
-            let fuse_post = mask_s.is_none() && accum.is_none();
-            let post_hook = |i: usize, v: &C| fuse_maps(&post, &[i], v);
-            let post_ref: Option<registry::FusedHook<'_, C>> =
-                (fuse_post && !post.is_empty()).then_some(&post_hook as _);
-            let t = Product {
-                op: "mxv",
-                ctx: &ctx2,
-                dir,
-                a: &*a_s,
-                u: &u_f,
-                add_tag: sr.add().builtin(),
-                mul_tag: sr.mul().builtin(),
-                mul: |av: &A, xv: &X| sr.multiply(av, xv),
-                add: |p: C, q: C| sr.combine(&p, &q),
-                terminal: sr.add().terminal().map(|t| t as _),
-                pre: pre_ref,
-                post: post_ref,
-            }
-            .run_masked(mask_s.as_ref());
-            note_dag_fusion(
-                "mxv",
-                ctx2.id(),
-                NodeKind::MxV,
-                pre_maps.len(),
-                post.len(),
-                nnz_in,
-            );
-            if fuse_post {
-                st.store = store_result("mxv", ctx2.id(), t);
-                return Ok(());
-            }
-            st.ensure_sparse()?;
-            let merged =
-                write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
-            st.store = store_result("mxv", ctx2.id(), merged);
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+    let sides = Multiply {
+        kind: NodeKind::MxV,
+        pull_t: desc.transpose_a,
+        mul: move |av: &A, xv: &X| sr.multiply(av, xv),
+        mul_tag: semiring.mul().builtin(),
+    };
+    product(call, accum, a, u, semiring.add(), sides)
 }
 
 /// `wᵀ⟨mᵀ, r⟩ = wᵀ ⊙ (uᵀ ⊕.⊗ A)` (`desc.transpose_b` uses `Aᵀ`, turning
@@ -425,93 +427,15 @@ where
     X: ValueType,
     A: ValueType,
 {
-    let ctx = w.context();
-    let _op = graphblas_obs::span_ctx("op.vxm", ctx.id());
-    a.check_context(&ctx)?;
-    u.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.size() != w.size() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    let (am, an) = eff_shape(a, desc.transpose_b);
-    if am != u.size() || w.size() != an {
-        return Err(ApiError::DimensionMismatch.into());
-    }
-
-    // Same eager input capture as `mxv`: base store plus pending maps,
-    // which ride into the node as its fused input side.
-    let (u_f, pre_maps) = u.snapshot_frontier_fused()?;
-    // Push runs on the descriptor's orientation; pull runs on the other
-    // one (served by the memoized transpose when it must be computed).
-    let natural = if desc.transpose_b {
-        Direction::Pull
-    } else {
-        Direction::Push
-    };
-    let pick = graphblas_obs::timeline::phase("mxv.pick");
-    let dir = choose_direction("vxm", ctx.id(), u_f.nnz(), u_f.len(), natural);
-    let u_f = frontier_for("vxm", ctx.id(), dir, u_f);
-    let a_s = match dir {
-        Direction::Push => snapshot_operand(a, &ctx, desc.transpose_b, false)?,
-        Direction::Pull => snapshot_operand(a, &ctx, !desc.transpose_b, false)?,
-    };
-    drop(pick);
-    let mask_s = snapshot_vecmask(mask, desc)?;
+    let call = Op::begin("op.vxm", &w.core, mask, desc)?;
     let sr = semiring.clone();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-
-    w.core.apply_node(
-        NodeKind::VxM,
-        Box::new(move |st, post| {
-            let nnz_in = u_f.nnz();
-            let pre_hook = |j: usize, v: &X| fuse_maps(&pre_maps, &[j], v);
-            let pre_ref: Option<registry::FusedHook<'_, X>> =
-                (!pre_maps.is_empty()).then_some(&pre_hook as _);
-            let fuse_post = mask_s.is_none() && accum.is_none();
-            let post_hook = |i: usize, v: &C| fuse_maps(&post, &[i], v);
-            let post_ref: Option<registry::FusedHook<'_, C>> =
-                (fuse_post && !post.is_empty()).then_some(&post_hook as _);
-            // Same product seen matrix-first: the multiply keeps its
-            // vector-first argument order.
-            let t = Product {
-                op: "vxm",
-                ctx: &ctx2,
-                dir,
-                a: &*a_s,
-                u: &u_f,
-                add_tag: sr.add().builtin(),
-                mul_tag: sr.mul().builtin(),
-                mul: |av: &A, xv: &X| sr.multiply(xv, av),
-                add: |p: C, q: C| sr.combine(&p, &q),
-                terminal: sr.add().terminal().map(|t| t as _),
-                pre: pre_ref,
-                post: post_ref,
-            }
-            .run_masked(mask_s.as_ref());
-            note_dag_fusion(
-                "vxm",
-                ctx2.id(),
-                NodeKind::VxM,
-                pre_maps.len(),
-                post.len(),
-                nnz_in,
-            );
-            if fuse_post {
-                st.store = store_result("vxm", ctx2.id(), t);
-                return Ok(());
-            }
-            st.ensure_sparse()?;
-            let merged =
-                write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
-            st.store = store_result("vxm", ctx2.id(), merged);
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+    let sides = Multiply {
+        kind: NodeKind::VxM,
+        pull_t: !desc.transpose_b,
+        mul: move |av: &A, xv: &X| sr.multiply(xv, av),
+        mul_tag: semiring.mul().builtin(),
+    };
+    product(call, accum, a, u, semiring.add(), sides)
 }
 
 #[cfg(test)]

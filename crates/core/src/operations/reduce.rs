@@ -8,18 +8,18 @@
 //! output may be empty). The 1.X typed-value forms (returning the identity
 //! for empty inputs) are kept as `reduce_to_value*`.
 
-use std::sync::Arc;
+use graphblas_exec::Context;
+use graphblas_sparse::{Csr, SparseVec};
 
 use crate::descriptor::Descriptor;
 use crate::error::{ApiError, GrbResult};
 use crate::matrix::Matrix;
-use crate::operations::{eff_shape, note_dag_fusion, snapshot_operand, snapshot_vecmask};
+use crate::operations::{eff_shape, snapshot_operand, Accum, Op};
 use crate::ops::{registry, BinaryOp, Monoid};
 use crate::pending::NodeKind;
 use crate::scalar::Scalar;
 use crate::types::{MaskValue, ValueType};
-use crate::vector::{VecStore, Vector};
-use crate::write;
+use crate::vector::Vector;
 
 /// `w⟨m, r⟩ = w ⊙ [⊕ⱼ A(:, j)]` — row-wise reduction to a vector
 /// (`desc.transpose_a` reduces columns instead).
@@ -35,75 +35,63 @@ where
     T: ValueType,
     M: MaskValue,
 {
-    let ctx = w.context();
-    let _op = graphblas_obs::span_ctx("op.reduce_to_vector", ctx.id());
-    a.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.size() != w.size() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    let (am, _) = eff_shape(a, desc.transpose_a);
-    if w.size() != am {
+    let call = Op::begin("op.reduce_to_vector", &w.core, mask, desc)?;
+    a.check_context(&call.ctx)?;
+    if call.shape() != eff_shape(a, desc.transpose_a).0 {
         return Err(ApiError::DimensionMismatch.into());
     }
-    let a_s = snapshot_operand(a, &ctx, desc.transpose_a, false)?;
-    let mask_s = snapshot_vecmask(mask, desc)?;
+    let a_s = snapshot_operand(a, desc.transpose_a, false)?;
     let monoid = monoid.clone();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-    w.core.apply_node(
-        NodeKind::Reduce,
-        Box::new(move |st, post| {
-            let nnz_in = a_s.nnz();
-            let rows = a_s.reduce_rows(&ctx2, |v| v.clone(), |x, y| monoid.apply(&x, &y));
-            let mut indices = Vec::new();
-            let mut values = Vec::new();
-            for (i, r) in rows.into_iter().enumerate() {
-                if let Some(v) = r {
-                    indices.push(i);
-                    values.push(v);
-                }
-            }
-            // grblint: allow(no-unwrap) — indices are enumerate() positions:
-            // strictly increasing and < nrows by construction.
-            let t = graphblas_sparse::SparseVec::from_parts(a_s.nrows(), indices, values)
-                .expect("reduce produces valid vector");
-            note_dag_fusion(
-                "reduce_to_vector",
-                ctx2.id(),
-                NodeKind::Reduce,
-                0,
-                post.len(),
-                nnz_in,
-            );
-            if mask_s.is_none() && accum.is_none() {
-                st.store = VecStore::Sparse(Arc::new(t));
-            } else {
-                st.ensure_sparse()?;
-                let merged =
-                    write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
-                st.store = VecStore::Sparse(Arc::new(merged));
-            }
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+    call.run(NodeKind::Reduce, accum, a_s.nnz(), move |x| {
+        let rows = a_s.reduce_rows(x.ctx, |v| v.clone(), |x, y| monoid.apply(&x, &y));
+        let stored = rows.into_iter().enumerate();
+        let (indices, values) = stored.filter_map(|(i, r)| Some((i, r?))).unzip();
+        // grblint: allow(no-unwrap) — indices are enumerate() positions:
+        // strictly increasing and < nrows by construction.
+        Ok(SparseVec::from_parts(a_s.nrows(), indices, values)
+            .expect("reduce produces valid vector"))
+    })
 }
 
-fn fold_scalar<T: ValueType>(
-    old: Option<T>,
-    t: Option<T>,
-    accum: Option<&BinaryOp<T, T, T>>,
-) -> Option<T> {
-    match (accum, old, t) {
-        (Some(op), Some(o), Some(t)) => Some(op.apply(&o, &t)),
-        (Some(_), None, t) => t,
-        (Some(_), o, None) => o,
-        (None, _, t) => t,
-    }
+/// The deferred write shared by every reduction into a `GrB_Scalar`:
+/// `s = s ⊙ reduce(ctx)`, computed under the scalar's own context `ctx`
+/// when the scalar's sequence reaches it. Without an accumulator an empty
+/// reduction empties the scalar (§VI).
+fn write_scalar<T: ValueType>(
+    s: &Scalar<T>,
+    ctx: Context,
+    accum: Accum<'_, T>,
+    reduce: impl FnOnce(&Context) -> Option<T> + Send + 'static,
+) -> GrbResult {
+    let accum = accum.cloned();
+    s.core.apply_write(Box::new(move |slot| {
+        **slot = match (accum, slot.take(), reduce(&ctx)) {
+            (Some(op), Some(old), Some(t)) => Some(op.apply(&old, &t)),
+            (Some(_), old, None) => old,
+            (_, _, t) => t,
+        };
+        Ok(())
+    }))
+}
+
+/// All of `a` under `monoid`: the registered kernel when there is one,
+/// the dyn-operator kernel (with the monoid's terminal early exit)
+/// otherwise. `None` when `a` stores nothing.
+fn reduce_csr<T: ValueType>(ctx: &Context, a: &Csr<T>, monoid: &Monoid<T>) -> Option<T> {
+    registry::try_reduce_csr(ctx, a, monoid.builtin()).unwrap_or_else(|| {
+        registry::record_pick("reduce", ctx.id(), false);
+        let terminal = monoid.terminal().map(|t| t as &(dyn Fn(&T) -> bool + Sync));
+        a.reduce_all(ctx, |v| v.clone(), |x, y| monoid.apply(&x, &y), terminal)
+    })
+}
+
+/// Vector form of [`reduce_csr`].
+fn reduce_svec<T: ValueType>(ctx: &Context, u: &SparseVec<T>, monoid: &Monoid<T>) -> Option<T> {
+    registry::try_reduce_svec(u, monoid.builtin(), ctx.id()).unwrap_or_else(|| {
+        registry::record_pick("reduce_v", ctx.id(), false);
+        let terminal = monoid.terminal().map(|t| t as &dyn Fn(&T) -> bool);
+        u.reduce(|v| v.clone(), |x, y| monoid.apply(&x, &y), terminal)
+    })
 }
 
 /// Table II: `GrB_reduce(GrB_Scalar, accum, monoid, A, desc)` — an empty
@@ -122,24 +110,7 @@ where
     a.check_context(&ctx)?;
     let a_s = a.snapshot_csr(false)?;
     let monoid = monoid.clone();
-    let accum = accum.cloned();
-    s.core.apply_write(Box::new(move |slot| {
-        let gctx = graphblas_exec::global_context();
-        let t = match registry::try_reduce_csr(&gctx, &a_s, monoid.builtin()) {
-            Some(t) => t,
-            None => {
-                registry::record_pick("reduce", gctx.id(), false);
-                a_s.reduce_all(
-                    &gctx,
-                    |v| v.clone(),
-                    |x, y| monoid.apply(&x, &y),
-                    monoid.terminal().map(|t| t as &(dyn Fn(&T) -> bool + Sync)),
-                )
-            }
-        };
-        **slot = fold_scalar(slot.take(), t, accum.as_ref());
-        Ok(())
-    }))
+    write_scalar(s, ctx, accum, move |ctx| reduce_csr(ctx, &a_s, &monoid))
 }
 
 /// §VI: reduction to scalar with a plain associative `BinaryOp` — newly
@@ -158,17 +129,9 @@ where
     a.check_context(&ctx)?;
     let a_s = a.snapshot_csr(false)?;
     let op = op.clone();
-    let accum = accum.cloned();
-    s.core.apply_write(Box::new(move |slot| {
-        let t = a_s.reduce_all(
-            &graphblas_exec::global_context(),
-            |v| v.clone(),
-            |x, y| op.apply(&x, &y),
-            None,
-        );
-        **slot = fold_scalar(slot.take(), t, accum.as_ref());
-        Ok(())
-    }))
+    write_scalar(s, ctx, accum, move |ctx| {
+        a_s.reduce_all(ctx, |v| v.clone(), |x, y| op.apply(&x, &y), None)
+    })
 }
 
 /// Vector form of [`reduce_scalar`].
@@ -186,23 +149,7 @@ where
     u.check_context(&ctx)?;
     let u_s = u.snapshot_sparse()?;
     let monoid = monoid.clone();
-    let accum = accum.cloned();
-    let ctx_id = ctx.id();
-    s.core.apply_write(Box::new(move |slot| {
-        let t = match registry::try_reduce_svec(&u_s, monoid.builtin(), ctx_id) {
-            Some(t) => t,
-            None => {
-                registry::record_pick("reduce_v", ctx_id, false);
-                u_s.reduce(
-                    |v| v.clone(),
-                    |x, y| monoid.apply(&x, &y),
-                    monoid.terminal().map(|t| t as &dyn Fn(&T) -> bool),
-                )
-            }
-        };
-        **slot = fold_scalar(slot.take(), t, accum.as_ref());
-        Ok(())
-    }))
+    write_scalar(s, ctx, accum, move |ctx| reduce_svec(ctx, &u_s, &monoid))
 }
 
 /// Vector form of [`reduce_scalar_binop`].
@@ -220,12 +167,9 @@ where
     u.check_context(&ctx)?;
     let u_s = u.snapshot_sparse()?;
     let op = op.clone();
-    let accum = accum.cloned();
-    s.core.apply_write(Box::new(move |slot| {
-        let t = u_s.reduce(|v| v.clone(), |x, y| op.apply(&x, &y), None);
-        **slot = fold_scalar(slot.take(), t, accum.as_ref());
-        Ok(())
-    }))
+    write_scalar(s, ctx, accum, move |_| {
+        u_s.reduce(|v| v.clone(), |x, y| op.apply(&x, &y), None)
+    })
 }
 
 /// The GraphBLAS 1.X typed form: reduces to a plain value, returning the
@@ -235,19 +179,7 @@ where
     T: ValueType,
 {
     let a_s = a.snapshot_csr(false)?;
-    let ctx = a.context();
-    let t = match registry::try_reduce_csr(&ctx, &a_s, monoid.builtin()) {
-        Some(t) => t,
-        None => {
-            registry::record_pick("reduce", ctx.id(), false);
-            a_s.reduce_all(
-                &ctx,
-                |v| v.clone(),
-                |x, y| monoid.apply(&x, &y),
-                monoid.terminal().map(|t| t as &(dyn Fn(&T) -> bool + Sync)),
-            )
-        }
-    };
+    let t = reduce_csr(&a.context(), &a_s, monoid);
     Ok(t.unwrap_or_else(|| monoid.identity().clone()))
 }
 
@@ -257,17 +189,7 @@ where
     T: ValueType,
 {
     let u_s = u.snapshot_sparse()?;
-    let t = match registry::try_reduce_svec(&u_s, monoid.builtin(), u.context().id()) {
-        Some(t) => t,
-        None => {
-            registry::record_pick("reduce_v", u.context().id(), false);
-            u_s.reduce(
-                |v| v.clone(),
-                |x, y| monoid.apply(&x, &y),
-                monoid.terminal().map(|t| t as &dyn Fn(&T) -> bool),
-            )
-        }
-    };
+    let t = reduce_svec(&u.context(), &u_s, monoid);
     Ok(t.unwrap_or_else(|| monoid.identity().clone()))
 }
 

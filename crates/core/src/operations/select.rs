@@ -12,24 +12,71 @@
 use std::sync::Arc;
 
 use crate::descriptor::Descriptor;
-use crate::error::{ApiError, Error, ExecErrorKind, GrbResult};
-use crate::matrix::{MatStore, Matrix};
-use crate::operations::{
-    eff_shape, note_dag_fusion, snapshot_matmask, snapshot_operand, snapshot_vecmask,
-};
+use crate::error::{ApiError, GrbResult};
+use crate::matrix::{Matrix, MatrixState};
+use crate::operations::{eff_shape, snapshot_operand, Accum, Op};
 use crate::ops::{BinaryOp, IndexUnaryOp};
-use crate::pending::{MapFn, NodeKind};
+use crate::pending::NodeKind;
 use crate::scalar::Scalar;
 use crate::types::{MaskValue, ValueType};
-use crate::vector::{VecStore, Vector};
-use crate::write;
+use crate::vector::{Vector, VectorState};
 
-fn scalar_value<S: ValueType>(s: &Scalar<S>) -> GrbResult<S> {
-    s.extract_element()?.ok_or_else(|| {
-        Error::exec(
-            ExecErrorKind::EmptyObject,
-            "select requires a non-empty GrB_Scalar argument",
-        )
+/// Every matrix `select` entry.
+fn select_m<T, S>(
+    call: Op<'_, MatrixState<T>>,
+    accum: Accum<'_, T>,
+    f: &IndexUnaryOp<T, S, bool>,
+    a: &Matrix<T>,
+    s: S,
+) -> GrbResult
+where
+    T: ValueType,
+    S: ValueType,
+{
+    let transpose = call.desc.transpose_a;
+    let f = f.clone();
+    // Same object means same domain by construction (both are T).
+    if !transpose && call.in_place(accum, a.addr()) {
+        return call.run_in_place(Arc::new(move |ind, v| {
+            f.apply(v, ind, &s).then(|| v.clone())
+        }));
+    }
+    a.check_context(&call.ctx)?;
+    if call.shape() != eff_shape(a, transpose) {
+        return Err(ApiError::DimensionMismatch.into());
+    }
+    let a_s = snapshot_operand(a, transpose, false)?;
+    call.run(NodeKind::Select, accum, a_s.nnz(), move |x| {
+        let keep = |i, j, v: &T| f.apply(v, &[i, j], &s).then(|| v.clone());
+        Ok(a_s.filter_map_with_index(x.ctx, keep))
+    })
+}
+
+/// Every vector `select` entry.
+fn select_vec<T, S>(
+    call: Op<'_, VectorState<T>>,
+    accum: Accum<'_, T>,
+    f: &IndexUnaryOp<T, S, bool>,
+    u: &Vector<T>,
+    s: S,
+) -> GrbResult
+where
+    T: ValueType,
+    S: ValueType,
+{
+    let f = f.clone();
+    if call.in_place(accum, u.addr()) {
+        return call.run_in_place(Arc::new(move |ind, v| {
+            f.apply(v, ind, &s).then(|| v.clone())
+        }));
+    }
+    u.check_context(&call.ctx)?;
+    if call.shape() != u.size() {
+        return Err(ApiError::DimensionMismatch.into());
+    }
+    let u_s = u.snapshot_sparse()?;
+    call.run(NodeKind::Select, accum, u_s.nnz(), move |_| {
+        Ok(u_s.filter_map_with_index(|i, v| f.apply(v, &[i], &s).then(|| v.clone())))
     })
 }
 
@@ -48,61 +95,8 @@ where
     M: MaskValue,
     S: ValueType,
 {
-    if mask.is_none()
-        && accum.is_none()
-        && !desc.transpose_a
-        && !desc.replace
-        && c.addr() == a.addr()
-    {
-        // Same object, same domain by construction (both are T).
-        let f2 = f.clone();
-        let s2 = s.clone();
-        let g: MapFn<T> = Arc::new(move |idx, v| f2.apply(v, idx, &s2).then(|| v.clone()));
-        return c.core.apply_map(g);
-    }
-    let ctx = c.context();
-    let _op = graphblas_obs::span_ctx("op.select", ctx.id());
-    a.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.shape() != c.shape() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    if c.shape() != eff_shape(a, desc.transpose_a) {
-        return Err(ApiError::DimensionMismatch.into());
-    }
-    let a_s = snapshot_operand(a, &ctx, desc.transpose_a, false)?;
-    let mask_s = snapshot_matmask(mask, desc)?;
-    let f = f.clone();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-    c.core.apply_node(
-        NodeKind::Select,
-        Box::new(move |st, post| {
-            let nnz_in = a_s.nnz();
-            let t = a_s
-                .filter_map_with_index(&ctx2, |i, j, v| f.apply(v, &[i, j], &s).then(|| v.clone()));
-            note_dag_fusion("select", ctx2.id(), NodeKind::Select, 0, post.len(), nnz_in);
-            if mask_s.is_none() && accum.is_none() {
-                st.store = MatStore::Csr(Arc::new(t));
-            } else {
-                st.ensure_csr(&ctx2, true)?;
-                let merged = write::merge_matrix(
-                    &ctx2,
-                    st.csr(),
-                    t,
-                    mask_s.as_ref(),
-                    accum.as_ref(),
-                    replace,
-                );
-                st.store = MatStore::Csr(Arc::new(merged));
-            }
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+    let call = Op::begin("op.select", &c.core, mask, desc)?;
+    select_m(call, accum, f, a, s)
 }
 
 /// Table II variant with `s` as a `GrB_Scalar` (must be non-empty).
@@ -120,8 +114,8 @@ where
     M: MaskValue,
     S: ValueType,
 {
-    let _op = graphblas_obs::span_ctx("op.select_scalar", 0);
-    select(c, mask, accum, f, a, scalar_value(s)?, desc)
+    let call = Op::begin("op.select_scalar", &c.core, mask, desc)?;
+    select_m(call, accum, f, a, s.value()?)
 }
 
 /// Vector select: `w⟨m, r⟩ = w ⊙ u⟨f(u, ind(u), 1, s)⟩`.
@@ -139,55 +133,8 @@ where
     M: MaskValue,
     S: ValueType,
 {
-    if mask.is_none() && accum.is_none() && !desc.replace && w.addr() == u.addr() {
-        let f2 = f.clone();
-        let s2 = s.clone();
-        let g: MapFn<T> = Arc::new(move |idx, v| f2.apply(v, idx, &s2).then(|| v.clone()));
-        return w.core.apply_map(g);
-    }
-    let ctx = w.context();
-    let _op = graphblas_obs::span_ctx("op.select_v", ctx.id());
-    u.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.size() != w.size() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
-    if w.size() != u.size() {
-        return Err(ApiError::DimensionMismatch.into());
-    }
-    let u_s = u.snapshot_sparse()?;
-    let mask_s = snapshot_vecmask(mask, desc)?;
-    let f = f.clone();
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-    w.core.apply_node(
-        NodeKind::Select,
-        Box::new(move |st, post| {
-            let nnz_in = u_s.nnz();
-            let t = u_s.filter_map_with_index(|i, v| f.apply(v, &[i], &s).then(|| v.clone()));
-            note_dag_fusion(
-                "select_v",
-                ctx2.id(),
-                NodeKind::Select,
-                0,
-                post.len(),
-                nnz_in,
-            );
-            if mask_s.is_none() && accum.is_none() {
-                st.store = VecStore::Sparse(Arc::new(t));
-            } else {
-                st.ensure_sparse()?;
-                let merged =
-                    write::merge_vector(st.sparse(), t, mask_s.as_ref(), accum.as_ref(), replace);
-                st.store = VecStore::Sparse(Arc::new(merged));
-            }
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+    let call = Op::begin("op.select_v", &w.core, mask, desc)?;
+    select_vec(call, accum, f, u, s)
 }
 
 /// Table II variant with `s` as a `GrB_Scalar`.
@@ -205,8 +152,8 @@ where
     M: MaskValue,
     S: ValueType,
 {
-    let _op = graphblas_obs::span_ctx("op.select_v_scalar", 0);
-    select_v(w, mask, accum, f, u, scalar_value(s)?, desc)
+    let call = Op::begin("op.select_v_scalar", &w.core, mask, desc)?;
+    select_vec(call, accum, f, u, s.value()?)
 }
 
 #[cfg(test)]

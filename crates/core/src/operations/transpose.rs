@@ -2,16 +2,13 @@
 //! transposes cancel and the operation degenerates to a (masked,
 //! accumulated) copy — the spec's idiom for formatted assignment.
 
-use std::sync::Arc;
-
 use crate::descriptor::Descriptor;
 use crate::error::{ApiError, GrbResult};
-use crate::matrix::{MatStore, Matrix};
-use crate::operations::{eff_shape, note_dag_fusion, snapshot_matmask, snapshot_operand};
+use crate::matrix::Matrix;
+use crate::operations::{eff_shape, snapshot_operand, Op};
 use crate::ops::BinaryOp;
 use crate::pending::NodeKind;
 use crate::types::{MaskValue, ValueType};
-use crate::write;
 
 /// `C⟨M, r⟩ = C ⊙ Aᵀ`.
 pub fn transpose<T, M>(
@@ -25,58 +22,17 @@ where
     T: ValueType,
     M: MaskValue,
 {
-    let ctx = c.context();
-    let _op = graphblas_obs::span_ctx("op.transpose", ctx.id());
-    a.check_context(&ctx)?;
-    if let Some(m) = mask {
-        m.check_context(&ctx)?;
-        if m.shape() != c.shape() {
-            return Err(ApiError::DimensionMismatch.into());
-        }
-    }
+    let call = Op::begin("op.transpose", &c.core, mask, desc)?;
+    a.check_context(&call.ctx)?;
     // The operation transposes once; the descriptor flag transposes again.
     let effective_transpose = !desc.transpose_a;
-    if c.shape() != eff_shape(a, effective_transpose) {
+    if call.shape() != eff_shape(a, effective_transpose) {
         return Err(ApiError::DimensionMismatch.into());
     }
-    let t_s = snapshot_operand(a, &ctx, effective_transpose, true)?;
-    let mask_s = snapshot_matmask(mask, desc)?;
-    let accum = accum.cloned();
-    let replace = desc.replace;
-    let ctx2 = ctx.clone();
-    c.core.apply_node(
-        NodeKind::Structure,
-        Box::new(move |st, post| {
-            let nnz_in = t_s.nnz();
-            note_dag_fusion(
-                "transpose",
-                ctx2.id(),
-                NodeKind::Structure,
-                0,
-                post.len(),
-                nnz_in,
-            );
-            if mask_s.is_none() && accum.is_none() {
-                // The snapshot is already the transposed CSR; share it
-                // instead of cloning when it has no other owner.
-                st.store = MatStore::Csr(t_s.clone());
-            } else {
-                let t = (*t_s).clone();
-                st.ensure_csr(&ctx2, true)?;
-                let merged = write::merge_matrix(
-                    &ctx2,
-                    st.csr(),
-                    t,
-                    mask_s.as_ref(),
-                    accum.as_ref(),
-                    replace,
-                );
-                st.store = MatStore::Csr(Arc::new(merged));
-            }
-            st.apply_post_maps(&ctx2, &post)?;
-            Ok(())
-        }),
-    )
+    // The snapshot is already `T`: the write-back shares it instead of
+    // copying whenever no merge needs to own it.
+    let t_s = snapshot_operand(a, effective_transpose, true)?;
+    call.run(NodeKind::Structure, accum, t_s.nnz(), move |_| Ok(t_s))
 }
 
 #[cfg(test)]

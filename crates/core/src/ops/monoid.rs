@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use crate::error::{Error, ExecErrorKind, GrbResult};
+use crate::error::GrbResult;
 use crate::ops::binary::{BinaryOp, BuiltinOp};
 use crate::scalar::Scalar;
 use crate::types::{BoundedValue, One, ValueType, Zero};
@@ -50,13 +50,7 @@ impl<T: ValueType> Monoid<T> {
     /// comes from a GraphBLAS scalar, which must be non-empty
     /// (`GrB_EMPTY_OBJECT` otherwise).
     pub fn new_scalar(op: BinaryOp<T, T, T>, identity: &Scalar<T>) -> GrbResult<Self> {
-        match identity.extract_element()? {
-            Some(v) => Ok(Monoid::new(op, v)),
-            None => Err(Error::exec(
-                ExecErrorKind::EmptyObject,
-                "Monoid::new_scalar requires a non-empty identity scalar",
-            )),
-        }
+        Ok(Monoid::new(op, identity.value()?))
     }
 
     /// Adds a terminal (annihilator) value test: once a reduction's

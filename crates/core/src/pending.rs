@@ -64,7 +64,8 @@ pub enum WaitMode {
 pub type MapFn<T> = Arc<dyn Fn(&[Index], &T) -> Option<T> + Send + Sync>;
 
 /// What kind of operation a lazy [`Stage::Node`] defers — the op-DAG node
-/// kinds DESIGN.md §III maps onto the paper's nonblocking semantics.
+/// kinds DESIGN.md §III maps onto the paper's nonblocking semantics, as the
+/// `dag-fuse` decision event names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// Matrix-vector product (`mxv`).
@@ -119,12 +120,7 @@ pub enum Stage<St, T> {
     /// `Map` stages that immediately *followed* it in the queue (possibly
     /// empty) and is responsible for folding them into its kernel's
     /// output path — or applying them as one pass over its result.
-    Node {
-        /// Which operation this node defers.
-        kind: NodeKind,
-        /// The deferred execution, parameterized over the trailing maps.
-        exec: Box<dyn FnOnce(&mut St, Vec<MapFn<T>>) -> GrbResult + Send>,
-    },
+    Node(Box<dyn FnOnce(&mut St, Vec<MapFn<T>>) -> GrbResult + Send>),
 }
 
 /// Composes a run of map stages into a single per-element closure:

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use graphblas_exec::Context;
 
 use crate::container::{Container, State, Store};
-use crate::error::GrbResult;
+use crate::error::{Error, ExecErrorKind, GrbResult};
 use crate::introspect::{CheckError, ObjectStats};
 use crate::pending::{fuse_maps, MapFn, WaitMode};
 use crate::types::ValueType;
@@ -166,6 +166,17 @@ impl<T: ValueType> Scalar<T> {
     pub fn stats(&self) -> ObjectStats {
         let st = self.core.lock_raw();
         st.stats((1, 1), usize::from(st.is_some()), "scalar")
+    }
+
+    /// The value of a scalar passed where Table II requires a non-empty
+    /// one: an empty scalar is a `GrB_EMPTY_OBJECT` execution error.
+    pub(crate) fn value(&self) -> GrbResult<T> {
+        self.extract_element()?.ok_or_else(|| {
+            Error::exec(
+                ExecErrorKind::EmptyObject,
+                "operation requires a non-empty GrB_Scalar argument",
+            )
+        })
     }
 
     /// Validates that this scalar shares `ctx` (§IV same-context rule).

@@ -23,9 +23,16 @@ pub(crate) enum VecStore<T: ValueType> {
     Sparse(Arc<SparseVec<T>>),
     Dense(Arc<DenseVec<T>>),
     /// Table III bitmap format: mid-density frontiers produced by
-    /// `mxv`/`vxm` land here (see the format heuristic in `operations`).
+    /// `mxv`/`vxm` land here (see [`VecStore::by_density`]).
     Bitmap(Arc<BitmapVec<T>>),
 }
+
+/// The Table III bitmap density window: results at least 1/4 occupied
+/// but not full are stored bitmap; everything else stays sparse. The
+/// lower bound keeps truly sparse results in the index-list format, the
+/// upper bound preserves the pull kernel's dense-frontier fast path
+/// (which needs a plain value array).
+pub const BITMAP_THRESHOLD_DEN: u64 = 4;
 
 impl<T: ValueType> Clone for VecStore<T> {
     fn clone(&self) -> Self {
@@ -45,6 +52,24 @@ impl<T: ValueType> VecStore<T> {
             VecStore::Sparse(a) => a.bytes(),
             VecStore::Dense(a) => a.bytes(),
             VecStore::Bitmap(a) => a.bytes(),
+        }
+    }
+
+    /// Picks the Table III store for a result by density — at least
+    /// 1/[`BITMAP_THRESHOLD_DEN`] occupied but not full is a bitmap — and
+    /// records the decision (counter + provenance event) when telemetry
+    /// is on.
+    pub(crate) fn by_density(op: &'static str, ctx_id: u64, t: SparseVec<T>) -> Self {
+        let (nnz, len) = (t.nnz(), t.len());
+        let bitmap = nnz as u64 * BITMAP_THRESHOLD_DEN >= len as u64 && nnz < len;
+        if graphblas_obs::enabled() {
+            graphblas_obs::counters::record_format_pick(bitmap);
+            graphblas_obs::events::decision_format(op, ctx_id, bitmap, nnz as u64, len as u64);
+        }
+        if bitmap {
+            VecStore::Bitmap(Arc::new(BitmapVec::from_svec(&t)))
+        } else {
+            VecStore::Sparse(Arc::new(t))
         }
     }
 }

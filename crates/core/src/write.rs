@@ -1,7 +1,8 @@
 //! The GraphBLAS write semantics: `C⟨M, r⟩ = C ⊙ T`.
 //!
-//! Every operation funnels its computed result `T` through [`merge_matrix`]
-//! / [`merge_vector`], which implement the spec's four-step output rule:
+//! Every operation hands its computed result `T` to
+//! [`Target::write_back`] — the one caller of [`merge_matrix`] /
+//! [`merge_vector`] — which implement the spec's four-step output rule:
 //!
 //! 1. restrict `T` to the (possibly complemented, possibly structural)
 //!    mask;
@@ -17,8 +18,174 @@ use std::sync::Arc;
 use graphblas_exec::Context;
 use graphblas_sparse::{ewise, Csr, SparseVec};
 
+use crate::container::{State, Store};
+use crate::descriptor::Descriptor;
+use crate::error::{ApiError, GrbResult};
+use crate::matrix::{MatStore, Matrix, MatrixState};
 use crate::ops::BinaryOp;
-use crate::types::ValueType;
+use crate::pending::MapFn;
+use crate::types::{Index, MaskValue, ValueType};
+use crate::vector::{VecStore, Vector, VectorState};
+
+/// The `⟨M, r⟩` and `⊙` of one call: everything the write rule needs
+/// besides `T`.
+pub(crate) struct Rule<S: Target> {
+    /// The operation, as decision events name it.
+    pub op: &'static str,
+    pub mask: Option<S::Mask>,
+    pub accum: Option<BinaryOp<S::Elem, S::Elem, S::Elem>>,
+    pub replace: bool,
+}
+
+/// A container an operation can write `C⟨M, r⟩ = C ⊙ T` into: the output
+/// side of every operation, implemented by the matrix and vector states.
+pub(crate) trait Target: Store {
+    /// `T`, as the kernels produce it.
+    type Result: Send + 'static;
+    /// Logical shape, which a mask operand must share.
+    type Shape: PartialEq;
+    /// A snapshot of a mask operand.
+    type Mask: Send + 'static;
+
+    fn shape(&self) -> Self::Shape;
+
+    /// Lands `t` in the store under `rule`, then applies the node's
+    /// trailing maps `post` to the written result as one pass.
+    fn write_back(
+        st: &mut State<Self>,
+        ctx: &Context,
+        t: Self::Result,
+        rule: &Rule<Self>,
+        post: &[MapFn<Self::Elem>],
+    ) -> GrbResult;
+}
+
+/// A mask operand of an operation that writes into an `S`: a matrix over a
+/// matrix, a vector over a vector, or (`GrB_Row_assign`/`GrB_Col_assign`)
+/// a vector over one line of a matrix.
+pub(crate) trait MaskSource<S: Target> {
+    /// API validation against an output of `shape` in `ctx`: the §IV
+    /// same-context rule, then shape agreement.
+    fn check(&self, ctx: &Context, shape: &S::Shape) -> GrbResult;
+
+    /// Completes the operand and snapshots it per the descriptor, as a
+    /// mask over an output of `shape`.
+    fn snapshot(&self, ctx: &Context, shape: &S::Shape, desc: &Descriptor) -> GrbResult<S::Mask>;
+}
+
+impl<T: ValueType, M: MaskValue> MaskSource<MatrixState<T>> for Matrix<M> {
+    fn check(&self, ctx: &Context, shape: &(Index, Index)) -> GrbResult {
+        self.check_context(ctx)?;
+        if self.shape() != *shape {
+            return Err(ApiError::DimensionMismatch.into());
+        }
+        Ok(())
+    }
+
+    fn snapshot(&self, _: &Context, _: &(Index, Index), desc: &Descriptor) -> GrbResult<MatMask> {
+        Ok(MatMask {
+            mask: self.snapshot_mask(desc.mask_structure)?,
+            complement: desc.mask_complement,
+        })
+    }
+}
+
+impl<T: ValueType, M: MaskValue> MaskSource<VectorState<T>> for Vector<M> {
+    fn check(&self, ctx: &Context, shape: &Index) -> GrbResult {
+        self.check_context(ctx)?;
+        if self.size() != *shape {
+            return Err(ApiError::DimensionMismatch.into());
+        }
+        Ok(())
+    }
+
+    fn snapshot(&self, _: &Context, _: &Index, desc: &Descriptor) -> GrbResult<VecMask> {
+        Ok(VecMask {
+            mask: self.snapshot_mask(desc.mask_structure)?,
+            complement: desc.mask_complement,
+        })
+    }
+}
+
+/// `T` for a vector output.
+pub(crate) struct VecResult<T> {
+    pub t: SparseVec<T>,
+    /// Store the written result in the Table III format its density picks
+    /// ([`VecStore::by_density`], for `mxv`/`vxm` frontiers) instead of
+    /// the canonical sparse one.
+    pub by_density: bool,
+}
+
+impl<T> From<SparseVec<T>> for VecResult<T> {
+    fn from(t: SparseVec<T>) -> Self {
+        VecResult {
+            t,
+            by_density: false,
+        }
+    }
+}
+
+impl<T: ValueType> Target for MatrixState<T> {
+    /// Shared, so a result that already exists as a snapshot (`transpose`)
+    /// lands without a copy.
+    type Result = Arc<Csr<T>>;
+    type Shape = (Index, Index);
+    type Mask = MatMask;
+
+    fn shape(&self) -> (Index, Index) {
+        (self.nrows, self.ncols)
+    }
+
+    fn write_back(
+        st: &mut State<Self>,
+        ctx: &Context,
+        t: Arc<Csr<T>>,
+        rule: &Rule<Self>,
+        post: &[MapFn<T>],
+    ) -> GrbResult {
+        let (mask, accum) = (rule.mask.as_ref(), rule.accum.as_ref());
+        st.store = MatStore::Csr(if mask.is_none() && accum.is_none() {
+            t
+        } else {
+            st.ensure_csr(ctx, true)?;
+            let t = Arc::unwrap_or_clone(t);
+            Arc::new(merge_matrix(ctx, st.csr(), t, mask, accum, rule.replace))
+        });
+        st.apply_post_maps(ctx, post)
+    }
+}
+
+impl<T: ValueType> Target for VectorState<T> {
+    type Result = VecResult<T>;
+    type Shape = Index;
+    type Mask = VecMask;
+
+    fn shape(&self) -> Index {
+        self.n
+    }
+
+    fn write_back(
+        st: &mut State<Self>,
+        ctx: &Context,
+        VecResult { t, by_density }: VecResult<T>,
+        rule: &Rule<Self>,
+        post: &[MapFn<T>],
+    ) -> GrbResult {
+        let (mask, accum) = (rule.mask.as_ref(), rule.accum.as_ref());
+        let t = if mask.is_none() && accum.is_none() {
+            t
+        } else {
+            st.ensure_sparse()?;
+            merge_vector(st.sparse(), t, mask, accum, rule.replace)
+        };
+        st.store = if by_density {
+            VecStore::by_density(rule.op, ctx.id(), t)
+        } else {
+            VecStore::Sparse(Arc::new(t))
+        };
+        st.apply_post_maps(ctx, post)
+    }
+}
 
 /// A snapshot of a mask operand: truthiness is already folded into the
 /// boolean values (structure-only masks are all-`true`).

@@ -56,11 +56,15 @@ fn build_inputs(ctx: &Context, n: usize) -> (Matrix<f64>, Vector<f64>, Vector<bo
     (a, u, m)
 }
 
+/// What a pipeline run leaves behind: the tuples of every vector it
+/// produced, concatenated, and of its final matrix.
+type Outputs = (Vec<(usize, f64)>, Vec<(usize, usize, f64)>);
+
 /// One mixed pipeline covering every converted operation family: fusible
 /// map chains feeding mxv/vxm (pre-side), in-place applies trailing a
 /// node (post-side), masked vxm, accumulated merges, assign, extract,
 /// reduce, mxm, and transpose.
-fn run_pipeline(mode: Mode) -> (Vec<(usize, f64)>, Vec<(usize, usize, f64)>) {
+fn run_pipeline(mode: Mode) -> Outputs {
     let n = 64;
     let ctx = Context::new(&global_context(), mode, ContextOptions::default());
     let (a, u, m) = build_inputs(&ctx, n);

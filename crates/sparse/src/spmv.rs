@@ -708,7 +708,7 @@ mod tests {
             let d = v * 2;
             (d <= 4).then_some(d)
         };
-        let post = |i: usize, v: &i64| -> Option<i64> { (i % 2 == 0).then_some(v + 1) };
+        let post = |i: usize, v: &i64| -> Option<i64> { i.is_multiple_of(2).then_some(v + 1) };
         let xm = x.filter_map_with_index(pre);
         let expect = spmv(&ctx, &a, &xm, |a, x| a * x, |p, q| p + q, None::<fn(&i64) -> bool>)
             .filter_map_with_index(post);
@@ -804,7 +804,7 @@ mod tests {
             Hooks {
                 pre: None,
                 post: None,
-                keep: |j: usize| j % 2 == 0,
+                keep: |j: usize| j.is_multiple_of(2),
             },
         );
         let expect: Vec<(usize, i64)> = full

@@ -29,6 +29,7 @@ cargo test -q
 cargo test -q -p graphblas-core
 cargo test -q -p graphblas-sparse
 cargo clippy --all-targets -- -D warnings
+cargo clippy -p graphblas-core -p graphblas-sparse --all-targets -- -D warnings
 
 # Benchmark plumbing smoke (numbers discarded: --quick is not comparable).
 # The `update` workload replays its set_element/remove_element script

@@ -2,10 +2,17 @@
 //! parent, context-aware constructors, the shared-context requirement,
 //! and `GrB_Context_switch`.
 
-use graphblas::operations::{ewise_add, mxm};
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
+
+use graphblas::operations::{
+    ewise_add, mxm, reduce_scalar, reduce_scalar_binop, reduce_scalar_binop_v, reduce_scalar_v,
+    reduce_to_value, reduce_to_value_v,
+};
 use graphblas::{
-    global_context, no_mask, BinaryOp, Context, ContextOptions, Descriptor, Matrix, Mode,
-    Semiring, Vector,
+    global_context, no_mask, BinaryOp, Context, ContextOptions, Descriptor, Matrix, Mode, Monoid,
+    Scalar, Semiring, Vector,
 };
 
 fn ctx(parent: &Context, mode: Mode, nthreads: Option<usize>) -> Context {
@@ -150,4 +157,69 @@ fn contexts_report_identity_and_mode() {
     let b = a.clone();
     assert!(a.same(&b));
     assert_ne!(a.id(), root.id());
+}
+
+#[test]
+fn scalar_reductions_run_under_the_output_scalars_thread_budget() {
+    // A one-thread context with a tiny chunk size: a kernel that honours
+    // it runs every task on the calling thread; one that falls back to the
+    // global context fans 4096 rows out over the pool.
+    let one = Context::new(
+        &global_context(),
+        Mode::Blocking,
+        ContextOptions {
+            nthreads: Some(1),
+            chunk_size: Some(8),
+            ..Default::default()
+        },
+    );
+    let n = 4096;
+    let idx: Vec<usize> = (0..n).collect();
+    let a = Matrix::<i64>::new_in(&one, n, n).unwrap();
+    a.build(&idx, &idx, &vec![1; n], None).unwrap();
+    let u = Vector::<i64>::new_in(&one, n).unwrap();
+    u.build(&idx, &vec![1; n], None).unwrap();
+    let s = Scalar::<i64>::new_in(&one).unwrap();
+
+    // A user-defined (unregistered) operator that records who calls it.
+    let seen: Arc<Mutex<HashSet<ThreadId>>> = Arc::default();
+    let record = seen.clone();
+    let plus = BinaryOp::<i64, i64, i64>::new("recording_plus", move |x, y| {
+        record.lock().unwrap().insert(thread::current().id());
+        x + y
+    });
+    let monoid = Monoid::new(plus.clone(), 0);
+
+    let cases: [(&str, &dyn Fn() -> i64); 6] = [
+        ("reduce_scalar", &|| {
+            reduce_scalar(&s, None, &monoid, &a).unwrap();
+            s.extract_element().unwrap().unwrap()
+        }),
+        ("reduce_scalar_binop", &|| {
+            reduce_scalar_binop(&s, None, &plus, &a).unwrap();
+            s.extract_element().unwrap().unwrap()
+        }),
+        ("reduce_scalar_v", &|| {
+            reduce_scalar_v(&s, None, &monoid, &u).unwrap();
+            s.extract_element().unwrap().unwrap()
+        }),
+        ("reduce_scalar_binop_v", &|| {
+            reduce_scalar_binop_v(&s, None, &plus, &u).unwrap();
+            s.extract_element().unwrap().unwrap()
+        }),
+        ("reduce_to_value", &|| reduce_to_value(&monoid, &a).unwrap()),
+        ("reduce_to_value_v", &|| {
+            reduce_to_value_v(&monoid, &u).unwrap()
+        }),
+    ];
+    for (name, run) in cases {
+        seen.lock().unwrap().clear();
+        assert_eq!(run(), n as i64, "{name}: wrong sum");
+        let threads = seen.lock().unwrap().clone();
+        assert_eq!(
+            threads,
+            HashSet::from([thread::current().id()]),
+            "{name} left its context's one-thread budget"
+        );
+    }
 }

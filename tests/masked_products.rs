@@ -13,9 +13,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 
-use graphblas::operations::{assign_scalar_v, force_direction, mxv, vxm, Direction};
+use graphblas::operations::{
+    apply, apply_indexop, apply_indexop_v, apply_v, assign_col, assign_scalar, assign_scalar_v,
+    assign_v, ewise_add, ewise_add_v, ewise_mult, ewise_mult_v, extract, extract_v,
+    force_direction, mxv, reduce_to_vector, select, select_v, vxm, Direction,
+};
 use graphblas::{
-    no_mask_v, BinaryOp, Descriptor, Index, Matrix, Monoid, Semiring, ValueType, Vector,
+    global_context, no_mask, no_mask_v, BinaryOp, Context, ContextOptions, Descriptor, GrbResult,
+    Index, IndexUnaryOp, Matrix, Mode, Monoid, Semiring, UnaryOp, ValueType, Vector,
 };
 use graphblas_exec::rng::prelude::*;
 
@@ -121,7 +126,11 @@ impl Write {
 }
 
 fn vector<T: ValueType>(n: usize, e: &Entries<T>) -> Vector<T> {
-    let v = Vector::<T>::new(n).unwrap();
+    vector_in(&global_context(), n, e)
+}
+
+fn vector_in<T: ValueType>(ctx: &Context, n: usize, e: &Entries<T>) -> Vector<T> {
+    let v = Vector::<T>::new_in(ctx, n).unwrap();
     let idx: Vec<Index> = e.keys().copied().collect();
     let vals: Vec<T> = e.values().cloned().collect();
     v.build(&idx, &vals, None).unwrap();
@@ -386,4 +395,517 @@ fn masked_scalar_assign_matches_the_write_rule_for_every_selector_shape() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Element-wise families: every `w⟨m, r⟩ = w ⊙ T` operation whose `T` is a
+// function of the operands alone goes through the same write rule, in both
+// execution modes, and its matrix twin on n×1 operands agrees with it.
+// ---------------------------------------------------------------------
+
+/// Output length, and the length of the short operand `assign_v` spreads
+/// over `sel`.
+const N: usize = 24;
+const SHORT: usize = 9;
+/// Columns of the matrix `reduce_to_vector` folds.
+const WIDE: usize = 5;
+
+/// The n×1 matrix holding `e` in column 0 — a vector's matrix twin.
+fn column_in<T: ValueType>(ctx: &Context, n: usize, e: &Entries<T>) -> Matrix<T> {
+    let m = Matrix::<T>::new_in(ctx, n, 1).unwrap();
+    let rows: Vec<Index> = e.keys().copied().collect();
+    let vals: Vec<T> = e.values().cloned().collect();
+    m.build(&rows, &vec![0; rows.len()], &vals, None).unwrap();
+    m
+}
+
+fn column_entries<T: ValueType>(m: &Matrix<T>) -> Entries<T> {
+    let (r, c, v) = m.extract_tuples().unwrap();
+    assert!(c.iter().all(|&j| j == 0));
+    r.into_iter().zip(v).collect()
+}
+
+/// The operands of one call, as model entries.
+struct Operands {
+    u: Entries<i64>,
+    v: Entries<i64>,
+    short: Entries<i64>,
+    wide: BTreeMap<(Index, Index), i64>,
+    /// `SHORT` distinct positions of the output (`assign_v`'s region).
+    sel: Vec<Index>,
+    /// `N` positions of `u`, with repeats (`extract_v`'s selector).
+    gather: Vec<Index>,
+}
+
+/// The same call as engine objects: outputs, mask and operands in both
+/// the vector and the n×1 matrix form.
+struct Call {
+    w: Vector<i64>,
+    c: Matrix<i64>,
+    mask_v: Option<Vector<bool>>,
+    mask_m: Option<Matrix<bool>>,
+    accum: Option<BinaryOp<i64, i64, i64>>,
+    desc: Descriptor,
+    u: (Vector<i64>, Matrix<i64>),
+    v: (Vector<i64>, Matrix<i64>),
+    short: Vector<i64>,
+    wide: Matrix<i64>,
+    sel: Vec<Index>,
+    gather: Vec<Index>,
+}
+
+struct Family {
+    name: &'static str,
+    /// `T`, from the operands — and, for `assign`, the old output and
+    /// whether an accumulator folds the assigned region.
+    t: fn(&Operands, &Entries<i64>, bool) -> Entries<i64>,
+    /// `GrB_assign` consumes the accumulator inside the region while
+    /// building `T`; the write rule then runs without one.
+    accum_in_t: bool,
+    vector: fn(&Call) -> GrbResult,
+    twin: Option<fn(&Call) -> GrbResult>,
+}
+
+const SHIFT: i64 = 100;
+const THRESHOLD: i64 = 0;
+
+fn triple() -> UnaryOp<i64, i64> {
+    UnaryOp::new("triple", |x: &i64| x * 3)
+}
+
+fn families() -> Vec<Family> {
+    vec![
+        Family {
+            name: "apply_v",
+            t: |o, _, _| o.u.iter().map(|(&i, x)| (i, x * 3)).collect(),
+            accum_in_t: false,
+            vector: |k| {
+                apply_v(
+                    &k.w,
+                    k.mask_v.as_ref(),
+                    k.accum.as_ref(),
+                    &triple(),
+                    &k.u.0,
+                    &k.desc,
+                )
+            },
+            twin: Some(|k| {
+                apply(
+                    &k.c,
+                    k.mask_m.as_ref(),
+                    k.accum.as_ref(),
+                    &triple(),
+                    &k.u.1,
+                    &k.desc,
+                )
+            }),
+        },
+        Family {
+            name: "apply_indexop_v",
+            t: |o, _, _| o.u.keys().map(|&i| (i, i as i64 + SHIFT)).collect(),
+            accum_in_t: false,
+            vector: |k| {
+                let f = IndexUnaryOp::rowindex();
+                apply_indexop_v(
+                    &k.w,
+                    k.mask_v.as_ref(),
+                    k.accum.as_ref(),
+                    &f,
+                    &k.u.0,
+                    SHIFT,
+                    &k.desc,
+                )
+            },
+            twin: Some(|k| {
+                let f = IndexUnaryOp::rowindex();
+                apply_indexop(
+                    &k.c,
+                    k.mask_m.as_ref(),
+                    k.accum.as_ref(),
+                    &f,
+                    &k.u.1,
+                    SHIFT,
+                    &k.desc,
+                )
+            }),
+        },
+        Family {
+            name: "select_v",
+            t: |o, _, _| {
+                o.u.iter()
+                    .filter(|(_, &x)| x > THRESHOLD)
+                    .map(|(&i, &x)| (i, x))
+                    .collect()
+            },
+            accum_in_t: false,
+            vector: |k| {
+                let f = IndexUnaryOp::valuegt();
+                select_v(
+                    &k.w,
+                    k.mask_v.as_ref(),
+                    k.accum.as_ref(),
+                    &f,
+                    &k.u.0,
+                    THRESHOLD,
+                    &k.desc,
+                )
+            },
+            twin: Some(|k| {
+                let f = IndexUnaryOp::valuegt();
+                select(
+                    &k.c,
+                    k.mask_m.as_ref(),
+                    k.accum.as_ref(),
+                    &f,
+                    &k.u.1,
+                    THRESHOLD,
+                    &k.desc,
+                )
+            }),
+        },
+        Family {
+            name: "ewise_add_v",
+            t: |o, _, _| {
+                // Singletons pass through unchanged: only overlaps see MINUS.
+                let mut t = o.u.clone();
+                for (&i, y) in &o.v {
+                    t.entry(i).and_modify(|x| *x -= y).or_insert(*y);
+                }
+                t
+            },
+            accum_in_t: false,
+            vector: |k| {
+                let op = BinaryOp::minus();
+                ewise_add_v(
+                    &k.w,
+                    k.mask_v.as_ref(),
+                    k.accum.as_ref(),
+                    &op,
+                    &k.u.0,
+                    &k.v.0,
+                    &k.desc,
+                )
+            },
+            twin: Some(|k| {
+                let op = BinaryOp::minus();
+                ewise_add(
+                    &k.c,
+                    k.mask_m.as_ref(),
+                    k.accum.as_ref(),
+                    &op,
+                    &k.u.1,
+                    &k.v.1,
+                    &k.desc,
+                )
+            }),
+        },
+        Family {
+            name: "ewise_mult_v",
+            t: |o, _, _| {
+                let both =
+                    o.u.iter()
+                        .filter_map(|(&i, x)| o.v.get(&i).map(|y| (i, x - y)));
+                both.collect()
+            },
+            accum_in_t: false,
+            vector: |k| {
+                let op = BinaryOp::minus();
+                ewise_mult_v(
+                    &k.w,
+                    k.mask_v.as_ref(),
+                    k.accum.as_ref(),
+                    &op,
+                    &k.u.0,
+                    &k.v.0,
+                    &k.desc,
+                )
+            },
+            twin: Some(|k| {
+                let op = BinaryOp::minus();
+                ewise_mult(
+                    &k.c,
+                    k.mask_m.as_ref(),
+                    k.accum.as_ref(),
+                    &op,
+                    &k.u.1,
+                    &k.v.1,
+                    &k.desc,
+                )
+            }),
+        },
+        Family {
+            name: "extract_v",
+            t: |o, _, _| {
+                let picked = o.gather.iter().enumerate();
+                picked
+                    .filter_map(|(k, i)| o.u.get(i).map(|x| (k, *x)))
+                    .collect()
+            },
+            accum_in_t: false,
+            vector: |k| {
+                extract_v(
+                    &k.w,
+                    k.mask_v.as_ref(),
+                    k.accum.as_ref(),
+                    &k.u.0,
+                    &k.gather,
+                    &k.desc,
+                )
+            },
+            twin: Some(|k| {
+                extract(
+                    &k.c,
+                    k.mask_m.as_ref(),
+                    k.accum.as_ref(),
+                    &k.u.1,
+                    &k.gather,
+                    &[0],
+                    &k.desc,
+                )
+            }),
+        },
+        Family {
+            name: "assign_v",
+            // Outside the region `T` is the old output; inside it is the
+            // short operand (folded into the old value under an accumulator,
+            // deleted where the operand stores nothing).
+            t: |o, old, accum| {
+                let mut t = old.clone();
+                for (k, &i) in o.sel.iter().enumerate() {
+                    match (o.short.get(&k), old.get(&i)) {
+                        (Some(x), Some(w)) if accum => t.insert(i, w + x),
+                        (Some(x), _) => t.insert(i, *x),
+                        (None, Some(_)) if accum => None,
+                        (None, _) => t.remove(&i),
+                    };
+                }
+                t
+            },
+            accum_in_t: true,
+            vector: |k| {
+                assign_v(
+                    &k.w,
+                    k.mask_v.as_ref(),
+                    k.accum.as_ref(),
+                    &k.short,
+                    &k.sel,
+                    &k.desc,
+                )
+            },
+            twin: Some(|k| {
+                assign_col(
+                    &k.c,
+                    k.mask_v.as_ref(),
+                    k.accum.as_ref(),
+                    &k.short,
+                    &k.sel,
+                    0,
+                    &k.desc,
+                )
+            }),
+        },
+        Family {
+            name: "reduce_to_vector",
+            t: |o, _, _| {
+                let mut t = Entries::new();
+                for (&(i, _), x) in &o.wide {
+                    *t.entry(i).or_insert(0) += x;
+                }
+                t
+            },
+            accum_in_t: false,
+            vector: |k| {
+                let plus = Monoid::plus();
+                reduce_to_vector(
+                    &k.w,
+                    k.mask_v.as_ref(),
+                    k.accum.as_ref(),
+                    &plus,
+                    &k.wide,
+                    &k.desc,
+                )
+            },
+            twin: None,
+        },
+    ]
+}
+
+fn check_families(mode: Mode) {
+    let ctx = Context::new(&global_context(), mode, ContextOptions::default());
+    let mut rng = StdRng::seed_from_u64(11);
+    let small = |r: &mut StdRng| r.gen_range(-9..10i64);
+    let inc = UnaryOp::new("inc", |x: &i64| x + 1);
+    for family in families() {
+        for write in write_grid() {
+            let mut sel: Vec<Index> = (0..N).collect();
+            for k in (1..N).rev() {
+                sel.swap(k, rng.gen_range(0..=k));
+            }
+            sel.truncate(SHORT);
+            let ops = Operands {
+                u: random_entries(&mut rng, N, 0.5, small),
+                v: random_entries(&mut rng, N, 0.5, small),
+                short: random_entries(&mut rng, SHORT, 0.6, small),
+                wide: (0..N * WIDE / 3)
+                    .map(|_| {
+                        (
+                            (rng.gen_range(0..N), rng.gen_range(0..WIDE)),
+                            small(&mut rng),
+                        )
+                    })
+                    .collect(),
+                sel,
+                gather: (0..N).map(|_| rng.gen_range(0..N)).collect(),
+            };
+            let old = random_entries(&mut rng, N, 0.4, small);
+            let mask = random_entries(&mut rng, N, 0.5, |r| r.gen_range(0..3) > 0);
+            let t = (family.t)(&ops, &old, write.accum);
+            let rule = Write {
+                accum: write.accum && !family.accum_in_t,
+                ..write
+            };
+            let expect = rule.apply(N, &old, &t, &mask, |o, t| o + t);
+            let masked = write.mask != MaskKind::None;
+            let wide = Matrix::<i64>::new_in(&ctx, N, WIDE).unwrap();
+            wide.build(
+                &ops.wide.keys().map(|k| k.0).collect::<Vec<_>>(),
+                &ops.wide.keys().map(|k| k.1).collect::<Vec<_>>(),
+                &ops.wide.values().copied().collect::<Vec<_>>(),
+                None,
+            )
+            .unwrap();
+            let call = Call {
+                w: vector_in(&ctx, N, &old),
+                c: column_in(&ctx, N, &old),
+                mask_v: masked.then(|| vector_in(&ctx, N, &mask)),
+                mask_m: masked.then(|| column_in(&ctx, N, &mask)),
+                accum: write.accum.then(BinaryOp::plus),
+                desc: write.descriptor(),
+                u: (vector_in(&ctx, N, &ops.u), column_in(&ctx, N, &ops.u)),
+                v: (vector_in(&ctx, N, &ops.v), column_in(&ctx, N, &ops.v)),
+                short: vector_in(&ctx, SHORT, &ops.short),
+                wide,
+                sel: ops.sel.clone(),
+                gather: ops.gather.clone(),
+            };
+            let label = format!("{} {mode:?} {write:?}", family.name);
+            (family.vector)(&call).unwrap();
+            assert_eq!(entries(&call.w), expect, "{label}");
+            if let Some(twin) = family.twin {
+                twin(&call).unwrap();
+                assert_eq!(column_entries(&call.c), expect, "{label}: matrix twin");
+            }
+            // Once more with an in-place map right behind the operation: in
+            // a nonblocking context it queues as the node's trailing stage
+            // and must transform the written result, not `T`.
+            let bumped: Entries<i64> = expect.iter().map(|(&i, x)| (i, x + 1)).collect();
+            let again = Call {
+                w: vector_in(&ctx, N, &old),
+                c: column_in(&ctx, N, &old),
+                ..call
+            };
+            (family.vector)(&again).unwrap();
+            apply_v(
+                &again.w,
+                no_mask_v(),
+                None,
+                &inc,
+                &again.w,
+                &Descriptor::default(),
+            )
+            .unwrap();
+            assert_eq!(entries(&again.w), bumped, "{label}: trailing map");
+            if let Some(twin) = family.twin {
+                twin(&again).unwrap();
+                apply(
+                    &again.c,
+                    no_mask(),
+                    None,
+                    &inc,
+                    &again.c,
+                    &Descriptor::default(),
+                )
+                .unwrap();
+                assert_eq!(
+                    column_entries(&again.c),
+                    bumped,
+                    "{label}: twin trailing map"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn elementwise_families_match_the_write_rule_in_a_blocking_context() {
+    check_families(Mode::Blocking);
+}
+
+#[test]
+fn elementwise_families_match_the_write_rule_in_a_nonblocking_context() {
+    check_families(Mode::NonBlocking);
+}
+
+/// `w⟨w⟩ = …`: the mask may be the output object itself. It is read at
+/// call time, as every input is, so the write rule sees the old `w` as its
+/// mask.
+fn check_self_masked(mode: Mode) {
+    let ctx = Context::new(&global_context(), mode, ContextOptions::default());
+    let mut rng = StdRng::seed_from_u64(23);
+    // Zeros are stored entries that a value mask reads as `false`.
+    let small = |r: &mut StdRng| r.gen_range(-2..3i64);
+    for write in write_grid() {
+        if write.mask == MaskKind::None {
+            continue;
+        }
+        let old = random_entries(&mut rng, N, 0.6, small);
+        let u = random_entries(&mut rng, N, 0.6, small);
+        let mask: Entries<bool> = old.iter().map(|(&i, &x)| (i, x != 0)).collect();
+        let accum = write.accum.then(BinaryOp::plus);
+        let label = format!("{mode:?} {write:?}");
+
+        let t: Entries<i64> = u.iter().map(|(&i, x)| (i, x * 3)).collect();
+        let w = vector_in(&ctx, N, &old);
+        apply_v(
+            &w,
+            Some(&w),
+            accum.as_ref(),
+            &triple(),
+            &vector_in(&ctx, N, &u),
+            &write.descriptor(),
+        )
+        .unwrap();
+        let expect = write.apply(N, &old, &t, &mask, |o, t| o + t);
+        assert_eq!(entries(&w), expect, "apply_v {label}");
+
+        // The accumulator folds inside the region — here all of `c` —
+        // while `T` is built; the write rule then runs without one.
+        let t: Entries<i64> = (0..N)
+            .map(|i| (i, old.get(&i).filter(|_| write.accum).map_or(7, |o| o + 7)))
+            .collect();
+        let c = column_in(&ctx, N, &old);
+        let all: Vec<Index> = (0..N).collect();
+        assign_scalar(
+            &c,
+            Some(&c),
+            accum.as_ref(),
+            7,
+            &all,
+            &[0],
+            &write.descriptor(),
+        )
+        .unwrap();
+        let rule = Write {
+            accum: false,
+            ..write
+        };
+        let expect = rule.apply(N, &old, &t, &mask, |o, t| o + t);
+        assert_eq!(column_entries(&c), expect, "assign_scalar {label}");
+    }
+}
+
+#[test]
+fn the_mask_may_be_the_output_itself() {
+    check_self_masked(Mode::Blocking);
+    check_self_masked(Mode::NonBlocking);
 }

@@ -4,7 +4,7 @@
 
 use graphblas::operations::{
     all_indices, apply_binop1st_v, apply_binop1st_v_scalar, apply_binop2nd_v,
-    apply_binop2nd_v_scalar, assign_col, assign_row,
+    apply_binop2nd_v_scalar, assign_col, assign_row, assign_v,
 };
 use graphblas::{
     no_mask_v, BinaryOp, Descriptor, Index, Matrix, Scalar, Vector,
@@ -77,6 +77,71 @@ fn row_assign_masked_only_touches_masked_columns() {
     // Only column 1 of row 0 writable; column 0 keeps old; other rows
     // untouched.
     assert_eq!(tuples(&c), vec![(0, 0, 1), (0, 1, 200), (1, 1, 7)]);
+}
+
+/// The mask and `replace` of a row/column assign are scoped to the line:
+/// under every descriptor the line ends up as `assign_v` leaves the same
+/// vector, and no position off the line changes.
+#[test]
+fn line_assign_is_a_vector_assign_on_the_line_and_leaves_the_rest_alone() {
+    let (nrows, ncols) = (4, 5);
+    // Holes at (i + j) % 4 == 3, so the line has entries to keep and gaps.
+    let old: Vec<(Index, Index, i64)> = (0..nrows)
+        .flat_map(|i| (0..ncols).map(move |j| (i, j, (10 * i + j + 1) as i64)))
+        .filter(|&(i, j, _)| (i + j) % 4 != 3)
+        .collect();
+    for row in [true, false] {
+        let (line, len) = if row { (2, ncols) } else { (3, nrows) };
+        let on_line = |i: Index, j: Index| line == if row { i } else { j };
+        let sel: Vec<Index> = vec![len - 1, 0, 2];
+        let u = Vector::<i64>::new(sel.len()).unwrap();
+        u.build(&[0, 2], &[500, 700], None).unwrap();
+        // Position 0 is stored `false`, 1 absent, 2 and the last `true`.
+        let mask = Vector::<bool>::new(len).unwrap();
+        mask.build(&[0, 2, len - 1], &[false, true, true], None)
+            .unwrap();
+        for bits in 0..32 {
+            let flag = |b: u32| bits >> b & 1 == 1;
+            let mut desc = Descriptor::new();
+            if flag(0) {
+                desc = desc.structure_mask();
+            }
+            if flag(1) {
+                desc = desc.complement_mask();
+            }
+            if flag(2) {
+                desc = desc.replace();
+            }
+            let accum = flag(3).then(BinaryOp::plus);
+            let mask = flag(4).then_some(&mask);
+            let label = format!("row={row} bits={bits:05b}");
+
+            let w = Vector::<i64>::new(len).unwrap();
+            for &(i, j, x) in old.iter().filter(|t| on_line(t.0, t.1)) {
+                w.set_element(x, if row { j } else { i }).unwrap();
+            }
+            assign_v(&w, mask, accum.as_ref(), &u, &sel, &desc).unwrap();
+            let (at, vals) = w.extract_tuples().unwrap();
+            let mut expect: Vec<_> = old
+                .iter()
+                .copied()
+                .filter(|t| !on_line(t.0, t.1))
+                .chain(at.into_iter().zip(vals).map(|(k, x)| {
+                    let (i, j) = if row { (line, k) } else { (k, line) };
+                    (i, j, x)
+                }))
+                .collect();
+            expect.sort();
+
+            let c = matrix((nrows, ncols), &old);
+            if row {
+                assign_row(&c, mask, accum.as_ref(), &u, line, &sel, &desc).unwrap();
+            } else {
+                assign_col(&c, mask, accum.as_ref(), &u, &sel, line, &desc).unwrap();
+            }
+            assert_eq!(tuples(&c), expect, "{label}");
+        }
+    }
 }
 
 #[test]

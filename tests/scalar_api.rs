@@ -3,12 +3,15 @@
 //! exercised end-to-end through the public API.
 
 use graphblas::operations::{
-    all_indices, apply_binop2nd_scalar, apply_indexop_scalar, assign_scalar_grb,
-    assign_scalar_v_grb, reduce_scalar, reduce_scalar_binop, reduce_scalar_binop_v,
-    reduce_scalar_v, select_scalar, select_v_scalar,
+    all_indices, apply_binop1st, apply_binop1st_scalar, apply_binop1st_v, apply_binop1st_v_scalar,
+    apply_binop2nd, apply_binop2nd_scalar, apply_binop2nd_v, apply_binop2nd_v_scalar,
+    apply_indexop, apply_indexop_scalar, apply_indexop_v, apply_indexop_v_scalar, assign_scalar,
+    assign_scalar_grb, assign_scalar_v, assign_scalar_v_grb, reduce_scalar, reduce_scalar_binop,
+    reduce_scalar_binop_v, reduce_scalar_v, select, select_scalar, select_v, select_v_scalar,
 };
 use graphblas::{
-    no_mask, no_mask_v, BinaryOp, Descriptor, IndexUnaryOp, Matrix, Monoid, Scalar, Vector,
+    global_context, no_mask, no_mask_v, BinaryOp, Context, ContextOptions, Descriptor, GrbResult,
+    Index, IndexUnaryOp, Matrix, Mode, Monoid, Scalar, Vector,
 };
 
 fn matrix() -> Matrix<i64> {
@@ -224,4 +227,175 @@ fn deferred_scalar_reduction_in_nonblocking_context() {
     // outputs make deferral possible); reading forces it.
     assert_eq!(s.extract_element().unwrap(), Some(7));
     s.wait(WaitMode::Materialize).unwrap();
+}
+
+/// One Table II operation variant: runs the `GrB_Scalar` form (or, given
+/// `Err(value)`, the plain-`T` form it must agree with) into a fresh,
+/// pre-populated output and returns the call's result with the output's
+/// tuples (vector outputs report column 0).
+type Variant = fn(Result<&Scalar<i64>, i64>) -> (GrbResult, Vec<(Index, Index, i64)>);
+
+fn matrix_case(
+    call: impl FnOnce(&Matrix<i64>, &Matrix<i64>) -> GrbResult,
+) -> (GrbResult, Vec<(Index, Index, i64)>) {
+    let c = Matrix::<i64>::new(3, 3).unwrap();
+    c.build(&[0, 2], &[0, 2], &[70, 80], None).unwrap();
+    let result = call(&c, &matrix());
+    let (r, cc, v) = c.extract_tuples().unwrap();
+    let tuples = r.into_iter().zip(cc).zip(v).map(|((i, j), x)| (i, j, x));
+    (result, tuples.collect())
+}
+
+fn vector_case(
+    call: impl FnOnce(&Vector<i64>, &Vector<i64>) -> GrbResult,
+) -> (GrbResult, Vec<(Index, Index, i64)>) {
+    let w = Vector::<i64>::new(4).unwrap();
+    w.build(&[1, 3], &[70, 80], None).unwrap();
+    let u = Vector::<i64>::new(4).unwrap();
+    u.build(&[0, 1, 2], &[4, -1, 9], None).unwrap();
+    let result = call(&w, &u);
+    let (i, v) = w.extract_tuples().unwrap();
+    (
+        result,
+        i.into_iter().zip(v).map(|(i, x)| (i, 0, x)).collect(),
+    )
+}
+
+#[test]
+fn table2_scalar_variants_agree_with_their_plain_forms_and_reject_empty_scalars() {
+    fn d() -> Descriptor {
+        Descriptor::default()
+    }
+    let variants: [(&str, Variant); 10] = [
+        ("apply_binop1st_scalar", |s| {
+            matrix_case(|c, a| match s {
+                Ok(s) => apply_binop1st_scalar(c, no_mask(), None, &BinaryOp::minus(), s, a, &d()),
+                Err(x) => apply_binop1st(c, no_mask(), None, &BinaryOp::minus(), x, a, &d()),
+            })
+        }),
+        ("apply_binop2nd_scalar", |s| {
+            matrix_case(|c, a| match s {
+                Ok(s) => apply_binop2nd_scalar(c, no_mask(), None, &BinaryOp::minus(), a, s, &d()),
+                Err(x) => apply_binop2nd(c, no_mask(), None, &BinaryOp::minus(), a, x, &d()),
+            })
+        }),
+        ("apply_binop1st_v_scalar", |s| {
+            vector_case(|w, u| match s {
+                Ok(s) => {
+                    apply_binop1st_v_scalar(w, no_mask_v(), None, &BinaryOp::minus(), s, u, &d())
+                }
+                Err(x) => apply_binop1st_v(w, no_mask_v(), None, &BinaryOp::minus(), x, u, &d()),
+            })
+        }),
+        ("apply_binop2nd_v_scalar", |s| {
+            vector_case(|w, u| match s {
+                Ok(s) => {
+                    apply_binop2nd_v_scalar(w, no_mask_v(), None, &BinaryOp::minus(), u, s, &d())
+                }
+                Err(x) => apply_binop2nd_v(w, no_mask_v(), None, &BinaryOp::minus(), u, x, &d()),
+            })
+        }),
+        ("apply_indexop_scalar", |s| {
+            matrix_case(|c, a| match s {
+                Ok(s) => {
+                    apply_indexop_scalar(c, no_mask(), None, &IndexUnaryOp::colindex(), a, s, &d())
+                }
+                Err(x) => apply_indexop(c, no_mask(), None, &IndexUnaryOp::colindex(), a, x, &d()),
+            })
+        }),
+        ("apply_indexop_v_scalar", |s| {
+            vector_case(|w, u| match s {
+                Ok(s) => apply_indexop_v_scalar(
+                    w,
+                    no_mask_v(),
+                    None,
+                    &IndexUnaryOp::rowindex(),
+                    u,
+                    s,
+                    &d(),
+                ),
+                Err(x) => {
+                    apply_indexop_v(w, no_mask_v(), None, &IndexUnaryOp::rowindex(), u, x, &d())
+                }
+            })
+        }),
+        ("select_scalar", |s| {
+            matrix_case(|c, a| match s {
+                Ok(s) => select_scalar(c, no_mask(), None, &IndexUnaryOp::valuegt(), a, s, &d()),
+                Err(x) => select(c, no_mask(), None, &IndexUnaryOp::valuegt(), a, x, &d()),
+            })
+        }),
+        ("select_v_scalar", |s| {
+            vector_case(|w, u| match s {
+                Ok(s) => {
+                    select_v_scalar(w, no_mask_v(), None, &IndexUnaryOp::valuegt(), u, s, &d())
+                }
+                Err(x) => select_v(w, no_mask_v(), None, &IndexUnaryOp::valuegt(), u, x, &d()),
+            })
+        }),
+        ("assign_scalar_grb", |s| {
+            matrix_case(|c, _| match s {
+                Ok(s) => assign_scalar_grb(c, no_mask(), None, s, &[0, 1], &[1, 2], &d()),
+                Err(x) => assign_scalar(c, no_mask(), None, x, &[0, 1], &[1, 2], &d()),
+            })
+        }),
+        ("assign_scalar_v_grb", |s| {
+            vector_case(|w, _| match s {
+                Ok(s) => assign_scalar_v_grb(w, no_mask_v(), None, s, &[0, 1], &d()),
+                Err(x) => assign_scalar_v(w, no_mask_v(), None, x, &[0, 1], &d()),
+            })
+        }),
+    ];
+    for (name, variant) in variants {
+        let s = Scalar::<i64>::new().unwrap();
+        let (_, untouched) = match name.contains("_v_") {
+            true => vector_case(|_, _| Ok(())),
+            false => matrix_case(|_, _| Ok(())),
+        };
+        let (result, tuples) = variant(Ok(&s));
+        assert_eq!(result.unwrap_err().code(), -106, "{name}: empty scalar");
+        assert_eq!(
+            tuples, untouched,
+            "{name}: a rejected call wrote its output"
+        );
+        s.set_element(3).unwrap();
+        let (result, tuples) = variant(Ok(&s));
+        result.unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        let (plain, expect) = variant(Err(3));
+        plain.unwrap();
+        assert_ne!(expect, untouched, "{name}: the case must change the output");
+        assert_eq!(
+            tuples, expect,
+            "{name}: scalar form differs from the plain form"
+        );
+    }
+}
+
+/// A call with several errors reports the first in validation order: mask
+/// context, mask shape, an empty `GrB_Scalar`, then the operands.
+#[test]
+fn a_call_with_several_errors_reports_the_first_in_validation_order() {
+    const CONTEXT_MISMATCH: i32 = -9;
+    const DIMENSION_MISMATCH: i32 = -6;
+    const EMPTY_OBJECT: i32 = -106;
+    let elsewhere = Context::new(&global_context(), Mode::Blocking, ContextOptions::default());
+    let w = Vector::<i64>::new(3).unwrap();
+    let u = Vector::<i64>::new(3).unwrap();
+    let foreign_u = Vector::<i64>::new_in(&elsewhere, 3).unwrap();
+    let mask = Vector::<bool>::new(3).unwrap();
+    let long_mask = Vector::<bool>::new(4).unwrap();
+    let foreign_mask = Vector::<bool>::new_in(&elsewhere, 4).unwrap();
+    let empty = Scalar::<i64>::new().unwrap();
+    let seven = Scalar::<i64>::new().unwrap();
+    seven.set_element(7).unwrap();
+    let call = |mask: &Vector<bool>, s: &Scalar<i64>, u: &Vector<i64>| {
+        let plus = BinaryOp::plus();
+        apply_binop2nd_v_scalar(&w, Some(mask), None, &plus, u, s, &Descriptor::default())
+            .map_or_else(|e| e.code(), |()| 0)
+    };
+    assert_eq!(call(&foreign_mask, &empty, &foreign_u), CONTEXT_MISMATCH);
+    assert_eq!(call(&long_mask, &empty, &foreign_u), DIMENSION_MISMATCH);
+    assert_eq!(call(&mask, &empty, &foreign_u), EMPTY_OBJECT);
+    assert_eq!(call(&mask, &seven, &foreign_u), CONTEXT_MISMATCH);
+    assert_eq!(call(&mask, &seven, &u), 0);
 }
