@@ -8,7 +8,7 @@
 
 use graphblas_core::operations::{apply_v, ewise_add_v, ewise_mult_v, mxv, vxm};
 use graphblas_core::{
-    ApiError, BinaryOp, Descriptor, GrbResult, Index, Matrix, Monoid, Semiring, UnaryOp,
+    ApiError, BinaryOp, Descriptor, GrbResult, Index, Matrix, Semiring, UnaryOp,
     Vector,
 };
 
@@ -31,11 +31,9 @@ pub fn betweenness_centrality(
     let ctx = a.context();
     let bc = Vector::<f64>::new_in(&ctx, n)?;
     // Path-count propagation: new_sigma[w] = Σ_{v ∈ frontier} sigma[v]·A(v,w).
-    let plus_first: Semiring<f64, bool, f64> =
-        Semiring::new(Monoid::plus(), BinaryOp::first());
+    let plus_first = Semiring::<f64, bool, f64>::plus_first();
     // Dependency pull: t[v] = Σ_w A(v,w)·t1[w].
-    let plus_second: Semiring<bool, f64, f64> =
-        Semiring::new(Monoid::plus(), BinaryOp::second());
+    let plus_second = Semiring::<bool, f64, f64>::plus_second();
 
     for &s in sources {
         // ---- forward sweep -------------------------------------------

@@ -1,11 +1,15 @@
-//! Damped PageRank with dangling-vertex mass redistribution.
+//! Damped PageRank with dangling-vertex mass redistribution, run on the
+//! caller's boolean adjacency matrix as stored: the matrix contributes
+//! structure only (PLUS.SECOND / PLUS.FIRST), so no weighted copy is made
+//! and the transpose the pull products need is memoised on `a` itself,
+//! where the next call finds it.
 
 use graphblas_core::operations::{
-    all_indices, apply_v, assign_scalar_v, ewise_add_v, ewise_mult_v, reduce_to_value_v,
-    reduce_to_vector, vxm,
+    all_indices, apply_binop1st_v, apply_v, assign_scalar_v, ewise_add_v, ewise_mult_v, mxv,
+    reduce_to_value_v, vxm,
 };
 use graphblas_core::{
-    BinaryOp, Descriptor, GrbResult, Matrix, Monoid, Semiring, UnaryOp, Vector,
+    no_mask_v, BinaryOp, Descriptor, GrbResult, Matrix, Monoid, Semiring, UnaryOp, Vector,
 };
 
 use crate::square_dim;
@@ -20,55 +24,58 @@ pub fn pagerank(
 ) -> GrbResult<Vector<f64>> {
     let n = square_dim(a)?;
     let nf = n as f64;
+    let ctx = a.context();
     let all = all_indices(n);
+    let desc = Descriptor::default();
+    let full = |value: f64| -> GrbResult<Vector<f64>> {
+        let v = Vector::<f64>::new_in(&ctx, n)?;
+        assign_scalar_v(&v, no_mask_v(), None, value, &all, &desc)?;
+        Ok(v)
+    };
 
-    // Edge weights 1.0 and out-degrees.
-    let w = Matrix::<f64>::new_in(&a.context(), n, n)?;
-    graphblas_core::operations::apply(
-        &w,
-        graphblas_core::no_mask(),
-        None,
-        &UnaryOp::<bool, f64>::new("one", |_| 1.0),
-        a,
-        &Descriptor::default(),
-    )?;
-    let deg = Vector::<f64>::new_in(&a.context(), n)?;
-    reduce_to_vector(
+    // Out-degrees: deg = A ⊕.second 1 — one entry per vertex with out-edges.
+    let deg = Vector::<f64>::new_in(&ctx, n)?;
+    mxv(
         &deg,
-        graphblas_core::no_mask_v(),
+        no_mask_v(),
         None,
-        &Monoid::plus(),
-        &w,
-        &Descriptor::default(),
+        &Semiring::<bool, f64, f64>::plus_second(),
+        a,
+        &full(1.0)?,
+        &desc,
+    )?;
+    // dinv = damping / deg, and 0 at dangling vertices (no product ever
+    // reads their entry): a *full* vector, so `scaled` below stays full and
+    // the pull kernel indexes it directly.
+    let dinv = full(0.0)?;
+    apply_binop1st_v(
+        &dinv,
+        Some(&deg),
+        None,
+        &BinaryOp::div(),
+        damping,
+        &deg,
+        &Descriptor::new().structure_mask(),
     )?;
 
-    // Dense initial ranks.
-    let rank = Vector::<f64>::new_in(&a.context(), n)?;
-    assign_scalar_v(
-        &rank,
-        graphblas_core::no_mask_v(),
-        None,
-        1.0 / nf,
-        &all,
-        &Descriptor::default(),
-    )?;
-
-    let plus_times = Semiring::<f64, f64, f64>::plus_times();
-    let scaled = Vector::<f64>::new_in(&a.context(), n)?;
-    let dangling = Vector::<f64>::new_in(&a.context(), n)?;
-    let new_rank = Vector::<f64>::new_in(&a.context(), n)?;
-    let delta = Vector::<f64>::new_in(&a.context(), n)?;
+    let mut rank = full(1.0 / nf)?;
+    let mut new_rank = Vector::<f64>::new_in(&ctx, n)?;
+    let plus_first = Semiring::<f64, bool, f64>::plus_first();
+    let absdiff = BinaryOp::<f64, f64, f64>::new("absdiff", |x, y| (x - y).abs());
+    let scaled = Vector::<f64>::new_in(&ctx, n)?;
+    let dangling = Vector::<f64>::new_in(&ctx, n)?;
+    let delta = Vector::<f64>::new_in(&ctx, n)?;
 
     for _ in 0..max_iter {
-        // scaled = rank / deg (intersection: only vertices with out-edges).
+        // scaled = damping · rank / deg.
         ewise_mult_v(
             &scaled,
-            graphblas_core::no_mask_v(),
+            no_mask_v(),
             None,
-            &BinaryOp::div(),
+            &BinaryOp::times(),
             &rank,
-            &deg,
-            &Descriptor::default(),
+            &dinv,
+            &desc,
         )?;
         // Dangling mass: rank of vertices with no out-edges.
         apply_v(
@@ -84,57 +91,24 @@ pub fn pagerank(
         )?;
         let dangling_mass = reduce_to_value_v(&Monoid::plus(), &dangling)?;
 
-        // new_rank = teleport + damping * (scaledᵀ W + dangling/n)
+        // new_rank = teleport + damping · dangling/n + scaledᵀ A
         let base = (1.0 - damping) / nf + damping * dangling_mass / nf;
-        assign_scalar_v(
-            &new_rank,
-            graphblas_core::no_mask_v(),
-            None,
-            base,
-            &all,
-            &Descriptor::default(),
-        )?;
-        let alpha = damping;
-        let scaled_alpha = Vector::<f64>::new_in(&a.context(), n)?;
-        apply_v(
-            &scaled_alpha,
-            graphblas_core::no_mask_v(),
-            None,
-            &UnaryOp::new("scale", move |x: &f64| x * alpha),
-            &scaled,
-            &Descriptor::default(),
-        )?;
+        assign_scalar_v(&new_rank, no_mask_v(), None, base, &all, &desc)?;
         vxm(
             &new_rank,
-            graphblas_core::no_mask_v(),
+            no_mask_v(),
             Some(&BinaryOp::plus()),
-            &plus_times,
-            &scaled_alpha,
-            &w,
-            &Descriptor::default(),
+            &plus_first,
+            &scaled,
+            a,
+            &desc,
         )?;
 
         // Convergence: L1 distance between iterations.
-        ewise_add_v(
-            &delta,
-            graphblas_core::no_mask_v(),
-            None,
-            &BinaryOp::<f64, f64, f64>::new("absdiff", |x, y| (x - y).abs()),
-            &new_rank,
-            &rank,
-            &Descriptor::default(),
-        )?;
+        ewise_add_v(&delta, no_mask_v(), None, &absdiff, &new_rank, &rank, &desc)?;
         let l1 = reduce_to_value_v(&Monoid::plus(), &delta)?;
 
-        // rank ← new_rank
-        apply_v(
-            &rank,
-            graphblas_core::no_mask_v(),
-            None,
-            &UnaryOp::identity(),
-            &new_rank,
-            &Descriptor::default(),
-        )?;
+        std::mem::swap(&mut rank, &mut new_rank);
         if l1 < tol {
             break;
         }

@@ -137,16 +137,17 @@ fn main() {
     let n = a.nrows();
     let edges = a.nvals().expect("rmat graph nvals");
 
-    // PageRank (plus/times f64) and BFS (lor/land + any/pair bool) run on
-    // builtin semirings, so the registry must claim their kernels: the
-    // static-hit counter is checkpointed around each static phase.
+    // PageRank (plus/first f64 over the bool graph) and BFS (lor/land +
+    // any/pair bool) run on builtin semirings, so the registry must claim
+    // their kernels: the static-hit counter is checkpointed around each
+    // static phase.
     let hits0 = static_hits();
     let (t_pagerank, t_pagerank_dyn) = ablate(p.runs, || {
         std::hint::black_box(graphblas_algo::pagerank(&a, 0.85, 1e-6, 50).expect("pagerank"));
     });
     assert!(
         static_hits() > hits0,
-        "pagerank (plus/times f64) recorded no registry static hits"
+        "pagerank (plus/first f64) recorded no registry static hits"
     );
 
     let hits1 = static_hits();

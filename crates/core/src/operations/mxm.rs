@@ -1,7 +1,5 @@
 //! `GrB_mxm`: masked, accumulated matrix-matrix multiply over a semiring.
 
-use graphblas_sparse::spgemm;
-
 use crate::descriptor::Descriptor;
 use crate::error::{ApiError, GrbResult};
 use crate::matrix::Matrix;
@@ -47,25 +45,19 @@ where
     let unaccumulated = accum.is_none();
     call.run(NodeKind::MxM, accum, a_s.nnz() + b_s.nnz(), move |x| {
         let ctx = x.ctx;
-        let mul = |x: &A, y: &B| sr.multiply(x, y);
-        let add = |acc: &mut C, z: C| *acc = sr.combine(acc, &z);
+        let mask = x
+            .mask
+            .filter(|_| unaccumulated)
+            .map(|m| (&*m.mask, m.complement));
         let (add_tag, mul_tag) = (sr.add().builtin(), sr.mul().builtin());
-        let dyn_pick = || registry::record_pick("mxm", ctx.id(), false);
-        Ok(match x.mask.filter(|_| unaccumulated) {
-            Some(m) => {
-                let (mask, complement) = (&*m.mask, m.complement);
-                registry::try_spgemm_masked(ctx, mask, complement, &a_s, &b_s, add_tag, mul_tag)
-                    .unwrap_or_else(|| {
-                        dyn_pick();
-                        let truthy = |b: &bool| *b;
-                        spgemm::spgemm_masked(ctx, mask, complement, truthy, &a_s, &b_s, mul, add)
-                    })
-            }
-            None => registry::try_spgemm(ctx, &a_s, &b_s, add_tag, mul_tag).unwrap_or_else(|| {
-                dyn_pick();
-                spgemm::spgemm(ctx, &a_s, &b_s, mul, add)
+        Ok(
+            registry::try_spgemm(ctx, mask, &a_s, &b_s, add_tag, mul_tag).unwrap_or_else(|| {
+                registry::record_pick("mxm", ctx.id(), false);
+                let mul = |x: &A, y: &B| sr.multiply(x, y);
+                let add = |acc: &mut C, z: C| *acc = sr.combine(acc, &z);
+                registry::matmat(ctx, mask, &a_s, &b_s, mul, add)
             }),
-        })
+        )
     })
 }
 

@@ -31,14 +31,15 @@ use std::sync::Arc;
 
 use graphblas_exec::workspace::{self, BitSet};
 use graphblas_exec::Context;
-use graphblas_sparse::spmv::{self as kernels, Hooks, OutputFilter, Unmasked};
+use graphblas_sparse::spmv::{Hooks, OutputFilter, Unmasked};
 use graphblas_sparse::{Csr, SparseVec};
 
 use crate::descriptor::Descriptor;
 use crate::error::{ApiError, GrbResult};
 use crate::matrix::Matrix;
 use crate::operations::{eff_shape, snapshot_operand, Accum, Op};
-use crate::ops::{registry, BinaryOp, BuiltinOp, Monoid, Semiring};
+use crate::ops::registry::{self, Operand};
+use crate::ops::{BinaryOp, BuiltinOp, Monoid, Semiring};
 use crate::pending::{fuse_maps, NodeKind};
 use crate::types::{MaskValue, ValueType};
 use crate::vector::{Frontier, Vector, VectorState};
@@ -190,8 +191,8 @@ fn mask_bits(m: &VecMask) -> (workspace::Checkout<BitSet>, usize) {
 
 /// One matrix-vector product resolved to a direction, with `a` already in
 /// the orientation that direction reads and the semiring seen matrix-first
-/// (`mul(a_ij, u_j)`) — `mxv` and `vxm` differ only in how they fill this
-/// in.
+/// (`mul(a_ij, u_j)`, and `mul_tag` names *that* function) — `mxv` and
+/// `vxm` differ only in how they fill this in.
 struct Product<'a, A, X: ValueType, C, FM, FA> {
     op: &'static str,
     ctx: &'a Context,
@@ -216,10 +217,13 @@ where
     FA: Fn(C, C) -> C + Sync,
 {
     /// Computes `T`, keeping only the output positions `keep` allows.
-    /// Registered builtin semirings take the monomorphized kernel (every
-    /// registered multiply is commutative, so both directions and both
-    /// operand orders share one instantiation); everything else falls
-    /// back to the generic dyn-operator kernels.
+    /// Operand order is explicit: `mul` and `mul_tag` both read the matrix
+    /// element first, whichever entry point and direction the product came
+    /// from, so the registry can tell a multiply that selects the vector's
+    /// value (SECOND here, claimed over any matrix type) from one that
+    /// selects the matrix's (FIRST, claimed never). A registered semiring
+    /// takes its monomorphized kernel; everything else runs the same
+    /// kernel over the dyn operators.
     fn run<K: OutputFilter>(&self, keep: K) -> SparseVec<C> {
         let (ctx, a) = (self.ctx, self.a);
         let hooks = Hooks {
@@ -227,41 +231,20 @@ where
             post: self.post,
             keep,
         };
-        let registered = match (self.dir, self.u) {
-            (Direction::Pull, Frontier::Sparse(u_s)) => {
-                registry::try_spmv_fused(ctx, a, u_s, self.add_tag, self.mul_tag, hooks)
-            }
-            (Direction::Pull, Frontier::Bitmap(u_b)) => {
-                registry::try_spmv_bitmap_fused(ctx, a, u_b, self.add_tag, self.mul_tag, hooks)
-            }
-            (Direction::Push, Frontier::Sparse(u_s)) => {
-                registry::try_vxm_fused(ctx, u_s, a, self.add_tag, self.mul_tag, hooks)
-            }
+        let u = match (self.dir, self.u) {
+            (Direction::Pull, Frontier::Sparse(u_s)) => Operand::Pull(u_s),
+            (Direction::Pull, Frontier::Bitmap(u_b)) => Operand::PullBitmap(u_b),
+            (Direction::Push, Frontier::Sparse(u_s)) => Operand::Push(u_s),
             (Direction::Push, Frontier::Bitmap(_)) => {
                 unreachable!("push frontiers are normalized to sparse")
             }
         };
-        if let Some(t) = registered {
-            return t;
-        }
-        registry::record_pick(self.op, ctx.id(), false);
-        let (mul, add) = (&self.mul, &self.add);
-        match (self.dir, self.u) {
-            (Direction::Pull, Frontier::Sparse(u_s)) => {
-                kernels::spmv_fused(ctx, a, u_s, mul, add, self.terminal, hooks)
-            }
-            (Direction::Pull, Frontier::Bitmap(u_b)) => {
-                kernels::spmv_bitmap_fused(ctx, a, u_b, mul, add, self.terminal, hooks)
-            }
-            // Scattering u's nonzeros through the rows of the other
-            // orientation computes the same product.
-            (Direction::Push, Frontier::Sparse(u_s)) => {
-                kernels::vxm_fused(ctx, u_s, a, |xv: &X, av: &A| mul(av, xv), add, hooks)
-            }
-            (Direction::Push, Frontier::Bitmap(_)) => {
-                unreachable!("push frontiers are normalized to sparse")
-            }
-        }
+        registry::try_matvec(self.op, ctx, a, u, self.add_tag, self.mul_tag, hooks).unwrap_or_else(
+            || {
+                registry::record_pick(self.op, ctx.id(), false);
+                registry::matvec(ctx, a, u, &self.mul, &self.add, self.terminal, hooks)
+            },
+        )
     }
 
     /// [`Product::run`] under the operation's mask, if any.
@@ -284,13 +267,16 @@ where
 /// `w = P ⊕.⊗ u`: `mxv` has `P = A` (`Aᵀ` under `desc.transpose_a`); `vxm`
 /// computes `uᵀ ⊕.⊗ A = Aᵀ ⊕.⊗ u`, so it has `P = Aᵀ` (`A` under
 /// `desc.transpose_b`) and a multiply that swaps its arguments back into
-/// vector-first order.
+/// vector-first order. This is the one place that knows which semiring
+/// argument is the matrix.
 struct Multiply<F> {
     kind: NodeKind,
     /// Whether `P` — the orientation the *pull* kernel reads — is `Aᵀ`.
     pull_t: bool,
     /// The semiring's multiply, matrix element first.
     mul: F,
+    /// The builtin `mul` is, if any — of the matrix-first function, so
+    /// `vxm` hands over its semiring's tag flipped.
     mul_tag: Option<BuiltinOp>,
 }
 
@@ -433,7 +419,7 @@ where
         kind: NodeKind::VxM,
         pull_t: !desc.transpose_b,
         mul: move |av: &A, xv: &X| sr.multiply(xv, av),
-        mul_tag: semiring.mul().builtin(),
+        mul_tag: semiring.mul().builtin().and_then(BuiltinOp::flipped),
     };
     product(call, accum, a, u, semiring.add(), sides)
 }

@@ -57,6 +57,24 @@ pub enum BuiltinOp {
     Any,
 }
 
+impl BuiltinOp {
+    /// The builtin that computes `f(y, x)` where `self` computes `f(x, y)`:
+    /// FIRST and SECOND trade places, the exactly commutative operators are
+    /// their own flip. `None` where no builtin does it bit for bit (MINUS,
+    /// DIV, the orderings; MIN/MAX/ANY keep their *first* operand on a tie).
+    /// `vxm` uses this to hand the kernel registry its multiply matrix
+    /// element first.
+    pub fn flipped(self) -> Option<BuiltinOp> {
+        use BuiltinOp::*;
+        match self {
+            First => Some(Second),
+            Second => Some(First),
+            OneB | Plus | Times | LOr | LAnd | LXor | LXnor | Eq | Ne => Some(self),
+            Minus | Div | Min | Max | Lt | Le | Gt | Ge | Any => None,
+        }
+    }
+}
+
 /// A binary operator over domains `A × B → Z`.
 #[derive(Clone)]
 pub struct BinaryOp<A, B, Z> {

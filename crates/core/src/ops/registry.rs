@@ -20,11 +20,27 @@
 //!
 //! | add  | mul  | types                  | workloads                  |
 //! |------|------|------------------------|----------------------------|
-//! | PLUS | TIMES| f64, f32, i64, u64     | pagerank, spgemm, counting |
+//! | PLUS | TIMES| f64, f32, i64, u64     | spgemm, counting           |
 //! | MIN  | PLUS | f64, f32, i64, u64     | shortest paths             |
 //! | MAX  | PLUS | f64, f32, i64, u64     | widest/critical paths      |
 //! | LOR  | LAND | bool                   | reachability, BFS          |
 //! | ANY  | PAIR | bool                   | structural BFS             |
+//!
+//! Those rows want every operand at the row's type. The *value-blind*
+//! multiplies do not — one that never reads the matrix needs no guard on
+//! what the matrix stores — so each (add, type) pair above is claimed a
+//! second time with only the vector and output typed:
+//!
+//! | add              | mul (matrix first)         | matrix       | workloads                          |
+//! |------------------|----------------------------|--------------|------------------------------------|
+//! | any row's monoid | SECOND: the vector's value | any `A`      | pagerank, bc, bfs_parents, cc, mis |
+//! | any row's monoid | ONEB/PAIR                  | any `A`      | structural counting                |
+//! | PLUS, in `mxm`   | ONEB/PAIR                  | any `A`, `B` | triangle_count, lcc, ktruss        |
+//!
+//! (`vxm` multiplies vector first, so its FIRST is the SECOND of this
+//! table.) The kernel is instantiated over the caller's `Csr<A>` as stored, so one
+//! `Matrix<bool>` serves every algorithm with no typed copy. FIRST (matrix
+//! first) selects the *matrix's* value and is nobody's row.
 //!
 //! Element-wise ops additionally register PLUS/TIMES/MIN/MAX over the four
 //! numeric types and LOR/LAND over bool; apply registers IDENTITY, AINV,
@@ -394,10 +410,12 @@ macro_rules! term_of {
 // ---------------------------------------------------------------------------
 //
 // Tag arguments are `Option<BuiltinOp>` (from `Monoid::builtin()` /
-// `BinaryOp::builtin()`) rather than operator objects so one entry point
-// serves both argument orders of `Semiring` (mxv's `Semiring<A, X, C>`
-// vs. vxm's `Semiring<X, A, C>`): every registered multiply is
-// commutative and same-typed, so operand order does not matter.
+// `BinaryOp::builtin()`) rather than operator objects, so one entry point
+// serves a `Semiring` of either argument order (mxv's `Semiring<A, X, C>`
+// vs. vxm's `Semiring<X, A, C>`). Operand order is the *caller's* to fix,
+// because FIRST and SECOND are registered and not commutative:
+// [`try_matvec`] takes its multiply tag **matrix element first** — `mxv`'s
+// own order; `vxm` passes [`BuiltinOp::flipped`].
 
 /// The element-map hook shape the fused entry points take: the DAG
 /// drain's composed apply/select chain for one side of a kernel, typed at
@@ -420,225 +438,196 @@ macro_rules! hook_adapter {
     };
 }
 
-/// Reassembles the kernel's [`Hooks`] at a registry arm's `$t` from the
-/// two [`hook_adapter!`] closures and the caller's output filter, which is
-/// index-typed and passes through untouched.
-macro_rules! retyped_hooks {
-    ($pre:ident, $post:ident, $keep:expr) => {
-        Hooks {
-            pre: $pre.as_ref().map(|f| f as FusedHook<'_, _>),
-            post: $post.as_ref().map(|f| f as FusedHook<'_, _>),
-            keep: $keep,
+/// The vector operand of one matrix-vector product, by the kernel that
+/// consumes it. The matrix is already in the orientation that kernel reads.
+pub enum Operand<'a, X> {
+    /// Pull (`spmv`): each output row's dot product against a
+    /// sparse-format vector.
+    Pull(&'a SparseVec<X>),
+    /// Pull against a bitmap-format vector (`spmv_bitmap`), consumed
+    /// without a format conversion.
+    PullBitmap(&'a BitmapVec<X>),
+    /// Push (`vxm`): the vector's entries scattered through their matrix
+    /// rows.
+    Push(&'a SparseVec<X>),
+}
+
+impl<X> Clone for Operand<'_, X> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<X> Copy for Operand<'_, X> {}
+
+impl<'a, X: Any> Operand<'a, X> {
+    /// The same operand at the element type a registry arm's guard proved
+    /// `X` to be.
+    fn retyped<T: Any>(self) -> Option<Operand<'a, T>> {
+        Some(match self {
+            Operand::Pull(x) => Operand::Pull(cast_ref(x)?),
+            Operand::PullBitmap(x) => Operand::PullBitmap(cast_ref(x)?),
+            Operand::Push(x) => Operand::Push(cast_ref(x)?),
+        })
+    }
+}
+
+/// Runs the kernel `u` selects: `w = A ⊕.⊗ u` with `mul` taking the matrix
+/// element first in every direction (the push kernel's vector-first
+/// multiply is adapted here). The one kernel call behind every
+/// [`try_matvec`] arm and behind `mxv`/`vxm`'s dyn fallback.
+pub(crate) fn matvec<A, X, Z, FM, FA, FT, K>(
+    ctx: &Context,
+    a: &Csr<A>,
+    u: Operand<'_, X>,
+    mul: FM,
+    add: FA,
+    is_terminal: Option<FT>,
+    hooks: Hooks<'_, X, Z, K>,
+) -> SparseVec<Z>
+where
+    A: ValueType,
+    X: ValueType,
+    Z: ValueType,
+    FM: Fn(&A, &X) -> Z + Sync,
+    FA: Fn(Z, Z) -> Z + Sync,
+    FT: Fn(&Z) -> bool + Sync,
+    K: OutputFilter,
+{
+    match u {
+        Operand::Pull(x) => spmv::spmv_fused(ctx, a, x, mul, add, is_terminal, hooks),
+        Operand::PullBitmap(x) => spmv::spmv_bitmap_fused(ctx, a, x, mul, add, is_terminal, hooks),
+        // Scattering u's nonzeros through the rows of the other
+        // orientation computes the same product.
+        Operand::Push(x) => spmv::vxm_fused(ctx, x, a, |xv: &X, av: &A| mul(av, xv), add, hooks),
+    }
+}
+
+/// `w = A ⊕.⊗ u` through a registered instantiation, in whichever
+/// direction and vector format `u` names, with the caller-typed kernel
+/// [`Hooks`]: fused pre/post element maps folded into the numeric phase
+/// (nonblocking DAG cross-operation fusion, paper §III) and the output
+/// mask's filter. `mul_tag` reads **matrix element first**. Each
+/// (add, type) row of the table is claimed under three multiplies:
+///
+/// * the row's own (`A == X == Z == $t`);
+/// * SECOND — the product is the *vector's* value — over a matrix of any
+///   element type: a multiply that never reads the matrix needs no guard on
+///   what the matrix stores, so the kernel is instantiated over the
+///   caller's `Csr<A>` as it is (structure only; a stored `false` or `0`
+///   counts like any other entry);
+/// * ONEB/PAIR, value-blind on both sides, run as SECOND over the vector
+///   with its values rewritten to 1 on the way in.
+///
+/// FIRST — the *matrix's* value — is never claimed here.
+pub fn try_matvec<A, X, Z, K>(
+    op: &'static str,
+    ctx: &Context,
+    a: &Csr<A>,
+    u: Operand<'_, X>,
+    add_tag: Option<BuiltinOp>,
+    mul_tag: Option<BuiltinOp>,
+    hooks: Hooks<'_, X, Z, K>,
+) -> Option<SparseVec<Z>>
+where
+    A: ValueType,
+    X: ValueType,
+    Z: ValueType,
+    K: OutputFilter,
+{
+    if !enabled() {
+        return None;
+    }
+    macro_rules! arm {
+        ($add:ident, $mul:ident, $t:ty, $fold:ident, $acc:ident, $mulf:ident, $term:ident) => {
+            if add_tag == Some(BuiltinOp::$add)
+                && TypeId::of::<X>() == TypeId::of::<$t>()
+                && TypeId::of::<Z>() == TypeId::of::<$t>()
+            {
+                let ut = u.retyped::<$t>()?;
+                let pre_t = hook_adapter!(hooks.pre, X, $t);
+                let post_t = hook_adapter!(hooks.post, Z, $t);
+                let hooks_t = Hooks {
+                    pre: pre_t.as_ref().map(|f| f as FusedHook<'_, $t>),
+                    post: post_t.as_ref().map(|f| f as FusedHook<'_, $t>),
+                    // Index-typed: passes through untouched.
+                    keep: hooks.keep,
+                };
+                let term = term_of!($term, $t);
+                let vector = |_: &A, x: &$t| *x;
+                let y = if mul_tag == Some(BuiltinOp::$mul)
+                    && TypeId::of::<A>() == TypeId::of::<$t>()
+                {
+                    let at = cast_ref::<Csr<A>, Csr<$t>>(a)?;
+                    Some(matvec(ctx, at, ut, $mulf, $fold, term, hooks_t))
+                } else if mul_tag == Some(BuiltinOp::Second) {
+                    Some(matvec(ctx, a, ut, vector, $fold, term, hooks_t))
+                } else if mul_tag == Some(BuiltinOp::OneB) {
+                    // PAIR is SECOND over a vector of ones. Rewriting the
+                    // values as they enter the kernel (once per vector
+                    // entry, after the caller's own input maps) reuses the
+                    // SECOND instantiation instead of doubling the number
+                    // of kernels compiled per matrix type.
+                    let ones = |j: usize, v: &$t| match hooks_t.pre {
+                        Some(f) => f(j, v).map(|_| <$t as One>::one()),
+                        None => Some(<$t as One>::one()),
+                    };
+                    let hooks_t = Hooks {
+                        pre: Some(&ones as FusedHook<'_, $t>),
+                        ..hooks_t
+                    };
+                    Some(matvec(ctx, a, ut, vector, $fold, term, hooks_t))
+                } else {
+                    None
+                };
+                if let Some(y) = y {
+                    let y = cast_val::<SparseVec<$t>, SparseVec<Z>>(y)?;
+                    record_pick(op, ctx.id(), true);
+                    return Some(y);
+                }
+            }
+        };
+    }
+    with_registered_semirings!(arm);
+    None
+}
+
+/// Runs `C = A ⊕.⊗ B`, or `C⟨M⟩ = A ⊕.⊗ B` under a boolean `(mask,
+/// complement)` whose stored `false` entries forbid their position. The one
+/// kernel call behind every [`try_spgemm`] arm and behind `mxm`'s dyn
+/// fallback.
+pub(crate) fn matmat<A, B, Z, FM, FA>(
+    ctx: &Context,
+    mask: Option<(&Csr<bool>, bool)>,
+    a: &Csr<A>,
+    b: &Csr<B>,
+    mul: FM,
+    add: FA,
+) -> Csr<Z>
+where
+    A: ValueType,
+    B: ValueType,
+    Z: ValueType,
+    FM: Fn(&A, &B) -> Z + Sync,
+    FA: Fn(&mut Z, Z) + Sync,
+{
+    match mask {
+        Some((m, complement)) => {
+            spgemm::spgemm_masked(ctx, m, complement, pred_bool, a, b, mul, add)
         }
-    };
-}
-
-/// Pull-direction `y = A ⊕.⊗ x` through a registered instantiation.
-pub fn try_spmv<A, X, Z>(
-    ctx: &Context,
-    a: &Csr<A>,
-    x: &SparseVec<X>,
-    add_tag: Option<BuiltinOp>,
-    mul_tag: Option<BuiltinOp>,
-) -> Option<SparseVec<Z>>
-where
-    A: ValueType,
-    X: ValueType,
-    Z: ValueType,
-{
-    try_spmv_fused(ctx, a, x, add_tag, mul_tag, Hooks::none())
-}
-
-/// [`try_spmv`] with the caller-typed kernel [`Hooks`]: fused pre/post
-/// element maps folded into the numeric phase (nonblocking DAG
-/// cross-operation fusion, paper §III) and the output mask's row filter.
-pub fn try_spmv_fused<A, X, Z, K>(
-    ctx: &Context,
-    a: &Csr<A>,
-    x: &SparseVec<X>,
-    add_tag: Option<BuiltinOp>,
-    mul_tag: Option<BuiltinOp>,
-    hooks: Hooks<'_, X, Z, K>,
-) -> Option<SparseVec<Z>>
-where
-    A: ValueType,
-    X: ValueType,
-    Z: ValueType,
-    K: OutputFilter,
-{
-    if !enabled() {
-        return None;
+        None => spgemm::spgemm(ctx, a, b, mul, add),
     }
-    macro_rules! arm {
-        ($add:ident, $mul:ident, $t:ty, $fold:ident, $acc:ident, $mulf:ident, $term:ident) => {
-            if add_tag == Some(BuiltinOp::$add)
-                && mul_tag == Some(BuiltinOp::$mul)
-                && TypeId::of::<A>() == TypeId::of::<$t>()
-                && TypeId::of::<X>() == TypeId::of::<$t>()
-                && TypeId::of::<Z>() == TypeId::of::<$t>()
-            {
-                let at = cast_ref::<Csr<A>, Csr<$t>>(a)?;
-                let xt = cast_ref::<SparseVec<X>, SparseVec<$t>>(x)?;
-                let pre_t = hook_adapter!(hooks.pre, X, $t);
-                let post_t = hook_adapter!(hooks.post, Z, $t);
-                let y = spmv::spmv_fused(
-                    ctx,
-                    at,
-                    xt,
-                    $mulf,
-                    $fold,
-                    term_of!($term, $t),
-                    retyped_hooks!(pre_t, post_t, hooks.keep),
-                );
-                let y = cast_val::<SparseVec<$t>, SparseVec<Z>>(y)?;
-                record_pick("mxv", ctx.id(), true);
-                return Some(y);
-            }
-        };
-    }
-    with_registered_semirings!(arm);
-    None
 }
 
-/// Pull-direction `y = A ⊕.⊗ x` over a bitmap-format frontier through a
-/// registered instantiation.
-pub fn try_spmv_bitmap<A, X, Z>(
-    ctx: &Context,
-    a: &Csr<A>,
-    x: &BitmapVec<X>,
-    add_tag: Option<BuiltinOp>,
-    mul_tag: Option<BuiltinOp>,
-) -> Option<SparseVec<Z>>
-where
-    A: ValueType,
-    X: ValueType,
-    Z: ValueType,
-{
-    try_spmv_bitmap_fused(ctx, a, x, add_tag, mul_tag, Hooks::none())
-}
-
-/// [`try_spmv_bitmap`] with the caller-typed kernel [`Hooks`] — the
-/// bitmap frontier format survives into the fused pipeline without a
-/// format conversion.
-pub fn try_spmv_bitmap_fused<A, X, Z, K>(
-    ctx: &Context,
-    a: &Csr<A>,
-    x: &BitmapVec<X>,
-    add_tag: Option<BuiltinOp>,
-    mul_tag: Option<BuiltinOp>,
-    hooks: Hooks<'_, X, Z, K>,
-) -> Option<SparseVec<Z>>
-where
-    A: ValueType,
-    X: ValueType,
-    Z: ValueType,
-    K: OutputFilter,
-{
-    if !enabled() {
-        return None;
-    }
-    macro_rules! arm {
-        ($add:ident, $mul:ident, $t:ty, $fold:ident, $acc:ident, $mulf:ident, $term:ident) => {
-            if add_tag == Some(BuiltinOp::$add)
-                && mul_tag == Some(BuiltinOp::$mul)
-                && TypeId::of::<A>() == TypeId::of::<$t>()
-                && TypeId::of::<X>() == TypeId::of::<$t>()
-                && TypeId::of::<Z>() == TypeId::of::<$t>()
-            {
-                let at = cast_ref::<Csr<A>, Csr<$t>>(a)?;
-                let xt = cast_ref::<BitmapVec<X>, BitmapVec<$t>>(x)?;
-                let pre_t = hook_adapter!(hooks.pre, X, $t);
-                let post_t = hook_adapter!(hooks.post, Z, $t);
-                let y = spmv::spmv_bitmap_fused(
-                    ctx,
-                    at,
-                    xt,
-                    $mulf,
-                    $fold,
-                    term_of!($term, $t),
-                    retyped_hooks!(pre_t, post_t, hooks.keep),
-                );
-                let y = cast_val::<SparseVec<$t>, SparseVec<Z>>(y)?;
-                record_pick("mxv", ctx.id(), true);
-                return Some(y);
-            }
-        };
-    }
-    with_registered_semirings!(arm);
-    None
-}
-
-/// Push-direction `yᵀ = xᵀ ⊕.⊗ A` through a registered instantiation.
-pub fn try_vxm<X, A, Z>(
-    ctx: &Context,
-    x: &SparseVec<X>,
-    a: &Csr<A>,
-    add_tag: Option<BuiltinOp>,
-    mul_tag: Option<BuiltinOp>,
-) -> Option<SparseVec<Z>>
-where
-    X: ValueType,
-    A: ValueType,
-    Z: ValueType,
-{
-    try_vxm_fused(ctx, x, a, add_tag, mul_tag, Hooks::none())
-}
-
-/// [`try_vxm`] with the caller-typed kernel [`Hooks`]: fused pre/post
-/// element maps and the masked scatter — `hooks.keep` is the mask's column
-/// predicate (already folded with the complement flag), letting the
-/// registered kernel skip disallowed columns before they ever reach an
-/// accumulator.
-pub fn try_vxm_fused<X, A, Z, K>(
-    ctx: &Context,
-    x: &SparseVec<X>,
-    a: &Csr<A>,
-    add_tag: Option<BuiltinOp>,
-    mul_tag: Option<BuiltinOp>,
-    hooks: Hooks<'_, X, Z, K>,
-) -> Option<SparseVec<Z>>
-where
-    X: ValueType,
-    A: ValueType,
-    Z: ValueType,
-    K: OutputFilter,
-{
-    if !enabled() {
-        return None;
-    }
-    macro_rules! arm {
-        ($add:ident, $mul:ident, $t:ty, $fold:ident, $acc:ident, $mulf:ident, $term:ident) => {
-            if add_tag == Some(BuiltinOp::$add)
-                && mul_tag == Some(BuiltinOp::$mul)
-                && TypeId::of::<A>() == TypeId::of::<$t>()
-                && TypeId::of::<X>() == TypeId::of::<$t>()
-                && TypeId::of::<Z>() == TypeId::of::<$t>()
-            {
-                let xt = cast_ref::<SparseVec<X>, SparseVec<$t>>(x)?;
-                let at = cast_ref::<Csr<A>, Csr<$t>>(a)?;
-                let pre_t = hook_adapter!(hooks.pre, X, $t);
-                let post_t = hook_adapter!(hooks.post, Z, $t);
-                let y = spmv::vxm_fused(
-                    ctx,
-                    xt,
-                    at,
-                    $mulf,
-                    $fold,
-                    retyped_hooks!(pre_t, post_t, hooks.keep),
-                );
-                let y = cast_val::<SparseVec<$t>, SparseVec<Z>>(y)?;
-                record_pick("vxm", ctx.id(), true);
-                return Some(y);
-            }
-        };
-    }
-    with_registered_semirings!(arm);
-    None
-}
-
-/// Unmasked `C = A ⊕.⊗ B` through a registered instantiation.
+/// `C = A ⊕.⊗ B`, optionally masked, through a registered instantiation:
+/// a table row over `A == B == Z == $t`, or PLUS.PAIR into any PLUS row's
+/// type over operands of *any* element types — the multiply reads neither
+/// value, so the structure-counting products (`triangle_count`, `lcc`,
+/// `ktruss` over a `Matrix<bool>`) need no guard on what the operands
+/// store.
 pub fn try_spgemm<A, B, Z>(
     ctx: &Context,
+    mask: Option<(&Csr<bool>, bool)>,
     a: &Csr<A>,
     b: &Csr<B>,
     add_tag: Option<BuiltinOp>,
@@ -652,62 +641,38 @@ where
     if !enabled() {
         return None;
     }
+    macro_rules! claim {
+        ($t:ty, $c:expr) => {{
+            let c = cast_val::<Csr<$t>, Csr<Z>>($c)?;
+            record_pick("mxm", ctx.id(), true);
+            return Some(c);
+        }};
+    }
     macro_rules! arm {
-        ($add:ident, $mul:ident, $t:ty, $fold:ident, $acc:ident, $mulf:ident, $term:ident) => {
-            if add_tag == Some(BuiltinOp::$add)
-                && mul_tag == Some(BuiltinOp::$mul)
-                && TypeId::of::<A>() == TypeId::of::<$t>()
-                && TypeId::of::<B>() == TypeId::of::<$t>()
+        // Matched first: a PLUS row is its own semiring and PLUS.PAIR.
+        (Plus, $mul:ident, $t:ty, $fold:ident, $acc:ident, $mulf:ident, $term:ident) => {
+            arm!(@row Plus, $mul, $t, $acc, $mulf);
+            if add_tag == Some(BuiltinOp::Plus)
+                && mul_tag == Some(BuiltinOp::OneB)
                 && TypeId::of::<Z>() == TypeId::of::<$t>()
             {
-                let at = cast_ref::<Csr<A>, Csr<$t>>(a)?;
-                let bt = cast_ref::<Csr<B>, Csr<$t>>(b)?;
-                let c = spgemm::spgemm(ctx, at, bt, $mulf, $acc);
-                let c = cast_val::<Csr<$t>, Csr<Z>>(c)?;
-                record_pick("mxm", ctx.id(), true);
-                return Some(c);
+                let pair = |_: &A, _: &B| <$t as One>::one();
+                claim!($t, matmat(ctx, mask, a, b, pair, $acc));
             }
         };
-    }
-    with_registered_semirings!(arm);
-    None
-}
-
-/// Masked `C⟨M⟩ = A ⊕.⊗ B` (boolean masks only) through a registered
-/// instantiation.
-pub fn try_spgemm_masked<M, A, B, Z>(
-    ctx: &Context,
-    mask: &Csr<M>,
-    complement: bool,
-    a: &Csr<A>,
-    b: &Csr<B>,
-    add_tag: Option<BuiltinOp>,
-    mul_tag: Option<BuiltinOp>,
-) -> Option<Csr<Z>>
-where
-    M: ValueType,
-    A: ValueType,
-    B: ValueType,
-    Z: ValueType,
-{
-    if !enabled() || TypeId::of::<M>() != TypeId::of::<bool>() {
-        return None;
-    }
-    macro_rules! arm {
         ($add:ident, $mul:ident, $t:ty, $fold:ident, $acc:ident, $mulf:ident, $term:ident) => {
+            arm!(@row $add, $mul, $t, $acc, $mulf);
+        };
+        (@row $add:ident, $mul:ident, $t:ty, $acc:ident, $mulf:ident) => {
             if add_tag == Some(BuiltinOp::$add)
                 && mul_tag == Some(BuiltinOp::$mul)
                 && TypeId::of::<A>() == TypeId::of::<$t>()
                 && TypeId::of::<B>() == TypeId::of::<$t>()
                 && TypeId::of::<Z>() == TypeId::of::<$t>()
             {
-                let mt = cast_ref::<Csr<M>, Csr<bool>>(mask)?;
                 let at = cast_ref::<Csr<A>, Csr<$t>>(a)?;
                 let bt = cast_ref::<Csr<B>, Csr<$t>>(b)?;
-                let c = spgemm::spgemm_masked(ctx, mt, complement, pred_bool, at, bt, $mulf, $acc);
-                let c = cast_val::<Csr<$t>, Csr<Z>>(c)?;
-                record_pick("mxm", ctx.id(), true);
-                return Some(c);
+                claim!($t, matmat(ctx, mask, at, bt, $mulf, $acc));
             }
         };
     }
@@ -988,16 +953,33 @@ mod tests {
         Csr::from_parts(2, 2, vec![0, 2, 3], vec![0, 1, 1], vec![1i64, 2, 3]).unwrap()
     }
 
+    /// `try_matvec` over a pull operand with no hooks.
+    fn pull<A: ValueType, X: ValueType, Z: ValueType>(
+        a: &Csr<A>,
+        x: &SparseVec<X>,
+        add_tag: Option<BuiltinOp>,
+        mul_tag: Option<BuiltinOp>,
+    ) -> Option<SparseVec<Z>> {
+        let ctx = graphblas_exec::global_context();
+        try_matvec(
+            "mxv",
+            &ctx,
+            a,
+            Operand::Pull(x),
+            add_tag,
+            mul_tag,
+            Hooks::none(),
+        )
+    }
+
     #[test]
     fn claims_registered_semiring_only() {
         let _g = serialize();
-        let ctx = graphblas_exec::global_context();
         force_dispatch(Some(true));
         let a = small_csr();
         let x = SparseVec::from_parts(2, vec![0, 1], vec![1i64, 1]).unwrap();
         let sr = Semiring::<i64, i64, i64>::plus_times();
-        let y: Option<SparseVec<i64>> =
-            try_spmv(&ctx, &a, &x, sr.add().builtin(), sr.mul().builtin());
+        let y: Option<SparseVec<i64>> = pull(&a, &x, sr.add().builtin(), sr.mul().builtin());
         let y = y.expect("plus_times/i64 is registered");
         assert_eq!(y.get(0), Some(&3));
         assert_eq!(y.get(1), Some(&3));
@@ -1009,16 +991,44 @@ mod tests {
             ),
             crate::ops::BinaryOp::new("umul", |x: &i64, y: &i64| x * y),
         );
-        let miss: Option<SparseVec<i64>> =
-            try_spmv(&ctx, &a, &x, user.add().builtin(), user.mul().builtin());
+        let miss: Option<SparseVec<i64>> = pull(&a, &x, user.add().builtin(), user.mul().builtin());
         assert!(miss.is_none());
         // An unregistered type is never claimed.
         let a32 = Csr::from_parts(1, 1, vec![0, 1], vec![0], vec![5i32]).unwrap();
         let x32 = SparseVec::from_parts(1, vec![0], vec![2i32]).unwrap();
         let sr32 = Semiring::<i32, i32, i32>::plus_times();
         let miss32: Option<SparseVec<i32>> =
-            try_spmv(&ctx, &a32, &x32, sr32.add().builtin(), sr32.mul().builtin());
+            pull(&a32, &x32, sr32.add().builtin(), sr32.mul().builtin());
         assert!(miss32.is_none());
+        force_dispatch(None);
+    }
+
+    #[test]
+    fn value_blind_multiplies_are_claimed_over_any_matrix_type() {
+        let _g = serialize();
+        force_dispatch(Some(true));
+        // Stored `false` still counts: structure only.
+        let a =
+            Csr::from_parts(2, 2, vec![0, 2, 3], vec![0, 1, 1], vec![true, false, false]).unwrap();
+        let x = SparseVec::from_parts(2, vec![0, 1], vec![10i64, 4]).unwrap();
+        let (plus, min) = (Some(BuiltinOp::Plus), Some(BuiltinOp::Min));
+        // Matrix-first SECOND is the vector's value.
+        let y: SparseVec<i64> = pull(&a, &x, plus, Some(BuiltinOp::Second)).unwrap();
+        assert_eq!((y.get(0), y.get(1)), (Some(&14), Some(&4)));
+        let y: SparseVec<i64> = pull(&a, &x, min, Some(BuiltinOp::Second)).unwrap();
+        assert_eq!((y.get(0), y.get(1)), (Some(&4), Some(&4)));
+        let y: SparseVec<i64> = pull(&a, &x, plus, Some(BuiltinOp::OneB)).unwrap();
+        assert_eq!((y.get(0), y.get(1)), (Some(&2), Some(&1)));
+        // Matrix-first FIRST is the matrix's value: never value-blind, not
+        // even when every type matches a table row.
+        let miss: Option<SparseVec<i64>> = pull(&a, &x, plus, Some(BuiltinOp::First));
+        assert!(miss.is_none());
+        let miss: Option<SparseVec<i64>> = pull(&small_csr(), &x, min, Some(BuiltinOp::First));
+        assert!(miss.is_none());
+        // The vector and output types still need a table row.
+        let x32 = SparseVec::from_parts(2, vec![0], vec![2i32]).unwrap();
+        let miss: Option<SparseVec<i32>> = pull(&a, &x32, plus, Some(BuiltinOp::Second));
+        assert!(miss.is_none());
         force_dispatch(None);
     }
 
@@ -1031,12 +1041,12 @@ mod tests {
         let a = small_csr();
         let sr = Semiring::<i64, i64, i64>::plus_times();
         let miss: Option<Csr<i64>> =
-            try_spgemm(&ctx, &a, &a, sr.add().builtin(), sr.mul().builtin());
+            try_spgemm(&ctx, None, &a, &a, sr.add().builtin(), sr.mul().builtin());
         assert!(miss.is_none());
         force_dispatch(Some(true));
         assert!(enabled());
         let hit: Option<Csr<i64>> =
-            try_spgemm(&ctx, &a, &a, sr.add().builtin(), sr.mul().builtin());
+            try_spgemm(&ctx, None, &a, &a, sr.add().builtin(), sr.mul().builtin());
         assert!(hit.is_some());
         force_dispatch(None);
     }

@@ -157,18 +157,29 @@ where
     }
 }
 
-impl<A, B, Z> Semiring<A, B, Z>
+impl<A, B> Semiring<A, B, A>
+where
+    A: ValueType + Copy + std::ops::Add<Output = A> + Zero,
+    B: ValueType,
+{
+    /// `GrB_PLUS_FIRST_SEMIRING_*` over mixed domains: sums the left
+    /// operand over matches; the right operand contributes structure only
+    /// (`vxm` of a value vector through a `Matrix<bool>`).
+    pub fn plus_first() -> Self {
+        Semiring::new(Monoid::plus(), BinaryOp::first())
+    }
+}
+
+impl<A, B> Semiring<A, B, B>
 where
     A: ValueType,
-    B: ValueType + Into<Z>,
-    Z: ValueType + Copy + std::ops::Add<Output = Z> + Zero,
+    B: ValueType + Copy + std::ops::Add<Output = B> + Zero,
 {
-    /// `PLUS_SECOND`: sums the right operand over matches.
+    /// `GrB_PLUS_SECOND_SEMIRING_*` over mixed domains: sums the right
+    /// operand over matches; the left operand contributes structure only
+    /// (`mxv` of a `Matrix<bool>` against a value vector).
     pub fn plus_second() -> Self {
-        Semiring::new(
-            Monoid::plus(),
-            BinaryOp::new("GrB_SECOND(into)", |_: &A, b: &B| b.clone().into()),
-        )
+        Semiring::new(Monoid::plus(), BinaryOp::second())
     }
 }
 
@@ -206,6 +217,18 @@ mod tests {
         let sr = Semiring::<f32, f32, u64>::plus_pair();
         assert_eq!(sr.multiply(&2.5, &9.0), 1);
         assert_eq!(sr.combine(&3, &4), 7);
+    }
+
+    #[test]
+    fn plus_first_and_second_are_tagged_over_mixed_domains() {
+        use crate::ops::binary::BuiltinOp;
+        let first = Semiring::<f64, bool, f64>::plus_first();
+        assert_eq!(first.multiply(&2.5, &false), 2.5);
+        assert_eq!(first.mul().builtin(), Some(BuiltinOp::First));
+        let second = Semiring::<bool, f64, f64>::plus_second();
+        assert_eq!(second.multiply(&false, &2.5), 2.5);
+        assert_eq!(second.mul().builtin(), Some(BuiltinOp::Second));
+        assert_eq!(second.add().builtin(), Some(BuiltinOp::Plus));
     }
 
     #[test]

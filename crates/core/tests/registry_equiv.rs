@@ -8,6 +8,14 @@
 //! monoids get the same treatment through `ewise_add_v`/`ewise_mult_v`,
 //! `apply_v`, and `reduce_to_value_v`.
 //!
+//! The value-blind rows — SECOND/FIRST selecting the *vector's* value, and
+//! PAIR, under every (add, type) pair of the table, over a matrix of any
+//! element type — are additionally pinned to the dispatch counters: the
+//! registry must claim them, must agree with the dyn path in both
+//! directions and on every frontier format, must read the matrix by
+//! structure alone, and must *not* claim the mirror-image multiplies that
+//! select the matrix's value.
+//!
 //! Both dispatch modes run the same kernel algorithm over the same
 //! partitioning, so even float results must agree to the last bit; the
 //! seeded inputs avoid NaN and negative zero, making `==` equality
@@ -18,11 +26,14 @@ use std::fmt::Debug;
 use std::sync::Mutex;
 
 use graphblas_core::operations::{
-    apply_v, ewise_add_v, ewise_mult_v, mxm, mxv, reduce_to_value_v, vxm,
+    apply_v, ewise_add_v, ewise_mult_v, force_direction, mxm, mxv, reduce_to_value_v, vxm,
+    Direction,
 };
 use graphblas_core::ops::registry;
+use graphblas_core::types::One;
 use graphblas_core::{
-    no_mask, no_mask_v, BinaryOp, Descriptor, Matrix, Monoid, Semiring, UnaryOp, ValueType, Vector,
+    no_mask, no_mask_v, BinaryOp, Descriptor, Index, Matrix, Monoid, Semiring, UnaryOp, ValueType,
+    Vector,
 };
 use graphblas_exec::rng::prelude::*;
 
@@ -487,4 +498,257 @@ fn reduce_monoids_every_registered_pair() {
         0x4D,
         &mut |_rng: &mut StdRng| true,
     );
+}
+
+// ---------------------------------------------------------------------
+// Value-blind rows
+// ---------------------------------------------------------------------
+
+/// Runs `f` with the registry forced on (`true`) or off, and returns its
+/// result with the (static hits, dyn fallbacks) it recorded. The caller
+/// holds [`DISPATCH_LOCK`], so nothing else moves the counters.
+fn dispatched<R>(registry_on: bool, f: impl FnOnce() -> R) -> (R, (u64, u64)) {
+    registry::force_dispatch(Some(registry_on));
+    let before = graphblas_obs::snapshot().dispatch;
+    let r = f();
+    let after = graphblas_obs::snapshot().dispatch;
+    registry::force_dispatch(None);
+    (
+        r,
+        (
+            after.static_hits - before.static_hits,
+            after.dyn_fallbacks - before.dyn_fallbacks,
+        ),
+    )
+}
+
+/// [`mat_from`] with values that alternate between the type's `false`/`0`
+/// and `other` without drawing from the generator: one seed gives every
+/// element type the same pattern, and a structure-only product must not
+/// tell the two values apart.
+fn alternating<A: ValueType>(seed: u64, zero: A, other: A) -> Matrix<A> {
+    let mut k = 0usize;
+    mat_from(seed, &mut |_rng: &mut StdRng| {
+        k += 1;
+        [&zero, &other][k % 2].clone()
+    })
+}
+
+type Tuples<T> = (Vec<Index>, Vec<T>);
+
+/// A named product writing into the vector it is given.
+type Product<'a, T> = (&'a str, &'a dyn Fn(&Vector<T>));
+
+/// Every value-blind product of one (add, type) row through `am`: `mxv`
+/// SECOND, `vxm` FIRST and PAIR in both entry points × forced direction ×
+/// frontier × mask. Each must be claimed by the registry, fall back when it
+/// is off, and agree between the two. Returns the results in a fixed order
+/// so the caller can compare matrix types.
+fn blind_products<A, T>(
+    name: &str,
+    add: &Monoid<T>,
+    am: &Matrix<A>,
+    frontiers: &[(&str, Vector<T>)],
+    mask: &Vector<bool>,
+) -> Vec<Tuples<T>>
+where
+    A: ValueType,
+    T: ValueType + PartialEq + Debug + One,
+{
+    let mxv_second = Semiring::<A, T, T>::new(add.clone(), BinaryOp::second());
+    let mxv_pair = Semiring::<A, T, T>::new(add.clone(), BinaryOp::oneb());
+    let vxm_first = Semiring::<T, A, T>::new(add.clone(), BinaryOp::first());
+    let vxm_pair = Semiring::<T, A, T>::new(add.clone(), BinaryOp::oneb());
+    let masked = Descriptor::new().structure_mask().complement_mask();
+    let mut results = Vec::new();
+    for (shape, u) in frontiers {
+        for (m, desc) in [(None, Descriptor::default()), (Some(mask), masked)] {
+            for dir in [Direction::Push, Direction::Pull] {
+                let products: [Product<'_, T>; 4] = [
+                    ("mxv SECOND", &|w| {
+                        mxv(w, m, None, &mxv_second, am, u, &desc).unwrap()
+                    }),
+                    ("mxv PAIR", &|w| {
+                        mxv(w, m, None, &mxv_pair, am, u, &desc).unwrap()
+                    }),
+                    ("vxm FIRST", &|w| {
+                        vxm(w, m, None, &vxm_first, u, am, &desc).unwrap()
+                    }),
+                    ("vxm PAIR", &|w| {
+                        vxm(w, m, None, &vxm_pair, u, am, &desc).unwrap()
+                    }),
+                ];
+                for (product, run) in products {
+                    let case = format!(
+                        "{name} {product} over {} frontier={shape} masked={} {dir:?}",
+                        std::any::type_name::<A>(),
+                        m.is_some()
+                    );
+                    force_direction(Some(dir));
+                    let run = || {
+                        let w = Vector::<T>::new(N).unwrap();
+                        run(&w);
+                        w.extract_tuples().unwrap()
+                    };
+                    let (s, s_picks) = dispatched(true, run);
+                    let (d, d_picks) = dispatched(false, run);
+                    force_direction(None);
+                    assert_eq!(s_picks, (1, 0), "not claimed: {case}");
+                    assert_eq!(d_picks, (0, 1), "claimed with the registry off: {case}");
+                    assert_eq!(s, d, "static and dyn disagree: {case}");
+                    results.push(s);
+                }
+            }
+        }
+    }
+    results
+}
+
+/// One (add, type) pair of the semiring table through the value-blind
+/// multiplies, over `bool`, `f64` and `i64` matrices of one pattern.
+fn check_blind_row<T>(
+    name: &str,
+    add: &Monoid<T>,
+    seed: u64,
+    gen: &mut impl FnMut(&mut StdRng) -> T,
+) where
+    T: ValueType + PartialEq + Debug + One,
+{
+    let _g = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    graphblas_obs::set_enabled(true);
+    // The three frontier shapes: one entry (push's home ground), inside
+    // the bitmap density window and stored as a bitmap, and full (the pull
+    // kernel's direct-indexing path). `I ⊕.second u = u`, and a product
+    // stores its mid-density result as a bitmap — here through an identity
+    // whose stored values are all `false`.
+    let diag: Vec<Index> = (0..N).collect();
+    let eye = Matrix::<bool>::new(N, N).unwrap();
+    eye.build(&diag, &diag, &[false; N], None).unwrap();
+    let half = vec_from(N / 2, seed ^ 1, gen);
+    let bitmap = Vector::<T>::new(N).unwrap();
+    let copy = Semiring::<bool, T, T>::new(add.clone(), BinaryOp::second());
+    mxv(
+        &bitmap,
+        no_mask_v(),
+        None,
+        &copy,
+        &eye,
+        &half,
+        &Descriptor::default(),
+    )
+    .unwrap();
+    assert_eq!(bitmap.stats().format, "bitmap", "{name}: frontier format");
+    assert_eq!(
+        bitmap.extract_tuples().unwrap(),
+        half.extract_tuples().unwrap(),
+        "{name}: bitmap copy"
+    );
+    let frontiers = [
+        ("single", vec_from(1, seed ^ 2, gen)),
+        ("bitmap", bitmap),
+        ("full", vec_from(N, seed ^ 3, gen)),
+    ];
+    let mask = vec_from(N / 2, seed ^ 4, &mut |rng: &mut StdRng| rng.gen_bool(0.5));
+
+    let over_bool = blind_products(
+        name,
+        add,
+        &alternating(seed, false, true),
+        &frontiers,
+        &mask,
+    );
+    let over_f64 = blind_products(name, add, &alternating(seed, 0.0, 2.5), &frontiers, &mask);
+    let over_i64 = blind_products(name, add, &alternating(seed, 0i64, -7), &frontiers, &mask);
+    graphblas_obs::set_enabled(false);
+    // Structure semantics: what the matrix stores — `false`, `0`, anything
+    // — never reaches the result.
+    assert_eq!(over_bool, over_f64, "{name}: bool vs f64 matrix");
+    assert_eq!(over_bool, over_i64, "{name}: bool vs i64 matrix");
+    assert!(over_bool.iter().any(|t| !t.0.is_empty()), "{name}: vacuous");
+}
+
+#[test]
+fn value_blind_plus_rows() {
+    check_blind_row("plus f64", &Monoid::<f64>::plus(), 0x50, &mut gen_f64);
+    check_blind_row("plus f32", &Monoid::<f32>::plus(), 0x51, &mut gen_f32);
+    check_blind_row("plus i64", &Monoid::<i64>::plus(), 0x52, &mut gen_i64);
+    check_blind_row("plus u64", &Monoid::<u64>::plus(), 0x53, &mut gen_u64);
+}
+
+#[test]
+fn value_blind_min_rows() {
+    check_blind_row("min f64", &Monoid::<f64>::min(), 0x54, &mut gen_f64);
+    check_blind_row("min f32", &Monoid::<f32>::min(), 0x55, &mut gen_f32);
+    check_blind_row("min i64", &Monoid::<i64>::min(), 0x56, &mut gen_i64);
+    check_blind_row("min u64", &Monoid::<u64>::min(), 0x57, &mut gen_u64);
+}
+
+#[test]
+fn value_blind_max_rows() {
+    check_blind_row("max f64", &Monoid::<f64>::max(), 0x58, &mut gen_f64);
+    check_blind_row("max f32", &Monoid::<f32>::max(), 0x59, &mut gen_f32);
+    check_blind_row("max i64", &Monoid::<i64>::max(), 0x5A, &mut gen_i64);
+    check_blind_row("max u64", &Monoid::<u64>::max(), 0x5B, &mut gen_u64);
+}
+
+#[test]
+fn value_blind_boolean_rows() {
+    check_blind_row("lor bool", &Monoid::<bool>::lor(), 0x5C, &mut gen_bool);
+    // ANY keeps the first witness, so only a uniform frontier gives one
+    // answer in both directions — which still proves the row is claimed.
+    check_blind_row(
+        "any bool",
+        &Monoid::<bool>::any(),
+        0x5D,
+        &mut |_rng: &mut StdRng| true,
+    );
+}
+
+/// The mirror images select the *matrix's* value and are nobody's row:
+/// `mxv` FIRST and `vxm` SECOND must fall to dyn even with the registry on
+/// and every type matching a table row, and must return the matrix values.
+#[test]
+fn multiplies_that_select_the_matrix_value_are_never_claimed() {
+    let _g = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    graphblas_obs::set_enabled(true);
+    // Matrix values > 100, vector values < 10: a blind row that claimed
+    // one of these would return a vector value.
+    let mut next = 100i64;
+    let am = mat_from(0x5E, &mut |_rng: &mut StdRng| {
+        next += 1;
+        next
+    });
+    let u = vec_from(N, 0x5F, &mut |rng: &mut StdRng| rng.gen_range(0..10i64));
+    // The frontier is full, so every stored entry takes part.
+    let (rows, cols, vals) = am.extract_tuples().unwrap();
+    let min_by = |out: &[Index]| {
+        let mut want: BTreeMap<Index, i64> = BTreeMap::new();
+        for (&o, &v) in out.iter().zip(&vals) {
+            let w = want.entry(o).or_insert(i64::MAX);
+            *w = (*w).min(v);
+        }
+        want.into_iter().unzip::<Index, i64, Vec<_>, Vec<_>>()
+    };
+    for dir in [Direction::Push, Direction::Pull] {
+        force_direction(Some(dir));
+        let (got, picks) = dispatched(true, || {
+            let w = Vector::<i64>::new(N).unwrap();
+            let sr = Semiring::<i64, i64, i64>::min_first();
+            mxv(&w, no_mask_v(), None, &sr, &am, &u, &Descriptor::default()).unwrap();
+            w.extract_tuples().unwrap()
+        });
+        assert_eq!(picks, (0, 1), "mxv MIN.FIRST was claimed ({dir:?})");
+        assert_eq!(got, min_by(&rows), "mxv MIN.FIRST ({dir:?})");
+
+        let (got, picks) = dispatched(true, || {
+            let w = Vector::<i64>::new(N).unwrap();
+            let sr = Semiring::<i64, i64, i64>::min_second();
+            vxm(&w, no_mask_v(), None, &sr, &u, &am, &Descriptor::default()).unwrap();
+            w.extract_tuples().unwrap()
+        });
+        assert_eq!(picks, (0, 1), "vxm MIN.SECOND was claimed ({dir:?})");
+        assert_eq!(got, min_by(&cols), "vxm MIN.SECOND ({dir:?})");
+        force_direction(None);
+    }
+    graphblas_obs::set_enabled(false);
 }

@@ -25,9 +25,12 @@ cargo test -q
 # enqueue+force, async drains), fusion_accounting, registry_equiv and
 # algebra_props, which pin the container core and its one execution path;
 # and the kernels' unit tests plus kernel_props (filtered pull vs.
-# unfiltered, push vs. pull, fused hooks vs. materialized).
+# unfiltered, push vs. pull, fused hooks vs. materialized); and the ten
+# algorithms' unit tests — six of them multiply with FIRST/SECOND/PAIR over
+# a `Matrix<bool>`, the registry's value-blind rows.
 cargo test -q -p graphblas-core
 cargo test -q -p graphblas-sparse
+cargo test -q -p graphblas-algo
 cargo clippy --all-targets -- -D warnings
 cargo clippy -p graphblas-core -p graphblas-sparse --all-targets -- -D warnings
 
@@ -35,9 +38,13 @@ cargo clippy -p graphblas-core -p graphblas-sparse --all-targets -- -D warnings
 # The `update` workload replays its set_element/remove_element script
 # against a BTreeMap and exits non-zero on any tuple mismatch, so together
 # with tests/element_updates.rs (run by `cargo test -q` above) the matrix
-# update log is verified end to end. --allow-env: the harness otherwise
-# refuses to start when a GRB_* knob such as GRB_CHECK_SCHEDULES is set.
+# update log is verified end to end. The `pagerank` workload checks every
+# rep against an independent power iteration (L1 ≤ 1e-9), which is what
+# verifies `algo::pagerank` on the harness's own graphs. --allow-env: the
+# harness otherwise refuses to start when a GRB_* knob such as
+# GRB_CHECK_SCHEDULES is set.
 benchmark/run.sh --quick --allow-env --workload update >/dev/null
+benchmark/run.sh --quick --allow-env --workload pagerank >/dev/null
 
 # Repo-specific lints (crates/check/src/lint.rs): relaxed orderings outside
 # obs, unwrap/expect in core/sparse, fallible core APIs bypassing GrbResult,

@@ -18,6 +18,7 @@ use graphblas::operations::{
     assign_v, ewise_add, ewise_add_v, ewise_mult, ewise_mult_v, extract, extract_v,
     force_direction, mxv, reduce_to_vector, select, select_v, vxm, Direction,
 };
+use graphblas::ops::registry;
 use graphblas::{
     global_context, no_mask, no_mask_v, BinaryOp, Context, ContextOptions, Descriptor, GrbResult,
     Index, IndexUnaryOp, Matrix, Mode, Monoid, Semiring, UnaryOp, ValueType, Vector,
@@ -218,11 +219,19 @@ fn frontiers<T: ValueType + PartialEq>(
     ]
 }
 
-/// `force_direction` is process-global: the product tests take turns.
+/// `force_direction` and `force_dispatch` are process-global: the product
+/// tests take turns.
 static DIRECTION: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-fn check_products<T: ValueType + PartialEq + Debug>(seed: u64, alg: Algebra<T>) {
+/// `registry_on` forces the kernel registry on or off for the whole grid;
+/// `None` leaves the default (on).
+fn check_products<T: ValueType + PartialEq + Debug>(
+    seed: u64,
+    registry_on: Option<bool>,
+    alg: Algebra<T>,
+) {
     let _turn = DIRECTION.lock().unwrap_or_else(|e| e.into_inner());
+    registry::force_dispatch(registry_on);
     let mut rng = StdRng::seed_from_u64(seed);
     let a: BTreeMap<(Index, Index), T> = (0..ROWS * COLS / 4)
         .map(|_| {
@@ -283,6 +292,7 @@ fn check_products<T: ValueType + PartialEq + Debug>(seed: u64, alg: Algebra<T>) 
             }
         }
     }
+    registry::force_dispatch(None);
 }
 
 #[test]
@@ -290,6 +300,7 @@ fn registered_plus_times_products_match_the_write_rule() {
     for seed in [1, 2] {
         check_products::<i64>(
             seed,
+            None,
             Algebra {
                 name: "PLUS.TIMES",
                 semiring: Semiring::plus_times(),
@@ -309,6 +320,7 @@ fn terminal_lor_land_products_match_the_write_rule() {
     for seed in [3, 4] {
         check_products::<bool>(
             seed,
+            None,
             Algebra {
                 name: "LOR.LAND",
                 semiring: Semiring::lor_land(),
@@ -325,22 +337,34 @@ fn terminal_lor_land_products_match_the_write_rule() {
 
 #[test]
 fn user_built_min_first_products_match_the_write_rule() {
-    for seed in [5, 6] {
-        check_products::<i64>(
-            seed,
-            Algebra {
-                name: "MIN.FIRST",
-                // No registered instantiation: the dyn-operator kernels run.
-                semiring: Semiring::new(Monoid::min(), BinaryOp::first()),
-                mul: |a, _| *a,
-                add: |p, q| p.min(q),
-                accum: BinaryOp::plus(),
-                accum_fn: |o, t| o + t,
-                gen: |r| r.gen_range(-9..10i64),
-                copy: (Semiring::plus_times(), 1),
-            },
-        );
+    let min_first = |name, semiring| Algebra::<i64> {
+        name,
+        semiring,
+        mul: |a, _| *a,
+        add: |p, q| p.min(q),
+        accum: BinaryOp::plus(),
+        accum_fn: |o, t| o + t,
+        gen: |r| r.gen_range(-9..10i64),
+        copy: (Semiring::plus_times(), 1),
+    };
+    // Built from the predefined MIN and FIRST, the semiring is one the
+    // registry half claims: `vxm` hands FIRST the vector's value (a
+    // value-blind row), `mxv` the matrix's (no row, dyn). Both halves must
+    // obey the write rule with the registry on and with it off.
+    for (seed, registry_on) in [(5, true), (6, true), (5, false), (6, false)] {
+        let tagged = Semiring::new(Monoid::min(), BinaryOp::first());
+        check_products(seed, Some(registry_on), min_first("MIN.FIRST", tagged));
     }
+    // The same algebra from closures carries no tag: every product runs
+    // the dyn-operator kernels whatever the dispatch mode.
+    let untagged = Semiring::new(
+        Monoid::new(
+            BinaryOp::new("user_min", |p: &i64, q: &i64| *p.min(q)),
+            i64::MAX,
+        ),
+        BinaryOp::new("user_first", |a: &i64, _: &i64| *a),
+    );
+    check_products(5, None, min_first("user MIN.FIRST", untagged));
 }
 
 #[test]
