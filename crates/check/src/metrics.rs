@@ -217,10 +217,7 @@ pub fn validate(text: &str) -> Result<MetricsSummary, MetricsError> {
         if let Some(comment) = line.strip_prefix('#') {
             let comment = comment.trim_start();
             if let Some(rest) = comment.strip_prefix("HELP ") {
-                let (name, help) = rest
-                    .split_once(' ')
-                    .map(|(n, h)| (n, h))
-                    .unwrap_or((rest, ""));
+                let (name, help) = rest.split_once(' ').unwrap_or((rest, ""));
                 if !valid_name(name) {
                     return Err(line_err(lineno, format!("bad metric name {name:?}")));
                 }

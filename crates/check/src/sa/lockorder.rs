@@ -49,9 +49,12 @@ pub struct LockGraph {
     pub calls_skipped: usize,
 }
 
-/// Per-function may-acquire summary: lock id -> first witness
-/// (file, line, call chain from this fn to the acquiring fn).
-type Summary = HashMap<String, (String, usize, Vec<String>)>;
+/// Where a function may acquire a lock: (file, line, call chain from this
+/// fn to the acquiring fn).
+type Witness = (String, usize, Vec<String>);
+
+/// Per-function may-acquire summary: lock id -> first witness.
+type Summary = HashMap<String, Witness>;
 
 /// Resolves a call site to a function index, or `None` when ambiguous.
 fn resolve_call(
@@ -142,7 +145,7 @@ pub fn build_graph(model: &Model) -> LockGraph {
                 if callee == i {
                     continue;
                 }
-                let additions: Vec<(String, (String, usize, Vec<String>))> = summaries[callee]
+                let additions: Vec<(String, Witness)> = summaries[callee]
                     .iter()
                     .filter(|(lock, _)| !summaries[i].contains_key(*lock))
                     .map(|(lock, w)| {

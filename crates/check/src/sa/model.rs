@@ -639,19 +639,13 @@ fn parse_struct_fields(
             Tok::Punct(',') if depth == 0 => {
                 flush_field(&mut field, &mut ty, stem, struct_name, rel, model, names);
             }
-            Tok::Punct(':') if depth == 0 && field.is_none() => {
+            Tok::Punct(':') if depth == 0 && field.is_none() && i > 0 => {
                 // The ident just before the colon is the field name.
-                if i > 0 {
-                    if let Some(name) = body[i - 1].1.ident() {
-                        field = Some((name.to_string(), body[i - 1].1.line));
-                    }
+                if let Some(name) = body[i - 1].1.ident() {
+                    field = Some((name.to_string(), body[i - 1].1.line));
                 }
             }
-            Tok::Ident(w) => {
-                if field.is_some() {
-                    ty.push(w.clone());
-                }
-            }
+            Tok::Ident(w) if field.is_some() => ty.push(w.clone()),
             _ => {}
         }
         i += 1;
@@ -842,13 +836,13 @@ fn scan_body(
                     pending_let = Some(name.to_string());
                 }
             }
-            Tok::Ident(w) if w == "drop" => {
+            Tok::Ident(w)
+                if w == "drop" && body.get(i + 1).map(|t| t.is_punct('(')).unwrap_or(false) =>
+            {
                 // `drop(guard)` releases the named guard.
-                if body.get(i + 1).map(|t| t.is_punct('(')).unwrap_or(false) {
-                    if let Some(name) = body.get(i + 2).and_then(|t| t.ident()) {
-                        if body.get(i + 3).map(|t| t.is_punct(')')).unwrap_or(false) {
-                            guards.retain(|g| g.name != name);
-                        }
+                if let Some(name) = body.get(i + 2).and_then(|t| t.ident()) {
+                    if body.get(i + 3).map(|t| t.is_punct(')')).unwrap_or(false) {
+                        guards.retain(|g| g.name != name);
                     }
                 }
             }

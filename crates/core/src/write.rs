@@ -203,6 +203,13 @@ pub(crate) struct VecMask {
 /// Merges computed result `t` into `old` under mask/accumulator/replace.
 /// `old` must have sorted rows; `t` may be unsorted (it is sorted here iff
 /// the merge actually needs ordered rows).
+///
+/// Two cases skip steps of the four-step rule: with no mask and no
+/// accumulator `t` is the result as it stands, and under a mask an `old`
+/// that holds no entries (the `C = new; mxm(C⟨M⟩, …)` shape of
+/// `triangle_count`, `lcc`, `ktruss`) has an empty "outside" region, so
+/// the "inside" region is the result and steps 3–4 copy nothing. Every
+/// other case runs all four.
 pub(crate) fn merge_matrix<C: ValueType>(
     ctx: &Context,
     old: &Csr<C>,
@@ -234,8 +241,9 @@ pub(crate) fn merge_matrix<C: ValueType>(
                     ewise::ewise_union(ctx, &old_inside, &z, |x, y| op.apply(x, y))
                 }
             };
-            // Step 3: the unmasked region keeps C (or is cleared).
-            if replace {
+            // Step 3: the unmasked region keeps C (or is cleared, or was
+            // never populated).
+            if replace || old.nnz() == 0 {
                 inside
             } else {
                 let outside = ewise::ewise_restrict(ctx, old, &m.mask, !m.complement, truthy);
@@ -361,6 +369,24 @@ mod tests {
         };
         let r = merge_matrix(&ctx, &old, t, Some(&m), None, true);
         assert_eq!(r.to_sorted_tuples(), vec![(0, 0, 7)]);
+    }
+
+    #[test]
+    fn masked_write_into_an_empty_output_is_the_inside_region() {
+        let ctx = global_context();
+        let old = Csr::<i64>::empty(2, 2);
+        let m = MatMask {
+            mask: bmask((2, 2), &[(0, 0), (1, 0)]),
+            complement: false,
+        };
+        for replace in [false, true] {
+            let t = csr((2, 2), &[(0, 0, 7), (0, 1, 8), (1, 1, 9)]);
+            let r = merge_matrix(&ctx, &old, t, Some(&m), None, replace);
+            assert_eq!(r.to_sorted_tuples(), vec![(0, 0, 7)]);
+            let t = csr((2, 2), &[(0, 0, 7), (0, 1, 8)]);
+            let r = merge_matrix(&ctx, &old, t, Some(&m), Some(&BinaryOp::plus()), replace);
+            assert_eq!(r.to_sorted_tuples(), vec![(0, 0, 7)]);
+        }
     }
 
     #[test]

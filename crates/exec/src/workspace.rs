@@ -1,17 +1,18 @@
 //! Per-thread, generation-stamped kernel workspaces.
 //!
-//! The hot kernels (`spgemm`'s sparse accumulator, `vxm`'s per-task dense
-//! accumulator, `spmv`'s input densification table) all need O(n) scratch
-//! that used to be `vec![...; n]`-allocated on every call — a 19-iteration
-//! PageRank paid 19×k accumulator allocations. This module lets kernels
+//! The hot kernels (the sparse accumulator `spgemm` and `vxm` share,
+//! `spmv`'s input densification table) all need O(n) scratch that used to
+//! be `vec![...; n]`-allocated on every call — a 19-iteration PageRank
+//! paid 19×k accumulator allocations. This module lets kernels
 //! *check out* scratch from a per-thread cache and return it on drop, so an
 //! iterative algorithm allocates its scratch once per worker thread.
 //!
 //! Correctness rests on generation stamping: a slot's contents are only
-//! observable when its mark equals the workspace's current generation, and
-//! every checkout (and every [`DenseAcc::begin_pass`]) bumps the
-//! generation. Stale data from a previous kernel can therefore never leak
-//! into a later one, and clearing stays O(touched), not O(n).
+//! observable when its mark equals the workspace's current generation
+//! ([`Spa`] compares against a rising watermark instead), and every
+//! checkout (and every [`Spa::begin_pass`]) starts a new one. Stale data
+//! from a previous kernel can therefore never leak into a later one, and
+//! clearing stays O(touched), not O(n).
 //!
 //! Checkout *removes* the workspace from the thread's cache, so two
 //! kernels interleaved on one thread get distinct workspaces — the second
@@ -198,103 +199,183 @@ pub fn checkout<T: Reusable>(n: usize) -> Checkout<T> {
     Checkout { inner: Some(ws) }
 }
 
-/// Generation-stamped dense accumulator: the SPA of Gustavson-style
-/// kernels. Entry `j` is visible iff `mark[j]` equals the current
-/// generation; `touched` lists the visible slots in insertion order.
-pub struct DenseAcc<Z: 'static> {
-    mark: Vec<u32>,
-    gen: u32,
-    vals: Vec<Option<Z>>,
-    touched: Vec<usize>,
+/// What a pass's [`Spa::mark`]ed positions mean to [`Spa::upsert`] and
+/// [`Spa::visit`]: the output-mask policy of a product kernel. Callers
+/// pass a constant, so the test folds away in the flop loop.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Marks {
+    /// Nothing is marked; every position accepts (an unmasked product).
+    Ignore,
+    /// Only marked positions accept (a plain mask: the mask row is
+    /// scattered in as "allowed").
+    Admit,
+    /// Marked positions refuse (a complemented mask: "forbidden").
+    Reject,
 }
 
-impl<Z: 'static> DenseAcc<Z> {
-    /// Starts a new accumulation pass: all entries become invisible, in
-    /// O(1) (O(n) only once per 2^32 passes, at generation wraparound).
+/// Stamped sparse accumulator: the SPA of Gustavson-style kernels, with
+/// the output mask fused into the same table. `cell[j]` is compared with
+/// the pass's watermark `base`: below it the position is untouched (stale
+/// from an earlier pass), equal to it the position is *marked*, above it
+/// the position holds a value and `cell[j] - base - 1` is its slot in the
+/// compact, first-touch-ordered `cols`/`vals` arrays. A flop is therefore
+/// one table load that skips, initialises or combines in place, and
+/// [`Spa::begin_pass`] clears everything by raising the watermark past
+/// every cell the last pass wrote — O(1), no per-slot `Option`.
+pub struct Spa<Z: 'static> {
+    cell: Vec<usize>,
+    base: usize,
+    cols: Vec<usize>,
+    vals: Vec<Z>,
+}
+
+impl<Z: 'static> Spa<Z> {
+    /// Starts a new accumulation pass: every entry and mark becomes
+    /// invisible, in O(1) (O(n) only if the watermark would overflow).
     pub fn begin_pass(&mut self) {
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // Wrapped: the stamp array is stale; reset it once per 2^32
-            // passes so an ancient mark can never alias the new gen.
-            self.mark.iter_mut().for_each(|m| *m = 0);
-            self.gen = 1;
-        }
-        self.touched.clear();
-    }
-
-    /// Inserts `v` at `j`, or combines it with the entry already visible
-    /// there.
-    pub fn upsert(&mut self, j: usize, v: Z, combine: impl FnOnce(Z, Z) -> Z) {
-        if self.mark[j] == self.gen {
-            let merged = match self.vals[j].take() {
-                Some(cur) => combine(cur, v),
-                None => v,
-            };
-            self.vals[j] = Some(merged);
-        } else {
-            self.mark[j] = self.gen;
-            self.vals[j] = Some(v);
-            self.touched.push(j);
-        }
-    }
-
-    /// The entry visible at `j` this pass, if any.
-    pub fn get(&self, j: usize) -> Option<&Z> {
-        if self.mark[j] == self.gen {
-            self.vals[j].as_ref()
-        } else {
-            None
-        }
-    }
-
-    /// Number of slots touched this pass.
-    pub fn touched_len(&self) -> usize {
-        self.touched.len()
-    }
-
-    /// Sorts the touched list (for kernels emitting sorted output).
-    pub fn sort_touched(&mut self) {
-        self.touched.sort_unstable();
-    }
-
-    /// Moves every visible entry out, calling `f(j, v)` in touched order,
-    /// and ends the pass. Pair with [`Self::sort_touched`] for sorted
-    /// emission.
-    pub fn drain_pass(&mut self, mut f: impl FnMut(usize, Z)) {
-        let touched = std::mem::take(&mut self.touched);
-        for &j in &touched {
-            if let Some(v) = self.vals[j].take() {
-                f(j, v);
+        // The last pass wrote cells in `base ..= base + max(len, 1)`
+        // (`visit` writes `base + 1` without growing `cols`); the coming
+        // one writes up to `next + cell.len()`.
+        let next = self.base.checked_add(self.cols.len().max(1) + 1);
+        match next.filter(|next| next.checked_add(self.cell.len()).is_some()) {
+            Some(next) => self.base = next,
+            None => {
+                self.cell.iter_mut().for_each(|c| *c = 0);
+                self.base = 1;
             }
         }
-        // Keep the allocation; begin_pass will clear it.
-        self.touched = touched;
-        self.touched.clear();
+        self.cols.clear();
+        self.vals.clear();
+    }
+
+    /// Marks position `j` for this pass (see [`Marks`]). Marks go in
+    /// before the pass's first `upsert`/`visit`.
+    #[inline]
+    pub fn mark(&mut self, j: usize) {
+        self.cell[j] = self.base;
+    }
+
+    /// Combines `make()` into the value at `j` with `add`, or stores it as
+    /// the first value there, or — where `marks` refuses `j` — does
+    /// nothing, without calling `make`.
+    #[inline]
+    pub fn upsert(
+        &mut self,
+        j: usize,
+        marks: Marks,
+        make: impl FnOnce() -> Z,
+        add: impl FnOnce(&mut Z, Z),
+    ) {
+        let c = self.cell[j];
+        if c > self.base {
+            add(&mut self.vals[c - self.base - 1], make());
+        } else if accepts(marks, c == self.base) {
+            self.cols.push(j);
+            self.vals.push(make());
+            self.cell[j] = self.base + self.cols.len();
+        }
+    }
+
+    /// The symbolic half of [`Spa::upsert`]: records that `j` would hold a
+    /// value, storing none. `true` the first time an accepted `j` is seen
+    /// this pass. A pass either visits or upserts, never both.
+    #[inline]
+    pub fn visit(&mut self, j: usize, marks: Marks) -> bool {
+        let c = self.cell[j];
+        let first = c <= self.base && accepts(marks, c == self.base);
+        if first {
+            self.cell[j] = self.base + 1;
+        }
+        first
+    }
+
+    /// The value held at `j` this pass, if any.
+    #[inline]
+    pub fn get(&self, j: usize) -> Option<&Z> {
+        let c = self.cell[j];
+        (c > self.base).then(|| &self.vals[c - self.base - 1])
+    }
+
+    /// Number of values held this pass.
+    pub fn len(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Whether the pass holds no value.
+    pub fn is_empty(&self) -> bool {
+        self.cols.is_empty()
+    }
+
+    /// Moves the pass's entries onto the end of `idx`/`vals`, in
+    /// first-touch order, and returns how many there were.
+    pub fn append_to(&mut self, idx: &mut Vec<usize>, vals: &mut Vec<Z>) -> usize {
+        let n = self.cols.len();
+        idx.extend_from_slice(&self.cols);
+        vals.append(&mut self.vals);
+        n
     }
 }
 
-impl<Z: 'static> Reusable for DenseAcc<Z> {
+impl<Z: Clone + 'static> Spa<Z> {
+    /// Copies the entries held at the positions `order` yields onto the
+    /// end of `idx`/`vals`, in that order (positions holding nothing are
+    /// skipped), and returns how many there were. Walking a sorted mask
+    /// row emits a sorted output row without sorting anything.
+    pub fn append_in_order(
+        &self,
+        order: impl IntoIterator<Item = usize>,
+        idx: &mut Vec<usize>,
+        vals: &mut Vec<Z>,
+    ) -> usize {
+        let before = idx.len();
+        for j in order {
+            if let Some(v) = self.get(j) {
+                idx.push(j);
+                vals.push(v.clone());
+            }
+        }
+        idx.len() - before
+    }
+
+    /// [`Spa::append_in_order`] over the pass's own positions, ascending.
+    pub fn append_sorted(&mut self, idx: &mut Vec<usize>, vals: &mut Vec<Z>) -> usize {
+        // Slots are found through `cell`, not by position in `cols`, so
+        // sorting it loses nothing — but only `begin_pass` may follow.
+        self.cols.sort_unstable();
+        self.append_in_order(self.cols.iter().copied(), idx, vals)
+    }
+}
+
+/// Whether a position that holds no value yet accepts one under `marks`.
+#[inline(always)]
+fn accepts(marks: Marks, marked: bool) -> bool {
+    match marks {
+        Marks::Ignore => true,
+        Marks::Admit => marked,
+        Marks::Reject => !marked,
+    }
+}
+
+impl<Z: 'static> Reusable for Spa<Z> {
     fn fresh() -> Self {
-        DenseAcc {
-            mark: Vec::new(),
-            gen: 0,
+        Spa {
+            cell: Vec::new(),
+            base: 0,
+            cols: Vec::new(),
             vals: Vec::new(),
-            touched: Vec::new(),
         }
     }
 
     fn prepare(&mut self, n: usize) {
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
-            self.vals.resize_with(n, || None);
+        if self.cell.len() < n {
+            self.cell.resize(n, 0);
         }
         self.begin_pass();
     }
 
     fn reusable_bytes(&self) -> u64 {
-        (self.mark.capacity() * std::mem::size_of::<u32>()
-            + self.vals.capacity() * std::mem::size_of::<Option<Z>>()
-            + self.touched.capacity() * std::mem::size_of::<usize>()) as u64
+        ((self.cell.capacity() + self.cols.capacity()) * std::mem::size_of::<usize>()
+            + self.vals.capacity() * std::mem::size_of::<Z>()) as u64
     }
 }
 
@@ -352,60 +433,10 @@ impl Reusable for MarkTable {
     }
 }
 
-/// Generation-stamped index set (the mask-allowed columns of masked
-/// SpGEMM). Like [`MarkTable`] without the positions.
-pub struct MarkSet {
-    mark: Vec<u32>,
-    gen: u32,
-}
-
-impl MarkSet {
-    /// Starts a new pass: the set becomes empty in O(1).
-    pub fn begin_pass(&mut self) {
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            self.mark.iter_mut().for_each(|m| *m = 0);
-            self.gen = 1;
-        }
-    }
-
-    /// Adds `j` to the set for the current pass.
-    pub fn insert(&mut self, j: usize) {
-        self.mark[j] = self.gen;
-    }
-
-    /// Whether `j` is in the set this pass.
-    #[inline]
-    pub fn contains(&self, j: usize) -> bool {
-        self.mark[j] == self.gen
-    }
-}
-
-impl Reusable for MarkSet {
-    fn fresh() -> Self {
-        MarkSet {
-            mark: Vec::new(),
-            gen: 0,
-        }
-    }
-
-    fn prepare(&mut self, n: usize) {
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
-        }
-        self.begin_pass();
-    }
-
-    fn reusable_bytes(&self) -> u64 {
-        (self.mark.capacity() * std::mem::size_of::<u32>()) as u64
-    }
-}
-
 /// Word-packed bit set with a touched-word list: membership is one load
 /// plus a mask, and clearing between passes costs O(words touched)
-/// rather than O(n). Eight entries per byte — 32× denser than
-/// [`MarkSet`]'s u32 generation stamps — so the mask-allowed column set
-/// of masked SpGEMM stays cache-resident across the inner flop loop.
+/// rather than O(n). Eight entries per byte, so the allowed-position set
+/// of a masked `mxv`/`vxm` stays cache-resident across the product loop.
 pub struct BitSet {
     words: Vec<u64>,
     touched: Vec<usize>,
@@ -472,24 +503,35 @@ mod tests {
         M.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    fn plus<T: std::ops::AddAssign>(acc: &mut T, z: T) {
+        *acc += z;
+    }
+
+    /// The pass's entries in first-touch order.
+    fn drained<Z: 'static>(acc: &mut Spa<Z>) -> Vec<(usize, Z)> {
+        let (mut idx, mut vals) = (Vec::new(), Vec::new());
+        acc.append_to(&mut idx, &mut vals);
+        idx.into_iter().zip(vals).collect()
+    }
+
     #[test]
     fn checkout_reuses_and_restamps() {
         let _g = serialize();
         force_reuse(Some(true));
         clear_thread_cache();
         {
-            let mut acc = checkout::<DenseAcc<u64>>(8);
-            acc.upsert(2, 10, |a, b| a + b);
-            acc.upsert(2, 5, |a, b| a + b);
+            let mut acc = checkout::<Spa<u64>>(8);
+            acc.upsert(2, Marks::Ignore, || 10, plus);
+            acc.upsert(2, Marks::Ignore, || 5, plus);
             assert_eq!(acc.get(2), Some(&15));
-            assert_eq!(acc.touched_len(), 1);
+            assert_eq!(acc.len(), 1);
         }
         // Second checkout gets the cached workspace back, but the new
         // generation hides every entry from the previous kernel.
         {
-            let acc = checkout::<DenseAcc<u64>>(8);
+            let acc = checkout::<Spa<u64>>(8);
             assert_eq!(acc.get(2), None);
-            assert_eq!(acc.touched_len(), 0);
+            assert!(acc.is_empty());
         }
         force_reuse(None);
     }
@@ -501,40 +543,107 @@ mod tests {
         clear_thread_cache();
         // Two kernels interleaved on one thread: the second checkout
         // must not alias (or see the stamps of) the first.
-        let mut a = checkout::<DenseAcc<u32>>(4);
-        a.upsert(1, 100, |x, y| x + y);
-        let mut b = checkout::<DenseAcc<u32>>(4);
+        let mut a = checkout::<Spa<u32>>(4);
+        a.upsert(1, Marks::Ignore, || 100, plus);
+        let mut b = checkout::<Spa<u32>>(4);
         assert_eq!(b.get(1), None, "second kernel saw the first's stamps");
-        b.upsert(1, 7, |x, y| x + y);
-        b.upsert(3, 9, |x, y| x + y);
+        b.upsert(3, Marks::Ignore, || 9, plus);
+        b.upsert(1, Marks::Ignore, || 7, plus);
         assert_eq!(a.get(1), Some(&100), "first kernel's entry was clobbered");
         assert_eq!(a.get(3), None);
-        let mut got_a = Vec::new();
-        a.drain_pass(|j, v| got_a.push((j, v)));
-        let mut got_b = Vec::new();
-        b.sort_touched();
-        b.drain_pass(|j, v| got_b.push((j, v)));
-        assert_eq!(got_a, vec![(1, 100)]);
-        assert_eq!(got_b, vec![(1, 7), (3, 9)]);
+        assert_eq!(drained(&mut a), vec![(1, 100)]);
+        let (mut idx, mut vals) = (Vec::new(), Vec::new());
+        assert_eq!(b.append_sorted(&mut idx, &mut vals), 2);
+        assert_eq!((idx, vals), (vec![1, 3], vec![7, 9]));
         force_reuse(None);
     }
 
     #[test]
     fn begin_pass_isolates_rows() {
         let _g = serialize();
-        let mut acc = DenseAcc::<i64>::fresh();
+        let mut acc = Spa::<i64>::fresh();
         acc.prepare(6);
-        acc.upsert(0, 1, |a, b| a + b);
-        acc.upsert(5, 2, |a, b| a + b);
-        let mut row0 = Vec::new();
-        acc.drain_pass(|j, v| row0.push((j, v)));
-        assert_eq!(row0, vec![(0, 1), (5, 2)]);
+        acc.upsert(5, Marks::Ignore, || 2, plus);
+        acc.upsert(0, Marks::Ignore, || 1, plus);
+        assert_eq!(drained(&mut acc), vec![(5, 2), (0, 1)], "first-touch order");
         acc.begin_pass();
         assert_eq!(acc.get(0), None);
         assert_eq!(acc.get(5), None);
-        acc.upsert(5, 9, |a, b| a + b);
+        acc.upsert(5, Marks::Ignore, || 9, plus);
         assert_eq!(acc.get(5), Some(&9));
-        assert_eq!(acc.touched_len(), 1);
+        assert_eq!(acc.len(), 1);
+    }
+
+    #[test]
+    fn marks_admit_or_reject_positions_without_making_the_value() {
+        let _g = serialize();
+        let mut acc = Spa::<i64>::fresh();
+        acc.prepare(6);
+        let never = || -> i64 { panic!("a refused position must not compute its product") };
+        // Plain mask: only the marked positions accept.
+        acc.mark(4);
+        acc.mark(1);
+        acc.upsert(2, Marks::Admit, never, plus);
+        acc.upsert(4, Marks::Admit, || 10, plus);
+        acc.upsert(4, Marks::Admit, || 5, plus);
+        assert_eq!(
+            (acc.get(1), acc.get(2), acc.get(4)),
+            (None, None, Some(&15))
+        );
+        // Walking the mask row emits in mask order and skips the holes.
+        let (mut idx, mut vals) = (Vec::new(), Vec::new());
+        assert_eq!(acc.append_in_order([1, 4], &mut idx, &mut vals), 1);
+        assert_eq!((idx, vals), (vec![4], vec![15]));
+        // Complemented mask: the marked positions refuse. Last pass's
+        // marks and values are gone.
+        acc.begin_pass();
+        acc.mark(2);
+        acc.upsert(2, Marks::Reject, never, plus);
+        acc.upsert(4, Marks::Reject, || 1, plus);
+        acc.upsert(1, Marks::Reject, || 2, plus);
+        acc.upsert(4, Marks::Reject, || 3, plus);
+        assert_eq!(drained(&mut acc), vec![(4, 4), (1, 2)]);
+    }
+
+    #[test]
+    fn visit_counts_what_upsert_would_hold() {
+        let _g = serialize();
+        let mut acc = Spa::<u8>::fresh();
+        acc.prepare(5);
+        // An empty visiting pass, then a one-position one: the watermark
+        // must clear both (`visit` writes a cell without growing `cols`).
+        acc.begin_pass();
+        assert!(acc.visit(3, Marks::Ignore));
+        assert!(!acc.visit(3, Marks::Ignore));
+        acc.begin_pass();
+        acc.mark(0);
+        let seen = [0, 3, 3, 1, 0].map(|j| acc.visit(j, Marks::Reject));
+        assert_eq!(seen, [false, true, false, true, false]);
+        acc.begin_pass();
+        acc.mark(3);
+        let seen = [0, 3, 3, 1].map(|j| acc.visit(j, Marks::Admit));
+        assert_eq!(seen, [false, true, false, false]);
+        assert!(acc.is_empty(), "a visiting pass stores nothing");
+        acc.begin_pass();
+        assert_eq!(acc.get(3), None);
+        acc.upsert(3, Marks::Admit, || 1, |a, b| *a += b);
+        assert_eq!(acc.get(3), None, "stale mark admitted a value");
+    }
+
+    #[test]
+    fn watermark_overflow_resets_the_table() {
+        let _g = serialize();
+        let mut acc = Spa::<i64>::fresh();
+        acc.prepare(4);
+        acc.upsert(2, Marks::Ignore, || 7, plus);
+        acc.base = usize::MAX - 3;
+        acc.begin_pass();
+        assert_eq!(acc.base, 1);
+        assert_eq!(acc.get(2), None);
+        acc.mark(1);
+        acc.upsert(1, Marks::Admit, || 5, plus);
+        acc.upsert(2, Marks::Admit, || 6, plus);
+        assert_eq!(drained(&mut acc), vec![(1, 5)]);
     }
 
     #[test]
@@ -547,18 +656,6 @@ mod tests {
         assert_eq!(t.get(0), None);
         t.prepare(5);
         assert_eq!(t.get(3), None, "stale entry survived a new pass");
-    }
-
-    #[test]
-    fn mark_set_membership() {
-        let _g = serialize();
-        let mut s = MarkSet::fresh();
-        s.prepare(4);
-        s.insert(2);
-        assert!(s.contains(2));
-        assert!(!s.contains(1));
-        s.begin_pass();
-        assert!(!s.contains(2));
     }
 
     #[test]
@@ -592,12 +689,12 @@ mod tests {
         force_reuse(Some(true));
         clear_thread_cache();
         {
-            let mut acc = checkout::<DenseAcc<u8>>(4);
-            acc.upsert(3, 1, |a, b| a + b);
+            let mut acc = checkout::<Spa<u8>>(4);
+            acc.upsert(3, Marks::Ignore, || 1, |a, b| *a += b);
         }
         {
-            let mut acc = checkout::<DenseAcc<u8>>(16);
-            acc.upsert(15, 2, |a, b| a + b);
+            let mut acc = checkout::<Spa<u8>>(16);
+            acc.upsert(15, Marks::Ignore, || 2, |a, b| *a += b);
             assert_eq!(acc.get(15), Some(&2));
             assert_eq!(acc.get(3), None);
         }
@@ -610,8 +707,8 @@ mod tests {
         force_reuse(Some(false));
         clear_thread_cache();
         {
-            let mut acc = checkout::<DenseAcc<u16>>(4);
-            acc.upsert(0, 3, |a, b| a + b);
+            let mut acc = checkout::<Spa<u16>>(4);
+            acc.upsert(0, Marks::Ignore, || 3, |a, b| *a += b);
         }
         // Nothing was returned to the cache.
         let cached = CACHE.with(|c| c.borrow().map.len());
@@ -628,14 +725,14 @@ mod tests {
         graphblas_obs::set_enabled(true);
         let before = graphblas_obs::mem::workspace().live();
         {
-            let _a = checkout::<DenseAcc<u64>>(64);
+            let _a = checkout::<Spa<u64>>(64);
         }
         let parked = graphblas_obs::mem::workspace().live();
         assert!(parked > before, "returned workspace reported no bytes");
         // Checking it back out removes it from the cache — and its bytes
         // from the gauge.
         {
-            let _a = checkout::<DenseAcc<u64>>(64);
+            let _a = checkout::<Spa<u64>>(64);
             assert_eq!(graphblas_obs::mem::workspace().live(), before);
         }
         clear_thread_cache();
@@ -643,7 +740,7 @@ mod tests {
         // Bytes recorded while enabled are released even if telemetry is
         // toggled off in between (per-entry recorded figure, not a guess).
         {
-            let _a = checkout::<DenseAcc<u64>>(64);
+            let _a = checkout::<Spa<u64>>(64);
         }
         graphblas_obs::set_enabled(false);
         clear_thread_cache();
@@ -660,10 +757,10 @@ mod tests {
         graphblas_obs::set_enabled(true);
         let before = graphblas_obs::snapshot().workspace;
         {
-            let _a = checkout::<DenseAcc<f64>>(32);
+            let _a = checkout::<Spa<f64>>(32);
         }
         {
-            let _b = checkout::<DenseAcc<f64>>(32);
+            let _b = checkout::<Spa<f64>>(32);
         }
         let after = graphblas_obs::snapshot().workspace;
         graphblas_obs::set_enabled(false);

@@ -3,38 +3,177 @@
 //! Row-parallel: row `i` of `C = A ⊕.⊗ B` is the ⊕-combination of rows of
 //! `B` selected and ⊗-scaled by row `i` of `A`, accumulated in a per-task
 //! sparse accumulator checked out of the thread's workspace cache
-//! (`exec::workspace::DenseAcc` — generation-stamped dense table + touched
-//! list, so clearing is O(row nnz), not O(ncols), and iterative callers
-//! reuse the allocation across kernel invocations).
+//! (`exec::workspace::Spa` — one stamped table whose cells say "untouched",
+//! "marked by the mask" or "holds slot k", so clearing is O(1) and a flop
+//! is one table load; iterative callers reuse the allocation across kernel
+//! invocations).
 //!
 //! Work is partitioned by *flops* (Σ over a-entries of the touched b-row
 //! lengths), not row count — essential for power-law graphs.
 //!
-//! [`spgemm_masked`] additionally takes an output-structure mask and only
-//! accumulates positions the mask allows. With `complement = false` this
-//! is the `C⟨M⟩ = A ⊕.⊗ B` pattern that makes masked triangle counting
-//! cheap (never materializing A·B outside the mask's structure).
+//! [`spgemm`] and [`spgemm_masked`] are the same row loop under three
+//! [`MaskPolicy`] instances. A mask is scattered into the accumulator
+//! row by row, as "allowed" (`C⟨M⟩`) or "forbidden" (`C⟨¬M⟩`), so
+//! products outside it are never formed — the pattern that makes masked
+//! triangle counting cheap.
+//!
+//! The result is written once. Each task learns its output size before it
+//! allocates — a symbolic pass counts the distinct columns per row; under
+//! a plain mask the mask rows themselves bound it — and a single task's
+//! buffers become the result's arrays without a copy
+//! ([`util::stitch_row_chunks`]). Rows come out in first-touch order
+//! (`rows_sorted == false`; `wait(MATERIALIZE)` carries the sort), except
+//! under a plain mask with sorted rows, where they are emitted by walking
+//! the mask row and so come out sorted too.
 
 use std::ops::Range;
 
-use graphblas_exec::workspace::{self, BitSet, DenseAcc};
+use graphblas_exec::workspace::{self, Marks, Spa};
 use graphblas_exec::{parallel_map_chunks, parallel_map_ranges, partition, Context};
 
 use crate::csr::Csr;
 use crate::util;
 
-/// Flop-weighted row ranges for `A · B`. The per-row flop counts are
-/// gathered in parallel chunks; only the prefix sum is sequential.
-fn flop_ranges<A: Sync, B: Sync>(ctx: &Context, a: &Csr<A>, b: &Csr<B>) -> Vec<Range<usize>> {
-    let nrows = a.nrows();
-    if nrows == 0 {
-        return Vec::new();
+/// The output mask as the row loop sees it: what the accumulator's marks
+/// mean, how a row's marks go in, and how a finished row comes out. A
+/// type parameter in the `OutputFilter` idiom of `spmv.rs`, so the
+/// unmasked product compiles to a loop with no mask test in it.
+trait MaskPolicy: Sync {
+    const MARKS: Marks;
+
+    /// Stored mask entries (telemetry).
+    fn nnz(&self) -> usize;
+
+    /// Marks row `i`'s truthy mask entries in `spa`; returns how many.
+    fn mark_row<Z>(&self, i: usize, spa: &mut Spa<Z>) -> usize;
+
+    /// A bound on the entries `rows` can produce that costs no pass over
+    /// the products — or `None`, and the symbolic pass counts them.
+    fn bound(&self, rows: &Range<usize>) -> Option<usize>;
+
+    /// Moves row `i` out of `spa` onto `idx`/`vals`; returns its length.
+    fn emit<Z: Clone>(
+        &self,
+        i: usize,
+        spa: &mut Spa<Z>,
+        idx: &mut Vec<usize>,
+        vals: &mut Vec<Z>,
+    ) -> usize;
+
+    /// Whether every emitted row is sorted.
+    fn emits_sorted(&self) -> bool;
+}
+
+/// `C = A ⊕.⊗ B`.
+struct NoMask;
+
+impl MaskPolicy for NoMask {
+    const MARKS: Marks = Marks::Ignore;
+
+    fn nnz(&self) -> usize {
+        0
     }
+
+    #[inline(always)]
+    fn mark_row<Z>(&self, _: usize, _: &mut Spa<Z>) -> usize {
+        0
+    }
+
+    fn bound(&self, _: &Range<usize>) -> Option<usize> {
+        None
+    }
+
+    fn emit<Z: Clone>(
+        &self,
+        _: usize,
+        spa: &mut Spa<Z>,
+        idx: &mut Vec<usize>,
+        vals: &mut Vec<Z>,
+    ) -> usize {
+        spa.append_to(idx, vals)
+    }
+
+    fn emits_sorted(&self) -> bool {
+        false
+    }
+}
+
+/// `C⟨M⟩ = A ⊕.⊗ B`, or `C⟨¬M⟩` when `COMPLEMENT`: the entries of `mask`
+/// that `pred` holds for are the allowed (forbidden) positions.
+struct Masked<'a, M, FP, const COMPLEMENT: bool> {
+    mask: &'a Csr<M>,
+    pred: FP,
+}
+
+impl<M, FP, const COMPLEMENT: bool> MaskPolicy for Masked<'_, M, FP, COMPLEMENT>
+where
+    M: Sync,
+    FP: Fn(&M) -> bool + Sync,
+{
+    const MARKS: Marks = if COMPLEMENT {
+        Marks::Reject
+    } else {
+        Marks::Admit
+    };
+
+    fn nnz(&self) -> usize {
+        self.mask.nnz()
+    }
+
+    #[inline]
+    fn mark_row<Z>(&self, i: usize, spa: &mut Spa<Z>) -> usize {
+        let (mcols, mvals) = self.mask.row(i);
+        let mut marked = 0;
+        for (&j, mv) in mcols.iter().zip(mvals) {
+            if (self.pred)(mv) {
+                spa.mark(j);
+                marked += 1;
+            }
+        }
+        marked
+    }
+
+    fn bound(&self, rows: &Range<usize>) -> Option<usize> {
+        let indptr = self.mask.indptr();
+        (!COMPLEMENT).then(|| indptr[rows.end] - indptr[rows.start])
+    }
+
+    fn emit<Z: Clone>(
+        &self,
+        i: usize,
+        spa: &mut Spa<Z>,
+        idx: &mut Vec<usize>,
+        vals: &mut Vec<Z>,
+    ) -> usize {
+        if self.emits_sorted() {
+            // In mask order, which is ascending and free of duplicates.
+            spa.append_in_order(self.mask.row(i).0.iter().copied(), idx, vals)
+        } else {
+            spa.append_to(idx, vals)
+        }
+    }
+
+    fn emits_sorted(&self) -> bool {
+        !COMPLEMENT && self.mask.is_rows_sorted()
+    }
+}
+
+/// Flop-weighted row ranges for `A · B`, and the prefix sum they were cut
+/// from: `flops[i + 1] - flops[i]` is row `i`'s multiply count plus one
+/// (which keeps ranges nonempty even for all-empty rows). The per-row
+/// counts are gathered in parallel chunks; only the prefix sum is
+/// sequential.
+fn flop_ranges<A: Sync, B: Sync>(
+    ctx: &Context,
+    a: &Csr<A>,
+    b: &Csr<B>,
+) -> (Vec<usize>, Vec<Range<usize>>) {
+    let nrows = a.nrows();
     let chunks = parallel_map_chunks(ctx, nrows, |rows: Range<usize>| {
         rows.map(|i| {
             let (cols, _) = a.row(i);
             let row_flops: usize = cols.iter().map(|&k| b.row_nnz(k)).sum();
-            row_flops + 1 // keep ranges nonempty even for all-empty rows
+            row_flops + 1
         })
         .collect::<Vec<usize>>()
     });
@@ -53,12 +192,122 @@ fn flop_ranges<A: Sync, B: Sync>(ctx: &Context, a: &Csr<A>, b: &Csr<B>) -> Vec<R
         .min(total.div_ceil(ctx.chunk_size()).max(1))
         .min(nrows)
         .max(1);
-    partition::prefix_balanced_ranges(&flops, k)
+    let ranges = partition::prefix_balanced_ranges(&flops, k);
+    (flops, ranges)
+}
+
+/// The Gustavson row loop: for each of `rows`, a fresh accumulator pass
+/// with the row's mask marks in it, `flop` on every product position
+/// `(j, A(i,k), B(k,j))`, then `row_done`. Both of a task's walks — the
+/// symbolic count and the numeric fill — are this loop.
+fn walk_rows<P: MaskPolicy, A, B, Z>(
+    policy: &P,
+    a: &Csr<A>,
+    b: &Csr<B>,
+    rows: Range<usize>,
+    spa: &mut Spa<Z>,
+    mut flop: impl FnMut(&mut Spa<Z>, usize, &A, &B),
+    mut row_done: impl FnMut(&mut Spa<Z>, usize),
+) {
+    for i in rows {
+        spa.begin_pass();
+        // A plain mask with no truthy entry in the row admits nothing.
+        if policy.mark_row(i, spa) > 0 || P::MARKS != Marks::Admit {
+            let (acols, avals) = a.row(i);
+            for (&k, av) in acols.iter().zip(avals) {
+                let (bcols, bvals) = b.row(k);
+                for (&j, bv) in bcols.iter().zip(bvals) {
+                    flop(spa, j, av, bv);
+                }
+            }
+        }
+        row_done(spa, i);
+    }
+}
+
+/// The kernel behind both entry points (see the module docs).
+fn multiply<P, A, B, Z, FM, FA>(
+    ctx: &Context,
+    policy: P,
+    a: &Csr<A>,
+    b: &Csr<B>,
+    mul: FM,
+    add: FA,
+) -> Csr<Z>
+where
+    P: MaskPolicy,
+    A: Clone + Send + Sync,
+    B: Clone + Send + Sync,
+    Z: Clone + Send + Sync + 'static,
+    FM: Fn(&A, &B) -> Z + Sync,
+    FA: Fn(&mut Z, Z) + Sync,
+{
+    assert_eq!(a.ncols(), b.nrows(), "spgemm: inner dimension mismatch");
+    let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::SpGemm, ctx.id());
+    let (m, n) = (a.nrows(), b.ncols());
+    if m == 0 || n == 0 || a.nnz() == 0 || b.nnz() == 0 {
+        return Csr::empty(m, n);
+    }
+    let (flops, ranges) = {
+        let _ph = graphblas_obs::timeline::phase("spgemm.symbolic");
+        flop_ranges(ctx, a, b)
+    };
+    // Semiring multiplies in `rows`, mask or no mask.
+    let flops_in = |rows: &Range<usize>| flops[rows.end] - flops[rows.start] - rows.len();
+    if sp.active() {
+        let read = a.nnz() + b.nnz() + policy.nnz();
+        sp.io(
+            flops_in(&(0..m)) as u64,
+            read as u64,
+            0,
+            (read * (std::mem::size_of::<usize>() * 2)) as u64,
+        );
+    }
+    let numeric = graphblas_obs::timeline::phase("spgemm.numeric");
+    let chunks = parallel_map_ranges(ranges, |rows: Range<usize>| {
+        let mut spa = workspace::checkout::<Spa<Z>>(n);
+        let bound = policy
+            .bound(&rows)
+            .map(|by_mask| by_mask.min(flops_in(&rows)));
+        let entries = bound.unwrap_or_else(|| {
+            let _task = graphblas_obs::timeline::phase("spgemm.symbolic.task");
+            let mut entries = 0usize;
+            let count = |spa: &mut Spa<Z>, j, _: &A, _: &B| {
+                entries += usize::from(spa.visit(j, P::MARKS));
+            };
+            walk_rows(&policy, a, b, rows.clone(), &mut spa, count, |_, _| {});
+            entries
+        });
+        let _task = graphblas_obs::timeline::phase("spgemm.numeric.task");
+        let mut lens = Vec::with_capacity(rows.len());
+        let mut idx = Vec::with_capacity(entries);
+        let mut vals: Vec<Z> = Vec::with_capacity(entries);
+        let flop = |spa: &mut Spa<Z>, j, av: &A, bv: &B| {
+            spa.upsert(j, P::MARKS, || mul(av, bv), &add);
+        };
+        let emit = |spa: &mut Spa<Z>, i| lens.push(policy.emit(i, spa, &mut idx, &mut vals));
+        walk_rows(&policy, a, b, rows.clone(), &mut spa, flop, emit);
+        if bound.is_some() {
+            // A bound, not a count: give the slack back.
+            idx.shrink_to_fit();
+            vals.shrink_to_fit();
+        }
+        (rows, (lens, idx, vals))
+    });
+    drop(numeric);
+    let (indptr, indices, values) = util::stitch_row_chunks(m, chunks);
+    let c = Csr::from_kernel_parts(m, n, indptr, indices, values, policy.emits_sorted());
+    if sp.active() {
+        sp.io(0, 0, c.nnz() as u64, 0);
+    }
+    c
 }
 
 /// `C = A ⊕.⊗ B`. `add` accumulates in place (`acc ⊕= z`). Output rows are
 /// produced unsorted (`rows_sorted == false`), matching the latitude the
 /// import/export spec gives and letting `wait(MATERIALIZE)` carry the cost.
+// grblint: allow(span-at-kernel-boundary) — thin forwarder; the span
+// opens in `multiply`.
 pub fn spgemm<A, B, Z, FM, FA>(
     ctx: &Context,
     a: &Csr<A>,
@@ -73,64 +322,16 @@ where
     FM: Fn(&A, &B) -> Z + Sync,
     FA: Fn(&mut Z, Z) + Sync,
 {
-    assert_eq!(a.ncols(), b.nrows(), "spgemm: inner dimension mismatch");
-    let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::SpGemm, ctx.id());
-    let (m, n) = (a.nrows(), b.ncols());
-    if m == 0 || n == 0 || a.nnz() == 0 || b.nnz() == 0 {
-        return Csr::empty(m, n);
-    }
-    if sp.active() {
-        sp.io(
-            count_flops(a, b),
-            (a.nnz() + b.nnz()) as u64,
-            0,
-            ((a.nnz() + b.nnz()) * (std::mem::size_of::<usize>() * 2)) as u64,
-        );
-    }
-    let ranges = {
-        let _ph = graphblas_obs::timeline::phase("spgemm.symbolic");
-        flop_ranges(ctx, a, b)
-    };
-    let numeric = graphblas_obs::timeline::phase("spgemm.numeric");
-    let chunks = parallel_map_ranges(ranges, |rows: Range<usize>| {
-        let _task = graphblas_obs::timeline::phase("spgemm.numeric.task");
-        let mut spa = workspace::checkout::<DenseAcc<Z>>(n);
-        let mut lens = Vec::with_capacity(rows.len());
-        let mut idx = Vec::new();
-        let mut vals: Vec<Z> = Vec::new();
-        for i in rows.clone() {
-            spa.begin_pass();
-            let (acols, avals) = a.row(i);
-            for (&k, av) in acols.iter().zip(avals) {
-                let (bcols, bvals) = b.row(k);
-                for (&j, bv) in bcols.iter().zip(bvals) {
-                    let prod = mul(av, bv);
-                    spa.upsert(j, prod, |mut cur, new| {
-                        add(&mut cur, new);
-                        cur
-                    });
-                }
-            }
-            lens.push(spa.touched_len());
-            spa.drain_pass(|j, v| {
-                idx.push(j);
-                vals.push(v);
-            });
-        }
-        (rows, (lens, idx, vals))
-    });
-    drop(numeric);
-    let (indptr, indices, values) = util::stitch_row_chunks(m, chunks);
-    let c = Csr::from_kernel_parts(m, n, indptr, indices, values, false);
-    if sp.active() {
-        sp.io(0, 0, c.nnz() as u64, 0);
-    }
-    c
+    multiply(ctx, NoMask, a, b, mul, add)
 }
 
 /// Masked SpGEMM: only positions permitted by the structure of `mask`
 /// (filtered by `pred`, complemented when `complement`) are accumulated.
+/// Without `complement`, a mask with sorted rows gives a result with
+/// sorted rows.
 #[allow(clippy::too_many_arguments)] // mirrors the GrB_mxm masked signature
+// grblint: allow(span-at-kernel-boundary) — thin forwarder; the span
+// opens in `multiply`.
 pub fn spgemm_masked<M, A, B, Z, FP, FM, FA>(
     ctx: &Context,
     mask: &Csr<M>,
@@ -150,88 +351,13 @@ where
     FM: Fn(&A, &B) -> Z + Sync,
     FA: Fn(&mut Z, Z) + Sync,
 {
-    assert_eq!(a.ncols(), b.nrows(), "spgemm: inner dimension mismatch");
     assert_eq!(mask.nrows(), a.nrows(), "spgemm: mask row mismatch");
     assert_eq!(mask.ncols(), b.ncols(), "spgemm: mask column mismatch");
-    let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::SpGemm, ctx.id());
-    let (m, n) = (a.nrows(), b.ncols());
-    if m == 0 || n == 0 {
-        return Csr::empty(m, n);
+    if complement {
+        multiply(ctx, Masked::<_, _, true> { mask, pred }, a, b, mul, add)
+    } else {
+        multiply(ctx, Masked::<_, _, false> { mask, pred }, a, b, mul, add)
     }
-    if sp.active() {
-        sp.io(
-            count_flops(a, b),
-            (a.nnz() + b.nnz() + mask.nnz()) as u64,
-            0,
-            ((a.nnz() + b.nnz() + mask.nnz()) * (std::mem::size_of::<usize>() * 2)) as u64,
-        );
-    }
-    let ranges = {
-        let _ph = graphblas_obs::timeline::phase("spgemm.symbolic");
-        flop_ranges(ctx, a, b)
-    };
-    let numeric = graphblas_obs::timeline::phase("spgemm.numeric");
-    let chunks = parallel_map_ranges(ranges, |rows: Range<usize>| {
-        let _task = graphblas_obs::timeline::phase("spgemm.numeric.task");
-        let mut spa = workspace::checkout::<DenseAcc<Z>>(n);
-        // Word-packed set marking mask-allowed columns for this row: the
-        // inner flop loop tests it per product, so the 8-per-byte packing
-        // keeps it cache-resident on wide matrices.
-        let mut allow = workspace::checkout::<BitSet>(n);
-        let mut lens = Vec::with_capacity(rows.len());
-        let mut idx = Vec::new();
-        let mut vals: Vec<Z> = Vec::new();
-        for i in rows.clone() {
-            spa.begin_pass();
-            allow.begin_pass();
-            let (mcols, mvals) = mask.row(i);
-            for (&j, mv) in mcols.iter().zip(mvals) {
-                if pred(mv) {
-                    allow.insert(j);
-                }
-            }
-            let (acols, avals) = a.row(i);
-            for (&k, av) in acols.iter().zip(avals) {
-                let (bcols, bvals) = b.row(k);
-                for (&j, bv) in bcols.iter().zip(bvals) {
-                    if allow.contains(j) == complement {
-                        continue;
-                    }
-                    let prod = mul(av, bv);
-                    spa.upsert(j, prod, |mut cur, new| {
-                        add(&mut cur, new);
-                        cur
-                    });
-                }
-            }
-            lens.push(spa.touched_len());
-            spa.drain_pass(|j, v| {
-                idx.push(j);
-                vals.push(v);
-            });
-        }
-        (rows, (lens, idx, vals))
-    });
-    drop(numeric);
-    let (indptr, indices, values) = util::stitch_row_chunks(m, chunks);
-    let c = Csr::from_kernel_parts(m, n, indptr, indices, values, false);
-    if sp.active() {
-        sp.io(0, 0, c.nnz() as u64, 0);
-    }
-    c
-}
-
-/// Exact semiring-multiply count for `A · B` (Σ over entries `(i,k)` of A
-/// of `nnz(B(k,:))`). Only computed when a telemetry span is live.
-fn count_flops<A, B>(a: &Csr<A>, b: &Csr<B>) -> u64 {
-    let mut flops = 0u64;
-    for i in 0..a.nrows() {
-        let (cols, _) = a.row(i);
-        for &k in cols {
-            flops += b.row_nnz(k) as u64;
-        }
-    }
-    flops
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 
 use std::ops::Range;
 
-use graphblas_exec::workspace::{self, DenseAcc, MarkTable};
+use graphblas_exec::workspace::{self, MarkTable, Marks, Spa};
 use graphblas_exec::{parallel_map_ranges, partition, Context};
 
 use crate::bitmap::BitmapVec;
@@ -548,7 +548,7 @@ where
     let push = graphblas_obs::timeline::phase("mxv.push");
     let partials: Vec<SparseVec<Z>> = parallel_map_ranges(ranges, |entries: Range<usize>| {
         let _task = graphblas_obs::timeline::phase("mxv.push.task");
-        let mut acc = workspace::checkout::<DenseAcc<Z>>(ncols);
+        let mut acc = workspace::checkout::<Spa<Z>>(ncols);
         for e in entries {
             let i = xi[e];
             let owned;
@@ -567,17 +567,17 @@ where
                 if !keep.allows(j) {
                     continue;
                 }
-                let prod = mul(xval, av);
-                acc.upsert(j, prod, &add);
+                acc.upsert(
+                    j,
+                    Marks::Ignore,
+                    || mul(xval, av),
+                    |cur, z| *cur = add(cur.clone(), z),
+                );
             }
         }
-        acc.sort_touched();
-        let mut idx = Vec::with_capacity(acc.touched_len());
-        let mut values = Vec::with_capacity(acc.touched_len());
-        acc.drain_pass(|j, v| {
-            idx.push(j);
-            values.push(v);
-        });
+        let mut idx = Vec::with_capacity(acc.len());
+        let mut values = Vec::with_capacity(acc.len());
+        acc.append_sorted(&mut idx, &mut values);
         SparseVec::from_kernel_parts(ncols, idx, values, true)
     });
     drop(push);

@@ -84,30 +84,39 @@ pub fn is_non_decreasing(s: &[usize]) -> bool {
 /// produced row, plus the concatenated indices and values for the chunk.
 pub type RowChunk<T> = (Vec<usize>, Vec<usize>, Vec<T>);
 
-/// Concatenates per-chunk row outputs (covering `0..nrows` in order) into
-/// CSR arrays `(indptr, indices, values)`.
+/// Turns per-chunk row outputs (covering `0..nrows` in order) into CSR
+/// arrays `(indptr, indices, values)`. A single chunk — every one-thread
+/// kernel call — already *is* the result: its `indices`/`values` buffers
+/// are handed through as they are, and only several chunks are
+/// concatenated (one copy, into exactly-sized arrays).
 pub fn stitch_row_chunks<T>(
     nrows: usize,
-    chunks: Vec<(Range<usize>, RowChunk<T>)>,
+    mut chunks: Vec<(Range<usize>, RowChunk<T>)>,
 ) -> (Vec<usize>, Vec<usize>, Vec<T>) {
-    let total: usize = chunks.iter().map(|(_, (_, idx, _))| idx.len()).sum();
     let mut indptr = Vec::with_capacity(nrows + 1);
     indptr.push(0usize);
-    let mut indices = Vec::with_capacity(total);
-    let mut values: Vec<T> = Vec::with_capacity(total);
-    for (range, (lens, idx, vals)) in chunks {
+    let mut acc = 0usize;
+    for (range, (lens, _, _)) in &chunks {
         debug_assert_eq!(range.len(), lens.len());
-        // grblint: allow(no-unwrap) — indptr is seeded with a leading 0 above.
-        let mut acc = *indptr.last().expect("indptr starts non-empty");
         for len in lens {
             acc += len;
             indptr.push(acc);
         }
-        indices.extend(idx);
-        values.extend(vals);
     }
     debug_assert_eq!(indptr.len(), nrows + 1);
-    debug_assert_eq!(*indptr.last().unwrap(), indices.len());
+    let (indices, values) = if chunks.len() == 1 {
+        let (_, (_, idx, vals)) = chunks.remove(0);
+        (idx, vals)
+    } else {
+        let mut indices = Vec::with_capacity(acc);
+        let mut values: Vec<T> = Vec::with_capacity(acc);
+        for (_, (_, idx, vals)) in chunks {
+            indices.extend(idx);
+            values.extend(vals);
+        }
+        (indices, values)
+    };
+    debug_assert_eq!(acc, indices.len());
     (indptr, indices, values)
 }
 
@@ -180,5 +189,18 @@ mod tests {
         assert_eq!(indptr, vec![0, 1, 1, 3]);
         assert_eq!(indices, vec![4, 1, 2]);
         assert_eq!(values, vec![40, 10, 20]);
+    }
+
+    #[test]
+    fn stitch_hands_a_single_chunk_through() {
+        let (idx, vals) = (vec![4usize, 1, 2], vec![40, 10, 20]);
+        let (idx_at, vals_at) = (idx.as_ptr(), vals.as_ptr());
+        let (indptr, indices, values) =
+            stitch_row_chunks(3, vec![(0..3, (vec![1, 0, 2], idx, vals))]);
+        assert_eq!(indptr, vec![0, 1, 1, 3]);
+        assert_eq!(indices, vec![4, 1, 2]);
+        assert_eq!(values, vec![40, 10, 20]);
+        // Moved, not copied: the result owns the chunk's allocations.
+        assert_eq!((indices.as_ptr(), values.as_ptr()), (idx_at, vals_at));
     }
 }

@@ -5,8 +5,8 @@
 
 use std::collections::BTreeMap;
 
-use graphblas_exec::global_context;
 use graphblas_exec::rng::prelude::*;
+use graphblas_exec::{global_context, Context, ContextOptions, Mode};
 use graphblas_sparse::{ewise, kron, spgemm, spmv, transpose, Coo, Csr, SparseVec};
 
 const CASES: usize = 64;
@@ -67,6 +67,31 @@ fn spgemm_matches_reference() {
     }
 }
 
+/// `m` with every row's entries stored back to front: the same matrix,
+/// but `rows_sorted` is false wherever a row holds two entries.
+fn rows_reversed(m: &Csr<i64>) -> Csr<i64> {
+    let (mut indices, mut values) = (Vec::new(), Vec::new());
+    for i in 0..m.nrows() {
+        let (cols, vals) = m.row(i);
+        indices.extend(cols.iter().rev());
+        values.extend(vals.iter().rev());
+    }
+    Csr::from_parts(m.nrows(), m.ncols(), m.indptr().to_vec(), indices, values).unwrap()
+}
+
+fn plus_times_masked(
+    ctx: &Context,
+    mask: &Csr<i64>,
+    complement: bool,
+    a: &Csr<i64>,
+    b: &Csr<i64>,
+) -> Csr<i64> {
+    // A value mask: stored entries ≤ 0 are its stored `false`.
+    let truthy = |v: &i64| *v > 0;
+    let mul = |x: &i64, y: &i64| x * y;
+    spgemm::spgemm_masked(ctx, mask, complement, truthy, a, b, mul, |acc, z| *acc += z)
+}
+
 #[test]
 fn spgemm_masked_is_restricted_spgemm() {
     let ctx = global_context();
@@ -79,20 +104,106 @@ fn spgemm_masked_is_restricted_spgemm() {
         let am = csr((10, 10), &a);
         let bm = csr((10, 10), &b);
         let mm = csr((10, 10), &m);
-        let masked = spgemm::spgemm_masked(
-            &ctx,
-            &mm,
-            complement,
-            |_| true,
-            &am,
-            &bm,
-            |x, y| x * y,
-            |acc, z| *acc += z,
-        );
         let mut full = spgemm::spgemm(&ctx, &am, &bm, |x, y| x * y, |acc, z| *acc += z);
         full.sort_rows(&ctx);
-        let expect = ewise::ewise_restrict(&ctx, &full, &mm, complement, |_| true);
+        let expect = ewise::ewise_restrict(&ctx, &full, &mm, complement, |v| *v > 0);
+        let masked = plus_times_masked(&ctx, &mm, complement, &am, &bm);
+        // `check` holds the `rows_sorted` flag to the rows themselves.
+        masked.check().unwrap();
+        assert!(
+            complement || masked.is_rows_sorted(),
+            "a sorted plain mask sorts the result"
+        );
         assert_eq!(entries(&masked), entries(&expect));
+        // A mask with unsorted rows promises nothing about order, and
+        // must not claim to.
+        let unsorted = plus_times_masked(&ctx, &rows_reversed(&mm), complement, &am, &bm);
+        unsorted.check().unwrap();
+        assert_eq!(entries(&unsorted), entries(&expect));
+    }
+}
+
+#[test]
+fn spgemm_masked_degenerate_masks_and_rows() {
+    let ctx = global_context();
+    let mut rng = StdRng::seed_from_u64(0x5141);
+    let full_mask: Entries = (0..8)
+        .flat_map(|i| (0..8).map(move |j| ((i, j), 1)))
+        .collect();
+    for _ in 0..CASES {
+        // A and the mask each lose a few whole rows.
+        let mut a = random_entries(&mut rng, 8, 8);
+        let mut m = random_entries(&mut rng, 8, 8);
+        let (gone_a, gone_m) = (rng.gen_range(0..8usize), rng.gen_range(0..8usize));
+        a.retain(|k, _| k.0 != gone_a && k.0 != 0);
+        m.retain(|k, _| k.0 != gone_m && k.0 != 7);
+        let b = random_entries(&mut rng, 8, 8);
+        let (am, bm, mm) = (csr((8, 8), &a), csr((8, 8), &b), csr((8, 8), &m));
+        let mut full = spgemm::spgemm(&ctx, &am, &bm, |x, y| x * y, |acc, z| *acc += z);
+        full.sort_rows(&ctx);
+        for complement in [false, true] {
+            let got = plus_times_masked(&ctx, &mm, complement, &am, &bm);
+            got.check().unwrap();
+            let expect = ewise::ewise_restrict(&ctx, &full, &mm, complement, |v| *v > 0);
+            assert_eq!(entries(&got), entries(&expect));
+        }
+        // Masks that forbid everything: no stored entry, only stored
+        // `false`, and the complement of a full one.
+        let nothing = [
+            (Csr::empty(8, 8), false),
+            (csr((8, 8), &m).map(&ctx, |_| 0i64), false),
+            (csr((8, 8), &full_mask), true),
+        ];
+        for (mask, complement) in &nothing {
+            let got = plus_times_masked(&ctx, mask, *complement, &am, &bm);
+            got.check().unwrap();
+            assert_eq!(got.nnz(), 0);
+        }
+        // And one that forbids nothing.
+        let all = plus_times_masked(&ctx, &csr((8, 8), &full_mask), false, &am, &bm);
+        assert_eq!(entries(&all), entries(&full));
+    }
+}
+
+/// Both kernels under plain and complemented masks, as `(indptr, indices,
+/// values)`.
+fn products(
+    ctx: &Context,
+    a: &Csr<i64>,
+    b: &Csr<i64>,
+    m: &Csr<i64>,
+) -> Vec<(Vec<usize>, Vec<usize>, Vec<i64>)> {
+    vec![
+        spgemm::spgemm(ctx, a, b, |x, y| x * y, |acc, z| *acc += z).into_parts(),
+        plus_times_masked(ctx, m, false, a, b).into_parts(),
+        plus_times_masked(ctx, m, true, a, b).into_parts(),
+    ]
+}
+
+#[test]
+fn spgemm_is_the_same_on_two_threads_and_keeps_no_slack() {
+    let budget = |nthreads| {
+        let opts = ContextOptions {
+            nthreads: Some(nthreads),
+            chunk_size: Some(1),
+            ..ContextOptions::default()
+        };
+        Context::new(&global_context(), Mode::Blocking, opts)
+    };
+    let (one, two) = (budget(1), budget(2));
+    let mut rng = StdRng::seed_from_u64(0x5142);
+    for _ in 0..CASES {
+        let am = csr((14, 10), &random_entries(&mut rng, 14, 10));
+        let bm = csr((10, 12), &random_entries(&mut rng, 10, 12));
+        let mm = csr((14, 12), &random_entries(&mut rng, 14, 12));
+        let (single, double) = (products(&one, &am, &bm, &mm), products(&two, &am, &bm, &mm));
+        // Entry for entry, in stored order: a row is one task's work
+        // however the rows are dealt out.
+        assert_eq!(single, double);
+        for (_, indices, values) in single.iter().chain(&double) {
+            assert_eq!(indices.capacity(), indices.len());
+            assert_eq!(values.capacity(), values.len());
+        }
     }
 }
 

@@ -31,8 +31,7 @@ cargo test -q
 cargo test -q -p graphblas-core
 cargo test -q -p graphblas-sparse
 cargo test -q -p graphblas-algo
-cargo clippy --all-targets -- -D warnings
-cargo clippy -p graphblas-core -p graphblas-sparse --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Benchmark plumbing smoke (numbers discarded: --quick is not comparable).
 # The `update` workload replays its set_element/remove_element script
@@ -40,11 +39,14 @@ cargo clippy -p graphblas-core -p graphblas-sparse --all-targets -- -D warnings
 # with tests/element_updates.rs (run by `cargo test -q` above) the matrix
 # update log is verified end to end. The `pagerank` workload checks every
 # rep against an independent power iteration (L1 ≤ 1e-9), which is what
-# verifies `algo::pagerank` on the harness's own graphs. --allow-env: the
-# harness otherwise refuses to start when a GRB_* knob such as
-# GRB_CHECK_SCHEDULES is set.
+# verifies `algo::pagerank` on the harness's own graphs. The `spgemm`
+# workload checks the triangle count and every entry of the unmasked
+# product against the harness's own references, which covers both SpGEMM
+# kernels through `mxm`. --allow-env: the harness otherwise refuses to
+# start when a GRB_* knob such as GRB_CHECK_SCHEDULES is set.
 benchmark/run.sh --quick --allow-env --workload update >/dev/null
 benchmark/run.sh --quick --allow-env --workload pagerank >/dev/null
+benchmark/run.sh --quick --allow-env --workload spgemm >/dev/null
 
 # Repo-specific lints (crates/check/src/lint.rs): relaxed orderings outside
 # obs, unwrap/expect in core/sparse, fallible core APIs bypassing GrbResult,

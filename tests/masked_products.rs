@@ -1,4 +1,4 @@
-//! Differential test for the mask-first kernels: `mxv`, `vxm` and
+//! Differential test for the mask-first kernels: `mxv`, `vxm`, `mxm` and
 //! `assign_scalar_v` against a naive `BTreeMap` model of the four-step
 //! write rule `w⟨m, r⟩ = w ⊙ T`.
 //!
@@ -16,7 +16,7 @@ use std::fmt::Debug;
 use graphblas::operations::{
     apply, apply_indexop, apply_indexop_v, apply_v, assign_col, assign_scalar, assign_scalar_v,
     assign_v, ewise_add, ewise_add_v, ewise_mult, ewise_mult_v, extract, extract_v,
-    force_direction, mxv, reduce_to_vector, select, select_v, vxm, Direction,
+    force_direction, mxm, mxv, reduce_to_vector, select, select_v, vxm, Direction,
 };
 use graphblas::ops::registry;
 use graphblas::{
@@ -365,6 +365,113 @@ fn user_built_min_first_products_match_the_write_rule() {
         BinaryOp::new("user_first", |a: &i64, _: &i64| *a),
     );
     check_products(5, None, min_first("user MIN.FIRST", untagged));
+}
+
+/// Matrix entries keyed by flattened position `i * ncols + j`, so the
+/// vector model of the write rule applies to them as it stands.
+fn matrix_in<T: ValueType>(ctx: &Context, (m, n): (usize, usize), e: &Entries<T>) -> Matrix<T> {
+    let a = Matrix::<T>::new_in(ctx, m, n).unwrap();
+    let rows: Vec<Index> = e.keys().map(|p| p / n).collect();
+    let cols: Vec<Index> = e.keys().map(|p| p % n).collect();
+    let vals: Vec<T> = e.values().cloned().collect();
+    a.build(&rows, &cols, &vals, None).unwrap();
+    a
+}
+
+fn matrix_entries<T: ValueType>(a: &Matrix<T>) -> Entries<T> {
+    let n = a.ncols();
+    let (r, c, v) = a.extract_tuples().unwrap();
+    r.into_iter()
+        .zip(c)
+        .zip(v)
+        .map(|((i, j), x)| (i * n + j, x))
+        .collect()
+}
+
+/// `mxm` over the whole descriptor grid — mask kind (a value mask stores
+/// `false`s) × complement × replace × accumulator × `transpose_a` ×
+/// `transpose_b` × empty or pre-filled output — in one execution mode. The
+/// kernel sees the mask only when there is no accumulator, and emits in
+/// mask order only under a plain one; every combination must still land
+/// what the write rule says. Runs a registered semiring (static kernels)
+/// and the same algebra built from closures (the dyn fallback).
+fn check_mxm(mode: Mode) {
+    const M: usize = 9;
+    const K: usize = 7;
+    const N: usize = 11;
+    let ctx = Context::new(&global_context(), mode, ContextOptions::default());
+    let mut rng = StdRng::seed_from_u64(29);
+    let small = |r: &mut StdRng| r.gen_range(-4..5i64);
+    let user_plus_times = Semiring::new(
+        Monoid::new(BinaryOp::new("user_plus", |p: &i64, q: &i64| p + q), 0),
+        BinaryOp::new("user_times", |a: &i64, b: &i64| a * b),
+    );
+    for (name, semiring) in [
+        ("PLUS.TIMES", Semiring::plus_times()),
+        ("user PLUS.TIMES", user_plus_times),
+    ] {
+        for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
+            // Operands as they are stored; `at`/`bt` read them as used.
+            let a_shape = if ta { (K, M) } else { (M, K) };
+            let b_shape = if tb { (N, K) } else { (K, N) };
+            let a = random_entries(&mut rng, M * K, 0.3, small);
+            let b = random_entries(&mut rng, K * N, 0.3, small);
+            let at = |i: usize, k: usize| a.get(&if ta { k * M + i } else { i * K + k });
+            let bt = |k: usize, j: usize| b.get(&if tb { j * K + k } else { k * N + j });
+            let mut t = Entries::<i64>::new();
+            for i in 0..M {
+                for j in 0..N {
+                    let terms = (0..K).filter_map(|k| Some(at(i, k)? * bt(k, j)?));
+                    if let Some(sum) = terms.reduce(|p, q| p + q) {
+                        t.insert(i * N + j, sum);
+                    }
+                }
+            }
+            let am = matrix_in(&ctx, a_shape, &a);
+            let bm = matrix_in(&ctx, b_shape, &b);
+            for write in write_grid() {
+                for prefilled in [false, true] {
+                    let old = if prefilled {
+                        random_entries(&mut rng, M * N, 0.4, small)
+                    } else {
+                        Entries::new()
+                    };
+                    let mask = random_entries(&mut rng, M * N, 0.5, |r| r.gen_range(0..3) > 0);
+                    let expect = write.apply(M * N, &old, &t, &mask, |o, t| o + t);
+                    let c = matrix_in(&ctx, (M, N), &old);
+                    let mm = matrix_in(&ctx, (M, N), &mask);
+                    let mut desc = write.descriptor();
+                    if ta {
+                        desc = desc.transpose_a();
+                    }
+                    if tb {
+                        desc = desc.transpose_b();
+                    }
+                    mxm(
+                        &c,
+                        (write.mask != MaskKind::None).then_some(&mm),
+                        write.accum.then(BinaryOp::plus).as_ref(),
+                        &semiring,
+                        &am,
+                        &bm,
+                        &desc,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        matrix_entries(&c),
+                        expect,
+                        "{name} {mode:?} ta={ta} tb={tb} prefilled={prefilled} {write:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn mxm_matches_the_write_rule_over_the_descriptor_grid() {
+    check_mxm(Mode::Blocking);
+    check_mxm(Mode::NonBlocking);
 }
 
 #[test]
