@@ -31,7 +31,7 @@ use std::process::ExitCode;
 use graphblas_check::explain::{self, Assert};
 
 fn usage() {
-    eprintln!("usage: grbexplain FILE [--last N] [--assert reason=<code>,min=<k>]...");
+    eprintln!("usage: grbexplain FILE [--last N] [--assert reason=<code>[,detail=<d>],min=<k>]...");
 }
 
 fn main() -> ExitCode {
@@ -94,7 +94,7 @@ fn main() -> ExitCode {
     let mut failed = false;
     for a in &asserts {
         match a.check(&doc) {
-            Ok(got) => println!("assert ok: reason {} count {got} >= {}", a.reason, a.min),
+            Ok(got) => println!("assert ok: {} count {got} >= {}", a.subject(), a.min),
             Err(e) => {
                 eprintln!("grbexplain: {file}: {e}");
                 failed = true;

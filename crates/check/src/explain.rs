@@ -6,8 +6,8 @@
 //! with the zero-dependency JSON parser from [`crate::trace`] (sharing no
 //! code with the writer), re-checks the structural invariants the
 //! exporter promises, renders a per-operation narrative with per-reason
-//! aggregates, and evaluates `--assert reason=<code>,min=<k>` gates for
-//! `scripts/check.sh`.
+//! aggregates, and evaluates `--assert reason=<code>[,detail=<d>],min=<k>`
+//! gates for `scripts/check.sh`.
 //!
 //! Structural invariants checked by [`parse`]:
 //!
@@ -284,23 +284,29 @@ pub fn parse(text: &str) -> Result<ExplainDoc, ExplainError> {
     })
 }
 
-/// One `--assert reason=<code>,min=<k>` gate.
+/// One `--assert reason=<code>[,detail=<d>],min=<k>` gate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Assert {
     /// A reason code or alias (`direction-pick`, `workspace-checkout`,
     /// `fuse`).
     pub reason: String,
+    /// When given, only events carrying this detail string count (a
+    /// `format-pick` that chose `full`). Details live on events, not in
+    /// the lifetime aggregates, so such a gate sees the retained history.
+    pub detail: Option<String>,
     pub min: u64,
 }
 
 impl Assert {
-    /// Parses the `reason=<code>,min=<k>` spec syntax.
+    /// Parses the `reason=<code>[,detail=<d>],min=<k>` spec syntax.
     pub fn parse(spec: &str) -> Result<Assert, String> {
         let mut reason = None;
+        let mut detail = None;
         let mut min = None;
         for part in spec.split(',') {
             match part.split_once('=') {
                 Some(("reason", v)) if !v.is_empty() => reason = Some(v.to_string()),
+                Some(("detail", v)) if !v.is_empty() => detail = Some(v.to_string()),
                 Some(("min", v)) => {
                     min = Some(v.parse::<u64>().map_err(|_| {
                         format!("bad assert spec \"{spec}\": min \"{v}\" is not a number")
@@ -324,19 +330,36 @@ impl Assert {
         }
         Ok(Assert {
             reason,
+            detail,
             min: min.unwrap_or(1),
         })
     }
 
+    /// What the gate counts, as its messages name it.
+    pub fn subject(&self) -> String {
+        match &self.detail {
+            None => format!("reason {}", self.reason),
+            Some(d) => format!("reason {} with detail {d}", self.reason),
+        }
+    }
+
     /// Evaluates the gate against a parsed document.
     pub fn check(&self, doc: &ExplainDoc) -> Result<u64, ExplainError> {
-        let got = doc
-            .count_expanded(&self.reason)
-            .expect("Assert::parse validated the reason");
+        let codes = expand_reason(&self.reason).expect("Assert::parse validated the reason");
+        let got: u64 = match &self.detail {
+            None => codes.iter().map(|c| doc.count(c)).sum(),
+            Some(d) => {
+                let hit = |ev: &&EventRec| {
+                    codes.contains(&ev.reason.as_str()) && ev.detail.as_ref() == Some(d)
+                };
+                doc.events.iter().filter(hit).count() as u64
+            }
+        };
         if got < self.min {
             Err(ExplainError::Assert(format!(
-                "reason {} has count {got}, need at least {}",
-                self.reason, self.min
+                "{} has count {got}, need at least {}",
+                self.subject(),
+                self.min
             )))
         } else {
             Ok(got)
@@ -502,6 +525,12 @@ mod tests {
             .unwrap()
             .check(&doc)
             .is_err());
+        // A detail narrows the gate to the retained events carrying it.
+        let queue_end = Assert::parse("reason=fuse,detail=queue-end,min=1").unwrap();
+        assert_eq!(queue_end.check(&doc), Ok(1));
+        let other = Assert::parse("reason=fuse,detail=node-barrier").unwrap();
+        assert!(other.check(&doc).is_err());
+        assert!(Assert::parse("reason=fuse,detail=").is_err());
     }
 
     #[test]

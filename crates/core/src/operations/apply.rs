@@ -142,17 +142,17 @@ where
     if call.shape() != u.size() {
         return Err(ApiError::DimensionMismatch.into());
     }
-    let u_s = u.snapshot_sparse()?;
+    let u_s = u.snapshot_view()?;
     call.run(NodeKind::Apply, accum, u_s.nnz(), move |x| {
-        let ctx_id = x.ctx.id();
+        let u = u_s.view();
         let registered = e.dispatch().and_then(|tag| {
-            let t = registry::try_apply_svec(&u_s, tag, ctx_id);
+            let t = registry::try_apply_svec(x.ctx, u, tag);
             if t.is_none() {
-                registry::record_pick("apply_v", ctx_id, false);
+                registry::record_pick("apply_v", x.ctx.id(), false);
             }
             t
         });
-        Ok(registered.unwrap_or_else(|| u_s.map_with_index(|i, v| e.eval(&[i], v))))
+        Ok(registered.unwrap_or_else(|| u.map_with_index(x.ctx, |i, v| e.eval(&[i], v))))
     })
 }
 

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use graphblas_exec::Context;
-use graphblas_sparse::{ewise, Coo, Csr, SparseVec};
+use graphblas_sparse::{ewise, Coo, Csr, DenseVec, SparseVec, VecOut};
 
 use crate::descriptor::Descriptor;
 use crate::error::{ApiError, Error, ExecErrorKind, GrbResult};
@@ -90,8 +90,8 @@ fn splice_v<T: ValueType>(
     sel: &[Index],
     (at, values): (Vec<Index>, Vec<T>),
     accum: Accum<'_, T>,
-) -> GrbResult<SparseVec<T>> {
-    let n = x.st.n;
+) -> GrbResult<VecOut<T>> {
+    let (ctx, n) = (x.ctx, x.st.n);
     check_selectors(sel, n, "index")?;
     let in_region = flags(sel, n);
     let mut mapped = SparseVec::from_parts(n, at, values).map_err(Error::from)?;
@@ -104,10 +104,20 @@ fn splice_v<T: ValueType>(
         old.filter_map_with_index(|i, v| (in_region[i] == inside).then(|| v.clone()))
     };
     let region = match accum {
-        None => mapped,
-        Some(op) => ewise::svec_union(&part(true), &mapped, |x, y| op.apply(x, y)),
+        None => mapped.into(),
+        Some(op) => {
+            let folded = |x: &T, y: &T| op.apply(x, y);
+            ewise::svec_union(ctx, (&part(true)).into(), (&mapped).into(), folded)
+        }
     };
-    Ok(ewise::svec_union(&part(false), &region, |x, _| x.clone()))
+    let outside = part(false);
+    let keep = |x: &T, _: &T| x.clone();
+    Ok(ewise::svec_union(
+        ctx,
+        (&outside).into(),
+        region.view(),
+        keep,
+    ))
 }
 
 /// `C⟨M, r⟩(I, J) = C(I, J) ⊙ A`.
@@ -184,37 +194,44 @@ fn assign_scalar_m<T: ValueType>(
 
 /// Both scalar-into-vector-region entries.
 ///
-/// With the identity selector (`GrB_ALL`) under a non-complemented mask —
-/// the `levels⟨frontier⟩ = depth` idiom of every BFS level — the region is
-/// all of `w` and the mask alone bounds the write, so `T` is the scalar on
-/// the mask's truthy positions and goes through the whole write rule,
-/// accumulator included; the general path's n-long region vectors are
-/// never built.
+/// With the identity selector (`GrB_ALL`) the region is all of `w`, so `T`
+/// is the scalar wherever the mask can admit it and goes through the whole
+/// write rule, accumulator included; the general path's selector copy and
+/// n-long region vectors are never built. Under a non-complemented mask —
+/// the `levels⟨frontier⟩ = depth` idiom of every BFS level — the mask
+/// alone bounds the write and `T` is the scalar on its truthy positions;
+/// otherwise `T` is the constant *full* vector, written over a full `w`'s
+/// own buffer when nothing else reads the old values.
 fn assign_scalar_vec<T: ValueType>(
     call: Op<'_, VectorState<T>>,
     accum: Accum<'_, T>,
     value: T,
     indices: &[Index],
 ) -> GrbResult {
-    let mask_bounded = call.masked()
-        && !call.desc.mask_complement
-        && indices.len() == call.shape()
-        && indices.iter().enumerate().all(|(k, &i)| k == i);
-    // The mask-bounded path never reads the selectors.
-    let sel = if mask_bounded {
-        Vec::new()
-    } else {
-        indices.to_vec()
-    };
+    let whole = indices.len() == call.shape() && indices.iter().enumerate().all(|(k, &i)| k == i);
+    let mask_bounded = whole && call.masked() && !call.desc.mask_complement;
+    let overwrite = whole && !call.masked() && accum.is_none();
+    // The whole-vector paths never read the selectors.
+    let sel = if whole { Vec::new() } else { indices.to_vec() };
     let region_accum = accum.cloned();
-    let rule_accum = accum.filter(|_| mask_bounded);
+    let rule_accum = accum.filter(|_| whole);
     call.run(NodeKind::Assign, rule_accum, indices.len(), move |x| {
-        let Some(m) = x.mask.filter(|_| mask_bounded) else {
+        if !whole {
             let values = vec![value; sel.len()];
             return splice_v(x, &sel, (sel.clone(), values), region_accum.as_ref());
-        };
-        let on_mask = |_, &truthy: &bool| truthy.then(|| value.clone());
-        Ok(m.mask.filter_map_with_index(on_mask))
+        }
+        if let Some(m) = x.mask.filter(|_| mask_bounded) {
+            let on_mask = |_, &truthy: &bool| truthy.then(|| value.clone());
+            return Ok(m.mask.filter_map_with_index(on_mask).into());
+        }
+        let reused = if overwrite { x.st.take_full() } else { None };
+        Ok(VecOut::Full(match reused {
+            Some(mut old) => {
+                old.values_mut().fill(value);
+                old
+            }
+            None => DenseVec::from_values(vec![value; x.st.n]),
+        }))
     })
 }
 

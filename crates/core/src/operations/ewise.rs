@@ -8,7 +8,7 @@
 //! combines the operand snapshots; one body per container kind runs it.
 
 use graphblas_exec::Context;
-use graphblas_sparse::{ewise as kernels, Csr, SparseVec};
+use graphblas_sparse::{ewise as kernels, Csr, VecOut, VecView};
 
 use crate::descriptor::Descriptor;
 use crate::error::{ApiError, GrbResult};
@@ -46,13 +46,14 @@ where
     })
 }
 
-/// `w⟨m, r⟩ = w ⊙ kernel(u, v)`: both vector element-wise entries.
+/// `w⟨m, r⟩ = w ⊙ kernel(u, v)`: both vector element-wise entries. Each
+/// operand reaches the kernel full or sparse, as it is stored.
 fn ewise_vec<C, A, B>(
     call: Op<'_, VectorState<C>>,
     accum: Accum<'_, C>,
     u: &Vector<A>,
     v: &Vector<B>,
-    kernel: impl FnOnce(&Context, &SparseVec<A>, &SparseVec<B>) -> SparseVec<C> + Send + 'static,
+    kernel: impl FnOnce(&Context, VecView<'_, A>, VecView<'_, B>) -> VecOut<C> + Send + 'static,
 ) -> GrbResult
 where
     C: ValueType,
@@ -64,11 +65,11 @@ where
     if u.size() != v.size() || call.shape() != u.size() {
         return Err(ApiError::DimensionMismatch.into());
     }
-    let u_s = u.snapshot_sparse()?;
-    let v_s = v.snapshot_sparse()?;
+    let u_s = u.snapshot_view()?;
+    let v_s = v.snapshot_view()?;
     let nnz_in = u_s.nnz() + v_s.nnz();
     call.run(NodeKind::EWise, accum, nnz_in, move |x| {
-        Ok(kernel(x.ctx, &u_s, &v_s))
+        Ok(kernel(x.ctx, u_s.view(), v_s.view()))
     })
 }
 
@@ -216,9 +217,9 @@ where
     let op = op.clone();
     let call = Op::begin("op.ewise_add_v", &w.core, mask, desc)?;
     ewise_vec(call, accum, u, v, move |ctx, u, v| {
-        registry::try_svec_union(u, v, op.builtin(), ctx.id()).unwrap_or_else(|| {
+        registry::try_svec_union(ctx, u, v, op.builtin()).unwrap_or_else(|| {
             registry::record_pick("ewise_add_v", ctx.id(), false);
-            kernels::svec_union(u, v, |x, y| op.apply(x, y))
+            kernels::svec_union(ctx, u, v, |x, y| op.apply(x, y))
         })
     })
 }
@@ -242,9 +243,9 @@ where
     let op = op.clone();
     let call = Op::begin("op.ewise_mult_v", &w.core, mask, desc)?;
     ewise_vec(call, accum, u, v, move |ctx, u, v| {
-        registry::try_svec_intersect(u, v, op.builtin(), ctx.id()).unwrap_or_else(|| {
+        registry::try_svec_intersect(ctx, u, v, op.builtin()).unwrap_or_else(|| {
             registry::record_pick("ewise_mult_v", ctx.id(), false);
-            kernels::svec_intersect(u, v, |x, y| op.apply(x, y))
+            kernels::svec_intersect(ctx, u, v, |x, y| op.apply(x, y))
         })
     })
 }

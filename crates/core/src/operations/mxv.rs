@@ -119,32 +119,27 @@ fn choose_direction(
     d
 }
 
-/// Normalizes a bitmap frontier to sparse when the chosen kernel cannot
-/// consume it natively (the push kernel iterates an index list), charging
-/// the conversion to the format counters.
+/// Normalizes a bitmap or full frontier to sparse when the chosen kernel
+/// cannot consume it natively (the push kernel iterates an index list),
+/// charging the conversion to the format counters.
 fn frontier_for<X: ValueType>(
     op: &'static str,
     ctx_id: u64,
     dir: Direction,
     f: Frontier<X>,
 ) -> Frontier<X> {
-    match (dir, f) {
-        (Direction::Push, Frontier::Bitmap(b)) => {
-            if graphblas_obs::enabled() {
-                graphblas_obs::counters::record_format_conversion();
-            }
-            if graphblas_obs::events::on() {
-                graphblas_obs::events::decision_convert_sparse(
-                    op,
-                    ctx_id,
-                    "bitmap",
-                    b.nnz() as u64,
-                );
-            }
-            Frontier::Sparse(Arc::new(b.to_svec()))
-        }
-        (_, f) => f,
+    let (src, sparse) = match (dir, f) {
+        (Direction::Push, Frontier::Bitmap(b)) => ("bitmap", b.to_svec()),
+        (Direction::Push, Frontier::Full(d)) => ("dense", d.to_sparse()),
+        (_, f) => return f,
+    };
+    if graphblas_obs::enabled() {
+        graphblas_obs::counters::record_format_conversion();
     }
+    if graphblas_obs::events::on() {
+        graphblas_obs::events::decision_convert_sparse(op, ctx_id, src, sparse.nnz() as u64);
+    }
+    Frontier::Sparse(Arc::new(sparse))
 }
 
 /// The output mask as the kernels' [`OutputFilter`]: a dense bitset of the
@@ -234,8 +229,9 @@ where
         let u = match (self.dir, self.u) {
             (Direction::Pull, Frontier::Sparse(u_s)) => Operand::Pull(u_s),
             (Direction::Pull, Frontier::Bitmap(u_b)) => Operand::PullBitmap(u_b),
+            (Direction::Pull, Frontier::Full(u_d)) => Operand::PullFull(u_d),
             (Direction::Push, Frontier::Sparse(u_s)) => Operand::Push(u_s),
-            (Direction::Push, Frontier::Bitmap(_)) => {
+            (Direction::Push, Frontier::Bitmap(_) | Frontier::Full(_)) => {
                 unreachable!("push frontiers are normalized to sparse")
             }
         };
@@ -363,8 +359,8 @@ where
             post: (!post.is_empty()).then_some(&post_hook as _),
         };
         Ok(VecResult {
-            t: product.run_masked(x.mask),
-            by_density: true,
+            t: product.run_masked(x.mask).into(),
+            bitmap_ok: true,
         })
     })
 }
@@ -710,25 +706,50 @@ mod tests {
         )
         .unwrap();
         assert_eq!(vec_tuples(&w2), vec_tuples(&w));
-        // A fully dense result (nnz == len) must stay sparse so the
-        // dense-frontier fast path keeps working.
-        let dense_u = vec(n, &(0..n).map(|i| (i, 1i64)).collect::<Vec<_>>());
-        let full = mat(
-            (n, n),
-            &(0..n).map(|i| (i, (i + 1) % n, 1i64)).collect::<Vec<_>>(),
+    }
+
+    #[test]
+    fn full_result_is_stored_full_and_pulled_by_direct_indexing() {
+        use graphblas_exec::{ContextOptions, Mode};
+        use graphblas_obs::events::Reason;
+        let _g = serialize();
+        graphblas_obs::set_enabled(true);
+        // A private context keeps other tests' decision events out.
+        let ctx = Context::new(
+            &crate::global_context(),
+            Mode::Blocking,
+            ContextOptions::default(),
         );
-        let wd = Vector::<i64>::new(n).unwrap();
-        mxv(
-            &wd,
-            no_mask_v(),
-            None,
-            &Semiring::plus_times(),
-            &full,
-            &dense_u,
-            &Descriptor::default(),
-        )
-        .unwrap();
-        assert_eq!(wd.stats().format, "sparse");
+        let n = 8;
+        let all: Vec<usize> = (0..n).collect();
+        let next: Vec<usize> = (0..n).map(|i| (i + 1) % n).collect();
+        let ring = Matrix::<i64>::new_in(&ctx, n, n).unwrap();
+        ring.build(&all, &next, &[1; 8], None).unwrap();
+        let ones = Vector::<i64>::new_in(&ctx, n).unwrap();
+        ones.build(&all, &[1; 8], None).unwrap();
+        let product = |w: &Vector<i64>, u: &Vector<i64>| {
+            let sr = Semiring::plus_times();
+            mxv(w, no_mask_v(), None, &sr, &ring, u, &Descriptor::default()).unwrap();
+        };
+        // A result holding every position (nnz == len) is full, not a
+        // sparse vector that happens to be dense.
+        let wd = Vector::<i64>::new_in(&ctx, n).unwrap();
+        product(&wd, &ones);
+        assert_eq!(wd.stats().format, "full");
+        // The full store feeds the next product as it is: the pull kernel
+        // indexes it directly.
+        let w2 = Vector::<i64>::new_in(&ctx, n).unwrap();
+        product(&w2, &wd);
+        assert_eq!(wd.stats().format, "full");
+        assert_eq!(vec_tuples(&w2), vec_tuples(&wd));
+        graphblas_obs::set_enabled(false);
+        let events = ctx.explain(64).events;
+        let paths = events.iter().filter(|e| e.reason == Reason::KernelPath);
+        let paths: Vec<_> = paths.map(|e| e.detail).collect();
+        assert_eq!(paths, ["dense-frontier", "dense-frontier"]);
+        let picks = events.iter().filter(|e| e.reason == Reason::FormatPick);
+        assert!(picks.map(|e| e.detail).eq(["full", "full"]));
+        assert!(!events.iter().any(|e| e.reason == Reason::ConvertSparse));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! for empty inputs) are kept as `reduce_to_value*`.
 
 use graphblas_exec::Context;
-use graphblas_sparse::{Csr, SparseVec};
+use graphblas_sparse::{Csr, SparseVec, VecView};
 
 use crate::descriptor::Descriptor;
 use crate::error::{ApiError, GrbResult};
@@ -85,12 +85,13 @@ fn reduce_csr<T: ValueType>(ctx: &Context, a: &Csr<T>, monoid: &Monoid<T>) -> Op
     })
 }
 
-/// Vector form of [`reduce_csr`].
-fn reduce_svec<T: ValueType>(ctx: &Context, u: &SparseVec<T>, monoid: &Monoid<T>) -> Option<T> {
-    registry::try_reduce_svec(u, monoid.builtin(), ctx.id()).unwrap_or_else(|| {
+/// Vector form of [`reduce_csr`]: a loop over the stored values, whichever
+/// format holds them.
+fn reduce_svec<T: ValueType>(ctx: &Context, u: VecView<'_, T>, monoid: &Monoid<T>) -> Option<T> {
+    registry::try_reduce_svec(ctx, u, monoid.builtin()).unwrap_or_else(|| {
         registry::record_pick("reduce_v", ctx.id(), false);
         let terminal = monoid.terminal().map(|t| t as &dyn Fn(&T) -> bool);
-        u.reduce(|v| v.clone(), |x, y| monoid.apply(&x, &y), terminal)
+        u.reduce(ctx, |v| v.clone(), |x, y| monoid.apply(&x, &y), terminal)
     })
 }
 
@@ -147,9 +148,9 @@ where
     let ctx = s.context();
     let _op = graphblas_obs::span_ctx("op.reduce_scalar_v", ctx.id());
     u.check_context(&ctx)?;
-    let u_s = u.snapshot_sparse()?;
+    let u_s = u.snapshot_view()?;
     let monoid = monoid.clone();
-    write_scalar(s, ctx, accum, move |ctx| reduce_svec(ctx, &u_s, &monoid))
+    write_scalar(s, ctx, accum, move |ctx| reduce_svec(ctx, u_s.view(), &monoid))
 }
 
 /// Vector form of [`reduce_scalar_binop`].
@@ -165,10 +166,11 @@ where
     let ctx = s.context();
     let _op = graphblas_obs::span_ctx("op.reduce_scalar_binop_v", ctx.id());
     u.check_context(&ctx)?;
-    let u_s = u.snapshot_sparse()?;
+    let u_s = u.snapshot_view()?;
     let op = op.clone();
-    write_scalar(s, ctx, accum, move |_| {
-        u_s.reduce(|v| v.clone(), |x, y| op.apply(&x, &y), None)
+    write_scalar(s, ctx, accum, move |ctx| {
+        let u = u_s.view();
+        u.reduce(ctx, |v| v.clone(), |x, y| op.apply(&x, &y), None)
     })
 }
 
@@ -188,8 +190,8 @@ pub fn reduce_to_value_v<T>(monoid: &Monoid<T>, u: &Vector<T>) -> GrbResult<T>
 where
     T: ValueType,
 {
-    let u_s = u.snapshot_sparse()?;
-    let t = reduce_svec(&u.context(), &u_s, monoid);
+    let u_s = u.snapshot_view()?;
+    let t = reduce_svec(&u.context(), u_s.view(), monoid);
     Ok(t.unwrap_or_else(|| monoid.identity().clone()))
 }
 

@@ -74,9 +74,10 @@ where
     if call.shape() != u.size() {
         return Err(ApiError::DimensionMismatch.into());
     }
-    let u_s = u.snapshot_sparse()?;
-    call.run(NodeKind::Select, accum, u_s.nnz(), move |_| {
-        Ok(u_s.filter_map_with_index(|i, v| f.apply(v, &[i], &s).then(|| v.clone())))
+    let u_s = u.snapshot_view()?;
+    call.run(NodeKind::Select, accum, u_s.nnz(), move |x| {
+        let keep = |i, v: &T| f.apply(v, &[i], &s).then(|| v.clone());
+        Ok(u_s.view().filter_map_with_index(x.ctx, keep))
     })
 }
 

@@ -63,7 +63,7 @@ use std::sync::OnceLock;
 
 use graphblas_exec::Context;
 use graphblas_sparse::spmv::{Hooks, OutputFilter};
-use graphblas_sparse::{ewise, spgemm, spmv, BitmapVec, Csr, SparseVec};
+use graphblas_sparse::{ewise, spgemm, spmv, BitmapVec, Csr, DenseVec, SparseVec, VecOut, VecView};
 
 use crate::ops::{BuiltinOp, BuiltinUnaryOp};
 use crate::types::{BoundedValue, One, ValueType};
@@ -132,6 +132,16 @@ pub fn record_pick(op: &'static str, ctx_id: u64, is_static: bool) {
 #[inline]
 fn cast_ref<Src: Any, Dst: Any>(v: &Src) -> Option<&Dst> {
     (v as &dyn Any).downcast_ref::<Dst>()
+}
+
+/// A vector operand at the element type an arm's guard proved `Src` to be,
+/// in whichever format it is stored.
+#[inline]
+fn cast_view<'a, Src: Any, Dst: Any>(v: VecView<'a, Src>) -> Option<VecView<'a, Dst>> {
+    Some(match v {
+        VecView::Sparse(s) => VecView::Sparse(cast_ref(s)?),
+        VecView::Full(d) => VecView::Full(cast_ref(d)?),
+    })
 }
 
 #[inline]
@@ -447,6 +457,9 @@ pub enum Operand<'a, X> {
     /// Pull against a bitmap-format vector (`spmv_bitmap`), consumed
     /// without a format conversion.
     PullBitmap(&'a BitmapVec<X>),
+    /// Pull against a full vector: the row loop indexes its values
+    /// directly.
+    PullFull(&'a DenseVec<X>),
     /// Push (`vxm`): the vector's entries scattered through their matrix
     /// rows.
     Push(&'a SparseVec<X>),
@@ -467,6 +480,7 @@ impl<'a, X: Any> Operand<'a, X> {
         Some(match self {
             Operand::Pull(x) => Operand::Pull(cast_ref(x)?),
             Operand::PullBitmap(x) => Operand::PullBitmap(cast_ref(x)?),
+            Operand::PullFull(x) => Operand::PullFull(cast_ref(x)?),
             Operand::Push(x) => Operand::Push(cast_ref(x)?),
         })
     }
@@ -497,6 +511,7 @@ where
     match u {
         Operand::Pull(x) => spmv::spmv_fused(ctx, a, x, mul, add, is_terminal, hooks),
         Operand::PullBitmap(x) => spmv::spmv_bitmap_fused(ctx, a, x, mul, add, is_terminal, hooks),
+        Operand::PullFull(x) => spmv::spmv_full_fused(ctx, a, x, mul, add, is_terminal, hooks),
         // Scattering u's nonzeros through the rows of the other
         // orientation computes the same product.
         Operand::Push(x) => spmv::vxm_fused(ctx, x, a, |xv: &X, av: &A| mul(av, xv), add, hooks),
@@ -745,14 +760,14 @@ where
     None
 }
 
-/// Vector element-wise union through a registered binop. The vector
-/// kernels take no `Context`; `ctx_id` feeds the decision event.
+/// Vector element-wise union through a registered binop, over operands in
+/// either [`VecView`] format.
 pub fn try_svec_union<T>(
-    a: &SparseVec<T>,
-    b: &SparseVec<T>,
+    ctx: &Context,
+    a: VecView<'_, T>,
+    b: VecView<'_, T>,
     tag: Option<BuiltinOp>,
-    ctx_id: u64,
-) -> Option<SparseVec<T>>
+) -> Option<VecOut<T>>
 where
     T: ValueType,
 {
@@ -762,11 +777,11 @@ where
     macro_rules! arm {
         ($op:ident, $t:ty, $opf:ident) => {
             if tag == Some(BuiltinOp::$op) && TypeId::of::<T>() == TypeId::of::<$t>() {
-                let at = cast_ref::<SparseVec<T>, SparseVec<$t>>(a)?;
-                let bt = cast_ref::<SparseVec<T>, SparseVec<$t>>(b)?;
-                let c = ewise::svec_union(at, bt, $opf);
-                let c = cast_val::<SparseVec<$t>, SparseVec<T>>(c)?;
-                record_pick("ewise_add_v", ctx_id, true);
+                let at = cast_view::<T, $t>(a)?;
+                let bt = cast_view::<T, $t>(b)?;
+                let c = ewise::svec_union(ctx, at, bt, $opf);
+                let c = cast_val::<VecOut<$t>, VecOut<T>>(c)?;
+                record_pick("ewise_add_v", ctx.id(), true);
                 return Some(c);
             }
         };
@@ -777,11 +792,11 @@ where
 
 /// Vector element-wise intersection through a registered binop.
 pub fn try_svec_intersect<A, B, Z>(
-    a: &SparseVec<A>,
-    b: &SparseVec<B>,
+    ctx: &Context,
+    a: VecView<'_, A>,
+    b: VecView<'_, B>,
     tag: Option<BuiltinOp>,
-    ctx_id: u64,
-) -> Option<SparseVec<Z>>
+) -> Option<VecOut<Z>>
 where
     A: ValueType,
     B: ValueType,
@@ -797,11 +812,11 @@ where
                 && TypeId::of::<B>() == TypeId::of::<$t>()
                 && TypeId::of::<Z>() == TypeId::of::<$t>()
             {
-                let at = cast_ref::<SparseVec<A>, SparseVec<$t>>(a)?;
-                let bt = cast_ref::<SparseVec<B>, SparseVec<$t>>(b)?;
-                let c = ewise::svec_intersect(at, bt, $opf);
-                let c = cast_val::<SparseVec<$t>, SparseVec<Z>>(c)?;
-                record_pick("ewise_mult_v", ctx_id, true);
+                let at = cast_view::<A, $t>(a)?;
+                let bt = cast_view::<B, $t>(b)?;
+                let c = ewise::svec_intersect(ctx, at, bt, $opf);
+                let c = cast_val::<VecOut<$t>, VecOut<Z>>(c)?;
+                record_pick("ewise_mult_v", ctx.id(), true);
                 return Some(c);
             }
         };
@@ -847,9 +862,9 @@ where
 
 /// Full-vector reduction through a registered monoid.
 pub fn try_reduce_svec<T>(
-    u: &SparseVec<T>,
+    ctx: &Context,
+    u: VecView<'_, T>,
     add_tag: Option<BuiltinOp>,
-    ctx_id: u64,
 ) -> Option<Option<T>>
 where
     T: ValueType,
@@ -860,9 +875,10 @@ where
     macro_rules! arm {
         ($add:ident, $mul:ident, $t:ty, $fold:ident, $acc:ident, $mulf:ident, $term:ident) => {
             if add_tag == Some(BuiltinOp::$add) && TypeId::of::<T>() == TypeId::of::<$t>() {
-                let ut = cast_ref::<SparseVec<T>, SparseVec<$t>>(u)?;
+                let ut = cast_view::<T, $t>(u)?;
                 let term = term_of!($term, $t);
                 let r = ut.reduce(
+                    ctx,
                     map_clone,
                     $fold,
                     term.as_ref().map(|t| t as &dyn Fn(&$t) -> bool),
@@ -871,7 +887,7 @@ where
                     Some(v) => Some(cast_val::<$t, T>(v)?),
                     None => None,
                 };
-                record_pick("reduce_v", ctx_id, true);
+                record_pick("reduce_v", ctx.id(), true);
                 return Some(r);
             }
         };
@@ -909,10 +925,10 @@ where
 
 /// Vector `apply` through a registered unary op.
 pub fn try_apply_svec<A, Z>(
-    u: &SparseVec<A>,
+    ctx: &Context,
+    u: VecView<'_, A>,
     tag: Option<BuiltinUnaryOp>,
-    ctx_id: u64,
-) -> Option<SparseVec<Z>>
+) -> Option<VecOut<Z>>
 where
     A: ValueType,
     Z: ValueType,
@@ -926,10 +942,10 @@ where
                 && TypeId::of::<A>() == TypeId::of::<$t>()
                 && TypeId::of::<Z>() == TypeId::of::<$t>()
             {
-                let ut = cast_ref::<SparseVec<A>, SparseVec<$t>>(u)?;
-                let c: SparseVec<$t> = ut.map_with_index(|_, v| $opf(v));
-                let c = cast_val::<SparseVec<$t>, SparseVec<Z>>(c)?;
-                record_pick("apply_v", ctx_id, true);
+                let ut = cast_view::<A, $t>(u)?;
+                let c: VecOut<$t> = ut.map_with_index(ctx, |_, v| $opf(v));
+                let c = cast_val::<VecOut<$t>, VecOut<Z>>(c)?;
+                record_pick("apply_v", ctx.id(), true);
                 return Some(c);
             }
         };

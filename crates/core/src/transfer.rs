@@ -22,7 +22,7 @@ use graphblas_sparse::{Coo, Csc, Csr, Dense, DenseVec, Layout, SparseVec};
 use crate::error::{ApiError, Error, ExecErrorKind, GrbResult};
 use crate::matrix::{MatStore, Matrix, MatrixState};
 use crate::types::{Index, ValueType};
-use crate::vector::{VecStore, Vector, VectorState};
+use crate::vector::{VecSnap, VecStore, Vector, VectorState};
 
 /// `GrB_Format` for matrices, with pinned values (§IX).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -316,17 +316,19 @@ impl<T: ValueType> Vector<T> {
         Ok(())
     }
 
-    /// One-step export.
+    /// One-step export. A full store is read as it stands, in either
+    /// format, and stays full.
     pub fn export(&self, format: VectorFormat) -> GrbResult<(Vec<Index>, Vec<T>)> {
-        let sv = self.snapshot_sparse()?;
         Ok(match format {
-            VectorFormat::Sparse => {
-                let (i, v) = (*sv).clone().into_parts();
-                (i, v)
-            }
+            VectorFormat::Sparse => self.extract_tuples()?,
             VectorFormat::Dense => {
-                let d = DenseVec::from_sparse_full(&sv).map_err(api_invalid)?;
-                (Vec::new(), d.into_values())
+                let values = match self.snapshot_view()? {
+                    VecSnap::Full(d) => d.values().to_vec(),
+                    VecSnap::Sparse(sv) => DenseVec::from_sparse_full(&sv)
+                        .map_err(api_invalid)?
+                        .into_values(),
+                };
+                (Vec::new(), values)
             }
         })
     }

@@ -6,7 +6,8 @@
 use std::sync::Arc;
 
 use graphblas_exec::Context;
-use graphblas_sparse::{BitmapVec, DenseVec, SparseVec};
+use graphblas_obs::VecFormat;
+use graphblas_sparse::{BitmapVec, DenseVec, SparseVec, VecOut, VecView};
 
 use crate::container::{Container, State, Store};
 use crate::error::{ApiError, Error, GrbResult};
@@ -21,17 +22,19 @@ pub(crate) enum VecStore<T: ValueType> {
     /// Possibly unsorted / duplicated (fast `setElement` appends resolve
     /// last-wins at canonicalization).
     Sparse(Arc<SparseVec<T>>),
+    /// Table III dense format (`stats().format == "full"`): every position
+    /// present, no index array. Every result that stores all `n` positions
+    /// lands here (see [`VecStore::pick`]).
     Dense(Arc<DenseVec<T>>),
     /// Table III bitmap format: mid-density frontiers produced by
-    /// `mxv`/`vxm` land here (see [`VecStore::by_density`]).
+    /// `mxv`/`vxm` land here (see [`VecStore::pick`]).
     Bitmap(Arc<BitmapVec<T>>),
 }
 
-/// The Table III bitmap density window: results at least 1/4 occupied
-/// but not full are stored bitmap; everything else stays sparse. The
-/// lower bound keeps truly sparse results in the index-list format, the
-/// upper bound preserves the pull kernel's dense-frontier fast path
-/// (which needs a plain value array).
+/// The Table III bitmap density window: `mxv`/`vxm` results at least 1/4
+/// occupied but not full are stored bitmap. The lower bound keeps truly
+/// sparse results in the index-list format; a result holding every
+/// position is full, which is not a matter of density.
 pub const BITMAP_THRESHOLD_DEN: u64 = 4;
 
 impl<T: ValueType> Clone for VecStore<T> {
@@ -55,22 +58,48 @@ impl<T: ValueType> VecStore<T> {
         }
     }
 
-    /// Picks the Table III store for a result by density — at least
-    /// 1/[`BITMAP_THRESHOLD_DEN`] occupied but not full is a bitmap — and
-    /// records the decision (counter + provenance event) when telemetry
-    /// is on.
-    pub(crate) fn by_density(op: &'static str, ctx_id: u64, t: SparseVec<T>) -> Self {
-        let (nnz, len) = (t.nnz(), t.len());
-        let bitmap = nnz as u64 * BITMAP_THRESHOLD_DEN >= len as u64 && nnz < len;
+    /// The three-way Table III format choice for a result `t`: *full* when
+    /// it stores every position (`nnz == n` — no threshold); *bitmap* when
+    /// the producing operation allows it (`bitmap_ok`: the `mxv`/`vxm`
+    /// frontiers) and `t` is at least 1/[`BITMAP_THRESHOLD_DEN`] occupied;
+    /// *sparse* otherwise. Records the decision (counter + provenance
+    /// event) when telemetry is on.
+    pub(crate) fn pick(op: &'static str, ctx_id: u64, t: VecOut<T>, bitmap_ok: bool) -> Self {
+        let (nnz, len) = (t.nnz() as u64, t.len() as u64);
+        let (store, format) = match t.densest() {
+            VecOut::Full(d) => (VecStore::Dense(Arc::new(d)), VecFormat::Full),
+            VecOut::Sparse(s) if bitmap_ok && nnz * BITMAP_THRESHOLD_DEN >= len => {
+                let b = BitmapVec::from_svec(&s);
+                (VecStore::Bitmap(Arc::new(b)), VecFormat::Bitmap)
+            }
+            VecOut::Sparse(s) => (VecStore::Sparse(Arc::new(s)), VecFormat::Sparse),
+        };
         if graphblas_obs::enabled() {
-            graphblas_obs::counters::record_format_pick(bitmap);
-            graphblas_obs::events::decision_format(op, ctx_id, bitmap, nnz as u64, len as u64);
+            graphblas_obs::counters::record_format_pick(format);
+            graphblas_obs::events::decision_format(op, ctx_id, format, nnz, len);
         }
-        if bitmap {
-            VecStore::Bitmap(Arc::new(BitmapVec::from_svec(&t)))
-        } else {
-            VecStore::Sparse(Arc::new(t))
+        store
+    }
+}
+
+/// A completed vector operand of an operation whose kernels read the two
+/// [`VecView`] formats: full stays full, everything else is canonical
+/// sparse.
+pub(crate) enum VecSnap<T: ValueType> {
+    Sparse(Arc<SparseVec<T>>),
+    Full(Arc<DenseVec<T>>),
+}
+
+impl<T: ValueType> VecSnap<T> {
+    pub(crate) fn view(&self) -> VecView<'_, T> {
+        match self {
+            VecSnap::Sparse(s) => VecView::Sparse(s),
+            VecSnap::Full(d) => VecView::Full(d),
         }
+    }
+
+    pub(crate) fn nnz(&self) -> usize {
+        self.view().nnz()
     }
 }
 
@@ -79,6 +108,7 @@ impl<T: ValueType> VecStore<T> {
 pub(crate) enum Frontier<T: ValueType> {
     Sparse(Arc<SparseVec<T>>),
     Bitmap(Arc<BitmapVec<T>>),
+    Full(Arc<DenseVec<T>>),
 }
 
 impl<T: ValueType> Frontier<T> {
@@ -86,6 +116,7 @@ impl<T: ValueType> Frontier<T> {
         match self {
             Frontier::Sparse(s) => s.len(),
             Frontier::Bitmap(b) => b.len(),
+            Frontier::Full(d) => d.len(),
         }
     }
 
@@ -93,6 +124,7 @@ impl<T: ValueType> Frontier<T> {
         match self {
             Frontier::Sparse(s) => s.nnz(),
             Frontier::Bitmap(b) => b.nnz(),
+            Frontier::Full(d) => d.len(),
         }
     }
 }
@@ -110,9 +142,38 @@ impl<T: ValueType> VectorState<T> {
             _ => unreachable!("ensure_sparse must precede sparse()"),
         }
     }
+
+    /// The store as a kernel operand (call `ensure_view` first).
+    pub(crate) fn snap(&self) -> VecSnap<T> {
+        match &self.store {
+            VecStore::Dense(d) => VecSnap::Full(d.clone()),
+            _ => VecSnap::Sparse(self.sparse().clone()),
+        }
+    }
+
+    /// Takes a full store's values out for an in-place kernel, when this
+    /// vector is their only owner (no snapshot still shares them). The
+    /// caller stores its result next; until then the store is a hollow
+    /// shell. `None`, and nothing taken, otherwise.
+    pub(crate) fn take_full(&mut self) -> Option<DenseVec<T>> {
+        let VecStore::Dense(d) = &mut self.store else {
+            return None;
+        };
+        let own = Arc::get_mut(d)?;
+        Some(std::mem::replace(own, DenseVec::from_values(Vec::new())))
+    }
 }
 
 impl<T: ValueType> State<VectorState<T>> {
+    /// Brings the store to a format the [`VecView`] kernels read: a full
+    /// store stays as it is, everything else canonicalizes to sparse.
+    pub(crate) fn ensure_view(&mut self) -> GrbResult {
+        match self.store {
+            VecStore::Dense(_) => Ok(()),
+            _ => self.ensure_sparse(),
+        }
+    }
+
     /// Canonicalizes to a sorted, duplicate-free sparse store.
     pub(crate) fn ensure_sparse(&mut self) -> GrbResult {
         // Which real work the canonicalization did, for the provenance log.
@@ -140,7 +201,7 @@ impl<T: ValueType> State<VectorState<T>> {
             }
         };
         if let Some(src) = src_format {
-            if src == "bitmap" && graphblas_obs::enabled() {
+            if src != "unsorted" && graphblas_obs::enabled() {
                 graphblas_obs::counters::record_format_conversion();
             }
             if graphblas_obs::events::on() {
@@ -361,10 +422,17 @@ impl<T: ValueType> Vector<T> {
     }
 
     /// `GrB_Vector_extractElement`: `Ok(None)` ≡ `GrB_NO_VALUE`.
+    /// Bitmap and full stores are read in place: a point read never
+    /// rewrites the store.
     pub fn extract_element(&self, i: Index) -> GrbResult<Option<T>> {
         let mut st = self.core.lock_completed()?;
         if i >= st.n {
             return Err(ApiError::InvalidIndex.into());
+        }
+        match &st.store {
+            VecStore::Bitmap(b) => return Ok(b.get(i).cloned()),
+            VecStore::Dense(d) => return Ok(d.get(i).cloned()),
+            VecStore::Sparse(_) => {}
         }
         st.ensure_sparse()?;
         Ok(st.sparse().get(i).cloned())
@@ -413,10 +481,13 @@ impl<T: ValueType> Vector<T> {
         }))
     }
 
-    /// `GrB_Vector_extractTuples`, ordered by index.
+    /// `GrB_Vector_extractTuples`, ordered by index. A full store emits
+    /// `(0..n, values)` and stays full.
     pub fn extract_tuples(&self) -> GrbResult<(Vec<Index>, Vec<T>)> {
-        let sv = self.snapshot_sparse()?;
-        Ok((sv.indices().to_vec(), sv.values().to_vec()))
+        Ok(match self.snapshot_view()? {
+            VecSnap::Sparse(sv) => (sv.indices().to_vec(), sv.values().to_vec()),
+            VecSnap::Full(d) => ((0..d.len()).collect(), d.values().to_vec()),
+        })
     }
 
     /// `GrB_wait` (§III, §V): the real barrier on the op DAG — forces the
@@ -425,8 +496,10 @@ impl<T: ValueType> Vector<T> {
     pub fn wait(&self, mode: WaitMode) -> GrbResult {
         let _sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Wait, self.context().id());
         let mut st = self.core.lock_completed_as("wait")?;
+        // A full store is canonical as it stands; the other formats
+        // materialize as the sorted index list.
         if mode == WaitMode::Materialize {
-            st.ensure_sparse()?;
+            st.ensure_view()?;
         }
         Ok(())
     }
@@ -472,10 +545,18 @@ impl<T: ValueType> Vector<T> {
         Ok(st.sparse().clone())
     }
 
+    /// Completes and snapshots as a [`VecView`] operand: a full store as it
+    /// is, every other format as the canonical sparse vector.
+    pub(crate) fn snapshot_view(&self) -> GrbResult<VecSnap<T>> {
+        let mut st = self.core.lock_completed()?;
+        st.ensure_view()?;
+        Ok(st.snap())
+    }
+
     /// Completes and snapshots in the store's current frontier format —
-    /// bitmap stays bitmap (the pull kernel consumes it natively), every
-    /// other format canonicalizes to sparse. When this vector's queue is pure
-    /// map stages the maps are *cloned* (cheap `Arc` bumps) and returned
+    /// bitmap stays bitmap and full stays full (the pull kernel consumes
+    /// both natively), a sparse store is canonicalized. When this vector's
+    /// queue is pure map stages the maps are *cloned* (cheap `Arc` bumps) and returned
     /// alongside the base frontier instead of being materialized — the
     /// consumer folds them into its kernel's operand lookup, so the
     /// intermediate traversal and allocation never happen. The queue is
@@ -493,11 +574,15 @@ impl<T: ValueType> Vector<T> {
                 Vec::new()
             }
         };
-        if let VecStore::Bitmap(b) = &st.store {
-            return Ok((Frontier::Bitmap(b.clone()), pre));
-        }
-        st.ensure_sparse()?;
-        Ok((Frontier::Sparse(st.sparse().clone()), pre))
+        let frontier = match &st.store {
+            VecStore::Bitmap(b) => Frontier::Bitmap(b.clone()),
+            VecStore::Dense(d) => Frontier::Full(d.clone()),
+            VecStore::Sparse(_) => {
+                st.ensure_sparse()?;
+                Frontier::Sparse(st.sparse().clone())
+            }
+        };
+        Ok((frontier, pre))
     }
 
     /// Type-erased object identity (see `Container::addr`).

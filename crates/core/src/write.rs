@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use graphblas_exec::Context;
-use graphblas_sparse::{ewise, Csr, SparseVec};
+use graphblas_sparse::{ewise, Csr, SparseVec, VecOut, VecView};
 
 use crate::container::{State, Store};
 use crate::descriptor::Descriptor;
@@ -107,21 +107,26 @@ impl<T: ValueType, M: MaskValue> MaskSource<VectorState<T>> for Vector<M> {
     }
 }
 
-/// `T` for a vector output.
+/// `T` for a vector output, sparse or full as its kernel produced it.
 pub(crate) struct VecResult<T> {
-    pub t: SparseVec<T>,
-    /// Store the written result in the Table III format its density picks
-    /// ([`VecStore::by_density`], for `mxv`/`vxm` frontiers) instead of
-    /// the canonical sparse one.
-    pub by_density: bool,
+    pub t: VecOut<T>,
+    /// Whether a mid-density written result may be stored as a bitmap
+    /// ([`VecStore::pick`]): the `mxv`/`vxm` frontiers.
+    pub bitmap_ok: bool,
+}
+
+impl<T> From<VecOut<T>> for VecResult<T> {
+    fn from(t: VecOut<T>) -> Self {
+        VecResult {
+            t,
+            bitmap_ok: false,
+        }
+    }
 }
 
 impl<T> From<SparseVec<T>> for VecResult<T> {
     fn from(t: SparseVec<T>) -> Self {
-        VecResult {
-            t,
-            by_density: false,
-        }
+        VecOut::Sparse(t).into()
     }
 }
 
@@ -167,22 +172,27 @@ impl<T: ValueType> Target for VectorState<T> {
     fn write_back(
         st: &mut State<Self>,
         ctx: &Context,
-        VecResult { t, by_density }: VecResult<T>,
+        VecResult { t, bitmap_ok }: VecResult<T>,
         rule: &Rule<Self>,
         post: &[MapFn<T>],
     ) -> GrbResult {
         let (mask, accum) = (rule.mask.as_ref(), rule.accum.as_ref());
-        let t = if mask.is_none() && accum.is_none() {
+        // Unmasked `full old ⊙ T` folds `T` into the old values where they
+        // lie; everything else that merges is the four-step rule.
+        let in_place = match (mask, accum) {
+            (None, Some(op)) => st.take_full().map(|old| (op, old)),
+            _ => None,
+        };
+        let t = if let Some((op, mut old)) = in_place {
+            ewise::svec_accumulate(ctx, &mut old, t.view(), |x, y| op.apply(x, y));
+            VecOut::Full(old)
+        } else if mask.is_none() && accum.is_none() {
             t
         } else {
-            st.ensure_sparse()?;
-            merge_vector(st.sparse(), t, mask, accum, rule.replace)
+            st.ensure_view()?;
+            merge_vector(ctx, st.snap().view(), t, mask, accum, rule.replace)
         };
-        st.store = if by_density {
-            VecStore::by_density(rule.op, ctx.id(), t)
-        } else {
-            VecStore::Sparse(Arc::new(t))
-        };
+        st.store = VecStore::pick(rule.op, ctx.id(), t, bitmap_ok);
         st.apply_post_maps(ctx, post)
     }
 }
@@ -255,37 +265,40 @@ pub(crate) fn merge_matrix<C: ValueType>(
     }
 }
 
-/// Vector counterpart of [`merge_matrix`]. Both `old` and `t` must be
-/// canonical (sorted) sparse vectors.
+/// Vector counterpart of [`merge_matrix`]: `old` and `t` are each sparse
+/// (canonical) or full. A full operand is never turned into an index list
+/// first — the restrictions gather it at (or between) the mask's positions
+/// and the unions walk its values.
 pub(crate) fn merge_vector<C: ValueType>(
-    old: &SparseVec<C>,
-    t: SparseVec<C>,
+    ctx: &Context,
+    old: VecView<'_, C>,
+    t: VecOut<C>,
     mask: Option<&VecMask>,
     accum: Option<&BinaryOp<C, C, C>>,
     replace: bool,
-) -> SparseVec<C> {
-    debug_assert!(old.is_sorted());
-    debug_assert!(t.is_sorted());
+) -> VecOut<C> {
     match mask {
         None => match accum {
             None => t,
-            Some(op) => ewise::svec_union(old, &t, |x, y| op.apply(x, y)),
+            Some(op) => ewise::svec_union(ctx, old, t.view(), |x, y| op.apply(x, y)),
         },
         Some(m) => {
             let truthy = |b: &bool| *b;
-            let z = ewise::svec_restrict(&t, &m.mask, m.complement, truthy);
+            let z = ewise::svec_restrict(ctx, t.view(), &m.mask, m.complement, truthy);
             let inside = match accum {
-                None => z,
+                None => VecOut::Sparse(z),
                 Some(op) => {
-                    let old_inside = ewise::svec_restrict(old, &m.mask, m.complement, truthy);
-                    ewise::svec_union(&old_inside, &z, |x, y| op.apply(x, y))
+                    let old_inside = ewise::svec_restrict(ctx, old, &m.mask, m.complement, truthy);
+                    ewise::svec_union(ctx, (&old_inside).into(), (&z).into(), |x, y| {
+                        op.apply(x, y)
+                    })
                 }
             };
             if replace {
                 inside
             } else {
-                let outside = ewise::svec_restrict(old, &m.mask, !m.complement, truthy);
-                ewise::svec_union(&outside, &inside, |x, _| x.clone())
+                let outside = ewise::svec_restrict(ctx, old, &m.mask, !m.complement, truthy);
+                ewise::svec_union(ctx, (&outside).into(), inside.view(), |x, _| x.clone())
             }
         }
     }
@@ -421,17 +434,18 @@ mod tests {
 
     #[test]
     fn vector_merge_matches_matrix_logic() {
+        let ctx = global_context();
         let old = SparseVec::from_parts(3, vec![0, 2], vec![1i64, 3]).unwrap();
         let t = SparseVec::from_parts(3, vec![1, 2], vec![20, 30]).unwrap();
         let m = VecMask {
             mask: Arc::new(SparseVec::from_parts(3, vec![1], vec![true]).unwrap()),
             complement: false,
         };
-        let r = merge_vector(&old, t, Some(&m), None, false);
+        let r = merge_vector(&ctx, (&old).into(), t.into(), Some(&m), None, false);
         assert_eq!(r.to_sorted_tuples(), vec![(0, 1), (1, 20), (2, 3)]);
         // replace clears outside:
         let t2 = SparseVec::from_parts(3, vec![1], vec![20]).unwrap();
-        let r2 = merge_vector(&old, t2, Some(&m), None, true);
+        let r2 = merge_vector(&ctx, (&old).into(), t2.into(), Some(&m), None, true);
         assert_eq!(r2.to_sorted_tuples(), vec![(1, 20)]);
     }
 }

@@ -474,22 +474,49 @@ pub(crate) fn dispatch_totals() -> DispatchTotals {
     }
 }
 
-/// Vector storage-format statistics (Table III): how often the mxv/vxm
-/// store path kept the sparse (index/value) representation versus the
-/// bitmap (presence bits + dense slots) representation for a near-dense
-/// result, and how many bitmap→sparse conversions later kernels forced.
+/// The three Table III storage formats a vector result can land in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VecFormat {
+    /// Index/value lists.
+    Sparse,
+    /// Presence bits + a value slot per position.
+    Bitmap,
+    /// Every position present: the value array alone.
+    Full,
+}
+
+impl VecFormat {
+    /// The name decision events, `grbexplain` and `stats().format` use.
+    pub fn name(self) -> &'static str {
+        match self {
+            VecFormat::Sparse => "sparse",
+            VecFormat::Bitmap => "bitmap",
+            VecFormat::Full => "full",
+        }
+    }
+}
+
+/// Vector storage-format statistics (Table III): how often a result was
+/// kept in the sparse (index/value) representation, stored as a bitmap
+/// (presence bits + dense slots; mid-density mxv/vxm frontiers) or stored
+/// full (every position present), and how many conversions back to sparse
+/// later consumers forced.
 pub struct FormatCounters {
     /// Results stored in bitmap format (density qualified).
     pub bitmap_picks: AtomicU64,
     /// Results kept in sparse index/value format.
     pub svec_picks: AtomicU64,
-    /// Bitmap→sparse conversions forced by a downstream consumer.
+    /// Results stored full (`nnz == n`).
+    pub full_picks: AtomicU64,
+    /// Bitmap→sparse and full→sparse conversions forced by a downstream
+    /// consumer.
     pub conversions: AtomicU64,
 }
 
 static FORMAT: FormatCounters = FormatCounters {
     bitmap_picks: AtomicU64::new(0),
     svec_picks: AtomicU64::new(0),
+    full_picks: AtomicU64::new(0),
     conversions: AtomicU64::new(0),
 };
 
@@ -498,16 +525,18 @@ pub fn format() -> &'static FormatCounters {
     &FORMAT
 }
 
-/// Records one output-format decision (`bitmap` = bitmap store chosen).
-pub fn record_format_pick(bitmap: bool) {
-    if bitmap {
-        FORMAT.bitmap_picks.fetch_add(1, Ordering::Relaxed);
-    } else {
-        FORMAT.svec_picks.fetch_add(1, Ordering::Relaxed);
-    }
+/// Records one output-format decision.
+pub fn record_format_pick(format: VecFormat) {
+    let counter = match format {
+        VecFormat::Sparse => &FORMAT.svec_picks,
+        VecFormat::Bitmap => &FORMAT.bitmap_picks,
+        VecFormat::Full => &FORMAT.full_picks,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records one bitmap→sparse conversion forced by a consumer.
+/// Records one bitmap→sparse or full→sparse conversion forced by a
+/// consumer.
 pub fn record_format_conversion() {
     FORMAT.conversions.fetch_add(1, Ordering::Relaxed);
 }
@@ -517,6 +546,7 @@ pub fn record_format_conversion() {
 pub struct FormatTotals {
     pub bitmap_picks: u64,
     pub svec_picks: u64,
+    pub full_picks: u64,
     pub conversions: u64,
 }
 
@@ -524,6 +554,7 @@ pub(crate) fn format_totals() -> FormatTotals {
     FormatTotals {
         bitmap_picks: FORMAT.bitmap_picks.load(Ordering::Relaxed),
         svec_picks: FORMAT.svec_picks.load(Ordering::Relaxed),
+        full_picks: FORMAT.full_picks.load(Ordering::Relaxed),
         conversions: FORMAT.conversions.load(Ordering::Relaxed),
     }
 }
@@ -766,6 +797,7 @@ pub(crate) fn reset() {
     DISPATCH.dyn_fallbacks.store(0, Ordering::Relaxed);
     FORMAT.bitmap_picks.store(0, Ordering::Relaxed);
     FORMAT.svec_picks.store(0, Ordering::Relaxed);
+    FORMAT.full_picks.store(0, Ordering::Relaxed);
     FORMAT.conversions.store(0, Ordering::Relaxed);
 }
 
@@ -848,13 +880,15 @@ mod tests {
         assert_eq!(s1.dyn_fallbacks - s0.dyn_fallbacks, 1);
 
         let f0 = format_totals();
-        record_format_pick(true);
-        record_format_pick(false);
-        record_format_pick(false);
+        record_format_pick(VecFormat::Bitmap);
+        record_format_pick(VecFormat::Sparse);
+        record_format_pick(VecFormat::Sparse);
+        record_format_pick(VecFormat::Full);
         record_format_conversion();
         let f1 = format_totals();
         assert_eq!(f1.bitmap_picks - f0.bitmap_picks, 1);
         assert_eq!(f1.svec_picks - f0.svec_picks, 2);
+        assert_eq!(f1.full_picks - f0.full_picks, 1);
         assert_eq!(f1.conversions - f0.conversions, 1);
     }
 

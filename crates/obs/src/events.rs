@@ -78,8 +78,8 @@ pub enum Reason {
     /// "static" (pre-monomorphized registry kernel, paper §II) or "dyn"
     /// (erased-closure fallback).
     DispatchPick,
-    /// The mxv/vxm store path picked a vector storage format for its
-    /// result: `detail` is "bitmap" or "sparse" (Table III).
+    /// The write-back picked a vector storage format for a result:
+    /// `detail` is "sparse", "bitmap" or "full" (Table III).
     FormatPick,
     /// An op-DAG node drained with neighbouring map stages fused into its
     /// kernel (§III cross-operation fusion): `detail` is the node kind,
@@ -438,7 +438,7 @@ pub fn decision_convert_csr(op: &'static str, ctx: u64, src: &'static str, nnz: 
 }
 
 /// A vector store canonicalized to sorted sparse from `src` ("dense",
-/// "unsorted"), now holding `nnz` entries.
+/// "bitmap", "unsorted"), now holding `nnz` entries.
 #[inline]
 pub fn decision_convert_sparse(op: &'static str, ctx: u64, src: &'static str, nnz: u64) {
     record(Reason::ConvertSparse, op, src, ctx, [nnz, 0, 0]);
@@ -487,12 +487,11 @@ pub fn decision_dispatch(op: &'static str, ctx: u64, is_static: bool) {
     record(Reason::DispatchPick, op, detail, ctx, [0, 0, 0]);
 }
 
-/// The store path picked a vector storage format (`bitmap` = presence
-/// bits + dense slots) for a result of `nnz`/`len` (Table III).
+/// The write-back picked storage format `format` for a vector result of
+/// `nnz`/`len` (Table III); `detail` carries the format's name.
 #[inline]
-pub fn decision_format(op: &'static str, ctx: u64, bitmap: bool, nnz: u64, len: u64) {
-    let detail = if bitmap { "bitmap" } else { "sparse" };
-    record(Reason::FormatPick, op, detail, ctx, [nnz, len, 0]);
+pub fn decision_format(op: &'static str, ctx: u64, format: crate::VecFormat, nnz: u64, len: u64) {
+    record(Reason::FormatPick, op, format.name(), ctx, [nnz, len, 0]);
 }
 
 /// An op-DAG node of kind `kind` drained absorbing `pre_maps` input-side

@@ -223,6 +223,7 @@ pub fn collect() -> Vec<Family> {
     let f = &snap.format;
     push("grb.format.bitmap_picks", vec![Sample::scalar(f.bitmap_picks as f64)]);
     push("grb.format.svec_picks", vec![Sample::scalar(f.svec_picks as f64)]);
+    push("grb.format.full_picks", vec![Sample::scalar(f.full_picks as f64)]);
     push("grb.format.conversions", vec![Sample::scalar(f.conversions as f64)]);
 
     let pl = &snap.pool;

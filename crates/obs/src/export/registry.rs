@@ -97,7 +97,8 @@ static REGISTRY: &[MetricDesc] = &[
     // Vector storage-format picks.
     m("grb.format.bitmap_picks", C, "Results stored in bitmap format."),
     m("grb.format.svec_picks", C, "Results kept in sparse index/value format."),
-    m("grb.format.conversions", C, "Bitmap-to-sparse conversions forced downstream."),
+    m("grb.format.full_picks", C, "Results stored full (every position present)."),
+    m("grb.format.conversions", C, "Bitmap- or full-to-sparse conversions forced downstream."),
     // Thread-pool scheduler.
     m("grb.pool.tasks_spawned", C, "Tasks submitted to pool workers."),
     m("grb.pool.tasks_inline", C, "Tasks executed inline in nested parallel regions."),

@@ -67,7 +67,7 @@ pub mod timeline;
 
 pub use counters::{
     DagTotals, DispatchTotals, FormatTotals, Kernel, KernelTotals, PendingTotals, PoolTotals,
-    KERNEL_COUNT,
+    VecFormat, KERNEL_COUNT,
 };
 pub use ctxreg::{register_context, ContextStats, CtxTotals};
 pub use events::{

@@ -266,6 +266,8 @@ impl Snapshot {
         w.number(self.format.bitmap_picks);
         w.key("svec_picks");
         w.number(self.format.svec_picks);
+        w.key("full_picks");
+        w.number(self.format.full_picks);
         w.key("conversions");
         w.number(self.format.conversions);
         w.end_object();

@@ -31,6 +31,12 @@ impl<T> DenseVec<T> {
         &self.values
     }
 
+    /// Mutable access to the values (a dense vector has no structure to
+    /// change), for kernels that accumulate in place.
+    pub fn values_mut(&mut self) -> &mut [T] {
+        &mut self.values
+    }
+
     /// Consumes into the raw value buffer.
     pub fn into_values(self) -> Vec<T> {
         self.values

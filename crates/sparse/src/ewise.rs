@@ -15,7 +15,8 @@ use std::ops::Range;
 use graphblas_exec::{parallel_map_ranges, partition, Context};
 
 use crate::csr::Csr;
-use crate::svec::SparseVec;
+use crate::dvec::DenseVec;
+use crate::svec::{SparseVec, VecOut, VecView};
 use crate::util;
 
 fn combined_chunks<A, B>(ctx: &Context, a: &Csr<A>, b: &Csr<B>) -> Vec<Range<usize>> {
@@ -231,17 +232,51 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Vector variants (sequential merge walks).
+// Vector variants: sequential. Each takes its operands as [`VecView`]s and
+// branches on the format pair once, at the top — two sparse operands are a
+// merge walk, a full one turns its side of the walk into a slice loop — and
+// opens the same kernel span as its matrix counterpart.
 // ---------------------------------------------------------------------------
 
-/// Vector union with distinct handlers (see [`ewise_union_general`]).
+/// Records a two-operand vector kernel's input sizes on its span.
+fn note_operands<A, B>(sp: &mut graphblas_obs::Span, a: VecView<'_, A>, b: VecView<'_, B>) {
+    if sp.active() {
+        let nnz_in = (a.nnz() + b.nnz()) as u64;
+        sp.io(nnz_in, nnz_in, 0, a.bytes() + b.bytes());
+    }
+}
+
+/// Union of a full operand with a sorted sparse one: every position of
+/// `full` is kept, those `sparse` also stores are combined.
+fn union_full_sparse<F, S, Z>(
+    full: &[F],
+    sparse: &SparseVec<S>,
+    both: impl Fn(&F, &S) -> Z,
+    only: impl Fn(&F) -> Z,
+) -> DenseVec<Z> {
+    let (si, sv) = (sparse.indices(), sparse.values());
+    let mut q = 0usize;
+    let values = full.iter().enumerate().map(|(i, x)| {
+        if q < si.len() && si[q] == i {
+            q += 1;
+            both(x, &sv[q - 1])
+        } else {
+            only(x)
+        }
+    });
+    DenseVec::from_values(values.collect())
+}
+
+/// Vector union with distinct handlers (see [`ewise_union_general`]). The
+/// result is full as soon as one operand is.
 pub fn svec_union_general<A, B, Z, FB, FL, FR>(
-    a: &SparseVec<A>,
-    b: &SparseVec<B>,
+    ctx: &Context,
+    a: VecView<'_, A>,
+    b: VecView<'_, B>,
     both: FB,
     left: FL,
     right: FR,
-) -> SparseVec<Z>
+) -> VecOut<Z>
 where
     A: Clone,
     B: Clone,
@@ -251,50 +286,106 @@ where
     FR: Fn(&B) -> Z,
 {
     assert_eq!(a.len(), b.len(), "vector ewise: length mismatch");
-    assert!(a.is_sorted() && b.is_sorted(), "vector ewise requires sorted input");
-    let (ai, av) = (a.indices(), a.values());
-    let (bi, bv) = (b.indices(), b.values());
-    let mut idx = Vec::with_capacity(ai.len() + bi.len());
-    let mut vals = Vec::with_capacity(ai.len() + bi.len());
-    let (mut p, mut q) = (0usize, 0usize);
-    while p < ai.len() && q < bi.len() {
-        match ai[p].cmp(&bi[q]) {
-            std::cmp::Ordering::Less => {
-                idx.push(ai[p]);
-                vals.push(left(&av[p]));
-                p += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                idx.push(bi[q]);
-                vals.push(right(&bv[q]));
-                q += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                idx.push(ai[p]);
-                vals.push(both(&av[p], &bv[q]));
-                p += 1;
-                q += 1;
-            }
+    let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::EwiseAdd, ctx.id());
+    note_operands(&mut sp, a, b);
+    let out = match (a, b) {
+        (VecView::Full(a), VecView::Full(b)) => {
+            let values = a.values().iter().zip(b.values()).map(|(x, y)| both(x, y));
+            VecOut::Full(DenseVec::from_values(values.collect()))
         }
+        (VecView::Full(a), VecView::Sparse(b)) => {
+            assert!(b.is_sorted(), "vector ewise requires sorted input");
+            VecOut::Full(union_full_sparse(a.values(), b, both, left))
+        }
+        (VecView::Sparse(a), VecView::Full(b)) => {
+            assert!(a.is_sorted(), "vector ewise requires sorted input");
+            VecOut::Full(union_full_sparse(b.values(), a, |y, x| both(x, y), right))
+        }
+        (VecView::Sparse(a), VecView::Sparse(b)) => {
+            assert!(
+                a.is_sorted() && b.is_sorted(),
+                "vector ewise requires sorted input"
+            );
+            let (ai, av) = (a.indices(), a.values());
+            let (bi, bv) = (b.indices(), b.values());
+            let mut idx = Vec::with_capacity(ai.len() + bi.len());
+            let mut vals = Vec::with_capacity(ai.len() + bi.len());
+            let (mut p, mut q) = (0usize, 0usize);
+            while p < ai.len() && q < bi.len() {
+                match ai[p].cmp(&bi[q]) {
+                    std::cmp::Ordering::Less => {
+                        idx.push(ai[p]);
+                        vals.push(left(&av[p]));
+                        p += 1;
+                    }
+                    std::cmp::Ordering::Greater => {
+                        idx.push(bi[q]);
+                        vals.push(right(&bv[q]));
+                        q += 1;
+                    }
+                    std::cmp::Ordering::Equal => {
+                        idx.push(ai[p]);
+                        vals.push(both(&av[p], &bv[q]));
+                        p += 1;
+                        q += 1;
+                    }
+                }
+            }
+            for k in p..ai.len() {
+                idx.push(ai[k]);
+                vals.push(left(&av[k]));
+            }
+            for k in q..bi.len() {
+                idx.push(bi[k]);
+                vals.push(right(&bv[k]));
+            }
+            VecOut::Sparse(SparseVec::from_kernel_parts(a.len(), idx, vals, true))
+        }
+    };
+    if sp.active() {
+        sp.io(0, 0, out.nnz() as u64, 0);
     }
-    for k in p..ai.len() {
-        idx.push(ai[k]);
-        vals.push(left(&av[k]));
-    }
-    for k in q..bi.len() {
-        idx.push(bi[k]);
-        vals.push(right(&bv[k]));
-    }
-    SparseVec::from_kernel_parts(a.len(), idx, vals, true)
+    out
 }
 
 /// Same-domain vector union.
-pub fn svec_union<T, F>(a: &SparseVec<T>, b: &SparseVec<T>, op: F) -> SparseVec<T>
+// grblint: allow(span-at-kernel-boundary) — thin forwarder; the span
+// opens in `svec_union_general`.
+pub fn svec_union<T, F>(ctx: &Context, a: VecView<'_, T>, b: VecView<'_, T>, op: F) -> VecOut<T>
 where
     T: Clone,
     F: Fn(&T, &T) -> T,
 {
-    svec_union_general(a, b, op, |x: &T| x.clone(), |y: &T| y.clone())
+    svec_union_general(ctx, a, b, op, |x: &T| x.clone(), |y: &T| y.clone())
+}
+
+/// `old ⊙= t` in place: a full vector absorbs `t` wherever `t` stores an
+/// element — the union of a full operand with anything, without a fresh
+/// output. `t` needs no particular order.
+pub fn svec_accumulate<T, F>(ctx: &Context, old: &mut DenseVec<T>, t: VecView<'_, T>, op: F)
+where
+    F: Fn(&T, &T) -> T,
+{
+    assert_eq!(old.len(), t.len(), "vector ewise: length mismatch");
+    let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::EwiseAdd, ctx.id());
+    if sp.active() {
+        let touched = t.nnz() as u64;
+        let bytes = t.bytes() + touched * std::mem::size_of::<T>() as u64;
+        sp.io(touched, touched + old.len() as u64, old.len() as u64, bytes);
+    }
+    let acc = old.values_mut();
+    match t {
+        VecView::Full(t) => {
+            for (o, x) in acc.iter_mut().zip(t.values()) {
+                *o = op(o, x);
+            }
+        }
+        VecView::Sparse(t) => {
+            for (i, x) in t.iter() {
+                acc[i] = op(&acc[i], x);
+            }
+        }
+    }
 }
 
 /// k-way union merge of sorted sparse vectors over one index space — the
@@ -375,8 +466,14 @@ where
     SparseVec::from_kernel_parts(n, indices, values, true)
 }
 
-/// Vector intersection.
-pub fn svec_intersect<A, B, Z, F>(a: &SparseVec<A>, b: &SparseVec<B>, op: F) -> SparseVec<Z>
+/// Vector intersection: full only when both operands are, otherwise the
+/// sparse operand's structure (or the overlap of two).
+pub fn svec_intersect<A, B, Z, F>(
+    ctx: &Context,
+    a: VecView<'_, A>,
+    b: VecView<'_, B>,
+    op: F,
+) -> VecOut<Z>
 where
     A: Clone,
     B: Clone,
@@ -384,30 +481,63 @@ where
     F: Fn(&A, &B) -> Z,
 {
     assert_eq!(a.len(), b.len(), "vector ewise: length mismatch");
-    assert!(a.is_sorted() && b.is_sorted(), "vector ewise requires sorted input");
-    let (ai, av) = (a.indices(), a.values());
-    let (bi, bv) = (b.indices(), b.values());
-    let mut idx = Vec::new();
-    let mut vals = Vec::new();
-    let (mut p, mut q) = (0usize, 0usize);
-    while p < ai.len() && q < bi.len() {
-        match ai[p].cmp(&bi[q]) {
-            std::cmp::Ordering::Less => p += 1,
-            std::cmp::Ordering::Greater => q += 1,
-            std::cmp::Ordering::Equal => {
-                idx.push(ai[p]);
-                vals.push(op(&av[p], &bv[q]));
-                p += 1;
-                q += 1;
-            }
+    let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::EwiseMult, ctx.id());
+    note_operands(&mut sp, a, b);
+    let out = match (a, b) {
+        (VecView::Full(a), VecView::Full(b)) => {
+            let values = a.values().iter().zip(b.values()).map(|(x, y)| op(x, y));
+            VecOut::Full(DenseVec::from_values(values.collect()))
         }
+        (VecView::Full(a), VecView::Sparse(b)) => {
+            let av = a.values();
+            VecOut::Sparse(b.map_with_index(|i, y| op(&av[i], y)))
+        }
+        (VecView::Sparse(a), VecView::Full(b)) => {
+            let bv = b.values();
+            VecOut::Sparse(a.map_with_index(|i, x| op(x, &bv[i])))
+        }
+        (VecView::Sparse(a), VecView::Sparse(b)) => {
+            assert!(
+                a.is_sorted() && b.is_sorted(),
+                "vector ewise requires sorted input"
+            );
+            let (ai, av) = (a.indices(), a.values());
+            let (bi, bv) = (b.indices(), b.values());
+            // The overlap is at most the shorter operand; trimmed below.
+            let bound = ai.len().min(bi.len());
+            let mut idx = Vec::with_capacity(bound);
+            let mut vals = Vec::with_capacity(bound);
+            let (mut p, mut q) = (0usize, 0usize);
+            while p < ai.len() && q < bi.len() {
+                match ai[p].cmp(&bi[q]) {
+                    std::cmp::Ordering::Less => p += 1,
+                    std::cmp::Ordering::Greater => q += 1,
+                    std::cmp::Ordering::Equal => {
+                        idx.push(ai[p]);
+                        vals.push(op(&av[p], &bv[q]));
+                        p += 1;
+                        q += 1;
+                    }
+                }
+            }
+            idx.shrink_to_fit();
+            vals.shrink_to_fit();
+            VecOut::Sparse(SparseVec::from_kernel_parts(a.len(), idx, vals, true))
+        }
+    };
+    if sp.active() {
+        sp.io(0, 0, out.nnz() as u64, 0);
     }
-    SparseVec::from_kernel_parts(a.len(), idx, vals, true)
+    out
 }
 
-/// Vector mask restriction (see [`ewise_restrict`]).
+/// Vector mask restriction (see [`ewise_restrict`]). A full `a` is never
+/// walked: it is gathered at the mask's admitting positions, or — under a
+/// complemented mask — copied in runs between the positions the mask
+/// forbids.
 pub fn svec_restrict<A, M, P>(
-    a: &SparseVec<A>,
+    ctx: &Context,
+    a: VecView<'_, A>,
     m: &SparseVec<M>,
     complement: bool,
     pred: P,
@@ -418,21 +548,71 @@ where
     P: Fn(&M) -> bool,
 {
     assert_eq!(a.len(), m.len(), "vector mask: length mismatch");
-    assert!(a.is_sorted() && m.is_sorted(), "vector mask requires sorted input");
-    let (ai, av) = (a.indices(), a.values());
+    assert!(m.is_sorted(), "vector mask requires sorted input");
+    let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Select, ctx.id());
+    note_operands(&mut sp, a, VecView::Sparse(m));
     let (mi, mv) = (m.indices(), m.values());
-    let mut idx = Vec::new();
-    let mut vals = Vec::new();
-    let mut q = 0usize;
-    for (p, &i) in ai.iter().enumerate() {
-        while q < mi.len() && mi[q] < i {
-            q += 1;
+    // A full `a` yields exactly the positions the mask admits, counted so
+    // that the gather is sized once; a sparse `a` at most what it stores
+    // and, without complement, what `m` does — trimmed below.
+    let bound = match a {
+        VecView::Full(a) => {
+            let truthy = mv.iter().filter(|t| pred(t)).count();
+            if complement {
+                a.len() - truthy
+            } else {
+                truthy
+            }
         }
-        let masked_in = q < mi.len() && mi[q] == i && pred(&mv[q]);
-        if masked_in != complement {
-            idx.push(i);
-            vals.push(av[p].clone());
+        VecView::Sparse(a) if complement => a.nnz(),
+        VecView::Sparse(a) => a.nnz().min(mi.len()),
+    };
+    let mut idx = Vec::with_capacity(bound);
+    let mut vals = Vec::with_capacity(bound);
+    match a {
+        VecView::Full(a) if complement => {
+            let av = a.values();
+            let mut copy_run = |run: Range<usize>| {
+                if !run.is_empty() {
+                    idx.extend(run.clone());
+                    vals.extend_from_slice(&av[run]);
+                }
+            };
+            let mut next = 0usize;
+            for (&i, t) in mi.iter().zip(mv) {
+                if pred(t) {
+                    copy_run(next..i);
+                    next = i + 1;
+                }
+            }
+            copy_run(next..av.len());
         }
+        VecView::Full(a) => {
+            let av = a.values();
+            for (&i, _) in mi.iter().zip(mv).filter(|(_, t)| pred(t)) {
+                idx.push(i);
+                vals.push(av[i].clone());
+            }
+        }
+        VecView::Sparse(a) => {
+            assert!(a.is_sorted(), "vector mask requires sorted input");
+            let mut q = 0usize;
+            for (i, v) in a.iter() {
+                while q < mi.len() && mi[q] < i {
+                    q += 1;
+                }
+                let masked_in = q < mi.len() && mi[q] == i && pred(&mv[q]);
+                if masked_in != complement {
+                    idx.push(i);
+                    vals.push(v.clone());
+                }
+            }
+        }
+    }
+    idx.shrink_to_fit();
+    vals.shrink_to_fit();
+    if sp.active() {
+        sp.io(0, 0, idx.len() as u64, 0);
     }
     SparseVec::from_kernel_parts(a.len(), idx, vals, true)
 }
@@ -517,17 +697,44 @@ mod tests {
 
     #[test]
     fn svec_merges() {
+        let ctx = global_context();
         let a = SparseVec::from_parts(5, vec![0, 2, 4], vec![1, 2, 3]).unwrap();
         let b = SparseVec::from_parts(5, vec![2, 3], vec![10, 20]).unwrap();
-        let u = svec_union(&a, &b, |x, y| x + y);
+        let u = svec_union(&ctx, (&a).into(), (&b).into(), |x, y| x + y);
         assert_eq!(u.to_sorted_tuples(), vec![(0, 1), (2, 12), (3, 20), (4, 3)]);
-        let i = svec_intersect(&a, &b, |x, y| x * y);
+        let i = svec_intersect(&ctx, (&a).into(), (&b).into(), |x, y| x * y);
         assert_eq!(i.to_sorted_tuples(), vec![(2, 20)]);
         let mask = SparseVec::from_parts(5, vec![0, 3], vec![true, true]).unwrap();
-        let r = svec_restrict(&a, &mask, false, |v| *v);
+        let r = svec_restrict(&ctx, (&a).into(), &mask, false, |v| *v);
         assert_eq!(r.to_sorted_tuples(), vec![(0, 1)]);
-        let rc = svec_restrict(&a, &mask, true, |v| *v);
+        let rc = svec_restrict(&ctx, (&a).into(), &mask, true, |v| *v);
         assert_eq!(rc.to_sorted_tuples(), vec![(2, 2), (4, 3)]);
+    }
+
+    #[test]
+    fn a_full_operand_makes_the_union_full_and_is_gathered_under_a_mask() {
+        let ctx = global_context();
+        let full = DenseVec::from_values(vec![1, 2, 3, 4, 5]);
+        let b = SparseVec::from_parts(5, vec![2, 3], vec![10, 20]).unwrap();
+        let u = svec_union(&ctx, (&full).into(), (&b).into(), |x, y| x + y);
+        assert!(matches!(u, VecOut::Full(_)));
+        assert_eq!(
+            u.to_sorted_tuples(),
+            vec![(0, 1), (1, 2), (2, 13), (3, 24), (4, 5)]
+        );
+        let i = svec_intersect(&ctx, (&b).into(), (&full).into(), |x, y| x - y);
+        assert_eq!(i.to_sorted_tuples(), vec![(2, 7), (3, 16)]);
+        // Stored `false` forbids nothing under a value mask.
+        let mask = SparseVec::from_parts(5, vec![0, 3, 4], vec![true, false, true]).unwrap();
+        let r = svec_restrict(&ctx, (&full).into(), &mask, false, |v| *v);
+        assert_eq!(r.to_sorted_tuples(), vec![(0, 1), (4, 5)]);
+        let rc = svec_restrict(&ctx, (&full).into(), &mask, true, |v| *v);
+        assert_eq!(rc.to_sorted_tuples(), vec![(1, 2), (2, 3), (3, 4)]);
+        let mut acc = full.clone();
+        svec_accumulate(&ctx, &mut acc, (&b).into(), |x, y| x + y);
+        assert_eq!(acc.values(), &[1, 2, 13, 24, 5]);
+        svec_accumulate(&ctx, &mut acc, (&full).into(), |x, y| x * y);
+        assert_eq!(acc.values(), &[1, 4, 39, 96, 25]);
     }
 
     #[test]
@@ -539,7 +746,10 @@ mod tests {
         assert_eq!(ewise_intersect(&ctx, &a, &b, |x, y| x + y).nnz(), 0);
         let ev = SparseVec::<i64>::empty(4);
         let bv = SparseVec::from_parts(4, vec![1], vec![9]).unwrap();
-        assert_eq!(svec_union(&ev, &bv, |x, y| x + y).nnz(), 1);
+        assert_eq!(
+            svec_union(&ctx, (&ev).into(), (&bv).into(), |x, y| x + y).nnz(),
+            1
+        );
     }
 
     #[test]
@@ -567,11 +777,13 @@ mod tests {
                     SparseVec::from_parts(n, idx, vals).unwrap()
                 })
                 .collect();
-            let expect = parts
-                .iter()
-                .cloned()
-                .reduce(|u, v| svec_union(&u, &v, |a, b| a + b))
-                .unwrap();
+            let union = |u: SparseVec<i64>, v: SparseVec<i64>| {
+                match svec_union(&ctx, (&u).into(), (&v).into(), |a, b| a + b) {
+                    VecOut::Sparse(s) => s,
+                    VecOut::Full(_) => unreachable!("two sparse operands merge sparse"),
+                }
+            };
+            let expect = parts.iter().cloned().reduce(union).unwrap();
             let got = svec_kmerge(&ctx, parts, |a, b| a + b);
             assert_eq!(got.to_sorted_tuples(), expect.to_sorted_tuples());
         }

@@ -6,7 +6,8 @@
 //!
 //! * [`csr`] / [`csc`] / [`coo`] / [`dense`] — the matrix formats of the
 //!   paper's Table III (import/export), each self-validating;
-//! * [`svec`] / [`dvec`] — sparse and dense vector formats (Table III);
+//! * [`svec`] / [`dvec`] — sparse and dense vector formats (Table III),
+//!   and the two-format operand view the vector kernels read;
 //! * [`convert`] — pairwise conversions between all formats;
 //! * [`transpose`] — parallel counting-sort transpose;
 //! * [`spmv`] — row-parallel matrix-vector products over arbitrary
@@ -51,4 +52,4 @@ pub use csr::{Csr, ElementUpdate};
 pub use dense::{Dense, Layout};
 pub use dvec::DenseVec;
 pub use error::FormatError;
-pub use svec::SparseVec;
+pub use svec::{SparseVec, VecOut, VecView};

@@ -24,6 +24,7 @@ use graphblas_exec::{parallel_map_ranges, partition, Context};
 
 use crate::bitmap::BitmapVec;
 use crate::csr::Csr;
+use crate::dvec::DenseVec;
 use crate::svec::SparseVec;
 
 /// An element map fused into a kernel's numeric phase:
@@ -113,14 +114,16 @@ impl<X, Z> Hooks<'_, X, Z> {
     }
 }
 
-/// The pull kernel's input vector, in either storage format.
+/// The pull kernel's input vector, in any storage format.
 enum PullFrontier<'a, X> {
     Sparse(&'a SparseVec<X>),
     Bitmap(&'a BitmapVec<X>),
+    /// Every position present: entry `j` is `values[j]`.
+    Full(&'a [X]),
 }
 
 /// How the pull row loop resolves input-vector entries by column: direct
-/// indexing when the frontier is dense, a checked-out position table when
+/// indexing when the frontier is full, a checked-out position table when
 /// sparse, or a word-indexed bit test when the frontier is stored as a
 /// bitmap.
 enum XLookup<'a, X> {
@@ -163,10 +166,13 @@ where
     spmv_fused(ctx, a, x, mul, add, is_terminal, Hooks::none())
 }
 
-/// [`spmv`] with [`Hooks`]. A dense sorted frontier is indexed directly;
-/// a sparse one through a position table checked out of the workspace
-/// cache. `pre` runs as that table is built (a dropped entry is simply
-/// never scattered, so annihilated inputs cost nothing in the row loop).
+/// [`spmv`] with [`Hooks`]. A sparse frontier is resolved through a
+/// position table checked out of the workspace cache; `pre` runs as that
+/// table is built (a dropped entry is simply never scattered, so
+/// annihilated inputs cost nothing in the row loop). This is the one place
+/// that recognises a *sparse-format* vector storing every position as full
+/// — callers that know their vector is full hand it to
+/// [`spmv_full_fused`] — and indexes it directly.
 // grblint: allow(span-at-kernel-boundary) — thin forwarder; the span
 // opens in `pull`.
 pub fn spmv_fused<A, X, Z, FM, FA, FT, K>(
@@ -187,15 +193,40 @@ where
     FT: Fn(&Z) -> bool + Sync,
     K: OutputFilter,
 {
-    pull(
-        ctx,
-        a,
-        PullFrontier::Sparse(x),
-        mul,
-        add,
-        is_terminal,
-        hooks,
-    )
+    let x = if x.is_full() {
+        PullFrontier::Full(x.values())
+    } else {
+        PullFrontier::Sparse(x)
+    };
+    pull(ctx, a, x, mul, add, is_terminal, hooks)
+}
+
+/// `y = A ⊕.⊗ x` (pull) over a full vector, with [`Hooks`]: the row loop
+/// indexes the value array directly — no position table, no bit test. A
+/// `pre` chain may drop entries, so with one the rewritten values go
+/// through a position table like a sparse frontier's.
+// grblint: allow(span-at-kernel-boundary) — thin forwarder; the span
+// opens in `pull`.
+pub fn spmv_full_fused<A, X, Z, FM, FA, FT, K>(
+    ctx: &Context,
+    a: &Csr<A>,
+    x: &DenseVec<X>,
+    mul: FM,
+    add: FA,
+    is_terminal: Option<FT>,
+    hooks: Hooks<'_, X, Z, K>,
+) -> SparseVec<Z>
+where
+    A: Clone + Send + Sync,
+    X: Clone + Send + Sync,
+    Z: Clone + Send + Sync,
+    FM: Fn(&A, &X) -> Z + Sync,
+    FA: Fn(Z, Z) -> Z + Sync,
+    FT: Fn(&Z) -> bool + Sync,
+    K: OutputFilter,
+{
+    let x = PullFrontier::Full(x.values());
+    pull(ctx, a, x, mul, add, is_terminal, hooks)
 }
 
 /// `y = A ⊕.⊗ x` (pull) over a bitmap-format frontier. Identical row loop
@@ -257,7 +288,7 @@ where
     )
 }
 
-/// The pull kernel behind both frontier formats: opens the span, picks
+/// The pull kernel behind every frontier format: opens the span, picks
 /// the [`XLookup`] for `x` (the only step the formats differ in), runs
 /// the row loop.
 fn pull<A, X, Z, FM, FA, FT, K>(
@@ -281,6 +312,7 @@ where
     let (n, nnz) = match x {
         PullFrontier::Sparse(s) => (s.len(), s.nnz()),
         PullFrontier::Bitmap(b) => (b.len(), b.nnz()),
+        PullFrontier::Full(v) => (v.len(), v.len()),
     };
     assert_eq!(a.ncols(), n, "spmv: dimension mismatch");
     let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::SpMv, ctx.id());
@@ -306,28 +338,22 @@ where
         return SparseVec::empty(0);
     }
     let pre = hooks.pre;
-    // Dense sorted frontier ⇒ entry j lives at position j; skip the
-    // densification table entirely. A fused pre map forces the table
-    // path: the map may drop or rewrite entries, so positions are no
-    // longer the identity.
-    let dense = matches!(x, PullFrontier::Sparse(s)
-        if pre.is_none() && s.nnz() == s.len() && s.is_sorted());
     if graphblas_obs::events::on() {
         let path = match x {
             PullFrontier::Bitmap(_) => "bitmap-frontier",
-            PullFrontier::Sparse(_) if dense => "dense-frontier",
-            PullFrontier::Sparse(_) => "sparse-frontier",
+            PullFrontier::Full(_) if pre.is_none() => "dense-frontier",
+            _ => "sparse-frontier",
         };
         graphblas_obs::events::decision_kernel_path("spmv", ctx.id(), path, nnz as u64, n as u64);
     }
     // The position table is a generation-stamped checkout from the
-    // thread's workspace cache, not a `vec![None; n]` per call.
+    // thread's workspace cache, not a `vec![None; n]` per call. A fused pre
+    // map always goes through it, whatever the format: the map may drop or
+    // rewrite entries, so it is applied once per entry at scatter time and
+    // entries it drops are never marked — the row loop skips them for free.
     let mut fused_vals: Vec<X> = Vec::new();
     let table_ws: Option<workspace::Checkout<MarkTable>> = match (pre, &x) {
         (Some(f), _) => {
-            // Apply the input chain once per entry at scatter time;
-            // entries the chain drops are never marked, so the row loop
-            // skips them for free.
             let mut t = workspace::checkout::<MarkTable>(n);
             fused_vals.reserve(nnz);
             let mut scatter = |(j, v): (usize, &X)| {
@@ -339,10 +365,11 @@ where
             match x {
                 PullFrontier::Sparse(s) => s.iter().for_each(&mut scatter),
                 PullFrontier::Bitmap(b) => b.iter().for_each(&mut scatter),
+                PullFrontier::Full(v) => v.iter().enumerate().for_each(&mut scatter),
             }
             Some(t)
         }
-        (None, PullFrontier::Sparse(s)) if !dense => {
+        (None, PullFrontier::Sparse(s)) => {
             let mut t = workspace::checkout::<MarkTable>(n);
             for (p, &j) in s.indices().iter().enumerate() {
                 t.set(j, p);
@@ -354,8 +381,9 @@ where
     let lookup = match (table_ws.as_deref(), x) {
         (Some(t), _) if pre.is_some() => XLookup::Table(t, &fused_vals),
         (Some(t), PullFrontier::Sparse(s)) => XLookup::Table(t, s.values()),
-        (None, PullFrontier::Sparse(s)) => XLookup::Dense(s.values()),
+        (_, PullFrontier::Sparse(_)) => unreachable!("a sparse frontier always gets a table"),
         (_, PullFrontier::Bitmap(b)) => XLookup::Bitmap(b),
+        (_, PullFrontier::Full(v)) => XLookup::Dense(v),
     };
     let y = spmv_rows(ctx, a, &lookup, &mul, &add, is_terminal.as_ref(), hooks);
     if sp.active() {

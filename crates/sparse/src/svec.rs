@@ -3,7 +3,16 @@
 //! Vectors are the small, latency-sensitive side of GraphBLAS (frontiers,
 //! levels, property maps); kernels here are sequential merge walks — the
 //! parallel heavy lifting happens in the matrix kernels.
+//!
+//! A kernel reads its vector operands through [`VecView`] — the index list
+//! or the full value array (`GrB_DENSE_VECTOR`) — and hands its result back
+//! as a [`VecOut`] in whichever of the two formats it produced. The
+//! `apply` / `select` / `reduce` kernels are methods of the view; the
+//! two-operand merges live in [`crate::ewise`].
 
+use graphblas_exec::Context;
+
+use crate::dvec::DenseVec;
 use crate::error::FormatError;
 use crate::util;
 
@@ -114,6 +123,12 @@ impl<T> SparseVec<T> {
 
     pub fn is_sorted(&self) -> bool {
         self.sorted
+    }
+
+    /// Whether every position holds an element (sorted, so no duplicate
+    /// inflates the count): the vector is *full*, Table III's dense corner.
+    pub fn is_full(&self) -> bool {
+        self.sorted && self.values.len() == self.n
     }
 
     pub fn into_parts(self) -> (Vec<usize>, Vec<T>) {
@@ -307,20 +322,7 @@ impl<T: Clone> SparseVec<T> {
         M: Fn(&T) -> Z,
         A: Fn(Z, Z) -> Z,
     {
-        let mut acc: Option<Z> = None;
-        for v in &self.values {
-            let z = map(v);
-            acc = Some(match acc {
-                None => z,
-                Some(a) => add(a, z),
-            });
-            if let (Some(t), Some(a)) = (is_terminal, acc.as_ref()) {
-                if t(a) {
-                    break;
-                }
-            }
-        }
-        acc
+        reduce_values(&self.values, map, add, is_terminal)
     }
 
     /// Subvector extraction `u(I)` with arbitrary selectors (vector
@@ -352,6 +354,226 @@ impl<T: Clone> SparseVec<T> {
         let mut t: Vec<(usize, T)> = self.iter().map(|(i, v)| (i, v.clone())).collect();
         t.sort_by_key(|&(i, _)| i);
         t
+    }
+}
+
+/// The reduction loop over a value array, whichever format stores it.
+fn reduce_values<T, Z, M, A>(
+    values: &[T],
+    map: M,
+    add: A,
+    is_terminal: Option<&dyn Fn(&Z) -> bool>,
+) -> Option<Z>
+where
+    M: Fn(&T) -> Z,
+    A: Fn(Z, Z) -> Z,
+{
+    let mut acc: Option<Z> = None;
+    for v in values {
+        let z = map(v);
+        acc = Some(match acc {
+            None => z,
+            Some(a) => add(a, z),
+        });
+        if let (Some(t), Some(a)) = (is_terminal, acc.as_ref()) {
+            if t(a) {
+                break;
+            }
+        }
+    }
+    acc
+}
+
+/// A vector operand as the kernels read it: the sparse index list, or the
+/// full value array in which element `i` sits at position `i` and no index
+/// is stored at all. Kernels branch on the format (pair) once, at the top;
+/// a full operand then costs a slice loop, not a merge walk.
+#[derive(Debug)]
+pub enum VecView<'a, T> {
+    Sparse(&'a SparseVec<T>),
+    Full(&'a DenseVec<T>),
+}
+
+impl<T> Clone for VecView<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for VecView<'_, T> {}
+
+impl<'a, T> From<&'a SparseVec<T>> for VecView<'a, T> {
+    fn from(s: &'a SparseVec<T>) -> Self {
+        VecView::Sparse(s)
+    }
+}
+
+impl<'a, T> From<&'a DenseVec<T>> for VecView<'a, T> {
+    fn from(d: &'a DenseVec<T>) -> Self {
+        VecView::Full(d)
+    }
+}
+
+impl<'a, T> VecView<'a, T> {
+    /// Logical length.
+    pub fn len(self) -> usize {
+        match self {
+            VecView::Sparse(s) => s.len(),
+            VecView::Full(d) => d.len(),
+        }
+    }
+
+    /// Whether the logical length is zero.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of stored elements.
+    pub fn nnz(self) -> usize {
+        self.values().len()
+    }
+
+    /// Stored values, in storage order.
+    pub fn values(self) -> &'a [T] {
+        match self {
+            VecView::Sparse(s) => s.values(),
+            VecView::Full(d) => d.values(),
+        }
+    }
+
+    /// Bytes a kernel reads to walk the operand: the values, plus the
+    /// index array a sparse operand carries beside them.
+    pub fn bytes(self) -> u64 {
+        let index = match self {
+            VecView::Sparse(_) => std::mem::size_of::<usize>(),
+            VecView::Full(_) => 0,
+        };
+        (self.nnz() * (std::mem::size_of::<T>() + index)) as u64
+    }
+}
+
+impl<T: Clone> VecView<'_, T> {
+    /// Vector `apply`: the same structure with every value mapped.
+    pub fn map_with_index<Z, F>(self, ctx: &Context, f: F) -> VecOut<Z>
+    where
+        F: Fn(usize, &T) -> Z,
+    {
+        let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Apply, ctx.id());
+        if sp.active() {
+            let nnz = self.nnz() as u64;
+            sp.io(nnz, nnz, nnz, self.bytes());
+        }
+        match self {
+            VecView::Sparse(s) => VecOut::Sparse(s.map_with_index(f)),
+            VecView::Full(d) => {
+                let values = d.values().iter().enumerate().map(|(i, v)| f(i, v));
+                VecOut::Full(DenseVec::from_values(values.collect()))
+            }
+        }
+    }
+
+    /// Vector `select` (+ apply): entries `f` maps to `None` are dropped,
+    /// so the result is sparse whatever the operand's format.
+    pub fn filter_map_with_index<Z, F>(self, ctx: &Context, f: F) -> SparseVec<Z>
+    where
+        F: Fn(usize, &T) -> Option<Z>,
+    {
+        let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Select, ctx.id());
+        if sp.active() {
+            let nnz = self.nnz() as u64;
+            sp.io(nnz, nnz, 0, self.bytes());
+        }
+        let out = match self {
+            VecView::Sparse(s) => s.filter_map_with_index(f),
+            VecView::Full(d) => {
+                let kept = d.values().iter().enumerate();
+                let (indices, values) = kept.filter_map(|(i, v)| Some((i, f(i, v)?))).unzip();
+                SparseVec::from_kernel_parts(d.len(), indices, values, true)
+            }
+        };
+        if sp.active() {
+            sp.io(0, 0, out.nnz() as u64, 0);
+        }
+        out
+    }
+
+    /// Reduction over the stored values; `None` when there are none.
+    /// `is_terminal` enables the monoid-annihilator early exit.
+    pub fn reduce<Z, M, A>(
+        self,
+        ctx: &Context,
+        map: M,
+        add: A,
+        is_terminal: Option<&dyn Fn(&Z) -> bool>,
+    ) -> Option<Z>
+    where
+        M: Fn(&T) -> Z,
+        A: Fn(Z, Z) -> Z,
+    {
+        let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Reduce, ctx.id());
+        if sp.active() {
+            let nnz = self.nnz() as u64;
+            sp.io(nnz, nnz, 1, nnz * std::mem::size_of::<T>() as u64);
+        }
+        reduce_values(self.values(), map, add, is_terminal)
+    }
+}
+
+/// A vector kernel's result, in the format the kernel produced it.
+#[derive(Debug, Clone)]
+pub enum VecOut<T> {
+    Sparse(SparseVec<T>),
+    Full(DenseVec<T>),
+}
+
+impl<T> From<SparseVec<T>> for VecOut<T> {
+    fn from(s: SparseVec<T>) -> Self {
+        VecOut::Sparse(s)
+    }
+}
+
+impl<T> VecOut<T> {
+    /// The result as the next kernel's operand.
+    pub fn view(&self) -> VecView<'_, T> {
+        match self {
+            VecOut::Sparse(s) => VecView::Sparse(s),
+            VecOut::Full(d) => VecView::Full(d),
+        }
+    }
+
+    /// Logical length.
+    pub fn len(&self) -> usize {
+        self.view().len()
+    }
+
+    /// Whether the logical length is zero.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of stored elements.
+    pub fn nnz(&self) -> usize {
+        self.view().nnz()
+    }
+
+    /// The same entries in the densest format that holds them: a sparse
+    /// result storing every position gives up its index array and is full.
+    /// This is the one definition of *full* — `nnz == n`, no threshold.
+    pub fn densest(self) -> Self {
+        match self {
+            VecOut::Sparse(s) if s.is_full() => VecOut::Full(DenseVec::from_values(s.values)),
+            other => other,
+        }
+    }
+}
+
+impl<T: Clone> VecOut<T> {
+    /// Sorted `(index, value)` pairs — canonical form for comparisons.
+    pub fn to_sorted_tuples(&self) -> Vec<(usize, T)> {
+        match self {
+            VecOut::Sparse(s) => s.to_sorted_tuples(),
+            VecOut::Full(d) => d.values().iter().cloned().enumerate().collect(),
+        }
     }
 }
 

@@ -7,7 +7,9 @@ use std::collections::BTreeMap;
 
 use graphblas_exec::rng::prelude::*;
 use graphblas_exec::{global_context, Context, ContextOptions, Mode};
-use graphblas_sparse::{ewise, kron, spgemm, spmv, transpose, Coo, Csr, SparseVec};
+use graphblas_sparse::{
+    ewise, kron, spgemm, spmv, transpose, Coo, Csr, DenseVec, SparseVec, VecOut, VecView,
+};
 
 const CASES: usize = 64;
 
@@ -374,5 +376,220 @@ fn coo_roundtrip_with_duplicate_summing() {
             *expect.entry((i, j)).or_insert(0) += v;
         }
         assert_eq!(entries(&m), expect);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The vector kernels read an operand as a `VecView`: `Full(v)` and the
+// `SparseVec` storing the same `n` entries must be the same operand.
+// ---------------------------------------------------------------------
+
+/// One operand of a view-taking kernel: a full value array and the same
+/// entries as an index list.
+struct Twin<T> {
+    full: DenseVec<T>,
+    sparse: SparseVec<T>,
+}
+
+impl<T: Clone> Twin<T> {
+    fn new(values: Vec<T>) -> Self {
+        let n = values.len();
+        Twin {
+            sparse: SparseVec::from_parts(n, (0..n).collect(), values.clone()).unwrap(),
+            full: DenseVec::from_values(values),
+        }
+    }
+
+    /// The operand in both formats, the full one first.
+    fn views(&self) -> [VecView<'_, T>; 2] {
+        [VecView::Full(&self.full), VecView::Sparse(&self.sparse)]
+    }
+}
+
+/// A partial operand over `n` positions (sorted, possibly empty).
+fn partial<T>(rng: &mut StdRng, n: usize, gen: &impl Fn(&mut StdRng) -> T) -> SparseVec<T> {
+    let idx: Vec<usize> = (0..n).filter(|_| rng.gen_range(0..3) == 0).collect();
+    let vals = idx.iter().map(|_| gen(rng)).collect();
+    SparseVec::from_parts(n, idx, vals).unwrap()
+}
+
+/// Every view-taking kernel over every format pair of `(a, b)`, a partial
+/// third operand and a value mask: all runs must produce the entries of the
+/// all-sparse run, and any full operand must make a union full.
+fn full_is_the_dense_corner_of_sparse<T>(
+    seed: u64,
+    lengths: &[usize],
+    gen: impl Fn(&mut StdRng) -> T,
+    both: impl Fn(&T, &T) -> T + Copy,
+) where
+    T: Clone + PartialEq + std::fmt::Debug,
+{
+    let ctx = global_context();
+    let mut rng = StdRng::seed_from_u64(seed);
+    for &n in lengths {
+        let a = Twin::new((0..n).map(|_| gen(&mut rng)).collect());
+        let b = Twin::new((0..n).map(|_| gen(&mut rng)).collect());
+        let p = partial(&mut rng, n, &gen);
+        let mask = partial(&mut rng, n, &|r: &mut StdRng| r.gen_range(0..3) > 0);
+        let pv = VecView::Sparse(&p);
+        let truthy = |t: &bool| *t;
+        let left = |x: &T| both(x, x);
+        let right = |y: &T| y.clone();
+
+        // Two-operand kernels: (full|sparse) × (full|sparse|partial).
+        let reference = |x: VecView<'_, T>, y: VecView<'_, T>| {
+            (
+                ewise::svec_union_general(&ctx, x, y, both, left, right).to_sorted_tuples(),
+                ewise::svec_intersect(&ctx, x, y, both).to_sorted_tuples(),
+            )
+        };
+        for (y_sparse, ys) in [(b.views()[1], b.views().to_vec()), (pv, vec![pv])] {
+            let (union, overlap) = reference(a.views()[1], y_sparse);
+            let (union_rev, overlap_rev) = reference(y_sparse, a.views()[1]);
+            for x in a.views() {
+                for &y in &ys {
+                    let u = ewise::svec_union_general(&ctx, x, y, both, left, right);
+                    assert_eq!(u.to_sorted_tuples(), union, "union n={n}");
+                    let full_in = matches!(x, VecView::Full(_)) || matches!(y, VecView::Full(_));
+                    assert_eq!(matches!(u, VecOut::Full(_)), full_in, "union format n={n}");
+                    let i = ewise::svec_intersect(&ctx, x, y, both);
+                    assert_eq!(i.to_sorted_tuples(), overlap, "intersect n={n}");
+                    // Operand order is the caller's: swap the views, not
+                    // the operator's arguments.
+                    let u = ewise::svec_union_general(&ctx, y, x, both, left, right);
+                    assert_eq!(u.to_sorted_tuples(), union_rev, "union swapped n={n}");
+                    let i = ewise::svec_intersect(&ctx, y, x, both);
+                    assert_eq!(i.to_sorted_tuples(), overlap_rev, "intersect swapped n={n}");
+                    // In place: a full accumulator absorbs either format.
+                    if let VecView::Full(d) = x {
+                        let mut acc = d.clone();
+                        ewise::svec_accumulate(&ctx, &mut acc, y, both);
+                        let folded = ewise::svec_union(&ctx, x, y, both);
+                        assert_eq!(
+                            VecOut::Full(acc).to_sorted_tuples(),
+                            folded.to_sorted_tuples(),
+                            "accumulate n={n}"
+                        );
+                    }
+                }
+            }
+        }
+
+        // One-operand kernels and the mask restriction.
+        let [full, sparse] = a.views();
+        let tag = |i: usize, x: &T| (i, x.clone());
+        assert_eq!(
+            full.map_with_index(&ctx, tag).to_sorted_tuples(),
+            sparse.map_with_index(&ctx, tag).to_sorted_tuples(),
+            "map n={n}"
+        );
+        let odd = |i: usize, x: &T| (i % 2 == 1).then(|| x.clone());
+        assert_eq!(
+            full.filter_map_with_index(&ctx, odd).to_sorted_tuples(),
+            sparse.filter_map_with_index(&ctx, odd).to_sorted_tuples(),
+            "filter_map n={n}"
+        );
+        let fold = |p: T, q: T| both(&p, &q);
+        assert_eq!(
+            full.reduce(&ctx, T::clone, fold, None),
+            sparse.reduce(&ctx, T::clone, fold, None),
+            "reduce n={n}"
+        );
+        for complement in [false, true] {
+            let gathered = ewise::svec_restrict(&ctx, full, &mask, complement, truthy);
+            let walked = ewise::svec_restrict(&ctx, sparse, &mask, complement, truthy);
+            gathered.check().unwrap();
+            assert_eq!(
+                gathered.to_sorted_tuples(),
+                walked.to_sorted_tuples(),
+                "restrict n={n} complement={complement}"
+            );
+            // Sized before it is written: no capacity slack in either walk.
+            let exact = gathered.nnz() * (size_of::<usize>() + size_of::<T>());
+            assert_eq!(gathered.bytes(), exact as u64, "restrict slack n={n}");
+            assert_eq!(walked.bytes(), exact as u64, "restrict slack n={n}");
+        }
+    }
+}
+
+#[test]
+fn full_view_equals_sparse_view_over_integers() {
+    full_is_the_dense_corner_of_sparse(
+        0xF011,
+        &[1, 2, 7, 64, 65, 200],
+        |r| r.gen_range(-20..20i64),
+        |x, y| x - 2 * y,
+    );
+}
+
+#[test]
+fn full_view_equals_sparse_view_over_a_heap_allocated_type() {
+    // Not `Copy`, not cheap to clone, and concatenation does not commute.
+    full_is_the_dense_corner_of_sparse(
+        0xF012,
+        &[1, 3, 40],
+        |r| format!("<{}>", r.gen_range(0..100)),
+        |x: &String, y: &String| format!("{x}{y}"),
+    );
+}
+
+#[test]
+fn terminal_reduce_stops_early_in_both_formats() {
+    use std::cell::Cell;
+    let ctx = global_context();
+    for n in [1usize, 9, 130] {
+        // `true` at position 0 annihilates LOR: both formats must stop
+        // there, having mapped exactly one element.
+        let mut values = vec![false; n];
+        values[0] = true;
+        let twin = Twin::new(values);
+        for view in twin.views() {
+            let seen = Cell::new(0usize);
+            let map = |b: &bool| {
+                seen.set(seen.get() + 1);
+                *b
+            };
+            let is_true: &dyn Fn(&bool) -> bool = &|z| *z;
+            let r = view.reduce(&ctx, map, |p, q| p || q, Some(is_true));
+            assert_eq!(r, Some(true));
+            assert_eq!(seen.get(), 1, "n={n}: early exit");
+        }
+        // And without a terminal hit the whole vector is folded.
+        let twin = Twin::new(vec![false; n]);
+        for view in twin.views() {
+            let is_true: &dyn Fn(&bool) -> bool = &|z| *z;
+            assert_eq!(
+                view.reduce(&ctx, |b| *b, |p, q| p || q, Some(is_true)),
+                Some(false)
+            );
+        }
+    }
+}
+
+#[test]
+fn a_sparse_vector_storing_every_position_pulls_like_a_full_one() {
+    let ctx = global_context();
+    let mut rng = StdRng::seed_from_u64(0xF013);
+    for _ in 0..CASES / 4 {
+        let a = csr((11, 9), &random_entries(&mut rng, 11, 9));
+        let x = Twin::new((0..9).map(|_| rng.gen_range(-5..6i64)).collect());
+        let mul = |a: &i64, x: &i64| a * x;
+        let add = |p: i64, q: i64| p + q;
+        let none = None::<fn(&i64) -> bool>;
+        let via_sparse = spmv::spmv(&ctx, &a, &x.sparse, mul, add, none);
+        let hooks = spmv::Hooks::none();
+        let via_full = spmv::spmv_full_fused(&ctx, &a, &x.full, mul, add, none, hooks);
+        assert_eq!(via_full.to_sorted_tuples(), via_sparse.to_sorted_tuples());
+        // A pre map may drop entries: the full frontier then goes through
+        // the position table like any other.
+        let pre = |j: usize, v: &i64| j.is_multiple_of(2).then_some(v + 1);
+        let dropped = x.sparse.filter_map_with_index(pre);
+        let expect = spmv::spmv(&ctx, &a, &dropped, mul, add, none);
+        let hooks = spmv::Hooks {
+            pre: Some(&pre),
+            ..spmv::Hooks::none()
+        };
+        let fused = spmv::spmv_full_fused(&ctx, &a, &x.full, mul, add, none, hooks);
+        assert_eq!(fused.to_sorted_tuples(), expect.to_sorted_tuples());
     }
 }

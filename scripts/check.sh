@@ -42,11 +42,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 # verifies `algo::pagerank` on the harness's own graphs. The `spgemm`
 # workload checks the triangle count and every entry of the unmasked
 # product against the harness's own references, which covers both SpGEMM
-# kernels through `mxm`. --allow-env: the harness otherwise refuses to
-# start when a GRB_* knob such as GRB_CHECK_SCHEDULES is set.
+# kernels through `mxm`. The `bfs` workload checks levels and parents of
+# all 16 traversals against a queue BFS — the frontier formats (sparse,
+# bitmap, full) and both directions ride on the vector store's format
+# choice. --allow-env: the harness otherwise refuses to start when a GRB_*
+# knob such as GRB_CHECK_SCHEDULES is set.
 benchmark/run.sh --quick --allow-env --workload update >/dev/null
 benchmark/run.sh --quick --allow-env --workload pagerank >/dev/null
 benchmark/run.sh --quick --allow-env --workload spgemm >/dev/null
+benchmark/run.sh --quick --allow-env --workload bfs >/dev/null
 
 # Repo-specific lints (crates/check/src/lint.rs): relaxed orderings outside
 # obs, unwrap/expect in core/sparse, fallible core APIs bypassing GrbResult,
@@ -117,7 +121,8 @@ fi
 # phases, and the grbexplain reader proves the run actually recorded the
 # paper's choice points: at least one direction pick, one workspace hit,
 # one fused map flush, one kernel-internal path choice (frontier lookup,
-# masked pull/scatter), and — for the nonblocking op DAG — at least one
+# masked pull/scatter), one result stored in the full vector format, and —
+# for the nonblocking op DAG — at least one
 # cross-operation fusion and one forced drain.
 trace_file="$(mktemp -t grb_trace.XXXXXX.json)"
 explain_file="$(mktemp -t grb_explain.XXXXXX.json)"
@@ -171,6 +176,7 @@ cargo run -q -p graphblas-check --bin grbexplain -- "$explain_file" \
     --assert reason=fuse-flush,min=1 \
     --assert reason=dispatch-pick,min=1 \
     --assert reason=format-pick,min=1 \
+    --assert reason=format-pick,detail=full,min=1 \
     --assert reason=kernel-path,min=1 \
     --assert reason=dag-fuse,min=1 \
     --assert reason=dag-force,min=1

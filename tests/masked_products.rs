@@ -1,6 +1,8 @@
 //! Differential test for the mask-first kernels: `mxv`, `vxm`, `mxm` and
-//! `assign_scalar_v` against a naive `BTreeMap` model of the four-step
-//! write rule `w⟨m, r⟩ = w ⊙ T`.
+//! `assign_scalar_v` — and, over a storage axis (operands and output each
+//! stored sparse, bitmap or full), every vector operation with a full-format
+//! path — against a naive `BTreeMap` model of the four-step write rule
+//! `w⟨m, r⟩ = w ⊙ T`.
 //!
 //! The engine hands the output mask to the kernels (the pull kernel skips
 //! forbidden rows, the push kernel forbidden columns, the scalar assign
@@ -14,14 +16,16 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 
 use graphblas::operations::{
-    apply, apply_indexop, apply_indexop_v, apply_v, assign_col, assign_scalar, assign_scalar_v,
-    assign_v, ewise_add, ewise_add_v, ewise_mult, ewise_mult_v, extract, extract_v,
-    force_direction, mxm, mxv, reduce_to_vector, select, select_v, vxm, Direction,
+    apply, apply_binop1st_v, apply_binop2nd_v, apply_indexop, apply_indexop_v, apply_v, assign_col,
+    assign_scalar, assign_scalar_v, assign_v, ewise_add, ewise_add_v, ewise_mult, ewise_mult_v,
+    extract, extract_v, force_direction, mxm, mxv, reduce_to_value_v, reduce_to_vector, select,
+    select_v, vxm, Direction,
 };
 use graphblas::ops::registry;
 use graphblas::{
     global_context, no_mask, no_mask_v, BinaryOp, Context, ContextOptions, Descriptor, GrbResult,
-    Index, IndexUnaryOp, Matrix, Mode, Monoid, Semiring, UnaryOp, ValueType, Vector,
+    Index, IndexUnaryOp, Matrix, Mode, Monoid, Semiring, UnaryOp, ValueType, Vector, VectorFormat,
+    WaitMode,
 };
 use graphblas_exec::rng::prelude::*;
 
@@ -1039,4 +1043,446 @@ fn check_self_masked(mode: Mode) {
 fn the_mask_may_be_the_output_itself() {
     check_self_masked(Mode::Blocking);
     check_self_masked(Mode::NonBlocking);
+}
+
+// ---------------------------------------------------------------------
+// Storage axis: the same write rule whatever Table III format holds the
+// operands and the pre-filled output. A full operand takes the slice
+// kernels, a bitmap one converts on the way in, and every combination must
+// land the entries the all-sparse run lands.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Storage {
+    Sparse,
+    Bitmap,
+    Full,
+}
+
+const STORAGES: [Storage; 3] = [Storage::Sparse, Storage::Bitmap, Storage::Full];
+
+impl Storage {
+    fn name(self) -> &'static str {
+        match self {
+            Storage::Sparse => "sparse",
+            Storage::Bitmap => "bitmap",
+            Storage::Full => "full",
+        }
+    }
+}
+
+/// Side length of the storage-axis operands (and of their square matrix).
+const SIDE: usize = 24;
+
+/// One execution context of the storage-axis grid, with the identity matrix
+/// that copies a vector into the bitmap format.
+struct Bench {
+    ctx: Context,
+    rng: StdRng,
+    eye: Matrix<i64>,
+}
+
+impl Bench {
+    fn new(mode: Mode, seed: u64) -> Self {
+        let ctx = Context::new(&global_context(), mode, ContextOptions::default());
+        let eye = Matrix::<i64>::new_in(&ctx, SIDE, SIDE).unwrap();
+        let diag: Vec<Index> = (0..SIDE).collect();
+        eye.build(&diag, &diag, &[1; SIDE], None).unwrap();
+        Bench {
+            ctx,
+            rng: StdRng::seed_from_u64(seed),
+            eye,
+        }
+    }
+
+    /// Random entries at a density `storage` can hold, and a vector holding
+    /// them in that format. Zeros are stored entries a value mask reads as
+    /// `false`.
+    fn stored(&mut self, storage: Storage) -> (Entries<i64>, Vector<i64>) {
+        let small = |r: &mut StdRng| r.gen_range(-2..3i64);
+        let (e, v) = match storage {
+            Storage::Sparse => {
+                let e = random_entries(&mut self.rng, SIDE, 0.2, small);
+                let v = vector_in(&self.ctx, SIDE, &e);
+                (e, v)
+            }
+            Storage::Full => {
+                let e = random_entries(&mut self.rng, SIDE, 1.0, small);
+                let values = e.values().copied().collect();
+                let v = Vector::import_in(&self.ctx, SIDE, VectorFormat::Dense, None, values);
+                (e, v.unwrap())
+            }
+            // Products store results at least a quarter occupied, but not
+            // full, as bitmaps: copy through the identity matrix.
+            Storage::Bitmap => {
+                let e = loop {
+                    let e = random_entries(&mut self.rng, SIDE, 0.6, small);
+                    if (SIDE / 4..SIDE).contains(&e.len()) {
+                        break e;
+                    }
+                };
+                let v = Vector::<i64>::new_in(&self.ctx, SIDE).unwrap();
+                let copy = Semiring::plus_times();
+                let from = vector_in(&self.ctx, SIDE, &e);
+                mxv(
+                    &v,
+                    no_mask_v(),
+                    None,
+                    &copy,
+                    &self.eye,
+                    &from,
+                    &Descriptor::default(),
+                )
+                .unwrap();
+                v.wait(WaitMode::Complete).unwrap();
+                (e, v)
+            }
+        };
+        assert_eq!(v.stats().format, storage.name(), "stored() format");
+        (e, v)
+    }
+}
+
+/// What a storage-axis operation's model reads.
+struct Model<'a> {
+    u: &'a Entries<i64>,
+    v: &'a Entries<i64>,
+    a: &'a BTreeMap<(Index, Index), i64>,
+    old: &'a Entries<i64>,
+    accum: bool,
+}
+
+/// The same call as engine objects. The mask is an `i64` vector (a stored
+/// 0 is a stored `false`) so that it can be the output itself.
+struct Engine<'a> {
+    w: &'a Vector<i64>,
+    mask: Option<&'a Vector<i64>>,
+    accum: Option<&'a BinaryOp<i64, i64, i64>>,
+    desc: &'a Descriptor,
+    u: &'a Vector<i64>,
+    v: &'a Vector<i64>,
+    a: &'a Matrix<i64>,
+}
+
+struct StoredOp {
+    name: &'static str,
+    /// How many of `u`, `v` the operation reads.
+    operands: usize,
+    t: fn(&Model) -> Entries<i64>,
+    /// `GrB_assign` folds the accumulator into `T` (see [`Family`]).
+    accum_in_t: bool,
+    run: fn(&Engine) -> GrbResult,
+}
+
+const BOUND: i64 = 100;
+const FILL: i64 = 7;
+
+fn union_with(m: &Model, both: fn(i64, i64) -> i64) -> Entries<i64> {
+    let mut t = m.u.clone();
+    for (&i, &y) in m.v {
+        t.entry(i).and_modify(|x| *x = both(*x, y)).or_insert(y);
+    }
+    t
+}
+
+fn overlap_with(m: &Model, both: fn(i64, i64) -> i64) -> Entries<i64> {
+    let both =
+        m.u.iter()
+            .filter_map(|(&i, &x)| Some((i, both(x, *m.v.get(&i)?))));
+    both.collect()
+}
+
+fn mapped(m: &Model, f: fn(Index, i64) -> i64) -> Entries<i64> {
+    m.u.iter().map(|(&i, &x)| (i, f(i, x))).collect()
+}
+
+/// `GrB_assign` of [`FILL`] into `region`: outside it `T` is the old
+/// output, inside it the scalar, folded into the old value under an
+/// accumulator.
+fn filled(m: &Model, region: &[Index]) -> Entries<i64> {
+    let mut t = m.old.clone();
+    for &i in region {
+        let folded = m.old.get(&i).filter(|_| m.accum).map_or(FILL, |o| o + FILL);
+        t.insert(i, folded);
+    }
+    t
+}
+
+fn subset() -> Vec<Index> {
+    (0..SIDE).filter(|i| i % 3 != 0).collect()
+}
+
+/// Every index once, out of order: the whole vector, but not `GrB_ALL`.
+fn permuted() -> Vec<Index> {
+    (0..SIDE).map(|i| (i * 7 + 3) % SIDE).collect()
+}
+
+fn all() -> Vec<Index> {
+    (0..SIDE).collect()
+}
+
+fn product(m: &Model, out: fn((Index, Index)) -> (Index, Index)) -> Entries<i64> {
+    let mut t = Entries::new();
+    for (&at, av) in m.a {
+        let (to, from) = out(at);
+        if let Some(x) = m.u.get(&from) {
+            *t.entry(to).or_insert(0) += av * x;
+        }
+    }
+    t
+}
+
+fn fill(k: &Engine, region: &[Index]) -> GrbResult {
+    assign_scalar_v(k.w, k.mask, k.accum, FILL, region, k.desc)
+}
+
+fn stored_ops() -> Vec<StoredOp> {
+    vec![
+        StoredOp {
+            name: "ewise_add_v PLUS",
+            operands: 2,
+            t: |m| union_with(m, |x, y| x + y),
+            accum_in_t: false,
+            run: |k| ewise_add_v(k.w, k.mask, k.accum, &BinaryOp::plus(), k.u, k.v, k.desc),
+        },
+        // MINUS has no registry row and does not commute: an operand swap
+        // in a mixed-format kernel shows here.
+        StoredOp {
+            name: "ewise_add_v MINUS",
+            operands: 2,
+            t: |m| union_with(m, |x, y| x - y),
+            accum_in_t: false,
+            run: |k| ewise_add_v(k.w, k.mask, k.accum, &BinaryOp::minus(), k.u, k.v, k.desc),
+        },
+        StoredOp {
+            name: "ewise_mult_v TIMES",
+            operands: 2,
+            t: |m| overlap_with(m, |x, y| x * y),
+            accum_in_t: false,
+            run: |k| ewise_mult_v(k.w, k.mask, k.accum, &BinaryOp::times(), k.u, k.v, k.desc),
+        },
+        StoredOp {
+            name: "ewise_mult_v MINUS",
+            operands: 2,
+            t: |m| overlap_with(m, |x, y| x - y),
+            accum_in_t: false,
+            run: |k| ewise_mult_v(k.w, k.mask, k.accum, &BinaryOp::minus(), k.u, k.v, k.desc),
+        },
+        StoredOp {
+            name: "apply_v AINV",
+            operands: 1,
+            t: |m| mapped(m, |_, x| -x),
+            accum_in_t: false,
+            run: |k| apply_v(k.w, k.mask, k.accum, &UnaryOp::ainv(), k.u, k.desc),
+        },
+        StoredOp {
+            name: "apply_v user",
+            operands: 1,
+            t: |m| mapped(m, |_, x| x * 3),
+            accum_in_t: false,
+            run: |k| apply_v(k.w, k.mask, k.accum, &triple(), k.u, k.desc),
+        },
+        StoredOp {
+            name: "apply_binop1st_v",
+            operands: 1,
+            t: |m| mapped(m, |_, x| BOUND - x),
+            accum_in_t: false,
+            run: |k| {
+                let op = BinaryOp::minus();
+                apply_binop1st_v(k.w, k.mask, k.accum, &op, BOUND, k.u, k.desc)
+            },
+        },
+        StoredOp {
+            name: "apply_binop2nd_v",
+            operands: 1,
+            t: |m| mapped(m, |_, x| x - BOUND),
+            accum_in_t: false,
+            run: |k| {
+                let op = BinaryOp::minus();
+                apply_binop2nd_v(k.w, k.mask, k.accum, &op, k.u, BOUND, k.desc)
+            },
+        },
+        StoredOp {
+            name: "apply_indexop_v",
+            operands: 1,
+            t: |m| mapped(m, |i, _| i as i64 + SHIFT),
+            accum_in_t: false,
+            run: |k| {
+                let f = IndexUnaryOp::rowindex();
+                apply_indexop_v(k.w, k.mask, k.accum, &f, k.u, SHIFT, k.desc)
+            },
+        },
+        StoredOp {
+            name: "assign_scalar_v GrB_ALL",
+            operands: 0,
+            t: |m| filled(m, &all()),
+            accum_in_t: true,
+            run: |k| fill(k, &all()),
+        },
+        StoredOp {
+            name: "assign_scalar_v subset",
+            operands: 0,
+            t: |m| filled(m, &subset()),
+            accum_in_t: true,
+            run: |k| fill(k, &subset()),
+        },
+        StoredOp {
+            name: "assign_scalar_v permuted",
+            operands: 0,
+            t: |m| filled(m, &permuted()),
+            accum_in_t: true,
+            run: |k| fill(k, &permuted()),
+        },
+        StoredOp {
+            name: "mxv",
+            operands: 1,
+            t: |m| product(m, |(i, j)| (i, j)),
+            accum_in_t: false,
+            run: |k| {
+                mxv(
+                    k.w,
+                    k.mask,
+                    k.accum,
+                    &Semiring::plus_times(),
+                    k.a,
+                    k.u,
+                    k.desc,
+                )
+            },
+        },
+        StoredOp {
+            name: "vxm",
+            operands: 1,
+            t: |m| product(m, |(i, j)| (j, i)),
+            accum_in_t: false,
+            run: |k| {
+                vxm(
+                    k.w,
+                    k.mask,
+                    k.accum,
+                    &Semiring::plus_times(),
+                    k.u,
+                    k.a,
+                    k.desc,
+                )
+            },
+        },
+    ]
+}
+
+/// Every [`StoredOp`] × operand storage × output storage × the descriptor
+/// grid × {a separate mask, the output itself as mask}, in one execution
+/// mode and one dispatch mode.
+fn check_storage_axis(mode: Mode, registry_on: bool) {
+    let _turn = DIRECTION.lock().unwrap_or_else(|e| e.into_inner());
+    registry::force_dispatch(Some(registry_on));
+    let mut bench = Bench::new(mode, 31);
+    let a: BTreeMap<(Index, Index), i64> = (0..SIDE * SIDE / 4)
+        .map(|_| {
+            let at = (bench.rng.gen_range(0..SIDE), bench.rng.gen_range(0..SIDE));
+            (at, bench.rng.gen_range(-3..4i64))
+        })
+        .collect();
+    let am = Matrix::<i64>::new_in(&bench.ctx, SIDE, SIDE).unwrap();
+    am.build(
+        &a.keys().map(|k| k.0).collect::<Vec<_>>(),
+        &a.keys().map(|k| k.1).collect::<Vec<_>>(),
+        &a.values().copied().collect::<Vec<_>>(),
+        None,
+    )
+    .unwrap();
+    let plus = BinaryOp::plus();
+    let storages = |used: bool| if used { &STORAGES[..] } else { &STORAGES[..1] };
+    for op in stored_ops() {
+        for &su in storages(op.operands >= 1) {
+            for &sv in storages(op.operands >= 2) {
+                for sw in STORAGES {
+                    for write in write_grid() {
+                        // `w⟨w⟩ = …`: the mask may be the output itself.
+                        for own_mask in [false, true] {
+                            if own_mask && write.mask == MaskKind::None {
+                                continue;
+                            }
+                            let (u, uv) = bench.stored(su);
+                            let (v, vv) = bench.stored(sv);
+                            let (old, w) = bench.stored(sw);
+                            let (mask, mv) = bench.stored(Storage::Sparse);
+                            let mask = if own_mask { &old } else { &mask };
+                            let truthy = mask.iter().map(|(&i, &x)| (i, x != 0)).collect();
+                            let model = Model {
+                                u: &u,
+                                v: &v,
+                                a: &a,
+                                old: &old,
+                                accum: write.accum,
+                            };
+                            let rule = Write {
+                                accum: write.accum && !op.accum_in_t,
+                                ..write
+                            };
+                            let t = (op.t)(&model);
+                            let expect = rule.apply(SIDE, &old, &t, &truthy, |o, t| o + t);
+                            let desc = write.descriptor();
+                            let call = Engine {
+                                w: &w,
+                                mask: match write.mask {
+                                    MaskKind::None => None,
+                                    _ if own_mask => Some(&w),
+                                    _ => Some(&mv),
+                                },
+                                accum: write.accum.then_some(&plus),
+                                desc: &desc,
+                                u: &uv,
+                                v: &vv,
+                                a: &am,
+                            };
+                            (op.run)(&call).unwrap();
+                            assert_eq!(
+                                entries(&w),
+                                expect,
+                                "{} {mode:?} registry={registry_on} u={su:?} v={sv:?} \
+                                 w={sw:?} own_mask={own_mask} {write:?}",
+                                op.name
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // `reduce_to_value_v` writes nothing: the storage axis alone. PLUS has
+    // a registry row; MIN is a terminal monoid; the closure-built one is
+    // always dyn.
+    let user_plus = Monoid::new(BinaryOp::new("user_plus", |p: &i64, q: &i64| p + q), 0);
+    for su in STORAGES {
+        for _ in 0..4 {
+            let (u, uv) = bench.stored(su);
+            let sum: i64 = u.values().sum();
+            let min = u.values().copied().min().unwrap_or(i64::MAX);
+            assert_eq!(
+                reduce_to_value_v(&Monoid::plus(), &uv).unwrap(),
+                sum,
+                "{su:?}"
+            );
+            assert_eq!(reduce_to_value_v(&user_plus, &uv).unwrap(), sum, "{su:?}");
+            assert_eq!(
+                reduce_to_value_v(&Monoid::min(), &uv).unwrap(),
+                min,
+                "{su:?}"
+            );
+        }
+    }
+    registry::force_dispatch(None);
+}
+
+#[test]
+fn every_storage_format_matches_the_write_rule_in_a_blocking_context() {
+    check_storage_axis(Mode::Blocking, true);
+    check_storage_axis(Mode::Blocking, false);
+}
+
+#[test]
+fn every_storage_format_matches_the_write_rule_in_a_nonblocking_context() {
+    check_storage_axis(Mode::NonBlocking, true);
+    check_storage_axis(Mode::NonBlocking, false);
 }

@@ -2,7 +2,8 @@
 //! iteration, plus the two properties of running on the caller's
 //! `Matrix<bool>` as stored: the input is left exactly as it was, and the
 //! transpose the pull products need is memoised on it, so a second call
-//! builds nothing.
+//! builds nothing. The rank vectors are full and stay in the full format:
+//! the iteration loop never turns one back into an index list.
 //!
 //! The graphs are directed and deliberately awkward: dangling vertices (no
 //! out-edges, so their rank is spread over everyone), isolated vertices,
@@ -13,8 +14,9 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 
 use graphblas::algo::pagerank;
-use graphblas::{Index, Matrix};
+use graphblas::{global_context, Context, ContextOptions, Index, Matrix, Mode};
 use graphblas_exec::rng::prelude::*;
+use graphblas_obs::{DecisionEvent, Reason};
 
 /// The transpose counters are process-global and every `pagerank` call
 /// moves them: the tests of this binary take turns.
@@ -47,7 +49,11 @@ fn random_graph(rng: &mut StdRng, n: usize) -> Edges {
 }
 
 fn matrix(n: usize, edges: &Edges) -> Matrix<bool> {
-    let a = Matrix::<bool>::new(n, n).unwrap();
+    matrix_in(&global_context(), n, edges)
+}
+
+fn matrix_in(ctx: &Context, n: usize, edges: &Edges) -> Matrix<bool> {
+    let a = Matrix::<bool>::new_in(ctx, n, n).unwrap();
     a.build(
         &edges.keys().map(|k| k.0).collect::<Vec<_>>(),
         &edges.keys().map(|k| k.1).collect::<Vec<_>>(),
@@ -185,4 +191,50 @@ fn the_input_is_untouched_and_keeps_the_transpose_for_the_next_call() {
     assert_eq!(a.extract_tuples().unwrap(), tuples);
     assert_eq!(a.stats(), stats);
     assert!(tuples.2.contains(&false) && tuples.2.contains(&true));
+}
+
+#[test]
+fn the_loop_keeps_every_rank_vector_full() {
+    let _turn = serialize();
+    let mut rng = StdRng::seed_from_u64(9);
+    let n = 64;
+    let edges = random_graph(&mut rng, n);
+    // Decision events of `iterations` iterations, in a context of their own
+    // (the other tests of this binary run in the global one).
+    let run = |iterations: usize| -> Vec<DecisionEvent> {
+        let ctx = Context::new(&global_context(), Mode::Blocking, ContextOptions::default());
+        let a = matrix_in(&ctx, n, &edges);
+        graphblas_obs::set_enabled(true);
+        let rank = pagerank(&a, 0.85, 0.0, iterations).unwrap();
+        graphblas_obs::set_enabled(false);
+        assert_eq!(rank.stats().format, "full", "{iterations} iterations");
+        assert_eq!(rank.nvals().unwrap(), n);
+        // A few hundred events: far below the ring's capacity.
+        ctx.explain(usize::MAX).events
+    };
+    let count = |events: &[DecisionEvent], reason: Reason, detail: &str| {
+        let hit = |e: &&DecisionEvent| e.reason == reason && e.detail == detail;
+        events.iter().filter(hit).count()
+    };
+    let (one, six) = (run(1), run(6));
+    // Whatever the set-up converts (the out-degree vector is a bitmap read
+    // as a mask), five more iterations convert nothing: no full vector is
+    // canonicalized back to sparse, no bitmap either.
+    for source in ["dense", "bitmap", "unsorted"] {
+        assert_eq!(
+            count(&six, Reason::ConvertSparse, source),
+            count(&one, Reason::ConvertSparse, source),
+            "convert-sparse from {source} inside the loop"
+        );
+    }
+    assert_eq!(count(&six, Reason::ConvertSparse, "dense"), 0);
+    // Not vacuously: each iteration lands `scaled`, `new_rank` (twice: the
+    // teleport base, then the accumulated product) and `delta` full, and
+    // every product indexes its full frontier directly.
+    let per_iteration =
+        |reason, detail| (count(&six, reason, detail) - count(&one, reason, detail)) / 5;
+    assert_eq!(per_iteration(Reason::FormatPick, "full"), 4);
+    assert_eq!(per_iteration(Reason::FormatPick, "bitmap"), 0);
+    assert_eq!(per_iteration(Reason::KernelPath, "dense-frontier"), 1);
+    assert_eq!(per_iteration(Reason::KernelPath, "sparse-frontier"), 0);
 }
