@@ -10,7 +10,7 @@
 //!    interleaving is a pure function of a `u64` seed — so any failure
 //!    found by [`sched::explore`] is replayed exactly by [`sched::replay`].
 //!    Used by the `tests/model_*.rs` suites to check the §III thread-pool
-//!    park/wake protocol, channels, `WaitGroup`, pending-queue draining,
+//!    park/wake protocol, the scope's `WaitGroup`, pending-queue draining,
 //!    and the paper's Fig. 1 two-thread scenario.
 //!
 //! 2. **[`verify`]** — deep container invariant verification: `grb_check`

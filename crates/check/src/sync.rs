@@ -3,21 +3,21 @@
 //!
 //! Every type here exposes the same API shape as its `exec::sync`
 //! counterpart (`Mutex` returns a guard from `lock()`, `Condvar::wait`
-//! consumes and returns the guard, `Channel` / `WaitGroup` are line-for-
-//! line re-implementations of the production algorithms), but every
-//! acquire, wait, notify, and atomic access is a *yield point* of the
+//! consumes and returns the guard, `WaitGroup` is a line-for-line
+//! re-implementation of the production algorithm), but every acquire,
+//! wait, notify, and atomic access is a *yield point* of the
 //! [`crate::sched`] scheduler. Running a protocol against these primitives
 //! under [`crate::sched::explore`] therefore explores its sequentially-
 //! consistent interleavings deterministically.
 //!
 //! **Keep `exec::sync` and this module in lockstep.** When a primitive
 //! gains an operation in one place it must gain it in the other, and the
-//! `Channel` / `WaitGroup` bodies must stay textually parallel to the
-//! production ones so that model-checking them actually checks the shipped
-//! algorithm. (The model checker cannot instrument `exec::sync` directly —
-//! those primitives wrap `std::sync`, whose blocking the scheduler cannot
-//! see — so fidelity is by construction, enforced by review and by this
-//! comment on both sides.)
+//! `WaitGroup` body must stay textually parallel to the production one so
+//! that model-checking it actually checks the shipped algorithm. (The
+//! model checker cannot instrument `exec::sync` directly — those
+//! primitives wrap `std::sync`, whose blocking the scheduler cannot see —
+//! so fidelity is by construction, enforced by review and by this comment
+//! on both sides.)
 //!
 //! Differences from real primitives, by design:
 //!
@@ -37,7 +37,6 @@
 //!   protocol bug surfaces as a deterministic, seed-replayable data-race
 //!   report even though every explored interleaving is SC.
 
-use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::Ordering;
 use std::sync::{Mutex as StdMutex, MutexGuard as StdMutexGuard};
@@ -265,21 +264,6 @@ impl AtomicUsize {
         *c = old.wrapping_add(val);
         old
     }
-
-    pub fn fetch_sub(&self, val: usize, order: Ordering) -> usize {
-        let (k, me) = sched::current();
-        k.yield_point(me);
-        if transfers_acquire(order) {
-            k.vc_acquire(me, self.id);
-        }
-        if transfers_release(order) {
-            k.vc_release(me, self.id);
-        }
-        let mut c = self.cell();
-        let old = *c;
-        *c = old.wrapping_sub(val);
-        old
-    }
 }
 
 /// Model boolean atomic (see [`AtomicUsize`] for the ordering contract).
@@ -312,19 +296,6 @@ impl AtomicBool {
             k.vc_release(me, self.id);
         }
         *self.v.lock().unwrap_or_else(|p| p.into_inner()) = val;
-    }
-
-    pub fn swap(&self, val: bool, order: Ordering) -> bool {
-        let (k, me) = sched::current();
-        k.yield_point(me);
-        if transfers_acquire(order) {
-            k.vc_acquire(me, self.id);
-        }
-        if transfers_release(order) {
-            k.vc_release(me, self.id);
-        }
-        let mut c = self.v.lock().unwrap_or_else(|p| p.into_inner());
-        std::mem::replace(&mut *c, val)
     }
 }
 
@@ -442,101 +413,12 @@ impl<T: Clone> RaceCell<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Channel — line-for-line mirror of `graphblas_exec::sync::Channel`
-// ---------------------------------------------------------------------------
-
-struct ChannelState<T> {
-    queue: VecDeque<T>,
-    closed: bool,
-}
-
-/// Model mirror of `exec::sync::Channel`: an unbounded MPMC queue built
-/// from one mutex and one condvar. The method bodies are kept textually
-/// parallel to the production implementation so that model-checking this
-/// type checks the shipped algorithm.
-pub struct Channel<T> {
-    state: Mutex<ChannelState<T>>,
-    available: Condvar,
-}
-
-impl<T> Channel<T> {
-    pub fn new() -> Self {
-        Channel {
-            state: Mutex::new(ChannelState {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            available: Condvar::new(),
-        }
-    }
-
-    /// Enqueues `item`; returns `false` (dropping the item) after close.
-    pub fn send(&self, item: T) -> bool {
-        {
-            let mut st = self.state.lock();
-            if st.closed {
-                return false;
-            }
-            st.queue.push_back(item);
-        }
-        self.available.notify_one();
-        true
-    }
-
-    /// Dequeues, blocking until an item arrives or the channel closes
-    /// empty (`None`).
-    pub fn recv(&self) -> Option<T> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(item) = st.queue.pop_front() {
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.available.wait(st);
-        }
-    }
-
-    /// Non-blocking dequeue.
-    pub fn try_recv(&self) -> Option<T> {
-        self.state.lock().queue.pop_front()
-    }
-
-    /// Closes the channel and wakes every blocked receiver.
-    pub fn close(&self) {
-        {
-            let mut st = self.state.lock();
-            st.closed = true;
-        }
-        self.available.notify_all();
-    }
-
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
-    }
-
-    pub fn len(&self) -> usize {
-        self.state.lock().queue.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.state.lock().queue.is_empty()
-    }
-}
-
-impl<T> Default for Channel<T> {
-    fn default() -> Self {
-        Channel::new()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // WaitGroup — line-for-line mirror of `graphblas_exec::sync::WaitGroup`
 // ---------------------------------------------------------------------------
 
-/// Model mirror of `exec::sync::WaitGroup` (kept textually parallel — see
-/// [`Channel`]): counts outstanding tasks; `wait` blocks until zero.
+/// Model mirror of `exec::sync::WaitGroup` (kept textually parallel so
+/// that model-checking this type checks the shipped algorithm): counts
+/// outstanding tasks; `wait` blocks until zero.
 pub struct WaitGroup {
     count: Mutex<usize>,
     all_done: Condvar,
@@ -678,31 +560,6 @@ mod tests {
                 h.join();
             }
             assert_eq!(*m.lock(), 3);
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn channel_crosses_model_threads() {
-        let cfg = Config {
-            schedules: 50,
-            ..Config::default()
-        };
-        explore(&cfg, || {
-            let ch = Arc::new(Channel::new());
-            let tx = ch.clone();
-            let producer = thread::spawn(move || {
-                for i in 0..3 {
-                    assert!(tx.send(i));
-                }
-                tx.close();
-            });
-            let mut got = Vec::new();
-            while let Some(v) = ch.recv() {
-                got.push(v);
-            }
-            producer.join();
-            assert_eq!(got, vec![0, 1, 2]);
         })
         .unwrap();
     }

@@ -1,79 +1,14 @@
-//! Model-checks the `exec::sync` channel and `WaitGroup` protocols via
-//! their instrumented twins in `graphblas_check::sync` (kept in textual
-//! lockstep with the production bodies — see the module docs on both
-//! sides).
+//! Model-checks the `exec::sync` `WaitGroup` protocol via its
+//! instrumented twin in `graphblas_check::sync` (kept in textual lockstep
+//! with the production body — see the module docs on both sides).
 //!
-//! The channel backs cross-context hand-off; the `WaitGroup` is what
-//! `ThreadPool::scope` blocks on (`ScopeState::wait`), so a lost `done()`
-//! here is a hung kernel there.
+//! The `WaitGroup` is what `ThreadPool::scope` blocks on
+//! (`ScopeState::wait`), so a lost `done()` here is a hung kernel there.
 
 use std::sync::Arc;
 
-use graphblas_check::sched::{self, Config, Policy};
-use graphblas_check::sync::{thread, Channel, WaitGroup};
-
-/// Single-producer/single-consumer delivery: everything sent before close
-/// is received, in order, across the smoke budget of interleavings.
-#[test]
-fn channel_delivers_in_order_then_drains_on_close() {
-    let cfg = Config::default().schedules_from_env(1000);
-    sched::explore(&cfg, || {
-        let ch = Arc::new(Channel::new());
-        let consumer = {
-            let ch = Arc::clone(&ch);
-            thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(v) = ch.recv() {
-                    got.push(v);
-                }
-                got
-            })
-        };
-        for v in 0..3u32 {
-            assert!(ch.send(v), "send before close must succeed");
-        }
-        ch.close();
-        assert_eq!(consumer.join(), vec![0, 1, 2], "in order, none lost");
-        assert!(!ch.send(9), "send after close must fail");
-    })
-    .unwrap_or_else(|f| panic!("channel protocol failed: {f}"));
-}
-
-/// Two producers, one consumer: counts balance and `recv` wakes for every
-/// item even when sends race each other.
-#[test]
-fn channel_multi_producer_counts_balance() {
-    let mut cfg = Config::default().schedules_from_env(500);
-    cfg.policy = Policy::Pct { depth: 3 };
-    sched::explore(&cfg, || {
-        let ch = Arc::new(Channel::new());
-        let producers: Vec<_> = (0..2)
-            .map(|p| {
-                let ch = Arc::clone(&ch);
-                thread::spawn(move || {
-                    ch.send(p);
-                    ch.send(p + 10);
-                })
-            })
-            .collect();
-        let consumer = {
-            let ch = Arc::clone(&ch);
-            thread::spawn(move || {
-                let mut n = 0;
-                while ch.recv().is_some() {
-                    n += 1;
-                }
-                n
-            })
-        };
-        for p in producers {
-            p.join();
-        }
-        ch.close();
-        assert_eq!(consumer.join(), 4, "every send received exactly once");
-    })
-    .unwrap_or_else(|f| panic!("multi-producer channel failed: {f}"));
-}
+use graphblas_check::sched::{self, Config};
+use graphblas_check::sync::{thread, WaitGroup};
 
 /// The scope protocol: `wait` returns only after every `done`, with
 /// add/done racing the waiter — exactly how `ThreadPool::scope` uses it.

@@ -31,55 +31,27 @@
 //! that log complete the queue first, and `State::drain_as` folds the log
 //! before the first stage runs, so folding first is always sequence order.
 //!
-//! **Locks.** A container's mutex is held while its own stages run. Stages
-//! never lock their inputs: operations snapshot every input *before*
-//! taking the output's lock. The one nesting is `extract_element_scalar`,
-//! whose stage runs under the scalar's lock and reads the matrix/vector
-//! (scalar → matrix/vector, never the reverse).
+//! **Locks.** A container's mutex is held while its own stages run, and
+//! they run only on the thread whose read, `wait` or `Blocking` method
+//! forced them — nothing drains in the background. Stages never lock
+//! their inputs: operations snapshot every input *before* taking the
+//! output's lock. The one nesting is `extract_element_scalar`, whose stage
+//! runs under the scalar's lock and reads the matrix/vector (scalar →
+//! matrix/vector, never the reverse).
 
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use graphblas_exec::sync::{Mutex, MutexGuard, RwLock};
 use graphblas_exec::{Context, Mode};
 use graphblas_obs::{counters, events};
 
-use crate::error::{ApiError, Error, ExecutionError, GrbResult};
+use crate::error::{ApiError, Error, ExecErrorKind, ExecutionError, GrbResult};
 use crate::introspect::{CheckError, ObjectStats};
 use crate::pending::{MapFn, Stage};
 use crate::types::ValueType;
-
-/// Queue depth at which a container offers its backlog to the worker pool.
-/// Deep enough that short op chains stay intact (node drains still find
-/// trailing maps to fuse); only long backlogs drain in the background.
-const ASYNC_DRAIN_DEPTH: usize = 8;
-
-/// Programmatic override of `GRB_ASYNC_DRAIN`: 0 = follow the environment,
-/// 1 = forced off, 2 = forced on.
-// grbsa: protocol=config-flag — independently published mode flag; no
-// other memory is ordered against it.
-static ASYNC_FORCE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether deep queues may drain on the pool (`GRB_ASYNC_DRAIN=0` keeps
-/// every drain on the thread whose read or `wait` forces it).
-fn async_drain_enabled() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    match ASYNC_FORCE.load(Ordering::SeqCst) {
-        1 => false,
-        2 => true,
-        _ => *ENV.get_or_init(|| std::env::var("GRB_ASYNC_DRAIN").map_or(true, |v| v != "0")),
-    }
-}
-
-/// Forces async drains on/off for this process (`None` returns control to
-/// the `GRB_ASYNC_DRAIN` environment variable, which is read once).
-pub fn set_async_drain(mode: Option<bool>) {
-    ASYNC_FORCE.store(
-        mode.map_or(0, |on| if on { 2 } else { 1 }),
-        Ordering::SeqCst,
-    );
-}
 
 /// Adds to a monotonic obs counter.
 fn bump(counter: &AtomicU64, by: u64) {
@@ -266,7 +238,7 @@ impl<S: Store> State<S> {
     }
 
     /// Completes the queued sequence, fusing runs of map stages into single
-    /// traversals. `cause` is what forced it ("read", "wait", "async",
+    /// traversals. `cause` is what forced it ("read", "wait",
     /// "self-input"), recorded with the `dag-force` decision event.
     pub(crate) fn drain_as(&mut self, ctx: &Context, cause: &'static str) -> GrbResult {
         self.poisoned()?;
@@ -291,14 +263,16 @@ impl<S: Store> State<S> {
     /// The stage runner: executes the queue in sequence order. On an
     /// execution error the object is poisoned (§V: the output's contents
     /// become undefined; the error is recorded and stays sticky) and the
-    /// rest of the sequence is dropped. `deferred` says whether the stages
-    /// waited in the queue — a drain — or were pushed a moment ago by a
-    /// `Blocking` enqueue; only deferred work is counted and narrated.
+    /// rest of the sequence is dropped. A stage that panics (a user-defined
+    /// operator, typically) is such an error, of kind `GrB_PANIC`.
+    /// `deferred` says whether the stages waited in the queue — a drain —
+    /// or were pushed a moment ago by a `Blocking` enqueue; only deferred
+    /// work is counted and narrated.
     fn run_queue(&mut self, ctx: &Context, deferred: bool) -> GrbResult {
         let tell = deferred && graphblas_obs::enabled();
         let mut stages = std::mem::take(&mut self.pending).into_iter().peekable();
         let mut run: Vec<MapFn<S::Elem>> = Vec::new();
-        let result = (|| {
+        let result = catch_unwind(AssertUnwindSafe(|| {
             while let Some(stage) = stages.next() {
                 match stage {
                     Stage::Map(f) => run.push(f),
@@ -329,7 +303,15 @@ impl<S: Store> State<S> {
                 }
             }
             self.flush_map_run(ctx, &mut run, "queue-end", tell)
-        })();
+        }))
+        .unwrap_or_else(|payload| {
+            let what = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "a stage panicked".into());
+            Err(Error::exec(ExecErrorKind::Panic, what))
+        });
         if let Err(Error::Execution(exec)) = &result {
             self.err = Some(exec.clone());
             if tell {
@@ -495,7 +477,7 @@ impl<S: Store> Container<S> {
 
     /// Defers an arbitrary write to the state (`build`, scalar writes).
     pub(crate) fn apply_write(
-        self: &Arc<Self>,
+        &self,
         stage: Box<dyn FnOnce(&mut State<S>) -> GrbResult + Send>,
     ) -> GrbResult {
         self.enqueue(Stage::Opaque(stage))
@@ -506,20 +488,20 @@ impl<S: Store> Container<S> {
     /// apply them — through its fused kernel or
     /// [`State::apply_post_maps`].
     pub(crate) fn apply_node(
-        self: &Arc<Self>,
+        &self,
         exec: Box<dyn FnOnce(&mut State<S>, Vec<MapFn<S::Elem>>) -> GrbResult + Send>,
     ) -> GrbResult {
         self.enqueue(Stage::Node(exec))
     }
 
     /// Defers a fusible element-wise transform of the stored elements.
-    pub(crate) fn apply_map(self: &Arc<Self>, f: MapFn<S::Elem>) -> GrbResult {
+    pub(crate) fn apply_map(&self, f: MapFn<S::Elem>) -> GrbResult {
         self.enqueue(Stage::Map(f))
     }
 
     /// The one enqueue: check poison, push the stage, and in a `Blocking`
     /// context force the queue before returning (module docs).
-    fn enqueue(self: &Arc<Self>, stage: Stage<State<S>, S::Elem>) -> GrbResult {
+    fn enqueue(&self, stage: Stage<State<S>, S::Elem>) -> GrbResult {
         let ctx = self.context();
         let mut st = self.lock_raw();
         st.poisoned()?;
@@ -530,7 +512,6 @@ impl<S: Store> Container<S> {
             st.pending.push(stage);
             return st.run_queue(&ctx, false);
         }
-        let is_node = matches!(stage, Stage::Node(_));
         if graphblas_obs::enabled() {
             let counter = match &stage {
                 Stage::Map(_) => &counters::pending().maps_enqueued,
@@ -541,32 +522,7 @@ impl<S: Store> Container<S> {
             counters::note_pending_depth(st.pending.len() + 1);
         }
         st.pending.push(stage);
-        let depth = st.pending.len();
-        drop(st);
-        if is_node {
-            self.maybe_async_drain(depth);
-        }
         Ok(())
-    }
-
-    /// Hands the backlog to the worker pool once it is
-    /// [`ASYNC_DRAIN_DEPTH`] deep. The container's mutex serializes the
-    /// background drain against readers, and draining an already-empty
-    /// queue is a no-op — so racing forces cannot double-drain.
-    fn maybe_async_drain(self: &Arc<Self>, depth: usize) {
-        if depth < ASYNC_DRAIN_DEPTH || !async_drain_enabled() {
-            return;
-        }
-        if graphblas_obs::enabled() {
-            bump(&counters::dag().async_drains, 1);
-        }
-        let this = self.clone();
-        let ctx = self.context();
-        graphblas_exec::pool::global_pool().spawn_static(Box::new(move || {
-            // A failed drain leaves the §V sticky error for the next
-            // reader; the background task has no caller to report to.
-            let _ = this.lock_raw().drain_as(&ctx, "async");
-        }));
     }
 }
 
@@ -604,7 +560,7 @@ mod tests {
     fn drain_is_spanned_counted_and_names_its_cause() {
         let _g = obs_test_guard();
         graphblas_obs::set_enabled(true);
-        for cause in ["read", "wait", "async", "self-input"] {
+        for cause in ["read", "wait", "self-input"] {
             let ctx = private_ctx(Mode::NonBlocking);
             let c = Container::new(&ctx, None::<i64>);
             c.apply_node(Box::new(|st, _post| {

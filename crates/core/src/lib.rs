@@ -35,7 +35,7 @@
 #![allow(clippy::type_complexity)]
 
 pub(crate) mod bytesio;
-pub mod container;
+pub(crate) mod container;
 pub mod descriptor;
 pub mod error;
 pub mod introspect;

@@ -1,26 +1,17 @@
 //! Deferred-vs-eager equivalence (paper §III): the fused op DAG has full
 //! latitude to defer, reorder, and fuse — but a program must not be able
 //! to tell. Blocking mode is "enqueue, then force" on the same stage
-//! runner, so these tests run one operation sequence deferred+fused, eager,
-//! and with background drains racing the reads, and assert the extracted
-//! tuples agree bit-for-bit.
-//!
-//! Runs as its own integration-test binary because the async-drain knob is
-//! process-global; tests serialize on a local mutex and restore the knob
-//! before returning.
-
-use std::sync::Mutex;
+//! runner, so these tests run one operation sequence deferred+fused and
+//! eager, and assert the extracted tuples agree bit-for-bit.
 
 use graphblas_core::operations::{
     apply, apply_v, assign_scalar_v, ewise_add_v, ewise_mult_v, extract_v, mxm, mxv,
     reduce_scalar_v, reduce_to_vector, select_v, transpose, vxm,
 };
 use graphblas_core::{
-    container, global_context, no_mask, no_mask_v, BinaryOp, Context, ContextOptions, Descriptor,
+    global_context, no_mask, no_mask_v, BinaryOp, Context, ContextOptions, Descriptor,
     IndexUnaryOp, Matrix, Mode, Monoid, Scalar, Semiring, UnaryOp, Vector, WaitMode,
 };
-
-static KNOBS: Mutex<()> = Mutex::new(());
 
 /// Deterministic pseudo-random stream (no external crates).
 fn lcg(seed: &mut u64) -> u64 {
@@ -110,8 +101,7 @@ fn run_pipeline(mode: Mode) -> Outputs {
     let sel: Vec<usize> = (0..n / 2).map(|i| n - 1 - i).collect();
     extract_v(&ex, no_mask_v(), None, &z, &sel, &d).unwrap();
 
-    // A backlog deep enough (≥ 8 nodes on one container) that the
-    // container offers it to the worker pool when async drains are on.
+    // A deep backlog of accumulating nodes on one container.
     let acc = Vector::<f64>::new_in(&ctx, n).unwrap();
     for _ in 0..12 {
         let plus = BinaryOp::plus();
@@ -144,34 +134,10 @@ fn run_pipeline(mode: Mode) -> Outputs {
 
 #[test]
 fn blocking_mode_matches_fused_nonblocking() {
-    let _g = KNOBS.lock().unwrap();
-    container::set_async_drain(Some(false));
     let fused = run_pipeline(Mode::NonBlocking);
     let blocking = run_pipeline(Mode::Blocking);
-    container::set_async_drain(None);
     assert_eq!(fused.0, blocking.0);
     assert_eq!(fused.1, blocking.1);
-}
-
-#[test]
-fn async_drains_do_not_change_results() {
-    let _g = KNOBS.lock().unwrap();
-    container::set_async_drain(Some(false));
-    let quiet = run_pipeline(Mode::NonBlocking);
-    // Background drains now race the foreground enqueues and reads.
-    container::set_async_drain(Some(true));
-    graphblas_obs::set_enabled(true);
-    let before = graphblas_obs::counters::dag_totals().async_drains;
-    let racy = run_pipeline(Mode::NonBlocking);
-    let offered = graphblas_obs::counters::dag_totals().async_drains - before;
-    graphblas_obs::set_enabled(false);
-    container::set_async_drain(None);
-    assert!(
-        offered >= 1,
-        "the 12-node backlog must reach the drain depth"
-    );
-    assert_eq!(quiet.0, racy.0);
-    assert_eq!(quiet.1, racy.1);
 }
 
 /// §III sequence order across `GrB_Context_switch`: `step(accum)` performs

@@ -105,7 +105,6 @@ fn dag_nodes_fuse_neighbouring_maps() {
     // is consumed at drain (post side). The DagCounters must see both.
     let _g = OBS.lock().unwrap_or_else(|e| e.into_inner());
     graphblas_obs::set_enabled(true);
-    graphblas_core::container::set_async_drain(Some(false));
 
     let ctx = Context::new(
         &global_context(),
@@ -148,6 +147,5 @@ fn dag_nodes_fuse_neighbouring_maps() {
     assert_eq!(dag.post_fused, 1, "the trailing map drains with the node");
     assert!(dag.fused_chains >= 1, "a fused chain is scored once");
 
-    graphblas_core::container::set_async_drain(None);
     graphblas_obs::set_enabled(false);
 }

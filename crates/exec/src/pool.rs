@@ -9,8 +9,10 @@
 //! * [`ThreadPool::scope`] lets callers spawn closures that borrow stack
 //!   data — the scope does not return until every spawned task has run, so
 //!   the (single, documented) lifetime-erasing `unsafe` block is sound;
-//! * panics inside tasks are captured and resumed on the scope owner's
-//!   thread, so a panicking user-defined operator cannot kill a worker.
+//! * a scope is the only way onto the queue, so every job runs under
+//!   `catch_unwind` and its scope's `WaitGroup`: panics inside tasks are
+//!   captured and resumed on the scope owner's thread, and a panicking
+//!   user-defined operator cannot kill a worker.
 //!
 //! Nested parallelism is handled by detecting re-entry: a task running *on*
 //! a pool worker that opens another scope executes its sub-tasks inline
@@ -215,12 +217,6 @@ impl ThreadPool {
         self.size
     }
 
-    /// Submits a `'static` job; returns immediately. Jobs submitted during
-    /// teardown are dropped.
-    pub fn spawn_static(&self, job: Job) {
-        self.queue.push(job);
-    }
-
     /// Runs `f` with a [`Scope`] on which tasks borrowing the environment can
     /// be spawned. Returns only after every spawned task has finished.
     ///
@@ -337,7 +333,7 @@ impl<'env, 'pool> Scope<'env, 'pool> {
         // lifetime to satisfy the queue's `'static` bound is therefore
         // sound.
         let task: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(task) };
-        self.pool.spawn_static(Box::new(move || {
+        self.pool.queue.push(Box::new(move || {
             // Worker-side timeline region: makes every offloaded task
             // visible on its worker's track in GRB_TRACE output, even for
             // tasks whose kernel records no phases of its own.

@@ -1,7 +1,7 @@
 //! Thin wrappers over `std::sync` locks with a `parking_lot`-style API
 //! (guard-returning `lock()` / `read()` / `write()`, no poison plumbing),
-//! plus the two blocking-coordination primitives the pool and kernels
-//! need: an MPMC [`Channel`] and a [`WaitGroup`].
+//! plus the blocking-coordination primitive the pool's scope needs: a
+//! [`WaitGroup`].
 //!
 //! The workspace builds offline with no external crates; these shims keep
 //! call sites as terse as the `parking_lot` API they replace. Poisoning is
@@ -11,20 +11,19 @@
 //!
 //! Everything in this module is model-checked: `graphblas-check` provides
 //! a schedule-controlled mirror of this exact API (`check::sync`), and its
-//! test suite explores thousands of interleavings of the channel,
-//! wait-group, and pool park/wake protocols. Keep the algorithms here in
-//! lockstep with the models in `crates/check/tests/`.
+//! test suite explores thousands of interleavings of the wait-group and
+//! pool park/wake protocols. Keep the algorithms here in lockstep with the
+//! models in `crates/check/tests/`.
 //!
 //! Atomics audit (grbsa): this module intentionally contains **no
 //! atomics** — earlier revisions tracked the pool's parked count with a
-//! relaxed counter, but it now lives under the channel mutex, so every
+//! relaxed counter, but it now lives under the job queue's mutex, so every
 //! cross-thread protocol here is lock/condvar based and there is nothing
 //! for the `Ordering` audit to classify. `grbsa` also treats this file as
 //! a synchronization primitive (its lock wrappers are the things other
 //! code acquires), so it contributes no lock-order events of its own.
 
-use std::collections::VecDeque;
-use std::sync::{self, TryLockError};
+use std::sync;
 
 pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
@@ -36,39 +35,17 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Mutex(sync::Mutex::new(value))
     }
-
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: Default> Default for Mutex<T> {
     fn default() -> Self {
         Mutex::new(T::default())
-    }
-}
-
-impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
     }
 }
 
@@ -79,10 +56,6 @@ impl<T> RwLock<T> {
     pub const fn new(value: T) -> Self {
         RwLock(sync::RwLock::new(value))
     }
-
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -92,18 +65,6 @@ impl<T: ?Sized> RwLock<T> {
 
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
     }
 }
 
@@ -134,98 +95,6 @@ impl Condvar {
 impl Default for Condvar {
     fn default() -> Self {
         Condvar::new()
-    }
-}
-
-struct ChannelState<T> {
-    queue: VecDeque<T>,
-    closed: bool,
-}
-
-/// A multi-producer multi-consumer FIFO channel (`Mutex<VecDeque>` +
-/// [`Condvar`]), the protocol the pool's job queue instantiates.
-///
-/// Closing wakes every blocked receiver; receivers drain remaining items
-/// before observing `None`. Sends after close are rejected, not queued.
-pub struct Channel<T> {
-    state: Mutex<ChannelState<T>>,
-    available: Condvar,
-}
-
-impl<T> Channel<T> {
-    pub fn new() -> Self {
-        Channel {
-            state: Mutex::new(ChannelState {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            available: Condvar::new(),
-        }
-    }
-
-    /// Enqueues `item`; returns `false` (dropping the item) when the
-    /// channel is closed. Notifies one blocked receiver *after* releasing
-    /// the lock — the wake decision is made while the state is locked, so
-    /// no receiver that observed an empty queue can be missed.
-    pub fn send(&self, item: T) -> bool {
-        let mut st = self.state.lock();
-        if st.closed {
-            return false;
-        }
-        st.queue.push_back(item);
-        drop(st);
-        self.available.notify_one();
-        true
-    }
-
-    /// Blocks until an item is available (`Some`) or the channel is closed
-    /// *and* drained (`None`).
-    pub fn recv(&self) -> Option<T> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(item) = st.queue.pop_front() {
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.available.wait(st);
-        }
-    }
-
-    /// Non-blocking receive: `Some` when an item was ready.
-    pub fn try_recv(&self) -> Option<T> {
-        self.state.lock().queue.pop_front()
-    }
-
-    /// Closes the channel and wakes every blocked receiver. Items already
-    /// queued remain receivable.
-    pub fn close(&self) {
-        let mut st = self.state.lock();
-        st.closed = true;
-        drop(st);
-        self.available.notify_all();
-    }
-
-    /// Whether the channel has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
-    }
-
-    /// Number of currently queued items.
-    pub fn len(&self) -> usize {
-        self.state.lock().queue.len()
-    }
-
-    /// Whether no items are currently queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T> Default for Channel<T> {
-    fn default() -> Self {
-        Channel::new()
     }
 }
 
@@ -290,11 +159,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
-        let held = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(held);
-        assert_eq!(m.into_inner(), 2);
     }
 
     #[test]
@@ -303,46 +167,6 @@ mod tests {
         assert_eq!(l.read().len(), 2);
         l.write().push(3);
         assert_eq!(*l.read(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn channel_fifo_and_close_semantics() {
-        let ch = Channel::new();
-        assert!(ch.send(1));
-        assert!(ch.send(2));
-        assert_eq!(ch.len(), 2);
-        assert_eq!(ch.recv(), Some(1));
-        assert_eq!(ch.try_recv(), Some(2));
-        assert_eq!(ch.try_recv(), None);
-        ch.send(3);
-        ch.close();
-        assert!(!ch.send(4)); // rejected after close
-        assert_eq!(ch.recv(), Some(3)); // drains queued items
-        assert_eq!(ch.recv(), None);
-        assert!(ch.is_closed());
-    }
-
-    #[test]
-    fn channel_crosses_threads() {
-        let ch = std::sync::Arc::new(Channel::new());
-        let consumers: Vec<_> = (0..4)
-            .map(|_| {
-                let ch = ch.clone();
-                std::thread::spawn(move || {
-                    let mut got = 0usize;
-                    while ch.recv().is_some() {
-                        got += 1;
-                    }
-                    got
-                })
-            })
-            .collect();
-        for i in 0..100 {
-            assert!(ch.send(i));
-        }
-        ch.close();
-        let total: usize = consumers.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total, 100);
     }
 
     #[test]

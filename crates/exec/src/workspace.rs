@@ -19,18 +19,11 @@
 //! checkout simply allocates fresh. Reuse statistics report into
 //! `graphblas-obs` (`workspace.checkouts` / `hits` / `bytes_reused`) when
 //! telemetry is enabled.
-//!
-//! Reuse can be disabled with `GRB_WORKSPACE=0` (kernels then allocate
-//! fresh scratch per checkout, the pre-cache behavior) or overridden
-//! programmatically via [`force_reuse`] — the ablation knob the bench
-//! harness uses to measure the cache's payoff.
 
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// A scratch structure that can live in the per-thread cache.
 pub trait Reusable: Sized + 'static {
@@ -41,41 +34,6 @@ pub trait Reusable: Sized + 'static {
     fn prepare(&mut self, n: usize);
     /// Currently allocated buffer bytes (reuse accounting).
     fn reusable_bytes(&self) -> u64;
-}
-
-// Reuse-mode override: 0 = follow GRB_WORKSPACE, 1 = forced on, 2 = off.
-//
-// Atomics audit (grbsa): this is the crate's lone atomic and it is a
-// `mode-flag` under the protocol table — an advisory toggle that guards
-// no dependent data, flipped only at bench/test boundaries. Both sites
-// use `SeqCst`, which is stronger than the protocol requires (the flag
-// is cold: one load per checkout), so no protocol annotation is needed —
-// only relaxed sites must declare their protocol.
-static REUSE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn env_default() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| std::env::var("GRB_WORKSPACE").map_or(true, |v| v != "0"))
-}
-
-/// Whether checkouts may be served from (and returned to) the cache.
-pub fn reuse_enabled() -> bool {
-    match REUSE_OVERRIDE.load(Ordering::SeqCst) {
-        1 => true,
-        2 => false,
-        _ => env_default(),
-    }
-}
-
-/// Overrides the `GRB_WORKSPACE` setting (`None` restores it) — the
-/// ablation hook for benches and tests.
-pub fn force_reuse(on: Option<bool>) {
-    let v = match on {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    REUSE_OVERRIDE.store(v, Ordering::SeqCst);
 }
 
 /// The per-thread cache. Each entry remembers the buffer bytes it
@@ -112,11 +70,6 @@ thread_local! {
     static CACHE: RefCell<ThreadCache> = RefCell::new(ThreadCache::default());
 }
 
-/// Drops every workspace cached by the current thread (test isolation).
-pub fn clear_thread_cache() {
-    CACHE.with(|c| c.borrow_mut().release_all());
-}
-
 /// RAII handle to a checked-out workspace; returns it to the thread's
 /// cache on drop.
 pub struct Checkout<T: Reusable> {
@@ -139,24 +92,22 @@ impl<T: Reusable> DerefMut for Checkout<T> {
 impl<T: Reusable> Drop for Checkout<T> {
     fn drop(&mut self) {
         if let Some(ws) = self.inner.take() {
-            if reuse_enabled() {
-                let recorded = if graphblas_obs::enabled() {
-                    let b = ws.reusable_bytes();
-                    graphblas_obs::mem::workspace().add(b);
-                    b
-                } else {
-                    0
-                };
-                CACHE.with(|c| {
-                    let replaced = c
-                        .borrow_mut()
-                        .map
-                        .insert(TypeId::of::<T>(), (Box::new(ws), recorded));
-                    if let Some((_, old)) = replaced {
-                        graphblas_obs::mem::workspace().sub(old);
-                    }
-                });
-            }
+            let recorded = if graphblas_obs::enabled() {
+                let b = ws.reusable_bytes();
+                graphblas_obs::mem::workspace().add(b);
+                b
+            } else {
+                0
+            };
+            CACHE.with(|c| {
+                let replaced = c
+                    .borrow_mut()
+                    .map
+                    .insert(TypeId::of::<T>(), (Box::new(ws), recorded));
+                if let Some((_, old)) = replaced {
+                    graphblas_obs::mem::workspace().sub(old);
+                }
+            });
         }
     }
 }
@@ -164,17 +115,13 @@ impl<T: Reusable> Drop for Checkout<T> {
 /// Checks a workspace of type `T` out of the current thread's cache (or
 /// allocates a fresh one), prepared for a problem of size `n`.
 pub fn checkout<T: Reusable>(n: usize) -> Checkout<T> {
-    let cached: Option<T> = if reuse_enabled() {
-        CACHE
-            .with(|c| c.borrow_mut().map.remove(&TypeId::of::<T>()))
-            .and_then(|(b, recorded)| {
-                graphblas_obs::mem::workspace().sub(recorded);
-                b.downcast::<T>().ok()
-            })
-            .map(|b| *b)
-    } else {
-        None
-    };
+    let cached: Option<T> = CACHE
+        .with(|c| c.borrow_mut().map.remove(&TypeId::of::<T>()))
+        .and_then(|(b, recorded)| {
+            graphblas_obs::mem::workspace().sub(recorded);
+            b.downcast::<T>().ok()
+        })
+        .map(|b| *b);
     let hit = cached.is_some();
     let mut ws = cached.unwrap_or_else(T::fresh);
     if graphblas_obs::enabled() {
@@ -496,11 +443,16 @@ impl Reusable for BitSet {
 mod tests {
     use super::*;
 
-    /// Serializes tests that flip the global reuse override or inspect
-    /// the thread cache.
+    /// Serializes the tests: the obs workspace gauge and counters their
+    /// checkouts feed are process-global.
     fn serialize() -> std::sync::MutexGuard<'static, ()> {
         static M: std::sync::Mutex<()> = std::sync::Mutex::new(());
         M.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Drops every workspace cached by the current thread.
+    fn clear_thread_cache() {
+        CACHE.with(|c| c.borrow_mut().release_all());
     }
 
     fn plus<T: std::ops::AddAssign>(acc: &mut T, z: T) {
@@ -517,7 +469,6 @@ mod tests {
     #[test]
     fn checkout_reuses_and_restamps() {
         let _g = serialize();
-        force_reuse(Some(true));
         clear_thread_cache();
         {
             let mut acc = checkout::<Spa<u64>>(8);
@@ -533,13 +484,11 @@ mod tests {
             assert_eq!(acc.get(2), None);
             assert!(acc.is_empty());
         }
-        force_reuse(None);
     }
 
     #[test]
     fn interleaved_checkouts_are_distinct() {
         let _g = serialize();
-        force_reuse(Some(true));
         clear_thread_cache();
         // Two kernels interleaved on one thread: the second checkout
         // must not alias (or see the stamps of) the first.
@@ -555,7 +504,6 @@ mod tests {
         let (mut idx, mut vals) = (Vec::new(), Vec::new());
         assert_eq!(b.append_sorted(&mut idx, &mut vals), 2);
         assert_eq!((idx, vals), (vec![1, 3], vec![7, 9]));
-        force_reuse(None);
     }
 
     #[test]
@@ -686,7 +634,6 @@ mod tests {
     #[test]
     fn prepare_grows_for_larger_problems() {
         let _g = serialize();
-        force_reuse(Some(true));
         clear_thread_cache();
         {
             let mut acc = checkout::<Spa<u8>>(4);
@@ -698,29 +645,12 @@ mod tests {
             assert_eq!(acc.get(15), Some(&2));
             assert_eq!(acc.get(3), None);
         }
-        force_reuse(None);
-    }
-
-    #[test]
-    fn disabled_reuse_always_allocates_fresh() {
-        let _g = serialize();
-        force_reuse(Some(false));
-        clear_thread_cache();
-        {
-            let mut acc = checkout::<Spa<u16>>(4);
-            acc.upsert(0, Marks::Ignore, || 3, |a, b| *a += b);
-        }
-        // Nothing was returned to the cache.
-        let cached = CACHE.with(|c| c.borrow().map.len());
-        assert_eq!(cached, 0);
-        force_reuse(None);
     }
 
     #[test]
     fn cached_bytes_report_to_mem_gauge() {
         let _g = serialize();
         let _obs = crate::obs_test_guard();
-        force_reuse(Some(true));
         clear_thread_cache();
         graphblas_obs::set_enabled(true);
         let before = graphblas_obs::mem::workspace().live();
@@ -745,14 +675,12 @@ mod tests {
         graphblas_obs::set_enabled(false);
         clear_thread_cache();
         assert_eq!(graphblas_obs::mem::workspace().live(), before);
-        force_reuse(None);
     }
 
     #[test]
     fn checkout_counters_report_hits() {
         let _g = serialize();
         let _obs = crate::obs_test_guard();
-        force_reuse(Some(true));
         clear_thread_cache();
         graphblas_obs::set_enabled(true);
         let before = graphblas_obs::snapshot().workspace;
@@ -768,6 +696,5 @@ mod tests {
         assert_eq!(after.misses - before.misses, 1);
         assert_eq!(after.hits - before.hits, 1);
         assert!(after.bytes_reused > before.bytes_reused);
-        force_reuse(None);
     }
 }

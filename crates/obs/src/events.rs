@@ -87,7 +87,7 @@ pub enum Reason {
     /// side) absorbed.
     DagFuse,
     /// A lazy op DAG was forced to drain; `detail` says what forced it
-    /// ("read", "wait", "async", "self-input").
+    /// ("read", "wait", "self-input").
     DagForce,
 }
 
@@ -510,7 +510,7 @@ pub fn decision_dag_fuse(
 }
 
 /// A lazy op DAG was forced to drain `depth` queued stages; `cause` says
-/// what forced it ("read", "wait", "async", "self-input").
+/// what forced it ("read", "wait", "self-input").
 #[inline]
 pub fn decision_dag_force(op: &'static str, ctx: u64, cause: &'static str, depth: u64) {
     record(Reason::DagForce, op, cause, ctx, [depth, 0, 0]);

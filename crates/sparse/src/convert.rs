@@ -1,20 +1,15 @@
-//! Uniform free-function conversion surface between all Table III formats.
+//! The spanned COO → CSR canonicalization, plus randomized round-trip
+//! tests of the Table III formats with CSR as the pivot.
 //!
-//! `graphblas-core`'s import/export machinery (`GrB_Matrix_import` /
-//! `GrB_Matrix_export`) dispatches through these, so every format pair is
-//! reachable with CSR as the pivot.
+//! The pairwise conversions themselves are methods on the stores
+//! (`Csc::from_csr`, `Dense::to_csr`, `BitmapVec::from_svec`, …);
+//! `graphblas-core` calls those directly under its own `Convert` span.
 
 use graphblas_exec::Context;
 
-use crate::bitmap::BitmapVec;
 use crate::coo::Coo;
-use crate::csc::Csc;
 use crate::csr::Csr;
-use crate::dense::{Dense, Layout};
-use crate::dvec::DenseVec;
 use crate::error::FormatError;
-use crate::svec::SparseVec;
-use crate::transpose::transpose;
 
 /// Runs `work` under a [`graphblas_obs::Kernel::Convert`] span, charging
 /// `nnz_in` entries and a byte estimate at entry and the result's nnz via
@@ -60,90 +55,13 @@ pub fn coo_to_csr<T: Clone + Send + Sync>(
     )
 }
 
-/// CSR → COO (storage order).
-pub fn csr_to_coo<T: Clone + Send + Sync>(a: &Csr<T>) -> Coo<T> {
-    Coo::from_csr(a)
-}
-
-/// CSR → CSC (one transpose pass).
-pub fn csr_to_csc<T: Clone + Send + Sync>(ctx: &Context, a: &Csr<T>) -> Csc<T> {
-    with_convert_span(ctx, a.nnz(), std::mem::size_of::<T>(), Csc::nnz, || {
-        Csc::from_csr(ctx, a)
-    })
-}
-
-/// CSC → CSR (one transpose pass).
-pub fn csc_to_csr<T: Clone + Send + Sync>(ctx: &Context, a: &Csc<T>) -> Csr<T> {
-    with_convert_span(ctx, a.nnz(), std::mem::size_of::<T>(), Csr::nnz, || {
-        a.to_csr(ctx)
-    })
-}
-
-/// Dense (either layout) → CSR.
-pub fn dense_to_csr<T: Clone + Send + Sync>(ctx: &Context, d: &Dense<T>) -> Csr<T> {
-    with_convert_span(
-        ctx,
-        d.nrows() * d.ncols(),
-        std::mem::size_of::<T>(),
-        Csr::nnz,
-        || d.to_csr(ctx),
-    )
-}
-
-/// CSR → dense; requires every element present.
-pub fn csr_to_dense<T: Clone + Send + Sync>(
-    ctx: &Context,
-    a: &Csr<T>,
-    layout: Layout,
-) -> Result<Dense<T>, FormatError> {
-    with_convert_span(
-        ctx,
-        a.nnz(),
-        std::mem::size_of::<T>(),
-        |r: &Result<Dense<T>, FormatError>| r.as_ref().map_or(0, |d| d.nrows() * d.ncols()),
-        || Dense::from_csr_full(ctx, a, layout),
-    )
-}
-
-/// Explicit transpose (re-export for API uniformity).
-pub fn csr_transpose<T: Clone + Send + Sync>(ctx: &Context, a: &Csr<T>) -> Csr<T> {
-    let _ph = graphblas_obs::timeline::phase("convert.transpose");
-    transpose(ctx, a)
-}
-
-/// Dense vector → sparse vector.
-pub fn dvec_to_svec<T: Clone>(d: &DenseVec<T>) -> SparseVec<T> {
-    d.to_sparse()
-}
-
-/// Sparse vector → bitmap vector (Table III `GxB_BITMAP`).
-pub fn svec_to_bitmap<T: Clone>(s: &SparseVec<T>) -> BitmapVec<T> {
-    BitmapVec::from_svec(s)
-}
-
-/// Bitmap vector → sparse vector (sorted output).
-pub fn bitmap_to_svec<T: Clone>(b: &BitmapVec<T>) -> SparseVec<T> {
-    b.to_svec()
-}
-
-/// Dense vector → bitmap vector (every bit set).
-pub fn dvec_to_bitmap<T: Clone>(d: &DenseVec<T>) -> BitmapVec<T> {
-    BitmapVec::from_dvec(d)
-}
-
-/// Bitmap vector → dense vector; requires every element present.
-pub fn bitmap_to_dvec<T: Clone>(b: &BitmapVec<T>) -> Result<DenseVec<T>, FormatError> {
-    b.to_dvec()
-}
-
-/// Sparse vector → dense vector; requires every element present.
-pub fn svec_to_dvec<T: Clone>(s: &SparseVec<T>) -> Result<DenseVec<T>, FormatError> {
-    DenseVec::from_sparse_full(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csc::Csc;
+    use crate::dense::{Dense, Layout};
+    use crate::dvec::DenseVec;
+    use crate::transpose::transpose;
     use graphblas_exec::global_context;
     use graphblas_exec::rng::prelude::*;
 
@@ -175,7 +93,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xC00);
         for _ in 0..32 {
             let a = random_matrix(&mut rng);
-            let back = coo_to_csr(&ctx, &csr_to_coo(&a), None).unwrap();
+            let back = coo_to_csr(&ctx, &Coo::from_csr(&a), None).unwrap();
             assert_eq!(a.to_sorted_tuples(), back.to_sorted_tuples());
         }
     }
@@ -186,7 +104,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xC5C);
         for _ in 0..32 {
             let a = random_matrix(&mut rng);
-            let back = csc_to_csr(&ctx, &csr_to_csc(&ctx, &a));
+            let back = Csc::from_csr(&ctx, &a).to_csr(&ctx);
             assert_eq!(a.to_sorted_tuples(), back.to_sorted_tuples());
         }
     }
@@ -197,7 +115,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x7A);
         for _ in 0..32 {
             let a = random_matrix(&mut rng);
-            let tt = csr_transpose(&ctx, &csr_transpose(&ctx, &a));
+            let tt = transpose(&ctx, &transpose(&ctx, &a));
             assert_eq!(a.to_sorted_tuples(), tt.to_sorted_tuples());
         }
     }
@@ -210,9 +128,9 @@ mod tests {
             let (m, n) = (rng.gen_range(1..8usize), rng.gen_range(1..8usize));
             let values: Vec<i64> = (0..m * n).map(|_| rng.gen_range(-50..50)).collect();
             let d = Dense::from_parts(m, n, Layout::RowMajor, values).unwrap();
-            let csr = dense_to_csr(&ctx, &d);
+            let csr = d.to_csr(&ctx);
             assert_eq!(csr.nnz(), m * n);
-            let back = csr_to_dense(&ctx, &csr, Layout::ColMajor).unwrap();
+            let back = Dense::from_csr_full(&ctx, &csr, Layout::ColMajor).unwrap();
             for i in 0..m {
                 for j in 0..n {
                     assert_eq!(d.get(i, j), back.get(i, j));
@@ -229,9 +147,9 @@ mod tests {
                 .map(|_| rng.gen_range(-100..100))
                 .collect();
             let d = DenseVec::from_values(values.clone());
-            let s = dvec_to_svec(&d);
+            let s = d.to_sparse();
             assert_eq!(s.nnz(), values.len());
-            let back = svec_to_dvec(&s).unwrap();
+            let back = DenseVec::from_sparse_full(&s).unwrap();
             assert_eq!(back.values(), &values[..]);
         }
     }

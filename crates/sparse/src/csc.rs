@@ -70,21 +70,6 @@ impl<T> Csc<T> {
         self.t.row(j)
     }
 
-    /// The internal transpose-CSR (borrow).
-    pub fn transposed_csr(&self) -> &Csr<T> {
-        &self.t
-    }
-
-    /// Wraps an existing transpose-CSR.
-    pub fn from_transposed_csr(t: Csr<T>) -> Self {
-        Csc { t }
-    }
-
-    /// Consumes into the internal transpose-CSR.
-    pub fn into_transposed_csr(self) -> Csr<T> {
-        self.t
-    }
-
     /// Looks up element `(i, j)`.
     pub fn get(&self, i: usize, j: usize) -> Option<&T> {
         if j >= self.ncols() {

@@ -8,7 +8,8 @@
 //!   paper's Table III (import/export), each self-validating;
 //! * [`svec`] / [`dvec`] — sparse and dense vector formats (Table III),
 //!   and the two-format operand view the vector kernels read;
-//! * [`convert`] — pairwise conversions between all formats;
+//! * [`convert`] — the spanned COO → CSR canonicalization (the other
+//!   conversions are methods on the stores);
 //! * [`transpose`] — parallel counting-sort transpose;
 //! * [`spmv`] — row-parallel matrix-vector products over arbitrary
 //!   (mul, add) closures, with optional early-exit terminal detection;

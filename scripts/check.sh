@@ -22,13 +22,15 @@ cargo build --release
 cargo test -q
 # The engine's own suites — tier-1 above runs only the root package: the
 # core unit tests plus dag_equivalence (deferred+fused vs. blocking =
-# enqueue+force, async drains), fusion_accounting, registry_equiv and
-# algebra_props, which pin the container core and its one execution path;
+# enqueue+force), fusion_accounting, registry_equiv and algebra_props,
+# which pin the container core and its one execution path;
 # and the kernels' unit tests plus kernel_props (filtered pull vs.
 # unfiltered, push vs. pull, fused hooks vs. materialized); and the ten
 # algorithms' unit tests — six of them multiply with FIRST/SECOND/PAIR over
-# a `Matrix<bool>`, the registry's value-blind rows.
+# a `Matrix<bool>`, the registry's value-blind rows; and the substrate's
+# unit tests (pool scopes, sync wrappers, workspace checkouts).
 cargo test -q -p graphblas-core
+cargo test -q -p graphblas-exec
 cargo test -q -p graphblas-sparse
 cargo test -q -p graphblas-algo
 cargo clippy --workspace --all-targets -- -D warnings
@@ -81,7 +83,7 @@ for tool in grblint grbsa; do
 done
 
 # Concurrency model-checker smoke pass: every checked protocol (pool
-# park/wake, channels, WaitGroup, pending drain, Fig. 1) explored across
+# park/wake, WaitGroup, pending drain, Fig. 1) explored across
 # the tests' default budget of 500-1000 seeded schedules each — a few
 # seconds total, plus the vector-clock race-detector regressions
 # (model_race: seeded races must be found and must replay byte-exact).
@@ -89,7 +91,7 @@ done
 # CI) the per-test schedule count without recompiling.
 cargo test -q -p graphblas-check --test model_pool --test model_channels \
     --test model_pending --test model_fig1 --test model_transpose_cache \
-    --test model_race --test model_dag_drain
+    --test model_race
 
 # Optional ThreadSanitizer pass (EXPERIMENTS.md "Sanitizer runs"): the
 # model checker explores interleavings of *model* primitives; TSan

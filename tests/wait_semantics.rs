@@ -3,15 +3,17 @@
 //! Nonblocking sequences accumulate; `wait(Complete)` finishes them;
 //! consecutive unmasked in-place apply/select stages fuse into one
 //! traversal; reads force completion implicitly; completed objects can be
-//! handed across threads with an acquire/release edge.
+//! handed across threads with an acquire/release edge. A sequence runs
+//! only on a thread that asked for it, and a stage that panics there
+//! poisons the object (§V) instead of losing the sequence.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use graphblas::operations::{apply, select};
+use graphblas::operations::{apply, apply_v, mxv, select};
 use graphblas::{
-    global_context, no_mask, Context, ContextOptions, Descriptor, IndexUnaryOp, Matrix, Mode,
-    UnaryOp, Vector, WaitMode,
+    global_context, no_mask, no_mask_v, BinaryOp, Context, ContextOptions, Descriptor, Error,
+    IndexUnaryOp, Info, Matrix, Mode, Semiring, UnaryOp, Vector, WaitMode,
 };
 
 fn nonblocking() -> Context {
@@ -223,4 +225,94 @@ fn vector_wait_mirrors_matrix() {
     v.wait(WaitMode::Complete).unwrap();
     assert_eq!(v.pending_len(), 0);
     assert_eq!(v.nvals().unwrap(), 2);
+}
+
+/// `w ⊙= op(u)` with a PLUS accumulator: a DAG node, not a fusible map.
+fn accumulate(w: &Vector<i64>, op: &UnaryOp<i64, i64>, u: &Vector<i64>) -> Result<(), Error> {
+    let plus = BinaryOp::plus();
+    apply_v(w, no_mask_v(), Some(&plus), op, u, &Descriptor::default())
+}
+
+fn ones(ctx: &Context, n: usize) -> Vector<i64> {
+    let u = Vector::<i64>::new_in(ctx, n).unwrap();
+    u.build(&(0..n).collect::<Vec<_>>(), &vec![1; n], None)
+        .unwrap();
+    u.wait(WaitMode::Materialize).unwrap();
+    u
+}
+
+fn exploding() -> UnaryOp<i64, i64> {
+    UnaryOp::new("boom", |_: &i64| -> i64 {
+        panic!("user operator exploded")
+    })
+}
+
+fn assert_poisoned_by_panic(w: &Vector<i64>, err: &Error) {
+    assert_eq!(err.code(), Info::Panic as i32);
+    let st = w.stats();
+    assert!(st.failed && st.pending == 0, "poisoned, nothing deferred");
+    assert!(w.error_string().contains("user operator exploded"));
+}
+
+#[test]
+fn a_panicking_stage_poisons_the_object_and_runs_on_no_other_thread() {
+    let ctx = nonblocking();
+    let inc = UnaryOp::new("inc", |x: &i64| x + 1);
+    // One round per pool worker: were a deep queue still handed to the
+    // pool, each round would take a worker down with it.
+    let rounds = std::thread::available_parallelism().map_or(4, |n| n.get());
+    for _ in 0..rounds {
+        let u = ones(&ctx, 64);
+        let w = u.dup().unwrap();
+        accumulate(&w, &exploding(), &u).unwrap();
+        for _ in 1..12 {
+            accumulate(&w, &inc, &u).unwrap();
+        }
+        // A stage that is never read is never executed, however deep the
+        // queue gets.
+        assert_eq!(w.stats().pending, 12);
+        let err = w.wait(WaitMode::Complete).unwrap_err();
+        assert_poisoned_by_panic(&w, &err);
+        assert_eq!(accumulate(&w, &inc, &u).unwrap_err(), err, "sticky");
+        w.clear().unwrap();
+        assert_eq!((w.nvals().unwrap(), w.stats().failed), (0, false));
+        assert_eq!(w.error_string(), "");
+    }
+
+    // Every worker is still there: a two-thread product completes.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let two = Context::new(
+            &global_context(),
+            Mode::Blocking,
+            ContextOptions {
+                nthreads: Some(2),
+                chunk_size: Some(64),
+                ..Default::default()
+            },
+        );
+        let n = 4096;
+        let idx: Vec<usize> = (0..n).collect();
+        let a = Matrix::<i64>::new_in(&two, n, n).unwrap();
+        a.build(&idx, &idx, &vec![2; n], None).unwrap();
+        let y = Vector::<i64>::new_in(&two, n).unwrap();
+        let sr = Semiring::plus_times();
+        let d = Descriptor::default();
+        mxv(&y, no_mask_v(), None, &sr, &a, &ones(&two, n), &d).unwrap();
+        done_tx.send(y.extract_tuples().unwrap().1).unwrap();
+    });
+    let y = done_rx
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .expect("a 2-thread mxv must not wait on dead workers");
+    assert_eq!(y, vec![2; 4096]);
+}
+
+#[test]
+fn a_panicking_stage_in_a_blocking_context_fails_the_call_itself() {
+    let ctx = Context::new(&global_context(), Mode::Blocking, ContextOptions::default());
+    let u = ones(&ctx, 64);
+    let w = u.dup().unwrap();
+    let err = accumulate(&w, &exploding(), &u).unwrap_err();
+    assert_poisoned_by_panic(&w, &err);
+    assert_eq!(w.nvals().unwrap_err(), err);
 }
