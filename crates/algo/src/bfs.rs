@@ -6,7 +6,7 @@
 //! packing the index into the value array by hand; with 2.0 the frontier
 //! is re-indexed with the predefined `ROWINDEX` operator via `apply`.
 
-use graphblas_core::operations::{all_indices, apply_indexop_v, assign_scalar_v, vxm};
+use graphblas_core::operations::{apply_indexop_v, assign_scalar_v, vxm, ALL};
 use graphblas_core::{
     ApiError, BinaryOp, Descriptor, GrbResult, Index, IndexUnaryOp, Matrix, Monoid, Semiring,
     Vector,
@@ -24,7 +24,6 @@ pub fn bfs_levels(a: &Matrix<bool>, source: Index) -> GrbResult<Vector<i64>> {
     let levels = Vector::<i64>::new_in(&a.context(), n)?;
     let frontier = Vector::<bool>::new_in(&a.context(), n)?;
     frontier.set_element(true, source)?;
-    let all = all_indices(n);
     let mut depth = 0i64;
     while frontier.nvals()? > 0 {
         // levels⟨frontier (structure)⟩ = depth
@@ -33,7 +32,7 @@ pub fn bfs_levels(a: &Matrix<bool>, source: Index) -> GrbResult<Vector<i64>> {
             Some(&frontier),
             None,
             depth,
-            &all,
+            ALL,
             &Descriptor::new().structure_mask(),
         )?;
         // frontier⟨¬levels (structure), replace⟩ = frontier ∨.∧ A

@@ -1,7 +1,9 @@
 //! k-core membership by iterative peeling: repeatedly delete vertices
 //! whose degree *within the surviving subgraph* is below `k`.
 
-use graphblas_core::operations::{all_indices, apply_v, assign_scalar_v, ewise_mult_v, mxv, select_v};
+use graphblas_core::operations::{
+    apply_v, assign_scalar_v, ewise_mult_v, mxv, select_v, ALL,
+};
 use graphblas_core::{
     BinaryOp, Descriptor, GrbResult, IndexUnaryOp, Matrix, Semiring, UnaryOp, Vector,
 };
@@ -19,7 +21,7 @@ pub fn k_core(a: &Matrix<bool>, k: u64) -> GrbResult<Vector<bool>> {
         graphblas_core::no_mask_v(),
         None,
         true,
-        &all_indices(n),
+        ALL,
         &Descriptor::default(),
     )?;
     let plus_pair: Semiring<bool, bool, u64> = Semiring::plus_pair();
@@ -84,7 +86,7 @@ pub fn core_numbers(a: &Matrix<bool>) -> GrbResult<Vector<u64>> {
         graphblas_core::no_mask_v(),
         None,
         0u64,
-        &all_indices(n),
+        ALL,
         &Descriptor::default(),
     )?;
     let mut k = 1u64;
@@ -99,7 +101,7 @@ pub fn core_numbers(a: &Matrix<bool>) -> GrbResult<Vector<u64>> {
             Some(&members),
             None,
             k,
-            &all_indices(n),
+            ALL,
             &Descriptor::new().structure_mask(),
         )?;
         k += 1;

@@ -23,7 +23,7 @@ pub fn local_clustering_coefficient(a: &Matrix<bool>) -> GrbResult<Vector<f64>> 
         graphblas_core::no_mask_v(),
         None,
         true,
-        &graphblas_core::operations::all_indices(n),
+        graphblas_core::operations::ALL,
         &Descriptor::default(),
     )?;
     let plus_pair: Semiring<bool, bool, u64> = Semiring::plus_pair();

@@ -33,7 +33,7 @@ pub fn maximal_independent_set(a: &Matrix<bool>, seed: u64) -> GrbResult<Vector<
         graphblas_core::no_mask_v(),
         None,
         true,
-        &graphblas_core::operations::all_indices(n),
+        graphblas_core::operations::ALL,
         &Descriptor::default(),
     )?;
 

@@ -5,8 +5,8 @@
 //! where the next call finds it.
 
 use graphblas_core::operations::{
-    all_indices, apply_binop1st_v, apply_v, assign_scalar_v, ewise_add_v, ewise_mult_v, mxv,
-    reduce_to_value_v, vxm,
+    apply_binop1st_v, apply_v, assign_scalar_v, ewise_add_v, ewise_mult_v, mxv,
+    reduce_to_value_v, vxm, ALL,
 };
 use graphblas_core::{
     no_mask_v, BinaryOp, Descriptor, GrbResult, Matrix, Monoid, Semiring, UnaryOp, Vector,
@@ -25,11 +25,10 @@ pub fn pagerank(
     let n = square_dim(a)?;
     let nf = n as f64;
     let ctx = a.context();
-    let all = all_indices(n);
     let desc = Descriptor::default();
     let full = |value: f64| -> GrbResult<Vector<f64>> {
         let v = Vector::<f64>::new_in(&ctx, n)?;
-        assign_scalar_v(&v, no_mask_v(), None, value, &all, &desc)?;
+        assign_scalar_v(&v, no_mask_v(), None, value, ALL, &desc)?;
         Ok(v)
     };
 
@@ -93,7 +92,7 @@ pub fn pagerank(
 
         // new_rank = teleport + damping · dangling/n + scaledᵀ A
         let base = (1.0 - damping) / nf + damping * dangling_mass / nf;
-        assign_scalar_v(&new_rank, no_mask_v(), None, base, &all, &desc)?;
+        assign_scalar_v(&new_rank, no_mask_v(), None, base, ALL, &desc)?;
         vxm(
             &new_rank,
             no_mask_v(),

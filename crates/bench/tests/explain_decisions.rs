@@ -4,13 +4,14 @@
 //!
 //! Two seeded scenarios from the ISSUE acceptance list:
 //!
-//! 1. A star graph sized so BFS crosses the documented Beamer threshold
-//!    (`frontier_nnz * PULL_THRESHOLD_DEN >= frontier_len`) between the
-//!    first and second level: the explain log must show the push→pull
-//!    switch, and every direction event must be *consistent* — the
-//!    recorded frontier density must imply the recorded direction. The
-//!    pull runs under BFS's complemented mask, so the log must also show
-//!    the `masked-pull` kernel path bounded by the unvisited vertices.
+//! 1. A hub graph on which BFS pushes, then pulls: the level-1 frontier is
+//!    a quarter of the vertices but carries six sevenths of the edges. The
+//!    explain log must show the switch, and every direction event must be
+//!    *consistent* — re-pricing the two directions from the event's
+//!    own numbers with the documented rule (DESIGN.md §4) must name the
+//!    direction that was recorded. The pull runs under BFS's complemented
+//!    mask, so the log must also show the `masked-pull` kernel path bounded
+//!    by the unvisited vertices.
 //!
 //! 2. A nonblocking fused map chain: N queued `apply_v` calls must drain
 //!    as exactly one `fuse-flush` event whose `chain_len` argument is N.
@@ -21,10 +22,9 @@
 
 use std::sync::Mutex;
 
-use graphblas_core::operations::mxv::PULL_THRESHOLD_DEN;
-use graphblas_core::operations::apply_v;
+use graphblas_core::operations::{apply_v, transpose};
 use graphblas_core::{
-    global_context, no_mask_v, BinaryOp, Context, ContextOptions, Descriptor, Matrix, Mode,
+    global_context, no_mask, no_mask_v, Context, ContextOptions, Descriptor, Matrix, Mode,
     UnaryOp, Vector, WaitMode,
 };
 use graphblas_obs::Reason;
@@ -42,27 +42,58 @@ fn obs_off() {
     graphblas_obs::set_enabled(false);
 }
 
+/// The documented direction rule (DESIGN.md §4, "direction by edges") for
+/// the product of one `bfs_levels` step: LOR ends a pulled row at its first
+/// hit and both orientations exist. `indexed` is `Some(entries)` for a
+/// frontier stored bitmap (looked up by index, converted to be pushed).
+/// `true` = pull.
+fn documented_rule_pulls(
+    edges: u64,
+    admitted: u64,
+    rows: u64,
+    nnz: u64,
+    indexed: Option<u64>,
+) -> bool {
+    const PUSH_EDGE: u64 = 3;
+    const FLOP: u64 = 12;
+    let products = edges * admitted / nnz;
+    let push = PUSH_EDGE * (edges + indexed.unwrap_or(0)) + FLOP * products;
+    let read = admitted.min(rows * nnz / edges.max(1));
+    let fold = if indexed.is_some() { PUSH_EDGE } else { FLOP };
+    let pull = FLOP * rows + read + fold * products.min(rows);
+    pull < push
+}
+
 #[test]
-fn bfs_explain_shows_push_pull_switch_at_threshold() {
+fn bfs_explain_shows_each_pick_as_the_cheaper_side_of_its_own_numbers() {
     let _g = SERIALIZE.lock().unwrap_or_else(|e| e.into_inner());
     obs_on();
 
-    // Star graph on 64 vertices: 0 → 1..=8. The level-0 frontier has
-    // nnz 1 (1 * 8 < 64 → push); the level-1 frontier has nnz 8
-    // (8 * 8 >= 64 → pull). Third iteration never runs: the star has no
-    // second hop, so the frontier empties and the loop exits.
-    let n: usize = 64;
-    let fanout: usize = 8;
-    assert_eq!(PULL_THRESHOLD_DEN as usize, fanout, "test is seeded to the documented threshold");
+    // 64 vertices, undirected: vertex 0 — 16 hubs that form a clique — two
+    // leaves per hub; 15 vertices isolated. From 0 the frontiers hold 1, 16
+    // and 32 vertices and carry 16, 288 and 32 of the 336 stored entries.
+    let (n, hubs): (usize, usize) = (64, 16);
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    for h in 1..=hubs {
+        edges.push((0, h));
+        edges.extend((h + 1..=hubs).map(|g| (h, g)));
+        edges.extend([(h, hubs + 2 * h - 1), (h, hubs + 2 * h)]);
+    }
+    let (mut rows, mut cols): (Vec<usize>, Vec<usize>) = edges.iter().copied().unzip();
+    rows.extend(edges.iter().map(|e| e.1));
+    cols.extend(edges.iter().map(|e| e.0));
+    let nnz = rows.len() as u64;
+    assert_eq!(nnz, 336);
     let ctx = Context::new(&global_context(), Mode::Blocking, ContextOptions::default());
     let a = Matrix::<bool>::new_in(&ctx, n, n).expect("matrix");
-    let rows = vec![0usize; fanout];
-    let cols: Vec<usize> = (1..=fanout).collect();
-    a.build(&rows, &cols, &vec![true; fanout], Some(&BinaryOp::lor()))
-        .expect("build");
+    a.build(&rows, &cols, &vec![true; rows.len()], None).expect("build");
+    // Asking for the transpose once memoises it: the estimate is then free
+    // to pick either direction (it never builds one to price it).
+    let at = Matrix::<bool>::new_in(&ctx, n, n).expect("matrix");
+    transpose(&at, no_mask(), None, &a, &Descriptor::default()).expect("transpose");
 
     let levels = graphblas_algo::bfs_levels(&a, 0).expect("bfs");
-    assert_eq!(levels.nvals().expect("nvals"), 1 + fanout);
+    assert_eq!(levels.nvals().expect("nvals"), 1 + hubs + 2 * hubs);
 
     let ex = ctx.explain(usize::MAX);
     obs_off();
@@ -74,31 +105,48 @@ fn bfs_explain_shows_push_pull_switch_at_threshold() {
         .collect();
     assert_eq!(
         dirs.len(),
-        2,
+        3,
         "one direction pick per BFS level, got: {dirs:?}"
     );
 
-    // Every recorded pick must be justified by its own recorded inputs:
-    // pull iff nnz * threshold_den >= len, with the documented constant.
-    for e in &dirs {
-        let [nnz, len, den] = e.args;
+    // Every recorded pick must be justified by its own recorded numbers.
+    // The mask of level `d`'s product is the vertices visited so far, so
+    // the admitted rows are the rest.
+    let visited_before = [1u64, 17, 49];
+    for (e, visited) in dirs.iter().zip(visited_before) {
+        let [frontier, frontier_edges, admitted_edges] = e.args;
         assert_eq!(e.op, "vxm");
-        assert_eq!(den, PULL_THRESHOLD_DEN, "threshold constant in event: {e:?}");
-        let implied_pull = nnz * den >= len;
-        assert_eq!(
-            e.reason == Reason::DirectionPull,
-            implied_pull,
-            "direction inconsistent with recorded density: {e:?}"
-        );
+        let rows = n as u64 - visited;
+        let pulled = e.reason == Reason::DirectionPull;
+        match e.detail {
+            "estimate" => {
+                // Half the vertices in one result: stored as a bitmap.
+                let indexed = (frontier * 4 >= n as u64).then_some(frontier);
+                let (edges, admitted) = (frontier_edges, admitted_edges);
+                let rule = documented_rule_pulls(edges, admitted, rows, nnz, indexed);
+                assert_eq!(pulled, rule, "not the cheaper side of its own numbers: {e:?}");
+            }
+            // Walking every edge and landing a product on each still costs
+            // less than opening the admitted rows: nothing else was counted.
+            "under-row-scan" => {
+                assert!(!pulled && admitted_edges == 0, "{e:?}");
+                assert!((3 + 12) * frontier_edges <= 12 * rows, "{e:?}");
+            }
+            other => panic!("unexpected ground {other:?} for {e:?} ({frontier} entries)"),
+        }
     }
 
-    // The switch itself: sparse seed frontier pushed, dense second
-    // frontier pulled, in that order.
+    // The switch itself: the seed pushed; the hubs pulled (16 of 64
+    // vertices, 288 of 336 entries, against the 32 entries the leaves'
+    // rows hold); the leaves, stored as a bitmap, pulled into the 15 empty
+    // rows left rather than be converted to an index list.
     assert_eq!(dirs[0].reason, Reason::DirectionPush);
-    assert_eq!(dirs[0].args[..2], [1, n as u64]);
+    assert_eq!((dirs[0].detail, dirs[0].args), ("under-row-scan", [1, 16, 0]));
     assert_eq!(dirs[1].reason, Reason::DirectionPull);
-    assert_eq!(dirs[1].args[..2], [fanout as u64, n as u64]);
-    assert!(dirs[0].seq < dirs[1].seq, "push must precede pull");
+    assert_eq!((dirs[1].detail, dirs[1].args), ("estimate", [16, 288, 32]));
+    assert_eq!(dirs[2].reason, Reason::DirectionPull);
+    assert_eq!((dirs[2].detail, dirs[2].args), ("estimate", [32, 32, 0]));
+    assert!(dirs.windows(2).all(|w| w[0].seq < w[1].seq));
 
     // The pull runs under the complemented `levels` mask, and the mask
     // bounds its work: the kernel reports the masked row loop, entered
@@ -108,9 +156,9 @@ fn bfs_explain_shows_push_pull_switch_at_threshold() {
         .iter()
         .filter(|e| e.reason == Reason::KernelPath && e.detail == "masked-pull")
         .collect();
-    assert_eq!(masked.len(), 1, "one masked pull, got: {masked:?}");
+    assert_eq!(masked.len(), 2, "one masked pull per pull pick, got: {masked:?}");
     assert_eq!(masked[0].op, "spmv");
-    let unvisited = (n - (1 + fanout)) as u64;
+    let unvisited = (n - (1 + hubs)) as u64;
     assert_eq!(masked[0].args[..2], [unvisited, n as u64]);
     assert!(
         dirs[1].seq < masked[0].seq,

@@ -446,11 +446,11 @@ mod tests {
             "{{\"schema\":\"{SCHEMA}\",\"total\":9,\"retained\":3,\"reasons\":{{{}}},\
              \"events\":[\
              {{\"seq\":4,\"reason\":\"direction-push\",\"op\":\"mxv\",\"ctx\":1,\
-               \"thread\":\"grb-worker-0\",\"t_us\":10,\"frontier_nnz\":1,\
-               \"frontier_len\":64,\"threshold_den\":8}},\
+               \"thread\":\"grb-worker-0\",\"t_us\":10,\"detail\":\"under-row-scan\",\
+               \"frontier_nnz\":1,\"frontier_edges\":16,\"admitted_edges\":0}},\
              {{\"seq\":6,\"reason\":\"direction-pull\",\"op\":\"mxv\",\"ctx\":1,\
-               \"thread\":\"grb-worker-0\",\"t_us\":20,\"frontier_nnz\":16,\
-               \"frontier_len\":64,\"threshold_den\":8}},\
+               \"thread\":\"grb-worker-0\",\"t_us\":20,\"detail\":\"estimate\",\
+               \"frontier_nnz\":16,\"frontier_edges\":288,\"admitted_edges\":32}},\
              {{\"seq\":9,\"reason\":\"fuse-flush\",\"op\":\"vector.drain\",\"ctx\":1,\
                \"thread\":\"grb-worker-0\",\"t_us\":30,\"detail\":\"queue-end\",\
                \"chain_len\":5,\"nnz_in\":100}}\
@@ -540,7 +540,9 @@ mod tests {
         assert!(text.contains("9 decisions recorded"));
         assert!(text.contains("direction-push"));
         assert!(text.contains("[vector.drain] fuse-flush (queue-end) chain_len=5"));
-        assert!(text.contains("frontier_nnz=16"));
+        assert!(text.contains(
+            "[mxv] direction-pull (estimate) frontier_nnz=16 frontier_edges=288 admitted_edges=32"
+        ));
         // last_n trims the narrative but not the aggregates.
         let short = render(&doc, 1);
         assert!(short.contains("last 1 of 3"));

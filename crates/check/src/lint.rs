@@ -1085,7 +1085,7 @@ fn choose(nnz: usize, len: usize) -> Direction {
 fn choose(nnz: usize, len: usize) -> Direction {
     let d = pick(nnz, len);
     graphblas_obs::counters::record_direction_pick(d == Direction::Pull);
-    graphblas_obs::events::decision_direction(\"mxv\", 0, d == Direction::Pull, 1, 2, 8);
+    graphblas_obs::events::decision_direction(\"mxv\", 0, d == Direction::Pull, \"estimate\", [1, 2, 8]);
     d
 }
 ";

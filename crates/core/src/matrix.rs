@@ -79,6 +79,11 @@ pub(crate) struct MatrixState<T: ValueType> {
     /// the state mutex like everything else, which is what lets
     /// `check::sched` model the population race.
     pub transpose_cache: Option<(Arc<Csr<T>>, Arc<Csr<T>>)>,
+    /// What the products on this version of the store have so far given up
+    /// by running without the transpose, in stored entries' worth of
+    /// building it (see [`Matrix::snapshot_oriented`]); keyed by the store
+    /// `Arc`'s address, which is only ever compared.
+    transpose_forgone: (usize, u64),
 }
 
 impl<T: ValueType> MatrixState<T> {
@@ -90,6 +95,7 @@ impl<T: ValueType> MatrixState<T> {
             store,
             updates: Vec::new(),
             transpose_cache: None,
+            transpose_forgone: (0, 0),
         }
     }
 
@@ -675,6 +681,54 @@ impl<T: ValueType> Matrix<T> {
         let mut st = self.core.lock_completed()?;
         st.ensure_csr(&ctx, false)?;
         Ok(st.transposed_csr(&ctx))
+    }
+
+    /// Completes and snapshots the CSR store or its transpose (`true`),
+    /// for a caller that can work with either and prefers one. `prefer` is
+    /// shown the store, and the transpose only where one is memoised for
+    /// this version of the store — nothing is built to be shown — and
+    /// answers whether it would rather have the transpose and, if so, how
+    /// many stored entries' worth of building one that saves it; what else
+    /// it worked out (`R`) is handed back beside the snapshot.
+    ///
+    /// A memoised transpose is handed over for the asking. One that would
+    /// have to be built is built once the savings forgone on this version
+    /// of the store add up to the build itself — every stored entry paid
+    /// for, the break-even rule of rent-or-buy — and until then the caller
+    /// gets the store. So a matrix that is rewritten between a few products
+    /// never pays for a transpose, and a traversal that keeps wanting one
+    /// loses at most one build's worth of time before it has it.
+    pub(crate) fn snapshot_oriented<R>(
+        &self,
+        prefer: impl FnOnce(&Csr<T>, Option<&Csr<T>>) -> (Option<u64>, R),
+    ) -> GrbResult<(Arc<Csr<T>>, bool, R)> {
+        let ctx = self.context();
+        let mut st = self.core.lock_completed()?;
+        st.ensure_csr(&ctx, false)?;
+        let memo = st.transpose_cache.as_ref();
+        let memo = memo.filter(|(src, _)| Arc::ptr_eq(src, st.csr()));
+        let memoised = memo.is_some();
+        let (preference, worked_out) = prefer(st.csr(), memo.map(|(_, t)| &**t));
+        let transposed = match preference {
+            None => false,
+            Some(_) if memoised => true,
+            Some(saved) => {
+                let version = Arc::as_ptr(st.csr()) as usize;
+                let before = match st.transpose_forgone {
+                    (v, forgone) if v == version => forgone,
+                    _ => 0,
+                };
+                let forgone = before.saturating_add(saved);
+                st.transpose_forgone = (version, forgone);
+                forgone >= st.csr().nnz() as u64
+            }
+        };
+        let snapshot = if transposed {
+            st.transposed_csr(&ctx)
+        } else {
+            st.csr().clone()
+        };
+        Ok((snapshot, transposed, worked_out))
     }
 
     /// Current logical shape.

@@ -19,7 +19,7 @@ use graphblas_sparse::{ewise, Coo, Csr, DenseVec, SparseVec, VecOut};
 use crate::descriptor::Descriptor;
 use crate::error::{ApiError, Error, ExecErrorKind, GrbResult};
 use crate::matrix::{Matrix, MatrixState};
-use crate::operations::{eff_shape, snapshot_operand, Accum, Exec, Op};
+use crate::operations::{all_indices, eff_shape, is_all, snapshot_operand, Accum, Exec, Op};
 use crate::ops::BinaryOp;
 use crate::pending::NodeKind;
 use crate::scalar::Scalar;
@@ -183,7 +183,9 @@ fn assign_scalar_m<T: ValueType>(
     rows: &[Index],
     cols: &[Index],
 ) -> GrbResult {
-    let (rows, cols, accum) = (rows.to_vec(), cols.to_vec(), accum.cloned());
+    let (nrows, ncols) = call.shape();
+    let list = |sel: &[Index], n: usize| if is_all(sel) { all_indices(n) } else { sel.to_vec() };
+    let (rows, cols, accum) = (list(rows, nrows), list(cols, ncols), accum.cloned());
     call.run(NodeKind::Assign, None, rows.len() * cols.len(), move |x| {
         let cells = rows.iter().flat_map(|&i| cols.iter().map(move |&j| (i, j)));
         let (tr, tc): (Vec<_>, Vec<_>) = cells.unzip();
@@ -194,35 +196,40 @@ fn assign_scalar_m<T: ValueType>(
 
 /// Both scalar-into-vector-region entries.
 ///
-/// With the identity selector (`GrB_ALL`) the region is all of `w`, so `T`
-/// is the scalar wherever the mask can admit it and goes through the whole
-/// write rule, accumulator included; the general path's selector copy and
-/// n-long region vectors are never built. Under a non-complemented mask —
-/// the `levels⟨frontier⟩ = depth` idiom of every BFS level — the mask
-/// alone bounds the write and `T` is the scalar on its truthy positions;
-/// otherwise `T` is the constant *full* vector, written over a full `w`'s
-/// own buffer when nothing else reads the old values.
+/// With the identity selector — [`ALL`](crate::operations::ALL), known by
+/// its address, or an explicit `0..n`, proved entry by entry — the region
+/// is all of `w`, so `T` is the scalar wherever the mask can admit it and
+/// goes through the whole write rule, accumulator included; the general
+/// path's selector copy and n-long region vectors are never built. Under a
+/// non-complemented mask — the `levels⟨frontier⟩ = depth` idiom of every
+/// BFS level — the mask alone bounds the write and `T` is the scalar on its
+/// set bits; otherwise `T` is the constant *full* vector, written over a
+/// full `w`'s own buffer when nothing else reads the old values.
 fn assign_scalar_vec<T: ValueType>(
     call: Op<'_, VectorState<T>>,
     accum: Accum<'_, T>,
     value: T,
     indices: &[Index],
 ) -> GrbResult {
-    let whole = indices.len() == call.shape() && indices.iter().enumerate().all(|(k, &i)| k == i);
+    let n = call.shape();
+    let whole = is_all(indices)
+        || (indices.len() == n && indices.iter().enumerate().all(|(k, &i)| k == i));
     let mask_bounded = whole && call.masked() && !call.desc.mask_complement;
     let overwrite = whole && !call.masked() && accum.is_none();
     // The whole-vector paths never read the selectors.
     let sel = if whole { Vec::new() } else { indices.to_vec() };
     let region_accum = accum.cloned();
     let rule_accum = accum.filter(|_| whole);
-    call.run(NodeKind::Assign, rule_accum, indices.len(), move |x| {
+    let nnz_in = if whole { n } else { indices.len() };
+    call.run(NodeKind::Assign, rule_accum, nnz_in, move |x| {
         if !whole {
             let values = vec![value; sel.len()];
             return splice_v(x, &sel, (sel.clone(), values), region_accum.as_ref());
         }
         if let Some(m) = x.mask.filter(|_| mask_bounded) {
-            let on_mask = |_, &truthy: &bool| truthy.then(|| value.clone());
-            return Ok(m.mask.filter_map_with_index(on_mask).into());
+            let (at, values) = (m.bits.iter().collect(), vec![value; m.truthy]);
+            let t = SparseVec::from_parts(x.st.n, at, values).map_err(Error::from)?;
+            return Ok(t.into());
         }
         let reused = if overwrite { x.st.take_full() } else { None };
         Ok(VecOut::Full(match reused {
@@ -345,12 +352,10 @@ impl<T: ValueType, M: MaskValue> MaskSource<MatrixState<T>> for LineMask<'_, M> 
     ) -> GrbResult<MatMask> {
         let len = if self.row { ncols } else { nrows };
         let vm = MaskSource::<VectorState<T>>::snapshot(self.mask, ctx, &len, desc)?;
-        let truthy = vm.mask.iter().filter_map(|(k, &t)| t.then_some(k));
         let forbidden: Vec<Index> = if vm.complement {
-            truthy.collect()
+            vm.bits.iter().collect()
         } else {
-            let admitted = flags(&truthy.collect::<Vec<_>>(), len);
-            (0..len).filter(|&k| !admitted[k]).collect()
+            (0..len).filter(|&k| !vm.bits.contains(k)).collect()
         };
         let (r, c) = forbidden.iter().map(|&k| self.at(k)).unzip();
         let lifted = Coo::from_parts(nrows, ncols, r, c, vec![true; forbidden.len()])

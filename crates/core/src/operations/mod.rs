@@ -56,9 +56,21 @@ use crate::pending::{MapFn, NodeKind};
 use crate::types::{Index, ValueType};
 use crate::write::{MaskSource, Rule, Target};
 
-/// The index list meaning "all indices" (`GrB_ALL` in C).
+/// `GrB_ALL`: the selector meaning "every index, in order", whatever the
+/// dimension. As in the C API it is a sentinel — `assign` recognises this
+/// very slice by address (never a slice that merely looks like it) and
+/// neither materialises nor checks an index list; anywhere else it is the
+/// one-element list it appears to be.
+pub static ALL: &[Index] = &[Index::MAX];
+
+/// The explicit index list `0..n`: what [`ALL`] stands for, spelled out.
 pub fn all_indices(n: usize) -> Vec<Index> {
     (0..n).collect()
+}
+
+/// Whether `indices` is the [`ALL`] sentinel itself.
+pub(crate) fn is_all(indices: &[Index]) -> bool {
+    std::ptr::eq(indices, ALL)
 }
 
 /// An optional accumulator over the output's domain.
@@ -76,7 +88,8 @@ pub(crate) type Accum<'a, T> = Option<&'a BinaryOp<T, T, T>>;
 ///    argument, then each operand's context and shape in argument order;
 /// 2. **input snapshots** — operands are completed and snapshotted *at
 ///    call time*, fixing their value at this point of the sequence. The
-///    operation snapshots its operands, [`Op::run`] the mask;
+///    operation snapshots its operands, [`Op::run`] the mask (unless the
+///    operation asked [`Op::mask`] for it first);
 /// 3. **deferred body** — [`Op::run`] queues one node on the output: the
 ///    operation's closure computes `T`, [`Target::write_back`] lands it.
 ///    In a blocking context the node runs before `run` returns. (The
@@ -90,6 +103,8 @@ pub(crate) struct Op<'a, S: Target> {
     name: &'static str,
     out: &'a Arc<Container<S>>,
     mask: Option<&'a dyn MaskSource<S>>,
+    /// The mask's snapshot, once [`Op::mask`] or [`Op::run`] has taken it.
+    snapshot: Option<S::Mask>,
     pre_fused: usize,
     _span: graphblas_obs::Span,
 }
@@ -123,6 +138,7 @@ impl<'a, S: Target> Op<'a, S> {
             name: &name["op.".len()..],
             out,
             mask: mask.map(|m| m as &dyn MaskSource<S>),
+            snapshot: None,
             pre_fused: 0,
             _span,
         };
@@ -151,6 +167,15 @@ impl<'a, S: Target> Op<'a, S> {
         self.out.lock_raw().shape()
     }
 
+    /// Step 2 for the mask, taken now and handed to [`Op::run`] later: for
+    /// an operation that plans its kernel around what the mask admits.
+    pub(crate) fn mask(&mut self) -> GrbResult<Option<&S::Mask>> {
+        if let (Some(m), None) = (self.mask, &self.snapshot) {
+            self.snapshot = Some(m.snapshot(&self.ctx, &self.shape(), self.desc)?);
+        }
+        Ok(self.snapshot.as_ref())
+    }
+
     /// Whether nothing but an element function stands between the operand
     /// at `input` and the output: they are the same object, unmasked,
     /// unaccumulated, not replaced.
@@ -176,7 +201,7 @@ impl<'a, S: Target> Op<'a, S> {
     /// applies (`None` when `T` already folded it in); `nnz_in` sizes the
     /// input for the fusion accounting.
     pub(crate) fn run<R, K>(
-        self,
+        mut self,
         kind: NodeKind,
         accum: Accum<'_, S::Elem>,
         nnz_in: usize,
@@ -186,12 +211,10 @@ impl<'a, S: Target> Op<'a, S> {
         R: Into<S::Result>,
         K: FnOnce(&mut Exec<'_, S>) -> GrbResult<R> + Send + 'static,
     {
+        self.mask()?;
         let rule = Rule {
             op: self.name,
-            mask: match self.mask {
-                Some(m) => Some(m.snapshot(&self.ctx, &self.shape(), self.desc)?),
-                None => None,
-            },
+            mask: self.snapshot.take(),
             accum: accum.cloned(),
             replace: self.desc.replace,
         };

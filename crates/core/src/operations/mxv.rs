@@ -1,35 +1,56 @@
 //! `GrB_mxv` / `GrB_vxm`: matrix-vector products over a semiring, with
 //! direction-optimizing dispatch.
 //!
-//! Both entry points choose between the frontier-friendly *push* kernel
-//! (scatter rows of the input's nonzeros) and the row-parallel *pull*
-//! kernel (dot products against the whole frontier) with a Beamer-style
-//! density heuristic: sparse frontiers push, dense frontiers pull. The
-//! kernel that needs the matrix in the "other" orientation runs on the
+//! Both entry points choose between the *push* kernel (scatter the rows of
+//! the input's nonzeros) and the row-parallel *pull* kernel (dot products
+//! of the admitted rows against the whole frontier) by what each would
+//! touch — direction by edges, Ligra's rule, with the output mask counted
+//! on the pull side (`choose_direction`). The estimate reads three
+//! things, all at call time and after the mask snapshot: the matrix entries
+//! the frontier carries in the push orientation, the rows the mask admits
+//! and their entries in the pull orientation (one pass over the mask's
+//! bits), and whether one product can end a pulled row (the boolean
+//! LOR/LAND and ANY monoids — `MIN` declares a terminal no product ever
+//! is, and gets no discount). Its three weights (`PUSH_EDGE`, `FLOP`,
+//! `BUILD_ENTRY`) were fitted to per-level forced-push / forced-pull
+//! timings; EXPERIMENTS.md, "Direction by edges, masks as bitsets", has
+//! the table.
+//!
+//! The kernel that needs the matrix in the "other" orientation runs on the
 //! memoized transpose (`MatrixState::transpose_cache`), so iterative
 //! algorithms pay for `Aᵀ` at most once per matrix version — the §III
 //! completion latitude CombBLAS 2.0 identifies as the biggest lever for
-//! frontier algorithms. The add monoid's terminal (annihilator) value,
-//! when declared, short-circuits per-row accumulation in the pull kernel —
-//! the `ablation_terminal` bench measures the payoff for LOR traversals.
+//! frontier algorithms. Nothing is built to *estimate*: an orientation
+//! that is neither stored nor memoised is priced from `nnz(A) / n` per
+//! vertex. Whether it is built to be *used* is rent-or-buy
+//! (`Matrix::snapshot_oriented`): the savings a matrix version's products
+//! forgo by running on the stored orientation add up, and the transpose is
+//! built when they reach what building it costs. A matrix rewritten between
+//! a handful of products never pays for one; a traversal that keeps wanting
+//! one loses at most one build's worth of time before it has it. (Doing
+//! without must cost no more than time: a full or bitmap frontier is never
+//! converted to an index list for want of a transpose, so `vxm` over a full
+//! vector builds `Aᵀ` at once.)
 //!
 //! The output mask is an input of the kernels, not only of the write-back
 //! (*mask-first execution*): `C⟨M, r⟩ = C ⊙ T` only ever reads the part of
 //! `T` the mask admits, and the spec's completion latitude lets an
-//! implementation compute just that part. Both directions therefore get
-//! the mask's truthy set as a bitset (`MaskFilter`): push never scatters
-//! into a forbidden column, and pull skips a forbidden row before touching
-//! it — under BFS's complemented `visited` mask that is the bottom-up half
-//! of direction optimization, where only the unvisited vertices look for a
-//! parent. The filter is deliberately coarse (truthy set × complement
-//! only); the write-back's `merge_vector` still runs on the result because
-//! it alone implements accumulate, replace and the deletion of old entries
-//! inside the mask, and re-applying the mask there is idempotent.
+//! implementation compute just that part. The mask's snapshot *is* a bitset
+//! of its truthy positions (`write::VecMask`), built once per call from
+//! whichever store holds the mask; the estimate, both kernels (through
+//! `MaskFilter`) and the write rule read those same bits. Push never
+//! scatters into a forbidden column, and pull skips a forbidden row before
+//! touching it — under BFS's complemented `visited` mask that is the
+//! bottom-up half of direction optimization, where only the unvisited
+//! vertices look for a parent. The filter is deliberately coarse (truthy
+//! set × complement only); the write-back's `merge_vector` still runs on
+//! the result because it alone implements accumulate, replace and the
+//! deletion of old entries inside the mask, and re-applying the mask there
+//! is idempotent.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use graphblas_exec::workspace::{self, BitSet};
 use graphblas_exec::Context;
 use graphblas_sparse::spmv::{Hooks, OutputFilter, Unmasked};
 use graphblas_sparse::{Csr, SparseVec};
@@ -37,7 +58,7 @@ use graphblas_sparse::{Csr, SparseVec};
 use crate::descriptor::Descriptor;
 use crate::error::{ApiError, GrbResult};
 use crate::matrix::Matrix;
-use crate::operations::{eff_shape, snapshot_operand, Accum, Op};
+use crate::operations::{eff_shape, Accum, Op};
 use crate::ops::registry::{self, Operand};
 use crate::ops::{BinaryOp, BuiltinOp, Monoid, Semiring};
 use crate::pending::{fuse_maps, NodeKind};
@@ -46,24 +67,24 @@ use crate::vector::{Frontier, Vector, VectorState};
 use crate::write::{VecMask, VecResult};
 
 /// The result's Table III format pick lives with the vector store; its
-/// threshold stays importable from here, next to [`PULL_THRESHOLD_DEN`].
+/// threshold stays importable from here.
 pub use crate::vector::BITMAP_THRESHOLD_DEN;
 
 /// Which matrix-vector kernel a product dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Scatter the input's nonzeros through their matrix rows (good for
-    /// sparse frontiers).
+    /// frontiers that carry few edges).
     Push,
-    /// Per-output-row dot products against the input (good for dense
-    /// frontiers; supports the add monoid's terminal early exit).
+    /// Per-output-row dot products against the input (good for frontiers
+    /// that carry many; supports the add monoid's terminal early exit).
     Pull,
 }
 
-// 0 = automatic heuristic, 1 = forced push, 2 = forced pull.
+// 0 = automatic estimate, 1 = forced push, 2 = forced pull.
 static FORCE_DIRECTION: AtomicU8 = AtomicU8::new(0);
 
-/// Overrides the push/pull heuristic for every subsequent `mxv`/`vxm`
+/// Overrides the push/pull estimate for every subsequent `mxv`/`vxm`
 /// (`None` restores automatic selection). Both directions compute the
 /// same result — this is the ablation/testing knob for exercising a
 /// specific kernel on a given graph.
@@ -76,47 +97,167 @@ pub fn force_direction(d: Option<Direction>) {
     FORCE_DIRECTION.store(v, Ordering::SeqCst);
 }
 
-/// The Beamer density threshold denominator: the heuristic pulls once
-/// `frontier_nnz * PULL_THRESHOLD_DEN >= frontier_len`, i.e. once the
-/// frontier holds at least `1 / PULL_THRESHOLD_DEN` of the vertices.
-/// Decision events carry this value so an explain log is self-contained.
-pub const PULL_THRESHOLD_DEN: u64 = 8;
+// The estimate's three prices, in units of one matrix entry streamed past
+// the pull kernel's frontier lookup (≈ 1.3 ns on the box that measured
+// them). They are least-squares fits to the per-level forced-push and
+// forced-pull times of 48 scale-16 RMAT traversals, tabulated in
+// EXPERIMENTS.md, "Direction by edges, masks as bitsets".
 
-/// Beamer-style direction choice: pull once the frontier holds at least
-/// 1/[`PULL_THRESHOLD_DEN`] of the vertices, push below that. An empty
-/// frontier takes `no_transpose` — whichever direction runs on the
-/// matrix's stored orientation — so degenerate calls never build `Aᵀ`.
-fn choose_direction(
-    op: &'static str,
-    ctx_id: u64,
-    frontier_nnz: usize,
-    frontier_len: usize,
-    no_transpose: Direction,
-) -> Direction {
-    let d = match FORCE_DIRECTION.load(Ordering::SeqCst) {
-        1 => Direction::Push,
-        2 => Direction::Pull,
-        _ if frontier_nnz == 0 => no_transpose,
-        _ => {
-            if frontier_nnz as u64 * PULL_THRESHOLD_DEN >= frontier_len as u64 {
-                Direction::Pull
-            } else {
-                Direction::Push
-            }
+/// One edge the push kernel walks, whatever the mask says of its column:
+/// the entry read from a row that starts somewhere new, and the bit test.
+const PUSH_EDGE: u64 = 3;
+/// One unit of real work in either kernel: a product formed and folded
+/// into an accumulator (a random upsert for push, an operator call for
+/// pull), or one admitted row of a pull opened and its result emitted.
+const FLOP: u64 = 12;
+/// One stored entry of `A` transposed (≈ 16 ns): the exchange rate between
+/// a saving and the build it would pay for.
+const BUILD_ENTRY: u64 = 12;
+
+/// What one product looks like to the direction estimate.
+struct Shape<'a, A, X: ValueType> {
+    u: &'a Frontier<X>,
+    mask: Option<&'a VecMask>,
+    /// Length of the output — rows of the orientation pull reads.
+    m: usize,
+    /// Whether one product can be the add monoid's terminal value, so that
+    /// a pulled row stops at the first frontier entry it meets.
+    first_hit_ends_row: bool,
+    /// The orientation each direction reads, where it exists without being
+    /// built.
+    push_a: Option<&'a Csr<A>>,
+    pull_a: Option<&'a Csr<A>>,
+    nnz_a: usize,
+    /// The direction that reads the stored orientation.
+    stored: Direction,
+}
+
+/// What the estimate decided and on what grounds.
+struct Pick {
+    dir: Direction,
+    /// The decision event's detail: which rule decided.
+    why: &'static str,
+    /// The event's numbers: `[frontier_nnz, frontier_edges, admitted_edges]`.
+    seen: [u64; 3],
+    /// What `dir` saves over the other direction, as stored entries' worth
+    /// of building a transpose — `u64::MAX` where doing without `dir` is
+    /// not an option.
+    worth: u64,
+    /// Where the estimate counted them exactly: the entries of the rows the
+    /// mask admits, for the pull kernel's span.
+    admitted_entries: Option<usize>,
+}
+
+/// Direction by edges (Ligra's rule, with the output mask on both sides).
+/// With `E` the edges the frontier carries in the push orientation, `R` and
+/// `N` the rows the mask admits and their entries in the pull orientation,
+/// and `F = E · N / nnz(A)` the products between the two sets:
+///
+/// * push walks `E` edges and lands `F` products;
+/// * pull opens `R` rows, streams their `N` entries and folds `F` products
+///   — or, where a row ends at its first hit, streams each row only until
+///   it meets one (every `nnz(A) / E` entries) and folds at most one — a
+///   fold costing as much as push's when the frontier is an index list
+///   behind a position table, a quarter of that when it is indexed directly.
+///
+/// A direction whose orientation of `A` is neither stored nor memoised is
+/// priced from `nnz(A) / n` per vertex — nothing is built to be priced;
+/// whether it is built to be *used* is [`Matrix::snapshot_oriented`]'s
+/// rent-or-buy rule, fed by [`Pick::worth`]. An empty frontier takes the
+/// stored orientation.
+fn choose_direction<A, X: ValueType>(p: &Shape<'_, A, X>) -> Pick {
+    let (nnz_u, nnz_a) = (p.u.nnz() as u64, p.nnz_a as u64);
+    let mut pick = Pick {
+        dir: p.stored,
+        why: "empty-frontier",
+        seen: [nnz_u, 0, 0],
+        worth: u64::MAX,
+        admitted_entries: None,
+    };
+    match FORCE_DIRECTION.load(Ordering::SeqCst) {
+        0 if nnz_u == 0 => return pick,
+        0 => {}
+        forced => {
+            pick.dir = if forced == 1 { Direction::Push } else { Direction::Pull };
+            pick.why = "forced";
+            return pick;
+        }
+    }
+    let listed = matches!(p.u, Frontier::Sparse(_));
+    // Doing without the cheaper direction must cost no more than time: a
+    // push takes the frontier as an index list only, and a full or bitmap
+    // one is not turned into one for want of a transpose.
+    let worth = |saving: u64| {
+        if listed || p.stored == Direction::Pull {
+            saving / BUILD_ENTRY
+        } else {
+            u64::MAX
         }
     };
-    if graphblas_obs::enabled() {
-        graphblas_obs::counters::record_direction_pick(d == Direction::Pull);
-        graphblas_obs::events::decision_direction(
-            op,
-            ctx_id,
-            d == Direction::Pull,
-            frontier_nnz as u64,
-            frontier_len as u64,
-            PULL_THRESHOLD_DEN,
-        );
+    let edges = match p.push_a {
+        Some(a) => frontier_entries(p.u, a) as u64,
+        None => scaled(nnz_u, nnz_a, p.u.len() as u64),
+    };
+    pick.seen[1] = edges;
+    // Push walks an index list: another format is converted to one first,
+    // an entry at a time.
+    let convert = if listed { 0 } else { nnz_u };
+    let walk = PUSH_EDGE * (edges + convert);
+    let rows = p.mask.map_or(p.m, |k| k.admitted(p.m)) as u64;
+    if walk + FLOP * edges <= FLOP * rows {
+        // Every edge landing a product is still cheaper than opening the
+        // admitted rows, whatever they hold.
+        pick.dir = Direction::Push;
+        pick.why = "under-row-scan";
+        pick.worth = worth(FLOP * rows - (walk + FLOP * edges));
+        return pick;
     }
-    d
+    let admitted = match (p.mask, p.pull_a) {
+        (None, _) => nnz_a,
+        (Some(k), Some(a)) => {
+            let under: usize = k.bits.iter().map(|i| a.row_nnz(i)).sum();
+            let admitted = if k.complement { p.nnz_a - under } else { under };
+            pick.admitted_entries = Some(admitted);
+            admitted as u64
+        }
+        (Some(_), None) => scaled(rows, nnz_a, p.m as u64),
+    };
+    pick.seen[2] = admitted;
+    let products = scaled(edges, admitted, nnz_a.max(1));
+    let push = walk + FLOP * products;
+    // A pulled product finds its frontier entry through the position table
+    // (two dependent loads), or by indexing a bitmap or full one directly.
+    let fold = if listed { FLOP } else { PUSH_EDGE };
+    let pull = if p.first_hit_ends_row {
+        let read = admitted.min(scaled(rows, nnz_a, edges.max(1)));
+        FLOP * rows + read + fold * products.min(rows)
+    } else {
+        FLOP * rows + admitted + fold * products
+    };
+    pick.why = "estimate";
+    pick.dir = match pull.cmp(&push) {
+        std::cmp::Ordering::Less => Direction::Pull,
+        std::cmp::Ordering::Greater => Direction::Push,
+        std::cmp::Ordering::Equal => p.stored,
+    };
+    pick.worth = worth(pull.abs_diff(push));
+    pick
+}
+
+/// `count * num / den`, wide enough for any vertex count times any edge
+/// count.
+fn scaled(count: u64, num: u64, den: u64) -> u64 {
+    (count as u128 * num as u128 / den as u128) as u64
+}
+
+/// The stored entries of `a` in the rows `u` holds: the edges a push of
+/// `u` through `a` scatters.
+fn frontier_entries<A, X: ValueType>(u: &Frontier<X>, a: &Csr<A>) -> usize {
+    match u {
+        Frontier::Sparse(s) => s.indices().iter().map(|&i| a.row_nnz(i)).sum(),
+        Frontier::Bitmap(b) => b.iter().map(|(i, _)| a.row_nnz(i)).sum(),
+        Frontier::Full(_) => a.nnz(),
+    }
 }
 
 /// Normalizes a bitmap or full frontier to sparse when the chosen kernel
@@ -142,46 +283,34 @@ fn frontier_for<X: ValueType>(
     Frontier::Sparse(Arc::new(sparse))
 }
 
-/// The output mask as the kernels' [`OutputFilter`]: a dense bitset of the
-/// mask's truthy positions, checked out of the workspace cache, consulted
-/// as `truthy != complement`. The pull kernel skips the rows it forbids,
-/// the push kernel the columns, so neither direction computes entries the
-/// write-back would discard. Prefiltering is a pure optimization —
-/// the write-back still applies the mask (with structure, accum and
-/// replace) afterwards and the intersection is idempotent.
+/// The output mask as the kernels' [`OutputFilter`]: the snapshot's bitset
+/// of truthy positions, consulted as `truthy != complement`. The pull
+/// kernel skips the rows it forbids, the push kernel the columns, so
+/// neither direction computes entries the write-back would discard.
+/// Prefiltering is a pure optimization — the write-back still applies the
+/// mask (with accum and replace) afterwards and the intersection is
+/// idempotent.
 #[derive(Clone, Copy)]
 struct MaskFilter<'a> {
-    bits: &'a BitSet,
-    complement: bool,
-    truthy: usize,
+    mask: &'a VecMask,
+    /// The matrix entries in the rows this admits, where the direction
+    /// estimate counted them.
+    entries: Option<usize>,
 }
 
 impl OutputFilter for MaskFilter<'_> {
     #[inline]
     fn allows(&self, i: usize) -> bool {
-        self.bits.contains(i) != self.complement
+        self.mask.bits.contains(i) != self.mask.complement
     }
 
     fn allowed(&self, n: usize) -> usize {
-        if self.complement {
-            n - self.truthy
-        } else {
-            self.truthy
-        }
+        self.mask.admitted(n)
     }
-}
 
-/// Checks out the bitset behind a [`MaskFilter`] and counts its members.
-fn mask_bits(m: &VecMask) -> (workspace::Checkout<BitSet>, usize) {
-    let mut bits = workspace::checkout::<BitSet>(m.mask.len());
-    let mut truthy = 0;
-    for (j, &t) in m.mask.iter() {
-        if t {
-            bits.insert(j);
-            truthy += 1;
-        }
+    fn allowed_entries(&self) -> Option<usize> {
+        self.entries
     }
-    (bits, truthy)
 }
 
 /// One matrix-vector product resolved to a direction, with `a` already in
@@ -243,17 +372,11 @@ where
         )
     }
 
-    /// [`Product::run`] under the operation's mask, if any.
-    fn run_masked(&self, mask: Option<&VecMask>) -> SparseVec<C> {
+    /// [`Product::run`] under the operation's mask, if any; `entries` is
+    /// [`Pick::admitted_entries`].
+    fn run_masked(&self, mask: Option<&VecMask>, entries: Option<usize>) -> SparseVec<C> {
         match mask {
-            Some(m) => {
-                let (bits, truthy) = mask_bits(m);
-                self.run(MaskFilter {
-                    bits: &bits,
-                    complement: m.complement,
-                    truthy,
-                })
-            }
+            Some(mask) => self.run(MaskFilter { mask, entries }),
             None => self.run(Unmasked),
         }
     }
@@ -279,7 +402,7 @@ struct Multiply<F> {
 /// The one matrix-vector product behind `mxv` and `vxm`:
 /// `w⟨m, r⟩ = w ⊙ (P ⊕.⊗ u)`.
 fn product<C, A, X, F>(
-    call: Op<'_, VectorState<C>>,
+    mut call: Op<'_, VectorState<C>>,
     accum: Accum<'_, C>,
     a: &Matrix<A>,
     u: &Vector<X>,
@@ -309,26 +432,55 @@ where
     // the maps become the node's fused input side instead of forcing a
     // drain of `u`.
     let (u_f, pre_maps) = u.snapshot_frontier_fused()?;
+    // The mask is snapshotted ahead of the choice: what it admits is half
+    // of what the choice weighs.
+    let m = call.shape();
+    let mask = call.mask()?;
     // Pull runs on `P`, push on the other orientation; whichever of the
     // two is not the stored one is served by the memoized transpose.
-    let natural = if pull_t {
+    let stored = if pull_t {
         Direction::Push
     } else {
         Direction::Pull
     };
-    let pick = graphblas_obs::timeline::phase("mxv.pick");
-    let dir = choose_direction(op, ctx_id, u_f.nnz(), u_f.len(), natural);
-    let u_f = frontier_for(op, ctx_id, dir, u_f);
-    let a_s = snapshot_operand(
-        a,
-        if dir == Direction::Pull {
-            pull_t
+    let first_hit_ends_row = matches!(
+        add.builtin(),
+        Some(BuiltinOp::LOr | BuiltinOp::LAnd | BuiltinOp::Any)
+    );
+    let phase = graphblas_obs::timeline::phase("mxv.pick");
+    let (a_s, transposed, mut pick) = a.snapshot_oriented(|a_csr, a_t| {
+        let (push_a, pull_a) = if pull_t {
+            (Some(a_csr), a_t)
         } else {
-            !pull_t
-        },
-        false,
-    )?;
-    drop(pick);
+            (a_t, Some(a_csr))
+        };
+        let pick = choose_direction(&Shape {
+            u: &u_f,
+            mask,
+            m,
+            first_hit_ends_row,
+            push_a,
+            pull_a,
+            nnz_a: a_csr.nnz(),
+            stored,
+        });
+        ((pick.dir != stored).then_some(pick.worth), pick)
+    })?;
+    if !transposed && pick.dir != stored {
+        // The other orientation is not there and this product alone does
+        // not pay for building it.
+        pick.dir = stored;
+        pick.why = "build-unpaid";
+    }
+    let dir = pick.dir;
+    if graphblas_obs::enabled() {
+        let pull = dir == Direction::Pull;
+        graphblas_obs::counters::record_direction_pick(pull);
+        graphblas_obs::events::decision_direction(op, ctx_id, pull, pick.why, pick.seen);
+    }
+    let admitted_entries = pick.admitted_entries.filter(|_| dir == Direction::Pull);
+    let u_f = frontier_for(op, ctx_id, dir, u_f);
+    drop(phase);
     let add = add.clone();
     let call = call.fusing_input(pre_maps.len());
     // Unmasked and unaccumulated, `T` is the written result, so the
@@ -359,7 +511,7 @@ where
             post: (!post.is_empty()).then_some(&post_hook as _),
         };
         Ok(VecResult {
-            t: product.run_masked(x.mask).into(),
+            t: product.run_masked(x.mask, admitted_entries).into(),
             bitmap_ok: true,
         })
     })
@@ -750,6 +902,142 @@ mod tests {
         let picks = events.iter().filter(|e| e.reason == Reason::FormatPick);
         assert!(picks.map(|e| e.detail).eq(["full", "full"]));
         assert!(!events.iter().any(|e| e.reason == Reason::ConvertSparse));
+    }
+
+    /// A private context (its explain log holds only this test's events)
+    /// and, in it, the undirected graph of `hubs` vertices each adjacent to
+    /// all of `leaves` further ones, among `n` vertices in all.
+    fn hub_graph(hubs: usize, leaves: usize, n: usize) -> (Context, Matrix<bool>) {
+        use graphblas_exec::{ContextOptions, Mode};
+        let ctx = Context::new(
+            &crate::global_context(),
+            Mode::Blocking,
+            ContextOptions::default(),
+        );
+        let spokes = (0..hubs).flat_map(|h| (hubs..hubs + leaves).map(move |l| (h, l)));
+        let (mut rows, mut cols): (Vec<usize>, Vec<usize>) = spokes.unzip();
+        let one_way = rows.clone();
+        rows.extend(&cols);
+        cols.extend(one_way);
+        let a = Matrix::<bool>::new_in(&ctx, n, n).unwrap();
+        a.build(&rows, &cols, &vec![true; rows.len()], None).unwrap();
+        (ctx, a)
+    }
+
+    /// The direction picks `ctx` has recorded: (pulled, on what grounds).
+    fn picks(ctx: &Context) -> Vec<(bool, &'static str)> {
+        use graphblas_obs::events::Reason;
+        let events = ctx.explain(usize::MAX).events.into_iter();
+        let picks = events.filter_map(|e| match e.reason {
+            Reason::DirectionPull => Some((true, e.detail)),
+            Reason::DirectionPush => Some((false, e.detail)),
+            _ => None,
+        });
+        picks.collect()
+    }
+
+    #[test]
+    fn nothing_is_built_to_estimate_and_a_build_is_made_once_it_is_paid_for() {
+        let _g = serialize();
+        let (ctx, a) = hub_graph(4, 56, 60);
+        let seed = Vector::<bool>::new_in(&ctx, 60).unwrap();
+        seed.set_element(true, 7).unwrap();
+        let product = |by_mxv: bool| {
+            let w = Vector::<bool>::new_in(&ctx, 60).unwrap();
+            let (sr, d) = (Semiring::lor_land(), Descriptor::default());
+            if by_mxv {
+                mxv(&w, no_mask_v(), None, &sr, &a, &seed, &d).unwrap();
+            } else {
+                vxm(&w, no_mask_v(), None, &sr, &seed, &a, &d).unwrap();
+            }
+            assert_eq!(vec_tuples(&w), (0..4).map(|h| (h, true)).collect::<Vec<_>>());
+        };
+        graphblas_obs::set_enabled(true);
+        let builds = || graphblas_obs::snapshot().direction.transpose_builds;
+        let before = builds();
+        // A one-entry frontier wants to be pushed. `vxm` pushes over the
+        // stored rows; its pull orientation, which no one has asked for,
+        // is priced without being built.
+        product(false);
+        assert_eq!(picks(&ctx), [(false, "under-row-scan")]);
+        // `mxv` would have to build `Aᵀ` to push, and one product does not
+        // pay for that: it pulls over the stored rows.
+        product(true);
+        assert_eq!(picks(&ctx)[1], (true, "build-unpaid"));
+        assert_eq!(builds(), before, "an orientation was built for one small product");
+        // A caller that keeps coming back has the build paid for within a
+        // few products, and pushes over the memo from then on.
+        let mut calls = 2;
+        while builds() == before {
+            product(true);
+            calls += 1;
+            assert!(calls < 16, "the savings forgone never bought the transpose");
+        }
+        assert!(calls > 3, "built after {calls} products");
+        product(true);
+        graphblas_obs::set_enabled(false);
+        assert_eq!(builds(), before + 1);
+        assert_eq!(picks(&ctx)[calls - 1..], [(false, "under-row-scan"); 2]);
+    }
+
+    #[test]
+    fn only_a_monoid_that_one_product_can_end_gets_the_early_exit_discount() {
+        let _g = serialize();
+        // Four hubs visited, 60 leaves not, 56 further vertices visited
+        // and edgeless: half the vertices are behind the mask. The frontier
+        // is the hubs and carries every edge.
+        let n = 120;
+        let (ctx, a) = hub_graph(4, 60, n);
+        a.snapshot_transposed().unwrap();
+        let visited: Vec<usize> = (0..4).chain(64..n).collect();
+        let mask = Vector::<bool>::new_in(&ctx, n).unwrap();
+        mask.build(&visited, &vec![true; visited.len()], None).unwrap();
+        let hubs: Vec<usize> = (0..4).collect();
+        let desc = Descriptor::new().structure_mask().complement_mask().replace();
+        graphblas_obs::set_enabled(true);
+        // LOR: a pulled row ends at its first hub, one entry in.
+        let reached = Vector::<bool>::new_in(&ctx, n).unwrap();
+        let from = Vector::<bool>::new_in(&ctx, n).unwrap();
+        from.build(&hubs, &[true; 4], None).unwrap();
+        let lor = Semiring::lor_land();
+        vxm(&reached, Some(&mask), None, &lor, &from, &a, &desc).unwrap();
+        // MIN declares a terminal (`i64::MIN`) that no product ever is, so
+        // its pulled rows are read to the end — exactly as under a MIN
+        // that declares none.
+        let ids = Vector::<i64>::new_in(&ctx, n).unwrap();
+        ids.build(&hubs, &[0, 1, 2, 3], None).unwrap();
+        let plain_min = Monoid::new(BinaryOp::min(), i64::MAX);
+        assert!(Monoid::<i64>::min().terminal().is_some() && plain_min.terminal().is_none());
+        for min in [Monoid::min(), plain_min] {
+            let parent = Vector::<i64>::new_in(&ctx, n).unwrap();
+            let min_first: Semiring<i64, bool, i64> = Semiring::new(min, BinaryOp::first());
+            vxm(&parent, Some(&mask), None, &min_first, &ids, &a, &desc).unwrap();
+            assert_eq!(vec_tuples(&parent), (4..64).map(|l| (l, 0)).collect::<Vec<_>>());
+        }
+        graphblas_obs::set_enabled(false);
+        assert_eq!(reached.nvals().unwrap(), 60);
+        assert_eq!(
+            picks(&ctx),
+            [(true, "estimate"), (false, "estimate"), (false, "estimate")]
+        );
+    }
+
+    #[test]
+    fn an_empty_frontier_takes_the_stored_orientation() {
+        let _g = serialize();
+        let (ctx, a) = hub_graph(2, 6, 8);
+        let nothing = Vector::<bool>::new_in(&ctx, 8).unwrap();
+        let w = Vector::<bool>::new_in(&ctx, 8).unwrap();
+        let (sr, d) = (Semiring::lor_land(), Descriptor::default());
+        graphblas_obs::set_enabled(true);
+        let before = graphblas_obs::snapshot().direction.transpose_builds;
+        vxm(&w, no_mask_v(), None, &sr, &nothing, &a, &d).unwrap();
+        mxv(&w, no_mask_v(), None, &sr, &a, &nothing, &d).unwrap();
+        graphblas_obs::set_enabled(false);
+        let after = graphblas_obs::snapshot().direction.transpose_builds;
+        assert_eq!(picks(&ctx), [(false, "empty-frontier"), (true, "empty-frontier")]);
+        assert_eq!(after, before);
+        assert_eq!(w.nvals().unwrap(), 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::introspect::{CheckError, ObjectStats};
 use crate::ops::BinaryOp;
 use crate::pending::{fuse_maps, MapFn, WaitMode};
 use crate::scalar::Scalar;
-use crate::types::{Index, MaskValue, ValueType};
+use crate::types::{Index, ValueType};
 
 /// The lazy internal storage of a vector.
 pub(crate) enum VecStore<T: ValueType> {
@@ -621,19 +621,6 @@ impl<T: ValueType + std::fmt::Display> Vector<T> {
         }
         out.push(']');
         Ok(out)
-    }
-}
-
-impl<T: ValueType + MaskValue> Vector<T> {
-    /// Snapshot as a boolean mask (see `Matrix::snapshot_mask`).
-    pub(crate) fn snapshot_mask(&self, structure: bool) -> GrbResult<Arc<SparseVec<bool>>> {
-        let sv = self.snapshot_sparse()?;
-        let boolified = if structure {
-            sv.map_with_index(|_, _| true)
-        } else {
-            sv.map_with_index(|_, v| v.is_truthy())
-        };
-        Ok(Arc::new(boolified))
     }
 }
 

@@ -15,6 +15,7 @@
 
 use std::sync::Arc;
 
+use graphblas_exec::workspace::{BitSet, Reusable};
 use graphblas_exec::Context;
 use graphblas_sparse::{ewise, Csr, SparseVec, VecOut, VecView};
 
@@ -25,7 +26,7 @@ use crate::matrix::{MatStore, Matrix, MatrixState};
 use crate::ops::BinaryOp;
 use crate::pending::MapFn;
 use crate::types::{Index, MaskValue, ValueType};
-use crate::vector::{VecStore, Vector, VectorState};
+use crate::vector::{VecSnap, VecStore, Vector, VectorState};
 
 /// The `⟨M, r⟩` and `⊙` of one call: everything the write rule needs
 /// besides `T`.
@@ -99,9 +100,52 @@ impl<T: ValueType, M: MaskValue> MaskSource<VectorState<T>> for Vector<M> {
         Ok(())
     }
 
+    /// Reads the mask out of whichever store holds it — an index list is
+    /// scattered, a bitmap's words are copied, a full vector's values are
+    /// tested — so a mask operand is never converted to be consulted.
     fn snapshot(&self, _: &Context, _: &Index, desc: &Descriptor) -> GrbResult<VecMask> {
+        let mut st = self.core.lock_completed()?;
+        // An index list may still hold unsorted appends whose duplicates
+        // resolve last-wins; that settles first, as for any reader.
+        if matches!(st.store, VecStore::Sparse(_)) {
+            st.ensure_sparse()?;
+        }
+        let (n, store) = (st.n, st.store.clone());
+        drop(st);
+        let structure = desc.mask_structure;
+        let mut bits = BitSet::fresh();
+        bits.prepare(n);
+        let mut truthy = 0;
+        // Every store is read in index order, so the admitted positions of
+        // one word gather in a register and land as one store.
+        let (mut word, mut gathered) = (0, 0u64);
+        let mut admit = |bits: &mut BitSet, i: Index, v: &M| {
+            if structure || v.is_truthy() {
+                if i / 64 != word {
+                    bits.insert_word(word, gathered);
+                    (word, gathered) = (i / 64, 0);
+                }
+                gathered |= 1u64 << (i % 64);
+                truthy += 1;
+            }
+        };
+        match &store {
+            VecStore::Sparse(s) => s.iter().for_each(|(i, v)| admit(&mut bits, i, v)),
+            VecStore::Bitmap(b) if structure => {
+                let words = b.words().iter().enumerate();
+                words.for_each(|(w, &present)| bits.insert_word(w, present));
+                truthy = b.nnz();
+            }
+            VecStore::Bitmap(b) => b.iter().for_each(|(i, v)| admit(&mut bits, i, v)),
+            VecStore::Dense(d) => {
+                let values = d.values().iter().enumerate();
+                values.for_each(|(i, v)| admit(&mut bits, i, v));
+            }
+        }
+        bits.insert_word(word, gathered);
         Ok(VecMask {
-            mask: self.snapshot_mask(desc.mask_structure)?,
+            bits,
+            truthy,
             complement: desc.mask_complement,
         })
     }
@@ -189,8 +233,16 @@ impl<T: ValueType> Target for VectorState<T> {
         } else if mask.is_none() && accum.is_none() {
             t
         } else {
-            st.ensure_view()?;
-            merge_vector(ctx, st.snap().view(), t, mask, accum, rule.replace)
+            // Under `replace` with no accumulator every old entry is either
+            // overwritten inside the mask or cleared outside it: the old
+            // store is not read, so it is not converted to be.
+            let old = if mask.is_some() && accum.is_none() && rule.replace {
+                VecSnap::Sparse(Arc::new(SparseVec::empty(st.n)))
+            } else {
+                st.ensure_view()?;
+                st.snap()
+            };
+            merge_vector(ctx, old.view(), t, mask, accum, rule.replace)
         };
         st.store = VecStore::pick(rule.op, ctx.id(), t, bitmap_ok);
         st.apply_post_maps(ctx, post)
@@ -204,10 +256,25 @@ pub(crate) struct MatMask {
     pub complement: bool,
 }
 
-/// Vector-mask counterpart of [`MatMask`].
+/// A snapshot of a vector mask operand: its truthy set — under a structure
+/// mask, every stored position — as one bitset that the direction estimate,
+/// both product kernels, the masked assign and the write rule all read.
 pub(crate) struct VecMask {
-    pub mask: Arc<SparseVec<bool>>,
+    pub bits: BitSet,
+    /// How many positions `bits` holds.
+    pub truthy: usize,
     pub complement: bool,
+}
+
+impl VecMask {
+    /// How many of the `n` positions the mask admits.
+    pub(crate) fn admitted(&self, n: usize) -> usize {
+        if self.complement {
+            n - self.truthy
+        } else {
+            self.truthy
+        }
+    }
 }
 
 /// Merges computed result `t` into `old` under mask/accumulator/replace.
@@ -267,8 +334,9 @@ pub(crate) fn merge_matrix<C: ValueType>(
 
 /// Vector counterpart of [`merge_matrix`]: `old` and `t` are each sparse
 /// (canonical) or full. A full operand is never turned into an index list
-/// first — the restrictions gather it at (or between) the mask's positions
-/// and the unions walk its values.
+/// first — the restrictions gather it at the positions the mask's bits
+/// admit and the unions walk its values — and a sparse one is restricted
+/// by one bit test per entry, never by walking the mask.
 pub(crate) fn merge_vector<C: ValueType>(
     ctx: &Context,
     old: VecView<'_, C>,
@@ -283,12 +351,11 @@ pub(crate) fn merge_vector<C: ValueType>(
             Some(op) => ewise::svec_union(ctx, old, t.view(), |x, y| op.apply(x, y)),
         },
         Some(m) => {
-            let truthy = |b: &bool| *b;
-            let z = ewise::svec_restrict(ctx, t.view(), &m.mask, m.complement, truthy);
+            let z = ewise::svec_restrict(ctx, t.view(), &m.bits, m.complement);
             let inside = match accum {
                 None => VecOut::Sparse(z),
                 Some(op) => {
-                    let old_inside = ewise::svec_restrict(ctx, old, &m.mask, m.complement, truthy);
+                    let old_inside = ewise::svec_restrict(ctx, old, &m.bits, m.complement);
                     ewise::svec_union(ctx, (&old_inside).into(), (&z).into(), |x, y| {
                         op.apply(x, y)
                     })
@@ -297,7 +364,7 @@ pub(crate) fn merge_vector<C: ValueType>(
             if replace {
                 inside
             } else {
-                let outside = ewise::svec_restrict(ctx, old, &m.mask, !m.complement, truthy);
+                let outside = ewise::svec_restrict(ctx, old, &m.bits, !m.complement);
                 ewise::svec_union(ctx, (&outside).into(), inside.view(), |x, _| x.clone())
             }
         }
@@ -437,8 +504,12 @@ mod tests {
         let ctx = global_context();
         let old = SparseVec::from_parts(3, vec![0, 2], vec![1i64, 3]).unwrap();
         let t = SparseVec::from_parts(3, vec![1, 2], vec![20, 30]).unwrap();
+        let mut bits = BitSet::fresh();
+        bits.prepare(3);
+        bits.insert(1);
         let m = VecMask {
-            mask: Arc::new(SparseVec::from_parts(3, vec![1], vec![true]).unwrap()),
+            bits,
+            truthy: 1,
             complement: false,
         };
         let r = merge_vector(&ctx, (&old).into(), t.into(), Some(&m), None, false);

@@ -7,12 +7,12 @@
 //! *check out* scratch from a per-thread cache and return it on drop, so an
 //! iterative algorithm allocates its scratch once per worker thread.
 //!
-//! Correctness rests on generation stamping: a slot's contents are only
-//! observable when its mark equals the workspace's current generation
-//! ([`Spa`] compares against a rising watermark instead), and every
-//! checkout (and every [`Spa::begin_pass`]) starts a new one. Stale data
-//! from a previous kernel can therefore never leak into a later one, and
-//! clearing stays O(touched), not O(n).
+//! Correctness rests on every checkout starting a new pass: [`Spa`] raises
+//! a watermark past every cell the last pass wrote (as does every
+//! [`Spa::begin_pass`]), [`BitSet`] — and [`MarkTable`], which keeps its
+//! presence bits in one — zeroes the words the last pass touched. Stale
+//! data from a previous kernel can therefore never leak into a later one,
+//! and clearing stays O(touched), not O(n).
 //!
 //! Checkout *removes* the workspace from the thread's cache, so two
 //! kernels interleaved on one thread get distinct workspaces — the second
@@ -326,26 +326,28 @@ impl<Z: 'static> Reusable for Spa<Z> {
     }
 }
 
-/// Generation-stamped index table: maps a column index to a position in
-/// some external array (the `spmv` input-densification table, without the
-/// borrowed references that would pin a lifetime).
+/// Index table behind a presence bit: maps a column index to a position
+/// in some external array (the `spmv` input-densification table, without
+/// the borrowed references that would pin a lifetime). Whether `j` was set
+/// this pass is one bit of a [`BitSet`] — eight kilobytes at n = 65 536,
+/// so a miss in the pull row loop is a cache-resident bit test and only a
+/// hit loads `pos[j]`.
 pub struct MarkTable {
-    mark: Vec<u32>,
+    present: BitSet,
     pos: Vec<usize>,
-    gen: u32,
 }
 
 impl MarkTable {
     /// Records position `p` for index `j` in the current pass.
     pub fn set(&mut self, j: usize, p: usize) {
-        self.mark[j] = self.gen;
+        self.present.insert(j);
         self.pos[j] = p;
     }
 
     /// The position recorded for `j` this pass, if any.
     #[inline]
     pub fn get(&self, j: usize) -> Option<usize> {
-        if self.mark[j] == self.gen {
+        if self.present.contains(j) {
             Some(self.pos[j])
         } else {
             None
@@ -356,27 +358,20 @@ impl MarkTable {
 impl Reusable for MarkTable {
     fn fresh() -> Self {
         MarkTable {
-            mark: Vec::new(),
+            present: BitSet::fresh(),
             pos: Vec::new(),
-            gen: 0,
         }
     }
 
     fn prepare(&mut self, n: usize) {
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
+        if self.pos.len() < n {
             self.pos.resize(n, 0);
         }
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            self.mark.iter_mut().for_each(|m| *m = 0);
-            self.gen = 1;
-        }
+        self.present.prepare(n);
     }
 
     fn reusable_bytes(&self) -> u64 {
-        (self.mark.capacity() * std::mem::size_of::<u32>()
-            + self.pos.capacity() * std::mem::size_of::<usize>()) as u64
+        self.present.reusable_bytes() + (self.pos.capacity() * std::mem::size_of::<usize>()) as u64
     }
 }
 
@@ -410,10 +405,41 @@ impl BitSet {
         self.words[w] |= 1u64 << (j % 64);
     }
 
+    /// Adds the positions `64 * w + b` for every set bit `b` of `bits`:
+    /// sixty-four inserts as one store.
+    #[inline]
+    pub fn insert_word(&mut self, w: usize, bits: u64) {
+        if self.words[w] == 0 && bits != 0 {
+            self.touched.push(w);
+        }
+        self.words[w] |= bits;
+    }
+
     /// Whether `j` is in the set this pass.
     #[inline]
     pub fn contains(&self, j: usize) -> bool {
         self.words[j / 64] & (1u64 << (j % 64)) != 0
+    }
+
+    /// The set as words: bit `j % 64` of word `j / 64` is position `j`.
+    /// At least as many words as the pass was prepared for; the rest are
+    /// zero.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The members, ascending. An empty word costs one load.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
+        })
     }
 }
 
@@ -604,6 +630,49 @@ mod tests {
         assert_eq!(t.get(0), None);
         t.prepare(5);
         assert_eq!(t.get(3), None, "stale entry survived a new pass");
+    }
+
+    #[test]
+    fn mark_table_reused_after_a_longer_pass_never_hits_stale_bits() {
+        let _g = serialize();
+        let mut t = MarkTable::fresh();
+        // A long pass touches words all over the table ...
+        t.prepare(300);
+        for j in (0..300).step_by(7) {
+            t.set(j, j + 1000);
+        }
+        assert_eq!(t.get(294), Some(1294));
+        // ... a shorter one after it sees none of them, inside or beyond
+        // its own length (the table keeps its capacity) ...
+        t.prepare(70);
+        assert!((0..300).all(|j| t.get(j).is_none()), "stale presence bit");
+        t.set(63, 1);
+        t.set(64, 2);
+        assert_eq!((t.get(63), t.get(64), t.get(65)), (Some(1), Some(2), None));
+        // ... and a position set in both passes reads the newer value.
+        t.prepare(300);
+        assert_eq!(t.get(63), None);
+        t.set(294, 5);
+        assert_eq!(t.get(294), Some(5));
+        assert_eq!(t.get(287), None, "position table leaked without its bit");
+    }
+
+    #[test]
+    fn bit_set_words_and_iteration_agree_with_membership() {
+        let _g = serialize();
+        let mut s = BitSet::fresh();
+        s.prepare(130);
+        s.insert(3);
+        s.insert_word(1, 1 | 1 << 63);
+        s.insert_word(2, 0b10);
+        s.insert_word(0, 0);
+        assert_eq!(s.iter().collect::<Vec<_>>(), [3, 64, 127, 129]);
+        assert_eq!(s.words()[..3], [1 << 3, 1 | 1 << 63, 0b10]);
+        assert!(s.contains(127) && !s.contains(128));
+        // Whole-word inserts are on the touched list like single ones.
+        s.begin_pass();
+        assert_eq!(s.iter().count(), 0);
+        assert!(s.words().iter().all(|&w| w == 0));
     }
 
     #[test]

@@ -170,7 +170,7 @@ impl Reason {
     pub fn arg_names(self) -> [&'static str; 3] {
         match self {
             Reason::DirectionPush | Reason::DirectionPull => {
-                ["frontier_nnz", "frontier_len", "threshold_den"]
+                ["frontier_nnz", "frontier_edges", "admitted_edges"]
             }
             Reason::WorkspaceHit | Reason::WorkspaceMiss => ["bytes", "n", "generation"],
             Reason::WorkspaceTrim => ["bytes", "entries", ""],
@@ -371,23 +371,30 @@ pub fn record(
 // Each decision site calls one of these (the `decision-without-event`
 // grblint rule looks for `events::decision` next to the counter calls).
 
-/// Direction pick in mxv/vxm: density `frontier_nnz / frontier_len`
-/// against the Beamer threshold `1 / threshold_den`.
+/// Direction pick in mxv/vxm, with what decided it. `why` is `"estimate"`
+/// (the cheaper side of the two costs), `"under-row-scan"` (walking the
+/// frontier's edges costs no more than opening the admitted rows, so
+/// `admitted_edges` was never counted and reads 0), `"build-unpaid"` (the
+/// stored orientation, because the cheaper side's is not memoised and the
+/// savings forgone so far do not pay for building it), `"empty-frontier"`
+/// or `"forced"` (both edge counts 0).
+/// `args` = `[frontier_nnz, frontier_edges, admitted_edges]`: the frontier's
+/// entries, the matrix entries a push of them scatters, and the matrix
+/// entries in the rows the output mask admits to a pull.
 #[inline]
 pub fn decision_direction(
     op: &'static str,
     ctx: u64,
     pull: bool,
-    frontier_nnz: u64,
-    frontier_len: u64,
-    threshold_den: u64,
+    why: &'static str,
+    args: [u64; 3],
 ) {
     let reason = if pull {
         Reason::DirectionPull
     } else {
         Reason::DirectionPush
     };
-    record(reason, op, "", ctx, [frontier_nnz, frontier_len, threshold_den]);
+    record(reason, op, why, ctx, args);
 }
 
 /// Workspace checkout: `ty` is the workspace's type name, `generation`
@@ -721,8 +728,8 @@ mod tests {
         crate::set_enabled(true);
         set_events(true);
         crate::reset();
-        decision_direction("mxv", 7, false, 1, 64, 8);
-        decision_direction("mxv", 7, true, 16, 64, 8);
+        decision_direction("mxv", 7, false, "under-row-scan", [1, 7, 0]);
+        decision_direction("mxv", 7, true, "estimate", [16, 300, 420]);
         decision_workspace("acc", true, 64, 512, 3);
         decision_fuse_flush("vector.drain", 7, 4, 100, "queue-end");
         let ex = explain(usize::MAX);
@@ -758,8 +765,8 @@ mod tests {
         let base = 3_000_000_000;
         crate::ctxreg::register_context(base + 1, 0, Some("root"));
         crate::ctxreg::register_context(base + 2, base + 1, None);
-        decision_direction("mxv", base + 2, true, 8, 8, 8);
-        decision_direction("mxv", 999_999_999, false, 1, 8, 8); // other tree
+        decision_direction("mxv", base + 2, true, "estimate", [8, 64, 64]);
+        decision_direction("mxv", 999_999_999, false, "forced", [1, 0, 0]); // other tree
         decision_workspace("acc", false, 8, 0, 1); // ctx 0
         let ex = explain_for_subtree(base + 1, usize::MAX);
         assert_eq!(ex.events.len(), 1);

@@ -65,6 +65,12 @@ impl<T> BitmapVec<T> {
             + self.values.capacity() * std::mem::size_of::<Option<T>>()) as u64
     }
 
+    /// The presence bits: bit `i % 64` of word `i / 64` is position `i`,
+    /// and no bit at or past the logical length is set.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Whether position `i` holds a stored element.
     #[inline]
     pub fn contains(&self, i: usize) -> bool {

@@ -12,6 +12,7 @@
 
 use std::ops::Range;
 
+use graphblas_exec::workspace::BitSet;
 use graphblas_exec::{parallel_map_ranges, partition, Context};
 
 use crate::csr::Csr;
@@ -531,90 +532,67 @@ where
     out
 }
 
-/// Vector mask restriction (see [`ewise_restrict`]). A full `a` is never
-/// walked: it is gathered at the mask's admitting positions, or — under a
-/// complemented mask — copied in runs between the positions the mask
-/// forbids.
-pub fn svec_restrict<A, M, P>(
+/// Vector mask restriction (see [`ewise_restrict`]): the entries of `a` at
+/// the positions `mask` admits, where `mask` is the truthy set of the mask
+/// vector as a bitset (consulted as `member != complement`). A sparse `a`
+/// is filtered by one bit test per stored entry — O(nnz(a)), whatever the
+/// mask holds; a full `a` is gathered word by word at the admitted
+/// positions, sized by one popcount pass.
+pub fn svec_restrict<A: Clone>(
     ctx: &Context,
     a: VecView<'_, A>,
-    m: &SparseVec<M>,
+    mask: &BitSet,
     complement: bool,
-    pred: P,
-) -> SparseVec<A>
-where
-    A: Clone,
-    M: Clone,
-    P: Fn(&M) -> bool,
-{
-    assert_eq!(a.len(), m.len(), "vector mask: length mismatch");
-    assert!(m.is_sorted(), "vector mask requires sorted input");
+) -> SparseVec<A> {
+    let n = a.len();
+    let words = &mask.words()[..n.div_ceil(64)];
     let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Select, ctx.id());
-    note_operands(&mut sp, a, VecView::Sparse(m));
-    let (mi, mv) = (m.indices(), m.values());
-    // A full `a` yields exactly the positions the mask admits, counted so
-    // that the gather is sized once; a sparse `a` at most what it stores
-    // and, without complement, what `m` does — trimmed below.
-    let bound = match a {
+    if sp.active() {
+        let nnz_in = a.nnz() as u64;
+        sp.io(nnz_in, nnz_in, 0, a.bytes() + std::mem::size_of_val(words) as u64);
+    }
+    let (idx, vals) = match a {
         VecView::Full(a) => {
-            let truthy = mv.iter().filter(|t| pred(t)).count();
-            if complement {
-                a.len() - truthy
-            } else {
-                truthy
-            }
-        }
-        VecView::Sparse(a) if complement => a.nnz(),
-        VecView::Sparse(a) => a.nnz().min(mi.len()),
-    };
-    let mut idx = Vec::with_capacity(bound);
-    let mut vals = Vec::with_capacity(bound);
-    match a {
-        VecView::Full(a) if complement => {
             let av = a.values();
-            let mut copy_run = |run: Range<usize>| {
-                if !run.is_empty() {
-                    idx.extend(run.clone());
-                    vals.extend_from_slice(&av[run]);
-                }
+            // The admitted positions of word `w`; the last word's are cut
+            // at the vector's length.
+            let admitted = |w: usize| {
+                let valid = if (w + 1) * 64 > n { (1u64 << (n % 64)) - 1 } else { u64::MAX };
+                (if complement { !words[w] } else { words[w] }) & valid
             };
-            let mut next = 0usize;
-            for (&i, t) in mi.iter().zip(mv) {
-                if pred(t) {
-                    copy_run(next..i);
-                    next = i + 1;
+            let count: usize = (0..words.len()).map(|w| admitted(w).count_ones() as usize).sum();
+            let mut idx = Vec::with_capacity(count);
+            let mut vals = Vec::with_capacity(count);
+            for w in 0..words.len() {
+                let mut bits = admitted(w);
+                while bits != 0 {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    idx.push(i);
+                    vals.push(av[i].clone());
                 }
             }
-            copy_run(next..av.len());
-        }
-        VecView::Full(a) => {
-            let av = a.values();
-            for (&i, _) in mi.iter().zip(mv).filter(|(_, t)| pred(t)) {
-                idx.push(i);
-                vals.push(av[i].clone());
-            }
+            (idx, vals)
         }
         VecView::Sparse(a) => {
             assert!(a.is_sorted(), "vector mask requires sorted input");
-            let mut q = 0usize;
+            let mut idx = Vec::with_capacity(a.nnz());
+            let mut vals = Vec::with_capacity(a.nnz());
             for (i, v) in a.iter() {
-                while q < mi.len() && mi[q] < i {
-                    q += 1;
-                }
-                let masked_in = q < mi.len() && mi[q] == i && pred(&mv[q]);
-                if masked_in != complement {
+                if mask.contains(i) != complement {
                     idx.push(i);
                     vals.push(v.clone());
                 }
             }
+            idx.shrink_to_fit();
+            vals.shrink_to_fit();
+            (idx, vals)
         }
-    }
-    idx.shrink_to_fit();
-    vals.shrink_to_fit();
+    };
     if sp.active() {
         sp.io(0, 0, idx.len() as u64, 0);
     }
-    SparseVec::from_kernel_parts(a.len(), idx, vals, true)
+    SparseVec::from_kernel_parts(n, idx, vals, true)
 }
 
 #[cfg(test)]
@@ -695,6 +673,15 @@ mod tests {
         assert_eq!(kept.to_sorted_tuples(), vec![(0, 1, 2)]);
     }
 
+    /// The set `members` as a mask over `0..n`.
+    fn bits(n: usize, members: &[usize]) -> BitSet {
+        use graphblas_exec::workspace::Reusable;
+        let mut set = BitSet::fresh();
+        set.prepare(n);
+        members.iter().for_each(|&i| set.insert(i));
+        set
+    }
+
     #[test]
     fn svec_merges() {
         let ctx = global_context();
@@ -704,10 +691,10 @@ mod tests {
         assert_eq!(u.to_sorted_tuples(), vec![(0, 1), (2, 12), (3, 20), (4, 3)]);
         let i = svec_intersect(&ctx, (&a).into(), (&b).into(), |x, y| x * y);
         assert_eq!(i.to_sorted_tuples(), vec![(2, 20)]);
-        let mask = SparseVec::from_parts(5, vec![0, 3], vec![true, true]).unwrap();
-        let r = svec_restrict(&ctx, (&a).into(), &mask, false, |v| *v);
+        let mask = bits(5, &[0, 3]);
+        let r = svec_restrict(&ctx, (&a).into(), &mask, false);
         assert_eq!(r.to_sorted_tuples(), vec![(0, 1)]);
-        let rc = svec_restrict(&ctx, (&a).into(), &mask, true, |v| *v);
+        let rc = svec_restrict(&ctx, (&a).into(), &mask, true);
         assert_eq!(rc.to_sorted_tuples(), vec![(2, 2), (4, 3)]);
     }
 
@@ -724,11 +711,10 @@ mod tests {
         );
         let i = svec_intersect(&ctx, (&b).into(), (&full).into(), |x, y| x - y);
         assert_eq!(i.to_sorted_tuples(), vec![(2, 7), (3, 16)]);
-        // Stored `false` forbids nothing under a value mask.
-        let mask = SparseVec::from_parts(5, vec![0, 3, 4], vec![true, false, true]).unwrap();
-        let r = svec_restrict(&ctx, (&full).into(), &mask, false, |v| *v);
+        let mask = bits(5, &[0, 4]);
+        let r = svec_restrict(&ctx, (&full).into(), &mask, false);
         assert_eq!(r.to_sorted_tuples(), vec![(0, 1), (4, 5)]);
-        let rc = svec_restrict(&ctx, (&full).into(), &mask, true, |v| *v);
+        let rc = svec_restrict(&ctx, (&full).into(), &mask, true);
         assert_eq!(rc.to_sorted_tuples(), vec![(1, 2), (2, 3), (3, 4)]);
         let mut acc = full.clone();
         svec_accumulate(&ctx, &mut acc, (&b).into(), |x, y| x + y);

@@ -57,6 +57,13 @@ pub trait OutputFilter: Copy + Sync {
     fn allowed(&self, n: usize) -> usize {
         (0..n).filter(|&i| self.allows(i)).count()
     }
+
+    /// The matrix entries in the allowed rows of the pull this filter was
+    /// made for, if its maker counted them. Telemetry only: saves the pull
+    /// kernel's span a pass over every row.
+    fn allowed_entries(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// The [`OutputFilter`] of an unmasked product: every position is kept.
@@ -320,10 +327,10 @@ where
     if sp.active() {
         // Under a row filter only the allowed rows' entries are read.
         let visited: usize = if K::MASKED {
-            (0..nrows)
-                .filter(|&i| hooks.keep.allows(i))
-                .map(|i| a.row_nnz(i))
-                .sum()
+            hooks.keep.allowed_entries().unwrap_or_else(|| {
+                let allowed = (0..nrows).filter(|&i| hooks.keep.allows(i));
+                allowed.map(|i| a.row_nnz(i)).sum()
+            })
         } else {
             a.nnz()
         };

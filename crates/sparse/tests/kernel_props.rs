@@ -6,6 +6,7 @@
 use std::collections::BTreeMap;
 
 use graphblas_exec::rng::prelude::*;
+use graphblas_exec::workspace::{BitSet, Reusable};
 use graphblas_exec::{global_context, Context, ContextOptions, Mode};
 use graphblas_sparse::{
     ewise, kron, spgemm, spmv, transpose, Coo, Csr, DenseVec, SparseVec, VecOut, VecView,
@@ -430,9 +431,13 @@ fn full_is_the_dense_corner_of_sparse<T>(
         let a = Twin::new((0..n).map(|_| gen(&mut rng)).collect());
         let b = Twin::new((0..n).map(|_| gen(&mut rng)).collect());
         let p = partial(&mut rng, n, &gen);
-        let mask = partial(&mut rng, n, &|r: &mut StdRng| r.gen_range(0..3) > 0);
+        // A value mask's truthy set: a third of the positions stored, a
+        // third of those falsy.
+        let stored = partial(&mut rng, n, &|r: &mut StdRng| r.gen_range(0..3) > 0);
+        let mut mask = BitSet::fresh();
+        mask.prepare(n);
+        stored.iter().filter(|(_, &t)| t).for_each(|(i, _)| mask.insert(i));
         let pv = VecView::Sparse(&p);
-        let truthy = |t: &bool| *t;
         let left = |x: &T| both(x, x);
         let right = |y: &T| y.clone();
 
@@ -496,14 +501,20 @@ fn full_is_the_dense_corner_of_sparse<T>(
             "reduce n={n}"
         );
         for complement in [false, true] {
-            let gathered = ewise::svec_restrict(&ctx, full, &mask, complement, truthy);
-            let walked = ewise::svec_restrict(&ctx, sparse, &mask, complement, truthy);
+            let gathered = ewise::svec_restrict(&ctx, full, &mask, complement);
+            let walked = ewise::svec_restrict(&ctx, sparse, &mask, complement);
             gathered.check().unwrap();
             assert_eq!(
                 gathered.to_sorted_tuples(),
                 walked.to_sorted_tuples(),
                 "restrict n={n} complement={complement}"
             );
+            let admitted = (0..n).filter(|&i| mask.contains(i) != complement);
+            assert!(gathered.indices().iter().copied().eq(admitted), "restrict set n={n}");
+            // A partial operand keeps exactly its admitted entries.
+            let kept = ewise::svec_restrict(&ctx, pv, &mask, complement);
+            let expect = p.iter().filter(|(i, _)| mask.contains(*i) != complement);
+            assert!(kept.iter().eq(expect), "restrict partial n={n} complement={complement}");
             // Sized before it is written: no capacity slack in either walk.
             let exact = gathered.nnz() * (size_of::<usize>() + size_of::<T>());
             assert_eq!(gathered.bytes(), exact as u64, "restrict slack n={n}");

@@ -53,6 +53,10 @@ benchmark/run.sh --quick --allow-env --workload update >/dev/null
 benchmark/run.sh --quick --allow-env --workload pagerank >/dev/null
 benchmark/run.sh --quick --allow-env --workload spgemm >/dev/null
 benchmark/run.sh --quick --allow-env --workload bfs >/dev/null
+# The pair driver behind every performance claim (benchmark/README.md,
+# "Rule for claims"), once, against itself: build, alternate, parse,
+# tabulate, compare with the BENCHMARK.json bounds.
+scripts/pairs.sh --self --pairs 1 --quick --allow-env >/dev/null
 
 # Repo-specific lints (crates/check/src/lint.rs): relaxed orderings outside
 # obs, unwrap/expect in core/sparse, fallible core APIs bypassing GrbResult,

@@ -16,10 +16,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 
 use graphblas::operations::{
-    apply, apply_binop1st_v, apply_binop2nd_v, apply_indexop, apply_indexop_v, apply_v, assign_col,
-    assign_scalar, assign_scalar_v, assign_v, ewise_add, ewise_add_v, ewise_mult, ewise_mult_v,
-    extract, extract_v, force_direction, mxm, mxv, reduce_to_value_v, reduce_to_vector, select,
-    select_v, vxm, Direction,
+    all_indices, apply, apply_binop1st_v, apply_binop2nd_v, apply_indexop, apply_indexop_v,
+    apply_v, assign_col, assign_scalar, assign_scalar_v, assign_v, ewise_add, ewise_add_v,
+    ewise_mult, ewise_mult_v, extract, extract_v, force_direction, mxm, mxv, reduce_to_value_v,
+    reduce_to_vector, select, select_v, vxm, Direction, ALL,
 };
 use graphblas::ops::registry;
 use graphblas::{
@@ -1145,6 +1145,8 @@ impl Bench {
 
 /// What a storage-axis operation's model reads.
 struct Model<'a> {
+    /// Length of the operands and the output.
+    n: usize,
     u: &'a Entries<i64>,
     v: &'a Entries<i64>,
     a: &'a BTreeMap<(Index, Index), i64>,
@@ -1410,6 +1412,7 @@ fn check_storage_axis(mode: Mode, registry_on: bool) {
                             let mask = if own_mask { &old } else { &mask };
                             let truthy = mask.iter().map(|(&i, &x)| (i, x != 0)).collect();
                             let model = Model {
+                                n: SIDE,
                                 u: &u,
                                 v: &v,
                                 a: &a,
@@ -1485,4 +1488,250 @@ fn every_storage_format_matches_the_write_rule_in_a_blocking_context() {
 fn every_storage_format_matches_the_write_rule_in_a_nonblocking_context() {
     check_storage_axis(Mode::NonBlocking, true);
     check_storage_axis(Mode::NonBlocking, false);
+}
+
+// ---------------------------------------------------------------------
+// The mask's own storage: every operation that consults a vector mask
+// reads one bitset built from whichever Table III format holds the mask —
+// index list, bitmap or full — so each format, by value (with stored
+// falsy entries) and by structure, must admit exactly what the model's
+// mask admits, at lengths on, under and over a word boundary.
+// ---------------------------------------------------------------------
+
+/// A mask vector of length `n` holding `e` in `storage` (bitmaps are made
+/// the only way the engine makes them: as a product's result).
+fn stored_mask(ctx: &Context, n: usize, storage: Storage, e: &Entries<i64>) -> Vector<i64> {
+    let v = match storage {
+        Storage::Sparse => vector_in(ctx, n, e),
+        Storage::Full => {
+            let values = e.values().copied().collect();
+            Vector::import_in(ctx, n, VectorFormat::Dense, None, values).unwrap()
+        }
+        Storage::Bitmap => {
+            let eye = Matrix::<i64>::new_in(ctx, n, n).unwrap();
+            let diag: Vec<Index> = (0..n).collect();
+            eye.build(&diag, &diag, &vec![1; n], None).unwrap();
+            let v = Vector::<i64>::new_in(ctx, n).unwrap();
+            let (copy, from) = (Semiring::plus_times(), vector_in(ctx, n, e));
+            mxv(&v, no_mask_v(), None, &copy, &eye, &from, &Descriptor::default()).unwrap();
+            v.wait(WaitMode::Complete).unwrap();
+            v
+        }
+    };
+    assert_eq!(v.stats().format, storage.name(), "stored_mask format");
+    v
+}
+
+/// One masked vector operation over operands of length `n`: its model `T`
+/// and the engine call.
+struct MaskedOp {
+    name: &'static str,
+    /// Forced for the call, for the two product kernels.
+    dir: Option<Direction>,
+    accum_in_t: bool,
+    t: fn(&Model) -> Entries<i64>,
+    run: fn(&Engine) -> GrbResult,
+}
+
+fn masked_ops() -> Vec<MaskedOp> {
+    let product_ops = [Direction::Push, Direction::Pull].into_iter().flat_map(|dir| {
+        [
+            MaskedOp {
+                name: "mxv",
+                dir: Some(dir),
+                accum_in_t: false,
+                t: |m| product(m, |(i, j)| (i, j)),
+                run: |k| mxv(k.w, k.mask, k.accum, &Semiring::plus_times(), k.a, k.u, k.desc),
+            },
+            MaskedOp {
+                name: "vxm",
+                dir: Some(dir),
+                accum_in_t: false,
+                t: |m| product(m, |(i, j)| (j, i)),
+                run: |k| vxm(k.w, k.mask, k.accum, &Semiring::plus_times(), k.u, k.a, k.desc),
+            },
+        ]
+    });
+    let mut ops: Vec<MaskedOp> = product_ops.collect();
+    ops.extend([
+        MaskedOp {
+            name: "assign_scalar_v ALL",
+            dir: None,
+            accum_in_t: true,
+            t: |m| {
+                let fold = |i| m.old.get(&i).filter(|_| m.accum).map_or(FILL, |o| o + FILL);
+                (0..m.n).map(|i| (i, fold(i))).collect()
+            },
+            run: |k| assign_scalar_v(k.w, k.mask, k.accum, FILL, ALL, k.desc),
+        },
+        MaskedOp {
+            name: "apply_v",
+            dir: None,
+            accum_in_t: false,
+            t: |m| mapped(m, |_, x| x * 3),
+            run: |k| apply_v(k.w, k.mask, k.accum, &triple(), k.u, k.desc),
+        },
+        MaskedOp {
+            name: "ewise_add_v",
+            dir: None,
+            accum_in_t: false,
+            t: |m| union_with(m, |x, y| x - y),
+            run: |k| ewise_add_v(k.w, k.mask, k.accum, &BinaryOp::minus(), k.u, k.v, k.desc),
+        },
+        MaskedOp {
+            name: "reduce_to_vector",
+            dir: None,
+            accum_in_t: false,
+            t: |m| {
+                let mut t = Entries::new();
+                m.a.iter().for_each(|(&(i, _), av)| *t.entry(i).or_insert(0) += av);
+                t
+            },
+            run: |k| reduce_to_vector(k.w, k.mask, k.accum, &Monoid::plus(), k.a, k.desc),
+        },
+    ]);
+    ops
+}
+
+/// The masks worth a case of their own beside the random ones.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum MaskShape {
+    /// Stored entries of which a fifth are falsy zeros.
+    Random,
+    /// Every stored entry truthy.
+    AllTruthy,
+    /// Nothing stored (an index list only: the other formats hold entries).
+    Empty,
+    /// The output itself, `w⟨w⟩ = …` — the mask is read while the output's
+    /// own write is about to be queued.
+    Output,
+}
+
+fn check_mask_storage(mode: Mode) {
+    let _turn = DIRECTION.lock().unwrap_or_else(|e| e.into_inner());
+    let ctx = Context::new(&global_context(), mode, ContextOptions::default());
+    let mut rng = StdRng::seed_from_u64(0x3A5C);
+    let small = |r: &mut StdRng| r.gen_range(-2..3i64);
+    let nonzero = |r: &mut StdRng| r.gen_range(1..4i64);
+    let plus = BinaryOp::plus();
+    // One word, under two, exactly two, over two.
+    for n in [24usize, 70, 128, 130] {
+        let a: BTreeMap<(Index, Index), i64> = (0..n * 3)
+            .map(|_| ((rng.gen_range(0..n), rng.gen_range(0..n)), rng.gen_range(-3..4i64)))
+            .collect();
+        let am = Matrix::<i64>::new_in(&ctx, n, n).unwrap();
+        let (rows, cols): (Vec<Index>, Vec<Index>) = a.keys().copied().unzip();
+        am.build(&rows, &cols, &a.values().copied().collect::<Vec<_>>(), None).unwrap();
+        for op in masked_ops() {
+            for storage in STORAGES {
+                use MaskShape::{AllTruthy, Empty, Output, Random};
+                for shape in [Random, AllTruthy, Empty, Output] {
+                    if shape == MaskShape::Empty && storage != Storage::Sparse {
+                        continue;
+                    }
+                    for write in write_grid().into_iter().filter(|w| w.mask != MaskKind::None) {
+                        let density = match storage {
+                            Storage::Sparse => 0.2,
+                            Storage::Bitmap => 0.6,
+                            Storage::Full => 1.0,
+                        };
+                        let mask = match shape {
+                            MaskShape::Empty => Entries::new(),
+                            MaskShape::AllTruthy => random_entries(&mut rng, n, density, nonzero),
+                            _ => random_entries(&mut rng, n, density, small),
+                        };
+                        if storage == Storage::Bitmap && !(n / 4..n).contains(&mask.len()) {
+                            continue;
+                        }
+                        let u = random_entries(&mut rng, n, 0.5, small);
+                        let v = random_entries(&mut rng, n, 0.5, small);
+                        // As its own mask the output is stored in the
+                        // mask's format and holds the mask's entries.
+                        let own = shape == MaskShape::Output;
+                        let other = random_entries(&mut rng, n, 0.5, small);
+                        let old = if own { mask.clone() } else { other };
+                        let mv = stored_mask(&ctx, n, storage, &mask);
+                        let w = if own { mv.clone() } else { vector_in(&ctx, n, &old) };
+                        let truthy = mask.iter().map(|(&i, &x)| (i, x != 0)).collect();
+                        let model = Model { n, u: &u, v: &v, a: &a, old: &old, accum: write.accum };
+                        let rule = Write { accum: write.accum && !op.accum_in_t, ..write };
+                        let expect = rule.apply(n, &old, &(op.t)(&model), &truthy, |o, t| o + t);
+                        let desc = write.descriptor();
+                        let (uv, vv) = (vector_in(&ctx, n, &u), vector_in(&ctx, n, &v));
+                        let call = Engine {
+                            w: &w,
+                            mask: Some(&mv),
+                            accum: write.accum.then_some(&plus),
+                            desc: &desc,
+                            u: &uv,
+                            v: &vv,
+                            a: &am,
+                        };
+                        force_direction(op.dir);
+                        (op.run)(&call).unwrap();
+                        force_direction(None);
+                        assert_eq!(
+                            entries(&w),
+                            expect,
+                            "{} {:?} {mode:?} n={n} mask stored {storage:?} {shape:?} {write:?}",
+                            op.name,
+                            op.dir
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_vector_mask_is_read_from_every_store() {
+    check_mask_storage(Mode::Blocking);
+    check_mask_storage(Mode::NonBlocking);
+}
+
+/// `GrB_ALL` is a sentinel known by its address: assigning through it is
+/// assigning through the explicit list `0..n`, whatever the write rule,
+/// and a slice that merely has its contents is an ordinary index list.
+#[test]
+fn assigning_through_all_is_assigning_through_every_index() {
+    let ctx = global_context();
+    let mut rng = StdRng::seed_from_u64(0xA11);
+    let small = |r: &mut StdRng| r.gen_range(-2..3i64);
+    let plus = BinaryOp::plus();
+    for n in [1usize, 24, 130] {
+        let every: Vec<Index> = all_indices(n);
+        for write in write_grid() {
+            let old = random_entries(&mut rng, n, 0.5, small);
+            let mask = vector_in(&ctx, n, &random_entries(&mut rng, n, 0.4, small));
+            let mask = (write.mask != MaskKind::None).then_some(&mask);
+            let accum = write.accum.then_some(&plus);
+            let desc = write.descriptor();
+            let (by_all, by_list) = (vector_in(&ctx, n, &old), vector_in(&ctx, n, &old));
+            assign_scalar_v(&by_all, mask, accum, FILL, ALL, &desc).unwrap();
+            assign_scalar_v(&by_list, mask, accum, FILL, &every, &desc).unwrap();
+            assert_eq!(entries(&by_all), entries(&by_list), "n={n} {write:?}");
+            assert_eq!(by_all.stats().format, by_list.stats().format, "n={n} {write:?}");
+        }
+        // The matrix form: `ALL` on either axis is that axis's `0..dim`.
+        let d = Descriptor::default();
+        let column = |rows: &[Index]| {
+            let c = Matrix::<i64>::new(n, 3).unwrap();
+            assign_scalar(&c, no_mask(), None, FILL, rows, &[1], &d).unwrap();
+            matrix_entries(&c)
+        };
+        assert_eq!(column(ALL), column(&every), "n={n}");
+        let row = |cols: &[Index]| {
+            let c = Matrix::<i64>::new(2, n).unwrap();
+            assign_scalar(&c, no_mask(), None, FILL, &[0], cols, &d).unwrap();
+            matrix_entries(&c)
+        };
+        assert_eq!(row(ALL), row(&every), "n={n}");
+    }
+    // Identity, not contents: a copy of the sentinel's one element is the
+    // index `usize::MAX`, which no vector has.
+    let lookalike = ALL.to_vec();
+    let w = Vector::<i64>::new(4).unwrap();
+    let err = assign_scalar_v(&w, no_mask_v(), None, FILL, &lookalike, &Descriptor::default());
+    assert!(err.unwrap_err().is_execution());
 }

@@ -7,7 +7,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use graphblas::operations::{
-    all_indices, apply_v, assign_scalar_v, ewise_add_v, ewise_mult_v, mxv, select_v,
+    all_indices, apply_v, assign_scalar_v, ewise_add_v, ewise_mult_v, mxv, select_v, ALL,
 };
 use graphblas::{
     no_mask_v, BinaryOp, Descriptor, IndexUnaryOp, Matrix, Semiring, UnaryOp, Vector, VectorFormat,
@@ -76,6 +76,23 @@ fn reads_never_rewrite_a_bitmap_or_full_store() {
     assert_eq!(bitmap.extract_element(5).unwrap(), None);
     assert_eq!(bitmap.nvals().unwrap(), half.len());
     assert_eq!(bitmap.stats().format, "bitmap");
+
+    // Being consulted as a mask is a read like any other: the mask's bits
+    // are taken from the store as it stands, by value or by structure.
+    let by_structure_complemented = Descriptor::new().structure_mask().complement_mask();
+    // `bitmap` stores a 0 at position 0, which a value mask reads as false.
+    let cases = [
+        (&full, Descriptor::new(), N),
+        (&bitmap, Descriptor::new(), half.len() - 1),
+        (&full, by_structure_complemented, 0),
+        (&bitmap, by_structure_complemented, N - half.len()),
+    ];
+    for (mask, desc, admitted) in cases {
+        let w = Vector::<i64>::new(N).unwrap();
+        assign_scalar_v(&w, Some(mask), None, 1, ALL, &desc).unwrap();
+        assert_eq!(w.nvals().unwrap(), admitted);
+    }
+    assert_eq!((full.stats().format, bitmap.stats().format), ("full", "bitmap"));
 
     assert_eq!(conversions(), before, "a read converted a store");
 
