@@ -9,6 +9,7 @@
 //! for empty inputs) are kept as `reduce_to_value*`.
 
 use graphblas_exec::Context;
+use graphblas_sparse::spmv::Never;
 use graphblas_sparse::{Csr, SparseVec, VecView};
 
 use crate::descriptor::Descriptor;
@@ -80,8 +81,7 @@ fn write_scalar<T: ValueType>(
 fn reduce_csr<T: ValueType>(ctx: &Context, a: &Csr<T>, monoid: &Monoid<T>) -> Option<T> {
     registry::try_reduce_csr(ctx, a, monoid.builtin()).unwrap_or_else(|| {
         registry::record_pick("reduce", ctx.id(), false);
-        let terminal = monoid.terminal().map(|t| t as &(dyn Fn(&T) -> bool + Sync));
-        a.reduce_all(ctx, |v| v.clone(), |x, y| monoid.apply(&x, &y), terminal)
+        a.reduce_all(ctx, |v| v.clone(), |x, y| monoid.apply(&x, &y), monoid.terminal())
     })
 }
 
@@ -90,8 +90,7 @@ fn reduce_csr<T: ValueType>(ctx: &Context, a: &Csr<T>, monoid: &Monoid<T>) -> Op
 fn reduce_svec<T: ValueType>(ctx: &Context, u: VecView<'_, T>, monoid: &Monoid<T>) -> Option<T> {
     registry::try_reduce_svec(ctx, u, monoid.builtin()).unwrap_or_else(|| {
         registry::record_pick("reduce_v", ctx.id(), false);
-        let terminal = monoid.terminal().map(|t| t as &dyn Fn(&T) -> bool);
-        u.reduce(ctx, |v| v.clone(), |x, y| monoid.apply(&x, &y), terminal)
+        u.reduce(ctx, |v| v.clone(), |x, y| monoid.apply(&x, &y), monoid.terminal())
     })
 }
 
@@ -131,7 +130,7 @@ where
     let a_s = a.snapshot_csr(false)?;
     let op = op.clone();
     write_scalar(s, ctx, accum, move |ctx| {
-        a_s.reduce_all(ctx, |v| v.clone(), |x, y| op.apply(&x, &y), None)
+        a_s.reduce_all(ctx, |v| v.clone(), |x, y| op.apply(&x, &y), Never)
     })
 }
 
@@ -170,7 +169,7 @@ where
     let op = op.clone();
     write_scalar(s, ctx, accum, move |ctx| {
         let u = u_s.view();
-        u.reduce(ctx, |v| v.clone(), |x, y| op.apply(&x, &y), None)
+        u.reduce(ctx, |v| v.clone(), |x, y| op.apply(&x, &y), Never)
     })
 }
 

@@ -62,7 +62,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use graphblas_exec::Context;
-use graphblas_sparse::spmv::{Hooks, OutputFilter};
+use graphblas_sparse::spmv::{Hooks, OutputFilter, Terminal};
 use graphblas_sparse::{ewise, spgemm, spmv, BitmapVec, Csr, DenseVec, SparseVec, VecOut, VecView};
 
 use crate::ops::{BuiltinOp, BuiltinUnaryOp};
@@ -179,6 +179,15 @@ fn mul_land(x: &bool, y: &bool) -> bool {
 /// `GrB_ONEB` (pair): 1 whenever both operands exist.
 fn mul_oneb<T: One>(_x: &T, _y: &T) -> T {
     T::one()
+}
+
+/// `GrB_SECOND` over a matrix of any element type, matrix element first:
+/// the vector's value. A fn item, not a closure in [`try_matvec`]: a
+/// closure inherits every generic of the fn that defines it, so each
+/// `try_matvec<A, X, Z, K>` instance would compile its own copy of every
+/// kernel it is passed to; this one depends on `(A, T)` alone.
+fn second_of<A, T: Copy>(_: &A, x: &T) -> T {
+    *x
 }
 
 /// `GrB_MIN` as ewise op (same comparison shape as `BinaryOp::min`).
@@ -395,11 +404,12 @@ macro_rules! with_registered_unops {
 }
 
 /// Resolves a semiring row's terminal selector to the concrete early-exit
-/// test the monomorphic kernel takes. Fn items, so the `Some` variants
-/// stay zero-sized.
+/// test the monomorphic kernel takes: [`spmv::Never`] where the monoid has
+/// none, so its loops carry no test; fn items otherwise, so the `Some`
+/// variants stay zero-sized.
 macro_rules! term_of {
     (none_term, $t:ty) => {
-        None::<fn(&$t) -> bool>
+        spmv::Never
     };
     (some_term_min, $t:ty) => {
         Some(term_min::<$t>)
@@ -496,7 +506,7 @@ pub(crate) fn matvec<A, X, Z, FM, FA, FT, K>(
     u: Operand<'_, X>,
     mul: FM,
     add: FA,
-    is_terminal: Option<FT>,
+    is_terminal: FT,
     hooks: Hooks<'_, X, Z, K>,
 ) -> SparseVec<Z>
 where
@@ -505,7 +515,7 @@ where
     Z: ValueType,
     FM: Fn(&A, &X) -> Z + Sync,
     FA: Fn(Z, Z) -> Z + Sync,
-    FT: Fn(&Z) -> bool + Sync,
+    FT: Terminal<Z>,
     K: OutputFilter,
 {
     match u {
@@ -569,14 +579,13 @@ where
                     keep: hooks.keep,
                 };
                 let term = term_of!($term, $t);
-                let vector = |_: &A, x: &$t| *x;
                 let y = if mul_tag == Some(BuiltinOp::$mul)
                     && TypeId::of::<A>() == TypeId::of::<$t>()
                 {
                     let at = cast_ref::<Csr<A>, Csr<$t>>(a)?;
                     Some(matvec(ctx, at, ut, $mulf, $fold, term, hooks_t))
                 } else if mul_tag == Some(BuiltinOp::Second) {
-                    Some(matvec(ctx, a, ut, vector, $fold, term, hooks_t))
+                    Some(matvec(ctx, a, ut, second_of::<A, $t>, $fold, term, hooks_t))
                 } else if mul_tag == Some(BuiltinOp::OneB) {
                     // PAIR is SECOND over a vector of ones. Rewriting the
                     // values as they enter the kernel (once per vector
@@ -591,7 +600,7 @@ where
                         pre: Some(&ones as FusedHook<'_, $t>),
                         ..hooks_t
                     };
-                    Some(matvec(ctx, a, ut, vector, $fold, term, hooks_t))
+                    Some(matvec(ctx, a, ut, second_of::<A, $t>, $fold, term, hooks_t))
                 } else {
                     None
                 };
@@ -840,13 +849,7 @@ where
         ($add:ident, $mul:ident, $t:ty, $fold:ident, $acc:ident, $mulf:ident, $term:ident) => {
             if add_tag == Some(BuiltinOp::$add) && TypeId::of::<T>() == TypeId::of::<$t>() {
                 let at = cast_ref::<Csr<T>, Csr<$t>>(a)?;
-                let term = term_of!($term, $t);
-                let r = at.reduce_all(
-                    ctx,
-                    map_clone,
-                    $fold,
-                    term.as_ref().map(|t| t as &(dyn Fn(&$t) -> bool + Sync)),
-                );
+                let r = at.reduce_all(ctx, map_clone, $fold, term_of!($term, $t));
                 let r = match r {
                     Some(v) => Some(cast_val::<$t, T>(v)?),
                     None => None,
@@ -876,13 +879,7 @@ where
         ($add:ident, $mul:ident, $t:ty, $fold:ident, $acc:ident, $mulf:ident, $term:ident) => {
             if add_tag == Some(BuiltinOp::$add) && TypeId::of::<T>() == TypeId::of::<$t>() {
                 let ut = cast_view::<T, $t>(u)?;
-                let term = term_of!($term, $t);
-                let r = ut.reduce(
-                    ctx,
-                    map_clone,
-                    $fold,
-                    term.as_ref().map(|t| t as &dyn Fn(&$t) -> bool),
-                );
+                let r = ut.reduce(ctx, map_clone, $fold, term_of!($term, $t));
                 let r = match r {
                     Some(v) => Some(cast_val::<$t, T>(v)?),
                     None => None,

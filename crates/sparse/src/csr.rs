@@ -12,6 +12,7 @@ use std::ops::Range;
 use graphblas_exec::{parallel_map_ranges, partition, Context};
 
 use crate::error::FormatError;
+use crate::spmv::Terminal;
 use crate::util;
 
 /// A CSR matrix. `T` is the stored element type; missing elements are
@@ -543,37 +544,26 @@ impl<T: Clone + Send + Sync> Csr<T> {
 
     /// Whole-matrix reduction; `None` when the matrix stores nothing.
     /// `is_terminal` enables early exit once the accumulator reaches the
-    /// monoid's annihilator (e.g. `true` for LOR, `0` for TIMES on floats).
-    pub fn reduce_all<Z, M, A>(
+    /// monoid's annihilator (e.g. `true` for LOR); [`Never`](crate::spmv::Never)
+    /// when the monoid has none.
+    pub fn reduce_all<Z, M, A, FT>(
         &self,
         ctx: &Context,
         map: M,
         add: A,
-        is_terminal: Option<&(dyn Fn(&Z) -> bool + Sync)>,
+        is_terminal: FT,
     ) -> Option<Z>
     where
         Z: Clone + Send + Sync,
         M: Fn(&T) -> Z + Sync,
         A: Fn(Z, Z) -> Z + Sync,
+        FT: Terminal<Z>,
     {
         let ranges = self.row_chunks(ctx);
         let partials = parallel_map_ranges(ranges, |rows: Range<usize>| {
             let lo = self.indptr[rows.start];
             let hi = self.indptr[rows.end];
-            let mut acc: Option<Z> = None;
-            for v in &self.values[lo..hi] {
-                let z = map(v);
-                acc = Some(match acc {
-                    None => z,
-                    Some(a) => add(a, z),
-                });
-                if let (Some(t), Some(a)) = (is_terminal, acc.as_ref()) {
-                    if t(a) {
-                        break;
-                    }
-                }
-            }
-            acc
+            crate::svec::reduce_values(&self.values[lo..hi], &map, &add, is_terminal)
         });
         partials.into_iter().flatten().reduce(add)
     }
@@ -965,9 +955,10 @@ mod tests {
         let ctx = global_context();
         let sums = a.reduce_rows(&ctx, |v| *v, |x, y| x + y);
         assert_eq!(sums, vec![Some(3), None, Some(7)]);
-        assert_eq!(a.reduce_all(&ctx, |v| *v, |x, y| x + y, None), Some(10));
+        use crate::spmv::Never;
+        assert_eq!(a.reduce_all(&ctx, |v| *v, |x, y| x + y, Never), Some(10));
         let empty = Csr::<i64>::empty(4, 4);
-        assert_eq!(empty.reduce_all(&ctx, |v| *v, |x, y| x + y, None), None);
+        assert_eq!(empty.reduce_all(&ctx, |v| *v, |x, y| x + y, Never), None);
     }
 
     #[test]

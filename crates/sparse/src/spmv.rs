@@ -16,6 +16,16 @@
 //! only what the write-back will keep — the pull kernel skips forbidden
 //! rows before touching them (the bottom-up half of a direction-optimized
 //! traversal), the push kernel never scatters into forbidden columns.
+//!
+//! The pull row loop is written to compile to the loop a user would write
+//! by hand for one semiring and one frontier format. Nothing in it is
+//! decided per entry at run time: `pull` matches the frontier's format
+//! once and instantiates the row loop over that format's lookup; each row's
+//! reduction is its own non-inlined function ([`row_dot`]), so the running
+//! sum lives in a register instead of in a stack slot the output push
+//! clobbers; and the add monoid's early exit is a type ([`Terminal`]) —
+//! [`Never`] for the monoids that have none — not an `Option` tested per
+//! entry.
 
 use std::ops::Range;
 
@@ -90,6 +100,40 @@ impl<F: Fn(usize) -> bool + Copy + Sync> OutputFilter for F {
     }
 }
 
+/// The add monoid's early exit: once a reduction's running value is
+/// terminal (the monoid's annihilator) no further operand can change it,
+/// so the loop may stop. A generic parameter, like [`OutputFilter`]: a
+/// monoid with no terminal passes the zero-sized [`Never`] and its loop has
+/// no test in it at all; a terminal given as `Option<F>` (a registry row's
+/// fn item, or the dyn path's `&dyn Fn`) is tested per reduced element.
+pub trait Terminal<Z>: Copy + Sync {
+    /// `true` only for [`Never`]: lets a loop drop the test at compile time.
+    const NEVER: bool = false;
+
+    /// Whether `z` is terminal.
+    fn reached(&self, z: &Z) -> bool;
+}
+
+/// The [`Terminal`] of a monoid with no annihilator: nothing is terminal.
+#[derive(Clone, Copy)]
+pub struct Never;
+
+impl<Z> Terminal<Z> for Never {
+    const NEVER: bool = true;
+
+    #[inline(always)]
+    fn reached(&self, _: &Z) -> bool {
+        false
+    }
+}
+
+impl<Z, F: Fn(&Z) -> bool + Copy + Sync> Terminal<Z> for Option<F> {
+    #[inline(always)]
+    fn reached(&self, z: &Z) -> bool {
+        self.as_ref().is_some_and(|t| t(z))
+    }
+}
+
 /// What a caller fuses into a product kernel's numeric phase (see the
 /// module docs): the input-side map, the output-side map, and the output
 /// filter. [`Hooks::none`] is the plain kernel.
@@ -129,29 +173,9 @@ enum PullFrontier<'a, X> {
     Full(&'a [X]),
 }
 
-/// How the pull row loop resolves input-vector entries by column: direct
-/// indexing when the frontier is full, a checked-out position table when
-/// sparse, or a word-indexed bit test when the frontier is stored as a
-/// bitmap.
-enum XLookup<'a, X> {
-    Dense(&'a [X]),
-    Table(&'a MarkTable, &'a [X]),
-    Bitmap(&'a BitmapVec<X>),
-}
-
-impl<'a, X> XLookup<'a, X> {
-    #[inline]
-    fn get(&self, j: usize) -> Option<&'a X> {
-        match self {
-            XLookup::Dense(vals) => Some(&vals[j]),
-            XLookup::Table(t, vals) => t.get(j).map(|p| &vals[p]),
-            XLookup::Bitmap(b) => b.get(j),
-        }
-    }
-}
-
-/// `y = A ⊕.⊗ x` (pull). `is_terminal`, when given, allows each row's
-/// accumulation to stop early once the add-monoid annihilator is reached.
+/// `y = A ⊕.⊗ x` (pull). Each row's accumulation stops early once
+/// `is_terminal` reports the add monoid's annihilator ([`Never`] or
+/// `None` when the monoid has none).
 // grblint: allow(span-at-kernel-boundary) — thin forwarder; the span
 // opens in `pull`.
 pub fn spmv<A, X, Z, FM, FA, FT>(
@@ -160,7 +184,7 @@ pub fn spmv<A, X, Z, FM, FA, FT>(
     x: &SparseVec<X>,
     mul: FM,
     add: FA,
-    is_terminal: Option<FT>,
+    is_terminal: FT,
 ) -> SparseVec<Z>
 where
     A: Clone + Send + Sync,
@@ -168,7 +192,7 @@ where
     Z: Clone + Send + Sync,
     FM: Fn(&A, &X) -> Z + Sync,
     FA: Fn(Z, Z) -> Z + Sync,
-    FT: Fn(&Z) -> bool + Sync,
+    FT: Terminal<Z>,
 {
     spmv_fused(ctx, a, x, mul, add, is_terminal, Hooks::none())
 }
@@ -188,7 +212,7 @@ pub fn spmv_fused<A, X, Z, FM, FA, FT, K>(
     x: &SparseVec<X>,
     mul: FM,
     add: FA,
-    is_terminal: Option<FT>,
+    is_terminal: FT,
     hooks: Hooks<'_, X, Z, K>,
 ) -> SparseVec<Z>
 where
@@ -197,7 +221,7 @@ where
     Z: Clone + Send + Sync,
     FM: Fn(&A, &X) -> Z + Sync,
     FA: Fn(Z, Z) -> Z + Sync,
-    FT: Fn(&Z) -> bool + Sync,
+    FT: Terminal<Z>,
     K: OutputFilter,
 {
     let x = if x.is_full() {
@@ -220,7 +244,7 @@ pub fn spmv_full_fused<A, X, Z, FM, FA, FT, K>(
     x: &DenseVec<X>,
     mul: FM,
     add: FA,
-    is_terminal: Option<FT>,
+    is_terminal: FT,
     hooks: Hooks<'_, X, Z, K>,
 ) -> SparseVec<Z>
 where
@@ -229,7 +253,7 @@ where
     Z: Clone + Send + Sync,
     FM: Fn(&A, &X) -> Z + Sync,
     FA: Fn(Z, Z) -> Z + Sync,
-    FT: Fn(&Z) -> bool + Sync,
+    FT: Terminal<Z>,
     K: OutputFilter,
 {
     let x = PullFrontier::Full(x.values());
@@ -247,7 +271,7 @@ pub fn spmv_bitmap<A, X, Z, FM, FA, FT>(
     x: &BitmapVec<X>,
     mul: FM,
     add: FA,
-    is_terminal: Option<FT>,
+    is_terminal: FT,
 ) -> SparseVec<Z>
 where
     A: Clone + Send + Sync,
@@ -255,7 +279,7 @@ where
     Z: Clone + Send + Sync,
     FM: Fn(&A, &X) -> Z + Sync,
     FA: Fn(Z, Z) -> Z + Sync,
-    FT: Fn(&Z) -> bool + Sync,
+    FT: Terminal<Z>,
 {
     spmv_bitmap_fused(ctx, a, x, mul, add, is_terminal, Hooks::none())
 }
@@ -272,7 +296,7 @@ pub fn spmv_bitmap_fused<A, X, Z, FM, FA, FT, K>(
     x: &BitmapVec<X>,
     mul: FM,
     add: FA,
-    is_terminal: Option<FT>,
+    is_terminal: FT,
     hooks: Hooks<'_, X, Z, K>,
 ) -> SparseVec<Z>
 where
@@ -281,7 +305,7 @@ where
     Z: Clone + Send + Sync,
     FM: Fn(&A, &X) -> Z + Sync,
     FA: Fn(Z, Z) -> Z + Sync,
-    FT: Fn(&Z) -> bool + Sync,
+    FT: Terminal<Z>,
     K: OutputFilter,
 {
     pull(
@@ -295,16 +319,17 @@ where
     )
 }
 
-/// The pull kernel behind every frontier format: opens the span, picks
-/// the [`XLookup`] for `x` (the only step the formats differ in), runs
-/// the row loop.
+/// The pull kernel behind every frontier format: opens the span, builds
+/// the position table a sparse frontier (or a `pre` chain) needs, and
+/// runs the row loop instantiated over the one lookup `x`'s format calls
+/// for — a table probe, a bit test, or a direct index.
 fn pull<A, X, Z, FM, FA, FT, K>(
     ctx: &Context,
     a: &Csr<A>,
     x: PullFrontier<'_, X>,
     mul: FM,
     add: FA,
-    is_terminal: Option<FT>,
+    is_terminal: FT,
     hooks: Hooks<'_, X, Z, K>,
 ) -> SparseVec<Z>
 where
@@ -313,7 +338,7 @@ where
     Z: Clone + Send + Sync,
     FM: Fn(&A, &X) -> Z + Sync,
     FA: Fn(Z, Z) -> Z + Sync,
-    FT: Fn(&Z) -> bool + Sync,
+    FT: Terminal<Z>,
     K: OutputFilter,
 {
     let (n, nnz) = match x {
@@ -359,7 +384,7 @@ where
     // rewrite entries, so it is applied once per entry at scatter time and
     // entries it drops are never marked — the row loop skips them for free.
     let mut fused_vals: Vec<X> = Vec::new();
-    let table_ws: Option<workspace::Checkout<MarkTable>> = match (pre, &x) {
+    let table: Option<(workspace::Checkout<MarkTable>, &[X])> = match (pre, &x) {
         (Some(f), _) => {
             let mut t = workspace::checkout::<MarkTable>(n);
             fused_vals.reserve(nnz);
@@ -374,25 +399,41 @@ where
                 PullFrontier::Bitmap(b) => b.iter().for_each(&mut scatter),
                 PullFrontier::Full(v) => v.iter().enumerate().for_each(&mut scatter),
             }
-            Some(t)
+            Some((t, &fused_vals[..]))
         }
         (None, PullFrontier::Sparse(s)) => {
             let mut t = workspace::checkout::<MarkTable>(n);
             for (p, &j) in s.indices().iter().enumerate() {
                 t.set(j, p);
             }
-            Some(t)
+            Some((t, s.values()))
         }
         (None, _) => None,
     };
-    let lookup = match (table_ws.as_deref(), x) {
-        (Some(t), _) if pre.is_some() => XLookup::Table(t, &fused_vals),
-        (Some(t), PullFrontier::Sparse(s)) => XLookup::Table(t, s.values()),
-        (_, PullFrontier::Sparse(_)) => unreachable!("a sparse frontier always gets a table"),
-        (_, PullFrontier::Bitmap(b)) => XLookup::Bitmap(b),
-        (_, PullFrontier::Full(v)) => XLookup::Dense(v),
+    // One instantiation of the row loop per lookup, chosen here once per
+    // call rather than per entry inside it.
+    let (mul, add) = (&mul, &add);
+    let y = match (&table, x) {
+        (Some((t, vals)), _) => {
+            let (t, vals): (&MarkTable, &[X]) = (t, vals);
+            spmv_rows(
+                ctx,
+                a,
+                |j| t.get(j).map(|p| &vals[p]),
+                mul,
+                add,
+                is_terminal,
+                hooks,
+            )
+        }
+        (None, PullFrontier::Bitmap(b)) => {
+            spmv_rows(ctx, a, |j| b.get(j), mul, add, is_terminal, hooks)
+        }
+        (None, PullFrontier::Full(v)) => {
+            spmv_rows(ctx, a, |j| Some(&v[j]), mul, add, is_terminal, hooks)
+        }
+        (None, PullFrontier::Sparse(_)) => unreachable!("a sparse frontier always gets a table"),
     };
-    let y = spmv_rows(ctx, a, &lookup, &mul, &add, is_terminal.as_ref(), hooks);
     if sp.active() {
         sp.io(0, 0, y.nnz() as u64, 0);
     }
@@ -400,26 +441,27 @@ where
 }
 
 /// The one pull row loop: nnz-balanced row ranges, per-row dot product
-/// with optional terminal early-exit, concatenated sorted assembly. Rows
-/// `hooks.keep` forbids are skipped before their matrix row is touched;
-/// `hooks.post` rewrites (or drops) each row's accumulated value
-/// in-register before it is pushed into the output chunk.
-fn spmv_rows<A, X, Z, FM, FA, FT, K>(
+/// ([`row_dot`]), concatenated sorted assembly. Rows `hooks.keep` forbids
+/// are skipped before their matrix row is touched; `hooks.post` rewrites
+/// (or drops) each row's accumulated value before it is pushed into the
+/// output chunk.
+fn spmv_rows<'x, A, X, Z, L, FM, FA, FT, K>(
     ctx: &Context,
     a: &Csr<A>,
-    lookup: &XLookup<'_, X>,
+    lookup: L,
     mul: &FM,
     add: &FA,
-    is_terminal: Option<&FT>,
+    is_terminal: FT,
     hooks: Hooks<'_, X, Z, K>,
 ) -> SparseVec<Z>
 where
     A: Clone + Send + Sync,
-    X: Clone + Send + Sync,
+    X: Clone + Send + Sync + 'x,
     Z: Clone + Send + Sync,
+    L: Fn(usize) -> Option<&'x X> + Sync,
     FM: Fn(&A, &X) -> Z + Sync,
     FA: Fn(Z, Z) -> Z + Sync,
-    FT: Fn(&Z) -> bool + Sync,
+    FT: Terminal<Z>,
     K: OutputFilter,
 {
     let nrows = a.nrows();
@@ -452,21 +494,7 @@ where
                 continue;
             }
             let (cols, avs) = a.row(i);
-            let mut acc: Option<Z> = None;
-            for (&j, av) in cols.iter().zip(avs) {
-                if let Some(xv) = lookup.get(j) {
-                    let prod = mul(av, xv);
-                    acc = Some(match acc {
-                        None => prod,
-                        Some(cur) => add(cur, prod),
-                    });
-                    if let (Some(t), Some(cur)) = (is_terminal, acc.as_ref()) {
-                        if t(cur) {
-                            break;
-                        }
-                    }
-                }
-            }
+            let acc = row_dot(cols, avs, &lookup, mul, add, is_terminal);
             let acc = match (acc, post) {
                 (Some(v), Some(p)) => p(i, &v),
                 (acc, _) => acc,
@@ -490,6 +518,46 @@ where
     indices.shrink_to_fit();
     values.shrink_to_fit();
     SparseVec::from_kernel_parts(nrows, indices, values, true)
+}
+
+/// One row's `⊕` over `mul(a_ij, x_j)` for the columns `lookup` finds in
+/// `x`; `None` when it finds none. Stops at the first terminal value.
+///
+/// Never inlined: in its own frame the running sum is a local the
+/// optimizer keeps in a register. Inlined into the row loop it had to
+/// survive the output `Vec::push`'s grow call and was spilled to the stack
+/// and reloaded on every entry, which cost more than the loop's loads.
+#[inline(never)]
+fn row_dot<'x, A, X, Z, L, FM, FA, FT>(
+    cols: &[usize],
+    avs: &[A],
+    lookup: &L,
+    mul: &FM,
+    add: &FA,
+    is_terminal: FT,
+) -> Option<Z>
+where
+    X: 'x,
+    L: Fn(usize) -> Option<&'x X>,
+    FM: Fn(&A, &X) -> Z,
+    FA: Fn(Z, Z) -> Z,
+    FT: Terminal<Z>,
+{
+    let mut entries = cols.iter().zip(avs);
+    // The first product found seeds the sum, so the fold below carries a
+    // plain `Z`, not an `Option<Z>` re-tested per entry.
+    let mut acc = entries.find_map(|(&j, av)| lookup(j).map(|xv| mul(av, xv)))?;
+    if FT::NEVER || !is_terminal.reached(&acc) {
+        for (&j, av) in entries {
+            if let Some(xv) = lookup(j) {
+                acc = add(acc, mul(av, xv));
+                if !FT::NEVER && is_terminal.reached(&acc) {
+                    break;
+                }
+            }
+        }
+    }
+    Some(acc)
 }
 
 /// `yᵀ = xᵀ ⊕.⊗ A` (push). Each task scatters a chunk of `x`'s nonzeros

@@ -14,6 +14,7 @@ use graphblas_exec::Context;
 
 use crate::dvec::DenseVec;
 use crate::error::FormatError;
+use crate::spmv::Terminal;
 use crate::util;
 
 /// A sparse vector of logical length `n`; `indices` strictly increasing
@@ -312,15 +313,11 @@ impl<T: Clone> SparseVec<T> {
 
     /// Reduction over stored values; `None` when empty. `is_terminal`
     /// enables monoid-annihilator early exit.
-    pub fn reduce<Z, M, A>(
-        &self,
-        map: M,
-        add: A,
-        is_terminal: Option<&dyn Fn(&Z) -> bool>,
-    ) -> Option<Z>
+    pub fn reduce<Z, M, A, FT>(&self, map: M, add: A, is_terminal: FT) -> Option<Z>
     where
         M: Fn(&T) -> Z,
         A: Fn(Z, Z) -> Z,
+        FT: Terminal<Z>,
     {
         reduce_values(&self.values, map, add, is_terminal)
     }
@@ -357,31 +354,30 @@ impl<T: Clone> SparseVec<T> {
     }
 }
 
-/// The reduction loop over a value array, whichever format stores it.
-fn reduce_values<T, Z, M, A>(
+/// The reduction loop over a value array, whichever container stores it:
+/// the first value seeds the sum, so the fold carries a plain `Z`.
+pub(crate) fn reduce_values<T, Z, M, A, FT>(
     values: &[T],
     map: M,
     add: A,
-    is_terminal: Option<&dyn Fn(&Z) -> bool>,
+    is_terminal: FT,
 ) -> Option<Z>
 where
     M: Fn(&T) -> Z,
     A: Fn(Z, Z) -> Z,
+    FT: Terminal<Z>,
 {
-    let mut acc: Option<Z> = None;
-    for v in values {
-        let z = map(v);
-        acc = Some(match acc {
-            None => z,
-            Some(a) => add(a, z),
-        });
-        if let (Some(t), Some(a)) = (is_terminal, acc.as_ref()) {
-            if t(a) {
+    let (first, rest) = values.split_first()?;
+    let mut acc = map(first);
+    if FT::NEVER || !is_terminal.reached(&acc) {
+        for v in rest {
+            acc = add(acc, map(v));
+            if !FT::NEVER && is_terminal.reached(&acc) {
                 break;
             }
         }
     }
-    acc
+    Some(acc)
 }
 
 /// A vector operand as the kernels read it: the sparse index list, or the
@@ -499,16 +495,11 @@ impl<T: Clone> VecView<'_, T> {
 
     /// Reduction over the stored values; `None` when there are none.
     /// `is_terminal` enables the monoid-annihilator early exit.
-    pub fn reduce<Z, M, A>(
-        self,
-        ctx: &Context,
-        map: M,
-        add: A,
-        is_terminal: Option<&dyn Fn(&Z) -> bool>,
-    ) -> Option<Z>
+    pub fn reduce<Z, M, A, FT>(self, ctx: &Context, map: M, add: A, is_terminal: FT) -> Option<Z>
     where
         M: Fn(&T) -> Z,
         A: Fn(Z, Z) -> Z,
+        FT: Terminal<Z>,
     {
         let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Reduce, ctx.id());
         if sp.active() {
@@ -629,9 +620,10 @@ mod tests {
         assert_eq!(m.to_sorted_tuples(), vec![(1, 11), (3, 33), (5, 55)]);
         let f = v.filter_map_with_index(|_, x| (*x > 10).then_some(*x * 2));
         assert_eq!(f.to_sorted_tuples(), vec![(3, 60), (5, 100)]);
-        assert_eq!(v.reduce(|x| *x, |a, b| a + b, None), Some(90));
+        use crate::spmv::Never;
+        assert_eq!(v.reduce(|x| *x, |a, b| a + b, Never), Some(90));
         assert_eq!(
-            SparseVec::<i64>::empty(3).reduce(|x| *x, |a, b| a + b, None),
+            SparseVec::<i64>::empty(3).reduce(|x| *x, |a, b| a + b, Never),
             None
         );
     }

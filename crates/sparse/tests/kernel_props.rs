@@ -4,12 +4,13 @@
 //! every run exercises the same (broad) case set.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use graphblas_exec::rng::prelude::*;
 use graphblas_exec::workspace::{BitSet, Reusable};
 use graphblas_exec::{global_context, Context, ContextOptions, Mode};
 use graphblas_sparse::{
-    ewise, kron, spgemm, spmv, transpose, Coo, Csr, DenseVec, SparseVec, VecOut, VecView,
+    ewise, kron, spgemm, spmv, transpose, BitmapVec, Coo, Csr, DenseVec, SparseVec, VecOut, VecView,
 };
 
 const CASES: usize = 64;
@@ -496,8 +497,8 @@ fn full_is_the_dense_corner_of_sparse<T>(
         );
         let fold = |p: T, q: T| both(&p, &q);
         assert_eq!(
-            full.reduce(&ctx, T::clone, fold, None),
-            sparse.reduce(&ctx, T::clone, fold, None),
+            full.reduce(&ctx, T::clone, fold, spmv::Never),
+            sparse.reduce(&ctx, T::clone, fold, spmv::Never),
             "reduce n={n}"
         );
         for complement in [false, true] {
@@ -560,7 +561,7 @@ fn terminal_reduce_stops_early_in_both_formats() {
                 seen.set(seen.get() + 1);
                 *b
             };
-            let is_true: &dyn Fn(&bool) -> bool = &|z| *z;
+            let is_true = |z: &bool| *z;
             let r = view.reduce(&ctx, map, |p, q| p || q, Some(is_true));
             assert_eq!(r, Some(true));
             assert_eq!(seen.get(), 1, "n={n}: early exit");
@@ -568,7 +569,7 @@ fn terminal_reduce_stops_early_in_both_formats() {
         // And without a terminal hit the whole vector is folded.
         let twin = Twin::new(vec![false; n]);
         for view in twin.views() {
-            let is_true: &dyn Fn(&bool) -> bool = &|z| *z;
+            let is_true = |z: &bool| *z;
             assert_eq!(
                 view.reduce(&ctx, |b| *b, |p, q| p || q, Some(is_true)),
                 Some(false)
@@ -577,30 +578,166 @@ fn terminal_reduce_stops_early_in_both_formats() {
     }
 }
 
-#[test]
-fn a_sparse_vector_storing_every_position_pulls_like_a_full_one() {
-    let ctx = global_context();
-    let mut rng = StdRng::seed_from_u64(0xF013);
-    for _ in 0..CASES / 4 {
-        let a = csr((11, 9), &random_entries(&mut rng, 11, 9));
-        let x = Twin::new((0..9).map(|_| rng.gen_range(-5..6i64)).collect());
-        let mul = |a: &i64, x: &i64| a * x;
-        let add = |p: i64, q: i64| p + q;
-        let none = None::<fn(&i64) -> bool>;
-        let via_sparse = spmv::spmv(&ctx, &a, &x.sparse, mul, add, none);
-        let hooks = spmv::Hooks::none();
-        let via_full = spmv::spmv_full_fused(&ctx, &a, &x.full, mul, add, none, hooks);
-        assert_eq!(via_full.to_sorted_tuples(), via_sparse.to_sorted_tuples());
-        // A pre map may drop entries: the full frontier then goes through
-        // the position table like any other.
-        let pre = |j: usize, v: &i64| j.is_multiple_of(2).then_some(v + 1);
-        let dropped = x.sparse.filter_map_with_index(pre);
-        let expect = spmv::spmv(&ctx, &a, &dropped, mul, add, none);
-        let hooks = spmv::Hooks {
-            pre: Some(&pre),
-            ..spmv::Hooks::none()
-        };
-        let fused = spmv::spmv_full_fused(&ctx, &a, &x.full, mul, add, none, hooks);
-        assert_eq!(fused.to_sorted_tuples(), expect.to_sorted_tuples());
+// ---------------------------------------------------------------------
+// The pull kernel: one row loop instantiated per frontier format, an early
+// exit that is a type. Every format must pull alike, and only a terminal
+// that fires may cut a row short.
+// ---------------------------------------------------------------------
+
+/// The values the pull property draws from, and the least product two of
+/// them make: MIN's annihilator on that domain, so a MIN row that reaches
+/// it is done.
+const VALUES: [i64; 5] = [-5, -1, 0, 1, 5];
+const LEAST: i64 = -25;
+
+fn is_least(z: &i64) -> bool {
+    *z == LEAST
+}
+
+/// A pull kernel's input vector, in the format the kernel reads it.
+enum Frontier<'a> {
+    Sparse(&'a SparseVec<i64>),
+    Bitmap(&'a BitmapVec<i64>),
+    Full(&'a DenseVec<i64>),
+}
+
+impl Frontier<'_> {
+    fn dense(&self) -> Vec<Option<i64>> {
+        match self {
+            Frontier::Sparse(s) => {
+                let mut d = vec![None; s.len()];
+                s.iter().for_each(|(j, &v)| d[j] = Some(v));
+                d
+            }
+            Frontier::Bitmap(b) => (0..b.len()).map(|j| b.get(j).copied()).collect(),
+            Frontier::Full(d) => d.values().iter().copied().map(Some).collect(),
+        }
     }
+}
+
+/// MIN.TIMES pulled by hand over a dense copy of the frontier: the entries,
+/// the products a loop makes over every present entry, and the products it
+/// makes when it stops each row at `LEAST`.
+fn naive_pull(
+    a: &Csr<i64>,
+    x: &[Option<i64>],
+    keep: impl Fn(usize) -> bool,
+    post: Option<spmv::FusedMap<'_, i64>>,
+) -> (Vec<(usize, i64)>, usize, usize) {
+    let (mut out, mut every, mut until_least) = (Vec::new(), 0, 0);
+    for i in (0..a.nrows()).filter(|&i| keep(i)) {
+        let (cols, vals) = a.row(i);
+        let mut acc: Option<i64> = None;
+        for (&j, av) in cols.iter().zip(vals) {
+            if let Some(xv) = x[j] {
+                every += 1;
+                until_least += usize::from(acc != Some(LEAST));
+                acc = Some(acc.map_or(av * xv, |c| c.min(av * xv)));
+            }
+        }
+        if let Some(v) = acc.and_then(|v| post.map_or(Some(v), |p| p(i, &v))) {
+            out.push((i, v));
+        }
+    }
+    (out, every, until_least)
+}
+
+/// One pull of `x` under `term` and `keep` with no hooks, a `pre` map and a
+/// `post` map in turn, each against [`naive_pull`]. The kernel must make
+/// exactly the products the naive loop makes — every one under `Never`,
+/// those up to each row's `LEAST` under a terminal. Returns how many
+/// products the early exit saved.
+fn pull_matches_naive<FT, K>(
+    ctx: &Context,
+    a: &Csr<i64>,
+    x: &Frontier<'_>,
+    term: FT,
+    keep: K,
+) -> usize
+where
+    FT: spmv::Terminal<i64>,
+    K: spmv::OutputFilter,
+{
+    let calls = AtomicUsize::new(0);
+    let mul = |a: &i64, x: &i64| {
+        calls.fetch_add(1, Ordering::SeqCst);
+        a * x
+    };
+    let min = |p: i64, q: i64| p.min(q);
+    let pre = |j: usize, v: &i64| (j % 3 != 1).then_some(-v);
+    let post = |i: usize, v: &i64| (i % 4 != 3).then_some(v + 100);
+    let (pre, post): (spmv::FusedMap<'_, i64>, spmv::FusedMap<'_, i64>) = (&pre, &post);
+    let maps = [(None, None), (Some(pre), None), (None, Some(post))];
+    let mut saved = 0;
+    for (pre, post) in maps {
+        calls.store(0, Ordering::SeqCst);
+        let hooks = spmv::Hooks { pre, post, keep };
+        let got = match *x {
+            Frontier::Sparse(s) => spmv::spmv_fused(ctx, a, s, mul, min, term, hooks),
+            Frontier::Bitmap(b) => spmv::spmv_bitmap_fused(ctx, a, b, mul, min, term, hooks),
+            Frontier::Full(d) => spmv::spmv_full_fused(ctx, a, d, mul, min, term, hooks),
+        };
+        let input: Vec<Option<i64>> = x
+            .dense()
+            .into_iter()
+            .enumerate()
+            .map(|(j, v)| v.and_then(|v| pre.map_or(Some(v), |f| f(j, &v))))
+            .collect();
+        let (expect, every, until_least) = naive_pull(a, &input, |i| keep.allows(i), post);
+        assert_eq!(got.to_sorted_tuples(), expect);
+        let made = calls.load(Ordering::SeqCst);
+        assert_eq!(made, if FT::NEVER { every } else { until_least });
+        saved += every - made;
+    }
+    saved
+}
+
+#[test]
+fn every_frontier_format_pulls_alike_and_stops_where_it_should() {
+    let budget = |nthreads| {
+        let opts = ContextOptions {
+            nthreads: Some(nthreads),
+            chunk_size: Some(1),
+            ..ContextOptions::default()
+        };
+        Context::new(&global_context(), Mode::Blocking, opts)
+    };
+    let contexts = [budget(1), budget(2)];
+    let mut rng = StdRng::seed_from_u64(0xF013);
+    let value = |rng: &mut StdRng| VALUES[rng.gen_range(0..VALUES.len())];
+    let (m, n) = (13, 9);
+    let mut saved = 0;
+    for _ in 0..CASES / 4 {
+        let a: Entries = (0..rng.gen_range(0..60usize))
+            .map(|_| ((rng.gen_range(0..m), rng.gen_range(0..n)), value(&mut rng)))
+            .collect();
+        let a = csr((m, n), &a);
+        let full = Twin::new((0..n).map(|_| value(&mut rng)).collect());
+        let part = partial(&mut rng, n, &value);
+        let bitmaps = [
+            BitmapVec::from_svec(&part),
+            BitmapVec::from_svec(&full.sparse),
+        ];
+        let frontiers = [
+            Frontier::Sparse(&part),
+            Frontier::Bitmap(&bitmaps[0]),
+            Frontier::Full(&full.full),
+            // A sparse-format vector storing every position is read as full.
+            Frontier::Sparse(&full.sparse),
+            Frontier::Bitmap(&bitmaps[1]),
+        ];
+        let rows = |i: usize| !i.is_multiple_of(3);
+        for ctx in &contexts {
+            for x in &frontiers {
+                pull_matches_naive(ctx, &a, x, spmv::Never, spmv::Unmasked);
+                pull_matches_naive(ctx, &a, x, spmv::Never, rows);
+                saved += pull_matches_naive(ctx, &a, x, Some(is_least), spmv::Unmasked);
+                saved += pull_matches_naive(ctx, &a, x, Some(is_least), rows);
+            }
+        }
+    }
+    assert!(
+        saved > 0,
+        "the terminal never fired: the early exit went untested"
+    );
 }

@@ -19,6 +19,24 @@ for arg in "$@"; do
 done
 
 cargo build --release
+# Compile time is a budget. The registry instantiates the pull kernel's
+# per-row reduction (`spmv::row_dot`) once per semiring row × operand type
+# × frontier format × output filter in every crate that multiplies, so its
+# symbol count in graphblas-algo is the build's fan-out in one number: 660
+# when this gate was set, with a from-scratch `cargo build --release` of
+# ≈ 60 s. A closure defined inside a generic registry fn inherits all of
+# that fn's generics and multiplies the count (SECOND written as a closure
+# in `try_matvec` read 996 row_dots and a 78–84 s build). The ceiling
+# leaves room for a few new rows, not for a fan-out; raise it only with the
+# build time beside the new count in CHANGES.md.
+row_dot_ceiling=700
+algo_rlib="$(ls -t target/release/deps/libgraphblas_algo-*.rlib | head -n 1)"
+row_dots="$(nm -C "$algo_rlib" 2>/dev/null | grep -c 'spmv::row_dot' || true)"
+echo "check: $row_dots spmv::row_dot instantiations in $(basename "$algo_rlib") (ceiling $row_dot_ceiling)"
+if ((row_dots == 0 || row_dots > row_dot_ceiling)); then
+    echo "check: spmv::row_dot count $row_dots is outside 1..$row_dot_ceiling" >&2
+    exit 1
+fi
 cargo test -q
 # The engine's own suites — tier-1 above runs only the root package: the
 # core unit tests plus dag_equivalence (deferred+fused vs. blocking =
