@@ -1,6 +1,6 @@
 //! The repo-specific lint pass behind the `grblint` binary.
 //!
-//! Nine rules, each encoding a convention this workspace actually relies
+//! Eight rules, each encoding a convention this workspace actually relies
 //! on (a general-purpose linter cannot know them):
 //!
 //! * `relaxed-ordering` — `Ordering::Relaxed` is forbidden outside
@@ -36,13 +36,6 @@
 //!   overhead the kernel registry exists to remove. Callbacks that run
 //!   outside the flop loop (a dedup hook at conversion time) carry a
 //!   waiver.
-//! * `counter-without-metric` — every `pub <field>: AtomicU64` counter in
-//!   the obs counter blocks (`crates/obs/src/counters.rs`) must have a
-//!   metric in the export registry whose last dotted segment is the field
-//!   name, so a counter cannot be added without also being scrapeable.
-//!   The registry names are read from `crates/obs/src/export/registry.rs`
-//!   by `lint_workspace`; linting a single file via [`lint_source`] skips
-//!   this rule (no registry in scope).
 //!
 //! Any rule can be waived at a specific site with a comment
 //! `// grblint: allow(<rule>)` on the same line or in the comment block
@@ -86,8 +79,6 @@ pub enum Rule {
     DecisionWithoutEvent,
     /// Type-erased `dyn Fn` operator in a hot sparse kernel file.
     DynSemiringInHotKernel,
-    /// An obs counter field with no matching export-registry metric.
-    CounterWithoutMetric,
     /// A `grblint: allow(...)` that suppresses nothing (or names no rule).
     StaleWaiver,
 }
@@ -103,13 +94,12 @@ impl Rule {
             Rule::SpanAtKernelBoundary => "span-at-kernel-boundary",
             Rule::DecisionWithoutEvent => "decision-without-event",
             Rule::DynSemiringInHotKernel => "dyn-semiring-in-hot-kernel",
-            Rule::CounterWithoutMetric => "counter-without-metric",
             Rule::StaleWaiver => "stale-waiver",
         }
     }
 
     /// All rules, for `--list-rules`.
-    pub fn all() -> [Rule; 9] {
+    pub fn all() -> [Rule; 8] {
         [
             Rule::RelaxedOrdering,
             Rule::NoUnwrap,
@@ -118,7 +108,6 @@ impl Rule {
             Rule::SpanAtKernelBoundary,
             Rule::DecisionWithoutEvent,
             Rule::DynSemiringInHotKernel,
-            Rule::CounterWithoutMetric,
             Rule::StaleWaiver,
         ]
     }
@@ -135,9 +124,6 @@ impl Rule {
             // else a counter bump without an event loses provenance.
             Rule::DecisionWithoutEvent => krate != "obs",
             Rule::DynSemiringInHotKernel => krate == "sparse",
-            // The counter blocks live in obs; the registry that must
-            // cover them does too.
-            Rule::CounterWithoutMetric => krate == "obs",
             Rule::StaleWaiver => true,
         }
     }
@@ -513,110 +499,10 @@ fn lint_decision_events(
     }
 }
 
-/// Workspace-relative path of the obs counter blocks, the one file the
-/// `counter-without-metric` pass scans.
-const OBS_COUNTERS_FILE: &str = "crates/obs/src/counters.rs";
-
-/// Workspace-relative path of the obs export registry, the source of
-/// truth for `counter-without-metric`.
-const OBS_REGISTRY_FILE: &str = "crates/obs/src/export/registry.rs";
-
-/// Extracts the dotted metric names declared in the obs export registry:
-/// every non-test string literal starting with `grb.` and containing no
-/// spaces (help texts have spaces; names never do).
-pub fn registry_metric_names(source: &str) -> Vec<String> {
-    let lines: Vec<&str> = source.lines().collect();
-    let test_start = lines
-        .iter()
-        .position(|l| l.trim() == "#[cfg(test)]")
-        .unwrap_or(lines.len());
-    let mut out = Vec::new();
-    for raw in lines.iter().take(test_start) {
-        let (code, _) = split_comment(raw);
-        let mut rest = code;
-        while let Some(start) = rest.find('"') {
-            let tail = &rest[start + 1..];
-            let Some(end) = tail.find('"') else { break };
-            let lit = &tail[..end];
-            if lit.len() > "grb.".len() && lit.starts_with("grb.") && !lit.contains(' ') {
-                out.push(lit.to_string());
-            }
-            rest = &tail[end + 1..];
-        }
-    }
-    out
-}
-
-/// The `counter-without-metric` pass: every `pub <field>: AtomicU64` in
-/// the obs counter blocks must have a registry metric whose last dotted
-/// segment equals the field name, so a counter cannot be added without a
-/// scrapeable metric. Runs only from [`lint_workspace`], which supplies
-/// the registry names.
-fn lint_counter_metrics(
-    file: &str,
-    lines: &[&str],
-    test_start: usize,
-    metrics: &[String],
-    used: &mut HashSet<(usize, Rule)>,
-    out: &mut Vec<Violation>,
-) {
-    let covered: HashSet<&str> = metrics
-        .iter()
-        .filter_map(|m| m.rsplit('.').next())
-        .collect();
-    for idx in 0..test_start {
-        let (code, _) = split_comment(lines[idx]);
-        let t = code.trim();
-        let Some(rest) = t.strip_prefix("pub ") else {
-            continue;
-        };
-        let Some((field, ty)) = rest.split_once(':') else {
-            continue;
-        };
-        let field = field.trim();
-        if ty.trim().trim_end_matches(',') != "AtomicU64"
-            || field.is_empty()
-            || !field
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_')
-        {
-            continue;
-        }
-        if covered.contains(field) {
-            continue;
-        }
-        match site_waiver(lines, idx, Rule::CounterWithoutMetric) {
-            Some(w) => {
-                used.insert((w, Rule::CounterWithoutMetric));
-            }
-            None => out.push(Violation {
-                file: file.to_string(),
-                line: idx + 1,
-                rule: Rule::CounterWithoutMetric,
-                snippet: format!(
-                    "counter field `{field}` has no registry metric ending in `.{field}`"
-                ),
-            }),
-        }
-    }
-}
-
 /// Lints one file's source text. `krate` is the crate directory name
 /// (`"core"`, `"sparse"`, …; `""` for the workspace root crate), `file` is
-/// the path used in reports. Skips `counter-without-metric`, which needs
-/// the registry names only [`lint_workspace`] has.
+/// the path used in reports.
 pub fn lint_source(krate: &str, file: &str, source: &str) -> Vec<Violation> {
-    lint_source_with_metrics(krate, file, source, None)
-}
-
-/// [`lint_source`] plus the `counter-without-metric` pass when `metrics`
-/// carries the registry's dotted names (`None` skips the rule).
-pub fn lint_source_with_metrics(
-    krate: &str,
-    file: &str,
-    source: &str,
-    metrics: Option<&[String]>,
-) -> Vec<Violation> {
     let lines: Vec<&str> = source.lines().collect();
     let mut out = Vec::new();
     // Everything from a top-level `#[cfg(test)]` to EOF is test code in
@@ -775,13 +661,6 @@ pub fn lint_source_with_metrics(
     if Rule::DecisionWithoutEvent.applies_to(krate) {
         lint_decision_events(file, &lines, test_start, &mut used, &mut out);
     }
-    if let Some(metrics) = metrics {
-        if Rule::CounterWithoutMetric.applies_to(krate)
-            && file.replace('\\', "/") == OBS_COUNTERS_FILE
-        {
-            lint_counter_metrics(file, &lines, test_start, metrics, &mut used, &mut out);
-        }
-    }
 
     // Stale-waiver sweep: every waiver site that suppressed nothing, and
     // every allow() naming no known rule.
@@ -886,24 +765,12 @@ pub(crate) fn collect_sources(root: &Path, out: &mut Vec<PathBuf>) -> io::Result
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     let mut files = Vec::new();
     collect_sources(root, &mut files)?;
-    // Registry names for counter-without-metric. A missing registry file
-    // yields an empty list, so every counter field is flagged — adding
-    // counters without an export registry is exactly the drift the rule
-    // exists to catch.
-    let metrics = registry_metric_names(
-        &fs::read_to_string(root.join(OBS_REGISTRY_FILE)).unwrap_or_default(),
-    );
     let mut out = Vec::new();
     for path in files {
         let rel = path.strip_prefix(root).unwrap_or(&path);
         let krate = crate_of(rel);
         let source = fs::read_to_string(&path)?;
-        out.extend(lint_source_with_metrics(
-            &krate,
-            &rel.to_string_lossy(),
-            &source,
-            Some(&metrics),
-        ));
+        out.extend(lint_source(&krate, &rel.to_string_lossy(), &source));
     }
     Ok(out)
 }
@@ -1171,63 +1038,6 @@ fn pick(hit: bool) {
 }
 ";
         assert_eq!(lint_source("core", "x.rs", good).len(), 0);
-    }
-
-    #[test]
-    fn counter_without_metric_flagged_via_registry() {
-        let counters = "\
-pub struct PoolCounters {
-    pub covered: AtomicU64,
-    pub orphan: AtomicU64,
-}
-";
-        let metrics = vec!["grb.pool.covered".to_string()];
-        let v = lint_source_with_metrics(
-            "obs",
-            "crates/obs/src/counters.rs",
-            counters,
-            Some(&metrics),
-        );
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::CounterWithoutMetric);
-        assert_eq!(v[0].line, 3);
-        assert!(v[0].snippet.contains("orphan"));
-        // Only the counter-blocks file is in scope, and plain lint_source
-        // (no registry in hand) skips the rule entirely.
-        assert!(lint_source_with_metrics("obs", "crates/obs/src/mem.rs", counters, Some(&metrics))
-            .is_empty());
-        assert!(lint_source("obs", "crates/obs/src/counters.rs", counters).is_empty());
-        // A waiver in the comment block above the field covers it.
-        let waived = "\
-pub struct PoolCounters {
-    pub covered: AtomicU64,
-    // grblint: allow(counter-without-metric) — internal bookkeeping.
-    pub orphan: AtomicU64,
-}
-";
-        assert!(lint_source_with_metrics(
-            "obs",
-            "crates/obs/src/counters.rs",
-            waived,
-            Some(&metrics)
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn registry_names_extracted_from_literals_only() {
-        let src = "\
-const REGISTRY: &[MetricDesc] = &[
-    m(\"grb.kernel.calls\", C, \"Kernel invocations over the lifetime.\"),
-    m(\"grb.pool.workers\", G, \"Worker slots.\"),
-];
-#[cfg(test)]
-mod tests {
-    const NOT_A_METRIC: &str = \"grb.test.only\";
-}
-";
-        let names = registry_metric_names(src);
-        assert_eq!(names, vec!["grb.kernel.calls", "grb.pool.workers"]);
     }
 
     #[test]

@@ -115,67 +115,6 @@ fn waived_violation_passes_and_waiver_expires_after_statement() {
 }
 
 #[test]
-fn seeded_counter_without_metric_violation_fails() {
-    let counters = "\
-pub struct PoolCounters {
-    pub covered: AtomicU64,
-    pub orphan: AtomicU64,
-}
-";
-    let registry = "\
-const REGISTRY: &[MetricDesc] = &[
-    m(\"grb.pool.covered\", C, \"Covered by a metric.\"),
-];
-";
-    let root = fixture(
-        "countermetric",
-        &[
-            ("crates/obs/src/counters.rs", counters),
-            ("crates/obs/src/export/registry.rs", registry),
-        ],
-    );
-    let v = lint_workspace(&root).unwrap();
-    assert_eq!(v.len(), 1, "expected exactly the seeded violation: {v:?}");
-    assert_eq!(v[0].rule, Rule::CounterWithoutMetric);
-    assert_eq!(v[0].line, 3);
-    assert!(v[0].file.contains("counters.rs"), "{}", v[0].file);
-    fs::remove_dir_all(&root).unwrap();
-
-    // Without a registry file every counter field is an orphan.
-    let root = fixture("countermetric-noreg", &[("crates/obs/src/counters.rs", counters)]);
-    let v = lint_workspace(&root).unwrap();
-    assert_eq!(v.len(), 2, "{v:?}");
-    assert!(v.iter().all(|x| x.rule == Rule::CounterWithoutMetric));
-    fs::remove_dir_all(&root).unwrap();
-}
-
-#[test]
-fn covered_and_waived_counters_pass() {
-    let counters = "\
-pub struct PoolCounters {
-    pub covered: AtomicU64,
-    // grblint: allow(counter-without-metric) — fixture-sanctioned.
-    pub internal: AtomicU64,
-}
-";
-    let registry = "\
-const REGISTRY: &[MetricDesc] = &[
-    m(\"grb.pool.covered\", C, \"Covered by a metric.\"),
-];
-";
-    let root = fixture(
-        "countermetric-ok",
-        &[
-            ("crates/obs/src/counters.rs", counters),
-            ("crates/obs/src/export/registry.rs", registry),
-        ],
-    );
-    let v = lint_workspace(&root).unwrap();
-    assert!(v.is_empty(), "{v:?}");
-    fs::remove_dir_all(&root).unwrap();
-}
-
-#[test]
 fn test_dirs_and_test_modules_are_out_of_scope() {
     let src = "fn f(x: Option<u32>) { x.unwrap(); }\n";
     let root = fixture(

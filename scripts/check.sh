@@ -46,9 +46,12 @@ cargo test -q
 # unfiltered, push vs. pull, fused hooks vs. materialized); and the ten
 # algorithms' unit tests — six of them multiply with FIRST/SECOND/PAIR over
 # a `Matrix<bool>`, the registry's value-blind rows; and the substrate's
-# unit tests (pool scopes, sync wrappers, workspace checkouts).
+# unit tests (pool scopes, sync wrappers, workspace checkouts); and the
+# telemetry crate, whose golden test pins every counter's snapshot JSON key
+# and metric family.
 cargo test -q -p graphblas-core
 cargo test -q -p graphblas-exec
+cargo test -q -p graphblas-obs
 cargo test -q -p graphblas-sparse
 cargo test -q -p graphblas-algo
 cargo clippy --workspace --all-targets -- -D warnings
@@ -138,7 +141,9 @@ fi
 # (--compare; tolerant profile), and leave well-formed
 # BENCH_kernels_smoke.json and BENCH_obs.json behind (medians +
 # workspace/direction counters + per-kernel latency percentiles + memory
-# gauges + per-reason decision aggregates). The run also exports its
+# gauges + per-reason decision aggregates). BENCH_obs.json is
+# `Snapshot::to_json`, every key of which the obs golden test above pins,
+# so only its shape is checked here. The run also exports its
 # per-thread timeline via GRB_TRACE and its decision-provenance log via
 # GRB_EXPLAIN; the tracecheck reader proves the Chrome trace is balanced,
 # properly nested, multi-threaded, and covers the spgemm/mxv kernel
@@ -168,15 +173,6 @@ for key in '"pagerank"' '"bfs"' '"spgemm"' '"fused_apply"' '"workspace"' '"direc
            '"fused_pipeline_blocking"' '"mem_high"'; do
     grep -q "$key" BENCH_kernels_smoke.json \
         || { echo "check: BENCH_kernels_smoke.json lacks $key" >&2; exit 1; }
-done
-for key in '"kernels"' '"pending"' '"pool"' '"workspace"' '"direction"' '"mem"' \
-           '"dispatch"' '"format"' '"static_hits"' '"dyn_fallbacks"' \
-           '"contexts"' '"decisions"' '"decisions_total"' '"events_total"' \
-           '"container_high_bytes"' '"p50_ns"' '"p99_ns"' '"fusion_hits"' \
-           '"sampler"' '"queue_depth_max"' '"task_wait_ns"' \
-           '"dag"' '"nodes_enqueued"' '"fused_chains"'; do
-    grep -q "$key" BENCH_obs.json \
-        || { echo "check: BENCH_obs.json lacks $key" >&2; exit 1; }
 done
 cargo run -q -p graphblas-check --bin tracecheck -- "$trace_file" --require-kernels
 # The same smoke run dumped its final metrics exposition via
