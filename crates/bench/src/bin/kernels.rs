@@ -29,11 +29,7 @@
 //! (`--smoke` bounds the graph scale and run count for CI). Set
 //! `GRB_TRACE=trace.json` to also export the run's per-thread timeline
 //! as Chrome-trace JSON for `ui.perfetto.dev`, and `GRB_EXPLAIN=...json`
-//! to export the reason-coded decision history for `grbexplain`. Set
-//! `GRB_METRICS_ADDR=host:port` to serve a live Prometheus scrape
-//! endpoint for the duration of the run (watch it with `grbtop`), or
-//! `GRB_METRICS_DUMP=metrics.prom` to write the final exposition for
-//! `metricscheck`.
+//! to export the reason-coded decision history for `grbexplain`.
 //!
 //! The JSON file is the baseline `scripts/bench.sh` refreshes and
 //! `scripts/check.sh` validates; comparing two baselines across commits is
@@ -124,14 +120,6 @@ fn main() {
 
     graphblas_obs::set_enabled(true);
     graphblas_obs::reset();
-
-    // GRB_METRICS_ADDR=<host:port> serves the live Prometheus scrape
-    // endpoint for the whole run (poll it with `grbtop`);
-    // GRB_METRICS_DUMP=<path> arms a one-shot exposition dump at exit.
-    // Either one starts the background sampler so window rates exist.
-    if let Some(addr) = graphblas_obs::export::init() {
-        println!("metrics endpoint listening on {addr}");
-    }
 
     let a = rmat_bool(p.scale, 8, p.scale as u64);
     let n = a.nrows();
@@ -303,11 +291,6 @@ fn main() {
     // same run as explain/v1 JSON (gated by `grbexplain` in check.sh).
     if let Some(path) = graphblas_obs::write_explain_if_requested() {
         println!("decision provenance written: {path}");
-    }
-    // GRB_METRICS_DUMP=<path> writes the final metrics exposition
-    // (validated by `metricscheck` in check.sh).
-    if let Some(path) = graphblas_obs::write_dump_if_requested() {
-        println!("metrics exposition written: {path}");
     }
     graphblas_obs::set_enabled(false);
 

@@ -13,48 +13,11 @@
 //! one bound for the full events-on configuration, and a fast-path check
 //! proving that with events opted out not a single event is recorded even
 //! while the rest of telemetry runs.
-//!
-//! The metrics export plane (`obs::export`) gets it too: with neither
-//! `GRB_METRICS_ADDR` nor `GRB_METRICS_DUMP` set there is no sampler
-//! thread and no endpoint, so an obs-on workload that also polls the
-//! dump hook must fit the same obs-on budget — and the dump hook itself
-//! must not allocate at all on that path (counted by a global allocator
-//! with a per-thread tally).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Mutex;
 
 use graphblas_bench::{median_secs, rmat_bool};
 use graphblas_core::Mode;
-
-/// [`System`] plus a per-thread allocation count, so a test can prove a
-/// fast path on its own thread allocation-free without interference from
-/// concurrently running tests.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // try_with: allocation during TLS teardown must not panic.
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocs_on_this_thread() -> u64 {
-    ALLOCS.with(|c| c.get())
-}
 
 /// The timing tests share process-global obs state (enabled flag, events
 /// flag); serialize them so a parallel test run cannot interleave toggles.
@@ -125,74 +88,6 @@ fn events_on_overhead_is_bounded() {
         t_off,
         t_events,
         budget
-    );
-}
-
-#[test]
-fn export_disabled_overhead_is_bounded() {
-    let _g = SERIALIZE.lock().unwrap_or_else(|e| e.into_inner());
-    assert!(
-        std::env::var_os("GRB_METRICS_ADDR").is_none()
-            && std::env::var_os("GRB_METRICS_DUMP").is_none(),
-        "this test measures the export-disabled configuration"
-    );
-    graphblas_core::init(Mode::Blocking);
-    let a = rmat_bool(7, 8, 7);
-
-    let run = || {
-        std::hint::black_box(graphblas_algo::pagerank(&a, 0.85, 1e-6, 25).expect("pagerank"));
-        // The dump hook sits on real exit paths; with the env unset it
-        // must cost nothing measurable even when polled per iteration.
-        std::hint::black_box(graphblas_obs::write_dump_if_requested());
-    };
-
-    graphblas_obs::set_enabled(false);
-    run();
-    let t_off = median_secs(5, run);
-
-    graphblas_obs::set_enabled(true);
-    run();
-    let t_on = median_secs(5, run);
-    graphblas_obs::set_enabled(false);
-
-    assert!(
-        !graphblas_obs::export::sampler::running(),
-        "no sampler thread may start in the export-disabled configuration"
-    );
-    // Same budget as the plain obs-on test: merging the export plane must
-    // not have moved the obs-on cost envelope when it is disabled.
-    let budget = t_off * 5.0 + 0.050;
-    assert!(
-        t_on <= budget,
-        "export-disabled overhead out of bounds: obs-off {:.6}s, obs-on {:.6}s, budget {:.6}s",
-        t_off,
-        t_on,
-        budget
-    );
-}
-
-#[test]
-fn export_dump_fast_path_allocates_nothing_when_unset() {
-    let _g = SERIALIZE.lock().unwrap_or_else(|e| e.into_inner());
-    assert!(
-        std::env::var_os("GRB_METRICS_DUMP").is_none(),
-        "this test measures the env-unset fast path"
-    );
-    graphblas_obs::set_enabled(true);
-    // Warm-up: first call touches env machinery outside the loop.
-    std::hint::black_box(graphblas_obs::write_dump_if_requested());
-
-    let before = allocs_on_this_thread();
-    for _ in 0..1_000 {
-        std::hint::black_box(graphblas_obs::write_dump_if_requested());
-    }
-    let after = allocs_on_this_thread();
-    graphblas_obs::set_enabled(false);
-
-    assert_eq!(
-        after - before,
-        0,
-        "GRB_METRICS_DUMP-unset dump hook must be allocation-free"
     );
 }
 

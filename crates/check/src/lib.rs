@@ -1,6 +1,6 @@
 //! `graphblas-check`: correctness tooling for the graphblas workspace.
 //!
-//! Three instruments, one crate:
+//! Its instruments:
 //!
 //! 1. **[`sched`] + [`sync`]** — a deterministic concurrency model checker
 //!    ("mini-shuttle"). Protocols are re-expressed over the instrumented
@@ -47,12 +47,6 @@
 //!    invariants, renders per-operation narratives with per-reason
 //!    aggregates, and evaluates `--assert reason=<code>,min=<k>` gates.
 //!
-//! 5b. **[`metrics`]** — the independent reader for the Prometheus text
-//!    expositions `GRB_METRICS_ADDR`/`GRB_METRICS_DUMP` produce
-//!    (`graphblas_obs::export`), behind the `metricscheck` binary
-//!    (`--require` family assertions, `--min-families` floors) and the
-//!    `grbtop` live terminal viewer that polls the scrape endpoint.
-//!
 //! 6. **[`benchcmp`]** — baseline-vs-baseline kernel benchmark
 //!    comparison behind the `benchcmp` binary: fails on median or p99
 //!    regressions beyond a threshold (25% strict; `--smoke-tolerant`
@@ -61,7 +55,6 @@
 pub mod benchcmp;
 pub mod explain;
 pub mod lint;
-pub mod metrics;
 pub mod report;
 pub mod sa;
 pub mod sched;

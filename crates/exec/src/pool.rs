@@ -20,10 +20,8 @@
 //!
 //! When telemetry is enabled (`graphblas-obs`), the pool counts task
 //! spawns, inline executions, scope entries, and worker park/wake events,
-//! and feeds the scheduler metrics of the live telemetry plane: queue
-//! depth at every push, each task's queued-wait versus execution time,
-//! and per-worker busy nanoseconds (the utilization signal `grbtop` and
-//! the admission-control work consume).
+//! and records the queue depth at every push and each task's queued-wait
+//! versus execution time (the `pool` block of the obs snapshot).
 
 use std::any::Any;
 use std::cell::Cell;
@@ -40,9 +38,6 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 
 thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-    /// The pool index of the current worker thread (`usize::MAX` off the
-    /// pool); attributes task run time to a busy-table slot.
-    static WORKER_INDEX: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
 /// Returns `true` when the calling thread is one of a pool's workers.
@@ -165,7 +160,6 @@ impl ThreadPool {
                     .name(format!("grb-worker-{i}"))
                     .spawn(move || {
                         IN_WORKER.with(|w| w.set(true));
-                        WORKER_INDEX.with(|w| w.set(i));
                         // Register with the obs timeline up front so the
                         // worker's tid and name appear in trace metadata
                         // even before its first recorded region.
@@ -320,12 +314,10 @@ impl<'env, 'pool> Scope<'env, 'pool> {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
             drop(ph);
             if let Some((enqueued, started)) = started {
-                // The wait-vs-run split, attributed to this worker's busy
-                // slot. It lands before `task_finished` releases the
-                // scope, so a snapshot taken after `scope` returns holds
-                // every task of it.
+                // The wait-vs-run split. It lands before `task_finished`
+                // releases the scope, so a snapshot taken after `scope`
+                // returns holds every task of it.
                 graphblas_obs::counters::record_pool_task(
-                    WORKER_INDEX.with(Cell::get),
                     started.duration_since(enqueued).as_nanos() as u64,
                     started.elapsed().as_nanos() as u64,
                 );

@@ -9,20 +9,20 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use graphblas_exec::ThreadPool;
-use graphblas_obs::{snapshot, PoolTotals, Snapshot};
+use graphblas_obs::{snapshot, PoolTotals};
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Runs `work` with collection on; returns the pool counters before it
-/// and the snapshot after it.
-fn enabled_delta(work: impl FnOnce()) -> (PoolTotals, Snapshot) {
+/// Runs `work` with collection on; returns the pool counters before and
+/// after it.
+fn enabled_delta(work: impl FnOnce()) -> (PoolTotals, PoolTotals) {
     let before = snapshot().pool;
     graphblas_obs::set_enabled(true);
     work();
-    let after = snapshot();
+    let after = snapshot().pool;
     graphblas_obs::set_enabled(false);
     (before, after)
 }
@@ -38,22 +38,21 @@ fn pool_activity_is_counted_when_enabled() {
             }
         })
     });
-    assert_eq!(after.pool.scopes - before.scopes, 1);
-    assert_eq!(after.pool.tasks_spawned - before.tasks_spawned, 8);
+    assert_eq!(after.scopes - before.scopes, 1);
+    assert_eq!(after.tasks_spawned - before.tasks_spawned, 8);
 }
 
 #[test]
 fn scheduler_metrics_are_recorded_when_enabled() {
     let _g = serial();
     let pool = ThreadPool::new(2);
-    let (before, snap) = enabled_delta(|| {
+    let (before, after) = enabled_delta(|| {
         pool.scope(|s| {
             for _ in 0..16 {
                 s.spawn(|| std::thread::sleep(Duration::from_micros(200)));
             }
         })
     });
-    let after = snap.pool;
     assert_eq!(after.jobs_queued - before.jobs_queued, 16);
     assert_eq!(after.jobs_dequeued - before.jobs_dequeued, 16);
     assert_eq!(after.tasks_completed - before.tasks_completed, 16);
@@ -66,11 +65,6 @@ fn scheduler_metrics_are_recorded_when_enabled() {
         "every task's sleep must be in the run time"
     );
     assert!(after.queue_depth_max >= 1, "16 pushes must register depth");
-    assert!(after.workers >= 1);
-    assert!(
-        snap.pool_workers.iter().sum::<u64>() > 0,
-        "busy time must land in the worker table"
-    );
 }
 
 #[test]
@@ -79,7 +73,7 @@ fn a_finished_scope_has_recorded_its_task() {
     let pool = ThreadPool::new(2);
     for _ in 0..200 {
         let (before, after) = enabled_delta(|| pool.scope(|s| s.spawn(|| {})));
-        assert_eq!(after.pool.tasks_completed - before.tasks_completed, 1);
+        assert_eq!(after.tasks_completed - before.tasks_completed, 1);
     }
 }
 

@@ -15,8 +15,8 @@
 //! Events land in bounded per-thread rings mirroring [`crate::timeline`]:
 //! each thread owns an `Arc<Mutex<ring>>` registered once and cached in
 //! TLS, so the hot path takes an uncontended lock on its own ring — no
-//! cross-thread contention, fixed memory (`GRB_EVENTS_CAPACITY` records
-//! per thread, default 4096, oldest overwritten). Lifetime per-reason
+//! cross-thread contention, fixed memory ([`EVENTS_CAPACITY`] records
+//! per thread, oldest overwritten). Lifetime per-reason
 //! aggregates are plain relaxed counters and survive ring truncation.
 //!
 //! Recording requires [`crate::enabled`] *and* [`events_requested`] —
@@ -34,8 +34,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::json::JsonWriter;
 use crate::span;
 
-/// Default per-thread decision-ring capacity (records, not bytes).
-pub const DEFAULT_EVENTS_CAPACITY: usize = 4096;
+/// Per-thread decision-ring capacity (records, not bytes).
+pub const EVENTS_CAPACITY: usize = 4096;
 
 /// Number of [`Reason`] codes (array sizing).
 pub const REASON_COUNT: usize = 18;
@@ -283,17 +283,6 @@ impl EvRing {
     }
 }
 
-fn ring_capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("GRB_EVENTS_CAPACITY")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_EVENTS_CAPACITY)
-    })
-}
-
 static RINGS: Mutex<Vec<(u32, Arc<Mutex<EvRing>>)>> = Mutex::new(Vec::new());
 
 thread_local! {
@@ -301,7 +290,7 @@ thread_local! {
         let tag = span::thread_tag();
         let ring = Arc::new(Mutex::new(EvRing {
             buf: Vec::new(),
-            capacity: ring_capacity(),
+            capacity: EVENTS_CAPACITY,
             written: 0,
         }));
         let mut rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());

@@ -25,11 +25,11 @@
 //!   the kernel workspace cache, attributed to the owning context.
 //! * [`snapshot`] — a `GrB_get`-style introspection surface serializing to
 //!   JSON through the hand-written writer in [`json`] (no serde).
-//! * [`export`] — the live telemetry plane: a metric registry under
-//!   stable dotted names, a background sampler ring for window rates and
-//!   rolling p99s, and a hand-rolled TCP scrape endpoint speaking the
-//!   Prometheus text exposition (`GRB_METRICS_ADDR=host:port`, or
-//!   `GRB_METRICS_DUMP=<path>` for a one-shot file).
+//! * [`events`] — reason-coded decision provenance at every runtime
+//!   choice point, exported for `grbexplain` (`GRB_EXPLAIN=out.json`).
+//!
+//! Everything is read after the fact, per object or per process, the way
+//! the paper's `GrB_error` and `GrB_get` are.
 //!
 //! ## Cost model
 //!
@@ -57,7 +57,6 @@ use std::sync::OnceLock;
 pub mod counters;
 pub mod ctxreg;
 pub mod events;
-pub mod export;
 pub mod hist;
 pub mod json;
 pub mod mem;
@@ -73,7 +72,6 @@ pub use ctxreg::{register_context, ContextStats, CtxTotals};
 pub use events::{
     write_explain_if_requested, DecisionEvent, Explain, Reason, REASON_COUNT,
 };
-pub use export::{write_dump_if_requested, Family, Sample};
 pub use hist::{HistTotals, KernelHist};
 pub use json::JsonWriter;
 pub use mem::MemTotals;
@@ -107,15 +105,8 @@ fn flags() -> &'static Flags {
         let explain = std::env::var("GRB_EXPLAIN")
             .map(|v| !v.is_empty())
             .unwrap_or(false);
-        // And for the live telemetry plane: a scrape endpoint or a dump
-        // request is only useful over collected counters.
-        let metrics = ["GRB_METRICS_ADDR", "GRB_METRICS_DUMP"]
-            .iter()
-            .any(|v| std::env::var(v).map(|s| !s.is_empty()).unwrap_or(false));
         Flags {
-            enabled: AtomicBool::new(
-                burble || trace || explain || metrics || env_truthy("GRB_OBS"),
-            ),
+            enabled: AtomicBool::new(burble || trace || explain || env_truthy("GRB_OBS")),
             burble: AtomicBool::new(burble),
         }
     })

@@ -72,14 +72,6 @@ impl Snapshot {
                 w.key(row.field);
                 w.number((row.get)(self));
             }
-            if rows[0].block == "pool" {
-                w.key("worker_busy_ns");
-                w.begin_array();
-                for b in &self.pool_workers {
-                    w.number(*b);
-                }
-                w.end_array();
-            }
             w.end_object();
         }
 

@@ -4,7 +4,7 @@
 //! On drop — when telemetry is enabled — it records the elapsed wall time
 //! into the kernel counter table, attributes it to the active context, and
 //! appends an [`Event`] to a fixed-capacity ring buffer (oldest events are
-//! overwritten; capacity via `GRB_OBS_EVENTS`, default 4096). With burble
+//! overwritten; capacity [`EVENT_CAPACITY`]). With burble
 //! on, each span additionally narrates one human-readable line to stderr,
 //! in the spirit of SuiteSparse's `GxB_BURBLE`.
 
@@ -15,8 +15,8 @@ use std::time::Instant;
 use crate::counters::{self, Kernel};
 use crate::ctxreg;
 
-/// Default event-ring capacity (events, not bytes).
-pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
+/// Event-ring capacity (events, not bytes).
+pub const EVENT_CAPACITY: usize = 4096;
 
 pub(crate) fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -84,17 +84,10 @@ static RING: Mutex<Option<Ring>> = Mutex::new(None);
 
 fn with_ring<R>(f: impl FnOnce(&mut Ring) -> R) -> R {
     let mut guard = RING.lock().unwrap_or_else(|e| e.into_inner());
-    let ring = guard.get_or_insert_with(|| {
-        let capacity = std::env::var("GRB_OBS_EVENTS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_EVENT_CAPACITY);
-        Ring {
-            buf: Vec::with_capacity(capacity.min(1024)),
-            capacity,
-            written: 0,
-        }
+    let ring = guard.get_or_insert_with(|| Ring {
+        buf: Vec::with_capacity(1024),
+        capacity: EVENT_CAPACITY,
+        written: 0,
     });
     f(ring)
 }

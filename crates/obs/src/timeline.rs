@@ -11,8 +11,8 @@
 //!
 //! Recording is off unless `GRB_TRACE` (an output path) or
 //! `GRB_TIMELINE=1` is set, or [`set_timeline`] is called; it additionally
-//! requires [`crate::enabled`]. Rings are bounded (`GRB_TIMELINE_EVENTS`
-//! per thread, default 8192, oldest overwritten) so always-on cost is
+//! requires [`crate::enabled`]. Rings are bounded ([`TIMELINE_CAPACITY`]
+//! records per thread, oldest overwritten) so always-on cost is
 //! fixed. Because each thread's spans nest by RAII construction, export
 //! emits begin/end pairs through an explicit stack — the output is
 //! balanced per thread even when the ring has dropped old records.
@@ -24,8 +24,8 @@ use std::time::Instant;
 use crate::json::JsonWriter;
 use crate::span;
 
-/// Default per-thread timeline ring capacity (records, not bytes).
-pub const DEFAULT_TIMELINE_CAPACITY: usize = 8192;
+/// Per-thread timeline ring capacity (records, not bytes).
+pub const TIMELINE_CAPACITY: usize = 8192;
 
 /// One completed region on one thread's timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,17 +104,6 @@ impl TlRing {
     }
 }
 
-fn ring_capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("GRB_TIMELINE_EVENTS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_TIMELINE_CAPACITY)
-    })
-}
-
 /// All threads' rings. A thread registers once (lazily on first record,
 /// or eagerly via [`register_thread`]) and keeps an `Arc` in TLS so the
 /// hot path locks only its own ring.
@@ -125,7 +114,7 @@ thread_local! {
         let tag = span::thread_tag();
         let ring = Arc::new(Mutex::new(TlRing {
             buf: Vec::new(),
-            capacity: ring_capacity(),
+            capacity: TIMELINE_CAPACITY,
             written: 0,
         }));
         let mut rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
@@ -406,7 +395,7 @@ mod tests {
         assert_eq!(thread_sort_index("main"), 0);
         assert_eq!(thread_sort_index("grb-worker-0"), 1);
         assert_eq!(thread_sort_index("grb-worker-7"), 8);
-        assert!(thread_sort_index("grb-sampler") > thread_sort_index("grb-worker-63"));
+        assert!(thread_sort_index("thread-3") > thread_sort_index("grb-worker-63"));
         assert!(thread_sort_index("grb-worker-nonnumeric") > 1000);
     }
 

@@ -22,9 +22,6 @@
 # Set GRB_TRACE=<path> to additionally export the run's per-thread timeline
 # as Chrome-trace JSON (open at ui.perfetto.dev), and GRB_EXPLAIN=<path>
 # for the decision-provenance log (render with the grbexplain binary).
-# GRB_METRICS_ADDR=<host:port> serves the live Prometheus scrape endpoint
-# for the duration of the run (watch with grbtop); GRB_METRICS_DUMP=<path>
-# writes the final exposition (validate with metricscheck).
 #
 # Regression protocol (EXPERIMENTS.md): commit the baseline alongside perf
 # changes and diff median_secs against the parent commit's file.
