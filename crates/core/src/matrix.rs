@@ -534,8 +534,8 @@ impl<T: ValueType> Matrix<T> {
             let coo =
                 Coo::from_parts(st.nrows, st.ncols, rows, cols, values).map_err(Error::from)?;
             let csr = match &dup {
-                Some(op) => coo.to_csr(&ctx, Some(&|a: &T, b: &T| op.apply(a, b))),
-                None => coo.to_csr(&ctx, None),
+                Some(op) => coo.into_csr(&ctx, Some(&|a: &T, b: &T| op.apply(a, b))),
+                None => coo.into_csr(&ctx, None),
             }
             .map_err(Error::from)?;
             st.store = MatStore::Csr(Arc::new(csr));

@@ -8,7 +8,8 @@ use graphblas_exec::Context;
 
 use crate::csr::Csr;
 use crate::error::FormatError;
-use crate::util;
+use crate::scatter;
+use crate::transpose::transpose_parts;
 
 /// An unordered triplet matrix.
 #[derive(Debug, Clone)]
@@ -123,48 +124,41 @@ impl<T> Coo<T> {
 }
 
 impl<T: Clone + Send + Sync> Coo<T> {
-    /// Converts to CSR. Duplicate coordinates are combined with `dup`, or
-    /// rejected with [`FormatError::Duplicate`] when `dup` is `None` —
-    /// GraphBLAS 2.0's optional-dup `build` semantics (§IX).
+    /// Converts to CSR with sorted rows — GraphBLAS 2.0's `build` with an
+    /// optional `dup` (§IX). One pass of the stable counting scatter
+    /// (`scatter.rs`) orders the triplets by column, and the transpose
+    /// of that (a second pass) by row, so the triplets of one coordinate end
+    /// up adjacent in arrival order. `dup` then folds each such run from the
+    /// left in that order (`dup(dup(t₀, t₁), t₂)`: SECOND keeps the last
+    /// one). With `dup` `None`, the first duplicated coordinate in
+    /// row-major order is reported as [`FormatError::Duplicate`].
     pub fn to_csr(
         &self,
         ctx: &Context,
         dup: Option<&(dyn Fn(&T, &T) -> T + Sync)>,
     ) -> Result<Csr<T>, FormatError> {
-        let nnz = self.nnz();
-        // Counting sort by row.
-        let mut counts = vec![0usize; self.nrows + 1];
-        for &i in &self.rows {
-            counts[i] += 1;
-        }
-        let total = util::exclusive_prefix_sum(&mut counts[..]);
-        debug_assert_eq!(total, nnz);
-        let mut indptr = counts; // now exclusive offsets, length nrows + 1
-        indptr[self.nrows] = nnz;
-        // Rebuild: counts currently holds start offsets shifted; recompute a
-        // proper indptr and an independent cursor.
-        let mut cursor: Vec<usize> = indptr[..self.nrows].to_vec();
-        let mut indices = vec![0usize; nnz];
-        let mut values: Vec<Option<T>> = vec![None; nnz];
-        for k in 0..nnz {
-            let i = self.rows[k];
-            let p = cursor[i];
-            cursor[i] += 1;
-            indices[p] = self.cols[k];
-            values[p] = Some(self.values[k].clone());
-        }
-        let values: Vec<T> = values
-            .into_iter()
-            // grblint: allow(no-unwrap) — the counting-sort cursor writes
-            // each of the nnz slots exactly once.
-            .map(|v| v.expect("every slot written"))
-            .collect();
-        let mut csr = Csr::from_kernel_parts(self.nrows, self.ncols, indptr, indices, values, false);
-        let had_dups = csr.sort_rows(ctx);
-        if had_dups {
-            csr.dedup_sorted_rows(dup)?;
-        }
-        Ok(csr)
+        from_columns(ctx, self.by_column(ctx), dup)
+    }
+
+    /// [`Coo::to_csr`] of an owned store, which frees the triplets after
+    /// the first pass, before the second allocates the result.
+    pub fn into_csr(
+        self,
+        ctx: &Context,
+        dup: Option<&(dyn Fn(&T, &T) -> T + Sync)>,
+    ) -> Result<Csr<T>, FormatError> {
+        let by_column = self.by_column(ctx);
+        drop(self);
+        from_columns(ctx, by_column, dup)
+    }
+
+    /// The first pass: the transpose as CSR, each of its rows (a column)
+    /// in arrival order, duplicates included.
+    fn by_column(&self, ctx: &Context) -> Csr<T> {
+        let colptr = scatter::offsets(self.ncols, &self.cols);
+        let triplets = (&self.cols[..], &self.rows[..], &self.values[..]);
+        let (rows, values) = scatter::scatter(ctx, &colptr, &triplets, self.values.first());
+        Csr::from_kernel_parts(self.ncols, self.nrows, colptr, rows, values, false)
     }
 
     /// Converts from CSR (storage order, hence sorted by `(row, col)` when
@@ -185,6 +179,56 @@ impl<T: Clone + Send + Sync> Coo<T> {
         );
         coo
     }
+}
+
+/// The second pass of [`Coo::to_csr`]: transposing `by_column` leaves
+/// every row sorted by column, and `dup` then folds the duplicates.
+fn from_columns<T: Clone + Send + Sync>(
+    ctx: &Context,
+    by_column: Csr<T>,
+    dup: Option<&(dyn Fn(&T, &T) -> T + Sync)>,
+) -> Result<Csr<T>, FormatError> {
+    let (mut indptr, mut indices, mut values) = transpose_parts(ctx, &by_column);
+    combine_duplicates(&mut indptr, &mut indices, &mut values, dup)?;
+    let (nrows, ncols) = (by_column.ncols(), by_column.nrows());
+    Ok(Csr::from_kernel_parts(
+        nrows, ncols, indptr, indices, values, true,
+    ))
+}
+
+/// Folds every run of equal column indices in the rows of
+/// `(indptr, indices, values)` — rows sorted, runs in arrival order — into
+/// the run's first slot with `dup`, in place, and shrinks the arrays to the
+/// result. Without `dup`, the first run reports [`FormatError::Duplicate`].
+fn combine_duplicates<T>(
+    indptr: &mut [usize],
+    indices: &mut Vec<usize>,
+    values: &mut Vec<T>,
+    dup: Option<&(dyn Fn(&T, &T) -> T + Sync)>,
+) -> Result<(), FormatError> {
+    let (mut w, mut start) = (0usize, 0usize);
+    for i in 0..indptr.len() - 1 {
+        let (row_start, end) = (w, indptr[i + 1]);
+        for r in start..end {
+            let j = indices[r];
+            if w > row_start && indices[w - 1] == j {
+                let Some(op) = dup else {
+                    return Err(FormatError::Duplicate { row: i, col: j });
+                };
+                values[w - 1] = op(&values[w - 1], &values[r]);
+            } else {
+                indices[w] = j;
+                // A move, not a clone: slot `r` is not read again.
+                values.swap(w, r);
+                w += 1;
+            }
+        }
+        indptr[i + 1] = w;
+        start = end;
+    }
+    indices.truncate(w);
+    values.truncate(w);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -43,7 +43,8 @@ impl<T> Csr<T> {
     /// Builds from raw arrays, validating every Table III invariant.
     /// Rows may be unsorted; sortedness is detected, not required.
     /// Duplicate column indices within a row are accepted here (import
-    /// semantics) — use [`Csr::dedup_sorted_rows`] to resolve or reject them.
+    /// semantics); [`crate::Coo::to_csr`] is where duplicates are resolved
+    /// or rejected.
     pub fn from_parts(
         nrows: usize,
         ncols: usize,
@@ -276,8 +277,7 @@ impl<T: Send> Csr<T> {
     /// Sorts every row's column indices ascending, in parallel. Duplicates
     /// (if any) become adjacent; they are *not* combined here. Returns
     /// `true` when at least one duplicate column index was found (in which
-    /// case the matrix is left non-decreasing but not strictly sorted, and
-    /// [`Csr::dedup_sorted_rows`] should be called).
+    /// case the matrix is left non-decreasing but not strictly sorted).
     pub fn sort_rows(&mut self, ctx: &Context) -> bool {
         if self.rows_sorted {
             return false;
@@ -296,7 +296,6 @@ impl<T: Send> Csr<T> {
         let mut offset = 0usize;
         let mut jobs: Vec<(Range<usize>, &mut [usize], &mut [T])> = Vec::new();
         for r in ranges {
-            let start = indptr[r.start];
             let end = indptr[r.end];
             let (idx_a, idx_b) = idx_rest.split_at_mut(end - offset);
             let (val_a, val_b) = val_rest.split_at_mut(end - offset);
@@ -304,7 +303,6 @@ impl<T: Send> Csr<T> {
             val_rest = val_b;
             jobs.push((r, idx_a, val_a));
             offset = end;
-            let _ = start;
         }
         graphblas_exec::global_pool().scope(|scope| {
             for (rows, idx, vals) in jobs {
@@ -332,62 +330,13 @@ impl<T: Send> Csr<T> {
         // grblint: allow(relaxed-ordering); grbsa: protocol(scope-joined)
         // — see the store above.
         let dups = found_dup.load(std::sync::atomic::Ordering::Relaxed);
-        // `rows_sorted` means *strictly* increasing; duplicates invalidate it
-        // until `dedup_sorted_rows` resolves them.
+        // `rows_sorted` means *strictly* increasing; duplicates invalidate it.
         self.rows_sorted = !dups;
         dups
     }
 }
 
 impl<T: Clone + Send + Sync> Csr<T> {
-    /// Combines adjacent duplicate column entries in sorted rows with `dup`,
-    /// or reports the first duplicate when `dup` is `None` (GraphBLAS 2.0
-    /// §IX: a null dup makes duplicates an execution error).
-    ///
-    /// Precondition: rows sorted non-decreasingly (call [`Csr::sort_rows`]
-    /// first); strictly-sorted matrices return immediately.
-    pub fn dedup_sorted_rows(
-        &mut self,
-        dup: Option<&(dyn Fn(&T, &T) -> T + Sync)>,
-    ) -> Result<(), FormatError> {
-        if self.rows_sorted {
-            return Ok(());
-        }
-        let mut out_indptr = Vec::with_capacity(self.nrows + 1);
-        out_indptr.push(0usize);
-        let mut out_indices: Vec<usize> = Vec::with_capacity(self.indices.len());
-        let mut out_values: Vec<T> = Vec::with_capacity(self.values.len());
-        for i in 0..self.nrows {
-            let (cols, vals) = {
-                let r = self.indptr[i]..self.indptr[i + 1];
-                (&self.indices[r.clone()], &self.values[r])
-            };
-            debug_assert!(util::is_non_decreasing(cols), "dedup requires sorted rows");
-            let mut k = 0usize;
-            while k < cols.len() {
-                let j = cols[k];
-                let mut acc = vals[k].clone();
-                let mut k2 = k + 1;
-                while k2 < cols.len() && cols[k2] == j {
-                    match dup {
-                        Some(op) => acc = op(&acc, &vals[k2]),
-                        None => return Err(FormatError::Duplicate { row: i, col: j }),
-                    }
-                    k2 += 1;
-                }
-                out_indices.push(j);
-                out_values.push(acc);
-                k = k2;
-            }
-            out_indptr.push(out_indices.len());
-        }
-        self.indptr = out_indptr;
-        self.indices = out_indices;
-        self.values = out_values;
-        self.rows_sorted = true;
-        Ok(())
-    }
-
     /// Structure-preserving value map (the `apply` kernel).
     pub fn map<Z, F>(&self, ctx: &Context, f: F) -> Csr<Z>
     where
@@ -801,25 +750,6 @@ mod tests {
         assert_eq!(a.row(0).0, &[0, 1, 2]);
         assert_eq!(a.row(0).1, &[0, 10, 20]);
         a.check().unwrap();
-    }
-
-    #[test]
-    fn dedup_combines_or_errors() {
-        let mk = || {
-            let mut m =
-                Csr::from_parts(1, 3, vec![0, 3], vec![2, 1, 1], vec![9, 5, 7]).unwrap();
-            let dups = m.sort_rows(&global_context());
-            assert!(dups);
-            assert!(!m.is_rows_sorted());
-            m
-        };
-        let mut a = mk();
-        a.dedup_sorted_rows(Some(&|x: &i32, y: &i32| x + y)).unwrap();
-        assert_eq!(a.get(0, 1), Some(&12));
-        assert_eq!(a.nnz(), 2);
-        let mut b = mk();
-        let err = b.dedup_sorted_rows(None).unwrap_err();
-        assert!(matches!(err, FormatError::Duplicate { row: 0, col: 1 }));
     }
 
     #[test]

@@ -5,6 +5,7 @@ use graphblas_exec::{parallel_map_ranges, partition, Context};
 
 use crate::csr::Csr;
 use crate::error::FormatError;
+use crate::transpose::transpose_parts;
 
 /// Element ordering of a dense matrix buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -152,57 +153,28 @@ impl<T: Clone + Send + Sync> Dense<T> {
             });
         }
         let (m, n) = (a.nrows(), a.ncols());
-        if expected == 0 {
-            return Dense::from_parts(m, n, layout, Vec::new());
+        // With every position stored once, the layout's order is that of the
+        // sorted rows of `a` (row-major) or of `Aᵀ` (column-major).
+        let (shape, (indptr, indices, values)) = match layout {
+            Layout::RowMajor => ((m, n), a.clone().into_parts()),
+            Layout::ColMajor => ((n, m), transpose_parts(ctx, a)),
+        };
+        let mut rows = Csr::from_parts(shape.0, shape.1, indptr, indices, values)?;
+        if rows.sort_rows(ctx) {
+            // A row that repeats a column leaves another position empty.
+            let (i, j) = (0..shape.0)
+                .find_map(|i| {
+                    let cols = rows.row(i).0;
+                    cols.windows(2).find(|w| w[0] == w[1]).map(|w| (i, w[0]))
+                })
+                .unwrap_or_default();
+            let (row, col) = match layout {
+                Layout::RowMajor => (i, j),
+                Layout::ColMajor => (j, i),
+            };
+            return Err(FormatError::Duplicate { row, col });
         }
-        let mut out: Vec<Option<T>> = vec![None; expected];
-        // Fill row-parallel; each task owns whole rows, and for both layouts
-        // rows touch disjoint positions, so hand out per-row-chunk slices
-        // only in row-major; col-major falls back to a sequential fill.
-        match layout {
-            Layout::RowMajor => {
-                let ranges = partition::prefix_balanced_ranges(
-                    a.indptr(),
-                    ctx.effective_threads().min(m),
-                );
-                let mut rest: &mut [Option<T>] = &mut out;
-                let mut jobs = Vec::new();
-                let mut offset = 0usize;
-                for r in ranges {
-                    let end = r.end * n;
-                    let (s, rem) = rest.split_at_mut(end - offset);
-                    rest = rem;
-                    jobs.push((r, s));
-                    offset = end;
-                }
-                graphblas_exec::global_pool().scope(|scope| {
-                    for (rows, slots) in jobs {
-                        scope.spawn(move || {
-                            let base = rows.start * n;
-                            for i in rows {
-                                let (cols, vals) = a.row(i);
-                                for (&j, v) in cols.iter().zip(vals) {
-                                    slots[i * n + j - base] = Some(v.clone());
-                                }
-                            }
-                        });
-                    }
-                });
-            }
-            Layout::ColMajor => {
-                for (i, j, v) in a.iter() {
-                    out[i + j * m] = Some(v.clone());
-                }
-            }
-        }
-        let values: Vec<T> = out
-            .into_iter()
-            .map(|v| {
-                // grblint: allow(no-unwrap) — nnz == nrows * ncols was
-                // verified above and a valid CSR has no duplicates.
-                v.expect("full matrix: from_csr_full verified nnz == nrows * ncols and no duplicates exist in a valid CSR")
-            })
-            .collect();
+        let (_, _, values) = rows.into_parts();
         Dense::from_parts(m, n, layout, values)
     }
 }
@@ -250,6 +222,24 @@ mod tests {
         let ctx = global_context();
         let a = Csr::from_parts(2, 2, vec![0, 1, 1], vec![0], vec![9]).unwrap();
         assert!(Dense::from_csr_full(&ctx, &a, Layout::RowMajor).is_err());
+    }
+
+    #[test]
+    fn unsorted_rows_export_in_layout_order_and_a_repeated_column_is_rejected() {
+        let ctx = global_context();
+        let a = Csr::from_parts(2, 2, vec![0, 2, 4], vec![1, 0, 0, 1], vec![2, 1, 3, 4]).unwrap();
+        for layout in [Layout::RowMajor, Layout::ColMajor] {
+            let d = Dense::from_csr_full(&ctx, &a, layout).unwrap();
+            assert_eq!(d.get(0, 1), Some(&2));
+            assert_eq!(d.get(1, 0), Some(&3));
+        }
+        let col_major = Dense::from_csr_full(&ctx, &a, Layout::ColMajor).unwrap();
+        assert_eq!(col_major.values(), [1, 3, 2, 4]);
+        let b = Csr::from_parts(2, 2, vec![0, 2, 4], vec![1, 0, 1, 1], vec![2, 1, 3, 4]).unwrap();
+        for layout in [Layout::RowMajor, Layout::ColMajor] {
+            let err = Dense::from_csr_full(&ctx, &b, layout).unwrap_err();
+            assert!(matches!(err, FormatError::Duplicate { row: 1, col: 1 }));
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   and the two-format operand view the vector kernels read;
 //! * [`convert`] — the spanned COO → CSR canonicalization (the other
 //!   conversions are methods on the stores);
-//! * [`transpose`] — parallel counting-sort transpose;
+//! * [`transpose`] — the transpose, one pass of the stable counting
+//!   scatter that also turns COO into CSR;
 //! * [`spmv`] — row-parallel matrix-vector products over arbitrary
 //!   (mul, add) closures, with optional early-exit terminal detection;
 //! * [`spgemm`] — Gustavson row-parallel matrix-matrix product with
@@ -40,6 +41,7 @@ pub mod dvec;
 pub mod error;
 pub mod ewise;
 pub mod kron;
+mod scatter;
 pub mod spgemm;
 pub mod spmv;
 pub mod svec;

@@ -1,22 +1,21 @@
-//! Parallel matrix transpose via a two-phase bucket shuffle.
+//! Matrix transpose: one pass of the stable counting scatter
+//! (`scatter.rs`), keyed by column.
 //!
-//! Phase 1 partitions source entries into per-destination-chunk buckets in
-//! parallel; phase 2 lets each destination chunk counting-sort its bucket
-//! contents into its contiguous output slice. Both phases are safe Rust
-//! (no shared-slot scatter), and the output rows come out strictly sorted
-//! because entries arrive in increasing source-row order.
+//! Entries are placed in source-row order, so every output row comes out
+//! strictly sorted whether or not the source rows are. With more than one
+//! task each task owns a contiguous range of output rows (source columns)
+//! and, on a row-sorted source, finds its part of every source row by
+//! binary search.
 
-use std::ops::Range;
-
-use graphblas_exec::{parallel_map_ranges, partition, Context};
+use graphblas_exec::Context;
 
 use crate::csr::Csr;
-use crate::util;
+use crate::scatter;
 
 /// Returns `B = Aᵀ` as CSR (with `B.nrows == A.ncols`). Output rows are
 /// strictly sorted.
 pub fn transpose<T: Clone + Send + Sync>(ctx: &Context, a: &Csr<T>) -> Csr<T> {
-    let (m, n, nnz) = (a.nrows(), a.ncols(), a.nnz());
+    let nnz = a.nnz();
     let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Transpose, ctx.id());
     if sp.active() {
         sp.io(
@@ -26,80 +25,20 @@ pub fn transpose<T: Clone + Send + Sync>(ctx: &Context, a: &Csr<T>) -> Csr<T> {
             (nnz * (std::mem::size_of::<usize>() * 2 + std::mem::size_of::<T>())) as u64,
         );
     }
-    if n == 0 || nnz == 0 {
-        return Csr::empty(n, m);
-    }
-    let k = ctx
-        .effective_threads()
-        .min(nnz.div_ceil(ctx.chunk_size()).max(1))
-        .min(n)
-        .max(1);
+    let (indptr, indices, values) = transpose_parts(ctx, a);
+    Csr::from_kernel_parts(a.ncols(), a.nrows(), indptr, indices, values, true)
+}
 
-    // Destination chunks partition the column space.
-    let dst_ranges = partition::balanced_ranges(n, k);
-    let mut col_to_chunk = vec![0u32; n];
-    for (c, r) in dst_ranges.iter().enumerate() {
-        for j in r.clone() {
-            col_to_chunk[j] = c as u32;
-        }
-    }
-
-    // Phase 1: each source chunk routes its entries to destination buckets.
-    let src_ranges = partition::prefix_balanced_ranges(a.indptr(), k);
-    let buckets: Vec<Vec<Vec<(usize, usize, T)>>> =
-        parallel_map_ranges(src_ranges, |rows: Range<usize>| {
-            let mut local: Vec<Vec<(usize, usize, T)>> = vec![Vec::new(); dst_ranges.len()];
-            for i in rows {
-                let (cols, vals) = a.row(i);
-                for (&j, v) in cols.iter().zip(vals) {
-                    local[col_to_chunk[j] as usize].push((j, i, v.clone()));
-                }
-            }
-            local
-        });
-
-    // Phase 2: each destination chunk counting-sorts its share by column.
-    let chunk_ids: Vec<usize> = (0..dst_ranges.len()).collect();
-    let parts = parallel_map_ranges(
-        chunk_ids.iter().map(|&c| c..c + 1).collect(),
-        |cr: Range<usize>| {
-            let c = cr.start;
-            let col_range = dst_ranges[c].clone();
-            let base = col_range.start;
-            let width = col_range.len();
-            let mut counts = vec![0usize; width];
-            for src in &buckets {
-                for &(j, _, _) in &src[c] {
-                    counts[j - base] += 1;
-                }
-            }
-            let mut offsets = counts.clone();
-            let total = util::exclusive_prefix_sum(&mut offsets);
-            let mut out_idx = vec![0usize; total];
-            let mut out_val: Vec<Option<T>> = vec![None; total];
-            let mut cursor = offsets;
-            // Buckets are visited in source-chunk order and each bucket is
-            // in source-row order, so every output row segment is sorted.
-            for src in &buckets {
-                for (j, i, v) in &src[c] {
-                    let p = cursor[j - base];
-                    cursor[j - base] += 1;
-                    out_idx[p] = *i;
-                    out_val[p] = Some(v.clone());
-                }
-            }
-            let out_val: Vec<T> = out_val
-                .into_iter()
-                // grblint: allow(no-unwrap) — the column-count pass reserved
-                // exactly one slot per element, and the cursor fills each once.
-                .map(|s| s.expect("every reserved slot is written"))
-                .collect();
-            (col_range, (counts, out_idx, out_val))
-        },
-    );
-
-    let (indptr, indices, values) = util::stitch_row_chunks(n, parts);
-    Csr::from_kernel_parts(n, m, indptr, indices, values, true)
+/// `Aᵀ`'s CSR arrays, without [`transpose`]'s span: each row lists its
+/// entries in `a`'s row order, so a column that repeats within a row of
+/// `a` repeats, adjacent and in storage order, in the result's row.
+pub(crate) fn transpose_parts<T: Clone + Send + Sync>(
+    ctx: &Context,
+    a: &Csr<T>,
+) -> (Vec<usize>, Vec<usize>, Vec<T>) {
+    let indptr = scatter::offsets(a.ncols(), a.indices());
+    let (indices, values) = scatter::scatter(ctx, &indptr, a, a.values().first());
+    (indptr, indices, values)
 }
 
 #[cfg(test)]
@@ -128,8 +67,7 @@ mod tests {
     #[test]
     fn transpose_rectangular() {
         // 2x4 matrix
-        let a = Csr::from_parts(2, 4, vec![0, 2, 4], vec![1, 3, 0, 2], vec![10, 30, 1, 3])
-            .unwrap();
+        let a = Csr::from_parts(2, 4, vec![0, 2, 4], vec![1, 3, 0, 2], vec![10, 30, 1, 3]).unwrap();
         let t = transpose(&global_context(), &a);
         assert_eq!(t.nrows(), 4);
         assert_eq!(t.ncols(), 2);

@@ -10,7 +10,8 @@ use graphblas_exec::rng::prelude::*;
 use graphblas_exec::workspace::{BitSet, Reusable};
 use graphblas_exec::{global_context, Context, ContextOptions, Mode};
 use graphblas_sparse::{
-    ewise, kron, spgemm, spmv, transpose, BitmapVec, Coo, Csr, DenseVec, SparseVec, VecOut, VecView,
+    ewise, kron, spgemm, spmv, transpose, BitmapVec, Coo, Csr, DenseVec, FormatError, SparseVec,
+    VecOut, VecView,
 };
 
 const CASES: usize = 64;
@@ -378,6 +379,150 @@ fn coo_roundtrip_with_duplicate_summing() {
             *expect.entry((i, j)).or_insert(0) += v;
         }
         assert_eq!(entries(&m), expect);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The set-up scatter: `Coo::to_csr` and `transpose` against a `BTreeMap`
+// oracle, over degenerate shapes, input orders, duplicate folds and thread
+// budgets. Every result is `check()`ed explicitly: release builds take a
+// kernel's `rows_sorted` on trust.
+// ---------------------------------------------------------------------
+
+type Triplet = (usize, usize, i64);
+
+fn random_triplets(rng: &mut StdRng, (m, n): (usize, usize), len: usize) -> Vec<Triplet> {
+    (0..len)
+        .map(|_| (rng.gen_range(0..m), rng.gen_range(0..n), rng.gen_range(-9..9i64)))
+        .collect()
+}
+
+/// Seeded triplet lists: empty dimensions, random shapes each in arrival,
+/// sorted and reverse-sorted order, `nrows ≫ nnz` and `ncols ≫ nnz`, and
+/// everything in one row or one column (long duplicate runs).
+fn scatter_cases(seed: u64) -> Vec<((usize, usize), Vec<Triplet>)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut cases = vec![((0, 7), vec![]), ((7, 0), vec![]), ((0, 0), vec![])];
+    for _ in 0..CASES {
+        let shape = (rng.gen_range(1..40usize), rng.gen_range(1..40usize));
+        let len = rng.gen_range(0..300usize);
+        let arrival = random_triplets(&mut rng, shape, len);
+        let mut sorted = arrival.clone();
+        sorted.sort_by_key(|&(i, j, _)| (i, j));
+        let reversed = sorted.iter().rev().copied().collect();
+        cases.extend([(shape, arrival), (shape, sorted), (shape, reversed)]);
+    }
+    for shape in [(5000, 30), (30, 5000), (1, 50), (50, 1)] {
+        let len = if shape.0 * shape.1 > 1000 { 70 } else { 400 };
+        cases.push((shape, random_triplets(&mut rng, shape, len)));
+    }
+    cases
+}
+
+fn coo_of(shape: (usize, usize), t: &[Triplet]) -> Coo<i64> {
+    Coo::from_parts(
+        shape.0,
+        shape.1,
+        t.iter().map(|e| e.0).collect(),
+        t.iter().map(|e| e.1).collect(),
+        t.iter().map(|e| e.2).collect(),
+    )
+    .unwrap()
+}
+
+/// Each coordinate's values folded from the left in arrival order.
+fn folded(t: &[Triplet], dup: impl Fn(&i64, &i64) -> i64) -> Entries {
+    let mut out = Entries::new();
+    for &(i, j, v) in t {
+        out.entry((i, j)).and_modify(|acc| *acc = dup(acc, &v)).or_insert(v);
+    }
+    out
+}
+
+/// The first duplicated coordinate in row-major order.
+fn first_duplicate(t: &[Triplet]) -> Option<(usize, usize)> {
+    let mut seen = BTreeMap::new();
+    for &(i, j, _) in t {
+        *seen.entry((i, j)).or_insert(0usize) += 1;
+    }
+    seen.into_iter().find(|&(_, n)| n > 1).map(|(k, _)| k)
+}
+
+/// One-, two- and four-thread budgets with 64-entry chunks.
+fn scatter_budgets() -> [Context; 3] {
+    [1, 2, 4].map(|nthreads| {
+        let opts = ContextOptions {
+            nthreads: Some(nthreads),
+            chunk_size: Some(64),
+            ..ContextOptions::default()
+        };
+        Context::new(&global_context(), Mode::Blocking, opts)
+    })
+}
+
+fn arrays(m: &Csr<i64>) -> (Vec<usize>, Vec<usize>, Vec<i64>) {
+    m.check().unwrap();
+    assert!(m.is_rows_sorted());
+    (m.indptr().to_vec(), m.indices().to_vec(), m.values().to_vec())
+}
+
+#[test]
+fn coo_to_csr_folds_duplicates_in_arrival_order_on_every_budget() {
+    let second = |_: &i64, b: &i64| *b;
+    let base_ten = |a: &i64, b: &i64| a.wrapping_mul(10).wrapping_add(*b);
+    let budgets = scatter_budgets();
+    for (shape, t) in scatter_cases(0x5CA7) {
+        let coo = coo_of(shape, &t);
+        for dup in [&second as &(dyn Fn(&i64, &i64) -> i64 + Sync), &base_ten] {
+            let one = coo.to_csr(&budgets[0], Some(dup)).unwrap();
+            assert_eq!((one.nrows(), one.ncols()), shape);
+            assert_eq!(entries(&one), folded(&t, dup));
+            let one = arrays(&one);
+            for ctx in &budgets[1..] {
+                assert_eq!(arrays(&coo.to_csr(ctx, Some(dup)).unwrap()), one);
+            }
+            assert_eq!(arrays(&coo.clone().into_csr(&budgets[1], Some(dup)).unwrap()), one);
+        }
+        for ctx in &budgets {
+            match (coo.to_csr(ctx, None), first_duplicate(&t)) {
+                (Ok(m), None) => assert_eq!(entries(&m), folded(&t, second)),
+                (Err(FormatError::Duplicate { row, col }), Some(at)) => {
+                    assert_eq!((row, col), at)
+                }
+                (got, want) => panic!("to_csr without dup: {got:?}, expected {want:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn to_csr_combines_or_rejects_a_duplicated_coordinate() {
+    let ctx = global_context();
+    let coo = Coo::from_parts(1, 3, vec![0, 0, 0], vec![2, 1, 1], vec![9, 5, 7]).unwrap();
+    let a = coo.to_csr(&ctx, Some(&|x: &i32, y: &i32| x + y)).unwrap();
+    a.check().unwrap();
+    assert_eq!(a.get(0, 1), Some(&12));
+    assert_eq!(a.nnz(), 2);
+    let err = coo.to_csr(&ctx, None).unwrap_err();
+    assert!(matches!(err, FormatError::Duplicate { row: 0, col: 1 }));
+}
+
+#[test]
+fn transpose_matches_the_oracle_on_every_budget_and_row_order() {
+    let budgets = scatter_budgets();
+    for (shape, t) in scatter_cases(0x7A45) {
+        let a = coo_of(shape, &t).to_csr(&budgets[0], Some(&|_, b| *b)).unwrap();
+        let want: Entries = entries(&a).into_iter().map(|((i, j), v)| ((j, i), v)).collect();
+        let one = transpose::transpose(&budgets[0], &a);
+        assert_eq!((one.nrows(), one.ncols()), (shape.1, shape.0));
+        assert_eq!(entries(&one), want);
+        let one = arrays(&one);
+        // A source with unsorted rows transposes to the same arrays.
+        for source in [a.clone(), rows_reversed(&a)] {
+            for ctx in &budgets {
+                assert_eq!(arrays(&transpose::transpose(ctx, &source)), one);
+            }
+        }
     }
 }
 

@@ -50,6 +50,11 @@ fi
 # raise (deep local run) or lower (constrained CI) the per-test schedule
 # count without recompiling.
 cargo test --workspace -q
+# The kernel suites once more in release: that is the build in which
+# `Csr::from_kernel_parts` takes a kernel's `rows_sorted` on trust instead
+# of asserting `check()`, so only the suites' own `check()` calls stand
+# between a mis-sorting kernel and a wrong answer there.
+cargo test --release -q -p graphblas-sparse
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Benchmark plumbing smoke (numbers discarded: --quick is not comparable).

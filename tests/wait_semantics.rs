@@ -247,6 +247,35 @@ fn exploding() -> UnaryOp<i64, i64> {
     })
 }
 
+/// Every pool worker is still there: a two-thread product completes.
+fn assert_a_two_thread_mxv_completes() {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let two = Context::new(
+            &global_context(),
+            Mode::Blocking,
+            ContextOptions {
+                nthreads: Some(2),
+                chunk_size: Some(64),
+                ..Default::default()
+            },
+        );
+        let n = 4096;
+        let idx: Vec<usize> = (0..n).collect();
+        let a = Matrix::<i64>::new_in(&two, n, n).unwrap();
+        a.build(&idx, &idx, &vec![2; n], None).unwrap();
+        let y = Vector::<i64>::new_in(&two, n).unwrap();
+        let sr = Semiring::plus_times();
+        let d = Descriptor::default();
+        mxv(&y, no_mask_v(), None, &sr, &a, &ones(&two, n), &d).unwrap();
+        done_tx.send(y.extract_tuples().unwrap().1).unwrap();
+    });
+    let y = done_rx
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .expect("a 2-thread mxv must not wait on dead workers");
+    assert_eq!(y, vec![2; 4096]);
+}
+
 fn assert_poisoned_by_panic(w: &Vector<i64>, err: &Error) {
     assert_eq!(err.code(), Info::Panic as i32);
     let st = w.stats();
@@ -279,32 +308,7 @@ fn a_panicking_stage_poisons_the_object_and_runs_on_no_other_thread() {
         assert_eq!(w.error_string(), "");
     }
 
-    // Every worker is still there: a two-thread product completes.
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let two = Context::new(
-            &global_context(),
-            Mode::Blocking,
-            ContextOptions {
-                nthreads: Some(2),
-                chunk_size: Some(64),
-                ..Default::default()
-            },
-        );
-        let n = 4096;
-        let idx: Vec<usize> = (0..n).collect();
-        let a = Matrix::<i64>::new_in(&two, n, n).unwrap();
-        a.build(&idx, &idx, &vec![2; n], None).unwrap();
-        let y = Vector::<i64>::new_in(&two, n).unwrap();
-        let sr = Semiring::plus_times();
-        let d = Descriptor::default();
-        mxv(&y, no_mask_v(), None, &sr, &a, &ones(&two, n), &d).unwrap();
-        done_tx.send(y.extract_tuples().unwrap().1).unwrap();
-    });
-    let y = done_rx
-        .recv_timeout(std::time::Duration::from_secs(20))
-        .expect("a 2-thread mxv must not wait on dead workers");
-    assert_eq!(y, vec![2; 4096]);
+    assert_a_two_thread_mxv_completes();
 }
 
 #[test]
@@ -315,4 +319,39 @@ fn a_panicking_stage_in_a_blocking_context_fails_the_call_itself() {
     let err = accumulate(&w, &exploding(), &u).unwrap_err();
     assert_poisoned_by_panic(&w, &err);
     assert_eq!(w.nvals().unwrap_err(), err);
+}
+
+#[test]
+fn a_panicking_dup_in_build_poisons_the_matrix() {
+    let two = ContextOptions {
+        nthreads: Some(2),
+        chunk_size: Some(64),
+        ..Default::default()
+    };
+    let exploding_dup = BinaryOp::new("boom", |_: &i64, _: &i64| -> i64 {
+        panic!("user dup exploded")
+    });
+    let n = 512;
+    // Every coordinate twice, so the dup runs on every budget's path.
+    let idx: Vec<usize> = (0..2 * n).map(|k| k % n).collect();
+    for mode in [Mode::Blocking, Mode::NonBlocking] {
+        for opts in [ContextOptions::default(), two.clone()] {
+            let ctx = Context::new(&global_context(), mode, opts);
+            let a = Matrix::<i64>::new_in(&ctx, n, n).unwrap();
+            let built = a.build(&idx, &idx, &vec![1; 2 * n], Some(&exploding_dup));
+            let err = match mode {
+                Mode::Blocking => built.unwrap_err(),
+                Mode::NonBlocking => {
+                    built.unwrap();
+                    a.wait(WaitMode::Complete).unwrap_err()
+                }
+            };
+            assert_eq!(err.code(), Info::Panic as i32);
+            let st = a.stats();
+            assert!(st.failed && st.pending == 0, "poisoned, nothing deferred");
+            assert!(a.error_string().contains("user dup exploded"));
+            assert_eq!(a.nvals().unwrap_err(), err, "sticky");
+        }
+    }
+    assert_a_two_thread_mxv_completes();
 }
