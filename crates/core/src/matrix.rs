@@ -47,6 +47,20 @@ impl<T: ValueType> Clone for MatStore<T> {
     }
 }
 
+/// A CSR store that no snapshot, `dup` or transpose memo still holds gives
+/// its arrays to the thread's result shelf when it is dropped or replaced
+/// (`C = op(C, …)`), so the next result of its size is not faulted in from
+/// a fresh mapping. A shared store is left to its other holders.
+impl<T: ValueType> Drop for MatStore<T> {
+    fn drop(&mut self) {
+        if let MatStore::Csr(a) = self {
+            if let Some(csr) = Arc::get_mut(a) {
+                std::mem::replace(csr, Csr::empty(0, 0)).recycle();
+            }
+        }
+    }
+}
+
 impl<T: ValueType> MatStore<T> {
     /// Allocated buffer bytes of the current store. Shared (copy-on-write)
     /// stores are counted by every handle that reaches them, so the

@@ -19,6 +19,16 @@
 //! checkout simply allocates fresh. Reuse statistics report into
 //! `graphblas-obs` (`workspace.checkouts` / `hits` / `bytes_reused`) when
 //! telemetry is enabled.
+//!
+//! The same cache keeps a *result shelf*: at most one `Vec<T>` per element
+//! type, fed with the arrays of a result store nobody else holds when it
+//! is dropped or replaced ([`shelve_vec`]) and drawn by the kernels that
+//! know their output size before they allocate ([`take_vec`],
+//! [`take_filled`]). A large result freed and allocated again every rep is
+//! otherwise a fresh `mmap` faulted in one page at a time. A taken buffer
+//! is always cleared, so stale contents can never be read. Shelved bytes
+//! count in the obs workspace gauge like cached scratch, and [`trim`]
+//! releases both.
 
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
@@ -144,6 +154,99 @@ pub fn checkout<T: Reusable>(n: usize) -> Checkout<T> {
     }
     ws.prepare(n);
     Checkout { inner: Some(ws) }
+}
+
+/// Releases every workspace and shelved buffer the current thread's cache
+/// holds. The cache refills on the next checkout or shelving.
+pub fn trim() {
+    let _ = CACHE.try_with(|c| c.borrow_mut().release_all());
+}
+
+/// Smallest buffer the result shelf keeps, in bytes: small results are
+/// left to the allocator's free lists. On the `spgemm` benchmark (14.7 MB
+/// product arrays, 1.1–1.8 MB triangle-count arrays) a 1 MiB floor took
+/// the rep's faults from 7 072 to 0, where a 4 MiB one left 1 907: the
+/// allocator then maps and unmaps the 1–2 MB arrays every rep.
+const SHELF_FLOOR_BYTES: usize = 1 << 20;
+
+/// Largest ratio of a shelved buffer's capacity to the request it is
+/// handed out for. `spgemm`'s 229 k-entry `select` result must not take
+/// the 1.8 M-entry product's buffer (a ratio of 7.9), while a product that
+/// varies a little from rep to rep should still find its own.
+const SHELF_FIT: usize = 2;
+
+/// Offers `v` to the current thread's result shelf. The shelf keeps one
+/// buffer per element type, the larger of the held one and `v`; the other
+/// is freed. `v`'s elements are dropped first, outside the cache borrow
+/// (an element's own drop may shelve), so the shelf only ever holds
+/// capacity.
+pub fn shelve_vec<T: 'static>(mut v: Vec<T>) {
+    let bytes = v.capacity() * std::mem::size_of::<T>();
+    if bytes < SHELF_FLOOR_BYTES {
+        return;
+    }
+    v.clear();
+    let recorded = if graphblas_obs::enabled() { bytes as u64 } else { 0 };
+    let _ = CACHE.try_with(|c| {
+        let Ok(mut c) = c.try_borrow_mut() else {
+            return;
+        };
+        let key = TypeId::of::<Vec<T>>();
+        let held = c.map.get(&key).and_then(|(b, _)| b.downcast_ref::<Vec<T>>());
+        if held.is_some_and(|h| h.capacity() >= v.capacity()) {
+            return;
+        }
+        graphblas_obs::mem::workspace().add(recorded);
+        if let Some((_, old)) = c.map.insert(key, (Box::new(v), recorded)) {
+            graphblas_obs::mem::workspace().sub(old);
+        }
+    });
+}
+
+/// An empty `Vec<T>` with capacity for exactly `n` elements: the current
+/// thread's shelved buffer when its capacity is at least `n` and at most
+/// [`SHELF_FIT`] times `n` (given back down to `n`), a fresh allocation
+/// otherwise.
+pub fn take_vec<T: 'static>(n: usize) -> Vec<T> {
+    match take_shelved::<T>(n) {
+        Some(mut v) => {
+            v.shrink_to(n);
+            v
+        }
+        None => Vec::with_capacity(n),
+    }
+}
+
+/// `vec![value; n]`, built in the current thread's shelved buffer when one
+/// fits (see [`take_vec`]).
+pub fn take_filled<T: Clone + 'static>(n: usize, value: T) -> Vec<T> {
+    match take_shelved::<T>(n) {
+        Some(mut v) => {
+            v.shrink_to(n);
+            v.resize(n, value);
+            v
+        }
+        None => vec![value; n],
+    }
+}
+
+/// Removes the shelved `Vec<T>` if it fits a request for `n` elements.
+fn take_shelved<T: 'static>(n: usize) -> Option<Vec<T>> {
+    let key = TypeId::of::<Vec<T>>();
+    let (b, recorded) = CACHE
+        .try_with(|c| {
+            let mut c = c.try_borrow_mut().ok()?;
+            let cap = c.map.get(&key)?.0.downcast_ref::<Vec<T>>()?.capacity();
+            (n <= cap && cap <= n.saturating_mul(SHELF_FIT))
+                .then(|| c.map.remove(&key))
+                .flatten()
+        })
+        .ok()
+        .flatten()?;
+    graphblas_obs::mem::workspace().sub(recorded);
+    let v = *b.downcast::<Vec<T>>().ok()?;
+    debug_assert!(v.is_empty(), "a shelved buffer holds elements");
+    Some(v)
 }
 
 /// What a pass's [`Spa::mark`]ed positions mean to [`Spa::upsert`] and
@@ -476,11 +579,6 @@ mod tests {
         M.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Drops every workspace cached by the current thread.
-    fn clear_thread_cache() {
-        CACHE.with(|c| c.borrow_mut().release_all());
-    }
-
     fn plus<T: std::ops::AddAssign>(acc: &mut T, z: T) {
         *acc += z;
     }
@@ -495,7 +593,7 @@ mod tests {
     #[test]
     fn checkout_reuses_and_restamps() {
         let _g = serialize();
-        clear_thread_cache();
+        trim();
         {
             let mut acc = checkout::<Spa<u64>>(8);
             acc.upsert(2, Marks::Ignore, || 10, plus);
@@ -515,7 +613,7 @@ mod tests {
     #[test]
     fn interleaved_checkouts_are_distinct() {
         let _g = serialize();
-        clear_thread_cache();
+        trim();
         // Two kernels interleaved on one thread: the second checkout
         // must not alias (or see the stamps of) the first.
         let mut a = checkout::<Spa<u32>>(4);
@@ -703,7 +801,7 @@ mod tests {
     #[test]
     fn prepare_grows_for_larger_problems() {
         let _g = serialize();
-        clear_thread_cache();
+        trim();
         {
             let mut acc = checkout::<Spa<u8>>(4);
             acc.upsert(3, Marks::Ignore, || 1, |a, b| *a += b);
@@ -720,7 +818,7 @@ mod tests {
     fn cached_bytes_report_to_mem_gauge() {
         let _g = serialize();
         let _obs = crate::obs_test_guard();
-        clear_thread_cache();
+        trim();
         graphblas_obs::set_enabled(true);
         let before = graphblas_obs::mem::workspace().live();
         {
@@ -734,7 +832,7 @@ mod tests {
             let _a = checkout::<Spa<u64>>(64);
             assert_eq!(graphblas_obs::mem::workspace().live(), before);
         }
-        clear_thread_cache();
+        trim();
         assert_eq!(graphblas_obs::mem::workspace().live(), before);
         // Bytes recorded while enabled are released even if telemetry is
         // toggled off in between (per-entry recorded figure, not a guess).
@@ -742,7 +840,83 @@ mod tests {
             let _a = checkout::<Spa<u64>>(64);
         }
         graphblas_obs::set_enabled(false);
-        clear_thread_cache();
+        trim();
+        assert_eq!(graphblas_obs::mem::workspace().live(), before);
+    }
+
+    /// Elements in a buffer of `SHELF_FLOOR_BYTES` × `k`.
+    fn floor_elems<T>(k: usize) -> usize {
+        k * SHELF_FLOOR_BYTES / std::mem::size_of::<T>()
+    }
+
+    /// Capacity of the `Vec<T>` on this thread's shelf, if any.
+    fn shelved<T: 'static>() -> Option<usize> {
+        CACHE.with(|c| {
+            let c = c.borrow();
+            let held = c.map.get(&TypeId::of::<Vec<T>>());
+            held.and_then(|(b, _)| b.downcast_ref::<Vec<T>>().map(Vec::capacity))
+        })
+    }
+
+    #[test]
+    fn shelf_hands_back_a_cleared_buffer_that_fits() {
+        let _g = serialize();
+        trim();
+        let n = floor_elems::<u64>(1);
+        let mut v: Vec<u64> = vec![7; n];
+        let at = v.as_ptr();
+        v.truncate(3);
+        shelve_vec(v);
+        // Too large for the buffer, then more than `SHELF_FIT` times too
+        // small: both allocate fresh and leave it shelved.
+        drop(take_vec::<u64>(n + 1));
+        drop(take_vec::<u64>(n / SHELF_FIT - 1));
+        // Another element type has a slot of its own.
+        drop(take_vec::<i64>(n));
+        assert_eq!(shelved::<u64>(), Some(n));
+        let got = take_vec::<u64>(n);
+        assert_eq!((got.as_ptr(), got.len(), got.capacity()), (at, 0, n));
+        // Taken means removed.
+        assert_eq!(shelved::<u64>(), None);
+        shelve_vec(got);
+        assert_eq!(take_filled(n, 3u64), vec![3u64; n]);
+        trim();
+    }
+
+    #[test]
+    fn shelf_keeps_the_larger_buffer_and_skips_small_ones() {
+        let _g = serialize();
+        trim();
+        let n = floor_elems::<u32>(2);
+        shelve_vec(Vec::<u32>::with_capacity(SHELF_FLOOR_BYTES / 4 - 1));
+        assert_eq!(shelved::<u32>(), None, "a buffer under the floor was shelved");
+        shelve_vec(Vec::<u32>::with_capacity(n));
+        shelve_vec(Vec::<u32>::with_capacity(n - 1));
+        assert_eq!(shelved::<u32>(), Some(n), "the smaller buffer displaced the larger");
+        shelve_vec(Vec::<u32>::with_capacity(n + 1));
+        assert_eq!(shelved::<u32>(), Some(n + 1));
+        // Given back down to the request.
+        assert_eq!(take_vec::<u32>(n * 3 / 4).capacity(), n * 3 / 4);
+        assert_eq!(shelved::<u32>(), None);
+        trim();
+    }
+
+    #[test]
+    fn shelved_bytes_report_to_mem_gauge_until_trimmed() {
+        let _g = serialize();
+        let _obs = crate::obs_test_guard();
+        trim();
+        graphblas_obs::set_enabled(true);
+        let before = graphblas_obs::mem::workspace().live();
+        let n = floor_elems::<f64>(1);
+        shelve_vec(Vec::<f64>::with_capacity(n));
+        let shelved = graphblas_obs::mem::workspace().live() - before;
+        assert_eq!(shelved, (n * 8) as u64);
+        drop(take_vec::<f64>(n));
+        assert_eq!(graphblas_obs::mem::workspace().live(), before);
+        shelve_vec(Vec::<f64>::with_capacity(n));
+        graphblas_obs::set_enabled(false);
+        trim();
         assert_eq!(graphblas_obs::mem::workspace().live(), before);
     }
 
@@ -750,7 +924,7 @@ mod tests {
     fn checkout_counters_report_hits() {
         let _g = serialize();
         let _obs = crate::obs_test_guard();
-        clear_thread_cache();
+        trim();
         graphblas_obs::set_enabled(true);
         let before = graphblas_obs::snapshot().workspace;
         {

@@ -9,7 +9,7 @@
 
 use std::ops::Range;
 
-use graphblas_exec::{parallel_map_ranges, partition, Context};
+use graphblas_exec::{parallel_map_ranges, partition, workspace, Context};
 
 use crate::error::FormatError;
 use crate::spmv::Terminal;
@@ -273,6 +273,16 @@ impl<T> Csr<T> {
     }
 }
 
+impl<T: 'static> Csr<T> {
+    /// Frees the matrix, offering its index and value arrays to the current
+    /// thread's result shelf (`exec::workspace::shelve_vec`): the next
+    /// kernel result of about their size is built in them.
+    pub fn recycle(self) {
+        workspace::shelve_vec(self.indices);
+        workspace::shelve_vec(self.values);
+    }
+}
+
 impl<T: Send> Csr<T> {
     /// Sorts every row's column indices ascending, in parallel. Duplicates
     /// (if any) become adjacent; they are *not* combined here. Returns
@@ -340,7 +350,7 @@ impl<T: Clone + Send + Sync> Csr<T> {
     /// Structure-preserving value map (the `apply` kernel).
     pub fn map<Z, F>(&self, ctx: &Context, f: F) -> Csr<Z>
     where
-        Z: Clone + Send + Sync,
+        Z: Clone + Send + Sync + 'static,
         F: Fn(&T) -> Z + Sync,
     {
         self.map_with_index(ctx, |_, _, v| f(v))
@@ -350,54 +360,45 @@ impl<T: Clone + Send + Sync> Csr<T> {
     /// behind index-unary `apply` (paper §VIII.B).
     pub fn map_with_index<Z, F>(&self, ctx: &Context, f: F) -> Csr<Z>
     where
-        Z: Clone + Send + Sync,
+        Z: Clone + Send + Sync + 'static,
         F: Fn(usize, usize, &T) -> Z + Sync,
     {
         let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Apply, ctx.id());
+        let nnz = self.nnz();
         if sp.active() {
-            let nnz = self.nnz() as u64;
+            let nnz = nnz as u64;
             sp.io(0, nnz, nnz, nnz * (size_of::<usize>() + size_of::<T>()) as u64);
         }
-        let mut out: Vec<Option<Z>> = vec![None; self.nnz()];
-        // Parallel fill: each task owns a disjoint slice of `out`.
-        let ranges = self.row_chunks(ctx);
-        let mut rest: &mut [Option<Z>] = &mut out;
-        let mut jobs = Vec::new();
-        let mut offset = 0usize;
-        for r in ranges {
-            let end = self.indptr[r.end];
-            let (a, b) = rest.split_at_mut(end - offset);
-            rest = b;
-            jobs.push((r, a));
-            offset = end;
-        }
+        let mut indices = workspace::take_vec(nnz);
+        indices.extend_from_slice(&self.indices);
+        // Pre-filled with the first mapped value and overwritten in place:
+        // each task owns the slice of `values` under its rows.
+        let first = self.iter().next().map(|(i, j, v)| f(i, j, v));
+        let mut values = first.map_or_else(Vec::new, |z| workspace::take_filled(nnz, z));
+        let mut rest: &mut [Z] = &mut values;
         graphblas_exec::global_pool().scope(|scope| {
-            for (rows, slots) in jobs {
+            for rows in self.row_chunks(ctx) {
+                let out;
+                let len = self.indptr[rows.end] - self.indptr[rows.start];
+                (out, rest) = std::mem::take(&mut rest).split_at_mut(len);
                 let f = &f;
-                let this = &*self;
                 scope.spawn(move || {
-                    let base = this.indptr[rows.start];
+                    let base = self.indptr[rows.start];
                     for i in rows {
-                        let (cols, vals) = this.row(i);
-                        let lo = this.indptr[i] - base;
-                        for (k, (&j, v)) in cols.iter().zip(vals).enumerate() {
-                            slots[lo + k] = Some(f(i, j, v));
+                        let (cols, vals) = self.row(i);
+                        let slots = &mut out[self.indptr[i] - base..];
+                        for ((&j, v), slot) in cols.iter().zip(vals).zip(slots) {
+                            *slot = f(i, j, v);
                         }
                     }
                 });
             }
         });
-        let values: Vec<Z> = out
-            .into_iter()
-            // grblint: allow(no-unwrap) — the parallel fill above writes
-            // every slot: row chunks partition 0..nnz exactly.
-            .map(|s| s.expect("all slots filled"))
-            .collect();
         Csr::from_kernel_parts(
             self.nrows,
             self.ncols,
             self.indptr.clone(),
-            self.indices.clone(),
+            indices,
             values,
             self.rows_sorted,
         )
@@ -408,7 +409,7 @@ impl<T: Clone + Send + Sync> Csr<T> {
     /// nonblocking pipeline (paper §III's "fuse operations" latitude).
     pub fn filter_map_with_index<Z, F>(&self, ctx: &Context, f: F) -> Csr<Z>
     where
-        Z: Clone + Send + Sync,
+        Z: Clone + Send + Sync + 'static,
         F: Fn(usize, usize, &T) -> Option<Z> + Sync,
     {
         let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Select, ctx.id());
@@ -544,7 +545,10 @@ impl<T: Clone + Send + Sync> Csr<T> {
         ctx: &Context,
         sel_rows: &[usize],
         sel_cols: &[usize],
-    ) -> Result<Csr<T>, FormatError> {
+    ) -> Result<Csr<T>, FormatError>
+    where
+        T: 'static,
+    {
         for &i in sel_rows {
             if i >= self.nrows {
                 return Err(FormatError::IndexOutOfBounds {

@@ -15,7 +15,7 @@
 
 use std::ops::Range;
 
-use graphblas_exec::{global_pool, partition, Context};
+use graphblas_exec::{global_pool, partition, workspace, Context};
 
 use crate::csr::Csr;
 use crate::util;
@@ -84,7 +84,7 @@ where
         return (Vec::new(), Vec::new());
     };
     let (nkeys, nnz) = (ptr.len() - 1, ptr[ptr.len() - 1]);
-    let mut payload = vec![0usize; nnz];
+    let mut payload = workspace::take_filled(nnz, 0usize);
     let mut values = vec![fill.clone(); nnz];
     // Places the entries of the keys in `keys` into `payload`/`values`,
     // which are the output slices of exactly those keys.

@@ -21,7 +21,10 @@
 //! allocates — a symbolic pass counts the distinct columns per row; under
 //! a plain mask the mask rows themselves bound it — and a single task's
 //! buffers become the result's arrays without a copy
-//! ([`util::stitch_row_chunks`]). Rows come out in first-touch order
+//! ([`util::stitch_row_chunks`]). Those buffers come from the thread's
+//! result shelf (`exec::workspace::take_vec`) when a dropped result left
+//! one that fits, so a rep that rebuilds its product does not fault it in
+//! afresh. Rows come out in first-touch order
 //! (`rows_sorted == false`; `wait(MATERIALIZE)` carries the sort), except
 //! under a plain mask with sorted rows, where they are emitted by walking
 //! the mask row and so come out sorted too.
@@ -280,8 +283,8 @@ where
         });
         let _task = graphblas_obs::timeline::phase("spgemm.numeric.task");
         let mut lens = Vec::with_capacity(rows.len());
-        let mut idx = Vec::with_capacity(entries);
-        let mut vals: Vec<Z> = Vec::with_capacity(entries);
+        let mut idx = workspace::take_vec(entries);
+        let mut vals: Vec<Z> = workspace::take_vec(entries);
         let flop = |spa: &mut Spa<Z>, j, av: &A, bv: &B| {
             spa.upsert(j, P::MARKS, || mul(av, bv), &add);
         };

@@ -526,6 +526,30 @@ fn transpose_matches_the_oracle_on_every_budget_and_row_order() {
     }
 }
 
+#[test]
+fn map_with_index_writes_the_same_arrays_on_every_budget() {
+    let budgets = scatter_budgets();
+    let f = |i: usize, j: usize, v: &i64| (i * 1000 + j) as i64 * 3 - v;
+    let parts = |m: Csr<i64>| {
+        m.check().unwrap();
+        m.into_parts()
+    };
+    for (shape, t) in scatter_cases(0x3A9) {
+        let a = coo_of(shape, &t).to_csr(&budgets[0], Some(&|_, b| *b)).unwrap();
+        let want: Entries = a.iter().map(|(i, j, v)| ((i, j), f(i, j, v))).collect();
+        for source in [a.clone(), rows_reversed(&a)] {
+            let one = source.map_with_index(&budgets[0], f);
+            assert_eq!(entries(&one), want);
+            assert_eq!(one.is_rows_sorted(), source.is_rows_sorted());
+            let one = parts(one);
+            assert_eq!((&one.0[..], &one.1[..]), (source.indptr(), source.indices()));
+            for ctx in &budgets[1..] {
+                assert_eq!(parts(source.map_with_index(ctx, f)), one);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // The vector kernels read an operand as a `VecView`: `Full(v)` and the
 // `SparseVec` storing the same `n` entries must be the same operand.

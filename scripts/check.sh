@@ -53,8 +53,11 @@ cargo test --workspace -q
 # The kernel suites once more in release: that is the build in which
 # `Csr::from_kernel_parts` takes a kernel's `rows_sorted` on trust instead
 # of asserting `check()`, so only the suites' own `check()` calls stand
-# between a mis-sorting kernel and a wrong answer there.
+# between a mis-sorting kernel and a wrong answer there. The result-recycling
+# suite runs there too: a kernel that builds its result in a recycled buffer
+# must still write every slot it hands out.
 cargo test --release -q -p graphblas-sparse
+cargo test --release -q -p graphblas-core --test result_recycling
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Benchmark plumbing smoke (numbers discarded: --quick is not comparable).
