@@ -72,9 +72,10 @@ pub fn init(mode: Mode) -> bool {
 
 /// `GrB_finalize`: tears down the top-level context. Outstanding object
 /// handles keep their contexts alive; new objects after a later [`init`]
-/// join the fresh tree. If `GRB_TRACE=<path>` is set, the collected
-/// per-thread timeline is flushed there as Chrome-trace JSON on the way
-/// out (programs that never finalize can flush explicitly via
+/// join the fresh tree, and the calling thread's cached workspaces and
+/// shelved result buffers are freed. If `GRB_TRACE=<path>` is set, the
+/// collected per-thread timeline is flushed there as Chrome-trace JSON on
+/// the way out (programs that never finalize can flush explicitly via
 /// `graphblas_obs::timeline::write_trace_if_requested`).
 pub fn finalize() {
     graphblas_obs::timeline::write_trace_if_requested();

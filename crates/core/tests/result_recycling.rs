@@ -3,8 +3,8 @@
 //! dropped or replaced, and the next kernel result of about its size is
 //! built in them. These tests pin that a warm shelf never changes an
 //! answer, that a store another handle still reads is never shelved, and
-//! that the shelf stays bounded and reconciles with the obs workspace
-//! gauge.
+//! that the shelf stays bounded, reconciles with the obs workspace gauge
+//! and is freed by `finalize`.
 //!
 //! The shelf's bytes are visible only through that process-global gauge,
 //! so this is a binary of its own and its tests serialize on one mutex.
@@ -252,4 +252,16 @@ fn the_shelf_holds_one_buffer_per_type_and_trims_to_its_baseline() {
     assert!(largest > floor);
     workspace::trim();
     assert_eq!(gauge(), baseline, "a trim left shelved bytes on the gauge");
+}
+
+#[test]
+fn finalize_frees_the_shelf() {
+    let _g = serial();
+    workspace::trim();
+    let baseline = gauge();
+    let ctx = context(Mode::Blocking, 1);
+    drop(built(&ctx, &random_tuples(N / 2, 6)));
+    assert!(gauge() > baseline, "the dropped store was not shelved");
+    graphblas_core::finalize();
+    assert_eq!(gauge(), baseline, "finalize left shelved bytes on the gauge");
 }

@@ -261,9 +261,12 @@ pub fn global_context() -> Context {
 
 /// Tears down the top-level context (`GrB_finalize`). Existing object
 /// handles keep their context alive via `Arc`, but new objects created after
-/// a subsequent [`init`] join the fresh tree.
+/// a subsequent [`init`] join the fresh tree. The calling thread's cached
+/// workspaces and shelved result buffers are released
+/// ([`crate::workspace::trim`]).
 pub fn finalize() {
     *GLOBAL_CONTEXT.write() = None;
+    crate::workspace::trim();
 }
 
 #[cfg(test)]

@@ -175,11 +175,39 @@ const SHELF_FLOOR_BYTES: usize = 1 << 20;
 /// varies a little from rep to rep should still find its own.
 const SHELF_FIT: usize = 2;
 
+/// Requests in a row a shelved buffer may be passed over for before it is
+/// freed: takes of its type it does not fit, and shelvings of a smaller
+/// buffer it outranks. So one huge result dropped early in a program does
+/// not pin its arrays for the life of the thread once later results are
+/// smaller. A `spgemm` benchmark rep passes the product's `usize` buffer
+/// over 3 times, and up to 8 (5 takes and 3 smaller shelvings in the
+/// triangle count), before the product takes it back; a patience of 8
+/// evicted it and the rep faulted its 14.7 MB index array in again. 32
+/// leaves room for a rep 4× as busy.
+const SHELF_PATIENCE: u32 = 32;
+
+/// A buffer on the shelf and how many requests in a row it has been
+/// passed over for.
+struct Shelved<T> {
+    buf: Vec<T>,
+    misses: u32,
+}
+
+impl<T> Shelved<T> {
+    /// Counts one more request the buffer did not serve; true once it has
+    /// missed [`SHELF_PATIENCE`] in a row and should be freed.
+    fn miss(&mut self) -> bool {
+        self.misses += 1;
+        self.misses >= SHELF_PATIENCE
+    }
+}
+
 /// Offers `v` to the current thread's result shelf. The shelf keeps one
-/// buffer per element type, the larger of the held one and `v`; the other
-/// is freed. `v`'s elements are dropped first, outside the cache borrow
-/// (an element's own drop may shelve), so the shelf only ever holds
-/// capacity.
+/// buffer per element type, the larger of the held one and `v` (or `v`,
+/// when the held one has been passed over [`SHELF_PATIENCE`] times in a
+/// row); the other is freed. `v`'s elements are dropped first, outside the
+/// cache borrow (an element's own drop may shelve), so the shelf only ever
+/// holds capacity.
 pub fn shelve_vec<T: 'static>(mut v: Vec<T>) {
     let bytes = v.capacity() * std::mem::size_of::<T>();
     if bytes < SHELF_FLOOR_BYTES {
@@ -191,13 +219,14 @@ pub fn shelve_vec<T: 'static>(mut v: Vec<T>) {
         let Ok(mut c) = c.try_borrow_mut() else {
             return;
         };
-        let key = TypeId::of::<Vec<T>>();
-        let held = c.map.get(&key).and_then(|(b, _)| b.downcast_ref::<Vec<T>>());
-        if held.is_some_and(|h| h.capacity() >= v.capacity()) {
+        let key = TypeId::of::<Shelved<T>>();
+        let held = c.map.get_mut(&key).and_then(|(b, _)| b.downcast_mut::<Shelved<T>>());
+        if held.is_some_and(|h| h.buf.capacity() >= v.capacity() && !h.miss()) {
             return;
         }
         graphblas_obs::mem::workspace().add(recorded);
-        if let Some((_, old)) = c.map.insert(key, (Box::new(v), recorded)) {
+        let shelved = Box::new(Shelved { buf: v, misses: 0 });
+        if let Some((_, old)) = c.map.insert(key, (shelved, recorded)) {
             graphblas_obs::mem::workspace().sub(old);
         }
     });
@@ -230,23 +259,26 @@ pub fn take_filled<T: Clone + 'static>(n: usize, value: T) -> Vec<T> {
     }
 }
 
-/// Removes the shelved `Vec<T>` if it fits a request for `n` elements.
+/// Removes the shelved `Vec<T>` if it fits a request for `n` elements. A
+/// buffer that does not fit counts a miss, and is freed (outside the
+/// cache borrow) on its [`SHELF_PATIENCE`]th in a row.
 fn take_shelved<T: 'static>(n: usize) -> Option<Vec<T>> {
-    let key = TypeId::of::<Vec<T>>();
-    let (b, recorded) = CACHE
+    let key = TypeId::of::<Shelved<T>>();
+    let (b, recorded, fits) = CACHE
         .try_with(|c| {
             let mut c = c.try_borrow_mut().ok()?;
-            let cap = c.map.get(&key)?.0.downcast_ref::<Vec<T>>()?.capacity();
-            (n <= cap && cap <= n.saturating_mul(SHELF_FIT))
-                .then(|| c.map.remove(&key))
-                .flatten()
+            let held = c.map.get_mut(&key)?.0.downcast_mut::<Shelved<T>>()?;
+            let cap = held.buf.capacity();
+            let fits = n <= cap && cap <= n.saturating_mul(SHELF_FIT);
+            let (b, recorded) = (fits || held.miss()).then(|| c.map.remove(&key)).flatten()?;
+            Some((b, recorded, fits))
         })
         .ok()
         .flatten()?;
     graphblas_obs::mem::workspace().sub(recorded);
-    let v = *b.downcast::<Vec<T>>().ok()?;
+    let v = b.downcast::<Shelved<T>>().ok()?.buf;
     debug_assert!(v.is_empty(), "a shelved buffer holds elements");
-    Some(v)
+    fits.then_some(v)
 }
 
 /// What a pass's [`Spa::mark`]ed positions mean to [`Spa::upsert`] and
@@ -853,8 +885,8 @@ mod tests {
     fn shelved<T: 'static>() -> Option<usize> {
         CACHE.with(|c| {
             let c = c.borrow();
-            let held = c.map.get(&TypeId::of::<Vec<T>>());
-            held.and_then(|(b, _)| b.downcast_ref::<Vec<T>>().map(Vec::capacity))
+            let held = c.map.get(&TypeId::of::<Shelved<T>>());
+            held.and_then(|(b, _)| b.downcast_ref::<Shelved<T>>().map(|h| h.buf.capacity()))
         })
     }
 
@@ -898,6 +930,39 @@ mod tests {
         // Given back down to the request.
         assert_eq!(take_vec::<u32>(n * 3 / 4).capacity(), n * 3 / 4);
         assert_eq!(shelved::<u32>(), None);
+        trim();
+    }
+
+    #[test]
+    fn a_buffer_passed_over_too_often_is_freed() {
+        let _g = serialize();
+        trim();
+        let (big, small) = (floor_elems::<u16>(8), floor_elems::<u16>(1));
+        // A take it serves resets the count: missing one request fewer than
+        // the patience, then serving, any number of times keeps it.
+        for _ in 0..3 {
+            shelve_vec(Vec::<u16>::with_capacity(big));
+            for _ in 1..SHELF_PATIENCE {
+                drop(take_vec::<u16>(small));
+            }
+            assert_eq!(take_vec::<u16>(big).capacity(), big);
+        }
+        // Takes it does not fit, then shelvings of a smaller buffer, both
+        // count; the miss that reaches the patience frees it, and a smaller
+        // buffer offered then takes the slot.
+        shelve_vec(Vec::<u16>::with_capacity(big));
+        for _ in 1..SHELF_PATIENCE {
+            drop(take_vec::<u16>(small));
+        }
+        assert_eq!(shelved::<u16>(), Some(big));
+        drop(take_vec::<u16>(small));
+        assert_eq!(shelved::<u16>(), None, "the passed-over buffer was kept");
+        shelve_vec(Vec::<u16>::with_capacity(big));
+        for _ in 0..SHELF_PATIENCE {
+            assert_eq!(shelved::<u16>(), Some(big));
+            shelve_vec(Vec::<u16>::with_capacity(small));
+        }
+        assert_eq!(shelved::<u16>(), Some(small));
         trim();
     }
 

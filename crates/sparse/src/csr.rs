@@ -350,7 +350,7 @@ impl<T: Clone + Send + Sync> Csr<T> {
     /// Structure-preserving value map (the `apply` kernel).
     pub fn map<Z, F>(&self, ctx: &Context, f: F) -> Csr<Z>
     where
-        Z: Clone + Send + Sync + 'static,
+        Z: Clone + Send + Sync,
         F: Fn(&T) -> Z + Sync,
     {
         self.map_with_index(ctx, |_, _, v| f(v))
@@ -360,7 +360,7 @@ impl<T: Clone + Send + Sync> Csr<T> {
     /// behind index-unary `apply` (paper §VIII.B).
     pub fn map_with_index<Z, F>(&self, ctx: &Context, f: F) -> Csr<Z>
     where
-        Z: Clone + Send + Sync + 'static,
+        Z: Clone + Send + Sync,
         F: Fn(usize, usize, &T) -> Z + Sync,
     {
         let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Apply, ctx.id());
@@ -369,12 +369,10 @@ impl<T: Clone + Send + Sync> Csr<T> {
             let nnz = nnz as u64;
             sp.io(0, nnz, nnz, nnz * (size_of::<usize>() + size_of::<T>()) as u64);
         }
-        let mut indices = workspace::take_vec(nnz);
-        indices.extend_from_slice(&self.indices);
         // Pre-filled with the first mapped value and overwritten in place:
         // each task owns the slice of `values` under its rows.
         let first = self.iter().next().map(|(i, j, v)| f(i, j, v));
-        let mut values = first.map_or_else(Vec::new, |z| workspace::take_filled(nnz, z));
+        let mut values = first.map_or_else(Vec::new, |z| vec![z; nnz]);
         let mut rest: &mut [Z] = &mut values;
         graphblas_exec::global_pool().scope(|scope| {
             for rows in self.row_chunks(ctx) {
@@ -398,7 +396,7 @@ impl<T: Clone + Send + Sync> Csr<T> {
             self.nrows,
             self.ncols,
             self.indptr.clone(),
-            indices,
+            self.indices.clone(),
             values,
             self.rows_sorted,
         )
@@ -409,7 +407,7 @@ impl<T: Clone + Send + Sync> Csr<T> {
     /// nonblocking pipeline (paper §III's "fuse operations" latitude).
     pub fn filter_map_with_index<Z, F>(&self, ctx: &Context, f: F) -> Csr<Z>
     where
-        Z: Clone + Send + Sync + 'static,
+        Z: Clone + Send + Sync,
         F: Fn(usize, usize, &T) -> Option<Z> + Sync,
     {
         let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Select, ctx.id());
@@ -545,10 +543,7 @@ impl<T: Clone + Send + Sync> Csr<T> {
         ctx: &Context,
         sel_rows: &[usize],
         sel_cols: &[usize],
-    ) -> Result<Csr<T>, FormatError>
-    where
-        T: 'static,
-    {
+    ) -> Result<Csr<T>, FormatError> {
         for &i in sel_rows {
             if i >= self.nrows {
                 return Err(FormatError::IndexOutOfBounds {

@@ -111,10 +111,7 @@ impl<T> Dense<T> {
 impl<T: Clone + Send + Sync> Dense<T> {
     /// Converts to CSR; every dense element becomes a stored element
     /// (GraphBLAS has no implicit zero to elide).
-    pub fn to_csr(&self, ctx: &Context) -> Csr<T>
-    where
-        T: 'static,
-    {
+    pub fn to_csr(&self, ctx: &Context) -> Csr<T> {
         let (m, n) = (self.nrows, self.ncols);
         if m == 0 || n == 0 {
             return Csr::empty(m, n);

@@ -52,7 +52,7 @@ pub fn ewise_union_general<A, B, Z, FB, FL, FR>(
 where
     A: Clone + Send + Sync,
     B: Clone + Send + Sync,
-    Z: Clone + Send + Sync + 'static,
+    Z: Clone + Send + Sync,
     FB: Fn(&A, &B) -> Z + Sync,
     FL: Fn(&A) -> Z + Sync,
     FR: Fn(&B) -> Z + Sync,
@@ -119,7 +119,7 @@ where
 /// where only one operand is present.
 pub fn ewise_union<T, F>(ctx: &Context, a: &Csr<T>, b: &Csr<T>, op: F) -> Csr<T>
 where
-    T: Clone + Send + Sync + 'static,
+    T: Clone + Send + Sync,
     F: Fn(&T, &T) -> T + Sync,
 {
     let _ph = graphblas_obs::timeline::phase("ewise.union");
@@ -131,7 +131,7 @@ pub fn ewise_intersect<A, B, Z, F>(ctx: &Context, a: &Csr<A>, b: &Csr<B>, op: F)
 where
     A: Clone + Send + Sync,
     B: Clone + Send + Sync,
-    Z: Clone + Send + Sync + 'static,
+    Z: Clone + Send + Sync,
     F: Fn(&A, &B) -> Z + Sync,
 {
     assert_eq!(a.nrows(), b.nrows(), "ewise: row count mismatch");
@@ -188,7 +188,7 @@ pub fn ewise_restrict<A, M, P>(
     pred: P,
 ) -> Csr<A>
 where
-    A: Clone + Send + Sync + 'static,
+    A: Clone + Send + Sync,
     M: Clone + Send + Sync,
     P: Fn(&M) -> bool + Sync,
 {

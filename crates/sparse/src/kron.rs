@@ -22,7 +22,7 @@ pub fn kronecker<A, B, Z, FM>(
 where
     A: Clone + Send + Sync,
     B: Clone + Send + Sync,
-    Z: Clone + Send + Sync + 'static,
+    Z: Clone + Send + Sync,
     FM: Fn(&A, &B) -> Z + Sync,
 {
     let (ma, na) = (a.nrows(), a.ncols());

@@ -2,8 +2,6 @@
 
 use std::ops::Range;
 
-use graphblas_exec::workspace;
-
 /// In-place exclusive prefix sum; returns the total.
 ///
 /// `counts[i]` becomes the sum of the original `counts[..i]`.
@@ -90,9 +88,8 @@ pub type RowChunk<T> = (Vec<usize>, Vec<usize>, Vec<T>);
 /// arrays `(indptr, indices, values)`. A single chunk — every one-thread
 /// kernel call — already *is* the result: its `indices`/`values` buffers
 /// are handed through as they are, and only several chunks are
-/// concatenated (one copy, into exactly-sized arrays, built in the thread's
-/// shelved result buffers when they fit: `exec::workspace::take_vec`).
-pub fn stitch_row_chunks<T: 'static>(
+/// concatenated (one copy, into exactly-sized arrays).
+pub fn stitch_row_chunks<T>(
     nrows: usize,
     mut chunks: Vec<(Range<usize>, RowChunk<T>)>,
 ) -> (Vec<usize>, Vec<usize>, Vec<T>) {
@@ -111,8 +108,8 @@ pub fn stitch_row_chunks<T: 'static>(
         let (_, (_, idx, vals)) = chunks.remove(0);
         (idx, vals)
     } else {
-        let mut indices = workspace::take_vec(acc);
-        let mut values: Vec<T> = workspace::take_vec(acc);
+        let mut indices = Vec::with_capacity(acc);
+        let mut values: Vec<T> = Vec::with_capacity(acc);
         for (_, (_, idx, vals)) in chunks {
             indices.extend(idx);
             values.extend(vals);
