@@ -9,7 +9,7 @@
 //! (apply→select→mxv→apply through the op DAG, with per-mode `mem_high`
 //! peak-memory growth) — and writes their
 //! median wall times plus the workspace, direction, dispatch (kernel
-//! registry static-vs-dyn), format (bitmap vs sparse store picks),
+//! registry static-vs-dyn), format (sparse vs full store picks),
 //! per-kernel latency (p50/p99), and memory-gauge blocks to
 //! `BENCH_kernels.json` (full run) or `BENCH_kernels_smoke.json`
 //! (`--smoke`; the two scales are numerically incomparable, so they keep
@@ -188,12 +188,11 @@ fn main() {
     // Blocking-vs-nonblocking fused-pipeline ablation (§III): the same
     // apply→select→mxv→apply pipeline per iteration, once under a
     // blocking context and once under the nonblocking op DAG. Blocking
-    // executes every stage eagerly — each map is a full store traversal
-    // (the first one canonicalizes the bitmap frontier to sparse), and
-    // the look-ahead stage at the end of each iteration is computed and
-    // materialized even though nothing reads it inside the loop.
+    // executes every stage eagerly — each map is a full store traversal —
+    // and the look-ahead stage at the end of each iteration is computed
+    // and materialized even though nothing reads it inside the loop.
     // Nonblocking leaves the maps pending (the next mxv folds them into
-    // its numeric phase over the still-bitmap frontier) and leaves the
+    // its numeric phase over the frontier as it is stored) and leaves the
     // look-ahead node queued: a read forces only the subgraph it needs,
     // so that store never exists inside the loop. `mem_high` is the
     // growth of the container + workspace high-water marks over the
@@ -364,8 +363,8 @@ fn main() {
         hit_ratio * 100.0
     );
     println!(
-        "format: {} bitmap picks, {} sparse picks, {} conversions",
-        snap.format.bitmap_picks, snap.format.svec_picks, snap.format.conversions
+        "format: {} sparse picks, {} full picks, {} conversions",
+        snap.format.svec_picks, snap.format.full_picks, snap.format.conversions
     );
     println!("| kernel | calls | p50 | p99 | max |");
     println!("|--------|-------|-----|-----|-----|");
@@ -406,7 +405,7 @@ fn main() {
         "direction dispatch recorded no picks"
     );
     // The registry ablation must have exercised both paths, and the store
-    // layer must have made format picks (bitmap or sparse) for the
+    // layer must have made format picks (sparse or full) for the
     // frontier-producing workloads above.
     assert!(
         snap.dispatch.static_hits > 0 && snap.dispatch.dyn_fallbacks > 0,
@@ -416,7 +415,7 @@ fn main() {
         snap.dispatch.dyn_fallbacks
     );
     assert!(
-        snap.format.bitmap_picks + snap.format.svec_picks > 0,
+        snap.format.svec_picks + snap.format.full_picks > 0,
         "vector store layer recorded no format picks"
     );
     // The histogram and memory layers must have seen this run: every kernel

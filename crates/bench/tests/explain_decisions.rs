@@ -45,7 +45,7 @@ fn obs_off() {
 /// The documented direction rule (DESIGN.md §4, "direction by edges") for
 /// the product of one `bfs_levels` step: LOR ends a pulled row at its first
 /// hit and both orientations exist. `indexed` is `Some(entries)` for a
-/// frontier stored bitmap (looked up by index, converted to be pushed).
+/// frontier stored full (looked up by index, converted to be pushed).
 /// `true` = pull.
 fn documented_rule_pulls(
     edges: u64,
@@ -120,10 +120,10 @@ fn bfs_explain_shows_each_pick_as_the_cheaper_side_of_its_own_numbers() {
         let pulled = e.reason == Reason::DirectionPull;
         match e.detail {
             "estimate" => {
-                // Half the vertices in one result: stored as a bitmap.
-                let indexed = (frontier * 4 >= n as u64).then_some(frontier);
+                // No BFS frontier here holds every vertex: each one is an
+                // index list.
                 let (edges, admitted) = (frontier_edges, admitted_edges);
-                let rule = documented_rule_pulls(edges, admitted, rows, nnz, indexed);
+                let rule = documented_rule_pulls(edges, admitted, rows, nnz, None);
                 assert_eq!(pulled, rule, "not the cheaper side of its own numbers: {e:?}");
             }
             // Walking every edge and landing a product on each still costs
@@ -138,13 +138,14 @@ fn bfs_explain_shows_each_pick_as_the_cheaper_side_of_its_own_numbers() {
 
     // The switch itself: the seed pushed; the hubs pulled (16 of 64
     // vertices, 288 of 336 entries, against the 32 entries the leaves'
-    // rows hold); the leaves, stored as a bitmap, pulled into the 15 empty
-    // rows left rather than be converted to an index list.
+    // rows hold); the leaves, an index list, pushed back: walking their 32
+    // edges (3 · 32) costs less than opening the 15 empty rows left
+    // (12 · 15), and no edge lands a product either way.
     assert_eq!(dirs[0].reason, Reason::DirectionPush);
     assert_eq!((dirs[0].detail, dirs[0].args), ("under-row-scan", [1, 16, 0]));
     assert_eq!(dirs[1].reason, Reason::DirectionPull);
     assert_eq!((dirs[1].detail, dirs[1].args), ("estimate", [16, 288, 32]));
-    assert_eq!(dirs[2].reason, Reason::DirectionPull);
+    assert_eq!(dirs[2].reason, Reason::DirectionPush);
     assert_eq!((dirs[2].detail, dirs[2].args), ("estimate", [32, 32, 0]));
     assert!(dirs.windows(2).all(|w| w[0].seq < w[1].seq));
 
@@ -156,7 +157,7 @@ fn bfs_explain_shows_each_pick_as_the_cheaper_side_of_its_own_numbers() {
         .iter()
         .filter(|e| e.reason == Reason::KernelPath && e.detail == "masked-pull")
         .collect();
-    assert_eq!(masked.len(), 2, "one masked pull per pull pick, got: {masked:?}");
+    assert_eq!(masked.len(), 1, "one masked pull per pull pick, got: {masked:?}");
     assert_eq!(masked[0].op, "spmv");
     let unvisited = (n - (1 + hubs)) as u64;
     assert_eq!(masked[0].args[..2], [unvisited, n as u64]);

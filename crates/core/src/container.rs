@@ -675,22 +675,27 @@ mod tests {
         let _g = obs_test_guard();
         graphblas_obs::set_enabled(true);
         let ctx = private_ctx(Mode::Blocking);
-        let a = Matrix::<i64>::new_in(&ctx, 8, 8).unwrap();
-        let idx: Vec<usize> = (0..8).collect();
-        a.build(&idx, &idx, &[1; 8], None).unwrap();
-        let u = Vector::<i64>::new_in(&ctx, 8).unwrap();
-        u.build(&[0, 3, 6], &[1, 2, 3], None).unwrap();
-        // 3 of 8 entries: dense enough for the bitmap format.
-        let w = Vector::<i64>::new_in(&ctx, 8).unwrap();
+        // One entry among 8 × 64 positions: pushing the whole frontier
+        // through it is cheaper than opening 64 rows, so the full frontier
+        // is listed for the push kernel.
+        let a = Matrix::<i64>::new_in(&ctx, 8, 64).unwrap();
+        a.build(&[3], &[5], &[7], None).unwrap();
+        let u = Vector::import_in(&ctx, 8, crate::VectorFormat::Dense, None, vec![2i64; 8]);
+        let u = u.unwrap();
+        assert_eq!(u.stats().format, "full");
+        let w = Vector::<i64>::new_in(&ctx, 64).unwrap();
         let sr = Semiring::plus_times();
         vxm(&w, no_mask_v(), None, &sr, &u, &a, &Descriptor::default()).unwrap();
-        assert_eq!(w.stats().format, "bitmap");
-        assert_eq!(w.extract_tuples().unwrap().1, vec![1, 2, 3]);
-        let converted =
-            w.explain(64).events.into_iter().any(|e| {
-                e.reason == Reason::ConvertSparse && (e.op, e.detail) == ("vector", "bitmap")
-            });
-        assert!(converted, "v.explain() must show the bitmap → sparse pass");
+        assert_eq!(w.extract_tuples().unwrap(), (vec![5], vec![14]));
+        let converted = w
+            .explain(64)
+            .events
+            .into_iter()
+            .any(|e| e.reason == Reason::ConvertSparse && (e.op, e.detail) == ("vxm", "dense"));
+        assert!(
+            converted,
+            "w.explain() must show the full frontier listed for the push"
+        );
         graphblas_obs::set_enabled(false);
     }
 }

@@ -31,7 +31,7 @@ pub struct ObjectStats {
     /// store.
     pub pending: u64,
     /// Current storage format (`"csr"`, `"csc"`, `"coo"`, `"dense"`,
-    /// `"sparse"`, `"bitmap"`, `"full"`).
+    /// `"sparse"`, `"full"`).
     pub format: &'static str,
     /// Whether a sticky execution error poisons the object (§V).
     pub failed: bool,

@@ -28,9 +28,9 @@
 //! built when they reach what building it costs. A matrix rewritten between
 //! a handful of products never pays for one; a traversal that keeps wanting
 //! one loses at most one build's worth of time before it has it. (Doing
-//! without must cost no more than time: a full or bitmap frontier is never
-//! converted to an index list for want of a transpose, so `vxm` over a full
-//! vector builds `Aᵀ` at once.)
+//! without must cost no more than time: a full frontier is never converted
+//! to an index list for want of a transpose, so `vxm` over a full vector
+//! builds `Aᵀ` at once.)
 //!
 //! The output mask is an input of the kernels, not only of the write-back
 //! (*mask-first execution*): `C⟨M, r⟩ = C ⊙ T` only ever reads the part of
@@ -49,11 +49,10 @@
 //! is idempotent.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
 
 use graphblas_exec::Context;
 use graphblas_sparse::spmv::{Hooks, OutputFilter, Unmasked};
-use graphblas_sparse::{Csr, SparseVec};
+use graphblas_sparse::{Csr, DenseVec, SparseVec};
 
 use crate::descriptor::Descriptor;
 use crate::error::{ApiError, GrbResult};
@@ -63,12 +62,8 @@ use crate::ops::registry::{self, Operand};
 use crate::ops::{BinaryOp, BuiltinOp, Monoid, Semiring};
 use crate::pending::{fuse_maps, NodeKind};
 use crate::types::{MaskValue, ValueType};
-use crate::vector::{Frontier, Vector, VectorState};
-use crate::write::{VecMask, VecResult};
-
-/// The result's Table III format pick lives with the vector store; its
-/// threshold stays importable from here.
-pub use crate::vector::BITMAP_THRESHOLD_DEN;
+use crate::vector::{VecSnap, Vector, VectorState};
+use crate::write::VecMask;
 
 /// Which matrix-vector kernel a product dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,7 +111,7 @@ const BUILD_ENTRY: u64 = 12;
 
 /// What one product looks like to the direction estimate.
 struct Shape<'a, A, X: ValueType> {
-    u: &'a Frontier<X>,
+    u: &'a VecSnap<X>,
     mask: Option<&'a VecMask>,
     /// Length of the output — rows of the orientation pull reads.
     m: usize,
@@ -183,10 +178,10 @@ fn choose_direction<A, X: ValueType>(p: &Shape<'_, A, X>) -> Pick {
             return pick;
         }
     }
-    let listed = matches!(p.u, Frontier::Sparse(_));
+    let listed = matches!(p.u, VecSnap::Sparse(_));
     // Doing without the cheaper direction must cost no more than time: a
-    // push takes the frontier as an index list only, and a full or bitmap
-    // one is not turned into one for want of a transpose.
+    // push takes the frontier as an index list only, and a full one is not
+    // turned into one for want of a transpose.
     let worth = |saving: u64| {
         if listed || p.stored == Direction::Pull {
             saving / BUILD_ENTRY
@@ -196,10 +191,10 @@ fn choose_direction<A, X: ValueType>(p: &Shape<'_, A, X>) -> Pick {
     };
     let edges = match p.push_a {
         Some(a) => frontier_entries(p.u, a) as u64,
-        None => scaled(nnz_u, nnz_a, p.u.len() as u64),
+        None => scaled(nnz_u, nnz_a, p.u.view().len() as u64),
     };
     pick.seen[1] = edges;
-    // Push walks an index list: another format is converted to one first,
+    // Push walks an index list: a full frontier is converted to one first,
     // an entry at a time.
     let convert = if listed { 0 } else { nnz_u };
     let walk = PUSH_EDGE * (edges + convert);
@@ -226,7 +221,7 @@ fn choose_direction<A, X: ValueType>(p: &Shape<'_, A, X>) -> Pick {
     let products = scaled(edges, admitted, nnz_a.max(1));
     let push = walk + FLOP * products;
     // A pulled product finds its frontier entry through the position table
-    // (two dependent loads), or by indexing a bitmap or full one directly.
+    // (two dependent loads), or by indexing a full one directly.
     let fold = if listed { FLOP } else { PUSH_EDGE };
     let pull = if p.first_hit_ends_row {
         let read = admitted.min(scaled(rows, nnz_a, edges.max(1)));
@@ -252,35 +247,24 @@ fn scaled(count: u64, num: u64, den: u64) -> u64 {
 
 /// The stored entries of `a` in the rows `u` holds: the edges a push of
 /// `u` through `a` scatters.
-fn frontier_entries<A, X: ValueType>(u: &Frontier<X>, a: &Csr<A>) -> usize {
+fn frontier_entries<A, X: ValueType>(u: &VecSnap<X>, a: &Csr<A>) -> usize {
     match u {
-        Frontier::Sparse(s) => s.indices().iter().map(|&i| a.row_nnz(i)).sum(),
-        Frontier::Bitmap(b) => b.iter().map(|(i, _)| a.row_nnz(i)).sum(),
-        Frontier::Full(_) => a.nnz(),
+        VecSnap::Sparse(s) => s.indices().iter().map(|&i| a.row_nnz(i)).sum(),
+        VecSnap::Full(_) => a.nnz(),
     }
 }
 
-/// Normalizes a bitmap or full frontier to sparse when the chosen kernel
-/// cannot consume it natively (the push kernel iterates an index list),
-/// charging the conversion to the format counters.
-fn frontier_for<X: ValueType>(
-    op: &'static str,
-    ctx_id: u64,
-    dir: Direction,
-    f: Frontier<X>,
-) -> Frontier<X> {
-    let (src, sparse) = match (dir, f) {
-        (Direction::Push, Frontier::Bitmap(b)) => ("bitmap", b.to_svec()),
-        (Direction::Push, Frontier::Full(d)) => ("dense", d.to_sparse()),
-        (_, f) => return f,
-    };
+/// A full frontier as the index list the push kernel iterates, charging
+/// the conversion to the format counters.
+fn frontier_for<X: ValueType>(op: &'static str, ctx_id: u64, d: &DenseVec<X>) -> SparseVec<X> {
+    let sparse = d.to_sparse();
     if graphblas_obs::enabled() {
         graphblas_obs::counters::record_format_conversion();
     }
     if graphblas_obs::events::on() {
-        graphblas_obs::events::decision_convert_sparse(op, ctx_id, src, sparse.nnz() as u64);
+        graphblas_obs::events::decision_convert_sparse(op, ctx_id, "dense", sparse.nnz() as u64);
     }
-    Frontier::Sparse(Arc::new(sparse))
+    sparse
 }
 
 /// The output mask as the kernels' [`OutputFilter`]: the snapshot's bitset
@@ -322,7 +306,7 @@ struct Product<'a, A, X: ValueType, C, FM, FA> {
     ctx: &'a Context,
     dir: Direction,
     a: &'a Csr<A>,
-    u: &'a Frontier<X>,
+    u: &'a VecSnap<X>,
     add_tag: Option<BuiltinOp>,
     mul_tag: Option<BuiltinOp>,
     mul: FM,
@@ -355,13 +339,13 @@ where
             post: self.post,
             keep,
         };
+        let listed;
         let u = match (self.dir, self.u) {
-            (Direction::Pull, Frontier::Sparse(u_s)) => Operand::Pull(u_s),
-            (Direction::Pull, Frontier::Bitmap(u_b)) => Operand::PullBitmap(u_b),
-            (Direction::Pull, Frontier::Full(u_d)) => Operand::PullFull(u_d),
-            (Direction::Push, Frontier::Sparse(u_s)) => Operand::Push(u_s),
-            (Direction::Push, Frontier::Bitmap(_) | Frontier::Full(_)) => {
-                unreachable!("push frontiers are normalized to sparse")
+            (Direction::Pull, u) => Operand::Pull(u.view()),
+            (Direction::Push, VecSnap::Sparse(u_s)) => Operand::Push(u_s),
+            (Direction::Push, VecSnap::Full(u_d)) => {
+                listed = frontier_for(self.op, ctx.id(), u_d);
+                Operand::Push(&listed)
             }
         };
         registry::try_matvec(self.op, ctx, a, u, self.add_tag, self.mul_tag, hooks).unwrap_or_else(
@@ -479,7 +463,6 @@ where
         graphblas_obs::events::decision_direction(op, ctx_id, pull, pick.why, pick.seen);
     }
     let admitted_entries = pick.admitted_entries.filter(|_| dir == Direction::Pull);
-    let u_f = frontier_for(op, ctx_id, dir, u_f);
     drop(phase);
     let add = add.clone();
     let call = call.fusing_input(pre_maps.len());
@@ -510,10 +493,7 @@ where
             pre: (!pre_maps.is_empty()).then_some(&pre_hook as _),
             post: (!post.is_empty()).then_some(&post_hook as _),
         };
-        Ok(VecResult {
-            t: product.run_masked(x.mask, admitted_entries).into(),
-            bitmap_ok: true,
-        })
+        Ok(product.run_masked(x.mask, admitted_entries))
     })
 }
 
@@ -822,42 +802,48 @@ mod tests {
     }
 
     #[test]
-    fn mid_density_result_stored_bitmap_and_consumed_natively() {
+    fn mid_density_result_stored_sparse_and_pulled_without_a_conversion() {
+        use graphblas_exec::{ContextOptions, Mode};
+        use graphblas_obs::events::Reason;
         let _g = serialize();
+        graphblas_obs::set_enabled(true);
+        // A private context keeps other tests' decision events out.
+        let ctx = Context::new(
+            &crate::global_context(),
+            Mode::Blocking,
+            ContextOptions::default(),
+        );
         // Rows 0..4 of an 8-vertex graph reach the frontier: the result
-        // holds 4/8 of the vertices — inside the bitmap window (≥1/4,
-        // not full).
+        // holds half the vertices, and anything short of all of them is an
+        // index list.
         let n = 8;
-        let a = mat((n, n), &(0..4).map(|i| (i, 0, 1i64)).collect::<Vec<_>>());
-        let u = vec(n, &[(0, 2i64)]);
-        let w = Vector::<i64>::new(n).unwrap();
-        mxv(
-            &w,
-            no_mask_v(),
-            None,
-            &Semiring::plus_times(),
-            &a,
-            &u,
-            &Descriptor::default(),
-        )
-        .unwrap();
-        assert_eq!(w.stats().format, "bitmap");
+        let a = Matrix::<i64>::new_in(&ctx, n, n).unwrap();
+        a.build(&[0, 1, 2, 3], &[0; 4], &[1; 4], None).unwrap();
+        let u = Vector::<i64>::new_in(&ctx, n).unwrap();
+        u.build(&[0], &[2], None).unwrap();
+        let sr = Semiring::plus_times();
+        let d = Descriptor::default();
+        let w = Vector::<i64>::new_in(&ctx, n).unwrap();
+        mxv(&w, no_mask_v(), None, &sr, &a, &u, &d).unwrap();
+        assert_eq!(w.stats().format, "sparse");
         assert_eq!(w.nvals().unwrap(), 4);
-        // The bitmap store feeds the next product natively (pull path)
-        // and produces the same values the canonical sparse form holds.
-        let w2 = Vector::<i64>::new(n).unwrap();
-        let eye = mat((n, n), &(0..n).map(|i| (i, i, 1i64)).collect::<Vec<_>>());
-        mxv(
-            &w2,
-            no_mask_v(),
-            None,
-            &Semiring::plus_times(),
-            &eye,
-            &w,
-            &Descriptor::default(),
-        )
-        .unwrap();
+        // The sparse store feeds the next pull as it is, through the
+        // position table, and produces the values it holds.
+        let eye = Matrix::<i64>::new_in(&ctx, n, n).unwrap();
+        let diag: Vec<usize> = (0..n).collect();
+        eye.build(&diag, &diag, &[1; 8], None).unwrap();
+        let w2 = Vector::<i64>::new_in(&ctx, n).unwrap();
+        force_direction(Some(Direction::Pull));
+        mxv(&w2, no_mask_v(), None, &sr, &eye, &w, &d).unwrap();
+        force_direction(None);
+        graphblas_obs::set_enabled(false);
         assert_eq!(vec_tuples(&w2), vec_tuples(&w));
+        let events = ctx.explain(64).events;
+        let paths = events.iter().filter(|e| e.reason == Reason::KernelPath);
+        assert_eq!(paths.map(|e| e.detail).next_back(), Some("sparse-frontier"));
+        let picks = events.iter().filter(|e| e.reason == Reason::FormatPick);
+        assert!(picks.map(|e| e.detail).eq(["sparse", "sparse"]));
+        assert!(!events.iter().any(|e| e.reason == Reason::ConvertSparse));
     }
 
     #[test]

@@ -63,7 +63,7 @@ use std::sync::OnceLock;
 
 use graphblas_exec::Context;
 use graphblas_sparse::spmv::{Hooks, OutputFilter, Terminal};
-use graphblas_sparse::{ewise, spgemm, spmv, BitmapVec, Csr, DenseVec, SparseVec, VecOut, VecView};
+use graphblas_sparse::{ewise, spgemm, spmv, Csr, SparseVec, VecOut, VecView};
 
 use crate::ops::{BuiltinOp, BuiltinUnaryOp};
 use crate::types::{BoundedValue, One, ValueType};
@@ -461,15 +461,9 @@ macro_rules! hook_adapter {
 /// The vector operand of one matrix-vector product, by the kernel that
 /// consumes it. The matrix is already in the orientation that kernel reads.
 pub enum Operand<'a, X> {
-    /// Pull (`spmv`): each output row's dot product against a
-    /// sparse-format vector.
-    Pull(&'a SparseVec<X>),
-    /// Pull against a bitmap-format vector (`spmv_bitmap`), consumed
-    /// without a format conversion.
-    PullBitmap(&'a BitmapVec<X>),
-    /// Pull against a full vector: the row loop indexes its values
-    /// directly.
-    PullFull(&'a DenseVec<X>),
+    /// Pull (`spmv`): each output row's dot product against the vector in
+    /// either format (a full one is indexed directly).
+    Pull(VecView<'a, X>),
     /// Push (`vxm`): the vector's entries scattered through their matrix
     /// rows.
     Push(&'a SparseVec<X>),
@@ -488,9 +482,7 @@ impl<'a, X: Any> Operand<'a, X> {
     /// `X` to be.
     fn retyped<T: Any>(self) -> Option<Operand<'a, T>> {
         Some(match self {
-            Operand::Pull(x) => Operand::Pull(cast_ref(x)?),
-            Operand::PullBitmap(x) => Operand::PullBitmap(cast_ref(x)?),
-            Operand::PullFull(x) => Operand::PullFull(cast_ref(x)?),
+            Operand::Pull(x) => Operand::Pull(cast_view(x)?),
             Operand::Push(x) => Operand::Push(cast_ref(x)?),
         })
     }
@@ -520,8 +512,6 @@ where
 {
     match u {
         Operand::Pull(x) => spmv::spmv_fused(ctx, a, x, mul, add, is_terminal, hooks),
-        Operand::PullBitmap(x) => spmv::spmv_bitmap_fused(ctx, a, x, mul, add, is_terminal, hooks),
-        Operand::PullFull(x) => spmv::spmv_full_fused(ctx, a, x, mul, add, is_terminal, hooks),
         // Scattering u's nonzeros through the rows of the other
         // orientation computes the same product.
         Operand::Push(x) => spmv::vxm_fused(ctx, x, a, |xv: &X, av: &A| mul(av, xv), add, hooks),
@@ -978,7 +968,7 @@ mod tests {
             "mxv",
             &ctx,
             a,
-            Operand::Pull(x),
+            Operand::Pull(x.into()),
             add_tag,
             mul_tag,
             Hooks::none(),

@@ -341,9 +341,6 @@ impl<T: ValueType> Vector<T> {
         Some(match &self.core.lock_raw().store {
             VecStore::Sparse(_) => VectorFormat::Sparse,
             VecStore::Dense(_) => VectorFormat::Dense,
-            // Bitmap is an internal frontier format; its cheapest export
-            // is the index-list form.
-            VecStore::Bitmap(_) => VectorFormat::Sparse,
         })
     }
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use graphblas_exec::Context;
 use graphblas_obs::VecFormat;
-use graphblas_sparse::{BitmapVec, DenseVec, SparseVec, VecOut, VecView};
+use graphblas_sparse::{DenseVec, SparseVec, VecOut, VecView};
 
 use crate::container::{Container, State, Store};
 use crate::error::{ApiError, Error, GrbResult};
@@ -26,23 +26,13 @@ pub(crate) enum VecStore<T: ValueType> {
     /// present, no index array. Every result that stores all `n` positions
     /// lands here (see [`VecStore::pick`]).
     Dense(Arc<DenseVec<T>>),
-    /// Table III bitmap format: mid-density frontiers produced by
-    /// `mxv`/`vxm` land here (see [`VecStore::pick`]).
-    Bitmap(Arc<BitmapVec<T>>),
 }
-
-/// The Table III bitmap density window: `mxv`/`vxm` results at least 1/4
-/// occupied but not full are stored bitmap. The lower bound keeps truly
-/// sparse results in the index-list format; a result holding every
-/// position is full, which is not a matter of density.
-pub const BITMAP_THRESHOLD_DEN: u64 = 4;
 
 impl<T: ValueType> Clone for VecStore<T> {
     fn clone(&self) -> Self {
         match self {
             VecStore::Sparse(a) => VecStore::Sparse(a.clone()),
             VecStore::Dense(a) => VecStore::Dense(a.clone()),
-            VecStore::Bitmap(a) => VecStore::Bitmap(a.clone()),
         }
     }
 }
@@ -54,24 +44,17 @@ impl<T: ValueType> VecStore<T> {
         match self {
             VecStore::Sparse(a) => a.bytes(),
             VecStore::Dense(a) => a.bytes(),
-            VecStore::Bitmap(a) => a.bytes(),
         }
     }
 
-    /// The three-way Table III format choice for a result `t`: *full* when
-    /// it stores every position (`nnz == n` — no threshold); *bitmap* when
-    /// the producing operation allows it (`bitmap_ok`: the `mxv`/`vxm`
-    /// frontiers) and `t` is at least 1/[`BITMAP_THRESHOLD_DEN`] occupied;
-    /// *sparse* otherwise. Records the decision (counter + provenance
-    /// event) when telemetry is on.
-    pub(crate) fn pick(op: &'static str, ctx_id: u64, t: VecOut<T>, bitmap_ok: bool) -> Self {
+    /// The Table III format choice for a result `t`: *full* when it stores
+    /// every position (`nnz == n` — no threshold), *sparse* otherwise.
+    /// Records the decision (counter + provenance event) when telemetry is
+    /// on.
+    pub(crate) fn pick(op: &'static str, ctx_id: u64, t: VecOut<T>) -> Self {
         let (nnz, len) = (t.nnz() as u64, t.len() as u64);
         let (store, format) = match t.densest() {
             VecOut::Full(d) => (VecStore::Dense(Arc::new(d)), VecFormat::Full),
-            VecOut::Sparse(s) if bitmap_ok && nnz * BITMAP_THRESHOLD_DEN >= len => {
-                let b = BitmapVec::from_svec(&s);
-                (VecStore::Bitmap(Arc::new(b)), VecFormat::Bitmap)
-            }
             VecOut::Sparse(s) => (VecStore::Sparse(Arc::new(s)), VecFormat::Sparse),
         };
         if graphblas_obs::enabled() {
@@ -82,9 +65,8 @@ impl<T: ValueType> VecStore<T> {
     }
 }
 
-/// A completed vector operand of an operation whose kernels read the two
-/// [`VecView`] formats: full stays full, everything else is canonical
-/// sparse.
+/// A completed vector operand, as the [`VecView`] kernels read it: full
+/// stays full, a sparse store is canonical.
 pub(crate) enum VecSnap<T: ValueType> {
     Sparse(Arc<SparseVec<T>>),
     Full(Arc<DenseVec<T>>),
@@ -100,32 +82,6 @@ impl<T: ValueType> VecSnap<T> {
 
     pub(crate) fn nnz(&self) -> usize {
         self.view().nnz()
-    }
-}
-
-/// A completed `mxv`/`vxm` input frontier in whichever Table III format
-/// the producing operation chose to store it.
-pub(crate) enum Frontier<T: ValueType> {
-    Sparse(Arc<SparseVec<T>>),
-    Bitmap(Arc<BitmapVec<T>>),
-    Full(Arc<DenseVec<T>>),
-}
-
-impl<T: ValueType> Frontier<T> {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Frontier::Sparse(s) => s.len(),
-            Frontier::Bitmap(b) => b.len(),
-            Frontier::Full(d) => d.len(),
-        }
-    }
-
-    pub(crate) fn nnz(&self) -> usize {
-        match self {
-            Frontier::Sparse(s) => s.nnz(),
-            Frontier::Bitmap(b) => b.nnz(),
-            Frontier::Full(d) => d.len(),
-        }
     }
 }
 
@@ -195,10 +151,6 @@ impl<T: ValueType> State<VectorState<T>> {
                 src_format = Some("dense");
                 Arc::new(d.to_sparse())
             }
-            VecStore::Bitmap(b) => {
-                src_format = Some("bitmap");
-                Arc::new(b.to_svec())
-            }
         };
         if let Some(src) = src_format {
             if src != "unsorted" && graphblas_obs::enabled() {
@@ -248,13 +200,6 @@ impl<T: ValueType> Store for VectorState<T> {
             VecStore::Dense(a) => {
                 a.check().map_err(|source| CheckError::Format {
                     format: "full",
-                    source,
-                })?;
-                a.len()
-            }
-            VecStore::Bitmap(a) => {
-                a.check().map_err(|source| CheckError::Format {
-                    format: "bitmap",
                     source,
                 })?;
                 a.len()
@@ -337,13 +282,11 @@ impl<T: ValueType> Vector<T> {
     }
 
     /// `GrB_Vector_nvals`. Forces completion but not canonicalization —
-    /// bitmap and dense stores report their counts in place.
+    /// a full store reports its count in place.
     pub fn nvals(&self) -> GrbResult<usize> {
         let mut st = self.core.lock_completed()?;
-        match &st.store {
-            VecStore::Bitmap(b) => return Ok(b.nnz()),
-            VecStore::Dense(d) => return Ok(d.len()),
-            VecStore::Sparse(_) => {}
+        if let VecStore::Dense(d) = &st.store {
+            return Ok(d.len());
         }
         st.ensure_sparse()?;
         Ok(st.sparse().nnz())
@@ -422,17 +365,15 @@ impl<T: ValueType> Vector<T> {
     }
 
     /// `GrB_Vector_extractElement`: `Ok(None)` ≡ `GrB_NO_VALUE`.
-    /// Bitmap and full stores are read in place: a point read never
-    /// rewrites the store.
+    /// A full store is read in place: a point read never rewrites the
+    /// store.
     pub fn extract_element(&self, i: Index) -> GrbResult<Option<T>> {
         let mut st = self.core.lock_completed()?;
         if i >= st.n {
             return Err(ApiError::InvalidIndex.into());
         }
-        match &st.store {
-            VecStore::Bitmap(b) => return Ok(b.get(i).cloned()),
-            VecStore::Dense(d) => return Ok(d.get(i).cloned()),
-            VecStore::Sparse(_) => {}
+        if let VecStore::Dense(d) = &st.store {
+            return Ok(d.get(i).cloned());
         }
         st.ensure_sparse()?;
         Ok(st.sparse().get(i).cloned())
@@ -496,8 +437,8 @@ impl<T: ValueType> Vector<T> {
     pub fn wait(&self, mode: WaitMode) -> GrbResult {
         let _sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Wait, self.context().id());
         let mut st = self.core.lock_completed_as("wait")?;
-        // A full store is canonical as it stands; the other formats
-        // materialize as the sorted index list.
+        // A full store is canonical as it stands; a sparse one
+        // materializes as the sorted index list.
         if mode == WaitMode::Materialize {
             st.ensure_view()?;
         }
@@ -511,7 +452,6 @@ impl<T: ValueType> Vector<T> {
         let (format, nvals) = match &st.store {
             VecStore::Sparse(a) => ("sparse", a.nnz()),
             VecStore::Dense(a) => ("full", a.len()),
-            VecStore::Bitmap(a) => ("bitmap", a.nnz()),
         };
         st.stats((st.n, 1), nvals, format)
     }
@@ -546,24 +486,23 @@ impl<T: ValueType> Vector<T> {
     }
 
     /// Completes and snapshots as a [`VecView`] operand: a full store as it
-    /// is, every other format as the canonical sparse vector.
+    /// is, a sparse one canonicalized.
     pub(crate) fn snapshot_view(&self) -> GrbResult<VecSnap<T>> {
         let mut st = self.core.lock_completed()?;
         st.ensure_view()?;
         Ok(st.snap())
     }
 
-    /// Completes and snapshots in the store's current frontier format —
-    /// bitmap stays bitmap and full stays full (the pull kernel consumes
-    /// both natively), a sparse store is canonicalized. When this vector's
-    /// queue is pure map stages the maps are *cloned* (cheap `Arc` bumps) and returned
-    /// alongside the base frontier instead of being materialized — the
-    /// consumer folds them into its kernel's operand lookup, so the
-    /// intermediate traversal and allocation never happen. The queue is
-    /// left intact: this vector's own later readers still see the maps
-    /// (sequence order fixed the input values at call time either way).
-    /// Any non-map stage forces a full drain (fallback: empty pre run).
-    pub(crate) fn snapshot_frontier_fused(&self) -> GrbResult<(Frontier<T>, Vec<MapFn<T>>)> {
+    /// [`Vector::snapshot_view`] for an `mxv`/`vxm` input frontier. When
+    /// this vector's queue is pure map stages the maps are *cloned* (cheap
+    /// `Arc` bumps) and returned alongside the base frontier instead of
+    /// being materialized — the consumer folds them into its kernel's
+    /// operand lookup, so the intermediate traversal and allocation never
+    /// happen. The queue is left intact: this vector's own later readers
+    /// still see the maps (sequence order fixed the input values at call
+    /// time either way). Any non-map stage forces a full drain (fallback:
+    /// empty pre run).
+    pub(crate) fn snapshot_frontier_fused(&self) -> GrbResult<(VecSnap<T>, Vec<MapFn<T>>)> {
         let ctx = self.context();
         let mut st = self.core.lock_raw();
         st.poisoned()?;
@@ -574,15 +513,8 @@ impl<T: ValueType> Vector<T> {
                 Vec::new()
             }
         };
-        let frontier = match &st.store {
-            VecStore::Bitmap(b) => Frontier::Bitmap(b.clone()),
-            VecStore::Dense(d) => Frontier::Full(d.clone()),
-            VecStore::Sparse(_) => {
-                st.ensure_sparse()?;
-                Frontier::Sparse(st.sparse().clone())
-            }
-        };
-        Ok((frontier, pre))
+        st.ensure_view()?;
+        Ok((st.snap(), pre))
     }
 
     /// Type-erased object identity (see `Container::addr`).

@@ -101,16 +101,14 @@ impl<T: ValueType, M: MaskValue> MaskSource<VectorState<T>> for Vector<M> {
     }
 
     /// Reads the mask out of whichever store holds it — an index list is
-    /// scattered, a bitmap's words are copied, a full vector's values are
-    /// tested — so a mask operand is never converted to be consulted.
+    /// scattered, a full vector's values are tested — so a mask operand is
+    /// never converted to be consulted.
     fn snapshot(&self, _: &Context, _: &Index, desc: &Descriptor) -> GrbResult<VecMask> {
         let mut st = self.core.lock_completed()?;
         // An index list may still hold unsorted appends whose duplicates
         // resolve last-wins; that settles first, as for any reader.
-        if matches!(st.store, VecStore::Sparse(_)) {
-            st.ensure_sparse()?;
-        }
-        let (n, store) = (st.n, st.store.clone());
+        st.ensure_view()?;
+        let (n, store) = (st.n, st.snap());
         drop(st);
         let structure = desc.mask_structure;
         let mut bits = BitSet::fresh();
@@ -130,14 +128,8 @@ impl<T: ValueType, M: MaskValue> MaskSource<VectorState<T>> for Vector<M> {
             }
         };
         match &store {
-            VecStore::Sparse(s) => s.iter().for_each(|(i, v)| admit(&mut bits, i, v)),
-            VecStore::Bitmap(b) if structure => {
-                let words = b.words().iter().enumerate();
-                words.for_each(|(w, &present)| bits.insert_word(w, present));
-                truthy = b.nnz();
-            }
-            VecStore::Bitmap(b) => b.iter().for_each(|(i, v)| admit(&mut bits, i, v)),
-            VecStore::Dense(d) => {
+            VecSnap::Sparse(s) => s.iter().for_each(|(i, v)| admit(&mut bits, i, v)),
+            VecSnap::Full(d) => {
                 let values = d.values().iter().enumerate();
                 values.for_each(|(i, v)| admit(&mut bits, i, v));
             }
@@ -148,29 +140,6 @@ impl<T: ValueType, M: MaskValue> MaskSource<VectorState<T>> for Vector<M> {
             truthy,
             complement: desc.mask_complement,
         })
-    }
-}
-
-/// `T` for a vector output, sparse or full as its kernel produced it.
-pub(crate) struct VecResult<T> {
-    pub t: VecOut<T>,
-    /// Whether a mid-density written result may be stored as a bitmap
-    /// ([`VecStore::pick`]): the `mxv`/`vxm` frontiers.
-    pub bitmap_ok: bool,
-}
-
-impl<T> From<VecOut<T>> for VecResult<T> {
-    fn from(t: VecOut<T>) -> Self {
-        VecResult {
-            t,
-            bitmap_ok: false,
-        }
-    }
-}
-
-impl<T> From<SparseVec<T>> for VecResult<T> {
-    fn from(t: SparseVec<T>) -> Self {
-        VecOut::Sparse(t).into()
     }
 }
 
@@ -205,7 +174,8 @@ impl<T: ValueType> Target for MatrixState<T> {
 }
 
 impl<T: ValueType> Target for VectorState<T> {
-    type Result = VecResult<T>;
+    /// Sparse or full, as its kernel produced it.
+    type Result = VecOut<T>;
     type Shape = Index;
     type Mask = VecMask;
 
@@ -216,7 +186,7 @@ impl<T: ValueType> Target for VectorState<T> {
     fn write_back(
         st: &mut State<Self>,
         ctx: &Context,
-        VecResult { t, bitmap_ok }: VecResult<T>,
+        t: VecOut<T>,
         rule: &Rule<Self>,
         post: &[MapFn<T>],
     ) -> GrbResult {
@@ -244,7 +214,7 @@ impl<T: ValueType> Target for VectorState<T> {
             };
             merge_vector(ctx, old.view(), t, mask, accum, rule.replace)
         };
-        st.store = VecStore::pick(rule.op, ctx.id(), t, bitmap_ok);
+        st.store = VecStore::pick(rule.op, ctx.id(), t);
         st.apply_post_maps(ctx, post)
     }
 }

@@ -1,7 +1,7 @@
 //! Static-vs-dyn dispatch equivalence for the kernel registry
 //! (`core::ops::registry`), pair by pair: every registered semiring ×
-//! type row is run through `mxv` (pull, including a chained hop so a
-//! bitmap-stored frontier is consumed natively), `vxm` (push), and `mxm`
+//! type row is run through `mxv` (pull over both frontier lookups: a
+//! position table and a direct index), `vxm` (push), and `mxm`
 //! (unmasked and masked), once with the registry forced on and once
 //! forced down the `Arc<dyn Fn>` fallback, and the results must match
 //! exactly. The registered element-wise binops, unary ops, and reduce
@@ -106,10 +106,11 @@ fn check_semiring<T>(
 {
     let a = mat_from(seed, gen);
     let b = mat_from(seed ^ 0xB, gen);
-    // Dense-ish input drives the pull (spmv) kernel; the mid-density hop
-    // result may be stored in bitmap format, so the second hop also
-    // covers the bitmap-frontier spmv instantiation.
+    // Dense-ish input drives the pull (spmv) kernel. The second hop pulls
+    // the first one's result through the position table, and the full
+    // vector beside it by direct index: both pull lookups, chained.
     let xd = vec_from(N * 4 / 5, seed ^ 1, gen);
+    let xf = vec_from(N, seed ^ 4, gen);
     // A few entries drive the push (vxm) kernel.
     let xs = vec_from(4, seed ^ 2, gen);
     let mask = bool_mask(seed ^ 3);
@@ -117,11 +118,17 @@ fn check_semiring<T>(
     let (s, d) = run_both(|| {
         let y = Vector::<T>::new(N).unwrap();
         mxv(&y, no_mask_v(), None, sr, &a, &xd, &Descriptor::default()).unwrap();
-        let z = Vector::<T>::new(N).unwrap();
-        mxv(&z, no_mask_v(), None, sr, &a, &y, &Descriptor::default()).unwrap();
-        (y.extract_tuples().unwrap(), z.extract_tuples().unwrap())
+        force_direction(Some(Direction::Pull));
+        let hop = |u: &Vector<T>| {
+            let z = Vector::<T>::new(N).unwrap();
+            mxv(&z, no_mask_v(), None, sr, &a, u, &Descriptor::default()).unwrap();
+            z.extract_tuples().unwrap()
+        };
+        let (z, zf) = (hop(&y), hop(&xf));
+        force_direction(None);
+        (y.extract_tuples().unwrap(), z, zf)
     });
-    assert_eq!(s, d, "mxv pull / bitmap-frontier chain disagrees: {name}");
+    assert_eq!(s, d, "mxv pull chain disagrees: {name}");
 
     let (s, d) = run_both(|| {
         let y = Vector::<T>::new(N).unwrap();
@@ -616,36 +623,12 @@ fn check_blind_row<T>(
 {
     let _g = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     graphblas_obs::set_enabled(true);
-    // The three frontier shapes: one entry (push's home ground), inside
-    // the bitmap density window and stored as a bitmap, and full (the pull
-    // kernel's direct-indexing path). `I ⊕.second u = u`, and a product
-    // stores its mid-density result as a bitmap — here through an identity
-    // whose stored values are all `false`.
-    let diag: Vec<Index> = (0..N).collect();
-    let eye = Matrix::<bool>::new(N, N).unwrap();
-    eye.build(&diag, &diag, &[false; N], None).unwrap();
-    let half = vec_from(N / 2, seed ^ 1, gen);
-    let bitmap = Vector::<T>::new(N).unwrap();
-    let copy = Semiring::<bool, T, T>::new(add.clone(), BinaryOp::second());
-    mxv(
-        &bitmap,
-        no_mask_v(),
-        None,
-        &copy,
-        &eye,
-        &half,
-        &Descriptor::default(),
-    )
-    .unwrap();
-    assert_eq!(bitmap.stats().format, "bitmap", "{name}: frontier format");
-    assert_eq!(
-        bitmap.extract_tuples().unwrap(),
-        half.extract_tuples().unwrap(),
-        "{name}: bitmap copy"
-    );
+    // The three frontier shapes: one entry (push's home ground), half the
+    // vertices (the pull kernel's position table), and full (its
+    // direct-indexing path).
     let frontiers = [
         ("single", vec_from(1, seed ^ 2, gen)),
-        ("bitmap", bitmap),
+        ("half", vec_from(N / 2, seed ^ 1, gen)),
         ("full", vec_from(N, seed ^ 3, gen)),
     ];
     let mask = vec_from(N / 2, seed ^ 4, &mut |rng: &mut StdRng| rng.gen_bool(0.5));

@@ -316,15 +316,14 @@ counter_table! {
         dyn_fallbacks, "Dispatches on the erased-closure fallback path.";
     }
     /// Vector storage-format statistics (Table III): how often a result was
-    /// kept in the sparse (index/value) representation, stored as a bitmap
-    /// (presence bits + dense slots; mid-density mxv/vxm frontiers) or
-    /// stored full (every position present), and how many conversions back
-    /// to sparse later consumers forced.
+    /// kept in the sparse (index/value) representation or stored full
+    /// (every position present), and how many conversions back to sparse
+    /// later consumers forced.
     format: FormatCounters, FormatTotals, format_totals {
-        bitmap_picks, "Results stored in bitmap format.";
+        bitmap_picks, "Always 0: no vector format is a bitmap; dropped with ROADMAP item 8.";
         svec_picks, "Results kept in sparse index/value format.";
         full_picks, "Results stored full (every position present).";
-        conversions, "Bitmap- or full-to-sparse conversions forced downstream.";
+        conversions, "Full-to-sparse conversions forced downstream.";
     }
 }
 
@@ -408,13 +407,11 @@ pub fn record_dispatch_pick(is_static: bool) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// The three Table III storage formats a vector result can land in.
+/// The two Table III storage formats a vector result can land in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VecFormat {
     /// Index/value lists.
     Sparse,
-    /// Presence bits + a value slot per position.
-    Bitmap,
     /// Every position present: the value array alone.
     Full,
 }
@@ -424,7 +421,6 @@ impl VecFormat {
     pub fn name(self) -> &'static str {
         match self {
             VecFormat::Sparse => "sparse",
-            VecFormat::Bitmap => "bitmap",
             VecFormat::Full => "full",
         }
     }
@@ -435,14 +431,12 @@ pub fn record_format_pick(format: VecFormat) {
     let f = self::format();
     let counter = match format {
         VecFormat::Sparse => &f.svec_picks,
-        VecFormat::Bitmap => &f.bitmap_picks,
         VecFormat::Full => &f.full_picks,
     };
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records one bitmap→sparse or full→sparse conversion forced by a
-/// consumer.
+/// Records one full→sparse conversion forced by a consumer.
 pub fn record_format_conversion() {
     format().conversions.fetch_add(1, Ordering::Relaxed);
 }
@@ -543,13 +537,12 @@ mod tests {
         assert_eq!(s1.dyn_fallbacks - s0.dyn_fallbacks, 1);
 
         let f0 = format_totals();
-        record_format_pick(VecFormat::Bitmap);
         record_format_pick(VecFormat::Sparse);
         record_format_pick(VecFormat::Sparse);
         record_format_pick(VecFormat::Full);
         record_format_conversion();
         let f1 = format_totals();
-        assert_eq!(f1.bitmap_picks - f0.bitmap_picks, 1);
+        assert_eq!(f1.bitmap_picks - f0.bitmap_picks, 0);
         assert_eq!(f1.svec_picks - f0.svec_picks, 2);
         assert_eq!(f1.full_picks - f0.full_picks, 1);
         assert_eq!(f1.conversions - f0.conversions, 1);

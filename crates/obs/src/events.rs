@@ -79,7 +79,7 @@ pub enum Reason {
     /// (erased-closure fallback).
     DispatchPick,
     /// The write-back picked a vector storage format for a result:
-    /// `detail` is "sparse", "bitmap" or "full" (Table III).
+    /// `detail` is "sparse" or "full" (Table III).
     FormatPick,
     /// An op-DAG node drained with neighbouring map stages fused into its
     /// kernel (§III cross-operation fusion): `detail` is the node kind,
@@ -434,7 +434,7 @@ pub fn decision_convert_csr(op: &'static str, ctx: u64, src: &'static str, nnz: 
 }
 
 /// A vector store canonicalized to sorted sparse from `src` ("dense",
-/// "bitmap", "unsorted"), now holding `nnz` entries.
+/// "unsorted"), now holding `nnz` entries.
 #[inline]
 pub fn decision_convert_sparse(op: &'static str, ctx: u64, src: &'static str, nnz: u64) {
     record(Reason::ConvertSparse, op, src, ctx, [nnz, 0, 0]);

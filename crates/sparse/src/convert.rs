@@ -2,7 +2,7 @@
 //! tests of the Table III formats with CSR as the pivot.
 //!
 //! The pairwise conversions themselves are methods on the stores
-//! (`Csc::from_csr`, `Dense::to_csr`, `BitmapVec::from_svec`, …);
+//! (`Csc::from_csr`, `Dense::to_csr`, `DenseVec::to_sparse`, …);
 //! `graphblas-core` calls those directly under its own `Convert` span.
 
 use graphblas_exec::Context;

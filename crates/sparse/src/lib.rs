@@ -31,7 +31,6 @@
 // aliasing every signature would hide more than it reveals.
 #![allow(clippy::type_complexity)]
 
-pub mod bitmap;
 pub mod convert;
 pub mod coo;
 pub mod csc;
@@ -48,7 +47,6 @@ pub mod svec;
 pub mod transpose;
 pub mod util;
 
-pub use bitmap::BitmapVec;
 pub use coo::Coo;
 pub use csc::Csc;
 pub use csr::{Csr, ElementUpdate};

@@ -19,8 +19,9 @@
 //!
 //! The pull row loop is written to compile to the loop a user would write
 //! by hand for one semiring and one frontier format. Nothing in it is
-//! decided per entry at run time: `pull` matches the frontier's format
-//! once and instantiates the row loop over that format's lookup; each row's
+//! decided per entry at run time: [`spmv_fused`] picks the frontier's
+//! lookup once — a position table, or a direct index into a vector that
+//! stores every position — and instantiates the row loop over it; each row's
 //! reduction is its own non-inlined function ([`row_dot`]), so the running
 //! sum lives in a register instead of in a stack slot the output push
 //! clobbers; and the add monoid's early exit is a type ([`Terminal`]) —
@@ -32,10 +33,8 @@ use std::ops::Range;
 use graphblas_exec::workspace::{self, MarkTable, Marks, Spa};
 use graphblas_exec::{parallel_map_ranges, partition, Context};
 
-use crate::bitmap::BitmapVec;
 use crate::csr::Csr;
-use crate::dvec::DenseVec;
-use crate::svec::SparseVec;
+use crate::svec::{SparseVec, VecView};
 
 /// An element map fused into a kernel's numeric phase:
 /// `(index, &value) -> Option<value>`, where `None` drops the entry
@@ -165,19 +164,11 @@ impl<X, Z> Hooks<'_, X, Z> {
     }
 }
 
-/// The pull kernel's input vector, in any storage format.
-enum PullFrontier<'a, X> {
-    Sparse(&'a SparseVec<X>),
-    Bitmap(&'a BitmapVec<X>),
-    /// Every position present: entry `j` is `values[j]`.
-    Full(&'a [X]),
-}
-
 /// `y = A ⊕.⊗ x` (pull). Each row's accumulation stops early once
 /// `is_terminal` reports the add monoid's annihilator ([`Never`] or
 /// `None` when the monoid has none).
 // grblint: allow(span-at-kernel-boundary) — thin forwarder; the span
-// opens in `pull`.
+// opens in `spmv_fused`.
 pub fn spmv<A, X, Z, FM, FA, FT>(
     ctx: &Context,
     a: &Csr<A>,
@@ -194,22 +185,21 @@ where
     FA: Fn(Z, Z) -> Z + Sync,
     FT: Terminal<Z>,
 {
-    spmv_fused(ctx, a, x, mul, add, is_terminal, Hooks::none())
+    spmv_fused(ctx, a, x.into(), mul, add, is_terminal, Hooks::none())
 }
 
-/// [`spmv`] with [`Hooks`]. A sparse frontier is resolved through a
-/// position table checked out of the workspace cache; `pre` runs as that
-/// table is built (a dropped entry is simply never scattered, so
-/// annihilated inputs cost nothing in the row loop). This is the one place
-/// that recognises a *sparse-format* vector storing every position as full
-/// — callers that know their vector is full hand it to
-/// [`spmv_full_fused`] — and indexes it directly.
-// grblint: allow(span-at-kernel-boundary) — thin forwarder; the span
-// opens in `pull`.
+/// [`spmv`] with [`Hooks`], over either vector format. A vector storing
+/// every position — a full one, or a sparse-format one that happens to
+/// (this is the one place that recognises it) — is indexed directly; any
+/// other is resolved through a position table checked out of the
+/// workspace cache. `pre` runs as that table is built, whatever the
+/// format: it may drop or rewrite entries, so it is applied once per entry
+/// at scatter time, and an entry it drops is never marked — the row loop
+/// skips it for free.
 pub fn spmv_fused<A, X, Z, FM, FA, FT, K>(
     ctx: &Context,
     a: &Csr<A>,
-    x: &SparseVec<X>,
+    x: VecView<'_, X>,
     mul: FM,
     add: FA,
     is_terminal: FT,
@@ -224,128 +214,7 @@ where
     FT: Terminal<Z>,
     K: OutputFilter,
 {
-    let x = if x.is_full() {
-        PullFrontier::Full(x.values())
-    } else {
-        PullFrontier::Sparse(x)
-    };
-    pull(ctx, a, x, mul, add, is_terminal, hooks)
-}
-
-/// `y = A ⊕.⊗ x` (pull) over a full vector, with [`Hooks`]: the row loop
-/// indexes the value array directly — no position table, no bit test. A
-/// `pre` chain may drop entries, so with one the rewritten values go
-/// through a position table like a sparse frontier's.
-// grblint: allow(span-at-kernel-boundary) — thin forwarder; the span
-// opens in `pull`.
-pub fn spmv_full_fused<A, X, Z, FM, FA, FT, K>(
-    ctx: &Context,
-    a: &Csr<A>,
-    x: &DenseVec<X>,
-    mul: FM,
-    add: FA,
-    is_terminal: FT,
-    hooks: Hooks<'_, X, Z, K>,
-) -> SparseVec<Z>
-where
-    A: Clone + Send + Sync,
-    X: Clone + Send + Sync,
-    Z: Clone + Send + Sync,
-    FM: Fn(&A, &X) -> Z + Sync,
-    FA: Fn(Z, Z) -> Z + Sync,
-    FT: Terminal<Z>,
-    K: OutputFilter,
-{
-    let x = PullFrontier::Full(x.values());
-    pull(ctx, a, x, mul, add, is_terminal, hooks)
-}
-
-/// `y = A ⊕.⊗ x` (pull) over a bitmap-format frontier. Identical row loop
-/// to [`spmv`], but entry lookup is a word-indexed bit test — no
-/// densification table needs to be built or checked out.
-// grblint: allow(span-at-kernel-boundary) — thin forwarder; the span
-// opens in `pull`.
-pub fn spmv_bitmap<A, X, Z, FM, FA, FT>(
-    ctx: &Context,
-    a: &Csr<A>,
-    x: &BitmapVec<X>,
-    mul: FM,
-    add: FA,
-    is_terminal: FT,
-) -> SparseVec<Z>
-where
-    A: Clone + Send + Sync,
-    X: Clone + Send + Sync,
-    Z: Clone + Send + Sync,
-    FM: Fn(&A, &X) -> Z + Sync,
-    FA: Fn(Z, Z) -> Z + Sync,
-    FT: Terminal<Z>,
-{
-    spmv_bitmap_fused(ctx, a, x, mul, add, is_terminal, Hooks::none())
-}
-
-/// [`spmv_bitmap`] with [`Hooks`]. With a `pre` chain the bit-test lookup
-/// is replaced by a position table holding the rewritten values (built in
-/// one pass over the bitmap, still without materializing an intermediate
-/// vector); without one the bitmap is probed directly.
-// grblint: allow(span-at-kernel-boundary) — thin forwarder; the span
-// opens in `pull`.
-pub fn spmv_bitmap_fused<A, X, Z, FM, FA, FT, K>(
-    ctx: &Context,
-    a: &Csr<A>,
-    x: &BitmapVec<X>,
-    mul: FM,
-    add: FA,
-    is_terminal: FT,
-    hooks: Hooks<'_, X, Z, K>,
-) -> SparseVec<Z>
-where
-    A: Clone + Send + Sync,
-    X: Clone + Send + Sync,
-    Z: Clone + Send + Sync,
-    FM: Fn(&A, &X) -> Z + Sync,
-    FA: Fn(Z, Z) -> Z + Sync,
-    FT: Terminal<Z>,
-    K: OutputFilter,
-{
-    pull(
-        ctx,
-        a,
-        PullFrontier::Bitmap(x),
-        mul,
-        add,
-        is_terminal,
-        hooks,
-    )
-}
-
-/// The pull kernel behind every frontier format: opens the span, builds
-/// the position table a sparse frontier (or a `pre` chain) needs, and
-/// runs the row loop instantiated over the one lookup `x`'s format calls
-/// for — a table probe, a bit test, or a direct index.
-fn pull<A, X, Z, FM, FA, FT, K>(
-    ctx: &Context,
-    a: &Csr<A>,
-    x: PullFrontier<'_, X>,
-    mul: FM,
-    add: FA,
-    is_terminal: FT,
-    hooks: Hooks<'_, X, Z, K>,
-) -> SparseVec<Z>
-where
-    A: Clone + Send + Sync,
-    X: Clone + Send + Sync,
-    Z: Clone + Send + Sync,
-    FM: Fn(&A, &X) -> Z + Sync,
-    FA: Fn(Z, Z) -> Z + Sync,
-    FT: Terminal<Z>,
-    K: OutputFilter,
-{
-    let (n, nnz) = match x {
-        PullFrontier::Sparse(s) => (s.len(), s.nnz()),
-        PullFrontier::Bitmap(b) => (b.len(), b.nnz()),
-        PullFrontier::Full(v) => (v.len(), v.len()),
-    };
+    let (n, nnz) = (x.len(), x.nnz());
     assert_eq!(a.ncols(), n, "spmv: dimension mismatch");
     let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::SpMv, ctx.id());
     let nrows = a.nrows();
@@ -370,52 +239,51 @@ where
         return SparseVec::empty(0);
     }
     let pre = hooks.pre;
+    let direct = match x {
+        VecView::Full(d) => Some(d.values()),
+        VecView::Sparse(s) => s.is_full().then(|| s.values()),
+    }
+    .filter(|_| pre.is_none());
     if graphblas_obs::events::on() {
-        let path = match x {
-            PullFrontier::Bitmap(_) => "bitmap-frontier",
-            PullFrontier::Full(_) if pre.is_none() => "dense-frontier",
-            _ => "sparse-frontier",
+        let path = if direct.is_some() {
+            "dense-frontier"
+        } else {
+            "sparse-frontier"
         };
         graphblas_obs::events::decision_kernel_path("spmv", ctx.id(), path, nnz as u64, n as u64);
     }
-    // The position table is a generation-stamped checkout from the
-    // thread's workspace cache, not a `vec![None; n]` per call. A fused pre
-    // map always goes through it, whatever the format: the map may drop or
-    // rewrite entries, so it is applied once per entry at scatter time and
-    // entries it drops are never marked — the row loop skips them for free.
-    let mut fused_vals: Vec<X> = Vec::new();
-    let table: Option<(workspace::Checkout<MarkTable>, &[X])> = match (pre, &x) {
-        (Some(f), _) => {
-            let mut t = workspace::checkout::<MarkTable>(n);
-            fused_vals.reserve(nnz);
-            let mut scatter = |(j, v): (usize, &X)| {
-                if let Some(fv) = f(j, v) {
-                    t.set(j, fused_vals.len());
-                    fused_vals.push(fv);
-                }
-            };
-            match x {
-                PullFrontier::Sparse(s) => s.iter().for_each(&mut scatter),
-                PullFrontier::Bitmap(b) => b.iter().for_each(&mut scatter),
-                PullFrontier::Full(v) => v.iter().enumerate().for_each(&mut scatter),
-            }
-            Some((t, &fused_vals[..]))
-        }
-        (None, PullFrontier::Sparse(s)) => {
-            let mut t = workspace::checkout::<MarkTable>(n);
-            for (p, &j) in s.indices().iter().enumerate() {
-                t.set(j, p);
-            }
-            Some((t, s.values()))
-        }
-        (None, _) => None,
-    };
     // One instantiation of the row loop per lookup, chosen here once per
     // call rather than per entry inside it.
     let (mul, add) = (&mul, &add);
-    let y = match (&table, x) {
-        (Some((t, vals)), _) => {
-            let (t, vals): (&MarkTable, &[X]) = (t, vals);
+    let y = match direct {
+        Some(v) => spmv_rows(ctx, a, |j| Some(&v[j]), mul, add, is_terminal, hooks),
+        None => {
+            // The position table is a generation-stamped checkout from the
+            // thread's workspace cache, not a `vec![None; n]` per call.
+            let index = |p: usize| match x {
+                VecView::Sparse(s) => s.indices()[p],
+                VecView::Full(_) => p,
+            };
+            let mut t = workspace::checkout::<MarkTable>(n);
+            let mut fused_vals: Vec<X> = Vec::new();
+            let vals: &[X] = match pre {
+                Some(f) => {
+                    fused_vals.reserve(nnz);
+                    for (p, v) in x.values().iter().enumerate() {
+                        let j = index(p);
+                        if let Some(fv) = f(j, v) {
+                            t.set(j, fused_vals.len());
+                            fused_vals.push(fv);
+                        }
+                    }
+                    &fused_vals
+                }
+                None => {
+                    (0..nnz).for_each(|p| t.set(index(p), p));
+                    x.values()
+                }
+            };
+            let t: &MarkTable = &t;
             spmv_rows(
                 ctx,
                 a,
@@ -426,13 +294,6 @@ where
                 hooks,
             )
         }
-        (None, PullFrontier::Bitmap(b)) => {
-            spmv_rows(ctx, a, |j| b.get(j), mul, add, is_terminal, hooks)
-        }
-        (None, PullFrontier::Full(v)) => {
-            spmv_rows(ctx, a, |j| Some(&v[j]), mul, add, is_terminal, hooks)
-        }
-        (None, PullFrontier::Sparse(_)) => unreachable!("a sparse frontier always gets a table"),
     };
     if sp.active() {
         sp.io(0, 0, y.nnz() as u64, 0);
@@ -699,6 +560,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dvec::DenseVec;
     use graphblas_exec::global_context;
 
     fn matrix() -> Csr<i64> {
@@ -744,15 +606,22 @@ mod tests {
     }
 
     #[test]
-    fn spmv_bitmap_matches_sparse_frontier() {
+    fn full_view_matches_sparse_frontier_storing_every_position() {
         let ctx = global_context();
         let a = matrix();
-        let x = SparseVec::from_parts(3, vec![0, 2], vec![10i64, 20]).unwrap();
-        let xb = BitmapVec::from_svec(&x);
+        let x = SparseVec::from_parts(3, vec![0, 1, 2], vec![10i64, 5, 20]).unwrap();
+        let xd = DenseVec::from_values(vec![10i64, 5, 20]);
         let sparse = spmv(&ctx, &a, &x, |a, x| a * x, |p, q| p + q, None::<fn(&i64) -> bool>);
-        let bitmap =
-            spmv_bitmap(&ctx, &a, &xb, |a, x| a * x, |p, q| p + q, None::<fn(&i64) -> bool>);
-        assert_eq!(bitmap.to_sorted_tuples(), sparse.to_sorted_tuples());
+        let full = spmv_fused(
+            &ctx,
+            &a,
+            (&xd).into(),
+            |a, x| a * x,
+            |p, q| p + q,
+            None::<fn(&i64) -> bool>,
+            Hooks::none(),
+        );
+        assert_eq!(full.to_sorted_tuples(), sparse.to_sorted_tuples());
     }
 
     #[test]
@@ -818,7 +687,7 @@ mod tests {
         let fused = spmv_fused(
             &ctx,
             &a,
-            &x,
+            (&x).into(),
             |a, x| a * x,
             |p, q| p + q,
             None::<fn(&i64) -> bool>,
@@ -832,37 +701,25 @@ mod tests {
     }
 
     #[test]
-    fn spmv_bitmap_fused_matches_sparse_fused() {
+    fn full_view_fused_matches_sparse_fused() {
         let ctx = global_context();
         let a = matrix();
-        let x = SparseVec::from_parts(3, vec![0, 2], vec![10i64, 20]).unwrap();
-        let xb = BitmapVec::from_svec(&x);
+        let x = SparseVec::from_parts(3, vec![0, 1, 2], vec![10i64, 5, 20]).unwrap();
+        let xd = DenseVec::from_values(vec![10i64, 5, 20]);
+        // The pre map drops an entry, so the full view goes through the
+        // position table like the sparse one.
         let pre = |_j: usize, v: &i64| -> Option<i64> { (*v < 15).then_some(v + 1) };
-        let sparse = spmv_fused(
-            &ctx,
-            &a,
-            &x,
-            |a, x| a * x,
-            |p, q| p + q,
-            None::<fn(&i64) -> bool>,
-            Hooks {
-                pre: Some(&pre),
-                ..Hooks::none()
-            },
-        );
-        let bitmap = spmv_bitmap_fused(
-            &ctx,
-            &a,
-            &xb,
-            |a, x| a * x,
-            |p, q| p + q,
-            None::<fn(&i64) -> bool>,
-            Hooks {
-                pre: Some(&pre),
-                ..Hooks::none()
-            },
-        );
-        assert_eq!(bitmap.to_sorted_tuples(), sparse.to_sorted_tuples());
+        let hooks = Hooks {
+            pre: Some(&pre),
+            ..Hooks::none()
+        };
+        let mul = |a: &i64, x: &i64| a * x;
+        let add = |p: i64, q: i64| p + q;
+        let none = None::<fn(&i64) -> bool>;
+        let sparse = spmv_fused(&ctx, &a, (&x).into(), mul, add, none, hooks);
+        let full = spmv_fused(&ctx, &a, (&xd).into(), mul, add, none, hooks);
+        assert_eq!(full.to_sorted_tuples(), sparse.to_sorted_tuples());
+        assert_eq!(full.to_sorted_tuples(), vec![(0, 11), (1, 18), (2, 44)]);
     }
 
     #[test]
@@ -947,7 +804,6 @@ mod tests {
             let xi: Vec<usize> = (0..n).step_by(stride).collect();
             let xv: Vec<bool> = xi.iter().map(|j| j % 5 != 0).collect();
             let x = SparseVec::from_parts(n, xi, xv).unwrap();
-            let xb = BitmapVec::from_svec(&x);
             for terminal in [None, Some(|z: &bool| *z)] {
                 let full = spmv(&ctx, &a, &x, and, or, terminal);
                 let expect: Vec<(usize, bool)> = full
@@ -956,10 +812,8 @@ mod tests {
                     .filter(|&(i, _)| keep(i))
                     .collect();
                 assert!(expect.len() < full.nnz(), "the filter must drop something");
-                let sparse = spmv_fused(&ctx, &a, &x, and, or, terminal, hooks);
-                assert_eq!(sparse.to_sorted_tuples(), expect, "stride {stride}");
-                let bitmap = spmv_bitmap_fused(&ctx, &a, &xb, and, or, terminal, hooks);
-                assert_eq!(bitmap.to_sorted_tuples(), expect, "stride {stride} bitmap");
+                let filtered = spmv_fused(&ctx, &a, (&x).into(), and, or, terminal, hooks);
+                assert_eq!(filtered.to_sorted_tuples(), expect, "stride {stride}");
             }
         }
     }

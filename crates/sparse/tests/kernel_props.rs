@@ -10,8 +10,8 @@ use graphblas_exec::rng::prelude::*;
 use graphblas_exec::workspace::{BitSet, Reusable};
 use graphblas_exec::{global_context, Context, ContextOptions, Mode};
 use graphblas_sparse::{
-    ewise, kron, spgemm, spmv, transpose, BitmapVec, Coo, Csr, DenseVec, FormatError, SparseVec,
-    VecOut, VecView,
+    ewise, kron, spgemm, spmv, transpose, Coo, Csr, DenseVec, FormatError, SparseVec, VecOut,
+    VecView,
 };
 
 const CASES: usize = 64;
@@ -748,7 +748,7 @@ fn terminal_reduce_stops_early_in_both_formats() {
 }
 
 // ---------------------------------------------------------------------
-// The pull kernel: one row loop instantiated per frontier format, an early
+// The pull kernel: one row loop instantiated per frontier lookup, an early
 // exit that is a type. Every format must pull alike, and only a terminal
 // that fires may cut a row short.
 // ---------------------------------------------------------------------
@@ -763,24 +763,16 @@ fn is_least(z: &i64) -> bool {
     *z == LEAST
 }
 
-/// A pull kernel's input vector, in the format the kernel reads it.
-enum Frontier<'a> {
-    Sparse(&'a SparseVec<i64>),
-    Bitmap(&'a BitmapVec<i64>),
-    Full(&'a DenseVec<i64>),
-}
-
-impl Frontier<'_> {
-    fn dense(&self) -> Vec<Option<i64>> {
-        match self {
-            Frontier::Sparse(s) => {
-                let mut d = vec![None; s.len()];
-                s.iter().for_each(|(j, &v)| d[j] = Some(v));
-                d
-            }
-            Frontier::Bitmap(b) => (0..b.len()).map(|j| b.get(j).copied()).collect(),
-            Frontier::Full(d) => d.values().iter().copied().map(Some).collect(),
+/// A pull kernel's input vector as a dense copy: `Some` where it stores an
+/// entry.
+fn dense(x: VecView<'_, i64>) -> Vec<Option<i64>> {
+    match x {
+        VecView::Sparse(s) => {
+            let mut d = vec![None; s.len()];
+            s.iter().for_each(|(j, &v)| d[j] = Some(v));
+            d
         }
+        VecView::Full(f) => f.values().iter().copied().map(Some).collect(),
     }
 }
 
@@ -819,7 +811,7 @@ fn naive_pull(
 fn pull_matches_naive<FT, K>(
     ctx: &Context,
     a: &Csr<i64>,
-    x: &Frontier<'_>,
+    x: VecView<'_, i64>,
     term: FT,
     keep: K,
 ) -> usize
@@ -841,13 +833,8 @@ where
     for (pre, post) in maps {
         calls.store(0, Ordering::SeqCst);
         let hooks = spmv::Hooks { pre, post, keep };
-        let got = match *x {
-            Frontier::Sparse(s) => spmv::spmv_fused(ctx, a, s, mul, min, term, hooks),
-            Frontier::Bitmap(b) => spmv::spmv_bitmap_fused(ctx, a, b, mul, min, term, hooks),
-            Frontier::Full(d) => spmv::spmv_full_fused(ctx, a, d, mul, min, term, hooks),
-        };
-        let input: Vec<Option<i64>> = x
-            .dense()
+        let got = spmv::spmv_fused(ctx, a, x, mul, min, term, hooks);
+        let input: Vec<Option<i64>> = dense(x)
             .into_iter()
             .enumerate()
             .map(|(j, v)| v.and_then(|v| pre.map_or(Some(v), |f| f(j, &v))))
@@ -883,21 +870,13 @@ fn every_frontier_format_pulls_alike_and_stops_where_it_should() {
         let a = csr((m, n), &a);
         let full = Twin::new((0..n).map(|_| value(&mut rng)).collect());
         let part = partial(&mut rng, n, &value);
-        let bitmaps = [
-            BitmapVec::from_svec(&part),
-            BitmapVec::from_svec(&full.sparse),
-        ];
-        let frontiers = [
-            Frontier::Sparse(&part),
-            Frontier::Bitmap(&bitmaps[0]),
-            Frontier::Full(&full.full),
-            // A sparse-format vector storing every position is read as full.
-            Frontier::Sparse(&full.sparse),
-            Frontier::Bitmap(&bitmaps[1]),
-        ];
+        // A sparse vector goes through the position table; a full one and a
+        // sparse-format one storing every position are indexed directly.
+        let [full_view, full_sparse] = full.views();
+        let frontiers = [VecView::Sparse(&part), full_sparse, full_view];
         let rows = |i: usize| !i.is_multiple_of(3);
         for ctx in &contexts {
-            for x in &frontiers {
+            for x in frontiers {
                 pull_matches_naive(ctx, &a, x, spmv::Never, spmv::Unmasked);
                 pull_matches_naive(ctx, &a, x, spmv::Never, rows);
                 saved += pull_matches_naive(ctx, &a, x, Some(is_least), spmv::Unmasked);

@@ -1,6 +1,6 @@
 //! Differential test for the mask-first kernels: `mxv`, `vxm`, `mxm` and
 //! `assign_scalar_v` — and, over a storage axis (operands and output each
-//! stored sparse, bitmap or full), every vector operation with a full-format
+//! stored sparse or full), every vector operation with a full-format
 //! path — against a naive `BTreeMap` model of the four-step write rule
 //! `w⟨m, r⟩ = w ⊙ T`.
 //!
@@ -25,7 +25,6 @@ use graphblas::ops::registry;
 use graphblas::{
     global_context, no_mask, no_mask_v, BinaryOp, Context, ContextOptions, Descriptor, GrbResult,
     Index, IndexUnaryOp, Matrix, Mode, Monoid, Semiring, UnaryOp, ValueType, Vector, VectorFormat,
-    WaitMode,
 };
 use graphblas_exec::rng::prelude::*;
 
@@ -171,17 +170,14 @@ struct Algebra<T> {
     accum: BinaryOp<T, T, T>,
     accum_fn: fn(&T, &T) -> T,
     gen: fn(&mut StdRng) -> T,
-    /// A builtin semiring and matrix value under which `I · u = u`, used
-    /// to obtain a bitmap-stored copy of a frontier.
-    copy: (Semiring<T, T, T>, T),
 }
 
 const ROWS: usize = 20;
 const COLS: usize = 28;
 
-/// The three frontier shapes: one entry (push's home ground), inside the
-/// bitmap density window and stored as a bitmap, and full (the pull
-/// kernel's direct-indexing path).
+/// The three frontier shapes: one entry (push's home ground), half the
+/// positions (an index list behind the pull kernel's position table), and
+/// full (the pull kernel's direct-indexing path).
 fn frontiers<T: ValueType + PartialEq>(
     rng: &mut StdRng,
     n: usize,
@@ -192,33 +188,9 @@ fn frontiers<T: ValueType + PartialEq>(
         .collect();
     let half = random_entries(rng, n, 0.5, alg.gen);
     let full = random_entries(rng, n, 1.0, alg.gen);
-    // Products store mid-density results as bitmaps; copying through the
-    // identity matrix yields the same entries in that format.
-    let eye = Matrix::<T>::new(n, n).unwrap();
-    let diag: Vec<Index> = (0..n).collect();
-    eye.build(&diag, &diag, &vec![alg.copy.1.clone(); n], None)
-        .unwrap();
-    let bitmap = Vector::<T>::new(n).unwrap();
-    mxv(
-        &bitmap,
-        no_mask_v(),
-        None,
-        &alg.copy.0,
-        &eye,
-        &vector(n, &half),
-        &Descriptor::default(),
-    )
-    .unwrap();
-    assert_eq!(
-        bitmap.stats().format,
-        "bitmap",
-        "{}: frontier format",
-        alg.name
-    );
-    assert_eq!(entries(&bitmap), half, "{}: bitmap copy", alg.name);
     vec![
         ("single", single.clone(), vector(n, &single)),
-        ("bitmap", half, bitmap),
+        ("half", half.clone(), vector(n, &half)),
         ("full", full.clone(), vector(n, &full)),
     ]
 }
@@ -313,7 +285,6 @@ fn registered_plus_times_products_match_the_write_rule() {
                 accum: BinaryOp::plus(),
                 accum_fn: |o, t| o + t,
                 gen: |r| r.gen_range(-9..10i64),
-                copy: (Semiring::plus_times(), 1),
             },
         );
     }
@@ -333,7 +304,6 @@ fn terminal_lor_land_products_match_the_write_rule() {
                 accum: BinaryOp::lor(),
                 accum_fn: |o, t| *o || *t,
                 gen: |r| r.gen_range(0..3) > 0,
-                copy: (Semiring::lor_land(), true),
             },
         );
     }
@@ -349,7 +319,6 @@ fn user_built_min_first_products_match_the_write_rule() {
         accum: BinaryOp::plus(),
         accum_fn: |o, t| o + t,
         gen: |r| r.gen_range(-9..10i64),
-        copy: (Semiring::plus_times(), 1),
     };
     // Built from the predefined MIN and FIRST, the semiring is one the
     // registry half claims: `vxm` hands FIRST the vector's value (a
@@ -1048,24 +1017,22 @@ fn the_mask_may_be_the_output_itself() {
 // ---------------------------------------------------------------------
 // Storage axis: the same write rule whatever Table III format holds the
 // operands and the pre-filled output. A full operand takes the slice
-// kernels, a bitmap one converts on the way in, and every combination must
-// land the entries the all-sparse run lands.
+// kernels, and every combination must land the entries the all-sparse run
+// lands.
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Storage {
     Sparse,
-    Bitmap,
     Full,
 }
 
-const STORAGES: [Storage; 3] = [Storage::Sparse, Storage::Bitmap, Storage::Full];
+const STORAGES: [Storage; 2] = [Storage::Sparse, Storage::Full];
 
 impl Storage {
     fn name(self) -> &'static str {
         match self {
             Storage::Sparse => "sparse",
-            Storage::Bitmap => "bitmap",
             Storage::Full => "full",
         }
     }
@@ -1074,24 +1041,18 @@ impl Storage {
 /// Side length of the storage-axis operands (and of their square matrix).
 const SIDE: usize = 24;
 
-/// One execution context of the storage-axis grid, with the identity matrix
-/// that copies a vector into the bitmap format.
+/// One execution context of the storage-axis grid.
 struct Bench {
     ctx: Context,
     rng: StdRng,
-    eye: Matrix<i64>,
 }
 
 impl Bench {
     fn new(mode: Mode, seed: u64) -> Self {
         let ctx = Context::new(&global_context(), mode, ContextOptions::default());
-        let eye = Matrix::<i64>::new_in(&ctx, SIDE, SIDE).unwrap();
-        let diag: Vec<Index> = (0..SIDE).collect();
-        eye.build(&diag, &diag, &[1; SIDE], None).unwrap();
         Bench {
             ctx,
             rng: StdRng::seed_from_u64(seed),
-            eye,
         }
     }
 
@@ -1111,31 +1072,6 @@ impl Bench {
                 let values = e.values().copied().collect();
                 let v = Vector::import_in(&self.ctx, SIDE, VectorFormat::Dense, None, values);
                 (e, v.unwrap())
-            }
-            // Products store results at least a quarter occupied, but not
-            // full, as bitmaps: copy through the identity matrix.
-            Storage::Bitmap => {
-                let e = loop {
-                    let e = random_entries(&mut self.rng, SIDE, 0.6, small);
-                    if (SIDE / 4..SIDE).contains(&e.len()) {
-                        break e;
-                    }
-                };
-                let v = Vector::<i64>::new_in(&self.ctx, SIDE).unwrap();
-                let copy = Semiring::plus_times();
-                let from = vector_in(&self.ctx, SIDE, &e);
-                mxv(
-                    &v,
-                    no_mask_v(),
-                    None,
-                    &copy,
-                    &self.eye,
-                    &from,
-                    &Descriptor::default(),
-                )
-                .unwrap();
-                v.wait(WaitMode::Complete).unwrap();
-                (e, v)
             }
         };
         assert_eq!(v.stats().format, storage.name(), "stored() format");
@@ -1493,29 +1429,19 @@ fn every_storage_format_matches_the_write_rule_in_a_nonblocking_context() {
 // ---------------------------------------------------------------------
 // The mask's own storage: every operation that consults a vector mask
 // reads one bitset built from whichever Table III format holds the mask —
-// index list, bitmap or full — so each format, by value (with stored
-// falsy entries) and by structure, must admit exactly what the model's
-// mask admits, at lengths on, under and over a word boundary.
+// index list or full — so each format, at a low and a middling density
+// for the index list, by value (with stored falsy entries) and by
+// structure, must admit exactly what the model's mask admits, at lengths
+// on, under and over a word boundary.
 // ---------------------------------------------------------------------
 
-/// A mask vector of length `n` holding `e` in `storage` (bitmaps are made
-/// the only way the engine makes them: as a product's result).
+/// A mask vector of length `n` holding `e` in `storage`.
 fn stored_mask(ctx: &Context, n: usize, storage: Storage, e: &Entries<i64>) -> Vector<i64> {
     let v = match storage {
         Storage::Sparse => vector_in(ctx, n, e),
         Storage::Full => {
             let values = e.values().copied().collect();
             Vector::import_in(ctx, n, VectorFormat::Dense, None, values).unwrap()
-        }
-        Storage::Bitmap => {
-            let eye = Matrix::<i64>::new_in(ctx, n, n).unwrap();
-            let diag: Vec<Index> = (0..n).collect();
-            eye.build(&diag, &diag, &vec![1; n], None).unwrap();
-            let v = Vector::<i64>::new_in(ctx, n).unwrap();
-            let (copy, from) = (Semiring::plus_times(), vector_in(ctx, n, e));
-            mxv(&v, no_mask_v(), None, &copy, &eye, &from, &Descriptor::default()).unwrap();
-            v.wait(WaitMode::Complete).unwrap();
-            v
         }
     };
     assert_eq!(v.stats().format, storage.name(), "stored_mask format");
@@ -1623,26 +1549,19 @@ fn check_mask_storage(mode: Mode) {
         let (rows, cols): (Vec<Index>, Vec<Index>) = a.keys().copied().unzip();
         am.build(&rows, &cols, &a.values().copied().collect::<Vec<_>>(), None).unwrap();
         for op in masked_ops() {
-            for storage in STORAGES {
+            let stores = [(Storage::Sparse, 0.2), (Storage::Sparse, 0.6), (Storage::Full, 1.0)];
+            for (storage, density) in stores {
                 use MaskShape::{AllTruthy, Empty, Output, Random};
                 for shape in [Random, AllTruthy, Empty, Output] {
-                    if shape == MaskShape::Empty && storage != Storage::Sparse {
+                    if shape == MaskShape::Empty && density != 0.2 {
                         continue;
                     }
                     for write in write_grid().into_iter().filter(|w| w.mask != MaskKind::None) {
-                        let density = match storage {
-                            Storage::Sparse => 0.2,
-                            Storage::Bitmap => 0.6,
-                            Storage::Full => 1.0,
-                        };
                         let mask = match shape {
                             MaskShape::Empty => Entries::new(),
                             MaskShape::AllTruthy => random_entries(&mut rng, n, density, nonzero),
                             _ => random_entries(&mut rng, n, density, small),
                         };
-                        if storage == Storage::Bitmap && !(n / 4..n).contains(&mask.len()) {
-                            continue;
-                        }
                         let u = random_entries(&mut rng, n, 0.5, small);
                         let v = random_entries(&mut rng, n, 0.5, small);
                         // As its own mask the output is stored in the
@@ -1673,7 +1592,7 @@ fn check_mask_storage(mode: Mode) {
                         assert_eq!(
                             entries(&w),
                             expect,
-                            "{} {:?} {mode:?} n={n} mask stored {storage:?} {shape:?} {write:?}",
+                            "{} {:?} {mode:?} n={n} mask stored {storage:?} at {density} {shape:?} {write:?}",
                             op.name,
                             op.dir
                         );

@@ -217,10 +217,9 @@ fn the_loop_keeps_every_rank_vector_full() {
         events.iter().filter(hit).count()
     };
     let (one, six) = (run(1), run(6));
-    // Whatever the set-up converts (the out-degree vector is a bitmap read
-    // as a mask), five more iterations convert nothing: no full vector is
-    // canonicalized back to sparse, no bitmap either.
-    for source in ["dense", "bitmap", "unsorted"] {
+    // Whatever the set-up converts, five more iterations convert nothing:
+    // no full vector is canonicalized back to sparse.
+    for source in ["dense", "unsorted"] {
         assert_eq!(
             count(&six, Reason::ConvertSparse, source),
             count(&one, Reason::ConvertSparse, source),
@@ -234,7 +233,6 @@ fn the_loop_keeps_every_rank_vector_full() {
     let per_iteration =
         |reason, detail| (count(&six, reason, detail) - count(&one, reason, detail)) / 5;
     assert_eq!(per_iteration(Reason::FormatPick, "full"), 4);
-    assert_eq!(per_iteration(Reason::FormatPick, "bitmap"), 0);
     assert_eq!(per_iteration(Reason::KernelPath, "dense-frontier"), 1);
     assert_eq!(per_iteration(Reason::KernelPath, "sparse-frontier"), 0);
 }

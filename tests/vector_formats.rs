@@ -1,18 +1,20 @@
-//! The three Table III vector formats as the API shows them: which results
-//! land full, and that reading a bitmap- or full-stored vector never
-//! rewrites its store.
+//! The two Table III vector formats as the API shows them: which results
+//! land full, that a mid-density product stays an index list, and that
+//! reading a full-stored vector never rewrites its store.
 //!
 //! The format counters are process-global: the tests take turns.
 
 use std::sync::{Mutex, MutexGuard};
 
 use graphblas::operations::{
-    all_indices, apply_v, assign_scalar_v, ewise_add_v, ewise_mult_v, mxv, select_v, ALL,
+    all_indices, apply_v, assign_scalar_v, ewise_add_v, ewise_mult_v, force_direction, mxv,
+    select_v, vxm, Direction, ALL,
 };
 use graphblas::{
-    no_mask_v, BinaryOp, Descriptor, IndexUnaryOp, Matrix, Semiring, UnaryOp, Vector, VectorFormat,
-    WaitMode,
+    global_context, no_mask_v, BinaryOp, Context, ContextOptions, Descriptor, IndexUnaryOp, Matrix,
+    Mode, Semiring, UnaryOp, Vector, VectorFormat, WaitMode,
 };
+use graphblas_obs::Reason;
 
 const N: usize = 12;
 
@@ -28,29 +30,11 @@ fn constant(value: i64) -> Vector<i64> {
     v
 }
 
-/// `I · u`: the product stores a result between a quarter occupied and full
-/// as a bitmap.
-fn bitmap_of(entries: &[(usize, i64)]) -> Vector<i64> {
-    let eye = Matrix::<i64>::new(N, N).unwrap();
-    let diag: Vec<usize> = (0..N).collect();
-    eye.build(&diag, &diag, &[1; N], None).unwrap();
-    let u = Vector::<i64>::new(N).unwrap();
-    let (idx, vals): (Vec<_>, Vec<_>) = entries.iter().copied().unzip();
-    u.build(&idx, &vals, None).unwrap();
-    let w = Vector::<i64>::new(N).unwrap();
-    let sr = Semiring::plus_times();
-    mxv(&w, no_mask_v(), None, &sr, &eye, &u, &Descriptor::default()).unwrap();
-    assert_eq!(w.stats().format, "bitmap");
-    w
-}
-
 #[test]
-fn reads_never_rewrite_a_bitmap_or_full_store() {
+fn reads_never_rewrite_a_full_store() {
     let _turn = serialize();
     graphblas_obs::set_enabled(true);
     let full = constant(5);
-    let half: Vec<(usize, i64)> = (0..N).step_by(2).map(|i| (i, i as i64)).collect();
-    let bitmap = bitmap_of(&half);
     assert_eq!(full.stats().format, "full");
     let conversions = || graphblas_obs::snapshot().format.conversions;
     let before = conversions();
@@ -72,40 +56,69 @@ fn reads_never_rewrite_a_bitmap_or_full_store() {
     assert_eq!(full.dup().unwrap().stats().format, "full");
     assert_eq!(full.stats().format, "full");
 
-    assert_eq!(bitmap.extract_element(4).unwrap(), Some(4));
-    assert_eq!(bitmap.extract_element(5).unwrap(), None);
-    assert_eq!(bitmap.nvals().unwrap(), half.len());
-    assert_eq!(bitmap.stats().format, "bitmap");
-
     // Being consulted as a mask is a read like any other: the mask's bits
     // are taken from the store as it stands, by value or by structure.
     let by_structure_complemented = Descriptor::new().structure_mask().complement_mask();
-    // `bitmap` stores a 0 at position 0, which a value mask reads as false.
-    let cases = [
-        (&full, Descriptor::new(), N),
-        (&bitmap, Descriptor::new(), half.len() - 1),
-        (&full, by_structure_complemented, 0),
-        (&bitmap, by_structure_complemented, N - half.len()),
-    ];
-    for (mask, desc, admitted) in cases {
+    for (desc, admitted) in [(Descriptor::new(), N), (by_structure_complemented, 0)] {
         let w = Vector::<i64>::new(N).unwrap();
-        assign_scalar_v(&w, Some(mask), None, 1, ALL, &desc).unwrap();
+        assign_scalar_v(&w, Some(&full), None, 1, ALL, &desc).unwrap();
         assert_eq!(w.nvals().unwrap(), admitted);
     }
-    assert_eq!((full.stats().format, bitmap.stats().format), ("full", "bitmap"));
+    assert_eq!(full.stats().format, "full");
 
     assert_eq!(conversions(), before, "a read converted a store");
 
-    // A write has no full or bitmap path: it converts, once, and the
-    // conversion is counted.
+    // A write has no full path: it converts, once, and the conversion is
+    // counted.
     full.set_element(9, 0).unwrap();
     assert_eq!(full.stats().format, "sparse");
     assert_eq!(full.extract_element(0).unwrap(), Some(9));
     assert_eq!(full.nvals().unwrap(), N);
-    bitmap.remove_element(4).unwrap();
-    assert_eq!(bitmap.stats().format, "sparse");
-    assert_eq!(conversions(), before + 2);
+    assert_eq!(conversions(), before + 1);
     graphblas_obs::set_enabled(false);
+}
+
+#[test]
+fn a_mid_density_product_is_stored_sparse_and_pulled_as_it_is() {
+    let _turn = serialize();
+    graphblas_obs::set_enabled(true);
+    // A private context: its explain log holds this test's events only.
+    let ctx = Context::new(&global_context(), Mode::Blocking, ContextOptions::default());
+    // `uᵀ · A` over the ring i → i + 1 (mod N) moves every entry one step:
+    // a frontier on half the vertices gives a result on half of them.
+    let ring = Matrix::<i64>::new_in(&ctx, N, N).unwrap();
+    let next: Vec<usize> = (0..N).map(|i| (i + 1) % N).collect();
+    ring.build(&all_indices(N), &next, &[1; N], None).unwrap();
+    let u = Vector::<i64>::new_in(&ctx, N).unwrap();
+    let half: Vec<usize> = (0..N).step_by(2).collect();
+    u.build(&half, &vec![3; half.len()], None).unwrap();
+    let sr = Semiring::plus_times();
+    let d = Descriptor::default();
+    let w = Vector::<i64>::new_in(&ctx, N).unwrap();
+    vxm(&w, no_mask_v(), None, &sr, &u, &ring, &d).unwrap();
+    assert_eq!(w.stats().format, "sparse");
+    assert_eq!(w.nvals().unwrap(), N / 2);
+    // The next product pulls it through the position table as it is.
+    let w2 = Vector::<i64>::new_in(&ctx, N).unwrap();
+    force_direction(Some(Direction::Pull));
+    let pulled = mxv(&w2, no_mask_v(), None, &sr, &ring, &w, &d);
+    force_direction(None);
+    pulled.unwrap();
+    graphblas_obs::set_enabled(false);
+    assert_eq!(w2.extract_tuples().unwrap(), u.extract_tuples().unwrap());
+    let events = ctx.explain(usize::MAX).events;
+    let paths: Vec<_> = events
+        .iter()
+        .filter(|e| e.reason == Reason::KernelPath)
+        .collect();
+    assert_eq!(
+        paths.last().map(|e| (e.op, e.detail)),
+        Some(("spmv", "sparse-frontier"))
+    );
+    assert!(
+        !events.iter().any(|e| e.reason == Reason::ConvertSparse),
+        "a mid-density frontier was converted: {events:?}"
+    );
 }
 
 #[test]
