@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! grblint [ROOT]        lint the workspace at ROOT (default: .)
-//! grblint --json [ROOT] emit findings as graphblas-check/findings/v1 JSON
 //! grblint --list-rules  print the rules and exit
 //! ```
 //!
@@ -16,12 +15,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use graphblas_check::lint::{lint_workspace, Rule};
-use graphblas_check::report::{findings_json, JsonFinding};
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: grblint [--json] [ROOT] | grblint --list-rules");
+        eprintln!("usage: grblint [ROOT] | grblint --list-rules");
         return ExitCode::SUCCESS;
     }
     if args.iter().any(|a| a == "--list-rules") {
@@ -30,10 +28,8 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    let json = args.iter().any(|a| a == "--json");
-    args.retain(|a| a != "--json");
     if args.len() > 1 {
-        eprintln!("usage: grblint [--json] [ROOT] | grblint --list-rules");
+        eprintln!("usage: grblint [ROOT] | grblint --list-rules");
         return ExitCode::from(2);
     }
     let root = args
@@ -41,32 +37,16 @@ fn main() -> ExitCode {
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("."));
     match lint_workspace(&root) {
+        Ok(violations) if violations.is_empty() => {
+            println!("grblint: clean ({} rules)", Rule::all().len());
+            ExitCode::SUCCESS
+        }
         Ok(violations) => {
-            if json {
-                let findings: Vec<JsonFinding> = violations
-                    .iter()
-                    .map(|v| JsonFinding {
-                        rule: v.rule.slug().to_string(),
-                        file: v.file.clone(),
-                        line: v.line,
-                        message: v.to_string(),
-                        witness: v.snippet.clone(),
-                    })
-                    .collect();
-                print!("{}", findings_json("grblint", &findings));
-            } else if violations.is_empty() {
-                println!("grblint: clean ({} rules)", Rule::all().len());
-            } else {
-                for v in &violations {
-                    println!("{v}");
-                }
-                println!("grblint: {} violation(s)", violations.len());
+            for v in &violations {
+                println!("{v}");
             }
-            if violations.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
+            println!("grblint: {} violation(s)", violations.len());
+            ExitCode::FAILURE
         }
         Err(e) => {
             eprintln!("grblint: error scanning {}: {e}", root.display());

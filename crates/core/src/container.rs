@@ -55,7 +55,7 @@ use crate::types::ValueType;
 
 /// Adds to a monotonic obs counter.
 fn bump(counter: &AtomicU64, by: u64) {
-    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
+    // grblint: allow(relaxed-ordering) — monotonic obs counter.
     counter.fetch_add(by, Ordering::Relaxed);
 }
 

@@ -166,7 +166,7 @@ pub struct ExecutionError {
 impl ExecutionError {
     pub fn new(kind: ExecErrorKind, message: impl Into<String>) -> Self {
         if graphblas_obs::enabled() {
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
+            // grblint: allow(relaxed-ordering) — monotonic obs counter.
             graphblas_obs::counters::pending()
                 .errors_raised
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);

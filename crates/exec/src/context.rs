@@ -78,9 +78,8 @@ impl Context {
     fn make(parent: Option<Context>, mode: Mode, opts: ContextOptions) -> Context {
         let ctx = Context {
             inner: Arc::new(ContextInner {
-                // grblint: allow(relaxed-ordering); grbsa: protocol(id-alloc)
-                // — unique-id allocation; only atomicity matters, no
-                // ordering is inferred.
+                // grblint: allow(relaxed-ordering) — unique-id allocation;
+                // only atomicity matters, no ordering is inferred.
                 id: NEXT_CONTEXT_ID.fetch_add(1, Ordering::Relaxed),
                 parent,
                 mode,

@@ -99,9 +99,8 @@ impl JobQueue {
             // the high-water mark in the metrics is trustworthy.
             graphblas_obs::counters::record_pool_enqueue(st.jobs.len());
             if st.parked > 0 {
-                // grblint: allow(relaxed-ordering); grbsa: protocol(counter) —
-                // monotonic obs counter; no reader infers cross-thread state
-                // from it.
+                // grblint: allow(relaxed-ordering) — monotonic obs counter;
+                // no reader infers cross-thread state from it.
                 graphblas_obs::counters::pool()
                     .wakes
                     .fetch_add(1, Ordering::Relaxed);
@@ -122,7 +121,7 @@ impl JobQueue {
                 return None;
             }
             if graphblas_obs::enabled() {
-                // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
+                // grblint: allow(relaxed-ordering) — monotonic obs counter.
                 graphblas_obs::counters::pool()
                     .parks
                     .fetch_add(1, Ordering::Relaxed);
@@ -192,7 +191,7 @@ impl ThreadPool {
         F: FnOnce(&Scope<'env, '_>) -> R,
     {
         if graphblas_obs::enabled() {
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
+            // grblint: allow(relaxed-ordering) — monotonic obs counter.
             graphblas_obs::counters::pool()
                 .scopes
                 .fetch_add(1, Ordering::Relaxed);
@@ -275,7 +274,7 @@ impl<'env, 'pool> Scope<'env, 'pool> {
     {
         if in_worker() {
             if graphblas_obs::enabled() {
-                // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
+                // grblint: allow(relaxed-ordering) — monotonic obs counter.
                 graphblas_obs::counters::pool()
                     .tasks_inline
                     .fetch_add(1, Ordering::Relaxed);
@@ -285,7 +284,7 @@ impl<'env, 'pool> Scope<'env, 'pool> {
         }
         let obs = graphblas_obs::enabled();
         if obs {
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
+            // grblint: allow(relaxed-ordering) — monotonic obs counter.
             graphblas_obs::counters::pool()
                 .tasks_spawned
                 .fetch_add(1, Ordering::Relaxed);

@@ -15,13 +15,10 @@
 //! pool park/wake protocols. Keep the algorithms here in lockstep with the
 //! models in `crates/check/tests/`.
 //!
-//! Atomics audit (grbsa): this module intentionally contains **no
-//! atomics** — earlier revisions tracked the pool's parked count with a
-//! relaxed counter, but it now lives under the job queue's mutex, so every
-//! cross-thread protocol here is lock/condvar based and there is nothing
-//! for the `Ordering` audit to classify. `grbsa` also treats this file as
-//! a synchronization primitive (its lock wrappers are the things other
-//! code acquires), so it contributes no lock-order events of its own.
+//! This module contains **no atomics**: earlier revisions tracked the
+//! pool's parked count with a relaxed counter, but it now lives under the
+//! job queue's mutex, so every cross-thread protocol here is lock/condvar
+//! based.
 
 use std::sync;
 

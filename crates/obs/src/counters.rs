@@ -193,8 +193,8 @@ macro_rules! counter_table {
 
         /// Zeroes every counter.
         pub(crate) fn reset() {
-            // grbsa: protocol(counter-reset) — test-isolation zeroing; reset
-            // points are single-threaded harness boundaries.
+            // Test-isolation zeroing: reset points are single-threaded
+            // harness boundaries.
             for c in &KERNELS {
                 $( c.$kfield.store(0, Ordering::Relaxed); )*
             }

@@ -249,8 +249,8 @@ pub fn on() -> bool {
 /// Turns decision recording on or off at runtime. Turning it on does not
 /// by itself enable telemetry (`set_enabled(true)` still gates).
 pub fn set_events(on: bool) {
-    // grbsa: protocol(mode-flag) — advisory toggle; acting on a stale
-    // value loses at most one event, never correctness.
+    // Advisory toggle: acting on a stale value loses at most one event,
+    // never correctness.
     events_flag().store(on, Ordering::Relaxed);
 }
 
@@ -679,8 +679,8 @@ pub(crate) fn reset() {
         r.buf.clear();
         r.written = 0;
     }
-    // grbsa: protocol(counter-reset) — test-isolation zeroing; reset
-    // points are single-threaded harness boundaries.
+    // Test-isolation zeroing: reset points are single-threaded harness
+    // boundaries.
     for c in &REASON_COUNTS {
         c.store(0, Ordering::Relaxed);
     }

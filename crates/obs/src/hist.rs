@@ -77,8 +77,8 @@ impl AtomicHist {
     }
 
     fn reset(&self) {
-        // grbsa: protocol(counter-reset) — test-isolation zeroing; reset
-        // points are single-threaded harness boundaries.
+        // Test-isolation zeroing: reset points are single-threaded harness
+        // boundaries.
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
         }

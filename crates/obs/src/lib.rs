@@ -123,8 +123,8 @@ pub fn enabled() -> bool {
 /// Turns telemetry collection on or off at runtime. Turning it off does
 /// not clear already-collected statistics (see [`reset`]).
 pub fn set_enabled(on: bool) {
-    // grbsa: protocol(mode-flag) — advisory toggle; a racing reader may
-    // record or skip one extra span, never corrupt state.
+    // Advisory toggle: a racing reader may record or skip one extra span,
+    // never corrupt state.
     flags().enabled.store(on, Ordering::Relaxed);
 }
 
@@ -140,8 +140,7 @@ pub fn set_burble(on: bool) {
     if on {
         set_enabled(true);
     }
-    // grbsa: protocol(mode-flag) — advisory toggle, same contract as
-    // `set_enabled` above.
+    // Advisory toggle, same contract as `set_enabled` above.
     flags().burble.store(on, Ordering::Relaxed);
 }
 

@@ -65,8 +65,8 @@ impl Gauge {
     /// Re-arms the high-water mark at the current live figure. Live bytes
     /// track real allocations and survive a [`crate::reset`].
     fn reset_high(&self) {
-        // grbsa: protocol(counter-reset) — re-arming the watermark is a
-        // single-threaded harness-boundary operation.
+        // Re-arming the watermark is a single-threaded harness-boundary
+        // operation.
         self.high.store(self.live(), Ordering::Relaxed);
     }
 }

@@ -69,8 +69,8 @@ pub fn on() -> bool {
 /// Turns timeline recording on or off at runtime. Turning it on does not
 /// by itself enable telemetry (`set_enabled(true)` still gates).
 pub fn set_timeline(on: bool) {
-    // grbsa: protocol(mode-flag) — advisory toggle; acting on a stale
-    // value loses at most one slice, never correctness.
+    // Advisory toggle: acting on a stale value loses at most one slice,
+    // never correctness.
     timeline_flag().store(on, Ordering::Relaxed);
 }
 

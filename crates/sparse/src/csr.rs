@@ -328,8 +328,7 @@ impl<T: Send> Csr<T> {
                         local_dup |= idx[lo..hi].windows(2).any(|w| w[0] == w[1]);
                     }
                     if local_dup {
-                        // grblint: allow(relaxed-ordering)
-                        // grbsa: protocol(scope-joined) — the scope join
+                        // grblint: allow(relaxed-ordering) — the scope join
                         // below is the happens-before edge; the flag is
                         // only read after every task has completed.
                         found_dup.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -337,8 +336,8 @@ impl<T: Send> Csr<T> {
                 });
             }
         });
-        // grblint: allow(relaxed-ordering); grbsa: protocol(scope-joined)
-        // — see the store above.
+        // grblint: allow(relaxed-ordering) — read after the scope join;
+        // see the store above.
         let dups = found_dup.load(std::sync::atomic::Ordering::Relaxed);
         // `rows_sorted` means *strictly* increasing; duplicates invalidate it.
         self.rows_sorted = !dups;

@@ -17,7 +17,7 @@
 # --allow-env are `gated`'s own (seconds, not minutes, numbers not
 # comparable; run although a GRB_* or MALLOC_* variable is set).
 # Scratch (the parent's sources and target directory, raw result lines) goes
-# under target/pairs — ignored by git, skipped by grblint and grbsa — unless
+# under target/pairs — ignored by git, skipped by grblint — unless
 # --dir says otherwise. Exits non-zero if any run
 # reported a failed operation or a wrong answer. Bash + awk only; no file
 # benchmark/ tracks is written.
