@@ -182,7 +182,8 @@ pub fn compare(old_text: &str, new_text: &str, profile: &Profile) -> Result<Comp
     for wl in obj_keys(&old, "median_secs") {
         let old_v = num_at(&old, &["median_secs", wl]).unwrap_or(f64::NAN);
         let Some(new_v) = num_at(&new, &["median_secs", wl]) else {
-            out.notes.push(format!("median {wl}: missing in new baseline"));
+            out.notes
+                .push(format!("median {wl}: missing in new baseline"));
             continue;
         };
         if old_v < profile.median_floor_secs {
@@ -332,10 +333,7 @@ mod tests {
     #[test]
     fn one_sided_keys_are_notes_not_failures() {
         let old = baseline(13, false, 0.020, 3_000_000);
-        let with_extra = old.replace(
-            "\"bfs\":0.0001",
-            "\"bfs\":0.0001,\"fused_apply\":0.001",
-        );
+        let with_extra = old.replace("\"bfs\":0.0001", "\"bfs\":0.0001,\"fused_apply\":0.001");
         let cmp = compare(&old, &with_extra, &Profile::strict()).unwrap();
         assert!(cmp.passed());
         assert!(cmp.notes.iter().any(|n| n.contains("new workload")));
@@ -357,7 +355,9 @@ mod tests {
         // A median regression still fails across the schema bump.
         let v3_slow = baseline(13, false, 0.030, 3_000_000)
             .replace("graphblas-bench/kernels/v2", "graphblas-bench/kernels/v3");
-        assert!(!compare(&old, &v3_slow, &Profile::strict()).unwrap().passed());
+        assert!(!compare(&old, &v3_slow, &Profile::strict())
+            .unwrap()
+            .passed());
     }
 
     #[test]

@@ -109,10 +109,7 @@ fn main() -> ExitCode {
             for m in &missing {
                 eprintln!("tracecheck: {file}: missing {m}");
             }
-            eprintln!(
-                "tracecheck: names seen: {}",
-                summary.names.join(", ")
-            );
+            eprintln!("tracecheck: names seen: {}", summary.names.join(", "));
             return ExitCode::FAILURE;
         }
         println!("tracecheck: kernel coverage OK (spgemm.*, mxv.*, multi-thread)");

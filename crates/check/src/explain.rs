@@ -72,10 +72,7 @@ pub fn expand_reason(name: &str) -> Option<Vec<&'static str>> {
             return Some(codes.to_vec());
         }
     }
-    REASON_CODES
-        .iter()
-        .find(|&&c| c == name)
-        .map(|&c| vec![c])
+    REASON_CODES.iter().find(|&&c| c == name).map(|&c| vec![c])
 }
 
 /// One decision event as read back from the export.
@@ -312,7 +309,11 @@ impl Assert {
                         format!("bad assert spec \"{spec}\": min \"{v}\" is not a number")
                     })?)
                 }
-                _ => return Err(format!("bad assert spec \"{spec}\": unknown part \"{part}\"")),
+                _ => {
+                    return Err(format!(
+                        "bad assert spec \"{spec}\": unknown part \"{part}\""
+                    ))
+                }
             }
         }
         let reason =
@@ -435,10 +436,7 @@ mod tests {
     use super::*;
 
     fn sample() -> String {
-        let mut reasons: Vec<String> = REASON_CODES
-            .iter()
-            .map(|c| format!("\"{c}\":0"))
-            .collect();
+        let mut reasons: Vec<String> = REASON_CODES.iter().map(|c| format!("\"{c}\":0")).collect();
         reasons[0] = "\"direction-push\":2".to_string();
         reasons[1] = "\"direction-pull\":1".to_string();
         reasons[5] = "\"fuse-flush\":1".to_string();
@@ -498,10 +496,7 @@ mod tests {
             Err(ExplainError::Structure(_))
         ));
         // Unknown reason codes are rejected.
-        let bad_code = sample().replace(
-            "\"reason\":\"fuse-flush\"",
-            "\"reason\":\"vibes\"",
-        );
+        let bad_code = sample().replace("\"reason\":\"fuse-flush\"", "\"reason\":\"vibes\"");
         assert!(matches!(parse(&bad_code), Err(ExplainError::Structure(_))));
     }
 
@@ -518,7 +513,9 @@ mod tests {
 
         let doc = parse(&sample()).unwrap();
         assert_eq!(
-            Assert::parse("reason=direction-pick,min=3").unwrap().check(&doc),
+            Assert::parse("reason=direction-pick,min=3")
+                .unwrap()
+                .check(&doc),
             Ok(3)
         );
         assert!(Assert::parse("reason=workspace-checkout,min=1")

@@ -236,8 +236,7 @@ impl<'a> Parser<'a> {
                                 if !(0xDC00..0xE000).contains(&lo) {
                                     return Err(self.err("invalid low surrogate"));
                                 }
-                                let cp =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(cp).ok_or_else(|| self.err("bad code point"))?
                             } else {
                                 char::from_u32(hi).ok_or_else(|| self.err("bad code point"))?
@@ -285,8 +284,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-'
-            {
+            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
                 self.pos += 1;
             } else {
                 break;
@@ -350,7 +348,9 @@ pub fn validate(text: &str) -> Result<TraceSummary, TraceError> {
         .get("traceEvents")
         .ok_or_else(|| TraceError::Structure("missing \"traceEvents\"".into()))?;
     let Value::Arr(events) = events else {
-        return Err(TraceError::Structure("\"traceEvents\" is not an array".into()));
+        return Err(TraceError::Structure(
+            "\"traceEvents\" is not an array".into(),
+        ));
     };
 
     let mut summary = TraceSummary::default();
@@ -392,9 +392,7 @@ pub fn validate(text: &str) -> Result<TraceSummary, TraceError> {
                             at("thread_sort_index metadata missing numeric \"args.sort_index\"")
                         })?;
                     if summary.thread_sort_indices.iter().any(|(t, _)| *t == tid) {
-                        return Err(at(&format!(
-                            "duplicate thread_sort_index for tid {tid}"
-                        )));
+                        return Err(at(&format!("duplicate thread_sort_index for tid {tid}")));
                     }
                     summary.thread_sort_indices.push((tid, idx as u64));
                 }
@@ -506,7 +504,10 @@ mod tests {
             Err(TraceError::Unbalanced { tid: 1, .. })
         ));
         let stray = trace(&[ev("E", "x", 1, 0.0)]);
-        assert!(matches!(validate(&stray), Err(TraceError::Unbalanced { .. })));
+        assert!(matches!(
+            validate(&stray),
+            Err(TraceError::Unbalanced { .. })
+        ));
         // Overlapping (not nested) close order.
         let crossed = trace(&[
             ev("B", "a", 1, 0.0),
@@ -514,13 +515,15 @@ mod tests {
             ev("E", "a", 1, 2.0),
             ev("E", "b", 1, 3.0),
         ]);
-        assert!(matches!(validate(&crossed), Err(TraceError::Unbalanced { .. })));
+        assert!(matches!(
+            validate(&crossed),
+            Err(TraceError::Unbalanced { .. })
+        ));
     }
 
     #[test]
     fn string_escapes_round_trip() {
-        let v = parse_json(r#"{"a":"quote \" slash \\ nl \n uni é pair 😀"}"#)
-            .unwrap();
+        let v = parse_json(r#"{"a":"quote \" slash \\ nl \n uni é pair 😀"}"#).unwrap();
         assert_eq!(
             v.get("a").unwrap().as_str().unwrap(),
             "quote \" slash \\ nl \n uni é pair 😀"

@@ -177,8 +177,8 @@ fn buggy_unlocked_park_check_loses_wakeups() {
         assert_eq!(consumer.join(), Some(42));
     };
     let cfg = Config::default().schedules_from_env(1000);
-    let failure = sched::explore(&cfg, body)
-        .expect_err("exploration must find the lost-wakeup interleaving");
+    let failure =
+        sched::explore(&cfg, body).expect_err("exploration must find the lost-wakeup interleaving");
     assert!(
         failure.message.contains("deadlock"),
         "expected a deadlock report, got: {}",

@@ -41,10 +41,7 @@ fn exported_trace_is_balanced_and_escaped() {
     assert!(summary.max_depth >= 2, "expected nesting: {summary:?}");
     // The escaped name must round-trip through writer + reader intact.
     assert!(
-        summary
-            .names
-            .iter()
-            .any(|n| n == "fmt.\"inner\"\n\ttab\\"),
+        summary.names.iter().any(|n| n == "fmt.\"inner\"\n\ttab\\"),
         "escaped name mangled: {:?}",
         summary.names
     );
