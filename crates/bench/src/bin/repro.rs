@@ -476,7 +476,7 @@ fn table3_import_export() {
         std::hint::black_box(Matrix::<f64>::deserialize(&bytes).unwrap());
     });
     println!("| serialize (opaque) | {} | {} | {} bytes |", fmt_time(t_ser), fmt_time(t_de), bytes.len());
-    println!("export hint reflects internal format: {:?} ✓", a.export_hint());
+    println!("export hint (the one internal store): {:?} ✓", a.export_hint());
 }
 
 // ---------------------------------------------------------------------

@@ -14,15 +14,10 @@
 //! container.
 
 pub use graphblas_core::introspect::{grb_check, Check, CheckError};
-use graphblas_sparse::{Coo, Csc, Csr, Dense, DenseVec, FormatError, SparseVec};
+use graphblas_sparse::{Coo, Csr, Dense, DenseVec, FormatError, SparseVec};
 
 /// Validates a bare CSR store (Table III `GrB_CSR_MATRIX` invariants).
 pub fn check_csr<T>(a: &Csr<T>) -> Result<(), FormatError> {
-    a.check()
-}
-
-/// Validates a bare CSC store (`GrB_CSC_MATRIX`).
-pub fn check_csc<T>(a: &Csc<T>) -> Result<(), FormatError> {
     a.check()
 }
 

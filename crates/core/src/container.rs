@@ -35,9 +35,7 @@
 //! they run only on the thread whose read, `wait` or `Blocking` method
 //! forced them — nothing drains in the background. Stages never lock
 //! their inputs: operations snapshot every input *before* taking the
-//! output's lock. The one nesting is `extract_element_scalar`, whose stage
-//! runs under the scalar's lock and reads the matrix/vector (scalar →
-//! matrix/vector, never the reverse).
+//! output's lock, so no stage holds two container locks.
 
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};

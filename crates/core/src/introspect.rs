@@ -2,8 +2,8 @@
 //!
 //! GraphBLAS 2.0 objects are opaque, and under nonblocking execution (§III)
 //! even their *contents* are in flux — operations may sit in the pending
-//! sequence, storage may be in any Table III format, and an execution error
-//! may be latent (§V). [`ObjectStats`] reports all of that without forcing
+//! sequence, a matrix's rows may be unsorted, a vector may be sparse or
+//! full, and an execution error may be latent (§V). [`ObjectStats`] reports all of that without forcing
 //! completion: querying never drains the sequence, converts storage, or
 //! otherwise perturbs what it observes.
 
@@ -30,8 +30,8 @@ pub struct ObjectStats {
     /// sequence plus (matrices) element updates not yet merged into the
     /// store.
     pub pending: u64,
-    /// Current storage format (`"csr"`, `"csc"`, `"coo"`, `"dense"`,
-    /// `"sparse"`, `"full"`).
+    /// Current storage format: `"csr"` for every matrix, `"sparse"` or
+    /// `"full"` for a vector.
     pub format: &'static str,
     /// Whether a sticky execution error poisons the object (§V).
     pub failed: bool,
@@ -77,7 +77,8 @@ impl ObjectStats {
 pub enum CheckError {
     /// The store violates its Table III format invariants.
     Format {
-        /// The format the store claimed (`"csr"`, `"coo"`, …).
+        /// The store's format (`"csr"`, `"sparse"`, `"full"`) or the
+        /// matrix update log.
         format: &'static str,
         /// The underlying violation.
         source: FormatError,
@@ -158,7 +159,7 @@ mod tests {
             ncols: 4,
             nvals: 2,
             pending: 1,
-            format: "coo",
+            format: "csr",
             failed: false,
             ctx: 7,
         };

@@ -9,16 +9,17 @@
 //! an acquire/release flag, as in the paper's Fig. 1 — because completion,
 //! not locking, is what makes a sequence's results visible.
 //!
-//! Internally the storage format is lazy (Table III formats are kept
-//! as-imported until a kernel needs CSR); `export_hint` reports whatever
-//! the object currently holds. Element-wise writes are lazy too:
-//! `set_element`/`remove_element` append to an update log that the next
-//! read, `wait` or queued operation merges into the store in one pass.
+//! Internally a matrix has one store, CSR, whose rows may be unsorted until
+//! a reader needs them ordered. A Table III import converts to it on
+//! arrival (`transfer.rs`), so `export_hint` answers CSR. Element-wise
+//! writes are lazy: `set_element`/`remove_element` append to an update log
+//! that the next read, `wait` or queued operation merges into the store in
+//! one pass.
 
 use std::sync::Arc;
 
 use graphblas_exec::Context;
-use graphblas_sparse::{Coo, Csc, Csr, Dense, ElementUpdate};
+use graphblas_sparse::{Coo, Csr, ElementUpdate};
 
 use crate::container::{Container, State, Store};
 use crate::error::{ApiError, Error, GrbResult};
@@ -28,50 +29,19 @@ use crate::pending::{fuse_maps, MapFn, WaitMode};
 use crate::scalar::Scalar;
 use crate::types::{Index, MaskValue, ValueType};
 
-/// The lazy internal storage of a matrix.
-pub(crate) enum MatStore<T: ValueType> {
-    Csr(Arc<Csr<T>>),
-    Csc(Arc<Csc<T>>),
-    Coo(Arc<Coo<T>>),
-    Dense(Arc<Dense<T>>),
-}
+/// The store of a matrix: a CSR that never holds a coordinate twice, its
+/// rows sorted or not ([`Csr::is_rows_sorted`]).
+#[derive(Clone)]
+pub(crate) struct MatStore<T: ValueType>(pub(crate) Arc<Csr<T>>);
 
-impl<T: ValueType> Clone for MatStore<T> {
-    fn clone(&self) -> Self {
-        match self {
-            MatStore::Csr(a) => MatStore::Csr(a.clone()),
-            MatStore::Csc(a) => MatStore::Csc(a.clone()),
-            MatStore::Coo(a) => MatStore::Coo(a.clone()),
-            MatStore::Dense(a) => MatStore::Dense(a.clone()),
-        }
-    }
-}
-
-/// A CSR store that no snapshot, `dup` or transpose memo still holds gives
-/// its arrays to the thread's result shelf when it is dropped or replaced
+/// A store that no snapshot, `dup` or transpose memo still holds gives its
+/// arrays to the thread's result shelf when it is dropped or replaced
 /// (`C = op(C, …)`), so the next result of its size is not faulted in from
 /// a fresh mapping. A shared store is left to its other holders.
 impl<T: ValueType> Drop for MatStore<T> {
     fn drop(&mut self) {
-        if let MatStore::Csr(a) = self {
-            if let Some(csr) = Arc::get_mut(a) {
-                std::mem::replace(csr, Csr::empty(0, 0)).recycle();
-            }
-        }
-    }
-}
-
-impl<T: ValueType> MatStore<T> {
-    /// Allocated buffer bytes of the current store. Shared (copy-on-write)
-    /// stores are counted by every handle that reaches them, so the
-    /// container gauges report *reachable* bytes — an upper bound on
-    /// unique allocation.
-    pub(crate) fn bytes(&self) -> u64 {
-        match self {
-            MatStore::Csr(a) => a.bytes(),
-            MatStore::Csc(a) => a.bytes(),
-            MatStore::Coo(a) => a.bytes(),
-            MatStore::Dense(a) => a.bytes(),
+        if let Some(csr) = Arc::get_mut(&mut self.0) {
+            std::mem::replace(csr, Csr::empty(0, 0)).recycle();
         }
     }
 }
@@ -113,11 +83,13 @@ impl<T: ValueType> MatrixState<T> {
         }
     }
 
-    /// Folds the update log, then converts the store to CSR in place
-    /// (sorting rows when `sorted`).
+    /// Folds the update log, then sorts the store's rows when `sorted`.
     pub(crate) fn ensure_csr(&mut self, ctx: &Context, sorted: bool) -> GrbResult {
         self.fold_updates(ctx)?;
-        self.canonicalize(ctx, sorted)
+        if sorted {
+            self.sort_rows(ctx);
+        }
+        Ok(())
     }
 
     /// Applies the update log to the store as one sorted merge
@@ -128,7 +100,7 @@ impl<T: ValueType> MatrixState<T> {
         if self.updates.is_empty() {
             return Ok(());
         }
-        self.canonicalize(ctx, true)?;
+        self.sort_rows(ctx);
         let log = std::mem::take(&mut self.updates);
         let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Convert, ctx.id());
         let (nnz_in, p) = (self.csr().nnz() as u64, log.len() as u64);
@@ -137,60 +109,33 @@ impl<T: ValueType> MatrixState<T> {
             let elem = (std::mem::size_of::<usize>() + std::mem::size_of::<T>()) as u64;
             sp.io(0, nnz_in + p, merged.nnz() as u64, (nnz_in + p) * elem);
         }
-        self.store = MatStore::Csr(Arc::new(merged));
+        self.store = MatStore(Arc::new(merged));
         // Stale by pointer identity already; dropped to free it promptly.
         self.transpose_cache = None;
         self.debug_check();
         Ok(())
     }
 
-    /// Converts the store to CSR in place (sorting rows when `sorted`);
-    /// the update log is not consulted.
-    fn canonicalize(&mut self, ctx: &Context, sorted: bool) -> GrbResult {
-        let src_format = match &self.store {
-            MatStore::Csr(_) => None,
-            MatStore::Csc(_) => Some("csc"),
-            MatStore::Coo(_) => Some("coo"),
-            MatStore::Dense(_) => Some("dense"),
-        };
-        let csr: Arc<Csr<T>> = match &self.store {
-            MatStore::Csr(a) => a.clone(),
-            MatStore::Csc(c) => Arc::new(c.to_csr(ctx)),
-            MatStore::Coo(coo) => Arc::new(coo.to_csr(ctx, None)?),
-            MatStore::Dense(d) => Arc::new(d.to_csr(ctx)),
-        };
-        let needs_sort = sorted && !csr.is_rows_sorted();
-        let csr = if needs_sort {
-            let mut owned = Arc::try_unwrap(csr).unwrap_or_else(|a| (*a).clone());
-            let dups = owned.sort_rows(ctx);
-            debug_assert!(!dups, "canonical CSR stores cannot contain duplicates");
-            Arc::new(owned)
-        } else {
-            csr
-        };
-        if graphblas_obs::events::on() {
-            // Emit only when work happened: a store already in (sorted)
-            // CSR form is a no-op, not a conversion decision.
-            if let Some(src) = src_format.or(needs_sort.then_some("unsorted")) {
-                graphblas_obs::events::decision_convert_csr(
-                    "matrix",
-                    ctx.id(),
-                    src,
-                    csr.nnz() as u64,
-                );
-            }
+    /// Sorts the store's rows if they are not; the update log is not
+    /// consulted. A store shared with a snapshot is copied first.
+    fn sort_rows(&mut self, ctx: &Context) {
+        if self.csr().is_rows_sorted() {
+            return;
         }
-        self.store = MatStore::Csr(csr);
+        let csr = Arc::make_mut(&mut self.store.0);
+        let dup = csr.sort_rows(ctx);
+        debug_assert!(dup.is_none(), "a matrix store holds no coordinate twice");
+        if graphblas_obs::events::on() {
+            let nnz = csr.nnz() as u64;
+            graphblas_obs::events::decision_convert_csr("matrix", ctx.id(), "unsorted", nnz);
+        }
         self.debug_check();
-        Ok(())
     }
 
-    /// Borrows the CSR store (must call [`Self::ensure_csr`] first).
+    /// Borrows the CSR store (call [`Self::ensure_csr`] first to fold the
+    /// update log).
     pub(crate) fn csr(&self) -> &Arc<Csr<T>> {
-        match &self.store {
-            MatStore::Csr(a) => a,
-            _ => unreachable!("ensure_csr must precede csr()"),
-        }
+        &self.store.0
     }
 
     /// The transpose of the current CSR store (must call
@@ -236,10 +181,12 @@ impl<T: ValueType> Store for MatrixState<T> {
     const DRAIN_SITE: &'static str = "matrix.drain";
 
     /// Store bytes plus the update log's: un-folded updates are container
-    /// bytes too.
+    /// bytes too. A shared (copy-on-write) store is counted by every handle
+    /// that reaches it, so the container gauges report *reachable* bytes —
+    /// an upper bound on unique allocation.
     fn bytes(&self) -> u64 {
         let log = self.updates.capacity() * std::mem::size_of::<ElementUpdate<T>>();
-        self.store.bytes() + log as u64
+        self.csr().bytes() + log as u64
     }
 
     fn unfolded(&self) -> usize {
@@ -256,43 +203,19 @@ impl<T: ValueType> Store for MatrixState<T> {
             .csr()
             .filter_map_with_index(ctx, |i, j, v| fuse_maps(run, &[i, j], v));
         let counts = (st.csr().nnz() as u64, out.nnz() as u64);
-        st.store = MatStore::Csr(Arc::new(out));
+        st.store = MatStore(Arc::new(out));
         Ok(counts)
     }
 
     /// Table III invariants of the current store, store-vs-logical shape
     /// agreement, and update-log bounds.
     fn check(&self) -> Result<(), CheckError> {
-        let shape = match &self.store {
-            MatStore::Csr(a) => {
-                a.check().map_err(|source| CheckError::Format {
-                    format: "csr",
-                    source,
-                })?;
-                (a.nrows(), a.ncols())
-            }
-            MatStore::Csc(a) => {
-                a.check().map_err(|source| CheckError::Format {
-                    format: "csc",
-                    source,
-                })?;
-                (a.nrows(), a.ncols())
-            }
-            MatStore::Coo(a) => {
-                a.check().map_err(|source| CheckError::Format {
-                    format: "coo",
-                    source,
-                })?;
-                (a.nrows(), a.ncols())
-            }
-            MatStore::Dense(a) => {
-                a.check().map_err(|source| CheckError::Format {
-                    format: "dense",
-                    source,
-                })?;
-                (a.nrows(), a.ncols())
-            }
-        };
+        let a = self.csr();
+        a.check().map_err(|source| CheckError::Format {
+            format: "csr",
+            source,
+        })?;
+        let shape = (a.nrows(), a.ncols());
         if shape != (self.nrows, self.ncols) {
             return Err(CheckError::ShapeMismatch {
                 logical: (self.nrows as u64, self.ncols as u64),
@@ -363,11 +286,7 @@ impl<T: ValueType> Matrix<T> {
         }
         Ok(Self::from_state(
             ctx,
-            MatrixState::fresh(
-                nrows,
-                ncols,
-                MatStore::Csr(Arc::new(Csr::empty(nrows, ncols))),
-            ),
+            MatrixState::fresh(nrows, ncols, MatStore(Arc::new(Csr::empty(nrows, ncols)))),
         ))
     }
 
@@ -421,7 +340,7 @@ impl<T: ValueType> Matrix<T> {
         let mut st = self.core.lock_raw();
         st.reset();
         st.updates.clear();
-        st.store = MatStore::Csr(Arc::new(Csr::empty(st.nrows, st.ncols)));
+        st.store = MatStore(Arc::new(Csr::empty(st.nrows, st.ncols)));
         // Pointer identity already invalidates the cache; dropping it here
         // just frees the memory promptly.
         st.transpose_cache = None;
@@ -449,7 +368,7 @@ impl<T: ValueType> Matrix<T> {
             Csr::from_parts(nrows, ncols, indptr, indices, values).map_err(Error::from)?;
         st.nrows = nrows;
         st.ncols = ncols;
-        st.store = MatStore::Csr(Arc::new(resized));
+        st.store = MatStore(Arc::new(resized));
         st.transpose_cache = None;
         Ok(())
     }
@@ -507,18 +426,19 @@ impl<T: ValueType> Matrix<T> {
     }
 
     /// Table II scalar variant of `extractElement`: a missing element
-    /// yields an *empty* scalar rather than an error-like code, and in a
-    /// nonblocking context the read itself is deferred into the scalar's
-    /// sequence (§VI).
+    /// yields an *empty* scalar rather than an error-like code (§VI). The
+    /// element is read now, as every deferred operation snapshots its
+    /// operands at the call; in a nonblocking context only the write into
+    /// the scalar is deferred into its sequence.
     pub fn extract_element_scalar(&self, s: &Scalar<T>, i: Index, j: Index) -> GrbResult {
         s.check_context(&self.context())?;
         let (nrows, ncols) = self.shape();
         if i >= nrows || j >= ncols {
             return Err(ApiError::InvalidIndex.into());
         }
-        let this = self.clone();
+        let value = self.extract_element(i, j)?;
         s.core.apply_write(Box::new(move |slot| {
-            **slot = this.extract_element(i, j)?;
+            **slot = value;
             Ok(())
         }))
     }
@@ -552,7 +472,7 @@ impl<T: ValueType> Matrix<T> {
                 None => coo.into_csr(&ctx, None),
             }
             .map_err(Error::from)?;
-            st.store = MatStore::Csr(Arc::new(csr));
+            st.store = MatStore(Arc::new(csr));
             Ok(())
         }))
     }
@@ -641,13 +561,7 @@ impl<T: ValueType> Matrix<T> {
     /// now, which may lag the sequence.
     pub fn stats(&self) -> ObjectStats {
         let st = self.core.lock_raw();
-        let (format, nvals) = match &st.store {
-            MatStore::Csr(a) => ("csr", a.nnz()),
-            MatStore::Csc(a) => ("csc", a.nnz()),
-            MatStore::Coo(a) => ("coo", a.nnz()),
-            MatStore::Dense(a) => ("dense", a.values().len()),
-        };
-        st.stats((st.nrows, st.ncols), nvals, format)
+        st.stats((st.nrows, st.ncols), st.csr().nnz(), "csr")
     }
 
     /// `GrB_explain`-style decision provenance scoped to this matrix's
@@ -1007,7 +921,7 @@ mod tests {
         // A store whose shape disagrees with the logical dimensions fails.
         let bad = Matrix::from_state(
             &global_context(),
-            MatrixState::fresh(2, 2, MatStore::Csr(Arc::new(Csr::<i64>::empty(3, 3)))),
+            MatrixState::fresh(2, 2, MatStore(Arc::new(Csr::<i64>::empty(3, 3)))),
         );
         assert!(matches!(
             grb_check(&bad),

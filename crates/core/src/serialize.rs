@@ -433,6 +433,22 @@ mod tests {
     }
 
     #[test]
+    fn repeated_column_is_a_corrupt_stream() {
+        // A 1 × 2 matrix whose one row stores column 0 twice, under a
+        // valid checksum.
+        let mut out = Vec::new();
+        write_header(&mut out, KIND_MATRIX, std::any::type_name::<i64>());
+        for x in [1, 2, 2, 0, 2, 0, 0] {
+            out.put_u64_le(x);
+        }
+        for v in [1i64, 2] {
+            v.write_bytes(&mut out);
+        }
+        let err = Matrix::<i64>::deserialize(&finish(out)).unwrap_err();
+        assert_eq!(err, corrupt("inconsistent arrays"));
+    }
+
+    #[test]
     fn wrong_type_is_domain_mismatch() {
         let m = Matrix::<i64>::new(2, 2).unwrap();
         let bytes = m.serialize().unwrap();

@@ -1,11 +1,12 @@
 //! Import/export between GraphBLAS containers and the non-opaque formats
 //! of the paper's Table III (§VII.A).
 //!
-//! * **Import** adopts the user's arrays in the stated format. Storage
-//!   stays in that format until a kernel needs CSR — so
-//!   [`Matrix::export_hint`] honestly reports what the object currently
-//!   holds, exactly the "which format might be most efficient" contract of
-//!   `GrB_Matrix_exportHint`.
+//! * **Import** validates the user's arrays at the call and converts them
+//!   to the one matrix store, a CSR that holds no coordinate twice. A CSR
+//!   with sorted rows is adopted as it is; any other import is one queued
+//!   stage, as [`Matrix::build`]'s is, so a repeated coordinate is
+//!   `build`'s execution error. [`Matrix::export_hint`] therefore answers
+//!   CSR: `GrB_Matrix_exportHint` is only a hint.
 //! * **Export** follows the two-step C protocol: `export_size` tells the
 //!   caller how much to allocate; `export_into` fills caller-provided
 //!   buffers **without growing them** (a too-small buffer is the
@@ -17,7 +18,9 @@
 
 use std::sync::Arc;
 
-use graphblas_sparse::{Coo, Csc, Csr, Dense, DenseVec, Layout, SparseVec};
+use graphblas_exec::Context;
+use graphblas_sparse::transpose::transpose;
+use graphblas_sparse::{Coo, Csr, Dense, DenseVec, FormatError, Layout, SparseVec};
 
 use crate::error::{ApiError, Error, ExecErrorKind, GrbResult};
 use crate::matrix::{MatStore, Matrix, MatrixState};
@@ -78,10 +81,12 @@ impl<T: ValueType> Matrix<T> {
 
     /// `GrB_Matrix_import`: constructs a matrix from Table III arrays.
     /// Array-shape violations are API errors (`GrB_INVALID_VALUE` /
-    /// `GrB_NULL_POINTER`); duplicate COO coordinates surface later as an
-    /// execution error, when the store is first canonicalized.
+    /// `GrB_NULL_POINTER`), reported at the call. A repeated coordinate is
+    /// [`Matrix::build`]'s execution error, reported as `build` reports it:
+    /// at the call in a Blocking context, at the first read in a
+    /// NonBlocking one.
     pub fn import_in(
-        ctx: &graphblas_exec::Context,
+        ctx: &Context,
         nrows: Index,
         ncols: Index,
         format: Format,
@@ -92,41 +97,50 @@ impl<T: ValueType> Matrix<T> {
         if nrows == 0 || ncols == 0 {
             return Err(ApiError::InvalidValue.into());
         }
-        let store = match format {
+        let to_csr: Box<dyn FnOnce(&Context) -> Result<Csr<T>, FormatError> + Send> = match format {
             Format::Csr => {
                 let indptr = indptr.ok_or(ApiError::NullPointer)?;
                 let indices = indices.ok_or(ApiError::NullPointer)?;
-                MatStore::Csr(Arc::new(
-                    Csr::from_parts(nrows, ncols, indptr, indices, values).map_err(api_invalid)?,
-                ))
+                let a =
+                    Csr::from_parts(nrows, ncols, indptr, indices, values).map_err(api_invalid)?;
+                if a.is_rows_sorted() {
+                    let state = MatrixState::fresh(nrows, ncols, MatStore(Arc::new(a)));
+                    return Ok(Matrix::from_state(ctx, state));
+                }
+                Box::new(move |ctx| sorted_distinct(ctx, a, false))
             }
             Format::Csc => {
                 let indptr = indptr.ok_or(ApiError::NullPointer)?;
                 let indices = indices.ok_or(ApiError::NullPointer)?;
-                MatStore::Csc(Arc::new(
-                    Csc::from_parts(nrows, ncols, indptr, indices, values).map_err(api_invalid)?,
-                ))
+                // A CSC matrix is the CSR of its transpose.
+                let t =
+                    Csr::from_parts(ncols, nrows, indptr, indices, values).map_err(api_invalid)?;
+                Box::new(move |ctx| Ok(transpose(ctx, &sorted_distinct(ctx, t, true)?)))
             }
             Format::Coo => {
                 // Table III: indptr holds column indices, indices holds row
                 // indices for COO.
                 let cols = indptr.ok_or(ApiError::NullPointer)?;
                 let rows = indices.ok_or(ApiError::NullPointer)?;
-                MatStore::Coo(Arc::new(
-                    Coo::from_parts(nrows, ncols, rows, cols, values).map_err(api_invalid)?,
-                ))
+                let coo = Coo::from_parts(nrows, ncols, rows, cols, values).map_err(api_invalid)?;
+                Box::new(move |ctx| coo.into_csr(ctx, None))
             }
-            Format::DenseRow => MatStore::Dense(Arc::new(
-                Dense::from_parts(nrows, ncols, Layout::RowMajor, values).map_err(api_invalid)?,
-            )),
-            Format::DenseCol => MatStore::Dense(Arc::new(
-                Dense::from_parts(nrows, ncols, Layout::ColMajor, values).map_err(api_invalid)?,
-            )),
+            Format::DenseRow | Format::DenseCol => {
+                let layout = match format {
+                    Format::DenseRow => Layout::RowMajor,
+                    _ => Layout::ColMajor,
+                };
+                let d = Dense::from_parts(nrows, ncols, layout, values).map_err(api_invalid)?;
+                Box::new(move |ctx| Ok(d.to_csr(ctx)))
+            }
         };
-        Ok(Matrix::from_state(
-            ctx,
-            MatrixState::fresh(nrows, ncols, store),
-        ))
+        let m = Matrix::new_in(ctx, nrows, ncols)?;
+        let ctx = ctx.clone();
+        m.core.apply_write(Box::new(move |st| {
+            st.store = MatStore(Arc::new(to_csr(&ctx)?));
+            Ok(())
+        }))?;
+        Ok(m)
     }
 
     /// `GrB_Matrix_exportSize`: `(indptr_len, indices_len, values_len)`
@@ -188,11 +202,7 @@ impl<T: ValueType> Matrix<T> {
                 let (p, i, v) = (*csr).clone().into_parts();
                 (p, i, v)
             }
-            Format::Csc => {
-                let csc = Csc::from_csr(&ctx, &csr);
-                let (p, i, v) = csc.into_parts();
-                (p, i, v)
-            }
+            Format::Csc => transpose(&ctx, &csr).into_parts(),
             Format::Coo => {
                 let (rows, cols, vals) = csr.tuples();
                 // Table III: indptr ← column indices, indices ← row indices.
@@ -210,29 +220,25 @@ impl<T: ValueType> Matrix<T> {
     }
 
     /// `GrB_Matrix_exportHint`: the format the implementation believes is
-    /// cheapest to export right now — the current internal format. Returns
-    /// `None` (the C API's `GrB_NO_VALUE`) while the sequence is still
-    /// pending, since the final format is not yet determined.
+    /// cheapest to export — CSR, the one store. Returns `None` (the C API's
+    /// `GrB_NO_VALUE`) while work is still pending.
     pub fn export_hint(&self) -> Option<Format> {
         // Queued stages and un-folded element updates both count.
-        if self.stats().pending > 0 {
-            return None;
-        }
-        let st = self.inner_store_kind();
-        Some(st)
+        (self.stats().pending == 0).then_some(Format::Csr)
     }
+}
 
-    pub(crate) fn inner_store_kind(&self) -> Format {
-        let st = self.core.lock_raw();
-        match &st.store {
-            MatStore::Csr(_) => Format::Csr,
-            MatStore::Csc(_) => Format::Csc,
-            MatStore::Coo(_) => Format::Coo,
-            MatStore::Dense(d) => match d.layout() {
-                Layout::RowMajor => Format::DenseRow,
-                Layout::ColMajor => Format::DenseCol,
-            },
-        }
+/// `a` with its rows sorted, or `build`'s duplicate error at its first
+/// repeated coordinate (`a` holds `Aᵀ` when `transposed`).
+fn sorted_distinct<T: ValueType>(
+    ctx: &Context,
+    mut a: Csr<T>,
+    transposed: bool,
+) -> Result<Csr<T>, FormatError> {
+    match a.sort_rows(ctx) {
+        None => Ok(a),
+        Some((i, j)) if transposed => Err(FormatError::Duplicate { row: j, col: i }),
+        Some((i, j)) => Err(FormatError::Duplicate { row: i, col: j }),
     }
 }
 
@@ -253,9 +259,11 @@ impl<T: ValueType> Vector<T> {
         )
     }
 
-    /// `GrB_Vector_import`: constructs a vector from Table III arrays.
+    /// `GrB_Vector_import`: constructs a vector from Table III arrays. A
+    /// repeated index is [`Vector::build`]'s execution error, reported as
+    /// [`Matrix::import_in`] reports a repeated coordinate.
     pub fn import_in(
-        ctx: &graphblas_exec::Context,
+        ctx: &Context,
         n: Index,
         format: VectorFormat,
         indices: Option<Vec<Index>>,
@@ -267,7 +275,16 @@ impl<T: ValueType> Vector<T> {
         let store = match format {
             VectorFormat::Sparse => {
                 let indices = indices.ok_or(ApiError::NullPointer)?;
-                let sv = SparseVec::from_parts(n, indices, values).map_err(api_invalid)?;
+                let mut sv = SparseVec::from_parts(n, indices, values).map_err(api_invalid)?;
+                if !sv.is_sorted() {
+                    let v = Vector::new_in(ctx, n)?;
+                    v.core.apply_write(Box::new(move |st| {
+                        sv.sort_dedup(None).map_err(Error::from)?;
+                        st.store = VecStore::Sparse(Arc::new(sv));
+                        Ok(())
+                    }))?;
+                    return Ok(v);
+                }
                 VecStore::Sparse(Arc::new(sv))
             }
             VectorFormat::Dense => {
@@ -348,6 +365,7 @@ impl<T: ValueType> Vector<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphblas_exec::Mode;
 
     #[test]
     fn format_codes_are_pinned() {
@@ -383,7 +401,7 @@ mod tests {
     fn all_formats_roundtrip_through_each_other() {
         let src =
             Matrix::<i32>::import(2, 2, Format::DenseRow, None, None, vec![1, 2, 3, 4]).unwrap();
-        assert_eq!(src.export_hint(), Some(Format::DenseRow));
+        assert_eq!(src.export_hint(), Some(Format::Csr));
         for fmt in [
             Format::Csr,
             Format::Csc,
@@ -401,7 +419,8 @@ mod tests {
                 v,
             )
             .unwrap();
-            assert_eq!(m.export_hint(), Some(fmt));
+            // Every import converts on arrival: the hint is the one store.
+            assert_eq!(m.export_hint(), Some(Format::Csr));
             for r in 0..2 {
                 for c in 0..2 {
                     assert_eq!(
@@ -442,20 +461,115 @@ mod tests {
         assert_eq!(err.code(), -103);
     }
 
+    fn contexts() -> [(Mode, Context); 2] {
+        [Mode::Blocking, Mode::NonBlocking].map(|mode| {
+            (
+                mode,
+                Context::new(&crate::global_context(), mode, Default::default()),
+            )
+        })
+    }
+
+    /// Asserts that `import` reports `build`'s duplicate error in `mode`:
+    /// from the call in Blocking, from the first read in NonBlocking.
+    fn assert_duplicate_error<X>(
+        mode: Mode,
+        import: GrbResult<X>,
+        read: impl FnOnce(&X) -> GrbResult<usize>,
+        at: (Index, Index),
+    ) {
+        let err = match mode {
+            Mode::Blocking => import
+                .err()
+                .expect("a Blocking import reports the duplicate"),
+            Mode::NonBlocking => {
+                read(&import.expect("a NonBlocking import defers the duplicate")).unwrap_err()
+            }
+        };
+        assert!(err.is_execution(), "{mode:?}: {err:?}");
+        assert_eq!(err.code(), -104, "{mode:?}: {err:?}");
+        let expect = FormatError::Duplicate {
+            row: at.0,
+            col: at.1,
+        }
+        .to_string();
+        assert!(err.to_string().contains(&expect), "{mode:?}: {err}");
+    }
+
+    #[test]
+    fn csr_and_csc_imports_reject_a_repeated_coordinate() {
+        for (mode, ctx) in contexts() {
+            // (0, 0) twice, as CSR (row 0 repeats column 0) and as CSC
+            // (column 0 repeats row 0).
+            for (format, indptr) in [(Format::Csr, vec![0, 2]), (Format::Csc, vec![0, 2, 2])] {
+                let import = Matrix::<i64>::import_in(
+                    &ctx,
+                    1,
+                    2,
+                    format,
+                    Some(indptr),
+                    Some(vec![0, 0]),
+                    vec![1, 2],
+                );
+                assert_duplicate_error(mode, import, |m| m.nvals(), (0, 0));
+            }
+            // Unsorted rows without a repeat convert to the same matrix.
+            let m = Matrix::<i64>::import_in(
+                &ctx,
+                1,
+                3,
+                Format::Csr,
+                Some(vec![0, 2]),
+                Some(vec![2, 0]),
+                vec![5, 6],
+            )
+            .unwrap();
+            assert_eq!(
+                m.extract_tuples().unwrap(),
+                (vec![0, 0], vec![0, 2], vec![6, 5])
+            );
+        }
+    }
+
+    /// Reported as `build` reports a duplicate: from the call in Blocking,
+    /// deferred to the first read in NonBlocking.
     #[test]
     fn coo_import_defers_duplicate_error() {
-        let m = Matrix::<i64>::import(
-            2,
-            2,
-            Format::Coo,
-            Some(vec![0, 0]), // column indices
-            Some(vec![1, 1]), // row indices
-            vec![7, 8],
-        )
-        .unwrap();
-        // The duplicate surfaces when the store is canonicalized.
-        let err = m.nvals().unwrap_err();
-        assert!(err.is_execution());
+        for (mode, ctx) in contexts() {
+            let coo = Matrix::<i64>::import_in(
+                &ctx,
+                2,
+                2,
+                Format::Coo,
+                Some(vec![0, 0]), // column indices
+                Some(vec![1, 1]), // row indices
+                vec![7, 8],
+            );
+            assert_duplicate_error(mode, coo, |m| m.nvals(), (1, 0));
+        }
+    }
+
+    #[test]
+    fn repeated_vector_index_is_builds_error() {
+        for (mode, ctx) in contexts() {
+            let import = Vector::<i64>::import_in(
+                &ctx,
+                3,
+                VectorFormat::Sparse,
+                Some(vec![1, 1]),
+                vec![5, 6],
+            );
+            assert_duplicate_error(mode, import, |v| v.nvals(), (1, 0));
+            let v = Vector::<i64>::import_in(
+                &ctx,
+                3,
+                VectorFormat::Sparse,
+                Some(vec![2, 0]),
+                vec![5, 6],
+            )
+            .unwrap();
+            assert_eq!(v.extract_tuples().unwrap(), (vec![0, 2], vec![6, 5]));
+        }
     }
 
     #[test]
@@ -503,7 +617,7 @@ mod tests {
 
     #[test]
     fn export_hint_is_none_while_pending() {
-        use graphblas_exec::{Context, ContextOptions, Mode};
+        use graphblas_exec::ContextOptions;
         let ctx = Context::new(
             &crate::global_context(),
             Mode::NonBlocking,

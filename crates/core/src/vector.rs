@@ -38,8 +38,8 @@ impl<T: ValueType> Clone for VecStore<T> {
 }
 
 impl<T: ValueType> VecStore<T> {
-    /// Allocated buffer bytes of the current store (see
-    /// `MatStore::bytes` for the shared-storage caveat).
+    /// Allocated buffer bytes of the current store (see the matrix
+    /// `Store::bytes` for the shared-storage caveat).
     pub(crate) fn bytes(&self) -> u64 {
         match self {
             VecStore::Sparse(a) => a.bytes(),
@@ -379,16 +379,17 @@ impl<T: ValueType> Vector<T> {
         Ok(st.sparse().get(i).cloned())
     }
 
-    /// Table II scalar variant: missing element → empty scalar; deferred
-    /// into the scalar's sequence in nonblocking mode (§VI).
+    /// Table II scalar variant: missing element → empty scalar (§VI). The
+    /// element is read now; in nonblocking mode only the write into the
+    /// scalar is deferred into its sequence.
     pub fn extract_element_scalar(&self, s: &Scalar<T>, i: Index) -> GrbResult {
         s.check_context(&self.context())?;
         if i >= self.size() {
             return Err(ApiError::InvalidIndex.into());
         }
-        let this = self.clone();
+        let value = self.extract_element(i)?;
         s.core.apply_write(Box::new(move |slot| {
-            **slot = this.extract_element(i)?;
+            **slot = value;
             Ok(())
         }))
     }

@@ -162,7 +162,7 @@ impl<T: ValueType> Target for MatrixState<T> {
         post: &[MapFn<T>],
     ) -> GrbResult {
         let (mask, accum) = (rule.mask.as_ref(), rule.accum.as_ref());
-        st.store = MatStore::Csr(if mask.is_none() && accum.is_none() {
+        st.store = MatStore(if mask.is_none() && accum.is_none() {
             t
         } else {
             st.ensure_csr(ctx, true)?;

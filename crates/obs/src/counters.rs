@@ -225,7 +225,7 @@ counter_table! {
         Reduce = "reduce",
         /// Deferred-sequence drain: one fused traversal of a map run.
         MapFuse = "map_fuse",
-        /// COO/CSC/dense → CSR canonicalization and row sorting.
+        /// COO → CSR (`convert::coo_to_csr`) and the matrix update-log merge.
         Convert = "convert",
         /// `wait(Complete|Materialize)`.
         Wait = "wait",

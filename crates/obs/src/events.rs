@@ -426,8 +426,9 @@ pub fn decision_opaque_drain(op: &'static str, ctx: u64) {
     record(Reason::OpaqueDrain, op, "", ctx, [0, 0, 0]);
 }
 
-/// A store converted to CSR from `src` ("csc", "coo", "dense",
-/// "unsorted"), now holding `nnz` entries.
+/// A matrix store's unsorted rows sorted in place (`src` is "unsorted":
+/// every Table III import is CSR by the time it is stored), holding `nnz`
+/// entries.
 #[inline]
 pub fn decision_convert_csr(op: &'static str, ctx: u64, src: &'static str, nnz: u64) {
     record(Reason::ConvertCsr, op, src, ctx, [nnz, 0, 0]);

@@ -2,8 +2,10 @@
 //! tests of the Table III formats with CSR as the pivot.
 //!
 //! The pairwise conversions themselves are methods on the stores
-//! (`Csc::from_csr`, `Dense::to_csr`, `DenseVec::to_sparse`, …);
+//! (`Dense::to_csr`, `DenseVec::to_sparse`, …; CSC is a [`transpose`]);
 //! `graphblas-core` calls those directly under its own `Convert` span.
+//!
+//! [`transpose`]: crate::transpose::transpose
 
 use graphblas_exec::Context;
 
@@ -58,7 +60,6 @@ pub fn coo_to_csr<T: Clone + Send + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csc::Csc;
     use crate::dense::{Dense, Layout};
     use crate::dvec::DenseVec;
     use crate::transpose::transpose;
@@ -94,17 +95,6 @@ mod tests {
         for _ in 0..32 {
             let a = random_matrix(&mut rng);
             let back = coo_to_csr(&ctx, &Coo::from_csr(&a), None).unwrap();
-            assert_eq!(a.to_sorted_tuples(), back.to_sorted_tuples());
-        }
-    }
-
-    #[test]
-    fn csc_roundtrip() {
-        let ctx = global_context();
-        let mut rng = StdRng::seed_from_u64(0xC5C);
-        for _ in 0..32 {
-            let a = random_matrix(&mut rng);
-            let back = Csc::from_csr(&ctx, &a).to_csr(&ctx);
             assert_eq!(a.to_sorted_tuples(), back.to_sorted_tuples());
         }
     }

@@ -48,21 +48,9 @@ impl<T> Coo<T> {
         self.nrows
     }
 
-    /// Logical number of columns.
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
     /// Number of triplets (before any duplicate resolution).
     pub fn nnz(&self) -> usize {
         self.values.len()
-    }
-
-    /// Allocated buffer bytes of this store (capacity, not length).
-    pub fn bytes(&self) -> u64 {
-        (self.rows.capacity() * std::mem::size_of::<usize>()
-            + self.cols.capacity() * std::mem::size_of::<usize>()
-            + self.values.capacity() * std::mem::size_of::<T>()) as u64
     }
 
     /// Row index of each triplet.

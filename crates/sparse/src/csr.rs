@@ -285,12 +285,13 @@ impl<T: 'static> Csr<T> {
 
 impl<T: Send> Csr<T> {
     /// Sorts every row's column indices ascending, in parallel. Duplicates
-    /// (if any) become adjacent; they are *not* combined here. Returns
-    /// `true` when at least one duplicate column index was found (in which
-    /// case the matrix is left non-decreasing but not strictly sorted).
-    pub fn sort_rows(&mut self, ctx: &Context) -> bool {
+    /// (if any) become adjacent; they are *not* combined here. Returns the
+    /// first repeated coordinate `(i, j)` in row-major order, if any (in
+    /// which case the matrix is left non-decreasing but not strictly
+    /// sorted).
+    pub fn sort_rows(&mut self, ctx: &Context) -> Option<(usize, usize)> {
         if self.rows_sorted {
-            return false;
+            return None;
         }
         let found_dup = std::sync::atomic::AtomicBool::new(false);
         let indptr = &self.indptr;
@@ -341,7 +342,13 @@ impl<T: Send> Csr<T> {
         let dups = found_dup.load(std::sync::atomic::Ordering::Relaxed);
         // `rows_sorted` means *strictly* increasing; duplicates invalidate it.
         self.rows_sorted = !dups;
-        dups
+        if !dups {
+            return None;
+        }
+        (0..self.nrows).find_map(|i| {
+            let cols = self.row(i).0;
+            cols.windows(2).find(|w| w[0] == w[1]).map(|w| (i, w[0]))
+        })
     }
 }
 
@@ -743,11 +750,16 @@ mod tests {
             Csr::from_parts(2, 4, vec![0, 3, 4], vec![2, 0, 1, 3], vec![20, 0, 10, 30]).unwrap();
         assert!(!a.is_rows_sorted());
         assert_eq!(a.get(0, 1), Some(&10));
-        a.sort_rows(&global_context());
+        assert_eq!(a.sort_rows(&global_context()), None);
         assert!(a.is_rows_sorted());
         assert_eq!(a.row(0).0, &[0, 1, 2]);
         assert_eq!(a.row(0).1, &[0, 10, 20]);
         a.check().unwrap();
+        // The first repeated coordinate in row-major order is reported.
+        let mut d =
+            Csr::from_parts(3, 3, vec![0, 1, 3, 5], vec![0, 1, 1, 2, 2], vec![0; 5]).unwrap();
+        assert_eq!(d.sort_rows(&global_context()), Some((1, 1)));
+        assert!(!d.is_rows_sorted());
     }
 
     #[test]

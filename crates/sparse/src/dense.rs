@@ -43,11 +43,6 @@ impl<T> Dense<T> {
         Ok(dense)
     }
 
-    /// Allocated buffer bytes of this store (capacity, not length).
-    pub fn bytes(&self) -> u64 {
-        (self.values.capacity() * std::mem::size_of::<T>()) as u64
-    }
-
     /// Full invariant validation, with [`crate::csr::Csr::check`]'s rigor:
     /// a dense store is valid iff its buffer holds exactly
     /// `nrows * ncols` elements (Table III: every element present,
@@ -65,26 +60,6 @@ impl<T> Dense<T> {
             });
         }
         Ok(())
-    }
-
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Number of columns.
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
-    /// The buffer layout (row- or column-major).
-    pub fn layout(&self) -> Layout {
-        self.layout
-    }
-
-    /// The raw value buffer in layout order.
-    pub fn values(&self) -> &[T] {
-        &self.values
     }
 
     /// Consumes into the raw value buffer.
@@ -160,14 +135,8 @@ impl<T: Clone + Send + Sync> Dense<T> {
             Layout::ColMajor => ((n, m), transpose_parts(ctx, a)),
         };
         let mut rows = Csr::from_parts(shape.0, shape.1, indptr, indices, values)?;
-        if rows.sort_rows(ctx) {
-            // A row that repeats a column leaves another position empty.
-            let (i, j) = (0..shape.0)
-                .find_map(|i| {
-                    let cols = rows.row(i).0;
-                    cols.windows(2).find(|w| w[0] == w[1]).map(|w| (i, w[0]))
-                })
-                .unwrap_or_default();
+        // A row that repeats a column leaves another position empty.
+        if let Some((i, j)) = rows.sort_rows(ctx) {
             let (row, col) = match layout {
                 Layout::RowMajor => (i, j),
                 Layout::ColMajor => (j, i),
@@ -234,7 +203,7 @@ mod tests {
             assert_eq!(d.get(1, 0), Some(&3));
         }
         let col_major = Dense::from_csr_full(&ctx, &a, Layout::ColMajor).unwrap();
-        assert_eq!(col_major.values(), [1, 3, 2, 4]);
+        assert_eq!(col_major.into_values(), [1, 3, 2, 4]);
         let b = Csr::from_parts(2, 2, vec![0, 2, 4], vec![1, 0, 1, 1], vec![2, 1, 3, 4]).unwrap();
         for layout in [Layout::RowMajor, Layout::ColMajor] {
             let err = Dense::from_csr_full(&ctx, &b, layout).unwrap_err();

@@ -4,8 +4,9 @@
 //! crate is the implementation-defined substrate behind the opaque
 //! `GrB_Matrix` / `GrB_Vector` handles in `graphblas-core`:
 //!
-//! * [`csr`] / [`csc`] / [`coo`] / [`dense`] — the matrix formats of the
-//!   paper's Table III (import/export), each self-validating;
+//! * [`csr`] / [`coo`] / [`dense`] — the matrix formats of the paper's
+//!   Table III (import/export), each self-validating; a CSC matrix is the
+//!   CSR of its transpose;
 //! * [`svec`] / [`dvec`] — sparse and dense vector formats (Table III),
 //!   and the two-format operand view the vector kernels read;
 //! * [`convert`] — the spanned COO → CSR canonicalization (the other
@@ -33,7 +34,6 @@
 
 pub mod convert;
 pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod dense;
 pub mod dvec;
@@ -48,7 +48,6 @@ pub mod transpose;
 pub mod util;
 
 pub use coo::Coo;
-pub use csc::Csc;
 pub use csr::{Csr, ElementUpdate};
 pub use dense::{Dense, Layout};
 pub use dvec::DenseVec;

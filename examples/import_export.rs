@@ -17,7 +17,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         vec![1.0, 2.0, 3.0, 4.0, 5.0],
     )?;
     println!("imported CSR matrix:\n{}", m.to_display_string()?);
-    println!("export hint (current internal format): {:?}", m.export_hint());
+    // Every import converts to the one internal store, so the hint is CSR.
+    println!("export hint (the internal format): {:?}", m.export_hint());
 
     // Export through every matrix format.
     for fmt in [Format::Csr, Format::Csc, Format::Coo] {

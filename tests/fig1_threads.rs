@@ -177,15 +177,16 @@ fn independent_objects_from_many_threads() {
     }
 }
 
-// --- the one lock nesting: a scalar's stage reads a matrix or vector ---
+// --- no stage holds two container locks ---
 //
-// `extract_element_scalar` queues a stage on the scalar that reads the
-// container, so draining the scalar takes the scalar's lock and then the
-// container's. Every other call that touches both takes them one at a
-// time. Three threads share a matrix, a vector and a scalar and mix the
-// nesting call with calls that reach the same objects from the container
-// side; a call that takes the two locks in the other order can deadlock,
-// and the watchdog turns that into a failure naming each thread's call.
+// Every call that touches a scalar and a matrix or vector takes their locks
+// one at a time: `extract_element_scalar` reads the container at the call
+// and queues on the scalar a stage that writes a value it already holds.
+// Three threads share a matrix, a vector and a scalar and mix that call
+// with calls that reach the same objects from the container side; a call
+// that held one lock while taking the other could deadlock against a call
+// taking them in the other order, and the watchdog turns that into a
+// failure naming each thread's call.
 
 const NEST_N: usize = 96;
 const NEST_ITERS: usize = 200;

@@ -303,8 +303,39 @@ fn import_export_roundtrip_all_formats() {
         let am = to_matrix((6, 6), &a);
         for fmt in [Format::Csr, Format::Csc, Format::Coo] {
             let (p, i, v) = am.export(fmt).unwrap();
-            let back = Matrix::<i64>::import(6, 6, fmt, Some(p), Some(i), v).unwrap();
+            let back =
+                Matrix::<i64>::import(6, 6, fmt, Some(p.clone()), Some(i.clone()), v.clone())
+                    .unwrap();
             assert_eq!(to_entries(&back), a.clone());
+            if fmt != Format::Coo {
+                // The same matrix with every row (CSR) or column (CSC)
+                // stored in reverse order.
+                let (mut i, mut v) = (i, v);
+                for w in p.windows(2) {
+                    i[w[0]..w[1]].reverse();
+                    v[w[0]..w[1]].reverse();
+                }
+                let back = Matrix::<i64>::import(6, 6, fmt, Some(p), Some(i), v).unwrap();
+                assert_eq!(to_entries(&back), a.clone(), "{fmt:?}, unsorted");
+            }
+        }
+        // The dense formats, on `a` with every missing entry filled in.
+        let full: Entries = (0..6)
+            .flat_map(|i| (0..6).map(move |j| (i, j)))
+            .map(|k| {
+                (
+                    k,
+                    a.get(&k)
+                        .copied()
+                        .unwrap_or(100 + 6 * k.0 as i64 + k.1 as i64),
+                )
+            })
+            .collect();
+        let fm = to_matrix((6, 6), &full);
+        for fmt in [Format::DenseRow, Format::DenseCol] {
+            let (_, _, v) = fm.export(fmt).unwrap();
+            let back = Matrix::<i64>::import(6, 6, fmt, None, None, v).unwrap();
+            assert_eq!(to_entries(&back), full, "{fmt:?}");
         }
     }
 }

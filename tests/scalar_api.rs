@@ -106,6 +106,28 @@ fn vector_set_and_extract_element_scalar_variants() {
     assert_eq!(out.extract_element().unwrap(), Some(-3));
 }
 
+/// The scalar holds what the source held at the call, not at the scalar's
+/// drain: a later write to the source does not show through.
+#[test]
+fn extract_element_scalar_reads_at_the_call_in_both_modes() {
+    for mode in [Mode::Blocking, Mode::NonBlocking] {
+        let ctx = Context::new(&global_context(), mode, ContextOptions::default());
+        let m = Matrix::<i64>::new_in(&ctx, 1, 1).unwrap();
+        let s = Scalar::<i64>::new_in(&ctx).unwrap();
+        m.set_element(1, 0, 0).unwrap();
+        m.extract_element_scalar(&s, 0, 0).unwrap();
+        m.set_element(2, 0, 0).unwrap();
+        assert_eq!(s.extract_element().unwrap(), Some(1), "Matrix, {mode:?}");
+
+        let v = Vector::<i64>::new_in(&ctx, 1).unwrap();
+        let s = Scalar::<i64>::new_in(&ctx).unwrap();
+        v.set_element(1, 0).unwrap();
+        v.extract_element_scalar(&s, 0).unwrap();
+        v.set_element(2, 0).unwrap();
+        assert_eq!(s.extract_element().unwrap(), Some(1), "Vector, {mode:?}");
+    }
+}
+
 #[test]
 fn assign_with_scalar_argument() {
     let m = Matrix::<i64>::new(2, 2).unwrap();
