@@ -93,9 +93,8 @@ impl<T> Csr<T> {
                 axis: "column",
             });
         }
-        let rows_sorted = (0..nrows).all(|i| {
-            util::is_strictly_increasing(&indices[indptr[i]..indptr[i + 1]])
-        });
+        let rows_sorted =
+            (0..nrows).all(|i| util::is_strictly_increasing(&indices[indptr[i]..indptr[i + 1]]));
         Ok(Csr {
             nrows,
             ncols,
@@ -373,7 +372,12 @@ impl<T: Clone + Send + Sync> Csr<T> {
         let nnz = self.nnz();
         if sp.active() {
             let nnz = nnz as u64;
-            sp.io(0, nnz, nnz, nnz * (size_of::<usize>() + size_of::<T>()) as u64);
+            sp.io(
+                0,
+                nnz,
+                nnz,
+                nnz * (size_of::<usize>() + size_of::<T>()) as u64,
+            );
         }
         // Pre-filled with the first mapped value and overwritten in place:
         // each task owns the slice of `values` under its rows.
@@ -419,7 +423,12 @@ impl<T: Clone + Send + Sync> Csr<T> {
         let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Select, ctx.id());
         if sp.active() {
             let nnz = self.nnz() as u64;
-            sp.io(0, nnz, 0, nnz * (size_of::<usize>() + size_of::<T>()) as u64);
+            sp.io(
+                0,
+                nnz,
+                0,
+                nnz * (size_of::<usize>() + size_of::<T>()) as u64,
+            );
         }
         let ranges = self.row_chunks(ctx);
         let chunks = parallel_map_ranges(ranges, |rows: Range<usize>| {
@@ -534,10 +543,8 @@ impl<T: Clone + Send + Sync> Csr<T> {
 
     /// Sorted `(row, col, value)` tuples — canonical form for comparisons.
     pub fn to_sorted_tuples(&self) -> Vec<(usize, usize, T)> {
-        let mut t: Vec<(usize, usize, T)> = self
-            .iter()
-            .map(|(i, j, v)| (i, j, v.clone()))
-            .collect();
+        let mut t: Vec<(usize, usize, T)> =
+            self.iter().map(|(i, j, v)| (i, j, v.clone())).collect();
         t.sort_by_key(|&(i, j, _)| (i, j));
         t
     }
@@ -575,10 +582,8 @@ impl<T: Clone + Send + Sync> Csr<T> {
             col_map[j].push(out_j);
         }
         let out_rows = sel_rows.len();
-        let ranges = partition::balanced_ranges(
-            out_rows,
-            ctx.effective_threads().min(out_rows.max(1)),
-        );
+        let ranges =
+            partition::balanced_ranges(out_rows, ctx.effective_threads().min(out_rows.max(1)));
         let chunks = parallel_map_ranges(ranges, |rows: Range<usize>| {
             let mut lens = Vec::with_capacity(rows.len());
             let mut idx = Vec::new();
@@ -766,7 +771,10 @@ mod tests {
     fn map_preserves_structure() {
         let a = small();
         let b = a.map(&global_context(), |v| v * 10);
-        assert_eq!(b.to_sorted_tuples(), vec![(0, 0, 10), (0, 2, 20), (2, 0, 30), (2, 1, 40)]);
+        assert_eq!(
+            b.to_sorted_tuples(),
+            vec![(0, 0, 10), (0, 2, 20), (2, 0, 30), (2, 1, 40)]
+        );
     }
 
     #[test]
@@ -781,9 +789,7 @@ mod tests {
     fn filter_map_drops_and_maps() {
         let a = small();
         // Keep strictly-upper-triangular entries, negated (a tiny Fig. 3).
-        let b = a.filter_map_with_index(&global_context(), |i, j, v| {
-            (j > i).then(|| -*v)
-        });
+        let b = a.filter_map_with_index(&global_context(), |i, j, v| (j > i).then(|| -*v));
         assert_eq!(b.to_sorted_tuples(), vec![(0, 2, -2)]);
         b.check().unwrap();
     }
@@ -905,14 +911,7 @@ mod tests {
     fn reduce_all_terminal_short_circuits() {
         let ctx = global_context();
         let n = 10_000usize;
-        let a = Csr::from_parts(
-            1,
-            n,
-            vec![0, n],
-            (0..n).collect(),
-            vec![false; n],
-        )
-        .unwrap();
+        let a = Csr::from_parts(1, n, vec![0, n], (0..n).collect(), vec![false; n]).unwrap();
         // LOR over all-false is false; with a true in front, terminal fires.
         let mut vals = vec![false; n];
         vals[1] = true;
@@ -954,7 +953,10 @@ mod tests {
         let b = a
             .extract_submatrix(&global_context(), &[0, 0], &[2, 2])
             .unwrap();
-        assert_eq!(b.to_sorted_tuples(), vec![(0, 0, 2), (0, 1, 2), (1, 0, 2), (1, 1, 2)]);
+        assert_eq!(
+            b.to_sorted_tuples(),
+            vec![(0, 0, 2), (0, 1, 2), (1, 0, 2), (1, 1, 2)]
+        );
         assert!(a.extract_submatrix(&global_context(), &[5], &[0]).is_err());
         assert!(a.extract_submatrix(&global_context(), &[0], &[5]).is_err());
     }

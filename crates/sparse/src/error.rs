@@ -48,12 +48,22 @@ pub enum FormatError {
 impl fmt::Display for FormatError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FormatError::BadPointers { expected_len, detail } => write!(
+            FormatError::BadPointers {
+                expected_len,
+                detail,
+            } => write!(
                 f,
                 "invalid indptr array (expected length {expected_len}): {detail}"
             ),
-            FormatError::LengthMismatch { expected, actual, what } => {
-                write!(f, "{what} length mismatch: expected {expected}, got {actual}")
+            FormatError::LengthMismatch {
+                expected,
+                actual,
+                what,
+            } => {
+                write!(
+                    f,
+                    "{what} length mismatch: expected {expected}, got {actual}"
+                )
             }
             FormatError::IndexOutOfBounds { index, bound, axis } => {
                 write!(f, "{axis} index {index} out of bounds (dimension {bound})")

@@ -26,9 +26,7 @@ fn combined_chunks<A, B>(ctx: &Context, a: &Csr<A>, b: &Csr<B>) -> Vec<Range<usi
     if nrows == 0 {
         return Vec::new();
     }
-    let combined: Vec<usize> = (0..=nrows)
-        .map(|i| a.indptr()[i] + b.indptr()[i])
-        .collect();
+    let combined: Vec<usize> = (0..=nrows).map(|i| a.indptr()[i] + b.indptr()[i]).collect();
     let total = combined[nrows];
     let k = ctx
         .effective_threads()
@@ -59,11 +57,19 @@ where
 {
     assert_eq!(a.nrows(), b.nrows(), "ewise: row count mismatch");
     assert_eq!(a.ncols(), b.ncols(), "ewise: column count mismatch");
-    assert!(a.is_rows_sorted() && b.is_rows_sorted(), "ewise requires sorted rows");
+    assert!(
+        a.is_rows_sorted() && b.is_rows_sorted(),
+        "ewise requires sorted rows"
+    );
     let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::EwiseAdd, ctx.id());
     if sp.active() {
         let nnz_in = (a.nnz() + b.nnz()) as u64;
-        sp.io(nnz_in, nnz_in, 0, nnz_in * std::mem::size_of::<usize>() as u64);
+        sp.io(
+            nnz_in,
+            nnz_in,
+            0,
+            nnz_in * std::mem::size_of::<usize>() as u64,
+        );
     }
     let ranges = combined_chunks(ctx, a, b);
     let chunks = parallel_map_ranges(ranges, |rows: Range<usize>| {
@@ -136,11 +142,19 @@ where
 {
     assert_eq!(a.nrows(), b.nrows(), "ewise: row count mismatch");
     assert_eq!(a.ncols(), b.ncols(), "ewise: column count mismatch");
-    assert!(a.is_rows_sorted() && b.is_rows_sorted(), "ewise requires sorted rows");
+    assert!(
+        a.is_rows_sorted() && b.is_rows_sorted(),
+        "ewise requires sorted rows"
+    );
     let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::EwiseMult, ctx.id());
     if sp.active() {
         let nnz_in = (a.nnz() + b.nnz()) as u64;
-        sp.io(nnz_in, nnz_in, 0, nnz_in * std::mem::size_of::<usize>() as u64);
+        sp.io(
+            nnz_in,
+            nnz_in,
+            0,
+            nnz_in * std::mem::size_of::<usize>() as u64,
+        );
     }
     let ranges = combined_chunks(ctx, a, b);
     let chunks = parallel_map_ranges(ranges, |rows: Range<usize>| {
@@ -194,11 +208,19 @@ where
 {
     assert_eq!(a.nrows(), m.nrows(), "mask: row count mismatch");
     assert_eq!(a.ncols(), m.ncols(), "mask: column count mismatch");
-    assert!(a.is_rows_sorted() && m.is_rows_sorted(), "mask requires sorted rows");
+    assert!(
+        a.is_rows_sorted() && m.is_rows_sorted(),
+        "mask requires sorted rows"
+    );
     let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Select, ctx.id());
     if sp.active() {
         let nnz_in = (a.nnz() + m.nnz()) as u64;
-        sp.io(nnz_in, nnz_in, 0, nnz_in * std::mem::size_of::<usize>() as u64);
+        sp.io(
+            nnz_in,
+            nnz_in,
+            0,
+            nnz_in * std::mem::size_of::<usize>() as u64,
+        );
     }
     let ranges = combined_chunks(ctx, a, m);
     let chunks = parallel_map_ranges(ranges, |rows: Range<usize>| {
@@ -426,8 +448,7 @@ where
         // Locate each part's segment for this index range, then heap-merge
         // the segments; equal indices are ⊕-combined as they surface.
         let mut cursor: Vec<(usize, usize)> = Vec::with_capacity(parts.len());
-        let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
-            BinaryHeap::with_capacity(parts.len());
+        let mut heap: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::with_capacity(parts.len());
         for (p, part) in parts.iter().enumerate() {
             let ai = part.indices();
             let lo = ai.partition_point(|&i| i < r.start);
@@ -549,7 +570,12 @@ pub fn svec_restrict<A: Clone>(
     let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::Select, ctx.id());
     if sp.active() {
         let nnz_in = a.nnz() as u64;
-        sp.io(nnz_in, nnz_in, 0, a.bytes() + std::mem::size_of_val(words) as u64);
+        sp.io(
+            nnz_in,
+            nnz_in,
+            0,
+            a.bytes() + std::mem::size_of_val(words) as u64,
+        );
     }
     let (idx, vals) = match a {
         VecView::Full(a) => {
@@ -557,10 +583,16 @@ pub fn svec_restrict<A: Clone>(
             // The admitted positions of word `w`; the last word's are cut
             // at the vector's length.
             let admitted = |w: usize| {
-                let valid = if (w + 1) * 64 > n { (1u64 << (n % 64)) - 1 } else { u64::MAX };
+                let valid = if (w + 1) * 64 > n {
+                    (1u64 << (n % 64)) - 1
+                } else {
+                    u64::MAX
+                };
                 (if complement { !words[w] } else { words[w] }) & valid
             };
-            let count: usize = (0..words.len()).map(|w| admitted(w).count_ones() as usize).sum();
+            let count: usize = (0..words.len())
+                .map(|w| admitted(w).count_ones() as usize)
+                .sum();
             let mut idx = Vec::with_capacity(count);
             let mut vals = Vec::with_capacity(count);
             for w in 0..words.len() {
@@ -756,18 +788,19 @@ mod tests {
         for parts_count in [1usize, 2, 3, 7, 16] {
             let parts: Vec<SparseVec<i64>> = (0..parts_count)
                 .map(|_| {
-                    let idx: Vec<usize> =
-                        (0..n).filter(|_| rng.gen_range(0..4) == 0).collect();
-                    let vals: Vec<i64> =
-                        idx.iter().map(|_| rng.gen_range(-9..10)).collect();
+                    let idx: Vec<usize> = (0..n).filter(|_| rng.gen_range(0..4) == 0).collect();
+                    let vals: Vec<i64> = idx.iter().map(|_| rng.gen_range(-9..10)).collect();
                     SparseVec::from_parts(n, idx, vals).unwrap()
                 })
                 .collect();
-            let union = |u: SparseVec<i64>, v: SparseVec<i64>| {
-                match svec_union(&ctx, (&u).into(), (&v).into(), |a, b| a + b) {
-                    VecOut::Sparse(s) => s,
-                    VecOut::Full(_) => unreachable!("two sparse operands merge sparse"),
-                }
+            let union = |u: SparseVec<i64>, v: SparseVec<i64>| match svec_union(
+                &ctx,
+                (&u).into(),
+                (&v).into(),
+                |a, b| a + b,
+            ) {
+                VecOut::Sparse(s) => s,
+                VecOut::Full(_) => unreachable!("two sparse operands merge sparse"),
             };
             let expect = parts.iter().cloned().reduce(union).unwrap();
             let got = svec_kmerge(&ctx, parts, |a, b| a + b);

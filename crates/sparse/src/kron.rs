@@ -82,7 +82,9 @@ where
         (arows.start * mb..arows.end * mb, (lens, idx, vals))
     });
     let (indptr, indices, values) = util::stitch_row_chunks(m, chunks);
-    Ok(Csr::from_kernel_parts(m, n, indptr, indices, values, sorted))
+    Ok(Csr::from_kernel_parts(
+        m, n, indptr, indices, values, sorted,
+    ))
 }
 
 #[cfg(test)]

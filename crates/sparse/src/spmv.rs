@@ -582,7 +582,14 @@ mod tests {
         let ctx = global_context();
         let a = matrix();
         let x = SparseVec::from_parts(3, vec![0, 1, 2], vec![1i64, 1, 1]).unwrap();
-        let y = spmv(&ctx, &a, &x, |a, x| a * x, |p, q| p + q, None::<fn(&i64) -> bool>);
+        let y = spmv(
+            &ctx,
+            &a,
+            &x,
+            |a, x| a * x,
+            |p, q| p + q,
+            None::<fn(&i64) -> bool>,
+        );
         assert_eq!(y.to_sorted_tuples(), vec![(0, 3), (1, 3), (2, 9)]);
     }
 
@@ -591,7 +598,14 @@ mod tests {
         let ctx = global_context();
         let a = matrix();
         let x = SparseVec::from_parts(3, vec![2], vec![10i64]).unwrap();
-        let y = spmv(&ctx, &a, &x, |a, x| a * x, |p, q| p + q, None::<fn(&i64) -> bool>);
+        let y = spmv(
+            &ctx,
+            &a,
+            &x,
+            |a, x| a * x,
+            |p, q| p + q,
+            None::<fn(&i64) -> bool>,
+        );
         assert_eq!(y.to_sorted_tuples(), vec![(0, 20), (2, 50)]);
     }
 
@@ -600,7 +614,14 @@ mod tests {
         let ctx = global_context();
         let a = matrix();
         let x = SparseVec::<i64>::empty(3);
-        let y = spmv(&ctx, &a, &x, |a, x| a * x, |p, q| p + q, None::<fn(&i64) -> bool>);
+        let y = spmv(
+            &ctx,
+            &a,
+            &x,
+            |a, x| a * x,
+            |p, q| p + q,
+            None::<fn(&i64) -> bool>,
+        );
         assert_eq!(y.nnz(), 0);
         assert_eq!(y.len(), 3);
     }
@@ -611,7 +632,14 @@ mod tests {
         let a = matrix();
         let x = SparseVec::from_parts(3, vec![0, 1, 2], vec![10i64, 5, 20]).unwrap();
         let xd = DenseVec::from_values(vec![10i64, 5, 20]);
-        let sparse = spmv(&ctx, &a, &x, |a, x| a * x, |p, q| p + q, None::<fn(&i64) -> bool>);
+        let sparse = spmv(
+            &ctx,
+            &a,
+            &x,
+            |a, x| a * x,
+            |p, q| p + q,
+            None::<fn(&i64) -> bool>,
+        );
         let full = spmv_fused(
             &ctx,
             &a,
@@ -631,7 +659,14 @@ mod tests {
         let x = SparseVec::from_parts(3, vec![0, 2], vec![1i64, 2]).unwrap();
         let push = vxm(&ctx, &x, &a, |x, a| x * a, |p, q| p + q);
         let at = crate::transpose::transpose(&ctx, &a);
-        let pull = spmv(&ctx, &at, &x, |a, x| a * x, |p, q| p + q, None::<fn(&i64) -> bool>);
+        let pull = spmv(
+            &ctx,
+            &at,
+            &x,
+            |a, x| a * x,
+            |p, q| p + q,
+            None::<fn(&i64) -> bool>,
+        );
         assert_eq!(push.to_sorted_tuples(), pull.to_sorted_tuples());
     }
 
@@ -682,8 +717,15 @@ mod tests {
         };
         let post = |i: usize, v: &i64| -> Option<i64> { i.is_multiple_of(2).then_some(v + 1) };
         let xm = x.filter_map_with_index(pre);
-        let expect = spmv(&ctx, &a, &xm, |a, x| a * x, |p, q| p + q, None::<fn(&i64) -> bool>)
-            .filter_map_with_index(post);
+        let expect = spmv(
+            &ctx,
+            &a,
+            &xm,
+            |a, x| a * x,
+            |p, q| p + q,
+            None::<fn(&i64) -> bool>,
+        )
+        .filter_map_with_index(post);
         let fused = spmv_fused(
             &ctx,
             &a,
@@ -730,8 +772,7 @@ mod tests {
         let pre = |_j: usize, v: &i64| -> Option<i64> { (*v != 2).then_some(v * 10) };
         let post = |_j: usize, v: &i64| -> Option<i64> { (*v > 40).then_some(*v) };
         let xm = x.filter_map_with_index(pre);
-        let expect = vxm(&ctx, &xm, &a, |x, a| x * a, |p, q| p + q)
-            .filter_map_with_index(post);
+        let expect = vxm(&ctx, &xm, &a, |x, a| x * a, |p, q| p + q).filter_map_with_index(post);
         let fused = vxm_fused(
             &ctx,
             &x,
@@ -841,7 +882,14 @@ mod tests {
         let x = SparseVec::from_parts(m, xi, xv).unwrap();
         let push = vxm(&ctx, &x, &a, |x, a| x * a, |p, q| p + q);
         let at = crate::transpose::transpose(&ctx, &a);
-        let pull = spmv(&ctx, &at, &x, |a, x| a * x, |p, q| p + q, None::<fn(&i64) -> bool>);
+        let pull = spmv(
+            &ctx,
+            &at,
+            &x,
+            |a, x| a * x,
+            |p, q| p + q,
+            None::<fn(&i64) -> bool>,
+        );
         assert_eq!(push.to_sorted_tuples(), pull.to_sorted_tuples());
     }
 }

@@ -147,7 +147,10 @@ impl<T> SparseVec<T> {
         if self.sorted {
             self.indices.binary_search(&i).ok().map(|k| &self.values[k])
         } else {
-            self.indices.iter().position(|&x| x == i).map(|k| &self.values[k])
+            self.indices
+                .iter()
+                .position(|&x| x == i)
+                .map(|k| &self.values[k])
         }
     }
 
@@ -245,10 +248,7 @@ impl<T: Clone> SparseVec<T> {
 
     /// Sorts by index and resolves duplicates with `dup` (or errors when
     /// `dup` is `None`) — `GrB_Vector_build` semantics.
-    pub fn sort_dedup(
-        &mut self,
-        dup: Option<&dyn Fn(&T, &T) -> T>,
-    ) -> Result<(), FormatError> {
+    pub fn sort_dedup(&mut self, dup: Option<&dyn Fn(&T, &T) -> T>) -> Result<(), FormatError> {
         if self.sorted {
             return Ok(());
         }
@@ -343,7 +343,12 @@ impl<T: Clone> SparseVec<T> {
                 values.push(v.clone());
             }
         }
-        Ok(SparseVec::from_kernel_parts(sel.len(), indices, values, true))
+        Ok(SparseVec::from_kernel_parts(
+            sel.len(),
+            indices,
+            values,
+            true,
+        ))
     }
 
     /// Sorted `(index, value)` pairs — canonical form for comparisons.
