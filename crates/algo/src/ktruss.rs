@@ -174,6 +174,57 @@ mod tests {
         }
     }
 
+    /// The k-truss by brute force: drop every edge in fewer than `k − 2`
+    /// triangles, counted from the neighbour sets, until none is dropped.
+    fn peeled(
+        n: usize,
+        edges: &[(usize, usize)],
+        k: usize,
+    ) -> std::collections::BTreeSet<(usize, usize)> {
+        use std::collections::BTreeSet;
+        let mut adj = vec![BTreeSet::new(); n];
+        for &(u, v) in edges {
+            adj[u].insert(v);
+            adj[v].insert(u);
+        }
+        loop {
+            let weak: Vec<(usize, usize)> = (0..n)
+                .flat_map(|u| adj[u].iter().map(move |&v| (u, v)))
+                .filter(|&(u, v)| adj[u].intersection(&adj[v]).count() < k - 2)
+                .collect();
+            if weak.is_empty() {
+                return (0..n)
+                    .flat_map(|u| adj[u].iter().map(move |&v| (u, v)))
+                    .collect();
+            }
+            for (u, v) in weak {
+                adj[u].remove(&v);
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_truss_matches_brute_force() {
+        use graphblas_exec::rng::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0x7255);
+        let mut kept = 0;
+        for _ in 0..8 {
+            let n = rng.gen_range(8..40);
+            let edges: Vec<(usize, usize)> = (0..n * 4)
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .filter(|(u, v)| u != v)
+                .collect();
+            let a = undirected(n, &edges);
+            for k in 3..7 {
+                let (rows, cols, _) = k_truss(&a, k as u64).unwrap().extract_tuples().unwrap();
+                let got: std::collections::BTreeSet<_> = rows.into_iter().zip(cols).collect();
+                assert_eq!(got, peeled(n, &edges, k), "n={n} k={k}");
+                kept += got.len();
+            }
+        }
+        assert!(kept > 0, "vacuous");
+    }
+
     #[test]
     fn invalid_k_rejected() {
         let a = undirected(2, &[(0, 1)]);

@@ -1,5 +1,5 @@
 //! Deep container verification — the `grb_check` surface, re-exported
-//! from `graphblas-core` plus raw-store helpers for the Table III formats.
+//! from `graphblas-core`.
 //!
 //! The container-level verifier lives in `graphblas_core::introspect`
 //! (next to `ObjectStats`, per the GrB_get-style design): `grb_check`
@@ -7,56 +7,27 @@
 //! Table III store invariants, store-vs-logical shape agreement, and the
 //! §V rule that a poisoned object holds no pending stages. Debug builds
 //! run the same checks automatically at every kernel boundary (after
-//! `drain` and the `ensure_*` canonicalizations).
-//!
-//! This module adds the *raw store* entry points so tools (and the model
-//! tests) can validate a bare `Csr`/`Coo`/… without wrapping it in a
-//! container.
+//! `drain` and the `ensure_*` canonicalizations). A bare `Csr`/`Coo`/…
+//! store is validated by its own `check()`.
 
 pub use graphblas_core::introspect::{grb_check, Check, CheckError};
-use graphblas_sparse::{Coo, Csr, Dense, DenseVec, FormatError, SparseVec};
-
-/// Validates a bare CSR store (Table III `GrB_CSR_MATRIX` invariants).
-pub fn check_csr<T>(a: &Csr<T>) -> Result<(), FormatError> {
-    a.check()
-}
-
-/// Validates a bare COO store (`GrB_COO_MATRIX`).
-pub fn check_coo<T>(a: &Coo<T>) -> Result<(), FormatError> {
-    a.check()
-}
-
-/// Validates a bare dense store (`GrB_DENSE_ROW_MATRIX` /
-/// `GrB_DENSE_COL_MATRIX`).
-pub fn check_dense<T>(a: &Dense<T>) -> Result<(), FormatError> {
-    a.check()
-}
-
-/// Validates a bare sparse vector (`GrB_SPARSE_VECTOR`).
-pub fn check_svec<T>(a: &SparseVec<T>) -> Result<(), FormatError> {
-    a.check()
-}
-
-/// Validates a bare dense vector (`GrB_DENSE_VECTOR`).
-pub fn check_dvec<T>(a: &DenseVec<T>) -> Result<(), FormatError> {
-    a.check()
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use graphblas_core::{Matrix, Vector};
+    use graphblas_sparse::{Coo, Csr, DenseVec, SparseVec};
 
     #[test]
     fn raw_store_checks() {
         let csr = Csr::from_parts(2, 2, vec![0, 1, 2], vec![0, 1], vec![1i64, 2]).unwrap();
-        check_csr(&csr).unwrap();
+        csr.check().unwrap();
         let coo = Coo::from_parts(2, 2, vec![0], vec![1], vec![5i64]).unwrap();
-        check_coo(&coo).unwrap();
+        coo.check().unwrap();
         let sv = SparseVec::from_parts(4, vec![1, 3], vec![1i64, 2]).unwrap();
-        check_svec(&sv).unwrap();
+        sv.check().unwrap();
         let dv = DenseVec::from_values(vec![1i64, 2, 3]);
-        check_dvec(&dv).unwrap();
+        dv.check().unwrap();
     }
 
     #[test]

@@ -119,6 +119,9 @@ pub(crate) struct Exec<'a, S: Target> {
     /// The node's trailing maps. A kernel that applies them to `T` itself
     /// takes them out; what it leaves runs over the written result.
     pub post: &'a mut Vec<MapFn<S::Elem>>,
+    /// Set by an operation whose kernel computed `T` under `mask`: `T`
+    /// already lies inside it, so the write rule need not restrict it.
+    pub premasked: bool,
 }
 
 impl<'a, S: Target> Op<'a, S> {
@@ -226,10 +229,12 @@ impl<'a, S: Target> Op<'a, S> {
                 ctx: &ctx,
                 mask: rule.mask.as_ref(),
                 post: &mut post,
+                premasked: false,
             };
             let t = compute(&mut exec)?.into();
+            let premasked = exec.premasked;
             note_dag_fusion(rule.op, ctx.id(), kind, pre, trailing, nnz_in);
-            S::write_back(st, &ctx, t, &rule, &post)
+            S::write_back(st, &ctx, t, premasked, &rule, &post)
         }))
     }
 }

@@ -10,10 +10,12 @@ use crate::types::{MaskValue, ValueType};
 
 /// `C⟨M, r⟩ = C ⊙ (A ⊕.⊗ B)`.
 ///
-/// When a non-complemented mask is present without an accumulator the
-/// kernel runs in masked form (`spgemm_masked`), never materializing
-/// products outside the mask — the optimization that makes masked triangle
-/// counting linear in the mask size.
+/// When a mask, plain or complemented, is present without an accumulator
+/// the kernel runs in masked form (`spgemm_masked`, or `spgemm_count` for
+/// PLUS.PAIR under a plain mask): it still forms the products, Σ |B(k,:)|
+/// over the entries `A(i,k)` (a plain mask skips only the rows it admits
+/// nothing in), but stores none outside the mask, and the write rule takes
+/// its `T` without restricting it again.
 pub fn mxm<C, M, A, B>(
     c: &Matrix<C>,
     mask: Option<&Matrix<M>>,
@@ -49,6 +51,7 @@ where
             .mask
             .filter(|_| unaccumulated)
             .map(|m| (&*m.mask, m.complement));
+        x.premasked = mask.is_some();
         let (add_tag, mul_tag) = (sr.add().builtin(), sr.mul().builtin());
         Ok(
             registry::try_spgemm(ctx, mask, &a_s, &b_s, add_tag, mul_tag).unwrap_or_else(|| {

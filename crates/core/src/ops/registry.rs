@@ -37,6 +37,12 @@
 //! | any row's monoid | ONEB/PAIR                  | any `A`      | structural counting                |
 //! | PLUS, in `mxm`   | ONEB/PAIR                  | any `A`, `B` | triangle_count, lcc, ktruss        |
 //!
+//! Under a plain mask that last row is `spgemm::spgemm_count`, which
+//! counts without a branch per product and reads only the operands'
+//! structure, so it is compiled once per output type; under a
+//! complemented mask or none it is the semiring kernel with a PAIR
+//! multiply.
+//!
 //! (`vxm` multiplies vector first, so its FIRST is the SECOND of this
 //! table.) The kernel is instantiated over the caller's `Csr<A>` as stored, so one
 //! `Matrix<bool>` serves every algorithm with no typed copy. FIRST (matrix
@@ -670,7 +676,11 @@ where
                 && mul_tag == Some(BuiltinOp::OneB)
                 && TypeId::of::<Z>() == TypeId::of::<$t>()
             {
-                let pair = |_: &A, _: &B| <$t as One>::one();
+                let one = <$t as One>::one();
+                if let Some((m, false)) = mask {
+                    claim!($t, spgemm::spgemm_count(ctx, m, a, b, one));
+                }
+                let pair = |_: &A, _: &B| one;
                 claim!($t, matmat(ctx, mask, a, b, pair, $acc));
             }
         };

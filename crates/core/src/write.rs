@@ -52,10 +52,14 @@ pub(crate) trait Target: Store {
 
     /// Lands `t` in the store under `rule`, then applies the node's
     /// trailing maps `post` to the written result as one pass.
+    /// `premasked`: `t` already lies inside `rule.mask` (its kernel ran
+    /// under it). The matrix rule then skips restricting `t`; the vector
+    /// rule restricts regardless.
     fn write_back(
         st: &mut State<Self>,
         ctx: &Context,
         t: Self::Result,
+        premasked: bool,
         rule: &Rule<Self>,
         post: &[MapFn<Self::Elem>],
     ) -> GrbResult;
@@ -158,6 +162,7 @@ impl<T: ValueType> Target for MatrixState<T> {
         st: &mut State<Self>,
         ctx: &Context,
         t: Arc<Csr<T>>,
+        premasked: bool,
         rule: &Rule<Self>,
         post: &[MapFn<T>],
     ) -> GrbResult {
@@ -167,7 +172,16 @@ impl<T: ValueType> Target for MatrixState<T> {
         } else {
             st.ensure_csr(ctx, true)?;
             let t = Arc::unwrap_or_clone(t);
-            Arc::new(merge_matrix(ctx, st.csr(), t, mask, accum, rule.replace))
+            let old = st.csr();
+            Arc::new(merge_matrix(
+                ctx,
+                old,
+                t,
+                premasked,
+                mask,
+                accum,
+                rule.replace,
+            ))
         });
         st.apply_post_maps(ctx, post)
     }
@@ -187,6 +201,7 @@ impl<T: ValueType> Target for VectorState<T> {
         st: &mut State<Self>,
         ctx: &Context,
         t: VecOut<T>,
+        _premasked: bool,
         rule: &Rule<Self>,
         post: &[MapFn<T>],
     ) -> GrbResult {
@@ -251,16 +266,18 @@ impl VecMask {
 /// `old` must have sorted rows; `t` may be unsorted (it is sorted here iff
 /// the merge actually needs ordered rows).
 ///
-/// Two cases skip steps of the four-step rule: with no mask and no
-/// accumulator `t` is the result as it stands, and under a mask an `old`
-/// that holds no entries (the `C = new; mxm(C⟨M⟩, …)` shape of
-/// `triangle_count`, `lcc`, `ktruss`) has an empty "outside" region, so
-/// the "inside" region is the result and steps 3–4 copy nothing. Every
-/// other case runs all four.
+/// Three cases skip work of the four-step rule: with no mask and no
+/// accumulator `t` is the result as it stands; a `premasked` `t` (its
+/// kernel ran under the same mask, plain or complemented) is taken as
+/// step 1's answer, unrestricted; and under a mask an `old` that holds no
+/// entries (the `C = new; mxm(C⟨M⟩, …)` shape of `triangle_count`, `lcc`,
+/// `ktruss`) has an empty "outside" region, so the "inside" region is the
+/// result and steps 3–4 copy nothing. Every other case runs all four.
 pub(crate) fn merge_matrix<C: ValueType>(
     ctx: &Context,
     old: &Csr<C>,
     mut t: Csr<C>,
+    premasked: bool,
     mask: Option<&MatMask>,
     accum: Option<&BinaryOp<C, C, C>>,
     replace: bool,
@@ -280,7 +297,11 @@ pub(crate) fn merge_matrix<C: ValueType>(
             let truthy = |b: &bool| *b;
             // Step 1-2: the masked region receives T (optionally folded
             // with C's old contents through the accumulator).
-            let z = ewise::ewise_restrict(ctx, &t, &m.mask, m.complement, truthy);
+            let z = if premasked {
+                t
+            } else {
+                ewise::ewise_restrict(ctx, &t, &m.mask, m.complement, truthy)
+            };
             let inside = match accum {
                 None => z,
                 Some(op) => {
@@ -379,7 +400,7 @@ mod tests {
         let ctx = global_context();
         let old = csr((2, 2), &[(0, 0, 1)]);
         let t = csr((2, 2), &[(1, 1, 9)]);
-        let r = merge_matrix(&ctx, &old, t, None, None, false);
+        let r = merge_matrix(&ctx, &old, t, false, None, None, false);
         assert_eq!(r.to_sorted_tuples(), vec![(1, 1, 9)]);
     }
 
@@ -388,7 +409,7 @@ mod tests {
         let ctx = global_context();
         let old = csr((2, 2), &[(0, 0, 1), (1, 1, 2)]);
         let t = csr((2, 2), &[(1, 1, 10), (0, 1, 5)]);
-        let r = merge_matrix(&ctx, &old, t, None, Some(&BinaryOp::plus()), false);
+        let r = merge_matrix(&ctx, &old, t, false, None, Some(&BinaryOp::plus()), false);
         assert_eq!(r.to_sorted_tuples(), vec![(0, 0, 1), (0, 1, 5), (1, 1, 12)]);
     }
 
@@ -404,7 +425,7 @@ mod tests {
             mask: bmask((2, 2), &[(0, 0), (0, 1)]),
             complement: false,
         };
-        let r = merge_matrix(&ctx, &old, t, Some(&m), None, false);
+        let r = merge_matrix(&ctx, &old, t, false, Some(&m), None, false);
         assert_eq!(r.to_sorted_tuples(), vec![(0, 1, 9), (1, 1, 2)]);
     }
 
@@ -417,7 +438,7 @@ mod tests {
             mask: bmask((2, 2), &[(0, 0)]),
             complement: false,
         };
-        let r = merge_matrix(&ctx, &old, t, Some(&m), None, true);
+        let r = merge_matrix(&ctx, &old, t, false, Some(&m), None, true);
         assert_eq!(r.to_sorted_tuples(), vec![(0, 0, 7)]);
     }
 
@@ -431,10 +452,18 @@ mod tests {
         };
         for replace in [false, true] {
             let t = csr((2, 2), &[(0, 0, 7), (0, 1, 8), (1, 1, 9)]);
-            let r = merge_matrix(&ctx, &old, t, Some(&m), None, replace);
+            let r = merge_matrix(&ctx, &old, t, false, Some(&m), None, replace);
             assert_eq!(r.to_sorted_tuples(), vec![(0, 0, 7)]);
             let t = csr((2, 2), &[(0, 0, 7), (0, 1, 8)]);
-            let r = merge_matrix(&ctx, &old, t, Some(&m), Some(&BinaryOp::plus()), replace);
+            let r = merge_matrix(
+                &ctx,
+                &old,
+                t,
+                false,
+                Some(&m),
+                Some(&BinaryOp::plus()),
+                replace,
+            );
             assert_eq!(r.to_sorted_tuples(), vec![(0, 0, 7)]);
         }
     }
@@ -449,11 +478,60 @@ mod tests {
             complement: true,
         };
         // Complement: positions 0 and 2 are writable; position 1 keeps old.
-        let r = merge_matrix(&ctx, &old, t, Some(&m), None, false);
+        let r = merge_matrix(&ctx, &old, t, false, Some(&m), None, false);
         assert_eq!(
             r.to_sorted_tuples(),
             vec![(0, 0, 10), (0, 1, 2), (0, 2, 30)]
         );
+    }
+
+    #[test]
+    fn premasked_result_is_taken_unrestricted() {
+        let ctx = global_context();
+        let mask = bmask((2, 3), &[(0, 1), (1, 0), (1, 2)]);
+        for complement in [false, true] {
+            let m = MatMask {
+                mask: Arc::clone(&mask),
+                complement,
+            };
+            // A `T` that lies inside the mask merges to the same result
+            // whether or not it is flagged as premasked.
+            let inside: &[(usize, usize, i64)] = if complement {
+                &[(0, 0, 5), (1, 1, 6)]
+            } else {
+                &[(0, 1, 5), (1, 2, 6)]
+            };
+            for old in [Csr::empty(2, 3), csr((2, 3), &[(0, 0, 1), (1, 0, 2)])] {
+                for replace in [false, true] {
+                    let restricted = merge_matrix(
+                        &ctx,
+                        &old,
+                        csr((2, 3), inside),
+                        false,
+                        Some(&m),
+                        None,
+                        replace,
+                    );
+                    let trusted = merge_matrix(
+                        &ctx,
+                        &old,
+                        csr((2, 3), inside),
+                        true,
+                        Some(&m),
+                        None,
+                        replace,
+                    );
+                    assert_eq!(trusted.to_sorted_tuples(), restricted.to_sorted_tuples());
+                }
+            }
+            // Flagged as premasked, `T` is not restricted again: an entry
+            // outside the mask survives (which only a kernel that ignored
+            // its mask could have produced).
+            let outside = if complement { (0, 1, 7) } else { (0, 0, 7) };
+            let t = csr((2, 3), &[outside]);
+            let r = merge_matrix(&ctx, &Csr::empty(2, 3), t, true, Some(&m), None, true);
+            assert_eq!(r.to_sorted_tuples(), vec![outside]);
+        }
     }
 
     #[test]
@@ -465,7 +543,15 @@ mod tests {
             mask: bmask((1, 2), &[(0, 0)]),
             complement: false,
         };
-        let r = merge_matrix(&ctx, &old, t, Some(&m), Some(&BinaryOp::plus()), false);
+        let r = merge_matrix(
+            &ctx,
+            &old,
+            t,
+            false,
+            Some(&m),
+            Some(&BinaryOp::plus()),
+            false,
+        );
         assert_eq!(r.to_sorted_tuples(), vec![(0, 0, 11), (0, 1, 2)]);
     }
 

@@ -32,8 +32,8 @@ use graphblas_core::operations::{
 use graphblas_core::ops::registry;
 use graphblas_core::types::One;
 use graphblas_core::{
-    no_mask, no_mask_v, BinaryOp, Descriptor, Index, Matrix, Monoid, Semiring, UnaryOp, ValueType,
-    Vector,
+    global_context, no_mask, no_mask_v, BinaryOp, Context, ContextOptions, Descriptor, Format,
+    Index, Matrix, Mode, Monoid, Semiring, UnaryOp, ValueType, Vector,
 };
 use graphblas_exec::rng::prelude::*;
 
@@ -734,4 +734,116 @@ fn multiplies_that_select_the_matrix_value_are_never_claimed() {
         force_direction(None);
     }
     graphblas_obs::set_enabled(false);
+}
+
+// ---------------------------------------------------------------------
+// PLUS.PAIR under a mask: the triangle-counting product
+// ---------------------------------------------------------------------
+
+/// A seeded `shape` matrix in `ctx` whose `k`-th stored entry is
+/// `value(k)`; `empty_even_rows` leaves every even row without entries.
+fn rect_in<T: ValueType>(
+    ctx: &Context,
+    seed: u64,
+    shape: (usize, usize),
+    empty_even_rows: bool,
+    value: impl Fn(usize) -> T,
+) -> Matrix<T> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut keys = std::collections::BTreeSet::new();
+    for _ in 0..shape.0 * shape.1 / 4 {
+        let (i, j) = (rng.gen_range(0..shape.0), rng.gen_range(0..shape.1));
+        if !(empty_even_rows && i % 2 == 0) {
+            keys.insert((i, j));
+        }
+    }
+    let m = Matrix::<T>::new_in(ctx, shape.0, shape.1).unwrap();
+    let vals: Vec<T> = (0..keys.len()).map(value).collect();
+    m.build(
+        &keys.iter().map(|k| k.0).collect::<Vec<_>>(),
+        &keys.iter().map(|k| k.1).collect::<Vec<_>>(),
+        &vals,
+        None,
+    )
+    .unwrap();
+    m
+}
+
+type CsrArrays<T> = (Vec<Index>, Vec<Index>, Vec<T>);
+
+/// `C⟨M⟩ = A PLUS.PAIR B` over a rectangular `M`/`A`/`B` in `ctx`, under
+/// each mask shape: a structure mask, a value mask with stored `false`
+/// entries, a mask with empty rows (plain: the counting kernel), and the
+/// value mask complemented (the semiring kernel). Returns each case's
+/// CSR arrays with its (static hits, dyn fallbacks).
+fn plus_pair_products<T>(
+    ctx: &Context,
+    sr: &Semiring<bool, f64, T>,
+    registry_on: bool,
+) -> Vec<(CsrArrays<T>, (u64, u64))>
+where
+    T: ValueType + One,
+{
+    let (m, k, n) = (30, 20, 40);
+    let a = rect_in(ctx, 0x61, (m, k), false, |_| true);
+    let b = rect_in(ctx, 0x62, (k, n), false, |x| x as f64);
+    let mask = rect_in(ctx, 0x63, (m, n), false, |x| x % 3 != 0);
+    let holed = rect_in(ctx, 0x64, (m, n), true, |_| true);
+    let cases = [
+        (&mask, Descriptor::new().structure_mask()),
+        (&mask, Descriptor::default()),
+        (&holed, Descriptor::default()),
+        (&mask, Descriptor::new().complement_mask()),
+    ];
+    cases
+        .iter()
+        .map(|(mm, desc)| {
+            dispatched(registry_on, || {
+                let c = Matrix::<T>::new_in(ctx, m, n).unwrap();
+                mxm(&c, Some(*mm), None, sr, &a, &b, desc).unwrap();
+                c.export(Format::Csr).unwrap()
+            })
+        })
+        .collect()
+}
+
+/// One PLUS type: the registry claims every case and matches the dyn
+/// path byte for byte, on one, two and four threads alike.
+fn check_plus_pair<T>(name: &str, sr: &Semiring<bool, f64, T>)
+where
+    T: ValueType + One + PartialEq + Debug,
+{
+    let _g = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    graphblas_obs::set_enabled(true);
+    let mut runs = Vec::new();
+    for nthreads in [1, 2, 4] {
+        let opts = ContextOptions {
+            nthreads: Some(nthreads),
+            chunk_size: Some(1),
+            ..ContextOptions::default()
+        };
+        let ctx = Context::new(&global_context(), Mode::Blocking, opts);
+        let (s, d) = (
+            plus_pair_products(&ctx, sr, true),
+            plus_pair_products(&ctx, sr, false),
+        );
+        for (case, ((s, s_picks), (d, d_picks))) in s.iter().zip(&d).enumerate() {
+            assert_eq!(*s_picks, (1, 0), "{name} case {case}: not claimed");
+            assert_eq!(*d_picks, (0, 1), "{name} case {case}: claimed when off");
+            assert_eq!(s, d, "{name} case {case} on {nthreads} threads");
+            assert!(!s.2.is_empty(), "{name} case {case}: vacuous");
+        }
+        runs.push(s);
+    }
+    graphblas_obs::set_enabled(false);
+    assert_eq!(runs[0], runs[1], "{name}: one vs two threads");
+    assert_eq!(runs[0], runs[2], "{name}: one vs four threads");
+}
+
+#[test]
+fn plus_pair_masked_mxm_every_plus_type() {
+    check_plus_pair("plus_pair f64", &Semiring::<bool, f64, f64>::plus_pair());
+    check_plus_pair("plus_pair f32", &Semiring::<bool, f64, f32>::plus_pair());
+    check_plus_pair("plus_pair i64", &Semiring::<bool, f64, i64>::plus_pair());
+    check_plus_pair("plus_pair u64", &Semiring::<bool, f64, u64>::plus_pair());
 }

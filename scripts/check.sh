@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Repository gate: release build, full test suite, lint-clean clippy,
-# the repo-specific grblint pass, rustfmt on graphblas-check, and the
-# benchmark and telemetry smokes. Run from anywhere; operates on the
-# workspace root.
+# the repo-specific grblint pass, rustfmt on graphblas-check and
+# graphblas-sparse, and the benchmark and telemetry smokes. Run from
+# anywhere; operates on the workspace root.
 #
 #   --sanitize   additionally run the exec/check test suites under
 #                ThreadSanitizer (requires a nightly toolchain with
@@ -69,8 +69,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # rep against an independent power iteration (L1 ≤ 1e-9), which is what
 # verifies `algo::pagerank` on the harness's own graphs. The `spgemm`
 # workload checks the triangle count and every entry of the unmasked
-# product against the harness's own references, which covers both SpGEMM
-# kernels through `mxm`. The `bfs` workload checks levels and parents of
+# product against the harness's own references, which covers two of the
+# three SpGEMM paths through `mxm`: the PLUS.PAIR count under a plain mask
+# and the unmasked semiring product (the masked semiring product is
+# pinned by the test suites). The `bfs` workload checks levels and parents of
 # all 16 traversals against a queue BFS — the frontier formats (sparse,
 # full) and both directions ride on the vector store's format choice. --allow-env: the harness otherwise refuses to start when a GRB_*
 # knob such as GRB_CHECK_SCHEDULES is set.
@@ -90,9 +92,9 @@ scripts/pairs.sh --self --pairs 1 --quick --allow-env >/dev/null
 # or no longer suppress anything. Fails the gate on any violation.
 cargo run -q -p graphblas-check --bin grblint -- .
 
-# graphblas-check is rustfmt-clean; the other crates are not yet, so the
-# format gate covers this one package.
-cargo fmt -p graphblas-check -- --check
+# graphblas-check and graphblas-sparse are rustfmt-clean; the other crates
+# are not yet, so the format gate covers these packages.
+cargo fmt -p graphblas-check -p graphblas-sparse -- --check
 
 # Optional ThreadSanitizer pass (EXPERIMENTS.md "Sanitizer runs"): the
 # model checker explores interleavings of *model* primitives; TSan
