@@ -269,7 +269,9 @@ mod tests {
         register_context(base + 3, base + 2, None);
         register_context(base + 9, 0, Some("other"));
         let ids = subtree_ids(base + 1);
-        assert!(ids.contains(&(base + 1)) && ids.contains(&(base + 2)) && ids.contains(&(base + 3)));
+        assert!(
+            ids.contains(&(base + 1)) && ids.contains(&(base + 2)) && ids.contains(&(base + 3))
+        );
         assert!(!ids.contains(&(base + 9)));
         // An unregistered root still names itself.
         assert_eq!(subtree_ids(base + 77), vec![base + 77]);

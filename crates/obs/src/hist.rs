@@ -338,7 +338,9 @@ mod tests {
             let mut x = seed;
             for _ in 0..500 {
                 // Hand-rolled LCG: deterministic, no external RNG.
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 h.add_sample(x >> 40);
             }
             h
