@@ -197,7 +197,7 @@ fn main() {
     // so that store never exists inside the loop. `mem_high` is the
     // growth of the container + workspace high-water marks over the
     // timed phase (re-armed at the phase boundary without disturbing the
-    // run's counters or the event ring).
+    // run's counters or the recorder's rings).
     let (ap_rows, ap_cols, ap_vals) = random_matrix(p.pipe_n, p.pipe_n * 8, 23)
         .extract_tuples()
         .expect("pipeline operand tuples");
@@ -282,14 +282,11 @@ fn main() {
 
     let snap = graphblas_obs::snapshot();
     // GRB_TRACE=<path> exports the per-thread timeline of everything above
-    // as Chrome-trace JSON (validated by `tracecheck` in scripts/check.sh).
-    if let Some(path) = graphblas_obs::timeline::write_trace_if_requested() {
-        println!("timeline trace written: {path}");
-    }
-    // GRB_EXPLAIN=<path> exports the reason-coded decision history of the
-    // same run as explain/v1 JSON (gated by `grbexplain` in check.sh).
-    if let Some(path) = graphblas_obs::write_explain_if_requested() {
-        println!("decision provenance written: {path}");
+    // as Chrome-trace JSON (validated by `tracecheck` in scripts/check.sh),
+    // GRB_EXPLAIN=<path> the reason-coded decision history of the same run
+    // as explain/v1 JSON (gated by `grbexplain` in check.sh).
+    for path in graphblas_obs::write_exports() {
+        println!("obs export written: {path}");
     }
     graphblas_obs::set_enabled(false);
 
@@ -674,7 +671,7 @@ fn main() {
 
     // The same run's full telemetry snapshot (histograms, per-context
     // rollups, memory gauges — everything `graphblas_obs::snapshot`
-    // collects, minus the event ring) as the second baseline file.
+    // collects, minus the span list) as the second baseline file.
     let obs_json = snap.to_json_with(false);
     std::fs::write("BENCH_obs.json", &obs_json).expect("write BENCH_obs.json");
     println!("obs snapshot written: BENCH_obs.json ({} bytes)", obs_json.len());

@@ -35,7 +35,6 @@ static SERIALIZE: Mutex<()> = Mutex::new(());
 fn obs_on() {
     graphblas_core::init(Mode::Blocking);
     graphblas_obs::set_enabled(true);
-    graphblas_obs::events::set_events(true);
 }
 
 fn obs_off() {

@@ -11,7 +11,6 @@ use graphblas_check::trace;
 #[test]
 fn exported_trace_is_balanced_and_escaped() {
     graphblas_obs::set_enabled(true);
-    graphblas_obs::timeline::set_timeline(true);
 
     {
         let _outer = graphblas_obs::timeline::phase("fmt.outer");
@@ -28,7 +27,6 @@ fn exported_trace_is_balanced_and_escaped() {
     worker.join().expect("worker panicked");
 
     let json = graphblas_obs::timeline::to_chrome_trace();
-    graphblas_obs::timeline::set_timeline(false);
     graphblas_obs::set_enabled(false);
 
     let summary = trace::validate(&json)

@@ -73,12 +73,13 @@ pub fn init(mode: Mode) -> bool {
 /// `GrB_finalize`: tears down the top-level context. Outstanding object
 /// handles keep their contexts alive; new objects after a later [`init`]
 /// join the fresh tree, and the calling thread's cached workspaces and
-/// shelved result buffers are freed. If `GRB_TRACE=<path>` is set, the
-/// collected per-thread timeline is flushed there as Chrome-trace JSON on
-/// the way out (programs that never finalize can flush explicitly via
-/// `graphblas_obs::timeline::write_trace_if_requested`).
+/// shelved result buffers are freed. On the way out the telemetry exports
+/// whose variables are set are written: the per-thread timeline as
+/// Chrome-trace JSON to `GRB_TRACE=<path>` and the decision history as
+/// explain/v1 JSON to `GRB_EXPLAIN=<path>` (programs that never finalize
+/// can write them explicitly via `graphblas_obs::write_exports`).
 pub fn finalize() {
-    graphblas_obs::timeline::write_trace_if_requested();
+    graphblas_obs::write_exports();
     graphblas_exec::finalize()
 }
 

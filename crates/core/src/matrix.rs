@@ -125,7 +125,7 @@ impl<T: ValueType> MatrixState<T> {
         let csr = Arc::make_mut(&mut self.store.0);
         let dup = csr.sort_rows(ctx);
         debug_assert!(dup.is_none(), "a matrix store holds no coordinate twice");
-        if graphblas_obs::events::on() {
+        if graphblas_obs::enabled() {
             let nnz = csr.nnz() as u64;
             graphblas_obs::events::decision_convert_csr("matrix", ctx.id(), "unsorted", nnz);
         }

@@ -253,7 +253,7 @@ fn note_dag_fusion(
 ) {
     if graphblas_obs::enabled() {
         graphblas_obs::counters::record_dag_fusion(pre as u64, post as u64);
-        if graphblas_obs::events::on() && pre + post > 0 {
+        if pre + post > 0 {
             graphblas_obs::events::decision_dag_fuse(
                 op,
                 ctx_id,

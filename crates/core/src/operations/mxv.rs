@@ -260,8 +260,6 @@ fn frontier_for<X: ValueType>(op: &'static str, ctx_id: u64, d: &DenseVec<X>) ->
     let sparse = d.to_sparse();
     if graphblas_obs::enabled() {
         graphblas_obs::counters::record_format_conversion();
-    }
-    if graphblas_obs::events::on() {
         graphblas_obs::events::decision_convert_sparse(op, ctx_id, "dense", sparse.nnz() as u64);
     }
     sparse

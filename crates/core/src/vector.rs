@@ -152,14 +152,12 @@ impl<T: ValueType> State<VectorState<T>> {
                 Arc::new(d.to_sparse())
             }
         };
-        if let Some(src) = src_format {
-            if src != "unsorted" && graphblas_obs::enabled() {
+        if let Some(src) = src_format.filter(|_| graphblas_obs::enabled()) {
+            if src != "unsorted" {
                 graphblas_obs::counters::record_format_conversion();
             }
-            if graphblas_obs::events::on() {
-                let (ctx, nnz) = (self.ctx_id(), sv.nnz() as u64);
-                graphblas_obs::events::decision_convert_sparse("vector", ctx, src, nnz);
-            }
+            let (ctx, nnz) = (self.ctx_id(), sv.nnz() as u64);
+            graphblas_obs::events::decision_convert_sparse("vector", ctx, src, nnz);
         }
         self.store = VecStore::Sparse(sv);
         self.debug_check();

@@ -63,7 +63,7 @@ impl ThreadCache {
     fn release_all(&mut self) {
         let recorded: u64 = self.map.values().map(|(_, b)| b).sum();
         graphblas_obs::mem::workspace().sub(recorded);
-        if !self.map.is_empty() && graphblas_obs::events::on() {
+        if !self.map.is_empty() && graphblas_obs::enabled() {
             graphblas_obs::events::decision_workspace_trim(self.map.len() as u64, recorded);
         }
         self.map.clear();
@@ -137,20 +137,18 @@ pub fn checkout<T: Reusable>(n: usize) -> Checkout<T> {
     if graphblas_obs::enabled() {
         let reused = if hit { ws.reusable_bytes() } else { 0 };
         graphblas_obs::counters::record_workspace_checkout(hit, reused);
-        if graphblas_obs::events::on() {
-            let generation = CACHE.with(|c| {
-                let mut c = c.borrow_mut();
-                c.generation += 1;
-                c.generation
-            });
-            graphblas_obs::events::decision_workspace(
-                std::any::type_name::<T>(),
-                hit,
-                n as u64,
-                reused,
-                generation,
-            );
-        }
+        let generation = CACHE.with(|c| {
+            let mut c = c.borrow_mut();
+            c.generation += 1;
+            c.generation
+        });
+        graphblas_obs::events::decision_workspace(
+            std::any::type_name::<T>(),
+            hit,
+            n as u64,
+            reused,
+            generation,
+        );
     }
     ws.prepare(n);
     Checkout { inner: Some(ws) }

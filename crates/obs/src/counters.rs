@@ -160,10 +160,11 @@ macro_rules! counter_table {
             pub mem: MemTotals,
             /// Per-context rollups, ordered by context id.
             pub contexts: Vec<ContextStats>,
-            /// The event ring's contents, chronological.
+            /// The newest span regions in the threads' rings, in completion
+            /// order ([`span::events`]).
             pub events: Vec<Event>,
-            /// Total events ever recorded (≥ `events.len()`; the excess was
-            /// overwritten in the ring).
+            /// Total spans ever recorded (≥ `events.len()`; the excess was
+            /// overwritten or is past the list's length).
             pub events_total: u64,
             /// Lifetime decision counts per reason code (`obs::events`), in
             /// [`Reason::all`] order.

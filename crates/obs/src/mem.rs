@@ -133,7 +133,7 @@ pub(crate) fn reset_high_water() {
 
 /// Re-arms the high-water marks without touching any other telemetry —
 /// for harnesses that bracket a measured phase mid-run, where a full
-/// [`crate::reset`] would wipe counters and the event ring that earlier
+/// [`crate::reset`] would wipe counters and the threads' rings that earlier
 /// phases already contributed.
 pub fn rearm_high_water() {
     reset_high_water();

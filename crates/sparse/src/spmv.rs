@@ -244,7 +244,7 @@ where
         VecView::Sparse(s) => s.is_full().then(|| s.values()),
     }
     .filter(|_| pre.is_none());
-    if graphblas_obs::events::on() {
+    if graphblas_obs::enabled() {
         let path = if direct.is_some() {
             "dense-frontier"
         } else {
@@ -328,7 +328,7 @@ where
     let nrows = a.nrows();
     let Hooks { post, keep, .. } = hooks;
     let allowed = keep.allowed(nrows);
-    if K::MASKED && graphblas_obs::events::on() {
+    if K::MASKED && graphblas_obs::enabled() {
         graphblas_obs::events::decision_kernel_path(
             "spmv",
             ctx.id(),
@@ -481,7 +481,7 @@ where
             ((a.nnz() + nnz) * std::mem::size_of::<usize>()) as u64,
         );
     }
-    if K::MASKED && graphblas_obs::events::on() {
+    if K::MASKED && graphblas_obs::enabled() {
         graphblas_obs::events::decision_kernel_path(
             "vxm",
             ctx.id(),

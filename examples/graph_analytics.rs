@@ -87,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\ngraph analytics OK");
-    // GrB_finalize: also flushes the GRB_TRACE timeline, if requested.
+    // GrB_finalize: also writes the GRB_TRACE / GRB_EXPLAIN exports, if set.
     graphblas::finalize();
     Ok(())
 }

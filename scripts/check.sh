@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repository gate: release build, full test suite, lint-clean clippy,
-# the repo-specific grblint pass, rustfmt on graphblas-check and
-# graphblas-sparse, and the benchmark and telemetry smokes. Run from
+# the repo-specific grblint pass, rustfmt on graphblas-check,
+# graphblas-sparse and graphblas-obs, and the benchmark and telemetry
+# smokes. Run from
 # anywhere; operates on the workspace root.
 #
 #   --sanitize   additionally run the exec/check test suites under
@@ -92,9 +93,9 @@ scripts/pairs.sh --self --pairs 1 --quick --allow-env >/dev/null
 # or no longer suppress anything. Fails the gate on any violation.
 cargo run -q -p graphblas-check --bin grblint -- .
 
-# graphblas-check and graphblas-sparse are rustfmt-clean; the other crates
-# are not yet, so the format gate covers these packages.
-cargo fmt -p graphblas-check -p graphblas-sparse -- --check
+# graphblas-check, graphblas-sparse and graphblas-obs are rustfmt-clean;
+# the other crates are not yet, so the format gate covers these packages.
+cargo fmt -p graphblas-check -p graphblas-sparse -p graphblas-obs -- --check
 
 # Optional ThreadSanitizer pass (EXPERIMENTS.md "Sanitizer runs"): the
 # model checker explores interleavings of *model* primitives; TSan

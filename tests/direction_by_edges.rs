@@ -71,7 +71,6 @@ fn a_frontier_of_few_vertices_and_most_edges_is_pulled() {
     assert_eq!(pulled.0 .1.iter().max(), Some(&4));
 
     graphblas_obs::set_enabled(true);
-    graphblas_obs::events::set_events(true);
     let before = graphblas_obs::snapshot().direction;
     let levels = bfs_levels(&a, 0).unwrap();
     let after = graphblas_obs::snapshot().direction;
